@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fuzz-short crash-test windows-test columnar-test check bench bench-json bench-compare
+.PHONY: build test vet race fuzz-short crash-test windows-test columnar-test bench-module check bench bench-json bench-compare
 
 build:
 	$(GO) build ./...
@@ -19,10 +19,11 @@ vet:
 # equivalence, and checkpoint suites specifically: the sharded runtime's
 # RunParallel fan-out, the runtime eviction buffers, the lock-sharded
 # HFTA merge, and the engine's unified budget / checkpoint-v2 paths on
-# top of them.
+# top of them, plus the shared epoch read-out (allocation bound and
+# retained-row immutability).
 race:
 	$(GO) test -race ./internal/...
-	$(GO) test -race -run 'TestChaos|TestSharded|TestCheckpoint|TestKillRestore' -count=1 ./internal/core
+	$(GO) test -race -run 'TestChaos|TestSharded|TestCheckpoint|TestKillRestore|TestReadout' -count=1 ./internal/core
 
 # Replay the checked-in fuzz seed corpora (testdata/fuzz/...) without
 # live fuzzing — what CI runs. Use `go test -fuzz FuzzCheckpointDecode
@@ -51,15 +52,22 @@ windows-test:
 # probes (victims, stats, contents), ProcessColumns ≡ Process, the fully
 # columnar routed sharded path at 1/2/4/8 shards vs sequential + oracle,
 # MergeRun ≡ per-entry Consume including forced lock-shard collisions
-# and concurrent folds, and the vectorized WHERE stack: selection-vector
+# and concurrent folds, the sorted read-out ≡ its brute-force model and
+# concurrent with MergeRun, and the vectorized WHERE stack: selection-vector
 # kernels vs their generic forms, compiled filters vs the interpreted
 # DNF walk (scalar and columnar, with adaptive reordering), selection-
 # aware probes/routing vs compacted dense runs, and ProcessColumnBatch
 # vs the scalar engine loop across batch-boundary epoch splits.
 columnar-test:
-	$(GO) test -race -count=1 -run 'TestReadColumns|TestColumnBatch|TestColumnar|TestProbeColumns|TestHashColumns|TestMergeRun|TestSelVec|TestFilter|TestInterpretedFilter|TestNoWhere' ./internal/stream ./internal/hashtab ./internal/lfta ./internal/hfta ./internal/core ./internal/selvec ./internal/query
+	$(GO) test -race -count=1 -run 'TestReadColumns|TestColumnBatch|TestColumnar|TestProbeColumns|TestHashColumns|TestMergeRun|TestRows|TestSelVec|TestFilter|TestInterpretedFilter|TestNoWhere' ./internal/stream ./internal/hashtab ./internal/lfta ./internal/hfta ./internal/core ./internal/selvec ./internal/query
 
-check: build vet test race fuzz-short crash-test windows-test columnar-test
+# bench/ is a nested module that ./... does not reach; it assembles the
+# engine's epoch close from the layers' public entry points, so it is
+# where an hfta or core API change breaks first.
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test .
+
+check: build vet test race fuzz-short crash-test windows-test columnar-test bench-module
 
 # Quick perf numbers for the engine hot path (see docs/PERF.md).
 bench:

@@ -13,6 +13,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/attr"
 	"repro/internal/backoff"
@@ -84,6 +85,12 @@ type AdaptOptions struct {
 // HFTA state immediately afterwards, so memory stays bounded regardless
 // of stream length; without one, results accumulate for later retrieval
 // via Results/AllResults.
+//
+// Ownership: rows is the epoch's one read-out of the query, shared by
+// reference with the durable store's persister and the window composer. It
+// is immutable and never recycled, so a handler may retain rows, and their
+// Key and Aggs slices, for as long as it likes, and must not write to any
+// of them.
 type ResultHandler func(rel attr.Set, epoch uint32, rows []hfta.Row, deg Degradation)
 
 // Options configure an Engine.
@@ -281,10 +288,19 @@ type Engine struct {
 
 	firstResultErr error
 
+	// closing is the read-out of the epoch being closed: each query's
+	// finalized rows in query order, read from the HFTA exactly once by
+	// closeEpochState and shared by reference by the pane feed (before
+	// HAVING), the persister and the result handler (after). It is nil
+	// between epoch closes, so the engine pins no rows it has delivered.
+	closing      [][]hfta.Row
+	closingEpoch uint32
+
 	// Result emission: emitResults is the row source emitEpoch delivers
-	// from (e.Results normally; tests substitute failing sources) and
-	// emitRetry is the backoff schedule a transient emission failure is
-	// retried on before the epoch's query counts as a ResultError.
+	// from (the closing epoch's read-out normally; tests substitute
+	// failing sources) and emitRetry is the backoff schedule a transient
+	// emission failure is retried on before the epoch's query counts as a
+	// ResultError.
 	emitResults func(rel attr.Set, epoch uint32) ([]hfta.Row, error)
 	emitRetry   backoff.Policy
 
@@ -442,7 +458,7 @@ func NewFromSpecs(specs []*query.Spec, groups feedgraph.GroupCounts, opts Option
 		durable:   newDurableLedger(),
 		emitRetry: backoff.Policy{Seed: opts.Seed},
 	}
-	e.emitResults = e.Results
+	e.emitResults = e.closingResults
 	// Compile the WHERE once: the scalar and columnar admission paths
 	// share the same compiled predicate kernels. An empty WHERE leaves
 	// both filter fields zero, so unfiltered workloads pay nothing.
@@ -935,18 +951,57 @@ func (e *Engine) closeEpochState() Degradation {
 	if e.shedder != nil {
 		e.shedder.EpochEnd(closed)
 	}
-	// Persist before emit: emitEpoch drops the epoch's HFTA state when a
-	// result handler is installed, so the durable copy must be captured
-	// first. The capture is synchronous (cheap row copies); the store I/O
-	// runs on the persister goroutine. The pane feed sits between them
-	// for the same reason: it reads the epoch's HFTA rows before emit
-	// can drop them.
-	e.persistEpoch(closed)
-	if e.winComposer != nil {
-		e.feedPane(closed)
+	// One read-out per query serves every consumer of the closed epoch.
+	// The composer takes the rows before HAVING (a window's aggregates
+	// cover groups no single pane would report) and keeps only their Aggs;
+	// HAVING then compacts each read-out in place for the persister and
+	// the handler. The persister is handed its epoch before any handler
+	// runs — the durable copy never waits on user code — and windows are
+	// delivered before the epoch's own rows, as they always were.
+	if e.persist != nil || e.winComposer != nil || e.opts.OnResults != nil {
+		e.closing = make([][]hfta.Row, len(e.queries))
+		e.closingEpoch = closed.Epoch
+		for i, q := range e.queries {
+			e.closing[i] = e.agg.Rows(q, closed.Epoch)
+		}
+		if e.winComposer != nil {
+			e.feedPane(closed)
+		}
+		for i, spec := range e.specs { // specs and queries are parallel
+			e.closing[i] = applyHaving(spec, e.closing[i])
+		}
+		e.persistEpoch(closed)
+		if e.winComposer != nil {
+			e.closeWindows(closed)
+		}
+		e.emitEpoch(closed)
+		e.closing = nil
 	}
-	e.emitEpoch(closed)
 	return closed
+}
+
+// applyHaving compacts rows in place to those passing the query's HAVING
+// clause; a query without one gets its rows back untouched.
+func applyHaving(spec *query.Spec, rows []hfta.Row) []hfta.Row {
+	if len(spec.HavingCl) == 0 {
+		return rows
+	}
+	out := rows[:0]
+	for _, r := range rows {
+		if spec.MatchHaving(r.Aggs) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// closingResults is the default emitResults: the closing epoch's cached
+// read-out, HAVING applied.
+func (e *Engine) closingResults(rel attr.Set, epoch uint32) ([]hfta.Row, error) {
+	if i := slices.Index(e.queries, rel); i >= 0 && e.closing != nil && epoch == e.closingEpoch {
+		return e.closing[i], nil
+	}
+	return nil, fmt.Errorf("core: no read-out of %v for epoch %d (closing epoch %d)", rel, epoch, e.closingEpoch)
 }
 
 // closeShardEpoch closes the per-shard ledgers alongside the global one:
@@ -1173,14 +1228,17 @@ func (e *Engine) emitEpoch(closed Degradation) {
 		// Capture measured group counts before the state is dropped.
 		e.refreshGroupEstimates(epoch)
 	}
-	for _, q := range e.queries {
-		var rows []hfta.Row
-		err := e.emitRetry.Retry(func() error {
-			var rerr error
-			rows, rerr = e.emitResults(q, epoch)
-			return rerr
-		})
-		if err != nil {
+	// One retry closure serves every query of the epoch.
+	var (
+		q    attr.Set
+		rows []hfta.Row
+	)
+	fetch := func() (err error) {
+		rows, err = e.emitResults(q, epoch)
+		return err
+	}
+	for _, q = range e.queries {
+		if err := e.emitRetry.Retry(fetch); err != nil {
 			e.stats.ResultErrors++
 			if e.firstResultErr == nil {
 				e.firstResultErr = fmt.Errorf("core: emitting epoch %d of %v: %w", epoch, q, err)
@@ -1428,14 +1486,7 @@ func (e *Engine) Results(rel attr.Set, epoch uint32) ([]hfta.Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: %v is not a registered query", rel)
 	}
-	rows := e.agg.Rows(rel, epoch)
-	out := rows[:0:0]
-	for _, r := range rows {
-		if spec.MatchHaving(r.Aggs) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return applyHaving(spec, e.agg.Rows(rel, epoch)), nil
 }
 
 // AllResults returns every finalized row across queries and epochs with

@@ -198,22 +198,17 @@ func (p *persister) stop() {
 	<-p.done
 }
 
-// persistEpoch captures the closed epoch's finalized results (HAVING
-// applied — exactly what emitEpoch delivers) and hands them to the
-// persister. Runs before emitEpoch so the rows are captured before a
-// result handler's Drop releases them. Never blocks.
+// persistEpoch hands the closing epoch's read-out (HAVING applied —
+// exactly what emitEpoch delivers, and the same immutable rows) to the
+// persister. Never blocks.
 func (e *Engine) persistEpoch(closed Degradation) {
 	if e.persist == nil {
 		return
 	}
 	epoch := closed.Epoch
 	recs := make([]epochstore.Record, 0, len(e.queries))
-	for _, q := range e.queries {
-		rows, err := e.Results(q, epoch)
-		if err != nil {
-			e.persist.ledger.markFailed(epoch, fmt.Sprintf("epoch %d: capture %v: %v", epoch, q, err), false)
-			return
-		}
+	for i, q := range e.queries {
+		rows := e.closing[i]
 		rec := epochstore.Record{
 			Epoch: epoch, Rel: q,
 			Offered: closed.Offered, Processed: closed.Processed,

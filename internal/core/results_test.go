@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/attr"
@@ -111,10 +112,16 @@ func TestResultErrorsSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sabotage one query's spec lookup so its Results call fails on every
-	// epoch, simulating a downstream fault in the emission path.
+	// Fail one query's row source on every epoch, simulating a downstream
+	// fault in the emission path.
 	broken := attr.MustParseSet("BC")
-	delete(e.specByRel, broken)
+	real := e.emitResults
+	e.emitResults = func(rel attr.Set, epoch uint32) ([]hfta.Row, error) {
+		if rel == broken {
+			return nil, fmt.Errorf("row source of %v is gone", rel)
+		}
+		return real(rel, epoch)
+	}
 
 	for _, r := range recs {
 		if err := e.Process(r); err != nil {

@@ -100,15 +100,14 @@ func (e *Engine) observePaneSketches(attrs []uint32) {
 	}
 }
 
-// feedPane hands the closing epoch to the composer as a pane — the
-// epoch's finalized HFTA rows plus the serialized sketch partials — and
-// delivers every window the pane completes. Runs after persistEpoch
-// (the durable copy is captured first) and before emitEpoch (which drops
-// the epoch's HFTA state).
+// feedPane hands the closing epoch to the composer as a pane: the
+// epoch's read-out before HAVING plus the serialized sketch partials.
+// The composer keeps each row's Aggs by reference and never writes
+// through it.
 func (e *Engine) feedPane(closed Degradation) {
 	inputs := make([]hfta.PaneInput, 0, len(e.queries))
-	for _, q := range e.queries {
-		in := hfta.PaneInput{Rel: q, Rows: e.agg.Rows(q, closed.Epoch)}
+	for i, q := range e.queries {
+		in := hfta.PaneInput{Rel: q, Rows: e.closing[i]}
 		if m := e.paneSk[q]; len(m) > 0 {
 			in.Sketches = make(map[string][]byte, len(m))
 			for k, p := range m {
@@ -124,9 +123,13 @@ func (e *Engine) feedPane(closed Degradation) {
 		Dropped:   closed.Dropped,
 		Late:      closed.Late,
 	}, inputs)
-	// Every epoch before the clock's current one is final (the clock is
-	// monotone and late records are dropped), so any window ending there
-	// can close now.
+}
+
+// closeWindows delivers every window the closed epoch's pane completes.
+// Every epoch before the clock's current one is final (the clock is
+// monotone and late records are dropped), so any window ending there can
+// close now.
+func (e *Engine) closeWindows(closed Degradation) {
 	if _, cur, _ := e.clock.Snapshot(); cur > closed.Epoch {
 		e.deliverWindows(e.winComposer.CloseThrough(int64(cur) - 1))
 	}

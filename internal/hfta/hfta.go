@@ -6,15 +6,15 @@
 // Within an epoch the HFTA may see several partials for the same group
 // (one per eviction plus the end-of-epoch flush); they combine under the
 // aggregate operations. The HFTA runs in host memory, but with parallel
-// LFTA shards its merge map is on the ingest path, so the state is keyed
-// by packed integers (see key.go) and split into lock shards by key hash:
+// LFTA shards its merge state is on the ingest path, so it is held in flat
+// columnar group tables (see store.go) split into lock shards by key hash:
 // concurrent flushes from different LFTA shards rarely touch the same
 // lock, and the sequential path pays only an uncontended mutex.
 package hfta
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/attr"
@@ -31,187 +31,14 @@ type Row struct {
 	Aggs  []int64
 }
 
-// keyShards is the number of lock shards per query relation; a power of
-// two so shard selection is a mask of the key hash.
-const keyShards = 16
-
-// arenaBlock is the growth quantum (in int64 slots) of a shard's
-// accumulator arena.
-const arenaBlock = 1024
-
-// groupMap holds one epoch's groups for one lock shard, in the map
-// variant matching the relation's arity (exactly one field is non-nil).
-type groupMap struct {
-	small map[uint64][]int64
-	wide  map[wideKey][]int64
-	jumbo map[jumboKey][]int64
-}
-
-func newGroupMap(arity int) *groupMap {
-	switch {
-	case arity <= smallArity:
-		return &groupMap{small: make(map[uint64][]int64)}
-	case arity <= wideArity:
-		return &groupMap{wide: make(map[wideKey][]int64)}
-	default:
-		return &groupMap{jumbo: make(map[jumboKey][]int64)}
-	}
-}
-
-// clear empties the group map for reuse. The builtin keeps the map's
-// bucket storage, so a recycled groupMap absorbs a same-sized epoch
-// without growing — the core of the per-epoch allocation pooling.
-func (gm *groupMap) clear() {
-	switch {
-	case gm.small != nil:
-		clear(gm.small)
-	case gm.wide != nil:
-		clear(gm.wide)
-	default:
-		clear(gm.jumbo)
-	}
-}
-
-func (gm *groupMap) len() int {
-	switch {
-	case gm.small != nil:
-		return len(gm.small)
-	case gm.wide != nil:
-		return len(gm.wide)
-	default:
-		return len(gm.jumbo)
-	}
-}
-
-// each calls fn with every (decoded key, accumulator) pair. The key slice
-// is only valid during the call.
-func (gm *groupMap) each(arity int, fn func(key []uint32, acc []int64)) {
-	var buf [attr.MaxAttrs]uint32
-	switch {
-	case gm.small != nil:
-		for k, acc := range gm.small {
-			fn(unpackSmall(k, arity, buf[:0]), acc)
-		}
-	case gm.wide != nil:
-		for k, acc := range gm.wide {
-			k := k
-			fn(k[:arity], acc)
-		}
-	default:
-		for k, acc := range gm.jumbo {
-			k := k
-			fn(k[:arity], acc)
-		}
-	}
-}
-
-// relShard is one lock shard of a relation's state: per-epoch group maps
-// plus an arena the accumulator slices are carved from (one allocation per
-// arenaBlock/len(aggs) new groups instead of one per group).
-type relShard struct {
-	mu     sync.Mutex
-	epochs map[uint32]*groupMap
-	pool   []*groupMap // cleared maps from dropped epochs, ready for reuse
-	arena  []int64
-}
-
-// take returns a group map for a new epoch, recycling a dropped epoch's
-// cleared map when one is pooled. Caller holds the shard lock.
-func (sh *relShard) take(arity int) *groupMap {
-	if n := len(sh.pool); n > 0 {
-		gm := sh.pool[n-1]
-		sh.pool[n-1] = nil
-		sh.pool = sh.pool[:n-1]
-		return gm
-	}
-	return newGroupMap(arity)
-}
-
-// alloc carves a fresh accumulator (initialized to the aggregate
-// identities) out of the shard arena. Caller holds the shard lock.
-func (sh *relShard) alloc(aggs []lfta.AggSpec) []int64 {
-	n := len(aggs)
-	if len(sh.arena)+n > cap(sh.arena) {
-		size := arenaBlock
-		if size < n {
-			size = n
-		}
-		sh.arena = make([]int64, 0, size)
-	}
-	start := len(sh.arena)
-	sh.arena = sh.arena[:start+n]
-	acc := sh.arena[start : start+n : start+n]
-	for i, spec := range aggs {
-		acc[i] = spec.Op.Identity()
-	}
-	return acc
-}
-
-// relState is the merge state of one query relation.
-type relState struct {
-	arity  int
-	shards [keyShards]relShard
-}
-
-// merge folds one partial (key, deltas) into the epoch's group state.
-// Safe for concurrent use; key and deltas are not retained.
-func (rs *relState) merge(key []uint32, deltas []int64, epoch uint32, aggs []lfta.AggSpec) {
-	var (
-		sk uint64
-		wk wideKey
-		jk jumboKey
-		h  uint64
-	)
-	switch {
-	case rs.arity <= smallArity:
-		sk = packSmall(key)
-		h = mix64(sk)
-	case rs.arity <= wideArity:
-		wk = packWide(key)
-		h = hashWords(key)
-	default:
-		jk = packJumbo(key)
-		h = hashWords(key)
-	}
-	sh := &rs.shards[h&(keyShards-1)]
-	sh.mu.Lock()
-	gm := sh.epochs[epoch]
-	if gm == nil {
-		gm = sh.take(rs.arity)
-		sh.epochs[epoch] = gm
-	}
-	var acc []int64
-	switch {
-	case gm.small != nil:
-		acc = gm.small[sk]
-		if acc == nil {
-			acc = sh.alloc(aggs)
-			gm.small[sk] = acc
-		}
-	case gm.wide != nil:
-		acc = gm.wide[wk]
-		if acc == nil {
-			acc = sh.alloc(aggs)
-			gm.wide[wk] = acc
-		}
-	default:
-		acc = gm.jumbo[jk]
-		if acc == nil {
-			acc = sh.alloc(aggs)
-			gm.jumbo[jk] = acc
-		}
-	}
-	for i, spec := range aggs {
-		acc[i] = spec.Op.Combine(acc[i], deltas[i])
-	}
-	sh.mu.Unlock()
-}
-
 // Aggregator accumulates evictions per (query, epoch, group). All methods
 // are safe for concurrent use.
 type Aggregator struct {
 	aggs  []lfta.AggSpec
 	state map[attr.Set]*relState
+
+	scratchMu sync.Mutex
+	scratch   []*readScratch // idle read-out scratch (see readout.go)
 }
 
 // New builds an aggregator for the given query relations and aggregates.
@@ -232,7 +59,7 @@ func New(queries []attr.Set, aggs []lfta.AggSpec) (*Aggregator, error) {
 		}
 		rs := &relState{arity: q.Size()}
 		for i := range rs.shards {
-			rs.shards[i].epochs = make(map[uint32]*groupMap)
+			rs.shards[i].epochs = make(map[uint32]*groupTable)
 		}
 		a.state[q] = rs
 	}
@@ -241,12 +68,6 @@ func New(queries []attr.Set, aggs []lfta.AggSpec) (*Aggregator, error) {
 
 // Sink returns the aggregator as an lfta.Sink.
 func (a *Aggregator) Sink() lfta.Sink { return a.Consume }
-
-// ConcurrentSink returns the aggregator as an lfta.Sink for parallel LFTA
-// shards. Consume is itself safe for concurrent use (the state is lock-
-// sharded by key hash), so this is now the same as Sink; the method
-// survives for callers written against the old single-mutex design.
-func (a *Aggregator) ConcurrentSink() lfta.Sink { return a.Consume }
 
 // BatchSink returns the aggregator's batch ingest as an lfta.BatchSink,
 // the preferred hookup for runtimes with per-shard eviction buffers
@@ -287,34 +108,6 @@ func (a *Aggregator) ConsumeBatch(evs []lfta.Eviction) {
 	}
 }
 
-// Rows finalizes and returns the answers for one query and epoch, sorted
-// by group key (numeric, per attribute). The state for that (query,
-// epoch) remains available until Drop is called.
-func (a *Aggregator) Rows(rel attr.Set, epoch uint32) []Row {
-	rs := a.state[rel]
-	if rs == nil {
-		return nil
-	}
-	var out []Row
-	for i := range rs.shards {
-		sh := &rs.shards[i]
-		sh.mu.Lock()
-		if gm := sh.epochs[epoch]; gm != nil {
-			gm.each(rs.arity, func(key []uint32, acc []int64) {
-				out = append(out, Row{
-					Rel:   rel,
-					Epoch: epoch,
-					Key:   append([]uint32(nil), key...),
-					Aggs:  append([]int64(nil), acc...),
-				})
-			})
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return lessKeys(out[i].Key, out[j].Key) })
-	return out
-}
-
 // AllRows returns every finalized row across queries and epochs, sorted
 // by (relation, epoch, key).
 func (a *Aggregator) AllRows() []Row {
@@ -338,59 +131,45 @@ func (a *Aggregator) Epochs(rel attr.Set) []uint32 {
 	if rs == nil {
 		return nil
 	}
-	seen := make(map[uint32]bool)
 	var out []uint32
 	for i := range rs.shards {
 		sh := &rs.shards[i]
 		sh.mu.Lock()
 		for e := range sh.epochs {
-			if !seen[e] {
-				seen[e] = true
-				out = append(out, e)
-			}
+			out = append(out, e)
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Drop releases the state of one epoch across all queries. The epoch's
-// group maps are cleared and pooled for reuse by later epochs, so a
-// steady Drop-after-emit cadence stops allocating once map capacities
-// reach the per-epoch group count.
+// group tables are emptied and pooled for reuse by later epochs (see
+// relShard).
 func (a *Aggregator) Drop(epoch uint32) {
 	for _, rs := range a.state {
 		for i := range rs.shards {
 			sh := &rs.shards[i]
 			sh.mu.Lock()
-			if gm := sh.epochs[epoch]; gm != nil {
-				gm.clear()
-				sh.pool = append(sh.pool, gm)
-				delete(sh.epochs, epoch)
-			}
+			sh.release(epoch)
 			sh.mu.Unlock()
 		}
 	}
 }
 
 // Reset drops all epochs of all queries, keeping the allocated group
-// maps (pooled) and arena blocks for reuse: the aggregator behaves as
-// freshly constructed but a subsequent same-shaped workload allocates
-// almost nothing. Not safe to call concurrently with merges.
+// tables (pooled) for reuse: the aggregator behaves as freshly
+// constructed but a subsequent same-shaped workload allocates almost
+// nothing. Not safe to call concurrently with merges.
 func (a *Aggregator) Reset() {
 	for _, rs := range a.state {
 		for i := range rs.shards {
 			sh := &rs.shards[i]
 			sh.mu.Lock()
-			for e, gm := range sh.epochs {
-				gm.clear()
-				sh.pool = append(sh.pool, gm)
-				delete(sh.epochs, e)
+			for e := range sh.epochs {
+				sh.release(e)
 			}
-			// All accumulators are dropped with their epochs, so the
-			// current arena block can be rewound and re-carved.
-			sh.arena = sh.arena[:0]
 			sh.mu.Unlock()
 		}
 	}
@@ -408,8 +187,8 @@ func (a *Aggregator) GroupCount(rel attr.Set, epoch uint32) int {
 	for i := range rs.shards {
 		sh := &rs.shards[i]
 		sh.mu.Lock()
-		if gm := sh.epochs[epoch]; gm != nil {
-			n += gm.len()
+		if t := sh.epochs[epoch]; t != nil {
+			n += t.n
 		}
 		sh.mu.Unlock()
 	}

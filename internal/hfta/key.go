@@ -1,34 +1,13 @@
 package hfta
 
-import "repro/internal/attr"
+// Group keys travel as flat []uint32 words, one per attribute; the arity
+// is fixed per relation and never stored with the key. Keys of arity ≤ 2
+// additionally pack into one uint64 (attribute 0 in the high word) whose
+// numeric order equals the per-attribute lexicographic order — the form
+// the lock-shard hash and the read-out's radix sort work on.
 
-// Integer-keyed group storage. The old implementation encoded every group
-// key into a heap-allocated string (4 bytes per attribute, little-endian)
-// and used one map[string] per epoch; every eviction paid an encode
-// allocation and every read-out a decode allocation. Keys here are packed
-// into comparable integer types instead, chosen by the relation's arity —
-// which is fixed per relation, so the arity never needs to be stored in
-// the key itself:
-//
-//	arity ≤ 2:  one uint64 (attribute 0 in the high word)
-//	arity ≤ 8:  [8]uint32 array, unused trailing words zero
-//	otherwise:  [attr.MaxAttrs]uint32 array (defensive; no paper workload
-//	            groups by more than a handful of attributes)
-//
-// All three orderings agree with lexicographic comparison of the decoded
-// attribute values, so sorted read-out is numeric per attribute.
-const (
-	// smallArity is the widest group key packed directly into a uint64.
-	smallArity = 2
-	// wideArity is the widest group key held in the array-backed wideKey.
-	wideArity = 8
-)
-
-// wideKey is the comparable array-backed key for arities 3..wideArity.
-type wideKey [wideArity]uint32
-
-// jumboKey covers every remaining arity up to attr.MaxAttrs.
-type jumboKey [attr.MaxAttrs]uint32
+// smallArity is the widest group key packed directly into a uint64.
+const smallArity = 2
 
 // packSmall packs a key of arity 1 or 2 into a uint64 whose numeric order
 // equals the lexicographic order of the values.
@@ -37,28 +16,6 @@ func packSmall(vals []uint32) uint64 {
 		return uint64(vals[0])
 	}
 	return uint64(vals[0])<<32 | uint64(vals[1])
-}
-
-// unpackSmall appends the arity attribute values packed in k to dst.
-func unpackSmall(k uint64, arity int, dst []uint32) []uint32 {
-	if arity == 1 {
-		return append(dst, uint32(k))
-	}
-	return append(dst, uint32(k>>32), uint32(k))
-}
-
-// packWide copies a key of arity 3..wideArity into a wideKey.
-func packWide(vals []uint32) wideKey {
-	var k wideKey
-	copy(k[:], vals)
-	return k
-}
-
-// packJumbo copies a key of any supported arity into a jumboKey.
-func packJumbo(vals []uint32) jumboKey {
-	var k jumboKey
-	copy(k[:], vals)
-	return k
 }
 
 // mix64 is the splitmix64 finalizer: a cheap full-avalanche mix used to
@@ -73,26 +30,16 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// hashWords chains mix64 over the 4-byte words of a key.
-func hashWords(vals []uint32) uint64 {
-	h := uint64(len(vals))
-	for _, v := range vals {
+// hashKey is the group hash: its low bits pick the lock shard, the bits
+// above them the slot in that shard's group table. A key that packs is
+// mixed once; a wider one chains mix64 over its words.
+func hashKey(key []uint32) uint64 {
+	if len(key) <= smallArity {
+		return mix64(packSmall(key))
+	}
+	h := uint64(len(key))
+	for _, v := range key {
 		h = mix64(h ^ uint64(v))
 	}
 	return h
-}
-
-// lessKeys orders decoded group keys lexicographically per attribute — the
-// canonical row order of Rows and AllRows.
-func lessKeys(a, b []uint32) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

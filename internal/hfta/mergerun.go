@@ -1,8 +1,6 @@
 package hfta
 
 import (
-	"sync"
-
 	"repro/internal/attr"
 	"repro/internal/lfta"
 )
@@ -11,12 +9,12 @@ import (
 // one lock acquisition per partial even though a sealed eviction run
 // from one LFTA shard typically touches only a handful of the keyShards
 // lock shards. MergeRun restructures the work: pre-hash every key in
-// the run with no lock held, partition the entries by lock shard with a
-// stable counting scatter, then acquire each touched shard's mutex ONCE
-// and fold all of its entries under that single hold. With s LFTA
-// shards flushing concurrently, lock traffic drops from O(entries) to
-// O(touched shards) per run, and entries within a shard fold with the
-// map and arena already hot.
+// the run (a chunk of it, if it is long) with no lock held, partition
+// the entries by lock shard with a stable counting scatter, then acquire
+// each touched shard's mutex ONCE and fold all of its entries under that
+// single hold. With s LFTA shards flushing concurrently, lock traffic
+// drops from O(entries) to O(touched shards) per run, and entries within
+// a shard fold with the group table already hot.
 //
 // Correctness: the scatter is stable, so within each lock shard the
 // entries apply in run order — and all of a group's partials hash to the
@@ -25,49 +23,10 @@ import (
 // per-entry equivalence suite pins this, including forced lock-shard
 // collisions).
 
-// mergeScratch is the reusable partitioning scratch of one MergeRun
-// call, pooled because run sinks are invoked concurrently from LFTA
-// shard workers.
-type mergeScratch struct {
-	shard []uint8
-	order []int32
-}
-
-var mergeScratchPool = sync.Pool{New: func() any { return &mergeScratch{} }}
-
-// upsertLocked folds one partial into gm: map-variant dispatch,
-// accumulator get-or-alloc, combine. The caller holds sh.mu and has
-// resolved gm for the entry's epoch. Key packing and accumulator
-// handling mirror relState.merge exactly.
-func (sh *relShard) upsertLocked(gm *groupMap, key []uint32, deltas []int64, aggs []lfta.AggSpec) {
-	var acc []int64
-	switch {
-	case gm.small != nil:
-		sk := packSmall(key)
-		acc = gm.small[sk]
-		if acc == nil {
-			acc = sh.alloc(aggs)
-			gm.small[sk] = acc
-		}
-	case gm.wide != nil:
-		wk := packWide(key)
-		acc = gm.wide[wk]
-		if acc == nil {
-			acc = sh.alloc(aggs)
-			gm.wide[wk] = acc
-		}
-	default:
-		jk := packJumbo(key)
-		acc = gm.jumbo[jk]
-		if acc == nil {
-			acc = sh.alloc(aggs)
-			gm.jumbo[jk] = acc
-		}
-	}
-	for i, spec := range aggs {
-		acc[i] = spec.Op.Combine(acc[i], deltas[i])
-	}
-}
+// runChunk bounds the entries partitioned at once, so the scratch is a
+// fixed pair of stack arrays whatever the run length; a longer run folds
+// chunk after chunk, which keeps every group's combine order.
+const runChunk = lfta.DefaultEvictionBatch
 
 // MergeRun folds a sealed columnar run of partials for one query
 // relation and epoch: keys is flat n×arity, aggs flat n×NumAggs, in
@@ -79,38 +38,34 @@ func (a *Aggregator) MergeRun(rel attr.Set, epoch uint32, keys []uint32, aggs []
 	if rs == nil {
 		return
 	}
-	arity := rs.arity
-	if arity == 0 || len(keys) == 0 {
-		return
+	arity, na := rs.arity, len(a.aggs)
+	for n := len(keys) / arity; n > 0; n = len(keys) / arity {
+		if n == 1 {
+			rs.merge(keys[:arity], aggs, epoch, a.aggs)
+			return
+		}
+		n = min(n, runChunk)
+		rs.mergeChunk(epoch, keys[:n*arity], aggs[:n*na], a.aggs)
+		keys, aggs = keys[n*arity:], aggs[n*na:]
 	}
-	n := len(keys) / arity
-	if n == 1 {
-		rs.merge(keys[:arity], aggs, epoch, a.aggs)
-		return
-	}
-	sc := mergeScratchPool.Get().(*mergeScratch)
-	if cap(sc.shard) < n {
-		sc.shard = make([]uint8, n)
-		sc.order = make([]int32, n)
-	}
-	shard := sc.shard[:n]
-	order := sc.order[:n]
+}
 
-	// Pass 1 (no locks): hash every key to its lock shard, counting
-	// occupancy. Shard selection matches relState.merge bit-for-bit.
+// mergeChunk folds at most runChunk entries (see the file comment).
+func (rs *relState) mergeChunk(epoch uint32, keys []uint32, deltas []int64, aggs []lfta.AggSpec) {
+	arity, na := rs.arity, len(aggs)
+	var (
+		hashBuf  [runChunk]uint64
+		orderBuf [runChunk]int32
+	)
+	n := len(keys) / arity
+	hash, order := hashBuf[:n], orderBuf[:n]
+
+	// Pass 1 (no locks): hash every key, counting lock-shard occupancy.
 	var counts [keyShards]int32
-	if arity <= smallArity {
-		for i := 0; i < n; i++ {
-			s := uint8(mix64(packSmall(keys[i*arity:(i+1)*arity])) & (keyShards - 1))
-			shard[i] = s
-			counts[s]++
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := uint8(hashWords(keys[i*arity:(i+1)*arity]) & (keyShards - 1))
-			shard[i] = s
-			counts[s]++
-		}
+	for i := range hash {
+		h := hashKey(keys[i*arity : (i+1)*arity])
+		hash[i] = h
+		counts[h&(keyShards-1)]++
 	}
 
 	// Stable counting scatter: prefix offsets, then entry indices in run
@@ -122,14 +77,13 @@ func (a *Aggregator) MergeRun(rel attr.Set, epoch uint32, keys []uint32, aggs []
 		off += counts[s]
 	}
 	cur := offs
-	for i := 0; i < n; i++ {
-		s := shard[i]
+	for i, h := range hash {
+		s := h & (keyShards - 1)
 		order[cur[s]] = int32(i)
 		cur[s]++
 	}
 
 	// Pass 2: one lock hold per touched shard, folding its whole span.
-	na := len(a.aggs)
 	for s := 0; s < keyShards; s++ {
 		cnt := counts[s]
 		if cnt == 0 {
@@ -137,18 +91,13 @@ func (a *Aggregator) MergeRun(rel attr.Set, epoch uint32, keys []uint32, aggs []
 		}
 		sh := &rs.shards[s]
 		sh.mu.Lock()
-		gm := sh.epochs[epoch]
-		if gm == nil {
-			gm = sh.take(arity)
-			sh.epochs[epoch] = gm
-		}
+		t := sh.table(epoch)
 		for _, oi := range order[offs[s] : offs[s]+cnt] {
 			i := int(oi)
-			sh.upsertLocked(gm, keys[i*arity:(i+1)*arity:(i+1)*arity], aggs[i*na:(i+1)*na:(i+1)*na], a.aggs)
+			t.upsert(hash[i], keys[i*arity:(i+1)*arity], deltas[i*na:(i+1)*na], aggs)
 		}
 		sh.mu.Unlock()
 	}
-	mergeScratchPool.Put(sc)
 }
 
 // RunSink returns the aggregator's batched columnar merge as an

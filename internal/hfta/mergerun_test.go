@@ -7,29 +7,26 @@ import (
 	"testing"
 
 	"repro/internal/attr"
-	"repro/internal/hashtab"
 	"repro/internal/lfta"
 )
 
-// mergeRunRel returns a query relation with the given arity, spanning
-// the small (packSmall), wide (packWide), and jumbo (packJumbo) group
-// map variants.
+// mergeRunRel returns a query relation with the given arity; ≤ 2 takes
+// the packed-key hash and radix read-out, wider the word-chained hash and
+// comparison sort.
 func mergeRunRel(arity int) attr.Set {
 	return attr.MustParseSet("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:arity])
 }
 
 // TestMergeRunMatchesPerEntry: folding a run through MergeRun must
 // produce exactly the state n Consume calls produce — across the
-// small/wide/jumbo key packings, several epochs interleaved across
+// packed and wide key arities, several epochs interleaved across
 // runs, and duplicate groups within one run (where the stable scatter's
 // in-order combine matters for non-commutative-looking sequences like
-// Min/Max chains).
+// Min/Max chains). The universe then grows 100× on the tables a Drop
+// recycled (the slot index doubles and rehashes several times under
+// MergeRun) and shrinks back onto the now oversized ones.
 func TestMergeRunMatchesPerEntry(t *testing.T) {
-	specs := []lfta.AggSpec{
-		{Op: hashtab.Sum, Input: -1},
-		{Op: hashtab.Min, Input: 0},
-		{Op: hashtab.Max, Input: 1},
-	}
+	specs := sumMinMax
 	for _, arity := range []int{1, 2, 4, 8, 12} {
 		t.Run(fmt.Sprintf("arity=%d", arity), func(t *testing.T) {
 			rel := mergeRunRel(arity)
@@ -44,32 +41,39 @@ func TestMergeRunMatchesPerEntry(t *testing.T) {
 				t.Fatal(err)
 			}
 			na := len(specs)
-			for round := 0; round < 20; round++ {
-				n := 1 + rng.Intn(400)
-				epoch := uint32(rng.Intn(4))
-				keys := make([]uint32, 0, n*arity)
-				deltas := make([]int64, 0, n*na)
-				for i := 0; i < n; i++ {
-					g := rng.Intn(40) // small universe: many in-run duplicates
-					for a := 0; a < arity; a++ {
-						keys = append(keys, uint32(g*(a+2)))
+			for cycle, universe := range []int{40, 4000, 40} {
+				model := bruteModel{}
+				for round := 0; round < 20+universe/50; round++ {
+					n := 1 + rng.Intn(400)
+					epoch := uint32(rng.Intn(4))
+					keys := make([]uint32, 0, n*arity)
+					deltas := make([]int64, 0, n*na)
+					for i := 0; i < n; i++ {
+						g := rng.Intn(universe) // 40: many in-run duplicates
+						for a := 0; a < arity; a++ {
+							keys = append(keys, uint32(g*(a+2)))
+						}
+						for j := 0; j < na; j++ {
+							deltas = append(deltas, int64(rng.Intn(100)+1))
+						}
 					}
-					for j := 0; j < na; j++ {
-						deltas = append(deltas, int64(rng.Intn(100)+1))
+					runAgg.MergeRun(rel, epoch, keys, deltas)
+					for i := 0; i < n; i++ {
+						key, d := keys[i*arity:(i+1)*arity], deltas[i*na:(i+1)*na]
+						entAgg.Consume(lfta.Eviction{Rel: rel, Key: key, Aggs: d, Epoch: epoch})
+						model.fold(rel, epoch, key, d, specs)
 					}
 				}
-				runAgg.MergeRun(rel, epoch, keys, deltas)
-				for i := 0; i < n; i++ {
-					entAgg.Consume(lfta.Eviction{
-						Rel:   rel,
-						Key:   keys[i*arity : (i+1)*arity],
-						Aggs:  deltas[i*na : (i+1)*na],
-						Epoch: epoch,
-					})
+				if !Equal(runAgg.AllRows(), entAgg.AllRows()) {
+					t.Fatalf("cycle %d: MergeRun state differs from per-entry Consume state", cycle)
 				}
-			}
-			if !Equal(runAgg.AllRows(), entAgg.AllRows()) {
-				t.Fatal("MergeRun state differs from per-entry Consume state")
+				for e := uint32(0); e < 4; e++ {
+					if !Equal(runAgg.Rows(rel, e), model.rows(e)) {
+						t.Fatalf("cycle %d, epoch %d: MergeRun state differs from the brute-force model", cycle, e)
+					}
+					runAgg.Drop(e)
+					entAgg.Drop(e)
+				}
 			}
 		})
 	}
@@ -86,7 +90,7 @@ func TestMergeRunLockShardCollisions(t *testing.T) {
 	var g uint32
 	for cnt := 0; cnt < 64; g++ {
 		k := []uint32{g, g * 7}
-		if mix64(packSmall(k))&(keyShards-1) != 0 {
+		if hashKey(k)&(keyShards-1) != 0 {
 			continue
 		}
 		keys = append(keys, k...)

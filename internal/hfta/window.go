@@ -84,7 +84,7 @@ type WindowResult struct {
 // PaneInput is one relation's slice of a closing pane.
 type PaneInput struct {
 	Rel      attr.Set
-	Rows     []Row             // per-group exact aggregates (ownership passes to the composer)
+	Rows     []Row             // per-group exact aggregates; each row's Aggs is kept by reference, never written
 	Sketches map[string][]byte // packed group key → serialized sketch.Partial
 }
 
@@ -231,9 +231,14 @@ func (c *Composer) ClosePane(epoch uint32, stats PaneStats, inputs []PaneInput) 
 			// allocation, only a genuinely new group pays for its key.
 			c.kbuf = AppendKeyBytes(c.kbuf[:0], r.Key)
 			if acc, ok := rp.rows[string(c.kbuf)]; ok {
+				// The same epoch's pane fed again (rare). The stored slice
+				// is the first feed's caller's — the engine shares it with
+				// result handlers and the persister — so fold into a copy.
+				acc = append([]int64(nil), acc...)
 				for j, spec := range c.aggs {
 					acc[j] = spec.Op.Combine(acc[j], r.Aggs[j])
 				}
+				rp.rows[string(c.kbuf)] = acc
 			} else {
 				rp.rows[string(c.kbuf)] = r.Aggs
 			}

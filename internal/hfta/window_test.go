@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -419,5 +420,46 @@ func TestNewComposerValidation(t *testing.T) {
 	}
 	if _, err := NewComposer(WindowSpec{Size: 1, Slide: 1}, q, aggs, []sketch.Agg{{Kind: 99}}, 0, 0); err == nil {
 		t.Fatal("bad sketch kind accepted")
+	}
+}
+
+// TestComposerRefeedLeavesInputUntouched: ClosePane keeps each row's Aggs
+// by reference, and the engine shares those rows with result handlers and
+// the persister. Feeding the same epoch's pane again folds the two feeds
+// together; the fold must land in the composer's own copy, never in the
+// first feed's rows.
+func TestComposerRefeedLeavesInputUntouched(t *testing.T) {
+	queries := []attr.Set{attr.MustParseSet("A")}
+	aggs := []lfta.AggSpec{{Op: hashtab.Sum, Input: -1}, {Op: hashtab.Max, Input: 0}}
+	c, err := NewComposer(WindowSpec{Size: 1, Slide: 1}, queries, aggs, nil, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(sum, max int64) []Row {
+		rows := []Row{
+			{Rel: queries[0], Epoch: 3, Key: []uint32{1}, Aggs: []int64{sum, max}},
+			{Rel: queries[0], Epoch: 3, Key: []uint32{2}, Aggs: []int64{sum + 1, max + 1}},
+		}
+		c.ClosePane(3, PaneStats{Offered: 2, Processed: 2}, []PaneInput{{Rel: queries[0], Rows: rows}})
+		return rows
+	}
+	first := feed(10, 100)
+	second := feed(5, 300)
+	third := feed(1, 200)
+	for i, want := range [][2][]int64{{{10, 100}, {11, 101}}, {{5, 300}, {6, 301}}, {{1, 200}, {2, 201}}} {
+		got := [][]Row{first, second, third}[i]
+		if !slices.Equal(got[0].Aggs, want[0]) || !slices.Equal(got[1].Aggs, want[1]) {
+			t.Errorf("feed %d's rows were rewritten: %v %v; want %v", i, got[0].Aggs, got[1].Aggs, want)
+		}
+	}
+	res := c.CloseThrough(3)
+	if len(res) != 1 || len(res[0].Rows) != 2 {
+		t.Fatalf("closed %+v; want one window of two rows", res)
+	}
+	if got := res[0].Rows[0].Aggs; !slices.Equal(got, []int64{16, 300}) {
+		t.Errorf("group 1 composed to %v; want [16 300]", got)
+	}
+	if got := res[0].Rows[1].Aggs; !slices.Equal(got, []int64{19, 301}) {
+		t.Errorf("group 2 composed to %v; want [19 301]", got)
 	}
 }

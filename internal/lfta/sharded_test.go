@@ -90,7 +90,7 @@ func TestShardedParallelExactness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := lfta.NewSharded(cfg, alloc, lfta.CountStar, 9, agg.ConcurrentSink(), 8)
+	s, err := lfta.NewSharded(cfg, alloc, lfta.CountStar, 9, agg.Sink(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestFacadeShardedParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewShardedLFTA(plan.Config, plan.Alloc, CountStar, 3, agg.ConcurrentSink(), 4)
+	s, err := NewShardedLFTA(plan.Config, plan.Alloc, CountStar, 3, agg.Sink(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
