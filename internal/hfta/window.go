@@ -100,20 +100,15 @@ type pane struct {
 	rels  map[attr.Set]*relPane
 }
 
-// winAcc is one group's in-flight accumulator during composition.
-type winAcc struct {
-	aggs []int64
-	sk   *sketch.Partial
-}
-
 // Composer retains panes and closes sliding windows over them.
 //
 // Steady-state composition recycles its storage: evicted panes (struct +
 // cleared maps) and delivered results (row slices, per-group agg/key/
-// estimate slices, accumulators) return to freelists instead of the
-// heap, so a caller that hands results back via Recycle composes
-// windows with only the per-new-group map-key strings and the sketch
-// decode path still allocating. The freelists are plain slices — the
+// estimate slices) return to freelists instead of the heap, and every
+// group's sketches are merged through the same two partials, so a caller
+// that hands results back via Recycle composes windows with only the
+// per-new-group map-key strings and the t-digest decode path still
+// allocating. The freelists are plain slices — the
 // composer is single-goroutine by contract (it runs on the engine's
 // epoch-close path), so no locking.
 type Composer struct {
@@ -130,12 +125,14 @@ type Composer struct {
 	// freelists and reusable scratch (see type comment)
 	panePool []*pane
 	relPool  []*relPane
-	accPool  []*winAcc
 	rowsPool [][]WindowRow
 	aggsPool [][]int64
 	keyPool  [][]uint32
 	estPool  [][]float64
-	groups   map[string]*winAcc // reused across compose calls, cleared after each query
+	groups   map[string][]int64 // packed key → exact slots; reused across compose calls, cleared after each query
+	rels     []*relPane         // the composed window's panes of one query, ascending epoch
+	acc      *sketch.Partial    // groupSketch's accumulator and its decode scratch,
+	spare    *sketch.Partial    // both overwritten group after group
 	sortKeys []string
 	kbuf     []byte // packed-key scratch for allocation-free map hits
 }
@@ -158,10 +155,14 @@ func NewComposer(win WindowSpec, queries []attr.Set, aggs []lfta.AggSpec, saggs 
 	}
 	// Validate the sketch spec list up front so decode errors later can
 	// only mean corrupt data.
-	if _, err := sketch.NewPartial(saggs, precision, compression); err != nil && len(saggs) > 0 {
+	acc, err := sketch.NewPartial(saggs, precision, compression)
+	if err != nil && len(saggs) > 0 {
 		return nil, err
 	}
+	spare, _ := sketch.NewPartial(saggs, precision, compression)
 	return &Composer{
+		acc:     acc,
+		spare:   spare,
 		win:     win,
 		queries: queries,
 		aggs:    aggs,
@@ -384,15 +385,6 @@ func (c *Composer) takeRelPane() *relPane {
 	return &relPane{rows: make(map[string][]int64), sk: make(map[string][]byte)}
 }
 
-func (c *Composer) takeAcc() *winAcc {
-	if n := len(c.accPool); n > 0 {
-		a := c.accPool[n-1]
-		c.accPool = c.accPool[:n-1]
-		return a
-	}
-	return &winAcc{}
-}
-
 // takeAggs returns a pooled (or fresh) slice of len(c.aggs) identity
 // values.
 func (c *Composer) takeAggs() []int64 {
@@ -460,12 +452,11 @@ func fastForward(cur, target int64, w WindowSpec) int64 {
 	return i
 }
 
-// compose merges the panes of [start, end] into one WindowResult. Group
-// accumulators, agg slices, key slices, estimate buffers, and the row
-// slice itself come from the freelists (refilled by Recycle); the
-// decoded sketch partials do not — sketch.DecodePartial builds fresh
-// structures per blob and dominates the remaining allocation on
-// sketched workloads.
+// compose merges the panes of [start, end] into one WindowResult. Agg
+// slices, key slices, estimate buffers, and the row slice itself come
+// from the freelists (refilled by Recycle). The exact slots are folded
+// pane by pane; the sketches group by group, as each row is written, so
+// that two partials serve the whole window (see groupSketch).
 func (c *Composer) compose(start, end int64) WindowResult {
 	res := WindowResult{Ledger: WindowLedger{
 		Window: uint32(c.next),
@@ -477,50 +468,39 @@ func (c *Composer) compose(start, end int64) WindowResult {
 		c.rowsPool = c.rowsPool[:n-1]
 	}
 	if c.groups == nil {
-		c.groups = make(map[string]*winAcc)
+		c.groups = make(map[string][]int64)
 	}
 	for _, q := range c.queries {
 		groups := c.groups
-		// Ascending epoch order keeps t-digest merge sequences — and so
-		// serialized results — identical across runs and shard counts.
+		rels := c.rels[:0]
 		for e := start; e <= end; e++ {
-			p := c.panes[uint32(e)]
-			if p == nil {
-				continue
+			if p := c.panes[uint32(e)]; p != nil && p.rels[q] != nil {
+				rels = append(rels, p.rels[q])
 			}
-			rp := p.rels[q]
-			if rp == nil {
-				continue
-			}
+		}
+		c.rels = rels
+		for _, rp := range rels {
 			for k, slots := range rp.rows {
-				a := groups[k]
-				if a == nil {
-					a = c.takeAcc()
-					a.aggs = c.takeAggs()
-					groups[k] = a
+				acc, ok := groups[k]
+				if !ok {
+					acc = c.takeAggs()
+					groups[k] = acc
 				}
 				for j, spec := range c.aggs {
-					a.aggs[j] = spec.Op.Combine(a.aggs[j], slots[j])
+					acc[j] = spec.Op.Combine(acc[j], slots[j])
 				}
 			}
 			if len(c.saggs) == 0 {
 				continue
 			}
 			for k, blob := range rp.sk {
-				part, _, err := sketch.DecodePartial(c.saggs, c.prec, c.comp, blob)
-				if err != nil {
+				if _, ok := groups[k]; ok {
 					continue
 				}
-				a := groups[k]
-				if a == nil {
-					a = c.takeAcc()
-					a.aggs = c.takeAggs()
-					groups[k] = a
-				}
-				if a.sk == nil {
-					a.sk = part
-				} else {
-					_ = a.sk.Merge(part)
+				// A group only the sketches know exists if a blob of its
+				// own decodes.
+				if _, err := c.spare.DecodeFrom(c.prec, c.comp, blob); err == nil {
+					groups[k] = c.takeAggs()
 				}
 			}
 		}
@@ -531,31 +511,23 @@ func (c *Composer) compose(start, end int64) WindowResult {
 		sort.Strings(keys)
 		c.sortKeys = keys[:0]
 		for _, k := range keys {
-			a := groups[k]
 			row := WindowRow{
 				Rel:    q,
 				Window: uint32(c.next),
 				Start:  uint32(start),
 				End:    uint32(end),
 				Key:    c.unpackKeyInto(k),
-				Aggs:   a.aggs,
+				Aggs:   groups[k],
 			}
 			if len(c.saggs) > 0 {
-				if a.sk == nil {
-					a.sk, _ = sketch.NewPartial(c.saggs, c.prec, c.comp)
-				}
 				var est []float64
 				if n := len(c.estPool); n > 0 {
 					est = c.estPool[n-1]
 					c.estPool = c.estPool[:n-1]
 				}
-				row.Sketch = a.sk.Estimates(est)
+				row.Sketch = c.groupSketch(rels, k).Estimates(est)
 			}
 			res.Rows = append(res.Rows, row)
-			// The agg slice escaped into the row; the accumulator struct
-			// itself is done (the decoded partial is garbage either way).
-			a.aggs, a.sk = nil, nil
-			c.accPool = append(c.accPool, a)
 		}
 		clear(groups)
 	}
@@ -565,6 +537,40 @@ func (c *Composer) compose(start, end int64) WindowResult {
 		}
 	}
 	return res
+}
+
+// groupSketch merges one group's partials out of a window's panes (rels,
+// ascending epoch: the order keeps t-digest merge sequences — and so
+// serialized results — identical across runs and shard counts). The
+// first blob that decodes is decoded into c.acc, every later one into
+// c.spare and merged from there, so a window of any number of groups
+// allocates for its t-digests only. The result is valid until the next
+// call; a blob that does not decode is skipped.
+func (c *Composer) groupSketch(rels []*relPane, k string) *sketch.Partial {
+	merged := false
+	for _, rp := range rels {
+		blob, ok := rp.sk[k]
+		if !ok {
+			continue
+		}
+		into := c.acc
+		if merged {
+			into = c.spare
+		}
+		if _, err := into.DecodeFrom(c.prec, c.comp, blob); err != nil {
+			continue
+		}
+		if merged {
+			_ = c.acc.Merge(c.spare)
+		}
+		merged = true
+	}
+	if !merged {
+		// No sketch in any pane: the estimates of an empty partial.
+		empty, _ := sketch.NewPartial(c.saggs, c.prec, c.comp)
+		return empty
+	}
+	return c.acc
 }
 
 // identities returns a fresh slice of aggregate identity values (the

@@ -5,40 +5,59 @@ import (
 
 	"repro/internal/attr"
 	"repro/internal/lfta"
+	"repro/internal/sketch"
 )
 
 // TestComposerSteadyStateAllocs gates the composer's recycling: with
 // results handed back via Recycle, steady-state pane close + window
-// composition must not rebuild its storage per op. The fixture is
-// sketchless on purpose — the sketch path's remaining allocations are
-// sketch.DecodePartial building fresh partials per blob, which pooling
-// at this layer cannot remove. What legitimately remains here is the
-// per-new-group map-key string each pane insert interns (inherent to
-// map[string] storage) plus the CloseThrough result slice, so the bound
-// is a small multiple of the group count rather than the thousands of
-// allocations the unpooled composer paid per op.
+// composition must not rebuild its storage per op, with or without a
+// count_distinct per group (every pane blob is decoded into a pooled
+// partial; a t-digest would still be rebuilt per blob). What legitimately
+// remains is the per-new-group map-key string each pane insert interns
+// (inherent to map[string] storage) plus the CloseThrough result slice,
+// so the bound is a small multiple of the group count rather than the
+// thousands of allocations the unpooled composer paid per op.
 func TestComposerSteadyStateAllocs(t *testing.T) {
+	t.Run("exact", func(t *testing.T) { composerSteadyStateAllocs(t, nil) })
+	t.Run("distinct", func(t *testing.T) {
+		composerSteadyStateAllocs(t, []sketch.Agg{{Kind: sketch.Distinct, Input: 2}})
+	})
+}
+
+func composerSteadyStateAllocs(t *testing.T, saggs []sketch.Agg) {
 	const (
 		groups    = 64
 		templates = 4
 	)
 	queries := []attr.Set{attr.MustParseSet("AB")}
-	comp, err := NewComposer(WindowSpec{Size: 4, Slide: 2}, queries, lfta.CountStar, nil, 0, 0)
+	comp, err := NewComposer(WindowSpec{Size: 4, Slide: 2}, queries, lfta.CountStar, saggs, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Pane templates are safe to re-feed: keys are unique within a pane,
-	// so the composer stores the agg slices without mutating them and
-	// drops them on evict.
+	// so the composer stores the agg slices and sketch blobs without
+	// mutating them and drops them on evict.
 	tmpl := make([][]PaneInput, templates)
 	for ti := range tmpl {
 		in := PaneInput{Rel: queries[0]}
+		if saggs != nil {
+			in.Sketches = make(map[string][]byte, groups)
+		}
 		for g := 0; g < groups; g++ {
+			key := []uint32{uint32(g), uint32(g * 7)}
 			in.Rows = append(in.Rows, Row{
 				Rel:  queries[0],
-				Key:  []uint32{uint32(g), uint32(g * 7)},
+				Key:  key,
 				Aggs: []int64{int64(g + ti + 1)},
 			})
+			if saggs != nil {
+				part, err := sketch.NewPartial(saggs, 10, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				part.Observe([]uint32{key[0], key[1], uint32(g + ti)})
+				in.Sketches[PackKey(key)] = part.AppendBinary(nil)
+			}
 		}
 		tmpl[ti] = []PaneInput{in}
 	}

@@ -173,6 +173,21 @@ func (p *Partial) AppendBinary(dst []byte) []byte {
 // against the expected spec list (and precision/compression), and
 // returns the remaining bytes.
 func DecodePartial(aggs []Agg, precision uint8, compression float64, data []byte) (*Partial, []byte, error) {
+	p := &Partial{aggs: aggs, hll: make([]*HLL, len(aggs)), dig: make([]*TDigest, len(aggs))}
+	rest, err := p.DecodeFrom(precision, compression, data)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, rest, nil
+}
+
+// DecodeFrom is DecodePartial into p, a partial over the same spec list
+// whose state it replaces: an HLL p already holds at the blob's precision
+// takes the blob's registers in place, so a caller that decodes blob
+// after blob through one partial allocates for the t-digests only. After
+// an error p's state is unspecified (and may be decoded over again).
+func (p *Partial) DecodeFrom(precision uint8, compression float64, data []byte) ([]byte, error) {
+	aggs := p.aggs
 	if precision == 0 {
 		precision = DefaultPrecision
 	}
@@ -180,44 +195,48 @@ func DecodePartial(aggs []Agg, precision uint8, compression float64, data []byte
 		compression = DefaultCompression
 	}
 	if len(data) < 1 {
-		return nil, nil, fmt.Errorf("sketch: partial blob truncated")
+		return nil, fmt.Errorf("sketch: partial blob truncated")
 	}
 	if int(data[0]) != len(aggs) {
-		return nil, nil, fmt.Errorf("sketch: partial blob has %d aggs, want %d", data[0], len(aggs))
+		return nil, fmt.Errorf("sketch: partial blob has %d aggs, want %d", data[0], len(aggs))
 	}
 	data = data[1:]
-	p := &Partial{aggs: aggs, hll: make([]*HLL, len(aggs)), dig: make([]*TDigest, len(aggs))}
 	for i, a := range aggs {
 		if len(data) < 1 {
-			return nil, nil, fmt.Errorf("sketch: partial blob truncated")
+			return nil, fmt.Errorf("sketch: partial blob truncated")
 		}
 		if AggKind(data[0]) != a.Kind {
-			return nil, nil, fmt.Errorf("sketch: partial blob kind %d at %d, want %d", data[0], i, a.Kind)
+			return nil, fmt.Errorf("sketch: partial blob kind %d at %d, want %d", data[0], i, a.Kind)
 		}
 		data = data[1:]
 		var err error
 		switch a.Kind {
 		case Distinct:
+			if h := p.hll[i]; h != nil && h.p == precision && len(data) > len(h.regs) && data[0] == precision {
+				copy(h.regs, data[1:])
+				data = data[1+len(h.regs):]
+				continue
+			}
 			var h *HLL
 			if h, data, err = DecodeHLL(data); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if h.Precision() != precision {
-				return nil, nil, fmt.Errorf("sketch: partial blob precision %d, want %d", h.Precision(), precision)
+				return nil, fmt.Errorf("sketch: partial blob precision %d, want %d", h.Precision(), precision)
 			}
 			p.hll[i] = h
 		case Quantile:
 			var d *TDigest
 			if d, data, err = DecodeTDigest(data); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if d.Compression() != compression {
-				return nil, nil, fmt.Errorf("sketch: partial blob compression %v, want %v", d.Compression(), compression)
+				return nil, fmt.Errorf("sketch: partial blob compression %v, want %v", d.Compression(), compression)
 			}
 			p.dig[i] = d
 		default:
-			return nil, nil, fmt.Errorf("sketch: unknown agg kind %d", a.Kind)
+			return nil, fmt.Errorf("sketch: unknown agg kind %d", a.Kind)
 		}
 	}
-	return p, data, nil
+	return data, nil
 }

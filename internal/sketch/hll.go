@@ -12,6 +12,7 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -91,17 +92,56 @@ func mix(vals []uint32) uint64 {
 	return x
 }
 
+// invPow2[r] is 1/float64(uint64(1)<<r), a register's term in the
+// harmonic mean: exactly 2^-r for every rank Add can store (at most
+// 64-MinPrecision+1), and +Inf, the quotient's value, for the larger bytes
+// only a foreign blob can carry.
+var invPow2 = func() (t [256]float64) {
+	for r := range t {
+		t[r] = 1 / float64(uint64(1)<<r)
+	}
+	return t
+}()
+
 // Estimate returns the approximate number of distinct elements added.
+//
+// The harmonic sum is Σ 2^-regs[i] taken in register order. A windowed
+// count_distinct estimates every group of every closing window, mostly
+// over sketches a few dozen records have touched, and a division and a
+// dependent add per register made that the largest single cost of closing
+// a window. So the registers are counted by value, all-zero words eight
+// at a time, and the sum is taken over the counts. Every term is a
+// multiple of 2^-top and the total at most 2^p, so while p+top ≤ 53 every
+// partial sum of either order is exact in a float64 and the two orders
+// agree to the bit; a sketch with a larger rank takes the register-order
+// sum itself.
 func (h *HLL) Estimate() float64 {
 	m := float64(len(h.regs))
-	sum := 0.0
-	zeros := 0
-	for _, r := range h.regs {
-		sum += 1 / float64(uint64(1)<<r)
-		if r == 0 {
-			zeros++
+	var hist [256]uint32
+	var top uint8
+	zeroWords := 0
+	for i := 0; i+8 <= len(h.regs); i += 8 { // 2^p registers, p ≥ 4
+		if binary.LittleEndian.Uint64(h.regs[i:]) == 0 {
+			zeroWords++
+			continue
+		}
+		for _, r := range h.regs[i : i+8] {
+			hist[r]++
+			top = max(top, r)
 		}
 	}
+	hist[0] += 8 * uint32(zeroWords)
+	sum := 0.0
+	if int(h.p)+int(top) <= 53 {
+		for r, n := range hist[:int(top)+1] {
+			sum += float64(n) * invPow2[r]
+		}
+	} else {
+		for _, r := range h.regs {
+			sum += invPow2[r]
+		}
+	}
+	zeros := hist[0]
 	est := alpha(len(h.regs)) * m * m / sum
 	// Small-range correction: linear counting while registers are mostly
 	// empty.
@@ -130,9 +170,16 @@ func (h *HLL) Merge(other *HLL) error {
 	if other == nil || other.p != h.p {
 		return fmt.Errorf("sketch: precision mismatch")
 	}
-	for i, r := range other.regs {
-		if r > h.regs[i] {
-			h.regs[i] = r
+	// Eight registers at a time past the stretches other never touched.
+	for i := 0; i+8 <= len(other.regs); i += 8 {
+		if binary.LittleEndian.Uint64(other.regs[i:]) == 0 {
+			continue
+		}
+		dst := h.regs[i : i+8]
+		for j, r := range other.regs[i : i+8] {
+			if r > dst[j] {
+				dst[j] = r
+			}
 		}
 	}
 	return nil

@@ -1,7 +1,9 @@
 package sketch
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -141,6 +143,98 @@ func TestMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// estimateInOrder is Estimate as first written: one division per register,
+// summed in register order.
+func estimateInOrder(h *HLL) float64 {
+	m := float64(len(h.regs))
+	sum := 0.0
+	zeros := 0
+	for _, r := range h.regs {
+		sum += 1 / float64(uint64(1)<<r)
+		if r == 0 {
+			zeros++
+		}
+	}
+	est := alpha(len(h.regs)) * m * m / sum
+	if est <= 2.5*m && zeros > 0 {
+		return m * math.Log(m/float64(zeros))
+	}
+	return est
+}
+
+// Estimate sums over register counts, not registers; the answer must be
+// the register-order sum's to the bit, whatever the registers hold:
+// empty, a few touched, full, ranks too large for the counted sum to be
+// exact, and the bytes past 63 that only a foreign blob carries.
+func TestEstimateMatchesRegisterOrderSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, p := range []uint8{MinPrecision, 10, DefaultPrecision, MaxPrecision} {
+		for _, touched := range []int{0, 1, 20, 1 << p / 2, 1 << p} {
+			for _, maxRank := range []int{3, 30, 53 - int(p), 54 - int(p), 64 - int(p) + 1, 255} {
+				h := MustNew(p)
+				for _, i := range rng.Perm(len(h.regs))[:min(touched, len(h.regs))] {
+					h.regs[i] = uint8(1 + rng.Intn(maxRank))
+				}
+				if touched > 0 {
+					h.regs[rng.Intn(len(h.regs))] = uint8(maxRank)
+				}
+				got, want := h.Estimate(), estimateInOrder(h)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("p=%d touched=%d maxRank=%d: Estimate %v, register-order sum gives %v", p, touched, maxRank, got, want)
+				}
+			}
+		}
+	}
+	// Where the two orders part: 280 empty registers bring the sum to 280,
+	// where a float64 steps by 2^-44, and each 2^-46 that follows is lost
+	// one at a time but not as 744 of them at once.
+	h := MustNew(10)
+	for i := 280; i < len(h.regs); i++ {
+		h.regs[i] = 46
+	}
+	if got, want := h.Estimate(), estimateInOrder(h); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("rounding case: Estimate %v, register-order sum gives %v", got, want)
+	}
+}
+
+// Merge skips the words its argument never touched; the result must be
+// the register-wise maximum all the same.
+func TestMergeIsRegisterMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, touched := range []int{0, 5, 300, 1024} {
+		a, b := MustNew(10), MustNew(10)
+		for _, i := range rng.Perm(1024)[:touched] {
+			b.regs[i] = uint8(1 + rng.Intn(50))
+		}
+		for _, i := range rng.Perm(1024)[:200] {
+			a.regs[i] = uint8(1 + rng.Intn(50))
+		}
+		want := make([]uint8, 1024)
+		for i := range want {
+			want[i] = max(a.regs[i], b.regs[i])
+		}
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.regs, want) {
+			t.Errorf("touched=%d: merge is not the register-wise max", touched)
+		}
+	}
+}
+
+func BenchmarkHLLEstimateSparse(b *testing.B) {
+	h := MustNew(10)
+	for i := uint32(0); i < 20; i++ {
+		h.AddKey([]uint32{i})
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkF = h.Estimate()
+	}
+}
+
+var sinkF float64
 
 func BenchmarkHLLAdd(b *testing.B) {
 	h := MustNew(DefaultPrecision)

@@ -415,3 +415,48 @@ func TestPartialOutOfRangeInput(t *testing.T) {
 		t.Fatalf("out-of-range input should observe one value, estimate %v", est)
 	}
 }
+
+// DecodeFrom through one reused partial must leave exactly what
+// DecodePartial builds, whatever the partial held before, and must not
+// allocate for an HLL-only spec list.
+func TestDecodeFromReplacesState(t *testing.T) {
+	aggs := []Agg{{Kind: Distinct, Input: 1}, {Kind: Quantile, Input: 2, Q: 0.5}}
+	rng := rand.New(rand.NewSource(5))
+	reused, err := NewPartial(aggs, 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, n := range []int{500, 0, 3, 2000} {
+		src, _ := NewPartial(aggs, 10, 0)
+		for i := 0; i < n; i++ {
+			src.Observe([]uint32{0, rng.Uint32(), uint32(rng.Intn(1000))})
+		}
+		blob := src.AppendBinary(nil)
+		rest, err := reused.DecodeFrom(10, 0, append(blob, 0xEE))
+		if err != nil || len(rest) != 1 {
+			t.Fatalf("round %d: rest %d, err %v", round, len(rest), err)
+		}
+		fresh, _, err := DecodePartial(aggs, 10, 0, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reused.AppendBinary(nil), fresh.AppendBinary(nil)) {
+			t.Fatalf("round %d: reused partial differs from a fresh decode", round)
+		}
+	}
+	if _, err := reused.DecodeFrom(12, 0, reused.AppendBinary(nil)); err == nil {
+		t.Fatal("blob of precision 10 decoded at precision 12")
+	}
+
+	hllOnly := aggs[:1]
+	p, _ := NewPartial(hllOnly, 10, 0)
+	p.Observe([]uint32{0, 7, 0})
+	blob := p.AppendBinary(nil)
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := p.DecodeFrom(10, 0, blob); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("HLL-only DecodeFrom averaged %.1f allocs, want 0", avg)
+	}
+}
