@@ -28,9 +28,10 @@ race:
 # Replay the checked-in fuzz seed corpora (testdata/fuzz/...) without
 # live fuzzing — what CI runs. Use `go test -fuzz FuzzCheckpointDecode
 # -fuzzminimizetime 50x ./internal/core` (or FuzzSegmentDecode in
-# ./internal/epochstore) for a live session.
+# ./internal/epochstore, FuzzDecodePartial in ./internal/sketch) for a
+# live session.
 fuzz-short:
-	$(GO) test -run 'Fuzz' ./internal/core ./internal/stream ./internal/feedgraph ./internal/query ./internal/epochstore
+	$(GO) test -run 'Fuzz' ./internal/core ./internal/stream ./internal/feedgraph ./internal/query ./internal/epochstore ./internal/sketch
 
 # The durability crash-point property suites: the epoch store killed at
 # ~100 byte offsets per seed (including during recovery), the engine on

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 
 	"repro/internal/attr"
 	"repro/internal/feedgraph"
@@ -150,70 +149,104 @@ func (e *Engine) hasDurabilityState() bool {
 	return l.persisted > 0 || len(l.unpersisted) > 0 || l.queueFull > 0
 }
 
+// ckptEncoder writes the checkpoint's little-endian fields through the
+// engine's one buffered writer. A checkpoint of a long run is hundreds of
+// thousands of fields, so each put is a store into the buffer — no
+// interface boxing, no reflection — and the image streams out through
+// 64 KiB however large it is. Write errors stick to the bufio.Writer and
+// surface at Flush.
+type ckptEncoder struct {
+	bw      *bufio.Writer
+	scratch [36]byte
+}
+
+func (c *ckptEncoder) u8(v uint8) { _ = c.bw.WriteByte(v) }
+
+func (c *ckptEncoder) u32(v uint32) {
+	binary.LittleEndian.PutUint32(c.scratch[:], v)
+	_, _ = c.bw.Write(c.scratch[:4])
+}
+
+func (c *ckptEncoder) u64(v uint64) {
+	binary.LittleEndian.PutUint64(c.scratch[:], v)
+	_, _ = c.bw.Write(c.scratch[:8])
+}
+
+func (c *ckptEncoder) bytes(b []byte) { _, _ = c.bw.Write(b) }
+
+// deg writes one 36-byte ledger entry.
+func (c *ckptEncoder) deg(d Degradation) {
+	b := c.scratch[:]
+	binary.LittleEndian.PutUint32(b, d.Epoch)
+	binary.LittleEndian.PutUint64(b[4:], d.Offered)
+	binary.LittleEndian.PutUint64(b[12:], d.Processed)
+	binary.LittleEndian.PutUint64(b[20:], d.Dropped)
+	binary.LittleEndian.PutUint64(b[28:], d.Late)
+	_, _ = c.bw.Write(b)
+}
+
+// paneStats writes a pane or window ledger's four counters.
+func (c *ckptEncoder) paneStats(s hfta.PaneStats) {
+	c.u64(s.Offered)
+	c.u64(s.Processed)
+	c.u64(s.Dropped)
+	c.u64(s.Late)
+}
+
 // checkpointVersion writes the checkpoint in the requested format
 // version; tests use it to produce v1 images for read-compatibility.
 func (e *Engine) checkpointVersion(w io.Writer, version uint8) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(ckptMagic); err != nil {
-		return err
+	if e.ckpt.bw == nil {
+		e.ckpt.bw = bufio.NewWriterSize(w, 64<<10)
+	} else {
+		e.ckpt.bw.Reset(w)
 	}
-	var err error
-	le := func(v any) {
-		if err == nil {
-			err = binary.Write(bw, binary.LittleEndian, v)
-		}
-	}
-	writeDeg := func(d Degradation) {
-		le(d.Epoch)
-		le(d.Offered)
-		le(d.Processed)
-		le(d.Dropped)
-		le(d.Late)
-	}
-	le(version)
-	le(e.workloadHash())
-	le(e.consumed)
-	le(uint64(e.stats.Epochs))
-	le(uint64(e.stats.Replans))
-	le(uint64(e.stats.PeakRepairs))
-	le(uint64(e.stats.ResultErrors))
+	c := &e.ckpt
+	_, _ = c.bw.WriteString(ckptMagic)
+	c.u8(version)
+	c.u64(e.workloadHash())
+	c.u64(e.consumed)
+	c.u64(uint64(e.stats.Epochs))
+	c.u64(uint64(e.stats.Replans))
+	c.u64(uint64(e.stats.PeakRepairs))
+	c.u64(uint64(e.stats.ResultErrors))
 	ops := e.Ops()
-	le(ops.Probes)
-	le(ops.Transfers)
-	le(ops.Records)
+	c.u64(ops.Probes)
+	c.u64(ops.Transfers)
+	c.u64(ops.Records)
 	started, cur, regressed := e.clock.Snapshot()
 	var s8 uint8
 	if started {
 		s8 = 1
 	}
-	le(s8)
-	le(cur)
-	le(regressed)
-	writeDeg(e.cumDeg)
-	le(uint32(len(e.degHist)))
+	c.u8(s8)
+	c.u32(cur)
+	c.u64(regressed)
+	c.deg(e.cumDeg)
+	c.u32(uint32(len(e.degHist)))
 	for _, d := range e.degHist {
-		writeDeg(d)
+		c.deg(d)
 	}
 	rels := e.graph.Relations()
 	attr.SortSets(rels)
-	le(uint32(len(rels)))
+	c.u32(uint32(len(rels)))
 	for _, r := range rels {
-		le(uint32(r))
-		le(math.Float64bits(e.groups[r]))
+		c.u32(uint32(r))
+		c.u64(math.Float64bits(e.groups[r]))
 	}
 	rows := e.agg.AllRows()
-	le(uint64(len(rows)))
+	c.u64(uint64(len(rows)))
 	for i := range rows {
 		r := &rows[i]
-		le(uint32(r.Rel))
-		le(r.Epoch)
-		le(uint8(len(r.Key)))
+		c.u32(uint32(r.Rel))
+		c.u32(r.Epoch)
+		c.u8(uint8(len(r.Key)))
 		for _, k := range r.Key {
-			le(k)
+			c.u32(k)
 		}
-		le(uint8(len(r.Aggs)))
+		c.u8(uint8(len(r.Aggs)))
 		for _, a := range r.Aggs {
-			le(uint64(a))
+			c.u64(uint64(a))
 		}
 	}
 	if version >= 2 {
@@ -223,9 +256,9 @@ func (e *Engine) checkpointVersion(w io.Writer, version uint8) error {
 		if carrier, ok := e.shedder.(ShedPolicyState); ok {
 			words = carrier.ShedState()
 		}
-		le(uint32(len(words)))
+		c.u32(uint32(len(words)))
 		for _, wd := range words {
-			le(wd)
+			c.u64(wd)
 		}
 		// Measured flow lengths (adaptive planning input).
 		flowRels := make([]attr.Set, 0, len(e.flowLens))
@@ -233,24 +266,22 @@ func (e *Engine) checkpointVersion(w io.Writer, version uint8) error {
 			flowRels = append(flowRels, rel)
 		}
 		attr.SortSets(flowRels)
-		le(uint32(len(flowRels)))
+		c.u32(uint32(len(flowRels)))
 		for _, rel := range flowRels {
-			le(uint32(rel))
-			le(math.Float64bits(e.flowLens[rel]))
+			c.u32(uint32(rel))
+			c.u64(math.Float64bits(e.flowLens[rel]))
 		}
 		// Sharded-deployment state.
-		le(uint32(e.nShards))
+		c.u32(uint32(e.nShards))
 		if e.nShards > 1 {
 			for i := 0; i < e.nShards; i++ {
-				le(math.Float64bits(e.shardWeight[i]))
-				le(e.shardRouted[i])
-				writeDeg(e.shardCum[i])
+				c.u64(math.Float64bits(e.shardWeight[i]))
+				c.u64(e.shardRouted[i])
+				c.deg(e.shardCum[i])
 			}
-			le(uint32(len(e.shardHist)))
-			for _, epoch := range e.shardHist {
-				for i := range epoch {
-					writeDeg(epoch[i])
-				}
+			c.u32(uint32(len(e.shardHist) / e.nShards))
+			for _, d := range e.shardHist {
+				c.deg(d)
 			}
 		}
 	}
@@ -258,11 +289,11 @@ func (e *Engine) checkpointVersion(w io.Writer, version uint8) error {
 		// Durability footer: the persisted-epoch position and the
 		// unpersisted ledger, so Restore + store replay resume exactly.
 		d := e.Durability()
-		le(uint32(d.Persisted))
-		le(uint32(d.QueueFull))
-		le(uint32(len(d.Unpersisted)))
+		c.u32(uint32(d.Persisted))
+		c.u32(uint32(d.QueueFull))
+		c.u32(uint32(len(d.Unpersisted)))
 		for _, ep := range d.Unpersisted {
-			le(ep)
+			c.u32(ep)
 		}
 	}
 	if version >= 4 {
@@ -271,101 +302,102 @@ func (e *Engine) checkpointVersion(w io.Writer, version uint8) error {
 		// ledgers, and retained window rows. Pane sketch blobs are written
 		// verbatim from the composer.
 		spec := e.winComposer.Spec()
-		le(spec.Size)
-		le(spec.Slide)
-		le(uint32(len(e.sketchAggs)))
+		c.u32(spec.Size)
+		c.u32(spec.Slide)
+		c.u32(uint32(len(e.sketchAggs)))
 		for _, sa := range e.sketchAggs {
-			le(uint8(sa.Kind))
-			le(int64(sa.Input))
-			le(math.Float64bits(sa.Q))
+			c.u8(uint8(sa.Kind))
+			c.u64(uint64(int64(sa.Input)))
+			c.u64(math.Float64bits(sa.Q))
 		}
-		le(e.sketchPrecision())
-		le(math.Float64bits(e.digestCompression()))
-		le(uint64(e.winComposer.Next()))
+		c.u8(e.sketchPrecision())
+		c.u64(math.Float64bits(e.digestCompression()))
+		c.u64(uint64(e.winComposer.Next()))
 		panes := e.winComposer.SnapshotPanes()
-		le(uint32(len(panes)))
+		c.u32(uint32(len(panes)))
 		for _, p := range panes {
-			le(p.Epoch)
-			le(p.Stats.Offered)
-			le(p.Stats.Processed)
-			le(p.Stats.Dropped)
-			le(p.Stats.Late)
-			le(uint8(len(p.Rels)))
+			c.u32(p.Epoch)
+			c.paneStats(p.Stats)
+			c.u8(uint8(len(p.Rels)))
 			for _, rs := range p.Rels {
-				le(uint32(rs.Rel))
-				le(uint32(len(rs.Rows)))
+				c.u32(uint32(rs.Rel))
+				c.u32(uint32(len(rs.Rows)))
 				for i := range rs.Rows {
 					r := &rs.Rows[i]
 					for _, k := range r.Key {
-						le(k)
+						c.u32(k)
 					}
 					for _, a := range r.Aggs {
-						le(uint64(a))
+						c.u64(uint64(a))
 					}
 				}
-				le(uint32(len(rs.Sketches)))
+				c.u32(uint32(len(rs.Sketches)))
 				for _, kb := range rs.Sketches {
 					for _, k := range kb.Key {
-						le(k)
+						c.u32(k)
 					}
-					le(uint32(len(kb.Blob)))
-					le(kb.Blob)
+					c.u32(uint32(len(kb.Blob)))
+					c.bytes(kb.Blob)
 				}
 			}
 		}
-		le(uint32(len(e.windowLeds)))
+		c.u32(uint32(len(e.windowLeds)))
 		for _, l := range e.windowLeds {
-			le(l.Window)
-			le(l.Start)
-			le(l.End)
-			le(l.Stats.Offered)
-			le(l.Stats.Processed)
-			le(l.Stats.Dropped)
-			le(l.Stats.Late)
+			c.u32(l.Window)
+			c.u32(l.Start)
+			c.u32(l.End)
+			c.paneStats(l.Stats)
 		}
-		le(uint64(len(e.windowRows)))
+		c.u64(uint64(len(e.windowRows)))
 		for i := range e.windowRows {
 			r := &e.windowRows[i]
-			le(uint32(r.Rel))
-			le(r.Window)
-			le(r.Start)
-			le(r.End)
+			c.u32(uint32(r.Rel))
+			c.u32(r.Window)
+			c.u32(r.Start)
+			c.u32(r.End)
 			for _, k := range r.Key {
-				le(k)
+				c.u32(k)
 			}
 			for _, a := range r.Aggs {
-				le(uint64(a))
+				c.u64(uint64(a))
 			}
-			le(uint8(len(r.Sketch)))
+			c.u8(uint8(len(r.Sketch)))
 			for _, s := range r.Sketch {
-				le(math.Float64bits(s))
+				c.u64(math.Float64bits(s))
 			}
 		}
 	}
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
+	return c.bw.Flush()
 }
 
-// WriteCheckpointFile writes a checkpoint atomically: a temp file in the
-// same directory is renamed over path, so a crash mid-write never
-// corrupts the previous checkpoint.
+// WriteCheckpointFile writes a checkpoint atomically: the image goes to
+// the sibling path+".tmp", which is renamed over path, so a crash
+// mid-write never corrupts the previous checkpoint. A crash before the
+// rename leaves that one sibling behind, and the next write truncates and
+// reuses it.
 func (e *Engine) WriteCheckpointFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	tmp := path + ".tmp"
+	err := e.writeCheckpointTmp(tmp)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// writeCheckpointTmp is WriteCheckpointFile up to the rename.
+func (e *Engine) writeCheckpointTmp(tmp string) error {
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := e.Checkpoint(tmp); err != nil {
-		tmp.Close()
+	if err := e.Checkpoint(f); err != nil {
+		f.Close()
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return f.Close()
 }
 
 // Restore loads a checkpoint into a freshly constructed engine for the
@@ -521,7 +553,7 @@ func (e *Engine) Restore(r io.Reader) (consumed uint64, err error) {
 	var shardWeights []float64
 	var shardRouted []uint64
 	var shardCum []Degradation
-	var shardHist [][]Degradation
+	var shardHist []Degradation // stride nCkptShards
 	if rerr == nil && version >= 2 {
 		var nWords uint32
 		le(&nWords)
@@ -572,12 +604,8 @@ func (e *Engine) Restore(r io.Reader) (consumed uint64, err error) {
 			if rerr == nil && nShardHist > ckptMaxHistory {
 				return 0, fmt.Errorf("%w: implausible shard history length %d", ErrBadCheckpoint, nShardHist)
 			}
-			for i := uint32(0); rerr == nil && i < nShardHist; i++ {
-				epoch := make([]Degradation, nCkptShards)
-				for j := range epoch {
-					epoch[j] = readDeg()
-				}
-				shardHist = append(shardHist, epoch)
+			for i := uint64(0); rerr == nil && i < uint64(nShardHist)*uint64(nCkptShards); i++ {
+				shardHist = append(shardHist, readDeg())
 			}
 		}
 	}

@@ -317,12 +317,23 @@ func TestGoldenCheckpointByteIdentity(t *testing.T) {
 	}
 }
 
-// --- windowed v4 golden ---
+// --- windowed v4 goldens ---
 
-// goldenWindowedSQL is the windowed workload of the v4 golden image:
-// overlapping 3/2 windows with all three sketch kinds, so the image
-// carries live panes with serialized sketch partials mid-window.
+// goldenWindowedSQL is the windowed workload of the v4 golden images:
+// overlapping 3/2 windows with all three sketch kinds, so the images
+// carry live panes with serialized sketch partials mid-window.
 func goldenWindowedSQL() []string { return windowSQL(3, 2) }
+
+// The two windowed goldens are the same run at the same crash point.
+// windowed_v4.ckpt was written when an HLL had one wire form, so every
+// count_distinct blob in it is the dense register array; it is a
+// read-compatibility pin no release can write again. The engine now
+// writes windowed_v4_sparse.ckpt: the same panes with each HLL in the
+// shorter of its two forms.
+const (
+	goldenWindowedDense  = "windowed_v4.ckpt"
+	goldenWindowedSparse = "windowed_v4_sparse.ckpt"
+)
 
 func maybeWriteGoldenWindowed(t *testing.T) {
 	t.Helper()
@@ -334,7 +345,7 @@ func maybeWriteGoldenWindowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	copts := goldenPlainOpts()
-	copts.CheckpointPath = goldenPath("windowed_v4.ckpt")
+	copts.CheckpointPath = goldenPath(goldenWindowedSparse)
 	e, err := NewFromSample(goldenWindowedSQL(), recs, copts)
 	if err != nil {
 		t.Fatal(err)
@@ -350,21 +361,13 @@ func maybeWriteGoldenWindowed(t *testing.T) {
 	t.Logf("wrote %s", copts.CheckpointPath)
 }
 
-// TestGoldenWindowedCheckpoint pins the v4 format: the golden image must
-// keep restoring (with its panes and sketch blobs carried verbatim,
-// proven by byte-identical re-serialization) and resuming to the same
-// window output as an uninterrupted run.
+// TestGoldenWindowedCheckpoint pins the v4 format and both HLL wire
+// forms: each golden image must keep restoring (with its panes and sketch
+// blobs carried verbatim, proven by byte-identical re-serialization) and
+// resuming to the same window output as an uninterrupted run.
 func TestGoldenWindowedCheckpoint(t *testing.T) {
 	maybeWriteGoldenWindowed(t)
 	recs, _ := testWorkload(t, 30000)
-	img, err := os.ReadFile(goldenPath("windowed_v4.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img[4] != 4 {
-		t.Fatalf("windowed golden version = %d; want 4", img[4])
-	}
-
 	ref, err := NewFromSample(goldenWindowedSQL(), recs, goldenPlainOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -372,32 +375,47 @@ func TestGoldenWindowedCheckpoint(t *testing.T) {
 	if err := ref.Run(stream.NewSliceSource(recs)); err != nil {
 		t.Fatal(err)
 	}
-
-	e, err := NewFromSample(goldenWindowedSQL(), recs, goldenPlainOpts())
-	if err != nil {
-		t.Fatal(err)
+	sizes := map[string]int{}
+	for _, name := range []string{goldenWindowedDense, goldenWindowedSparse} {
+		t.Run(name, func(t *testing.T) {
+			img, err := os.ReadFile(goldenPath(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if img[4] != 4 {
+				t.Fatalf("windowed golden version = %d; want 4", img[4])
+			}
+			sizes[name] = len(img)
+			e, err := NewFromSample(goldenWindowedSQL(), recs, goldenPlainOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			consumed, err := e.Restore(bytes.NewReader(img))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if consumed == 0 || consumed >= goldenCrashAt {
+				t.Fatalf("restored stream position %d, want in (0, %d)", consumed, goldenCrashAt)
+			}
+			var buf bytes.Buffer
+			if err := e.Checkpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), img) {
+				t.Error("restored engine does not re-serialize the windowed golden byte-identically")
+			}
+			if err := e.Run(stream.NewSkipSource(stream.NewSliceSource(recs), consumed)); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(e.WindowLedgers(), ref.WindowLedgers()) {
+				t.Error("resumed window ledgers differ from the uninterrupted run")
+			}
+			if !reflect.DeepEqual(e.WindowResults(), ref.WindowResults()) {
+				t.Error("resumed windowed rows differ from the uninterrupted run")
+			}
+		})
 	}
-	consumed, err := e.Restore(bytes.NewReader(img))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if consumed == 0 || consumed >= goldenCrashAt {
-		t.Fatalf("restored stream position %d, want in (0, %d)", consumed, goldenCrashAt)
-	}
-	var buf bytes.Buffer
-	if err := e.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), img) {
-		t.Error("restored engine does not re-serialize the windowed golden byte-identically")
-	}
-	if err := e.Run(stream.NewSkipSource(stream.NewSliceSource(recs), consumed)); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(e.WindowLedgers(), ref.WindowLedgers()) {
-		t.Error("resumed window ledgers differ from the uninterrupted run")
-	}
-	if !reflect.DeepEqual(e.WindowResults(), ref.WindowResults()) {
-		t.Error("resumed windowed rows differ from the uninterrupted run")
+	if d, s := sizes[goldenWindowedDense], sizes[goldenWindowedSparse]; s == 0 || s >= d {
+		t.Errorf("sparse golden is %d bytes, dense golden %d: the sparse image holds no sparse blobs", s, d)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/hfta"
@@ -189,4 +190,82 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestCheckpointFileCrashLeavesOneSibling: the image is staged in the one
+// sibling path+".tmp". However many writes die between the write and the
+// rename, one stray file exists, the previous checkpoint is untouched, and
+// the next write that completes consumes the stray. A write that fails
+// removes its own.
+func TestCheckpointFileCrashLeavesOneSibling(t *testing.T) {
+	recs, groups := testWorkload(t, 20000)
+	e, err := New(pairSQL, groups, Options{M: 8000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "engine.ckpt")
+	names := func() (out []string) {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, en := range entries {
+			out = append(out, en.Name())
+		}
+		return out
+	}
+	feed := func(from, to int) {
+		for _, r := range recs[from:to] {
+			if err := e.Process(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed(0, 5000)
+	if err := e.WriteCheckpointFile(path); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kill := 1; kill <= 2; kill++ {
+		feed(5000*kill, 5000*(kill+1))
+		if err := e.writeCheckpointTmp(path + ".tmp"); err != nil { // dies before the rename
+			t.Fatal(err)
+		}
+		if got := names(); !reflect.DeepEqual(got, []string{"engine.ckpt", "engine.ckpt.tmp"}) {
+			t.Fatalf("after %d killed writes the directory holds %v", kill, got)
+		}
+	}
+	if now, _ := os.ReadFile(path); !bytes.Equal(now, prev) {
+		t.Fatal("a write that never renamed changed the checkpoint")
+	}
+	if err := e.WriteCheckpointFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(); !reflect.DeepEqual(got, []string{"engine.ckpt"}) {
+		t.Fatalf("after a completed write the directory holds %v", got)
+	}
+	e2, err := New(pairSQL, groups, Options{M: 8000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if consumed, err := e2.RestoreCheckpointFile(path); err != nil || consumed != e.Consumed() {
+		t.Fatalf("restore after the stray was consumed: position %d (want %d), err %v", consumed, e.Consumed(), err)
+	}
+
+	// The rename fails (the target is a non-empty directory): the staged
+	// image must not stay behind.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.WriteCheckpointFile(blocked); err == nil {
+		t.Fatal("renaming over a non-empty directory succeeded")
+	}
+	if got := names(); !reflect.DeepEqual(got, []string{"blocked", "engine.ckpt"}) {
+		t.Fatalf("after a failed write the directory holds %v", got)
+	}
 }

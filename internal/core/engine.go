@@ -264,14 +264,15 @@ type Engine struct {
 	// global budget for the current time unit, the demand-proportional
 	// split weights (reconciled at every epoch boundary), the per-shard
 	// ledgers of the open epoch, their cumulative totals, the per-epoch
-	// per-shard ledger history, and the per-shard stream positions
-	// (records routed to each shard since construction or restore).
+	// per-shard ledger history (flat, nShards entries per closed epoch),
+	// and the per-shard stream positions (records routed to each shard
+	// since construction or restore).
 	nShards     int
 	shardAvail  []float64
 	shardWeight []float64
 	shardDeg    []Degradation
 	shardCum    []Degradation
-	shardHist   [][]Degradation
+	shardHist   []Degradation
 	shardRouted []uint64
 
 	// Degradation accounting: the open epoch's counters, the closed
@@ -287,6 +288,10 @@ type Engine struct {
 	lastFlushCost float64
 
 	firstResultErr error
+
+	// ckpt is the checkpoint encoder; its buffer is allocated by the first
+	// Checkpoint and reused by every later one.
+	ckpt ckptEncoder
 
 	// closing is the read-out of the epoch being closed: each query's
 	// finalized rows in query order, read from the HFTA exactly once by
@@ -1011,16 +1016,14 @@ func (e *Engine) closingResults(rel attr.Set, epoch uint32) ([]hfta.Row, error) 
 // measured per-shard demand. The per-shard ledgers always sum to the
 // global ledger, per epoch and cumulatively.
 func (e *Engine) closeShardEpoch(epoch uint32) {
-	epochShards := make([]Degradation, e.nShards)
 	for i := range e.shardDeg {
 		e.shardDeg[i].Epoch = epoch
-		epochShards[i] = e.shardDeg[i]
 		e.shardCum[i].add(e.shardDeg[i])
 		e.shardCum[i].Epoch = epoch
-		e.shardDeg[i] = Degradation{}
 	}
-	e.shardHist = append(e.shardHist, epochShards)
-	e.reconcileBudget(epochShards)
+	e.shardHist = append(e.shardHist, e.shardDeg...)
+	clear(e.shardDeg)
+	e.reconcileBudget(e.shardHist[len(e.shardHist)-e.nShards:])
 }
 
 // reconcileBudget re-splits the global per-time-unit budget across shards
@@ -1548,9 +1551,9 @@ func (e *Engine) ShardEpochDegradations() [][]Degradation {
 	if e.nShards <= 1 {
 		return nil
 	}
-	out := make([][]Degradation, len(e.shardHist))
-	for i, epoch := range e.shardHist {
-		out[i] = append([]Degradation(nil), epoch...)
+	out := make([][]Degradation, len(e.shardHist)/e.nShards)
+	for i := range out {
+		out[i] = append([]Degradation(nil), e.shardHist[i*e.nShards:(i+1)*e.nShards]...)
 	}
 	return out
 }

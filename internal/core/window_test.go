@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -439,4 +440,60 @@ func TestSketchOnlyTumbling(t *testing.T) {
 		}
 	}
 	_ = sketch.DefaultPrecision // anchor the import: precision defaults flow through NewComposer
+}
+
+// TestCheckpointAllocsIndependentOfHistory: a checkpoint's size grows with
+// every closed epoch (three ledger histories), its allocations must not —
+// each field is a store into the engine's one buffer, and the retained
+// panes' sorted read-out is built when a pane is first seen, not per
+// checkpoint. Every record here opens a new epoch, so 2000 records close
+// 2000 epochs.
+func TestCheckpointAllocsIndependentOfHistory(t *testing.T) {
+	sqls := []string{
+		"select A, B, count(*) as cnt, count_distinct(D) as uniq from R group by A, B, time/10 window 4 slide 2",
+		"select B, C, count(*) as cnt, count_distinct(D) as uniq from R group by B, C, time/10 window 4 slide 2",
+	}
+	recs := make([]stream.Record, 2002)
+	for i := range recs {
+		recs[i] = stream.Record{Attrs: []uint32{uint32(i % 7), uint32(i % 5), uint32(i % 3), uint32(i)}, Time: uint32(10 * i)}
+	}
+	e, err := NewFromSample(sqls, recs, Options{
+		M: 8000, Seed: 3, Shards: 2,
+		OnResults: func(attr.Set, uint32, []hfta.Row, Degradation) {},
+		OnWindow:  func(attr.Set, hfta.WindowLedger, []hfta.WindowRow) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(closed int) (allocs float64, size int) {
+		for _, r := range recs[e.Consumed() : closed+1] {
+			if err := e.Process(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := e.Stats().Epochs; got != closed {
+			t.Fatalf("%d epochs closed, want %d", got, closed)
+		}
+		var buf bytes.Buffer
+		if err := e.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := e.Checkpoint(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}), buf.Len()
+	}
+	few, fewSize := measure(10)
+	many, manySize := measure(2000)
+	if manySize < fewSize+1990*100 {
+		t.Fatalf("image grew from %d to %d bytes over 1990 epochs; the histories are missing", fewSize, manySize)
+	}
+	t.Logf("Checkpoint: %.0f allocs at 10 epochs (%d B), %.0f at 2000 (%d B)", few, fewSize, many, manySize)
+	if few != many {
+		t.Errorf("Checkpoint allocates %.0f times at 10 closed epochs and %.0f at 2000", few, many)
+	}
+	if many > 100 {
+		t.Errorf("Checkpoint allocates %.0f times, want a small constant", many)
+	}
 }

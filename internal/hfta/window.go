@@ -3,7 +3,7 @@ package hfta
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/attr"
 	"repro/internal/lfta"
@@ -94,10 +94,15 @@ type relPane struct {
 	sk   map[string][]byte  // packed key → serialized partial
 }
 
-// pane is one retained epoch.
+// pane is one retained epoch. A closed pane does not change until it is
+// evicted (or, rarely, fed again), so the sorted read-out a checkpoint
+// needs is built once, on the first SnapshotPanes that sees the pane, and
+// kept in snap.
 type pane struct {
-	stats PaneStats
-	rels  map[attr.Set]*relPane
+	stats   PaneStats
+	rels    map[attr.Set]*relPane
+	snap    []PaneRelSnapshot
+	snapped bool // snap is current
 }
 
 // Composer retains panes and closes sliding windows over them.
@@ -196,12 +201,14 @@ func AppendKeyBytes(dst []byte, key []uint32) []byte {
 }
 
 // UnpackKey decodes a packed group key.
-func UnpackKey(s string) []uint32 {
-	out := make([]uint32, len(s)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32([]byte(s[i*4 : i*4+4]))
+func UnpackKey(s string) []uint32 { return appendKeyWords(make([]uint32, 0, len(s)/4), s) }
+
+// appendKeyWords appends the words of a packed group key to dst.
+func appendKeyWords(dst []uint32, s string) []uint32 {
+	for i := 0; i+4 <= len(s); i += 4 {
+		dst = append(dst, uint32(s[i])|uint32(s[i+1])<<8|uint32(s[i+2])<<16|uint32(s[i+3])<<24)
 	}
-	return out
+	return dst
 }
 
 // ClosePane hands the composer one finalized epoch. Epochs close in
@@ -219,6 +226,7 @@ func (c *Composer) ClosePane(epoch uint32, stats PaneStats, inputs []PaneInput) 
 		p = c.takePane()
 		c.panes[epoch] = p
 	}
+	p.snap, p.snapped = nil, false
 	p.stats.add(stats)
 	for _, in := range inputs {
 		rp := p.rels[in.Rel]
@@ -364,6 +372,7 @@ func (c *Composer) releasePane(p *pane) {
 		delete(p.rels, rel)
 	}
 	p.stats = PaneStats{}
+	p.snap, p.snapped = nil, false
 	c.panePool = append(c.panePool, p)
 }
 
@@ -407,10 +416,7 @@ func (c *Composer) unpackKeyInto(s string) []uint32 {
 		k = c.keyPool[n-1]
 		c.keyPool = c.keyPool[:n-1]
 	}
-	for i := 0; i+4 <= len(s); i += 4 {
-		k = append(k, uint32(s[i])|uint32(s[i+1])<<8|uint32(s[i+2])<<16|uint32(s[i+3])<<24)
-	}
-	return k
+	return appendKeyWords(k, s)
 }
 
 // Recycle returns a delivered WindowResult's storage — the row slice and
@@ -504,11 +510,7 @@ func (c *Composer) compose(start, end int64) WindowResult {
 				}
 			}
 		}
-		keys := c.sortKeys[:0]
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+		keys := sortedKeys(c.sortKeys[:0], groups)
 		c.sortKeys = keys[:0]
 		for _, k := range keys {
 			row := WindowRow{
@@ -573,6 +575,15 @@ func (c *Composer) groupSketch(rels []*relPane, k string) *sketch.Partial {
 	return c.acc
 }
 
+// sortedKeys appends m's packed keys to dst in ascending order.
+func sortedKeys[V any](dst []string, m map[string]V) []string {
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
+}
+
 // identities returns a fresh slice of aggregate identity values (the
 // reference oracle folds into these; compose uses pooled takeAggs).
 func identities(aggs []lfta.AggSpec) []int64 {
@@ -611,44 +622,56 @@ type PaneSnapshot struct {
 func (c *Composer) Next() int64 { return c.next }
 
 // SnapshotPanes captures the retained panes: ascending epoch, relations
-// in query order, rows and sketch blobs sorted by packed key.
+// in query order, rows and sketch blobs sorted by packed key. The result
+// shares each pane's cached read-out and is read-only.
 func (c *Composer) SnapshotPanes() []PaneSnapshot {
 	epochs := make([]uint32, 0, len(c.panes))
 	for e := range c.panes {
 		epochs = append(epochs, e)
 	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
+	slices.Sort(epochs)
 	out := make([]PaneSnapshot, 0, len(epochs))
 	for _, e := range epochs {
 		p := c.panes[e]
-		ps := PaneSnapshot{Epoch: e, Stats: p.stats}
-		for _, q := range c.queries {
-			rp := p.rels[q]
-			if rp == nil {
-				continue
-			}
-			rs := PaneRelSnapshot{Rel: q}
-			keys := make([]string, 0, len(rp.rows))
-			for k := range rp.rows {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				rs.Rows = append(rs.Rows, Row{Rel: q, Epoch: e, Key: UnpackKey(k), Aggs: rp.rows[k]})
-			}
-			keys = keys[:0]
-			for k := range rp.sk {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				rs.Sketches = append(rs.Sketches, KeyBlob{Key: UnpackKey(k), Blob: rp.sk[k]})
-			}
-			if len(rs.Rows) > 0 || len(rs.Sketches) > 0 {
-				ps.Rels = append(ps.Rels, rs)
-			}
+		if !p.snapped {
+			p.snap, p.snapped = c.snapshotRels(e, p), true
 		}
-		out = append(out, ps)
+		out = append(out, PaneSnapshot{Epoch: e, Stats: p.stats, Rels: p.snap})
+	}
+	return out
+}
+
+// snapshotRels builds one pane's sorted read-out; each relation's keys
+// are unpacked into one array.
+func (c *Composer) snapshotRels(e uint32, p *pane) []PaneRelSnapshot {
+	var out []PaneRelSnapshot
+	for _, q := range c.queries {
+		rp := p.rels[q]
+		if rp == nil || len(rp.rows)+len(rp.sk) == 0 {
+			continue
+		}
+		rs := PaneRelSnapshot{Rel: q}
+		words := make([]uint32, 0, (len(rp.rows)+len(rp.sk))*q.Size())
+		keys := sortedKeys(c.sortKeys[:0], rp.rows)
+		if len(keys) > 0 {
+			rs.Rows = make([]Row, 0, len(keys))
+		}
+		for _, k := range keys {
+			at := len(words)
+			words = appendKeyWords(words, k)
+			rs.Rows = append(rs.Rows, Row{Rel: q, Epoch: e, Key: words[at:len(words):len(words)], Aggs: rp.rows[k]})
+		}
+		keys = sortedKeys(keys[:0], rp.sk)
+		if len(keys) > 0 {
+			rs.Sketches = make([]KeyBlob, 0, len(keys))
+		}
+		for _, k := range keys {
+			at := len(words)
+			words = appendKeyWords(words, k)
+			rs.Sketches = append(rs.Sketches, KeyBlob{Key: words[at:len(words):len(words)], Blob: rp.sk[k]})
+		}
+		c.sortKeys = keys[:0]
+		out = append(out, rs)
 	}
 	return out
 }

@@ -82,3 +82,34 @@ func composerSteadyStateAllocs(t *testing.T, saggs []sketch.Agg) {
 		t.Errorf("steady-state composer op averaged %.1f allocs, want ≤ %d", avg, maxAllocs)
 	}
 }
+
+// TestSnapshotPanesAllocsOnce: a retained pane is sorted and unpacked by
+// the first SnapshotPanes that sees it; the next one, with no pane closed
+// in between, allocates the epoch list and the slice it returns and
+// nothing per pane, relation or group.
+func TestSnapshotPanesAllocsOnce(t *testing.T) {
+	queries := []attr.Set{attr.MustParseSet("AB")}
+	saggs := []sketch.Agg{{Kind: sketch.Distinct, Input: 2}}
+	comp, err := NewComposer(WindowSpec{Size: 4, Slide: 2}, queries, lfta.CountStar, saggs, 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := uint32(0); e < 4; e++ {
+		in := PaneInput{Rel: queries[0], Sketches: map[string][]byte{}}
+		for g := 0; g < 200; g++ {
+			key := []uint32{uint32(g), uint32(g * 7)}
+			in.Rows = append(in.Rows, Row{Rel: queries[0], Epoch: e, Key: key, Aggs: []int64{int64(g + 1)}})
+			part, _ := sketch.NewPartial(saggs, 10, 0)
+			part.Observe([]uint32{key[0], key[1], uint32(g) + e})
+			in.Sketches[PackKey(key)] = part.AppendBinary(nil)
+		}
+		comp.ClosePane(e, PaneStats{Offered: 200, Processed: 200}, []PaneInput{in})
+	}
+	first := comp.SnapshotPanes()
+	if len(first) != 4 || len(first[3].Rels) != 1 || len(first[3].Rels[0].Rows) != 200 || len(first[3].Rels[0].Sketches) != 200 {
+		t.Fatalf("snapshot of 4 panes × 200 groups has the wrong shape")
+	}
+	if avg := testing.AllocsPerRun(50, func() { _ = comp.SnapshotPanes() }); avg > 2 {
+		t.Errorf("repeat SnapshotPanes averaged %.1f allocs, want ≤ 2 (epoch list + result slice)", avg)
+	}
+}

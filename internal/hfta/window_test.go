@@ -463,3 +463,89 @@ func TestComposerRefeedLeavesInputUntouched(t *testing.T) {
 		t.Errorf("group 2 composed to %v; want [19 301]", got)
 	}
 }
+
+// TestSnapshotPanesCacheInvalidation: SnapshotPanes keeps each pane's
+// sorted read-out once built, so everything that changes a pane must drop
+// it — the same epoch fed again, eviction (the pane struct is pooled and
+// comes back as a later epoch), Reset and RestorePanes. One composer is
+// snapshotted after every step; it must read out what a composer taken
+// through the same steps and never snapshotted does, and what one
+// restored from that snapshot does.
+func TestSnapshotPanesCacheInvalidation(t *testing.T) {
+	queries := []attr.Set{attr.MustParseSet("A"), attr.MustParseSet("AB")}
+	aggs := []lfta.AggSpec{{Op: hashtab.Sum, Input: -1}}
+	saggs := []sketch.Agg{{Kind: sketch.Distinct, Input: 1}}
+	mk := func() *Composer {
+		c, err := NewComposer(WindowSpec{Size: 4, Slide: 2}, queries, aggs, saggs, 10, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// One feed of an epoch: groups lo..hi-1 of every query, values drawn
+	// from seed so that a second feed of the epoch differs from the first.
+	input := func(e uint32, lo, hi int, seed int64) []PaneInput {
+		rng := rand.New(rand.NewSource(seed))
+		var inputs []PaneInput
+		for _, q := range queries {
+			in := PaneInput{Rel: q, Sketches: map[string][]byte{}}
+			for g := lo; g < hi; g++ {
+				key := make([]uint32, q.Size())
+				for i := range key {
+					key[i] = uint32(100 - g)
+				}
+				in.Rows = append(in.Rows, Row{Rel: q, Epoch: e, Key: key, Aggs: []int64{int64(1 + rng.Intn(50))}})
+				p, _ := sketch.NewPartial(saggs, 10, 0)
+				for n := 0; n < 3; n++ {
+					p.Observe([]uint32{uint32(g), rng.Uint32() % 40})
+				}
+				in.Sketches[PackKey(key)] = p.AppendBinary(nil)
+			}
+			inputs = append(inputs, in)
+		}
+		return inputs
+	}
+	eager := mk()
+	var steps []func(c *Composer)
+	do := func(f func(c *Composer)) {
+		steps = append(steps, f)
+		f(eager)
+		eager.SnapshotPanes()
+	}
+	same := func(step string) {
+		t.Helper()
+		fresh := mk() // never snapshotted until now: nothing cached to go stale
+		for _, f := range steps {
+			f(fresh)
+		}
+		got, want := eager.SnapshotPanes(), fresh.SnapshotPanes()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the composer snapshotted at every step reads out stale panes", step)
+		}
+		restored := mk()
+		if err := restored.RestorePanes(fresh.Next(), want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(restored.SnapshotPanes(), got) {
+			t.Fatalf("%s: snapshot differs from a restored composer's", step)
+		}
+	}
+	for e := uint32(0); e < 3; e++ {
+		do(func(c *Composer) { c.ClosePane(e, PaneStats{Offered: 5, Processed: 5}, input(e, 0, 4, int64(e))) })
+	}
+	same("three panes")
+	do(func(c *Composer) { c.ClosePane(1, PaneStats{Offered: 3, Processed: 2, Late: 1}, input(1, 2, 6, 99)) })
+	same("epoch 1 fed again")
+	do(func(c *Composer) { c.CloseThrough(3) }) // closes window 0, evicts panes 0 and 1 into the pool
+	do(func(c *Composer) { c.ClosePane(4, PaneStats{Offered: 1, Processed: 1}, input(4, 7, 9, 4)) })
+	same("pooled pane reused for epoch 4")
+	do(func(c *Composer) { c.Reset() })
+	do(func(c *Composer) { c.ClosePane(0, PaneStats{Offered: 2, Processed: 2}, input(0, 1, 2, 5)) })
+	same("after Reset")
+	do(func(c *Composer) {
+		if err := c.RestorePanes(c.Next(), nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	same("after RestorePanes")
+}

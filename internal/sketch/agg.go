@@ -183,8 +183,9 @@ func DecodePartial(aggs []Agg, precision uint8, compression float64, data []byte
 
 // DecodeFrom is DecodePartial into p, a partial over the same spec list
 // whose state it replaces: an HLL p already holds at the blob's precision
-// takes the blob's registers in place, so a caller that decodes blob
-// after blob through one partial allocates for the t-digests only. After
+// takes the blob's registers, in either wire form, into the store it has,
+// so a caller that decodes blob after blob through one partial allocates
+// for the t-digests only. After
 // an error p's state is unspecified (and may be decoded over again).
 func (p *Partial) DecodeFrom(precision uint8, compression float64, data []byte) ([]byte, error) {
 	aggs := p.aggs
@@ -212,19 +213,17 @@ func (p *Partial) DecodeFrom(precision uint8, compression float64, data []byte) 
 		var err error
 		switch a.Kind {
 		case Distinct:
-			if h := p.hll[i]; h != nil && h.p == precision && len(data) > len(h.regs) && data[0] == precision {
-				copy(h.regs, data[1:])
-				data = data[1+len(h.regs):]
-				continue
+			h := p.hll[i]
+			if h == nil {
+				h = new(HLL)
+				p.hll[i] = h
 			}
-			var h *HLL
-			if h, data, err = DecodeHLL(data); err != nil {
+			if data, err = h.decode(data); err != nil {
 				return nil, err
 			}
-			if h.Precision() != precision {
-				return nil, fmt.Errorf("sketch: partial blob precision %d, want %d", h.Precision(), precision)
+			if h.p != precision {
+				return nil, fmt.Errorf("sketch: partial blob precision %d, want %d", h.p, precision)
 			}
-			p.hll[i] = h
 		case Quantile:
 			var d *TDigest
 			if d, data, err = DecodeTDigest(data); err != nil {

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,8 +20,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.SizeBytes() != 4096 || h.Precision() != DefaultPrecision {
-		t.Errorf("size %d, precision %d", h.SizeBytes(), h.Precision())
+	if h.SizeBytes() != 0 || h.Precision() != DefaultPrecision {
+		t.Errorf("empty counter: size %d, precision %d", h.SizeBytes(), h.Precision())
 	}
 }
 
@@ -144,82 +145,126 @@ func TestMonotoneProperty(t *testing.T) {
 	}
 }
 
-// estimateInOrder is Estimate as first written: one division per register,
-// summed in register order.
-func estimateInOrder(h *HLL) float64 {
-	m := float64(len(h.regs))
-	sum := 0.0
-	zeros := 0
-	for _, r := range h.regs {
-		sum += 1 / float64(uint64(1)<<r)
-		if r == 0 {
-			zeros++
-		}
-	}
-	est := alpha(len(h.regs)) * m * m / sum
-	if est <= 2.5*m && zeros > 0 {
-		return m * math.Log(m/float64(zeros))
-	}
-	return est
-}
-
-// Estimate sums over register counts, not registers; the answer must be
-// the register-order sum's to the bit, whatever the registers hold:
-// empty, a few touched, full, ranks too large for the counted sum to be
-// exact, and the bytes past 63 that only a foreign blob carries.
+// Estimate sums over register counts (dense) or adds the few terms to the
+// count of empty registers (sparse); the answer must be the register-order
+// sum's to the bit, whatever the registers hold: empty, a few touched,
+// full, ranks too large for the counted sum to be exact, and the bytes
+// past 63 that only a foreign blob carries. The registers go in through
+// the wire, so the sparsely filled cases land in the sparse store.
 func TestEstimateMatchesRegisterOrderSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	check := func(what string, ref *denseRef) {
+		t.Helper()
+		for form, blob := range [][]byte{ref.blob(), ref.canonical()} {
+			h, _, err := DecodeHLL(blob)
+			if err != nil {
+				t.Fatalf("%s: form %d: %v", what, form, err)
+			}
+			if got, want := h.Estimate(), ref.estimate(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: form %d: Estimate %v, register-order sum gives %v", what, form, got, want)
+			}
+		}
+	}
 	for _, p := range []uint8{MinPrecision, 10, DefaultPrecision, MaxPrecision} {
-		for _, touched := range []int{0, 1, 20, 1 << p / 2, 1 << p} {
+		m := 1 << p
+		for _, touched := range []int{0, 1, 20, m / 8, m/8 + 1, m / 2, m} {
 			for _, maxRank := range []int{3, 30, 53 - int(p), 54 - int(p), 64 - int(p) + 1, 255} {
-				h := MustNew(p)
-				for _, i := range rng.Perm(len(h.regs))[:min(touched, len(h.regs))] {
-					h.regs[i] = uint8(1 + rng.Intn(maxRank))
+				ref := newDenseRef(p)
+				for _, i := range rng.Perm(m)[:min(touched, m)] {
+					ref.regs[i] = uint8(1 + rng.Intn(maxRank))
 				}
 				if touched > 0 {
-					h.regs[rng.Intn(len(h.regs))] = uint8(maxRank)
+					ref.regs[rng.Intn(m)] = uint8(maxRank)
 				}
-				got, want := h.Estimate(), estimateInOrder(h)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("p=%d touched=%d maxRank=%d: Estimate %v, register-order sum gives %v", p, touched, maxRank, got, want)
-				}
+				check(fmt.Sprintf("p=%d touched=%d maxRank=%d", p, touched, maxRank), ref)
 			}
 		}
 	}
 	// Where the two orders part: 280 empty registers bring the sum to 280,
 	// where a float64 steps by 2^-44, and each 2^-46 that follows is lost
-	// one at a time but not as 744 of them at once.
-	h := MustNew(10)
-	for i := 280; i < len(h.regs); i++ {
-		h.regs[i] = 46
+	// one at a time but not as 744 of them at once. The same in the sparse
+	// store: 100 registers of rank 46 at precision 10.
+	ref := newDenseRef(10)
+	for i := 280; i < len(ref.regs); i++ {
+		ref.regs[i] = 46
 	}
-	if got, want := h.Estimate(), estimateInOrder(h); math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("rounding case: Estimate %v, register-order sum gives %v", got, want)
+	check("rounding case, dense", ref)
+	ref = newDenseRef(10)
+	for i := 900; i < 1000; i++ {
+		ref.regs[i] = 46
 	}
+	check("rounding case, sparse", ref)
 }
 
-// Merge skips the words its argument never touched; the result must be
-// the register-wise maximum all the same.
+// Merge takes a different road for each pairing of stores (list into
+// list, list into array, array into list, array into array, skipping the
+// words its argument never touched); the result must be the register-wise
+// maximum all the same.
 func TestMergeIsRegisterMax(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, touched := range []int{0, 5, 300, 1024} {
-		a, b := MustNew(10), MustNew(10)
-		for _, i := range rng.Perm(1024)[:touched] {
-			b.regs[i] = uint8(1 + rng.Intn(50))
+	const p = 10
+	fill := func(touched int) *denseRef {
+		ref := newDenseRef(p)
+		for _, i := range rng.Perm(1 << p)[:touched] {
+			ref.regs[i] = uint8(1 + rng.Intn(50))
 		}
-		for _, i := range rng.Perm(1024)[:200] {
-			a.regs[i] = uint8(1 + rng.Intn(50))
+		return ref
+	}
+	// A counter holding ref's registers in the sparse store, or in the
+	// dense one however few they are (Reset keeps the store).
+	build := func(ref *denseRef, dense bool) *HLL {
+		h := MustNew(p)
+		if dense {
+			for i := 0; i < 1<<p; i++ {
+				h.Add(hashFor(p, i, 1))
+			}
+			h.Reset()
 		}
-		want := make([]uint8, 1024)
-		for i := range want {
-			want[i] = max(a.regs[i], b.regs[i])
+		for i, r := range ref.regs {
+			if r != 0 {
+				h.Add(hashFor(p, i, r))
+			}
 		}
-		if err := a.Merge(b); err != nil {
-			t.Fatal(err)
+		if got := h.SizeBytes() == 1<<p; got != dense {
+			t.Fatalf("built dense=%v, want %v", got, dense)
 		}
-		if !bytes.Equal(a.regs, want) {
-			t.Errorf("touched=%d: merge is not the register-wise max", touched)
+		return h
+	}
+	for _, na := range []int{0, 5, 100, 128} {
+		for _, nb := range []int{0, 5, 100, 128} {
+			ra, rb := fill(na), fill(nb)
+			want := newDenseRef(p)
+			want.merge(ra)
+			want.merge(rb)
+			for _, aDense := range []bool{false, true} {
+				for _, bDense := range []bool{false, true} {
+					a, b := build(ra, aDense), build(rb, bDense)
+					if err := a.Merge(b); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(a.AppendBinary(nil), want.canonical()) {
+						t.Errorf("|a|=%d dense=%v, |b|=%d dense=%v: merge is not the register-wise max", na, aDense, nb, bDense)
+					}
+					if !bytes.Equal(b.AppendBinary(nil), rb.canonical()) {
+						t.Errorf("|a|=%d dense=%v, |b|=%d dense=%v: merge wrote its argument", na, aDense, nb, bDense)
+					}
+				}
+			}
 		}
+	}
+	// Dense into dense at full fill, and a counter into itself.
+	ra, rb := fill(1024), fill(300)
+	a, b := build(ra, true), build(rb, true)
+	_ = a.Merge(b)
+	ra.merge(rb)
+	if !bytes.Equal(a.AppendBinary(nil), ra.canonical()) {
+		t.Error("full dense merge is not the register-wise max")
+	}
+	self := build(fill(60), false)
+	before := self.AppendBinary(nil)
+	_ = self.Merge(self)
+	if !bytes.Equal(self.AppendBinary(nil), before) {
+		t.Error("self-merge changed a sparse counter")
 	}
 }
 
