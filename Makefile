@@ -15,14 +15,15 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Race-detect every internal package, then re-run the sharded chaos,
-# equivalence, and checkpoint suites specifically: the sharded runtime's
+# Race-detect every internal package and the daemon (which drives the
+# engine's columnar feed from an open trace file), then re-run the sharded
+# chaos, equivalence, and checkpoint suites specifically: the sharded runtime's
 # RunParallel fan-out, the runtime eviction buffers, the lock-sharded
 # HFTA merge, and the engine's unified budget / checkpoint-v2 paths on
 # top of them, plus the shared epoch read-out (allocation bound and
 # retained-row immutability).
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race ./internal/... ./cmd/maggd
 	$(GO) test -race -run 'TestChaos|TestSharded|TestCheckpoint|TestKillRestore|TestReadout' -count=1 ./internal/core
 
 # Replay the checked-in fuzz seed corpora (testdata/fuzz/...) without
@@ -58,7 +59,10 @@ windows-test:
 # kernels vs their generic forms, compiled filters vs the interpreted
 # DNF walk (scalar and columnar, with adaptive reordering), selection-
 # aware probes/routing vs compacted dense runs, and ProcessColumnBatch
-# vs the scalar engine loop across batch-boundary epoch splits.
+# vs the scalar engine loop across batch-boundary epoch splits — with and
+# without a budget (same drops, same checkpoint bytes, kill + restore).
+# -run selects by name prefix: a new columnar equivalence test is raced
+# here only if it is called TestColumnBatch… or TestColumnar….
 columnar-test:
 	$(GO) test -race -count=1 -run 'TestReadColumns|TestColumnBatch|TestColumnar|TestProbeColumns|TestHashColumns|TestMergeRun|TestRows|TestSelVec|TestFilter|TestInterpretedFilter|TestNoWhere' ./internal/stream ./internal/hashtab ./internal/lfta ./internal/hfta ./internal/core ./internal/selvec ./internal/query
 

@@ -140,7 +140,7 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM request a graceful stop: the run loop finishes the
-	// current record, flushes the final epoch, and exits cleanly with the
+	// current batch, flushes the final epoch, and exits cleanly with the
 	// checkpoint (if any) still pointing at the last closed boundary.
 	var stop atomic.Bool
 	sigs := make(chan os.Signal, 1)
@@ -216,19 +216,12 @@ func run(cfg runConfig) error {
 		return printHistory(store, cfg.history, cfg.top)
 	}
 
-	_, recs, err := stream.ReadTraceFile(cfg.trace)
+	// The sample drives the initial group-count estimates; it is the only
+	// part of the trace held in memory.
+	sample, err := readSample(cfg.trace, cfg.sample)
 	if err != nil {
 		return err
 	}
-	if len(recs) == 0 {
-		return fmt.Errorf("trace %s is empty", cfg.trace)
-	}
-	sampleN := cfg.sample
-	if sampleN > len(recs) {
-		sampleN = len(recs)
-	}
-
-	// The sample drives the initial group-count estimates.
 	var rels []attr.Set
 	var spec0 *query.Spec
 	for _, sql := range cfg.sqls {
@@ -246,7 +239,7 @@ func run(cfg runConfig) error {
 	// Windowed (or sketch-carrying) workloads report per-window answers
 	// composed from panes rather than raw per-epoch rows.
 	windowed := spec0.Windowed() || len(spec0.Sketches) > 0
-	groups, err := core.EstimateGroups(recs[:sampleN], rels)
+	groups, err := core.EstimateGroups(sample, rels)
 	if err != nil {
 		return err
 	}
@@ -359,7 +352,16 @@ func run(cfg runConfig) error {
 		}
 	}
 
-	var src stream.Source = stream.NewSliceSource(recs)
+	// Ingest the way Engine.Run does: the trace decodes straight into
+	// column batches (through the Next fallback of ReadColumns when a
+	// reorder window or a resume skip wraps it), so maggd runs the path the
+	// benchmark measures and its memory does not grow with the trace.
+	trace, err := stream.OpenTraceSource(cfg.trace)
+	if err != nil {
+		return err
+	}
+	defer trace.Close()
+	var src stream.Source = trace
 	var ordered *stream.OrderedSource
 	if cfg.slack > 0 {
 		ordered = stream.NewOrderedSource(src, cfg.slack)
@@ -370,16 +372,16 @@ func run(cfg runConfig) error {
 	}
 
 	interrupted := false
+	var cb stream.ColumnBatch
 	for {
 		if cfg.stop != nil && cfg.stop.Load() {
 			interrupted = true
 			break
 		}
-		rec, ok := src.Next()
-		if !ok {
+		if stream.ReadColumns(src, &cb, stream.ColumnBatchLen) == 0 {
 			break
 		}
-		if err := eng.Process(rec); err != nil {
+		if err := eng.ProcessColumnBatch(&cb); err != nil {
 			return err
 		}
 	}
@@ -448,6 +450,22 @@ func run(cfg runConfig) error {
 		}
 	}
 	return nil
+}
+
+// readSample returns the first n records of a trace (all of them when it
+// holds fewer).
+func readSample(path string, n int) ([]stream.Record, error) {
+	src, err := stream.OpenTraceSource(path)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	if src.Remaining() == 0 {
+		return nil, fmt.Errorf("trace %s is empty", path)
+	}
+	sample := make([]stream.Record, min(uint64(max(n, 0)), src.Remaining()))
+	sample = sample[:src.NextBatch(sample)]
+	return sample, src.Err()
 }
 
 // printHistory answers historical-epoch queries straight from the durable

@@ -205,3 +205,56 @@ func TestReadQueryFile(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// captureRun runs cfg and returns what it printed to standard output.
+func captureRun(t *testing.T, cfg runConfig) string {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	saved := os.Stdout
+	os.Stdout = out
+	err = run(cfg)
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(printed)
+}
+
+// TestRunShedOutputGolden pins everything a budgeted, sharded,
+// uniform-shedding run prints — plan, per-epoch rows with their
+// degradation lines, ledger, per-shard lines — to the output recorded when
+// maggd still loaded the whole trace and called Process per record:
+// ingesting column batches from the open file sheds the same records.
+// Regenerate with MAGG_WRITE_GOLDEN=1 go test -run TestRunShedOutputGolden ./cmd/maggd
+func TestRunShedOutputGolden(t *testing.T) {
+	cfg := testConfig(writeTestTrace(t), []string{
+		"select A, B, count(*) as cnt from R group by A, B, time/10",
+		"select B, C, count(*) as cnt from R group by B, C, time/10",
+	})
+	cfg.budget, cfg.shed, cfg.shards, cfg.quiet = 300, "uniform", 2, false
+	got := captureRun(t, cfg)
+	const golden = "testdata/shed_uniform_sharded.golden"
+	if os.Getenv("MAGG_WRITE_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from %s:\n%s", golden, got)
+	}
+}

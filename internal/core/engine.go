@@ -121,9 +121,13 @@ type Options struct {
 	// Budget enables overload control: the LFTA may spend at most this
 	// many weighted operation units (Params.C1 per probe, Params.C2 per
 	// transfer) per stream time unit; records beyond it are shed by the
-	// Shed policy and counted per epoch. 0 disables overload control and
-	// keeps the hot path untouched. With Shards > 1 the budget is split
-	// across shards and reconciled per epoch; see Shards.
+	// Shed policy and counted per epoch. 0 disables overload control.
+	// Admission is decided record by record, in stream order, on every
+	// feed (Process, ProcessColumnBatch, Run): each admitted record's
+	// measured cost is charged before the next record is offered, so the
+	// same stream and seed shed the same records however they arrive. With
+	// Shards > 1 the budget is split across shards and reconciled per
+	// epoch; see Shards.
 	Budget float64
 
 	// Shed picks which records to sacrifice under overload; nil with a
@@ -254,22 +258,23 @@ type Engine struct {
 	// offset a checkpoint records.
 	consumed uint64
 
-	// Overload control (active when opts.Budget > 0).
+	// Overload control (active when opts.Budget > 0): the policy, the
+	// stream time unit the budget was last replenished for, and the
+	// per-shard slices of the global budget for that time unit with their
+	// demand-proportional split weights (reconciled at every epoch
+	// boundary). An unsharded engine holds one slice of weight 1.
 	shedder     ShedPolicy
 	shedTick    uint32
-	shedAvail   float64
 	shedStarted bool
-
-	// Sharded deployment state (nShards > 1): the per-shard slices of the
-	// global budget for the current time unit, the demand-proportional
-	// split weights (reconciled at every epoch boundary), the per-shard
-	// ledgers of the open epoch, their cumulative totals, the per-epoch
-	// per-shard ledger history (flat, nShards entries per closed epoch),
-	// and the per-shard stream positions (records routed to each shard
-	// since construction or restore).
-	nShards     int
 	shardAvail  []float64
 	shardWeight []float64
+
+	// Sharded deployment state (nShards > 1): the per-shard ledgers of the
+	// open epoch, their cumulative totals, the per-epoch per-shard ledger
+	// history (flat, nShards entries per closed epoch), and the per-shard
+	// stream positions (records routed to each shard since construction or
+	// restore).
+	nShards     int
 	shardDeg    []Degradation
 	shardCum    []Degradation
 	shardHist   []Degradation
@@ -293,7 +298,8 @@ type Engine struct {
 	// Checkpoint and reused by every later one.
 	ckpt ckptEncoder
 
-	// closing is the read-out of the epoch being closed: each query's
+	// closing is the read-out of the epoch being closed when the result
+	// handler is not its only consumer (sharedReadout): each query's
 	// finalized rows in query order, read from the HFTA exactly once by
 	// closeEpochState and shared by reference by the pane feed (before
 	// HAVING), the persister and the result handler (after). It is nil
@@ -322,10 +328,10 @@ type Engine struct {
 	sketches  map[attr.Set]*sketch.HLL
 	sketchBuf []uint32
 
-	// Record staging for the batched LFTA path (active only when
-	// opts.Budget == 0: overload control must charge each record's
-	// measured cost before admitting the next, which forces the scalar
-	// path). On-time records accumulate in runs of up to stageRun records
+	// Record staging for the batched LFTA path. Nothing is staged under a
+	// budget: overload control charges each admitted record's measured
+	// cost before the next admission, so admitRecord probes its record at
+	// once. On-time records accumulate in runs of up to stageRun records
 	// — per shard when sharded — column-major: one preallocated slice per
 	// attribute written by index (callers may reuse rec.Attrs after
 	// Process returns, so the words are copied exactly once), draining
@@ -474,13 +480,14 @@ func NewFromSpecs(specs []*query.Spec, groups feedgraph.GroupCounts, opts Option
 			e.filter = specs[0].Where.Compile()
 		}
 	}
+	budgetSlices := max(opts.Shards, 1)
+	e.shardAvail = make([]float64, budgetSlices)
+	e.shardWeight = make([]float64, budgetSlices)
+	for i := range e.shardWeight {
+		e.shardWeight[i] = 1 / float64(budgetSlices)
+	}
 	if opts.Shards > 1 {
 		e.nShards = opts.Shards
-		e.shardAvail = make([]float64, e.nShards)
-		e.shardWeight = make([]float64, e.nShards)
-		for i := range e.shardWeight {
-			e.shardWeight[i] = 1 / float64(e.nShards)
-		}
 		e.shardDeg = make([]Degradation, e.nShards)
 		e.shardCum = make([]Degradation, e.nShards)
 		e.shardRouted = make([]uint64, e.nShards)
@@ -736,22 +743,22 @@ func (e *Engine) Process(rec stream.Record) error {
 	}
 	e.consumed++
 	e.deg.Offered++
+	s := 0
 	if e.srt != nil {
-		if !e.processSharded(rec, epoch) {
+		s = e.srt.ShardOf(&rec)
+		e.shardRouted[s]++
+		e.shardDeg[s].Offered++
+	}
+	switch {
+	case e.opts.Budget > 0:
+		if !e.admitRecord(s, rec, epoch) {
 			return nil
 		}
-	} else if e.opts.Budget > 0 {
-		if !e.admit(rec) {
-			e.deg.Dropped++
-			return nil
-		}
-		before := e.rt.Ops()
-		e.rt.Process(rec, epoch)
-		after := e.rt.Ops()
-		e.shedAvail -= float64(after.Probes-before.Probes)*e.opts.Params.C1 +
-			float64(after.Transfers-before.Transfers)*e.opts.Params.C2
+	case e.srt != nil:
+		e.stageShardRecord(s, rec, epoch)
 		e.deg.Processed++
-	} else {
+		e.shardDeg[s].Processed++
+	default:
 		e.stageRecord(rec, epoch)
 		e.deg.Processed++
 	}
@@ -767,46 +774,46 @@ func (e *Engine) Process(rec stream.Record) error {
 	return nil
 }
 
-// processSharded routes one on-time record to its shard, charging the
-// shard's slice of the global budget and keeping the per-shard ledger in
-// lockstep with the global one. It reports whether the record was
-// processed (false = shed, already counted as Dropped in both ledgers).
+// admitRecord is the overload-control step for one on-time record routed
+// to shard s (0 when unsharded), shared by the scalar and the columnar
+// feed so the two cannot drift: replenish every shard's slice of the
+// budget when stream time advances (never on a regression — an
+// adversarial stream alternating timestamps earns nothing), ask the shed
+// policy, and on admission probe the record at once and charge its
+// measured cost to the shard's slice, so the next record's admission sees
+// it. Both ledgers are kept in lockstep; it reports whether the record was
+// processed (false = shed).
 //
 // Admission runs in the single-threaded routing path, in stream order, so
 // a stateful shed policy (UniformShed's RNG) draws in a deterministic
-// sequence regardless of shard count — the property the checkpoint-v2
-// byte-identical resume guarantee rests on.
-func (e *Engine) processSharded(rec stream.Record, epoch uint32) bool {
-	s := e.srt.ShardOf(&rec)
-	e.shardRouted[s]++
-	sd := &e.shardDeg[s]
-	sd.Offered++
-	if e.opts.Budget > 0 {
-		// Replenish every shard's slice when stream time advances (never
-		// on a regression; see admit).
-		if !e.shedStarted || rec.Time > e.shedTick {
-			e.shedStarted = true
-			e.shedTick = rec.Time
-			for i := range e.shardAvail {
-				e.shardAvail[i] = e.opts.Budget * e.shardWeight[i]
-			}
+// sequence regardless of shard count and feed — the property the
+// checkpoint-v2 byte-identical resume guarantee rests on.
+func (e *Engine) admitRecord(s int, rec stream.Record, epoch uint32) bool {
+	if !e.shedStarted || rec.Time > e.shedTick {
+		e.shedStarted = true
+		e.shedTick = rec.Time
+		for i, w := range e.shardWeight {
+			e.shardAvail[i] = e.opts.Budget * w
 		}
-		if !e.shedder.Admit(rec, e.shardAvail[s] <= 0) {
-			e.deg.Dropped++
-			sd.Dropped++
-			return false
+	}
+	if !e.shedder.Admit(rec, e.shardAvail[s] <= 0) {
+		e.deg.Dropped++
+		if e.srt != nil {
+			e.shardDeg[s].Dropped++
 		}
-		rt := e.srt.Shard(s)
-		before := rt.Ops()
-		rt.Process(rec, epoch)
-		after := rt.Ops()
-		e.shardAvail[s] -= float64(after.Probes-before.Probes)*e.opts.Params.C1 +
-			float64(after.Transfers-before.Transfers)*e.opts.Params.C2
-	} else {
-		e.stageShardRecord(s, rec, epoch)
+		return false
 	}
 	e.deg.Processed++
-	sd.Processed++
+	rt := e.rt
+	if e.srt != nil {
+		e.shardDeg[s].Processed++
+		rt = e.srt.Shard(s)
+	}
+	before := rt.Ops()
+	rt.Process(rec, epoch)
+	after := rt.Ops()
+	e.shardAvail[s] -= float64(after.Probes-before.Probes)*e.opts.Params.C1 +
+		float64(after.Transfers-before.Transfers)*e.opts.Params.C2
 	return true
 }
 
@@ -900,18 +907,6 @@ func (e *Engine) drainStage() {
 	}
 }
 
-// admit replenishes the per-time-unit budget when stream time advances
-// (never on a regression — an adversarial stream alternating timestamps
-// earns nothing) and asks the shed policy whether to process the record.
-func (e *Engine) admit(rec stream.Record) bool {
-	if !e.shedStarted || rec.Time > e.shedTick {
-		e.shedStarted = true
-		e.shedTick = rec.Time
-		e.shedAvail = e.opts.Budget
-	}
-	return e.shedder.Admit(rec, e.shedAvail <= 0)
-}
-
 // endEpoch flushes the LFTA, closes the epoch's degradation accounting,
 // emits finalized results, and runs the online repair, adaptive, and
 // checkpoint steps. The checkpoint is written last so it reflects a fully
@@ -963,7 +958,14 @@ func (e *Engine) closeEpochState() Degradation {
 	// the handler. The persister is handed its epoch before any handler
 	// runs — the durable copy never waits on user code — and windows are
 	// delivered before the epoch's own rows, as they always were.
-	if e.persist != nil || e.winComposer != nil || e.opts.OnResults != nil {
+	//
+	// With the handler as the only consumer nothing is read ahead:
+	// closingResults reads each query out as its turn comes and emitEpoch
+	// lets the rows go when the handler returns, so one query's read-out is
+	// live at a time, not the epoch's. (Read ahead, a 4-query epoch of 8 k
+	// groups is 2 MiB the collector counts as live whenever a cycle crosses
+	// the close, and the heap's saw-tooth moves in steps of that size.)
+	if e.sharedReadout() {
 		e.closing = make([][]hfta.Row, len(e.queries))
 		e.closingEpoch = closed.Epoch
 		for i, q := range e.queries {
@@ -979,10 +981,17 @@ func (e *Engine) closeEpochState() Degradation {
 		if e.winComposer != nil {
 			e.closeWindows(closed)
 		}
-		e.emitEpoch(closed)
-		e.closing = nil
 	}
+	e.emitEpoch(closed)
+	e.closing = nil
 	return closed
+}
+
+// sharedReadout reports whether a closed epoch's rows have a consumer
+// besides the result handler (the persister or the window composer); both
+// are fixed at construction.
+func (e *Engine) sharedReadout() bool {
+	return e.persist != nil || e.winComposer != nil
 }
 
 // applyHaving compacts rows in place to those passing the query's HAVING
@@ -1001,9 +1010,15 @@ func applyHaving(spec *query.Spec, rows []hfta.Row) []hfta.Row {
 }
 
 // closingResults is the default emitResults: the closing epoch's cached
-// read-out, HAVING applied.
+// read-out when it is shared, otherwise a read-out made for this call;
+// HAVING applied either way.
 func (e *Engine) closingResults(rel attr.Set, epoch uint32) ([]hfta.Row, error) {
-	if i := slices.Index(e.queries, rel); i >= 0 && e.closing != nil && epoch == e.closingEpoch {
+	i := slices.Index(e.queries, rel)
+	switch {
+	case i < 0:
+	case !e.sharedReadout():
+		return applyHaving(e.specs[i], e.agg.Rows(rel, epoch)), nil
+	case e.closing != nil && epoch == e.closingEpoch:
 		return e.closing[i], nil
 	}
 	return nil, fmt.Errorf("core: no read-out of %v for epoch %d (closing epoch %d)", rel, epoch, e.closingEpoch)
@@ -1249,6 +1264,7 @@ func (e *Engine) emitEpoch(closed Degradation) {
 			continue
 		}
 		e.opts.OnResults(q, epoch, rows, closed)
+		rows = nil // not pinned while the next query is read out
 	}
 	e.agg.Drop(epoch)
 }
@@ -1286,11 +1302,18 @@ func (e *Engine) Finish() error {
 // are unchanged: a mid-batch checkpoint records the stream position
 // strictly before the rolling record, as Process would.
 //
+// Under a budget (Options.Budget > 0) decode, WHERE, routing and epoch
+// splitting stay columnar and only admission is per record: each selected
+// on-time lane, in lane order, goes through admitRecord — the step Process
+// uses — which probes an admitted record at once and charges its measured
+// cost before the next lane is offered, so the same records are shed as on
+// the scalar feed.
+//
 // Outcomes — results, ledgers, stream position, checkpoint contents —
 // are identical to feeding the batch through Process record by record;
-// the engine equivalence suite pins this. Overload control (Budget > 0)
-// and the interpreted-filter baseline need per-record admission and
-// take exactly that scalar path.
+// the engine equivalence suite pins this. The interpreted-filter baseline
+// exists to measure the per-record DNF walk and takes exactly that scalar
+// path.
 func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 	n := b.Len()
 	if n == 0 {
@@ -1299,10 +1322,7 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 	if len(b.Time) != n {
 		return fmt.Errorf("core: column batch of %d records has %d timestamps", n, len(b.Time))
 	}
-	if e.opts.Budget > 0 || e.interp {
-		// Shedding charges each record's measured cost before admitting
-		// the next, and the interpreted baseline exists to measure the
-		// per-record DNF walk: both run the scalar path row by row.
+	if e.interp {
 		for i := 0; i < n; i++ {
 			e.rowBuf = b.Row(i, e.rowBuf)
 			if err := e.Process(stream.Record{Attrs: e.rowBuf, Time: b.Time[i]}); err != nil {
@@ -1336,13 +1356,14 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 		six = e.shardIdx[:m]
 		e.srt.ShardColumns(b.Cols, n, sel, six)
 	}
-	if width != e.stageWidth && m > 0 {
+	budgeted := e.opts.Budget > 0
+	if width != e.stageWidth && m > 0 && !budgeted {
 		e.drainStage()
 		e.setStageWidth(width)
 	}
 
-	// Sketch and pane accumulation need record-major rows; gather only
-	// when those subsystems are active.
+	// Sketch and pane accumulation need record-major rows (as per-record
+	// admission does); gather only when one of them is active.
 	needRows := len(e.sketches) != 0 || e.paneSk != nil
 
 	// Unsharded epoch segment: the on-time selected lanes since the last
@@ -1368,11 +1389,11 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 				e.deg.Late++
 				if e.srt != nil {
 					s := six[k]
+					k++
 					e.shardRouted[s]++
 					e.shardDeg[s].Offered++
 					e.shardDeg[s].Late++
 				}
-				k++
 				continue
 			}
 			if rolled {
@@ -1397,9 +1418,28 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 				e.deg.Epoch = epoch
 			}
 			e.deg.Offered++
-			e.deg.Processed++
-			if e.srt != nil {
+			// The budgeted case repeats the shard ledger lines rather than
+			// hoisting them, so an unbudgeted lane gains this one untaken
+			// branch and nothing else.
+			switch {
+			case budgeted:
+				s := 0
+				if e.srt != nil {
+					s = int(six[k])
+					k++
+					e.shardRouted[s]++
+					e.shardDeg[s].Offered++
+				}
+				// The row buffer is reused by the next lane: a shed policy
+				// may read rec.Attrs only during the call.
+				e.rowBuf = b.Row(i, e.rowBuf)
+				if !e.admitRecord(s, stream.Record{Attrs: e.rowBuf, Time: b.Time[i]}, epoch) {
+					continue
+				}
+			case e.srt != nil:
+				e.deg.Processed++
 				s := int(six[k])
+				k++
 				e.shardRouted[s]++
 				sd := &e.shardDeg[s]
 				sd.Offered++
@@ -1419,13 +1459,16 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 					e.srt.Shard(s).ProcessColumns(e.stageView(cols, sn), epoch)
 					e.shardLens[s] = 0
 				}
-			} else {
+			default:
+				e.deg.Processed++
 				seg.Set(i)
 				segCount++
 				segEpoch = epoch
 			}
 			if needRows {
-				e.rowBuf = b.Row(i, e.rowBuf)
+				if !budgeted {
+					e.rowBuf = b.Row(i, e.rowBuf)
+				}
 				if len(e.sketches) != 0 {
 					for rel, h := range e.sketches {
 						e.sketchBuf = rel.Project(e.rowBuf, e.sketchBuf)
@@ -1436,7 +1479,6 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 					e.observePaneSketches(e.rowBuf)
 				}
 			}
-			k++
 		}
 	}
 	if e.rt != nil && segCount > 0 {
@@ -1449,10 +1491,10 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 
 // Run processes an entire source and finishes. Sources that can decode
 // into columns (stream.ColumnSource) run through the vectorized batch
-// path when no per-record admission is required; the rest take the
-// scalar loop.
+// path, with or without a budget; the rest (and the interpreted-filter
+// baseline) take the scalar loop.
 func (e *Engine) Run(src stream.Source) error {
-	if cs, ok := src.(stream.ColumnSource); ok && e.opts.Budget == 0 && !e.interp {
+	if cs, ok := src.(stream.ColumnSource); ok && !e.interp {
 		var cb stream.ColumnBatch
 		for {
 			if stream.ReadColumns(cs, &cb, stream.ColumnBatchLen) == 0 {

@@ -1,12 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/attr"
+	"repro/internal/feedgraph"
+	"repro/internal/gen"
 	"repro/internal/hashtab"
 	"repro/internal/hfta"
 	"repro/internal/lfta"
@@ -299,80 +305,116 @@ func TestInterpretedFilterMatchesCompiled(t *testing.T) {
 // record with filtered lanes included — so a crash during columnar
 // ingest resumes to exactly the uninterrupted run's emissions.
 func TestColumnarWhereCheckpointResume(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			columnarKillRestore(t, filterSQL, func() Options { return Options{M: 8000, Seed: 3, Shards: shards} })
+		})
+	}
+}
+
+// TestColumnarBudgetCheckpointResume: the same crash under overload
+// control. The restored engine carries the shed policy's RNG position and
+// the budget split, and per-record admission inside the batch resumes at
+// the checkpointed lane, so kill + restore + column-fed replay sheds the
+// records the uninterrupted run shed.
+func TestColumnarBudgetCheckpointResume(t *testing.T) {
+	for _, policy := range []string{"droptail", "uniform"} {
+		for _, shards := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", policy, shards), func(t *testing.T) {
+				columnarKillRestore(t, budgetSQL(true), func() Options {
+					return Options{M: 8000, Seed: 3, Shards: shards, Budget: 150, Shed: shedPolicyFor(policy)}
+				})
+			})
+		}
+	}
+}
+
+// columnarKillRestore runs the workload three times with fresh options
+// from mkOpts: uninterrupted; column-fed in random batch sizes with a
+// checkpoint at every boundary and killed after 17000 records; and
+// restored from that checkpoint and column-fed the rest. Crashed plus
+// resumed emissions and ledgers must equal the uninterrupted run's.
+func columnarKillRestore(t *testing.T, sqls []string, mkOpts func() Options) {
+	t.Helper()
 	recs, _ := testWorkload(t, 30000)
 	groups, err := EstimateGroups(recs, filterQueries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{0, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			mkOpts := func() Options { return Options{M: 8000, Seed: 3, Shards: shards} }
 
-			wantEmit := emissionMap{}
-			ropts := mkOpts()
-			ropts.OnResults = collectEmissions(t, wantEmit)
-			ref, err := New(filterSQL, groups, ropts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.Run(stream.NewSliceSource(recs)); err != nil {
-				t.Fatal(err)
-			}
+	wantEmit := emissionMap{}
+	ropts := mkOpts()
+	ropts.OnResults = collectEmissions(t, wantEmit)
+	ref, err := New(sqls, groups, ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Run(stream.NewSliceSource(recs)); err != nil {
+		t.Fatal(err)
+	}
+	if d := ref.Stats().Degradation; ropts.Budget > 0 && (d.Dropped == 0 || d.Processed == 0) {
+		t.Fatalf("ledger %+v: the budget sheds nothing or everything", d)
+	}
 
-			ckpt := filepath.Join(t.TempDir(), "columnar.ckpt")
-			copts := mkOpts()
-			copts.CheckpointPath = ckpt
-			crashEmit := emissionMap{}
-			copts.OnResults = collectEmissions(t, crashEmit)
-			e1, err := New(filterSQL, groups, copts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(77))
-			fed := feedColumnBatches(t, e1, recs, rng, 17000)
-			// No Finish: the process is gone mid-stream.
+	ckpt := filepath.Join(t.TempDir(), "columnar.ckpt")
+	copts := mkOpts()
+	copts.CheckpointPath = ckpt
+	crashEmit := emissionMap{}
+	copts.OnResults = collectEmissions(t, crashEmit)
+	e1, err := New(sqls, groups, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(77))
+	fed := feedColumnBatches(t, e1, recs, rng, 17000)
+	// No Finish: the process is gone mid-stream.
 
-			resumeEmit := emissionMap{}
-			popts := mkOpts()
-			popts.OnResults = collectEmissions(t, resumeEmit)
-			e2, err := New(filterSQL, groups, popts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			consumed, err := e2.RestoreCheckpointFile(ckpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if consumed == 0 || consumed > uint64(fed) {
-				t.Fatalf("restored position %d out of range (0, %d]", consumed, fed)
-			}
-			if err := e2.Run(stream.NewSkipSource(stream.NewSliceSource(recs), consumed)); err != nil {
-				t.Fatal(err)
-			}
+	resumeEmit := emissionMap{}
+	popts := mkOpts()
+	popts.OnResults = collectEmissions(t, resumeEmit)
+	e2, err := New(sqls, groups, popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consumed, err := e2.RestoreCheckpointFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if consumed == 0 || consumed > uint64(fed) {
+		t.Fatalf("restored position %d out of range (0, %d]", consumed, fed)
+	}
+	feedColumnBatches(t, e2, recs[consumed:], rng, 0)
+	if err := e2.Finish(); err != nil {
+		t.Fatal(err)
+	}
 
-			got := emissionMap{}
-			for k, v := range crashEmit {
-				got[k] = v
-			}
-			for k, v := range resumeEmit {
-				if prev, dup := got[k]; dup && prev != v {
-					t.Errorf("epoch %d of %v emitted differently by crashed and resumed runs", k.epoch, k.rel)
-				}
-				got[k] = v
-			}
-			if len(got) != len(wantEmit) {
-				t.Fatalf("crash+resume emitted %d (query, epoch) results; uninterrupted run emitted %d",
-					len(got), len(wantEmit))
-			}
-			for k, want := range wantEmit {
-				if got[k] != want {
-					t.Errorf("epoch %d of %v differs from the uninterrupted run", k.epoch, k.rel)
-				}
-			}
-			if g, w := e2.Stats().Degradation, ref.Stats().Degradation; g != w {
-				t.Errorf("resumed cumulative ledger %+v; uninterrupted %+v", g, w)
-			}
-		})
+	got := emissionMap{}
+	for k, v := range crashEmit {
+		got[k] = v
+	}
+	for k, v := range resumeEmit {
+		if prev, dup := got[k]; dup && prev != v {
+			t.Errorf("epoch %d of %v emitted differently by crashed and resumed runs", k.epoch, k.rel)
+		}
+		got[k] = v
+	}
+	if len(got) != len(wantEmit) {
+		t.Fatalf("crash+resume emitted %d (query, epoch) results; uninterrupted run emitted %d",
+			len(got), len(wantEmit))
+	}
+	for k, want := range wantEmit {
+		if got[k] != want {
+			t.Errorf("epoch %d of %v differs from the uninterrupted run", k.epoch, k.rel)
+		}
+	}
+	if g, w := e2.Stats().Degradation, ref.Stats().Degradation; g != w {
+		t.Errorf("resumed cumulative ledger %+v; uninterrupted %+v", g, w)
+	}
+	if g, w := e2.EpochDegradations(), ref.EpochDegradations(); !slices.Equal(g, w) {
+		t.Errorf("resumed per-epoch ledgers %+v; uninterrupted %+v", g, w)
+	}
+	if g, w := e2.ShardEpochDegradations(), ref.ShardEpochDegradations(); !reflect.DeepEqual(g, w) {
+		t.Errorf("resumed per-shard ledgers %+v; uninterrupted %+v", g, w)
 	}
 }
 
@@ -408,5 +450,276 @@ func TestNoWhereZeroFilterOverhead(t *testing.T) {
 	}
 	if d := e.Stats().Degradation; d.Offered != 100 || d.Processed != 100 {
 		t.Fatalf("no-WHERE batch ledger %+v; want 100 offered and processed", d)
+	}
+}
+
+// Equivalence under a budget: overload control admits record by record on
+// the columnar feed too, through the same admitRecord step as Process, so
+// for one stream and seed every feed sheds exactly the same records.
+
+// budgetSQL groups like filterSQL, with an optional WHERE on A that passes
+// about half of testWorkload's [0, 40) value pool.
+func budgetSQL(where bool) []string {
+	w := ""
+	if where {
+		w = " where A < 20"
+	}
+	return []string{
+		"select A, count(*) as cnt from R" + w + " group by A, time/10",
+		"select C, count(*) as cnt from R" + w + " group by C, time/10",
+	}
+}
+
+// admitLog is a ShedPolicy that copies what every Admit call was shown —
+// the attributes (the columnar feed hands a buffer it reuses), the time and
+// the exhausted flag — and forwards to the wrapped policy, state words
+// included, so a checkpoint is written as if the policy were unwrapped.
+type admitLog struct {
+	inner     ShedPolicy
+	attrs     []uint32
+	times     []uint32
+	exhausted []bool
+}
+
+func (l *admitLog) Admit(rec stream.Record, exhausted bool) bool {
+	l.attrs = append(l.attrs, rec.Attrs...)
+	l.times = append(l.times, rec.Time)
+	l.exhausted = append(l.exhausted, exhausted)
+	return l.inner.Admit(rec, exhausted)
+}
+
+func (l *admitLog) EpochEnd(d Degradation) { l.inner.EpochEnd(d) }
+
+func (l *admitLog) ShedState() []uint64 {
+	if s, ok := l.inner.(ShedPolicyState); ok {
+		return s.ShedState()
+	}
+	return nil
+}
+
+func (l *admitLog) RestoreShedState(words []uint64) error {
+	return l.inner.(ShedPolicyState).RestoreShedState(words)
+}
+
+// budgetFeed is one engine of the budget grid with everything the feeds are
+// compared on: per-epoch rows, the checkpoint image written at every epoch
+// boundary, and the policy's view of every admission.
+type budgetFeed struct {
+	e     *Engine
+	emit  emissionMap
+	ckpts [][]byte
+	log   *admitLog
+	path  string
+}
+
+// grabCheckpoint appends the image the engine last wrote, if it has written
+// one since the previous grab.
+func (f *budgetFeed) grabCheckpoint(t *testing.T) {
+	t.Helper()
+	img, err := os.ReadFile(f.path)
+	if os.IsNotExist(err) {
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(f.ckpts); n == 0 || !bytes.Equal(f.ckpts[n-1], img) {
+		f.ckpts = append(f.ckpts, img)
+	}
+}
+
+// newBudgetFeed builds a budgeted engine writing a checkpoint at every
+// boundary. The result handler of epoch N runs before N's checkpoint is
+// written, so it finds the image of boundary N-1 on disk; finish collects
+// the last one.
+func newBudgetFeed(t *testing.T, sqls []string, groups feedgraph.GroupCounts, policy string, shards int, budget float64) *budgetFeed {
+	t.Helper()
+	f := &budgetFeed{emit: emissionMap{}, log: &admitLog{inner: shedPolicyFor(policy)},
+		path: filepath.Join(t.TempDir(), "budget.ckpt")}
+	collect := collectEmissions(t, f.emit)
+	e, err := New(sqls, groups, Options{M: 8000, Seed: 3, Shards: shards, Budget: budget, Shed: f.log,
+		CheckpointPath: f.path,
+		OnResults: func(rel attr.Set, epoch uint32, rows []hfta.Row, deg Degradation) {
+			f.grabCheckpoint(t)
+			collect(rel, epoch, rows, deg)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.e = e
+	return f
+}
+
+func (f *budgetFeed) finish(t *testing.T) {
+	t.Helper()
+	f.grabCheckpoint(t)
+	if err := f.e.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// assertBudgetFeedsAgree compares a column-fed run with the Process-fed one.
+func assertBudgetFeedsAgree(t *testing.T, label string, got, want *budgetFeed) {
+	t.Helper()
+	assertEnginesAgree(t, label, got.e, want.e)
+	if len(got.emit) != len(want.emit) {
+		t.Errorf("%s: %d (query, epoch) emissions; want %d", label, len(got.emit), len(want.emit))
+	}
+	for k, w := range want.emit {
+		if got.emit[k] != w {
+			t.Errorf("%s: epoch %d of %v has different rows", label, k.epoch, k.rel)
+		}
+	}
+	if !reflect.DeepEqual(got.e.ShardEpochDegradations(), want.e.ShardEpochDegradations()) {
+		t.Errorf("%s: per-shard epoch ledgers diverge", label)
+	}
+	if g, w := got.e.ShardPositions(), want.e.ShardPositions(); !slices.Equal(g, w) {
+		t.Errorf("%s: shard positions %v; want %v", label, g, w)
+	}
+	if len(got.ckpts) != len(want.ckpts) {
+		t.Errorf("%s: %d checkpoints written; want %d", label, len(got.ckpts), len(want.ckpts))
+	} else {
+		for i := range want.ckpts {
+			if !bytes.Equal(got.ckpts[i], want.ckpts[i]) {
+				t.Errorf("%s: checkpoint at boundary %d differs (%d bytes vs %d)",
+					label, i, len(got.ckpts[i]), len(want.ckpts[i]))
+			}
+		}
+	}
+	gl, wl := got.log, want.log
+	if !slices.Equal(gl.times, wl.times) || !slices.Equal(gl.exhausted, wl.exhausted) || !slices.Equal(gl.attrs, wl.attrs) {
+		t.Errorf("%s: the shed policy saw a different admission sequence (%d calls; want %d)",
+			label, len(gl.times), len(wl.times))
+	}
+}
+
+// TestColumnBatchBudgetMatchesScalar: with Budget > 0 the columnar feed —
+// ProcessColumnBatch at batch lengths that put epoch rolls and budget ticks
+// mid-batch, and Run over a ColumnSource — is indistinguishable from the
+// Process loop: same rows per epoch, same ledgers per epoch and per shard,
+// same positions and operation counts, the same bytes in every checkpoint,
+// and the same (attrs, time, exhausted) sequence offered to the policy.
+func TestColumnBatchBudgetMatchesScalar(t *testing.T) {
+	recs, _ := testWorkload(t, 12000)
+	chaotic, err := stream.Collect(stream.NewChaosSource(stream.NewSliceSource(recs),
+		stream.ChaosOptions{Seed: 5, RegressEvery: 97, RegressBy: 25, DuplicateEvery: 53}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, err := EstimateGroups(recs, filterQueries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []string{"droptail", "uniform"} {
+		for _, shards := range []int{0, 2, 4} {
+			for _, where := range []bool{false, true} {
+				for _, chaos := range []bool{false, true} {
+					name := fmt.Sprintf("%s/shards=%d/where=%v/chaos=%v", policy, shards, where, chaos)
+					t.Run(name, func(t *testing.T) {
+						in, budget := recs, 120.0
+						if chaos {
+							in = chaotic
+						}
+						if where {
+							budget /= 2 // half the records reach admission
+						}
+						sqls := budgetSQL(where)
+						scalar := newBudgetFeed(t, sqls, groups, policy, shards, budget)
+						for _, r := range in {
+							if err := scalar.e.Process(r); err != nil {
+								t.Fatal(err)
+							}
+						}
+						scalar.finish(t)
+						d := scalar.e.Stats().Degradation
+						if d.Dropped == 0 || d.Processed == 0 || chaos && d.Late == 0 {
+							t.Fatalf("ledger %+v: the budget sheds nothing or everything, or chaos made no record late", d)
+						}
+						if len(scalar.ckpts) != len(scalar.e.EpochDegradations())-1 {
+							t.Fatalf("captured %d checkpoints over %d closed epochs", len(scalar.ckpts), len(scalar.e.EpochDegradations()))
+						}
+
+						for _, batch := range []int{1, 7, stream.ColumnBatchLen} {
+							col := newBudgetFeed(t, sqls, groups, policy, shards, budget)
+							var cb stream.ColumnBatch
+							for pos := 0; pos < len(in); pos += batch {
+								cb.Reset(len(in[pos].Attrs))
+								for _, r := range in[pos:min(pos+batch, len(in))] {
+									cb.Append(r.Attrs, r.Time)
+								}
+								if err := col.e.ProcessColumnBatch(&cb); err != nil {
+									t.Fatal(err)
+								}
+							}
+							col.finish(t)
+							assertBudgetFeedsAgree(t, fmt.Sprintf("batch=%d", batch), col, scalar)
+						}
+
+						run := newBudgetFeed(t, sqls, groups, policy, shards, budget)
+						if err := run.e.Run(stream.NewSliceSource(in)); err != nil {
+							t.Fatal(err)
+						}
+						run.grabCheckpoint(t)
+						assertBudgetFeedsAgree(t, "Run", run, scalar)
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestColumnarBudgetRunAllocs: a budgeted, sharded Run over a trace file
+// stays on the columnar decode, so what it allocates does not depend on how
+// many records the trace holds. (Through Source.Next it paid one attribute
+// slice per record.)
+func TestColumnarBudgetRunAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	schema := stream.MustSchema(4)
+	u, err := gen.UniformUniverse(rng, schema, 64, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{4096, 65536}
+	recs := gen.Uniform(rng, u, sizes[1], 40)
+	groups, err := EstimateGroups(recs, filterQueries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var per [2]float64
+	for i, n := range sizes {
+		// Every n-th record of the long trace: the same 4 epochs and the
+		// same 64 groups in each, at either length.
+		sub := make([]stream.Record, 0, n)
+		for j := 0; j < len(recs); j += len(recs) / n {
+			sub = append(sub, recs[j])
+		}
+		path := filepath.Join(dir, fmt.Sprintf("%d.magt", n))
+		if err := stream.WriteTraceFile(path, schema, sub); err != nil {
+			t.Fatal(err)
+		}
+		var shed Degradation
+		per[i] = testing.AllocsPerRun(3, func() {
+			e, err := New(budgetSQL(false), groups, Options{M: 8000, Seed: 3, Shards: 2,
+				Budget: float64(n) / 40, Shed: shedPolicyFor("uniform")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := stream.OpenTraceSource(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Run(src); err != nil {
+				t.Fatal(err)
+			}
+			shed = e.Stats().Degradation
+		})
+		if shed.Offered != uint64(n) || shed.Dropped == 0 || shed.Processed == 0 {
+			t.Fatalf("%d records: ledger %+v; want all offered, some shed, some processed", n, shed)
+		}
+	}
+	if per[1]-per[0] > 8 {
+		t.Errorf("Run allocated %.0f times over %d records and %.0f over %d; want the same but for buffer growth",
+			per[0], sizes[0], per[1], sizes[1])
 	}
 }

@@ -127,3 +127,42 @@ func TestReadoutRetainedRowsImmutable(t *testing.T) {
 		t.Errorf("%d rows retained by the engine despite the handler", len(left))
 	}
 }
+
+// TestReadoutHandlerOnlyMatchesShared: an engine whose only consumer is the
+// result handler reads each query out as its turn comes (nothing is read
+// ahead into e.closing) and must deliver, per query and epoch, exactly the
+// rows an engine that shares one read-out with the window composer does.
+func TestReadoutHandlerOnlyMatchesShared(t *testing.T) {
+	collect := func(suffix string, opts Options) map[[2]uint32][]hfta.Row {
+		sqls := make([]string, len(pairSQL))
+		for i, q := range pairSQL {
+			sqls[i] = q + suffix + " having cnt > 1"
+		}
+		got := map[[2]uint32][]hfta.Row{}
+		var f *epochFeeder
+		opts.OnResults = func(rel attr.Set, epoch uint32, rows []hfta.Row, _ Degradation) {
+			if shared := f.e.sharedReadout(); shared != (f.e.closing != nil) {
+				t.Errorf("epoch %d %v: shared read-out %v but e.closing set %v", epoch, rel, shared, !shared)
+			}
+			got[[2]uint32{uint32(rel), epoch}] = rows
+		}
+		f = newEpochFeeder(t, sqls, 300, opts)
+		for f.epoch < 6 {
+			f.feed(t)
+		}
+		if err := f.e.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	alone := collect("", Options{})
+	shared := collect(" window 2 slide 1", Options{OnWindow: func(attr.Set, hfta.WindowLedger, []hfta.WindowRow) {}})
+	if len(alone) != 6*len(pairSQL) || len(alone) != len(shared) {
+		t.Fatalf("handler-only engine delivered %d read-outs, shared %d; want %d", len(alone), len(shared), 6*len(pairSQL))
+	}
+	for k, rows := range alone {
+		if len(rows) != 150 || !hfta.Equal(rows, shared[k]) {
+			t.Errorf("query %v epoch %d: %d rows, differ from the shared read-out's %d", attr.Set(k[0]), k[1], len(rows), len(shared[k]))
+		}
+	}
+}

@@ -44,10 +44,13 @@ func (d *Degradation) add(o Degradation) {
 
 // ShedPolicy decides which records to shed when the engine runs with a
 // processing budget (Options.Budget). Admit is consulted for every
-// offered record; exhausted reports whether the current stream time
-// unit's budget is already spent. EpochEnd delivers the closed epoch's
-// degradation so adaptive policies can steer. Policies are used from a
-// single goroutine.
+// offered record, in stream order; exhausted reports whether the current
+// stream time unit's budget is already spent. rec.Attrs is valid only for
+// the duration of the call — on the columnar feed it aliases an
+// engine-owned row buffer the next record overwrites — so a policy that
+// keeps attributes must copy them (the built-in policies never read
+// them). EpochEnd delivers the closed epoch's degradation so adaptive
+// policies can steer. Policies are used from a single goroutine.
 type ShedPolicy interface {
 	Admit(rec stream.Record, exhausted bool) bool
 	EpochEnd(d Degradation)
@@ -88,9 +91,18 @@ func (DropTail) EpochEnd(Degradation) {}
 // unbiased downscaling of the true ones — while still hard-dropping when
 // the budget is exhausted despite sampling.
 type UniformShed struct {
-	rate  float64 // current proactive shed probability in [0, 1)
-	alpha float64 // EWMA weight of the newest epoch's observation
-	x     uint64  // splitmix64 RNG position
+	rate   float64 // current proactive shed probability in [0, 1)
+	thresh uint64  // shedThreshold(rate): a 53-bit draw below it sheds
+	alpha  float64 // EWMA weight of the newest epoch's observation
+	x      uint64  // splitmix64 RNG position
+}
+
+// shedThreshold turns a shed probability into the integer a 53-bit draw d
+// is compared against: d/2^53 >= rate exactly when d >= ceil(rate·2^53),
+// because d is an integer below 2^53 (exact as a float64) and scaling by a
+// power of two is exact. Admit then costs no convert and no divide.
+func shedThreshold(rate float64) uint64 {
+	return uint64(math.Ceil(rate * (1 << 53)))
 }
 
 // NewUniformShed returns a uniform shedder with the given EWMA weight
@@ -122,8 +134,7 @@ func (u *UniformShed) Admit(_ stream.Record, exhausted bool) bool {
 	if u.rate <= 0 {
 		return true
 	}
-	const scale = 1 << 53
-	return float64(u.next()>>11)/scale >= u.rate
+	return u.next()>>11 >= u.thresh
 }
 
 // ShedState implements ShedPolicyState: the EWMA rate and RNG position.
@@ -140,7 +151,7 @@ func (u *UniformShed) RestoreShedState(words []uint64) error {
 	if math.IsNaN(rate) || rate < 0 || rate > 1 {
 		return fmt.Errorf("core: UniformShed rate %v out of range", rate)
 	}
-	u.rate = rate
+	u.rate, u.thresh = rate, shedThreshold(rate)
 	u.x = words[1]
 	return nil
 }
@@ -156,4 +167,5 @@ func (u *UniformShed) EpochEnd(d Degradation) {
 	if u.rate > 0.95 {
 		u.rate = 0.95
 	}
+	u.thresh = shedThreshold(u.rate)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/attr"
@@ -130,6 +132,52 @@ func TestUniformShedDeterminism(t *testing.T) {
 // TestUniformShedAdapts: under sustained overload the uniform policy
 // learns a positive proactive rate and spreads drops across each time
 // unit, rather than truncating its tail like drop-tail.
+// TestUniformShedThresholdMatchesFloat: Admit's integer comparison decides
+// exactly as the float predicate it replaced, draw/2^53 >= rate, for random
+// (rate, draw) pairs, for the draws either side of every threshold, and at
+// the edge rates.
+func TestUniformShedThresholdMatchesFloat(t *testing.T) {
+	const top = uint64(1)<<53 - 1 // largest 53-bit draw
+	check := func(rate float64, draw uint64) {
+		want := float64(draw)/(1<<53) >= rate
+		if got := draw >= shedThreshold(rate); got != want {
+			t.Fatalf("rate %v (threshold %d), draw %d: integer compare admits %v; float predicate %v",
+				rate, shedThreshold(rate), draw, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(8))
+	rates := []float64{0, 0x1p-53, 0.5, 0.95, math.Nextafter(1, 0)}
+	for i := 0; i < 1_000_000; i++ {
+		rate := rng.Float64()
+		check(rate, rng.Uint64()>>11)
+		if i < 1000 {
+			rates = append(rates, rate, rate*0x1p-30) // and some tiny ones
+		}
+	}
+	for _, rate := range rates {
+		th := shedThreshold(rate)
+		for _, draw := range []uint64{0, th - 1, th, th + 1, top} {
+			if draw > top { // th-1 wraps at rate 0
+				draw = top
+			}
+			check(rate, draw)
+		}
+	}
+
+	// And through the policy itself: the restored rate sets the threshold.
+	u := NewUniformShed(0, 1)
+	if err := u.RestoreShedState([]uint64{math.Float64bits(0.25), 99}); err != nil {
+		t.Fatal(err)
+	}
+	v := *u
+	for i := 0; i < 10000; i++ {
+		want := float64(v.next()>>11)/(1<<53) >= 0.25
+		if got := u.Admit(stream.Record{}, false); got != want {
+			t.Fatalf("draw %d: Admit = %v; float predicate %v", i, got, want)
+		}
+	}
+}
+
 func TestUniformShedAdapts(t *testing.T) {
 	u := NewUniformShed(0.5, 7)
 	e, _ := runShedding(t, 900, u)
