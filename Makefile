@@ -1,10 +1,10 @@
 # Developer targets. `make check` is the tier-1 gate; `make race` runs the
 # race detector over the concurrent hot path (parallel LFTA shards,
-# batched eviction buffers, sharded HFTA merge).
+# per-shard run buffers, sharded HFTA merge).
 
 GO ?= go
 
-.PHONY: build test vet race fuzz-short crash-test windows-test columnar-test bench-module check bench bench-json bench-compare
+.PHONY: build test vet race fuzz-short crash-test windows-test columnar-test bench-module check bench loc
 
 build:
 	$(GO) build ./...
@@ -18,7 +18,7 @@ vet:
 # Race-detect every internal package and the daemon (which drives the
 # engine's columnar feed from an open trace file), then re-run the sharded
 # chaos, equivalence, and checkpoint suites specifically: the sharded runtime's
-# RunParallel fan-out, the runtime eviction buffers, the lock-sharded
+# RunParallel fan-out, the runtime run buffers, the lock-sharded
 # HFTA merge, and the engine's unified budget / checkpoint-v2 paths on
 # top of them, plus the shared epoch read-out (allocation bound and
 # retained-row immutability).
@@ -50,21 +50,23 @@ windows-test:
 	$(GO) test -run 'TestWindow|TestSketch' -count=1 ./internal/query
 
 # The columnar-pipeline equivalence suite under the race detector:
-# ReadColumns ≡ ReadBatch on every source, columnar probes ≡ batch
-# probes (victims, stats, contents), ProcessColumns ≡ Process, the fully
-# columnar routed sharded path at 1/2/4/8 shards vs sequential + oracle,
-# MergeRun ≡ per-entry Consume including forced lock-shard collisions
-# and concurrent folds, the sorted read-out ≡ its brute-force model and
-# concurrent with MergeRun, and the vectorized WHERE stack: selection-vector
-# kernels vs their generic forms, compiled filters vs the interpreted
-# DNF walk (scalar and columnar, with adaptive reordering), selection-
-# aware probes/routing vs compacted dense runs, and ProcessColumnBatch
-# vs the scalar engine loop across batch-boundary epoch splits — with and
-# without a budget (same drops, same checkpoint bytes, kill + restore).
+# ReadColumns ≡ ReadBatch on every source (stream); the columnar probe ≡
+# the record-major batch probe, saturated and selective, and the columnar
+# hashes ≡ HashWords (hashtab); ProcessColumns / ProcessColumnsSel ≡
+# scalar Process, the routed sharded pipeline at 1/2/4/8 shards vs
+# sequential + oracle, and ShardColumns ≡ ShardOf (lfta); MergeRun ≡
+# per-entry Consume including forced lock-shard collisions and concurrent
+# folds, and the sorted read-out ≡ its brute-force model, also concurrent
+# with MergeRun (hfta); the selection-vector kernels vs their generic
+# forms (selvec); compiled filters vs the interpreted DNF walk, scalar and
+# columnar, with adaptive reordering (query); and ProcessColumnBatch vs
+# the scalar engine loop and vs a brute-force oracle across batch-boundary
+# epoch splits, mixed feeds and shard counts — with and without a budget
+# (same drops, same checkpoint bytes, kill + restore) (core).
 # -run selects by name prefix: a new columnar equivalence test is raced
 # here only if it is called TestColumnBatch… or TestColumnar….
 columnar-test:
-	$(GO) test -race -count=1 -run 'TestReadColumns|TestColumnBatch|TestColumnar|TestProbeColumns|TestHashColumns|TestMergeRun|TestRows|TestSelVec|TestFilter|TestInterpretedFilter|TestNoWhere' ./internal/stream ./internal/hashtab ./internal/lfta ./internal/hfta ./internal/core ./internal/selvec ./internal/query
+	$(GO) test -race -count=1 -run 'TestReadColumns|TestColumnBatch|TestColumnar|TestProbeColumns|TestHashColumns|TestMergeRun|TestRows|TestSelVec|TestFilter|TestNoWhere' ./internal/stream ./internal/hashtab ./internal/lfta ./internal/hfta ./internal/core ./internal/selvec ./internal/query
 
 # bench/ is a nested module that ./... does not reach; it assembles the
 # engine's epoch close from the layers' public entry points, so it is
@@ -78,13 +80,8 @@ check: build vet test race fuzz-short crash-test windows-test columnar-test benc
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkEngineThroughput|BenchmarkHFTAMerge|BenchmarkSharded|BenchmarkRuntimeRecord|BenchmarkLFTAProbe' -benchmem .
 
-# Machine-readable summary, the BENCH_PR<N>.json trajectory format.
-bench-json:
-	$(GO) run ./cmd/maggbench -json BENCH_PR10.json
-
-# Diff two bench-json reports; fails on a ns/op regression beyond
-# THRESHOLD (fractional, default 10%). CI widens it for its short
-# smoke run. Usage: make bench-compare OLD=BENCH_PR4.json NEW=BENCH_PR5.json
-THRESHOLD ?= 0.10
-bench-compare:
-	$(GO) run ./cmd/maggbench -compare -threshold $(THRESHOLD) $(OLD) $(NEW)
+# Non-test Go lines per internal package and command, and for the repo
+# outside bench/ — the number ROADMAP aim 2 tracks.
+loc:
+	@for d in internal/*/ cmd/*/; do printf '%-24s %6d\n' $$d $$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); done
+	@printf '%-24s %6d\n' 'repo (outside bench/)' $$(find . -path ./bench -prune -o -name '*.go' -not -name '*_test.go' -print | xargs cat | wc -l)

@@ -136,7 +136,7 @@ func newShardedFixture(tb testing.TB, records int) *shardedFixture {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s.SetBatchSink(agg.ConsumeBatch, 0)
+	s.SetRunSink(agg.MergeRun, 0)
 	return &shardedFixture{recs: recs, src: NewSliceSource(recs), agg: agg, s: s}
 }
 
@@ -204,7 +204,7 @@ func TestShardedParallelSpeedup(t *testing.T) {
 
 // TestShardedSteadyStateAllocs is the allocation regression gate for the
 // sharded ingest path: after one warm-up pass (which sizes every pooled
-// structure — hash tables, eviction arenas, SPSC run buffers, HFTA group
+// structure — hash tables, eviction run buffers, SPSC run batches, HFTA group
 // maps), a full 200k-record pass must run effectively allocation-free.
 // The bound is a hard budget per *pass*, not per record: 200 allocations
 // over 200k records is 0.001 allocs/record, three orders of magnitude

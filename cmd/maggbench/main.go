@@ -2,32 +2,17 @@
 //
 // Usage:
 //
-//	maggbench [-run id[,id...]] [-quick] [-seed n] [-list] [-json path]
-//	          [-benchtime d] [-cpuprofile path] [-memprofile path]
-//	maggbench -compare [-threshold f] OLD.json NEW.json
+//	maggbench [-run id[,id...]] [-quick] [-seed n] [-list]
+//	          [-cpuprofile path] [-memprofile path]
 //
 // Without -run it executes every experiment in paper order. Experiment
 // ids are fig5..fig15 and table1..table3. -quick shrinks datasets and
 // sweeps for a fast smoke run; the default sizes match the paper's setup
 // (860k-record trace, 1M-record synthetic dataset).
 //
-// -json runs the engine performance suite instead of the paper
-// experiments and writes a machine-readable summary (records/sec,
-// allocs/op, ns/op per benchmark, shard-scaling sweep) to the given path
-// ("-" for stdout) — the BENCH_PR1.json format tracking the perf
-// trajectory across PRs. -benchtime controls how long each benchmark
-// runs (Go benchtime syntax: "1s", "100ms", "50x"); the default is the
-// testing package's 1s. CI uses a short benchtime with a widened
-// -threshold to smoke-test the trajectory cheaply.
-//
-// -cpuprofile / -memprofile write pprof profiles covering whatever the
-// invocation ran (the benchmark suite or the paper experiments), so
-// kernel work can be profiled without editing the harness; see
-// docs/PERF.md for the workflow.
-//
-// -compare diffs two such reports, printing per-benchmark deltas, and
-// exits non-zero if any benchmark's ns/op regressed by more than
-// -threshold (default 10%).
+// -cpuprofile / -memprofile write pprof profiles covering the experiments
+// the invocation ran. Engine performance is measured by the benchmark in
+// bench/ (see docs/PERF.md), not here.
 package main
 
 import (
@@ -38,46 +23,22 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"testing"
 	"time"
 
 	"repro/internal/experiments"
 )
 
 func main() {
-	testing.Init() // registers test.benchtime for the -benchtime flag
 	var (
-		run       = flag.String("run", "", "comma-separated experiment ids (default: all)")
-		quick     = flag.Bool("quick", false, "reduced dataset sizes and sweeps")
-		seed      = flag.Int64("seed", 42, "seed for the synthetic datasets")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		jsonP     = flag.String("json", "", "run the perf benchmark suite and write a JSON summary to this path (\"-\" for stdout)")
-		comp      = flag.Bool("compare", false, "compare two -json reports (args: OLD.json NEW.json); exit non-zero on ns/op regression beyond -threshold")
-		threshold = flag.Float64("threshold", defaultRegressionThreshold, "tolerated fractional ns/op growth before -compare fails")
-		benchtime = flag.String("benchtime", "", "per-benchmark run time for -json (Go benchtime syntax, e.g. \"100ms\" or \"50x\"; default 1s)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		run     = flag.String("run", "", "comma-separated experiment ids (default: all)")
+		quick   = flag.Bool("quick", false, "reduced dataset sizes and sweeps")
+		seed    = flag.Int64("seed", 42, "seed for the synthetic datasets")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
 
-	if *comp {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "maggbench: -compare needs exactly two report paths (old new)")
-			os.Exit(2)
-		}
-		if err := compareBenchReports(flag.Arg(0), flag.Arg(1), *threshold, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "maggbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchtime != "" {
-		if err := flag.Set("test.benchtime", *benchtime); err != nil {
-			fmt.Fprintf(os.Stderr, "maggbench: -benchtime %q: %v\n", *benchtime, err)
-			os.Exit(2)
-		}
-	}
 	stopProfiles, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "maggbench: %v\n", err)
@@ -87,14 +48,6 @@ func main() {
 		stopProfiles()
 		fmt.Fprintf(os.Stderr, "maggbench: %v\n", err)
 		os.Exit(1)
-	}
-
-	if *jsonP != "" {
-		if err := runBenchSuite(*jsonP, os.Stderr); err != nil {
-			fail(err)
-		}
-		stopProfiles()
-		return
 	}
 
 	if *list {

@@ -257,9 +257,7 @@ func run(cfg runConfig) error {
 	var sinkFaults *lfta.FaultySink
 	if cfg.sinkFailEvery > 0 {
 		sinkFaults = lfta.NewFaultySink(lfta.SinkFaults{FailEvery: cfg.sinkFailEvery})
-		opts.WrapBatchSink = func(s lfta.BatchSink) lfta.BatchSink {
-			return sinkFaults.WrapBatch(s)
-		}
+		opts.WrapRunSink = sinkFaults.WrapRun
 	}
 	if cfg.budget > 0 {
 		switch cfg.shed {

@@ -106,7 +106,7 @@ func main() {
 	}
 
 	// Multi-LFTA deployment: 4 shards processing in parallel with
-	// per-shard eviction buffers, exact results at the shared HFTA.
+	// per-shard run buffers, exact results at the shared HFTA.
 	agg, err := magg.NewAggregator(queries, magg.CountStar)
 	if err != nil {
 		log.Fatal(err)
@@ -115,7 +115,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sharded.SetBatchSink(agg.ConsumeBatch, 0)
+	sharded.SetRunSink(agg.MergeRun, 0)
 	ops, err := sharded.RunParallel(magg.NewSliceSource(records), 10)
 	if err != nil {
 		log.Fatal(err)

@@ -164,16 +164,16 @@ func TestChaosBurstsUnderBudget(t *testing.T) {
 
 // TestChaosSinkFailures: lost LFTA→HFTA deliveries degrade the answers
 // but never the arithmetic — per query, delivered mass plus lost mass
-// equals the processed record count.
+// equals the processed record count. The faults sit in front of MergeRun,
+// the transfer path every deployment runs, and a lost delivery is one
+// sealed run of one relation.
 func TestChaosSinkFailures(t *testing.T) {
 	recs, groups := testWorkload(t, 30000)
 	faults := lfta.NewFaultySink(lfta.SinkFaults{FailEvery: 7})
 	e, err := New(pairSQL, groups, Options{
-		M:    8000,
-		Seed: 3,
-		WrapBatchSink: func(s lfta.BatchSink) lfta.BatchSink {
-			return faults.WrapBatch(s)
-		},
+		M:           8000,
+		Seed:        3,
+		WrapRunSink: faults.WrapRun,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -459,12 +459,10 @@ func TestChaosEverything(t *testing.T) {
 	faults := lfta.NewFaultySink(lfta.SinkFaults{FailEvery: 11})
 	ckpt := filepath.Join(t.TempDir(), "everything.ckpt")
 	opts := Options{
-		M:      8000,
-		Seed:   3,
-		Budget: 900,
-		WrapBatchSink: func(s lfta.BatchSink) lfta.BatchSink {
-			return faults.WrapBatch(s)
-		},
+		M:           8000,
+		Seed:        3,
+		Budget:      900,
+		WrapRunSink: faults.WrapRun,
 	}
 	copts := opts
 	copts.CheckpointPath = ckpt

@@ -164,10 +164,11 @@ type Options struct {
 	// the backoff defaults with Seed defaulted from Options.Seed.
 	StoreBackoff backoff.Policy
 
-	// WrapBatchSink, when set, wraps the LFTA→HFTA transfer channel —
-	// the hook the chaos suite uses to inject sink faults
-	// (lfta.FaultySink). Production deployments leave it nil.
-	WrapBatchSink func(lfta.BatchSink) lfta.BatchSink
+	// WrapRunSink, when set, wraps the LFTA→HFTA transfer channel (the
+	// sealed-run sink every deployment uses) — the hook the chaos suite
+	// uses to inject sink faults (lfta.FaultySink). Production deployments
+	// leave it nil.
+	WrapRunSink func(lfta.RunSink) lfta.RunSink
 
 	// OnResults streams finalized epochs out of the engine and bounds
 	// its memory; see ResultHandler.
@@ -187,13 +188,6 @@ type Options struct {
 	// DigestCompression is the t-digest δ for percentile/median sketch
 	// aggregates (0 = sketch.DefaultCompression).
 	DigestCompression float64
-
-	// InterpretedFilter forces WHERE evaluation through the interpreted
-	// per-record DNF walk instead of the compiled columnar kernels — the
-	// measurement baseline for the vectorized-filter benchmarks and the
-	// control leg of the filter equivalence suite. Also forces the
-	// per-record admission path in ProcessColumnBatch.
-	InterpretedFilter bool
 }
 
 // Stats summarize an engine's execution.
@@ -328,20 +322,20 @@ type Engine struct {
 	sketches  map[attr.Set]*sketch.HLL
 	sketchBuf []uint32
 
-	// Record staging for the batched LFTA path. Nothing is staged under a
-	// budget: overload control charges each admitted record's measured
-	// cost before the next admission, so admitRecord probes its record at
-	// once. On-time records accumulate in runs of up to stageRun records
-	// — per shard when sharded — column-major: one preallocated slice per
-	// attribute written by index (callers may reuse rec.Attrs after
-	// Process returns, so the words are copied exactly once), draining
-	// through Runtime.ProcessColumns when a run fills, at every epoch
-	// boundary, and before any counter read. The staged columns ARE the
-	// probe key columns of a raw relation — the batch kernel reads them
-	// with no per-record gather — and the cascade's delta run builds from
-	// them stride-1. Ledgers, sketches, and the stream position are all
-	// maintained at Process time, so staging is invisible everywhere
-	// except the memory access schedule.
+	// Record staging for the scalar feed (Process; ProcessColumnBatch
+	// hands the LFTA selections of its own batch and stages nothing).
+	// Nothing is staged under a budget: overload control charges each
+	// admitted record's measured cost before the next admission, so
+	// admitRecord probes its record at once. On-time records accumulate in
+	// runs of up to stageRun records — per shard when sharded —
+	// column-major: one preallocated slice per attribute written by index
+	// (callers may reuse rec.Attrs after Process returns, so the words are
+	// copied exactly once), draining through Runtime.ProcessColumns when a
+	// run fills, at every epoch boundary, before a column batch's own
+	// lanes, and before any counter read — never one record per kernel
+	// call, which costs more than a scalar probe. Ledgers, sketches, and
+	// the stream position are all maintained at Process time, so staging
+	// is invisible everywhere except the memory access schedule.
 	stageCols  [][]uint32
 	stageLen   int
 	stageWidth int
@@ -371,13 +365,11 @@ type Engine struct {
 	winRowScratch []hfta.WindowRow
 
 	// Vectorized WHERE state: the compiled filter (nil when the WHERE is
-	// empty or Options.InterpretedFilter is set — an empty WHERE pays no
-	// filter work at all), the interpreted-baseline flag, and the
-	// columnar admission scratch (segment selection bitmap, compact
+	// empty, which then pays no filter work at all) and the columnar
+	// admission scratch (one segment selection bitmap per shard, compact
 	// shard-route indices, row gather buffer).
 	filter   *query.CompiledFilter
-	interp   bool
-	segSel   selvec.Bitmap
+	segSel   []selvec.Bitmap
 	shardIdx []int32
 	rowBuf   []uint32
 }
@@ -471,20 +463,17 @@ func NewFromSpecs(specs []*query.Spec, groups feedgraph.GroupCounts, opts Option
 	}
 	e.emitResults = e.closingResults
 	// Compile the WHERE once: the scalar and columnar admission paths
-	// share the same compiled predicate kernels. An empty WHERE leaves
-	// both filter fields zero, so unfiltered workloads pay nothing.
+	// share the same compiled predicate kernels. An empty WHERE leaves the
+	// filter nil, so unfiltered workloads pay nothing.
 	if !specs[0].Where.Empty() {
-		if opts.InterpretedFilter {
-			e.interp = true
-		} else {
-			e.filter = specs[0].Where.Compile()
-		}
+		e.filter = specs[0].Where.Compile()
 	}
-	budgetSlices := max(opts.Shards, 1)
-	e.shardAvail = make([]float64, budgetSlices)
-	e.shardWeight = make([]float64, budgetSlices)
+	perShard := max(opts.Shards, 1)
+	e.segSel = make([]selvec.Bitmap, perShard)
+	e.shardAvail = make([]float64, perShard)
+	e.shardWeight = make([]float64, perShard)
 	for i := range e.shardWeight {
-		e.shardWeight[i] = 1 / float64(budgetSlices)
+		e.shardWeight[i] = 1 / float64(perShard)
 	}
 	if opts.Shards > 1 {
 		e.nShards = opts.Shards
@@ -584,27 +573,22 @@ func (e *Engine) adopt(res *choose.Result) error {
 		e.agg = agg
 	}
 	// Buffered transfers: evictions reach the HFTA through the runtime's
-	// buffers instead of a per-eviction sink call, keeping the record hot
-	// path allocation-free. The default path is columnar — sealed
-	// (keys, aggs) runs folded by the batched MergeRun, one lock hold per
-	// touched HFTA shard. A WrapBatchSink hook (chaos/fault injection)
-	// forces the per-Eviction batch path, which is what the hook's
-	// signature intercepts. Either way FlushEpoch drains the buffers, so
-	// every endEpoch read of HFTA state still sees the complete epoch.
-	sink := lfta.BatchSink(e.agg.ConsumeBatch)
-	if e.opts.WrapBatchSink != nil {
-		sink = e.opts.WrapBatchSink(sink)
+	// run buffers instead of a per-eviction sink call, keeping the record
+	// hot path allocation-free — sealed (keys, aggs) runs folded by the
+	// batched MergeRun, one lock hold per touched HFTA shard. A WrapRunSink
+	// hook (chaos/fault injection) sits in front of that same sink.
+	// FlushEpoch drains the buffers, so every endEpoch read of HFTA state
+	// sees the complete epoch.
+	sink := lfta.RunSink(e.agg.MergeRun)
+	if e.opts.WrapRunSink != nil {
+		sink = e.opts.WrapRunSink(sink)
 	}
 	if e.nShards > 1 {
 		srt, err := lfta.NewSharded(res.Config, res.Alloc, e.aggs, e.opts.Seed, nil, e.nShards)
 		if err != nil {
 			return err
 		}
-		if e.opts.WrapBatchSink != nil {
-			srt.SetBatchSink(sink, 0)
-		} else {
-			srt.SetRunSink(e.agg.MergeRun, 0)
-		}
+		srt.SetRunSink(sink, 0)
 		e.retireRuntimeOps()
 		e.plan, e.srt = res, srt
 	} else {
@@ -612,11 +596,7 @@ func (e *Engine) adopt(res *choose.Result) error {
 		if err != nil {
 			return err
 		}
-		if e.opts.WrapBatchSink != nil {
-			rt.SetBatchSink(sink, 0)
-		} else {
-			rt.SetRunSink(e.agg.MergeRun, 0)
-		}
+		rt.SetRunSink(sink, 0)
 		e.retireRuntimeOps()
 		e.plan, e.rt = res, rt
 	}
@@ -700,16 +680,9 @@ func (e *Engine) Groups() feedgraph.GroupCounts { return e.groups }
 // Configure a stream.OrderedSource upstream to reorder such streams
 // within a slack window. Regressions within the open epoch are harmless.
 func (e *Engine) Process(rec stream.Record) error {
-	if e.filter != nil {
-		if !e.filter.Match(rec.Attrs) {
-			e.consumed++
-			return nil // filtered out before any hash-table work (the F of FTA)
-		}
-	} else if e.interp {
-		if !e.specs[0].MatchWhere(rec.Attrs) {
-			e.consumed++
-			return nil
-		}
+	if e.filter != nil && !e.filter.Match(rec.Attrs) {
+		e.consumed++
+		return nil // filtered out before any hash-table work (the F of FTA)
 	}
 	epoch, rolled, late := e.clock.Observe(rec.Time)
 	if late {
@@ -891,9 +864,9 @@ func (e *Engine) stageView(cols [][]uint32, n int) [][]uint32 {
 }
 
 // drainStage flushes every staged run into the LFTA. Called when a run
-// fills, at epoch boundaries (before the table flush), and before any
-// read of runtime counters, so staged records are never observable as
-// unprocessed.
+// fills, at epoch boundaries (before the table flush), before a column
+// batch's lanes are probed, and before any read of runtime counters, so
+// staged records are never observable as unprocessed or out of order.
 func (e *Engine) drainStage() {
 	if e.stageLen > 0 {
 		e.rt.ProcessColumns(e.stageView(e.stageCols, e.stageLen), e.stageEpoch)
@@ -1311,9 +1284,7 @@ func (e *Engine) Finish() error {
 //
 // Outcomes — results, ledgers, stream position, checkpoint contents —
 // are identical to feeding the batch through Process record by record;
-// the engine equivalence suite pins this. The interpreted-filter baseline
-// exists to measure the per-record DNF walk and takes exactly that scalar
-// path.
+// the engine equivalence suite pins this.
 func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 	n := b.Len()
 	if n == 0 {
@@ -1321,15 +1292,6 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 	}
 	if len(b.Time) != n {
 		return fmt.Errorf("core: column batch of %d records has %d timestamps", n, len(b.Time))
-	}
-	if e.interp {
-		for i := 0; i < n; i++ {
-			e.rowBuf = b.Row(i, e.rowBuf)
-			if err := e.Process(stream.Record{Attrs: e.rowBuf, Time: b.Time[i]}); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 
 	// Vectorized WHERE into the batch's selection vector; an empty WHERE
@@ -1342,7 +1304,6 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 	}
 	b.Sel = sel
 
-	width := b.Width()
 	base := e.consumed
 	m := sel.Count(n)
 
@@ -1357,20 +1318,19 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 		e.srt.ShardColumns(b.Cols, n, sel, six)
 	}
 	budgeted := e.opts.Budget > 0
-	if width != e.stageWidth && m > 0 && !budgeted {
-		e.drainStage()
-		e.setStageWidth(width)
-	}
 
 	// Sketch and pane accumulation need record-major rows (as per-record
 	// admission does); gather only when one of them is active.
 	needRows := len(e.sketches) != 0 || e.paneSk != nil
 
-	// Unsharded epoch segment: the on-time selected lanes since the last
-	// roll, flushed through the selection-aware probe with no compaction.
-	seg := selvec.Grow(e.segSel, n)
-	seg.Clear(n)
-	e.segSel = seg
+	// Epoch segment: the on-time selected lanes since the last roll, one
+	// selection per shard, flushed through the selection-aware probe with
+	// no compaction (empty throughout under a budget).
+	for s := range e.segSel {
+		e.segSel[s] = selvec.Grow(e.segSel[s], n)
+		e.segSel[s].Clear(n)
+	}
+	seg := e.segSel[0] // the whole segment when unsharded
 	segCount := 0
 	var segEpoch uint32
 
@@ -1397,13 +1357,10 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 				continue
 			}
 			if rolled {
-				if e.rt != nil && segCount > 0 {
+				if segCount > 0 {
 					// Flush the closing epoch's segment before the epoch
-					// close; staged scalar records drain first so probe
-					// order matches the record-by-record path.
-					e.drainStage()
-					e.rt.ProcessColumnsSel(b.Cols, n, seg, segEpoch)
-					seg.Clear(n)
+					// close.
+					e.probeSegment(b.Cols, n, segEpoch)
 					segCount = 0
 				}
 				// The checkpoint must record the position strictly before
@@ -1444,21 +1401,9 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 				sd := &e.shardDeg[s]
 				sd.Offered++
 				sd.Processed++
-				// Lane-major scatter into the shard's staging run — the
-				// same arena the scalar path fills, so mixed admission
-				// keeps one probe order.
-				e.stageEpoch = epoch
-				cols := e.shardCols[s]
-				sn := e.shardLens[s]
-				for a := 0; a < width; a++ {
-					cols[a][sn] = b.Cols[a][i]
-				}
-				sn++
-				e.shardLens[s] = sn
-				if sn == stageRun {
-					e.srt.Shard(s).ProcessColumns(e.stageView(cols, sn), epoch)
-					e.shardLens[s] = 0
-				}
+				e.segSel[s].Set(i)
+				segCount++
+				segEpoch = epoch
 			default:
 				e.deg.Processed++
 				seg.Set(i)
@@ -1481,40 +1426,37 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 			}
 		}
 	}
-	if e.rt != nil && segCount > 0 {
-		e.drainStage()
-		e.rt.ProcessColumnsSel(b.Cols, n, seg, segEpoch)
+	if segCount > 0 {
+		e.probeSegment(b.Cols, n, segEpoch)
 	}
 	e.consumed = base + uint64(n)
 	return nil
 }
 
-// Run processes an entire source and finishes. Sources that can decode
-// into columns (stream.ColumnSource) run through the vectorized batch
-// path, with or without a budget; the rest (and the interpreted-filter
-// baseline) take the scalar loop.
-func (e *Engine) Run(src stream.Source) error {
-	if cs, ok := src.(stream.ColumnSource); ok && !e.interp {
-		var cb stream.ColumnBatch
-		for {
-			if stream.ReadColumns(cs, &cb, stream.ColumnBatchLen) == 0 {
-				break
-			}
-			if err := e.ProcessColumnBatch(&cb); err != nil {
-				return err
-			}
+// probeSegment feeds each shard its lanes of the gathered segment — all of
+// one epoch — and empties the selections. Staged scalar records drain
+// first, so a shard's probe order matches the record-by-record path when
+// the two feeds are mixed.
+func (e *Engine) probeSegment(cols [][]uint32, n int, epoch uint32) {
+	e.drainStage()
+	for s, seg := range e.segSel {
+		rt := e.rt
+		if e.srt != nil {
+			rt = e.srt.Shard(s)
 		}
-		if err := src.Err(); err != nil {
-			return err
-		}
-		return e.Finish()
+		rt.ProcessColumnsSel(cols, n, seg, epoch)
+		seg.Clear(n)
 	}
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := e.Process(rec); err != nil {
+}
+
+// Run processes an entire source and finishes. Every source runs through
+// the vectorized batch path, with or without a budget: ReadColumns decodes
+// straight into columns when the source can (stream.ColumnSource) and
+// transposes through Next when it cannot.
+func (e *Engine) Run(src stream.Source) error {
+	var cb stream.ColumnBatch
+	for stream.ReadColumns(src, &cb, stream.ColumnBatchLen) > 0 {
+		if err := e.ProcessColumnBatch(&cb); err != nil {
 			return err
 		}
 	}

@@ -283,3 +283,35 @@ func TestPlannerVariants(t *testing.T) {
 		}
 	}
 }
+
+// TestProcessStagingFlushAllocs: the scalar feed stages on-time records
+// and flushes them a run at a time through Runtime.ProcessColumns, whose
+// saturated selection lives in per-runtime scratch — so a steady-state
+// flush allocates nothing, sharded or not.
+func TestProcessStagingFlushAllocs(t *testing.T) {
+	recs, groups := testWorkload(t, 4*stageRun)
+	for _, shards := range []int{0, 2} {
+		e, err := New(pairSQL, groups, Options{M: 8000, Seed: 3, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed := func() {
+			for _, r := range recs {
+				r.Time = 0 // one epoch: only staging flushes, no epoch close
+				if err := e.Process(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// Two passes size the staging columns, the runtimes' scratch and
+		// run buffers, and the epoch's HFTA groups.
+		feed()
+		feed()
+		if e.runtimeOps().Records == 0 {
+			t.Fatalf("shards=%d: no staged run reached the LFTA", shards)
+		}
+		if avg := testing.AllocsPerRun(10, feed); avg != 0 {
+			t.Errorf("shards=%d: %v allocations per %d staged records; want 0", shards, avg, len(recs))
+		}
+	}
+}

@@ -24,8 +24,8 @@ import (
 // with a compiled filter must be indistinguishable — results, ledgers,
 // stream position, checkpoint contents — from feeding the same records
 // through the scalar Process loop, for every tag-scan kernel the build
-// supports, across batch-boundary epoch splits, shard counts, and the
-// interpreted-filter baseline.
+// supports, across batch-boundary epoch splits and shard counts; and both
+// feeds must match a brute-force replica built on the interpreted WHERE.
 
 // filterSQL shares one two-conjunction DNF WHERE across both queries
 // (the engine requires a common filter): with the testWorkload value
@@ -146,7 +146,8 @@ func assertEnginesAgree(t *testing.T, label string, got, want *Engine) {
 // compiled WHERE into a selection bitmap, selection-aware routing and
 // probing, mid-batch epoch splits — produces record-for-record identical
 // outcomes to the scalar Process loop, on a stream that also carries
-// late records, for 1 and 4 shards and under every kernel selection.
+// late records, for 1 and 4 shards and under every kernel selection —
+// and so does one engine fed through both in alternation.
 func TestColumnBatchMatchesScalarWithWhere(t *testing.T) {
 	defer hashtab.SetSIMD(hashtab.SIMDEnabled())
 	_, chaotic := lateWorkload(t, 30000)
@@ -159,7 +160,9 @@ func TestColumnBatchMatchesScalarWithWhere(t *testing.T) {
 		for _, shards := range []int{0, 4} {
 			name := fmt.Sprintf("kernel=%s/shards=%d", hashtab.KernelName(), shards)
 			t.Run(name, func(t *testing.T) {
-				opts := Options{M: 8000, Seed: 3, Shards: shards}
+				// M is small enough that the tables evict, so the op
+				// counts compared below depend on per-table probe order.
+				opts := Options{M: 400, Seed: 3, Shards: shards}
 				scalar, err := New(filterSQL, groups, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -184,6 +187,28 @@ func TestColumnBatchMatchesScalarWithWhere(t *testing.T) {
 				}
 
 				assertEnginesAgree(t, name, columnar, scalar)
+
+				// Both feeds into one engine, alternating: records staged
+				// by Process must reach their shard's tables before the
+				// next batch's lanes do, or the op counts diverge.
+				mixed, err := New(filterSQL, groups, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for pos := 0; pos < len(chaotic); {
+					stretch := min(1+rng.Intn(700), len(chaotic)-pos)
+					for _, r := range chaotic[pos : pos+stretch] {
+						if err := mixed.Process(r); err != nil {
+							t.Fatal(err)
+						}
+					}
+					pos += stretch
+					pos += feedColumnBatches(t, mixed, chaotic[pos:], rng, 1)
+				}
+				if err := mixed.Finish(); err != nil {
+					t.Fatal(err)
+				}
+				assertEnginesAgree(t, name+" mixed feeds", mixed, scalar)
 				if shards > 1 {
 					gs, ws := columnar.ShardDegradations(), scalar.ShardDegradations()
 					for i := range ws {
@@ -262,40 +287,68 @@ func TestColumnarRunShardedWhereMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestInterpretedFilterMatchesCompiled: Options.InterpretedFilter forces
-// the per-record DNF walk (the measurement baseline); its results and
-// ledgers must match the compiled columnar path exactly.
-func TestInterpretedFilterMatchesCompiled(t *testing.T) {
+// TestFilterCompiledMatchesOracle: the compiled WHERE, on a stream that
+// also carries late records, against a brute-force replica — the
+// interpreted DNF walk (Spec.MatchWhere) picks the survivors, the
+// engine's lateness rule replayed over them alone (a filtered record
+// never touches the clock) splits off the late ones, and the reference
+// aggregator answers the rest. Results, ledger and stream position must
+// match on the scalar and the columnar feed under every kernel.
+func TestFilterCompiledMatchesOracle(t *testing.T) {
 	defer hashtab.SetSIMD(hashtab.SIMDEnabled())
 	_, chaotic := lateWorkload(t, 20000)
 	groups, err := EstimateGroups(chaotic, filterQueries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	interp, err := New(filterSQL, groups, Options{M: 8000, Seed: 3, InterpretedFilter: true})
-	if err != nil {
-		t.Fatal(err)
+	clock := stream.NewClock(10)
+	var onTime []stream.Record
+	want := Degradation{}
+	for _, r := range applyWhere(t, filterSQL[0], chaotic) {
+		want.Offered++
+		if _, _, late := clock.Observe(r.Time); late {
+			want.Late++
+		} else {
+			want.Processed++
+			onTime = append(onTime, r)
+		}
 	}
-	if interp.filter != nil || !interp.interp {
-		t.Fatal("InterpretedFilter engine compiled its WHERE anyway")
+	if want.Late == 0 {
+		t.Fatal("no late record survives the WHERE; the test is vacuous")
 	}
-	if err := interp.Run(stream.NewSliceSource(chaotic)); err != nil {
-		t.Fatal(err)
-	}
+	oracle := hfta.Reference(onTime, filterQueries, lfta.CountStar, 10)
 	for _, simd := range filterKernels() {
 		hashtab.SetSIMD(simd)
 		t.Run("kernel="+hashtab.KernelName(), func(t *testing.T) {
-			compiled, err := New(filterSQL, groups, Options{M: 8000, Seed: 3})
-			if err != nil {
-				t.Fatal(err)
+			feeds := map[string]func(*Engine) error{
+				"columnar": func(e *Engine) error { return e.Run(stream.NewSliceSource(chaotic)) },
+				"scalar": func(e *Engine) error {
+					for _, r := range chaotic {
+						if err := e.Process(r); err != nil {
+							return err
+						}
+					}
+					return e.Finish()
+				},
 			}
-			if compiled.filter == nil || compiled.interp {
-				t.Fatal("default engine did not compile its WHERE")
+			for name, feed := range feeds {
+				e, err := New(filterSQL, groups, Options{M: 8000, Seed: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := feed(e); err != nil {
+					t.Fatal(err)
+				}
+				if !hfta.Equal(e.AllResults(), oracle) {
+					t.Errorf("%s feed: results differ from the oracle", name)
+				}
+				if got := e.Stats().Degradation; got.Offered != want.Offered || got.Late != want.Late || got.Processed != want.Processed {
+					t.Errorf("%s feed: ledger %+v; replica says %+v", name, got, want)
+				}
+				if got := e.Consumed(); got != uint64(len(chaotic)) {
+					t.Errorf("%s feed: consumed %d records; want %d", name, got, len(chaotic))
+				}
 			}
-			if err := compiled.Run(stream.NewSliceSource(chaotic)); err != nil {
-				t.Fatal(err)
-			}
-			assertEnginesAgree(t, "compiled vs interpreted", compiled, interp)
 		})
 	}
 }
@@ -419,17 +472,17 @@ func columnarKillRestore(t *testing.T, sqls []string, mkOpts func() Options) {
 }
 
 // TestNoWhereZeroFilterOverhead is the regression gate for satellite 4:
-// an engine without a WHERE clause must carry no filter state at all —
-// no compiled program, no interpreted fallback — so the admission paths
-// pay nothing, and the batch path must select every lane.
+// an engine without a WHERE clause must carry no filter state at all, so
+// the admission paths pay nothing, and the batch path must select every
+// lane.
 func TestNoWhereZeroFilterOverhead(t *testing.T) {
 	recs, groups := testWorkload(t, 2000)
 	e, err := New(pairSQL, groups, Options{M: 8000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.filter != nil || e.interp {
-		t.Fatalf("no-WHERE engine carries filter state: filter=%v interp=%v", e.filter != nil, e.interp)
+	if e.filter != nil {
+		t.Fatal("no-WHERE engine carries a compiled filter")
 	}
 	var cb stream.ColumnBatch
 	cb.Reset(len(recs[0].Attrs))

@@ -82,12 +82,15 @@ func (r *VictimRun) AggRow(i int) []int64 {
 	return r.Aggs[i*r.naggs : (i+1)*r.naggs]
 }
 
-// ProbeBatchInto probes a run of keys (flat, len = n×Arity()) with
-// per-key deltas (flat, len = n×NumAggs()) and appends every collision
-// victim to out, which is reset first. Outcomes, statistics, and final
-// table contents are identical to n scalar ProbeInto calls in the same
-// order; only the memory access schedule differs. The run's keys and
-// deltas are read, never retained.
+// ProbeBatchInto is the cascade's victim-run probe: a parent table's
+// VictimRun, projected record-major into this table's key run (flat,
+// len = n×Arity()) with the victims' aggregates as per-key deltas (flat,
+// len = n×NumAggs()), is probed as one run, and every collision victim
+// is appended to out, which is reset first. Records enter the raw tables
+// through ProbeColumnsSelInto; this is the level below. Outcomes,
+// statistics, and final table contents are identical to n scalar
+// ProbeInto calls in the same order; only the memory access schedule
+// differs. The run's keys and deltas are read, never retained.
 func (t *Table) ProbeBatchInto(keys []uint32, deltas []int64, out *VictimRun) {
 	a := t.arity
 	na := len(t.ops)

@@ -1,22 +1,6 @@
 package hashtab
 
-import (
-	"fmt"
-	"unsafe"
-
-	"repro/internal/attr"
-)
-
-// Columnar probe entry points. ProbeBatchInto takes a record-major key
-// run, which forces every caller holding column-major data (the columnar
-// staging arena, the shard pipeline's sealed runs) to gather keys into a
-// flat block first — a per-record transpose that exists only to satisfy
-// the argument layout. The kernels here accept the columns directly: the
-// setup pass hashes column-wise with per-arity unrolled loops (stride-1
-// loads, no gather), and only the commit pass — which must touch the
-// group's key line anyway — materializes each key, into a stack buffer.
-// Hashes, statistics, victims, and final table contents are bit-identical
-// to gathering the columns record-major and calling ProbeBatchInto.
+import "repro/internal/attr"
 
 // HashColumns writes HashWords(seed, row i) for every row of a
 // column-major key block into out: cols is one slice per key word, all
@@ -65,183 +49,5 @@ func HashColumns(seed uint64, cols [][]uint32, out []uint64) {
 			}
 			out[i] = HashWords(seed, kbuf[:a:a])
 		}
-	}
-}
-
-// ProbeColumnsInto is ProbeBatchInto for a column-major key run: cols is
-// one slice per key word (len(cols) = Arity(), all columns equally
-// long), deltas is flat n×NumAggs() as before. Victims land in out in
-// columnar form, reset first. Equivalent to gathering the columns
-// record-major and probing the flat run; only the setup pass's memory
-// access pattern differs.
-func (t *Table) ProbeColumnsInto(cols [][]uint32, deltas []int64, out *VictimRun) {
-	a := t.arity
-	na := len(t.ops)
-	if len(cols) != a {
-		panic(fmt.Sprintf("hashtab: %d key columns for table %v (arity %d)", len(cols), t.rel, a))
-	}
-	n := 0
-	if a > 0 {
-		n = len(cols[0])
-		for j := 1; j < a; j++ {
-			if len(cols[j]) != n {
-				panic(fmt.Sprintf("hashtab: ragged key columns (%d vs %d rows) for table %v", len(cols[j]), n, t.rel))
-			}
-		}
-	}
-	if len(deltas) != n*na {
-		panic(fmt.Sprintf("hashtab: %d batch deltas for %d probes of table %v (%d aggs)", len(deltas), n, t.rel, na))
-	}
-	out.Reset(a, na)
-	if n == 0 {
-		return
-	}
-	if cap(t.batchIdx) < n {
-		t.batchIdx = make([]int, n)
-		t.batchTag = make([]uint8, n)
-		t.batchVic = make([]uint8, n)
-	}
-	if t.fastKind == fastSum2 {
-		t.probeColumnsSum2(cols[0], cols[1], deltas, out, n)
-		return
-	}
-	idx := t.batchIdx[:n]
-	tg := t.batchTag[:n]
-	vic := t.batchVic[:n]
-
-	// Setup pass: the per-arity hash kernels of HashColumns fused with
-	// group classification — all loads are stride-1 column reads, no
-	// record gather.
-	var kbuf [attr.MaxAttrs]uint32
-	switch a {
-	case 1:
-		c0 := cols[0]
-		init := t.seed ^ gamma1
-		for k := 0; k < n; k++ {
-			h := mixWord(init, uint64(c0[k]))
-			base, tag := t.group(h)
-			idx[k] = base
-			tg[k] = tag
-			vic[k] = uint8(t.victimSlot(base, h) - base)
-		}
-	case 2:
-		c0, c1 := cols[0], cols[1]
-		init := t.seed ^ gamma2
-		for k := 0; k < n; k++ {
-			h := mixWord(init, uint64(c0[k])|uint64(c1[k])<<32)
-			base, tag := t.group(h)
-			idx[k] = base
-			tg[k] = tag
-			vic[k] = uint8(t.victimSlot(base, h) - base)
-		}
-	case 3:
-		c0, c1, c2 := cols[0], cols[1], cols[2]
-		init := t.seed ^ gamma3
-		for k := 0; k < n; k++ {
-			h := mixWord(mixWord(init, uint64(c0[k])|uint64(c1[k])<<32), uint64(c2[k]))
-			base, tag := t.group(h)
-			idx[k] = base
-			tg[k] = tag
-			vic[k] = uint8(t.victimSlot(base, h) - base)
-		}
-	case 4:
-		c0, c1, c2, c3 := cols[0], cols[1], cols[2], cols[3]
-		init := t.seed ^ gamma4
-		for k := 0; k < n; k++ {
-			h := mixWord(mixWord(init, uint64(c0[k])|uint64(c1[k])<<32), uint64(c2[k])|uint64(c3[k])<<32)
-			base, tag := t.group(h)
-			idx[k] = base
-			tg[k] = tag
-			vic[k] = uint8(t.victimSlot(base, h) - base)
-		}
-	default:
-		for k := 0; k < n; k++ {
-			for j := 0; j < a; j++ {
-				kbuf[j] = cols[j][k]
-			}
-			h := t.hash(kbuf[:a:a])
-			base, tag := t.group(h)
-			idx[k] = base
-			tg[k] = tag
-			vic[k] = uint8(t.victimSlot(base, h) - base)
-		}
-	}
-
-	// Commit pass: identical prefetch schedule to ProbeBatchInto; each
-	// key is gathered into the stack buffer at the moment its group line
-	// is being touched anyway.
-	if t.SpaceUnits()*4 >= prefetchMinBytes {
-		warm := prefetchDist
-		if warm > n {
-			warm = n
-		}
-		for k := 0; k < warm; k++ {
-			i := idx[k] + int(vic[k])
-			prefetch3(unsafe.Pointer(&t.tags[idx[k]]), unsafe.Pointer(&t.keys[i*a]), unsafe.Pointer(&t.aggs[i*t.astride]))
-		}
-		for k := 0; k < n; k++ {
-			if k+prefetchDist < n {
-				i := idx[k+prefetchDist] + int(vic[k+prefetchDist])
-				prefetch3(unsafe.Pointer(&t.tags[idx[k+prefetchDist]]), unsafe.Pointer(&t.keys[i*a]), unsafe.Pointer(&t.aggs[i*t.astride]))
-			}
-			t.stats.Probes++
-			for j := 0; j < a; j++ {
-				kbuf[j] = cols[j][k]
-			}
-			t.commitProbe(idx[k], tg[k], int(vic[k]), kbuf[:a:a], deltas[k*na:k*na+na:k*na+na], out)
-		}
-		return
-	}
-	for k := 0; k < n; k++ {
-		t.stats.Probes++
-		for j := 0; j < a; j++ {
-			kbuf[j] = cols[j][k]
-		}
-		t.commitProbe(idx[k], tg[k], int(vic[k]), kbuf[:a:a], deltas[k*na:k*na+na:k*na+na], out)
-	}
-}
-
-// probeColumnsSum2 is probeBatchSum2 reading two key columns: the packed
-// word is assembled from stride-1 column loads in both passes, and the
-// commit dispatches to the same commitSum2 kernel.
-func (t *Table) probeColumnsSum2(c0, c1 []uint32, deltas []int64, out *VictimRun, n int) {
-	idx := t.batchIdx[:n]
-	tg := t.batchTag[:n]
-	vic := t.batchVic[:n]
-	seed := t.seed ^ gamma2
-	c0 = c0[:n]
-	c1 = c1[:n]
-	for k := 0; k < n; k++ {
-		w := uint64(c0[k]) | uint64(c1[k])<<32
-		h := mixWord(seed, w)
-		base := Reduce(h, t.ngroups) * GroupSlots
-		idx[k] = base
-		tg[k] = uint8(h) | 0x80
-		vic[k] = uint8(t.victimSlot(base, h) - base)
-	}
-	if t.SpaceUnits()*4 >= prefetchMinBytes {
-		warm := prefetchDist
-		if warm > n {
-			warm = n
-		}
-		for k := 0; k < warm; k++ {
-			i := idx[k] + int(vic[k])
-			prefetch3(unsafe.Add(t.tagp, idx[k]), t.keyPtr(i), unsafe.Pointer(t.sumRow(i)))
-		}
-		for k := 0; k < n; k++ {
-			if k+prefetchDist < n {
-				i := idx[k+prefetchDist] + int(vic[k+prefetchDist])
-				prefetch3(unsafe.Add(t.tagp, idx[k+prefetchDist]), t.keyPtr(i), unsafe.Pointer(t.sumRow(i)))
-			}
-			t.stats.Probes++
-			w := uint64(c0[k]) | uint64(c1[k])<<32
-			t.commitSum2(idx[k], tg[k], int(vic[k]), w, deltas[k], out)
-		}
-		return
-	}
-	for k := 0; k < n; k++ {
-		t.stats.Probes++
-		w := uint64(c0[k]) | uint64(c1[k])<<32
-		t.commitSum2(idx[k], tg[k], int(vic[k]), w, deltas[k], out)
 	}
 }

@@ -8,13 +8,18 @@ import (
 	"repro/internal/attr"
 )
 
-// Selection-aware columnar entry points. A vectorized WHERE leaves a
-// column batch with a 64-bit-per-word selection bitmap instead of a
-// compacted copy; these kernels consume the columns plus the bitmap
-// directly, iterating set bits so dead lanes cost nothing — no gather,
-// no hash, no probe. Selected lanes are processed in ascending lane
-// order, so results are bit-identical to compacting the batch first and
-// calling the dense twins (HashColumns / ProbeColumnsInto).
+// Selection-aware columnar entry points — the table's one columnar probe
+// kernel. A vectorized WHERE leaves a column batch with a
+// 64-bit-per-word selection bitmap instead of a compacted copy; these
+// kernels consume the columns plus the bitmap directly, iterating set
+// bits so dead lanes cost nothing — no gather, no hash, no probe. The
+// setup pass hashes column-wise with per-arity unrolled loops and only
+// the commit pass — which must touch the group's key line anyway —
+// materializes each key, into a stack buffer. Selected lanes are
+// processed in ascending lane order, so results are bit-identical to
+// compacting the batch record-major and probing it with ProbeBatchInto
+// (or ProbeInto, lane by lane); an unfiltered batch is the saturated
+// selection.
 //
 // The bitmap follows the selvec convention: bit j of word w covers lane
 // w*64+j, and dead bits past lane n-1 are zero (so popcounts over whole
@@ -114,10 +119,10 @@ func HashColumnsSel(seed uint64, cols [][]uint32, n int, sel []uint64, out []uin
 // the selection bitmap, and deltas is flat m×NumAggs() in selection
 // (ascending lane) order, where m is the selection popcount. Victims
 // land in out in columnar form, reset first. Table contents, victims,
-// and statistics are bit-identical to compacting the selected lanes and
-// calling ProbeColumnsInto. Selective batches skip the monomorphic
-// sum-2 kernel and take the generic commit, which shares its layout and
-// semantics exactly.
+// and statistics are bit-identical to compacting the selected lanes
+// record-major and calling ProbeBatchInto. Every table shape takes the
+// generic commit here; the monomorphic sum-2 kernel serves the
+// record-major paths only and shares its layout and semantics exactly.
 func (t *Table) ProbeColumnsSelInto(cols [][]uint32, deltas []int64, n int, sel []uint64, out *VictimRun) {
 	a := t.arity
 	na := len(t.ops)
@@ -240,8 +245,8 @@ func (t *Table) ProbeColumnsSelInto(cols [][]uint32, deltas []int64, n int, sel 
 		}
 	}
 
-	// Commit pass: identical prefetch schedule to ProbeColumnsInto over
-	// the compact entries; keys gather through the recorded lanes.
+	// Commit pass: identical prefetch schedule to ProbeBatchInto over the
+	// compact entries; keys gather through the recorded lanes.
 	if t.SpaceUnits()*4 >= prefetchMinBytes {
 		warm := prefetchDist
 		if warm > m {

@@ -60,10 +60,11 @@ func TestHashColumnsSelMatchesDense(t *testing.T) {
 
 // TestProbeColumnsSelMatchesDense: probing the selected lanes of a
 // column run must produce victims, statistics, and table contents
-// bit-identical to compacting the selection and probing densely — on
-// every arity, on the sum-only shape (which the dense path runs through
-// the monomorphic sum-2 kernel) and multi-agg lists, at sparse and
-// dense selections, under both tag-scan kernels.
+// bit-identical to compacting the selection into a dense record-major
+// run and probing that with ProbeBatchInto — on every arity, on the
+// sum-only shape (which the dense run takes through the monomorphic
+// sum-2 kernel) and multi-agg lists, at sparse and dense selections,
+// under both tag-scan kernels.
 func TestProbeColumnsSelMatchesDense(t *testing.T) {
 	defer SetSIMD(SIMDEnabled())
 	kernels := []bool{false}
@@ -89,7 +90,7 @@ func TestProbeColumnsSelMatchesDense(t *testing.T) {
 					denTab := MustNew(rel, buckets, ops, 9)
 
 					cols := make([][]uint32, arity)
-					compact := make([][]uint32, arity)
+					var compact []uint32
 					var selOut, denOut VictimRun
 					pcts := []int{0, 1, 10, 50, 100}
 					for done := 0; done < total; {
@@ -100,8 +101,8 @@ func TestProbeColumnsSelMatchesDense(t *testing.T) {
 						done += n
 						for a := range cols {
 							cols[a] = cols[a][:0]
-							compact[a] = compact[a][:0]
 						}
+						compact = compact[:0]
 						for i := 0; i < n; i++ {
 							g := rng.Intn(200)
 							for a := range cols {
@@ -119,11 +120,11 @@ func TestProbeColumnsSelMatchesDense(t *testing.T) {
 						for i := 0; i < n; i++ {
 							if sel[i>>6]&(1<<(uint(i)&63)) != 0 {
 								for a := range cols {
-									compact[a] = append(compact[a], cols[a][i])
+									compact = append(compact, cols[a][i])
 								}
 							}
 						}
-						denTab.ProbeColumnsInto(compact, deltas, &denOut)
+						denTab.ProbeBatchInto(compact, deltas, &denOut)
 
 						if selOut.Len() != denOut.Len() {
 							t.Fatalf("victim counts diverge: selected %d, dense %d", selOut.Len(), denOut.Len())

@@ -70,11 +70,14 @@ func drainSorted(t *Table) []Entry {
 }
 
 // TestProbeColumnsMatchesBatch: feeding the same probe sequence through
-// ProbeColumnsInto (column-major) and ProbeBatchInto (record-major
-// gather of the same columns) must produce identical victims,
-// statistics, and final table contents — on every arity, on sum-only
-// aggregates (the fastSum2 kernel at arity 2) and multi-agg lists, and
-// under both tag-scan kernels.
+// ProbeColumnsSelInto with a saturated selection (column-major — how
+// unfiltered batches, sealed router runs and the engine's staging flush
+// arrive) and ProbeBatchInto (record-major gather of the same columns)
+// must produce identical victims, statistics, and final table contents —
+// at run lengths on both sides of a selection-word boundary, on every
+// arity, on sum-only aggregates (the fastSum2 kernel at arity 2 on the
+// record-major side) and multi-agg lists, and under both tag-scan
+// kernels.
 func TestProbeColumnsMatchesBatch(t *testing.T) {
 	defer SetSIMD(SIMDEnabled())
 	kernels := []bool{false}
@@ -121,7 +124,7 @@ func TestProbeColumnsMatchesBatch(t *testing.T) {
 						for i := range deltas {
 							deltas[i] = int64(rng.Intn(50) + 1)
 						}
-						colTab.ProbeColumnsInto(cols, deltas, &colOut)
+						colTab.ProbeColumnsSelInto(cols, deltas, n, randomSel(rng, n, 100), &colOut)
 
 						flat = flat[:0]
 						for i := 0; i < n; i++ {

@@ -142,9 +142,10 @@ func (s Stats) AvgFlowLength() float64 {
 // the group has room (install without loading any key line), and a group
 // with neither free nor matching lanes is full — the probe evicts the
 // group's hash-chosen victim lane. Because the tag vector answers
-// "hit / room / full" from one dense 16-byte load, the batch kernel
-// (ProbeBatchInto) can classify and prefetch a whole run of groups
-// before the first entry line is needed — see batch.go.
+// "hit / room / full" from one dense 16-byte load, the batch kernels
+// (ProbeColumnsSelInto, ProbeBatchInto) can classify and prefetch a
+// whole run of groups before the first entry line is needed — see
+// batch.go.
 //
 // Entry storage interleaves each slot's update count with its aggregates
 // (aggs stride is NumAggs()+1, count in the last cell) so the hit and
@@ -316,61 +317,26 @@ func clampUpdates(u int64) uint32 {
 // table, applying deltas (one per aggregate slot) under the table's ops.
 // If the key's hash group is full of other groups, one entry is evicted:
 // Probe returns it with collided = true, and its slot is re-initialized
-// to the probing group. The returned Entry aliases freshly allocated
-// slices and is safe to retain.
+// to the probing group. The returned Entry holds freshly allocated slices
+// and is safe to retain. It is ProbeInto with a scratch victim per call —
+// the convenience form for experiments and tests, which therefore
+// exercise the hot kernel.
 //
 // key must have length Arity(); deltas must have length NumAggs(). For a
 // count(*) table pass deltas = {1}.
 func (t *Table) Probe(key []uint32, deltas []int64) (evicted Entry, collided bool) {
-	if len(key) != t.arity {
-		panic(fmt.Sprintf("hashtab: key arity %d for table %v (arity %d)", len(key), t.rel, t.arity))
-	}
-	if len(deltas) != len(t.ops) {
-		panic(fmt.Sprintf("hashtab: %d deltas for table %v (%d aggs)", len(deltas), t.rel, len(t.ops)))
-	}
-	t.stats.Probes++
-	h := t.hash(key)
-	base, tag := t.group(h)
-	grp := (*[GroupSlots]uint8)(t.tags[base:])
-
-	for mm := matchTags(grp, tag); mm != 0; mm &= mm - 1 {
-		i := base + bits.TrailingZeros16(mm)
-		ks := t.keys[i*t.arity : (i+1)*t.arity]
-		if equalKeys(ks, key) {
-			t.fold(t.aggs[i*t.astride:(i+1)*t.astride], deltas)
-			t.stats.Hits++
-			return Entry{}, false
-		}
-		// Fingerprint alias (1/128 per colliding lane): keep scanning.
-	}
-	if em := matchTags(grp, 0); em != 0 {
-		i := base + bits.TrailingZeros16(em)
-		t.install(i, tag, t.keys[i*t.arity:(i+1)*t.arity], t.aggs[i*t.astride:(i+1)*t.astride], key, deltas)
-		t.live++
-		t.stats.Inserts++
-		return Entry{}, false
-	}
-	// Group full with no key match: evict the hash-chosen victim lane.
-	i := t.victimSlot(base, h)
-	ks := t.keys[i*t.arity : (i+1)*t.arity]
-	row := t.aggs[i*t.astride : (i+1)*t.astride]
-	up := clampUpdates(row[len(t.ops)])
-	evicted = Entry{
-		Key:     append([]uint32(nil), ks...),
-		Aggs:    append([]int64(nil), row[:len(t.ops)]...),
-		Updates: up,
-	}
-	t.stats.Collisions++
-	t.stats.EvictedUpdates += uint64(up)
-	t.stats.EvictedEntries++
-	t.install(i, tag, ks, row, key, deltas)
-	return evicted, true
+	collided = t.ProbeInto(key, deltas, &evicted)
+	return evicted, collided
 }
 
-// ProbeInto is the allocation-free variant of Probe used on the LFTA hot
-// path. On a collision the victim's key, aggregates and update count are
-// copied into victim, reusing its slice capacity; the caller owns victim
-// and may retain it until the next ProbeInto with the same scratch.
+// ProbeInto is the scalar probe of the LFTA hot path, allocation-free in
+// steady state. On a collision the victim's key, aggregates and update
+// count are copied into victim, reusing its slice capacity; the caller
+// owns victim and may retain it until the next ProbeInto with the same
+// scratch. It stays beside the batch kernels because two callers need
+// one probe at a time: exact per-record budget charging (the engine
+// probes an admitted record and charges its measured cost before the
+// next admission) and the end-of-epoch flush cascade.
 //
 // The resolution kernel is open-coded here rather than shared with the
 // batch path's commitProbe (batch.go): a call per probe costs measurably

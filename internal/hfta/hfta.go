@@ -69,11 +69,6 @@ func New(queries []attr.Set, aggs []lfta.AggSpec) (*Aggregator, error) {
 // Sink returns the aggregator as an lfta.Sink.
 func (a *Aggregator) Sink() lfta.Sink { return a.Consume }
 
-// BatchSink returns the aggregator's batch ingest as an lfta.BatchSink,
-// the preferred hookup for runtimes with per-shard eviction buffers
-// (lfta.Runtime.SetBatchSink).
-func (a *Aggregator) BatchSink() lfta.BatchSink { return a.ConsumeBatch }
-
 // Consume folds one eviction into the per-epoch state. Evictions for
 // relations that are not user queries are ignored (phantoms never reach
 // the HFTA in a correct runtime, but defense costs nothing). Safe for
@@ -84,28 +79,6 @@ func (a *Aggregator) Consume(ev lfta.Eviction) {
 		return
 	}
 	rs.merge(ev.Key, ev.Aggs, ev.Epoch, a.aggs)
-}
-
-// ConsumeBatch folds a batch of evictions, caching the per-relation state
-// lookup across consecutive evictions of the same relation (flushed
-// batches arrive grouped by table). Safe for concurrent use; the batch
-// and its slices are released back to the caller on return.
-func (a *Aggregator) ConsumeBatch(evs []lfta.Eviction) {
-	var (
-		lastRel attr.Set
-		rs      *relState
-	)
-	for i := range evs {
-		ev := &evs[i]
-		if i == 0 || ev.Rel != lastRel {
-			rs = a.state[ev.Rel]
-			lastRel = ev.Rel
-		}
-		if rs == nil {
-			continue
-		}
-		rs.merge(ev.Key, ev.Aggs, ev.Epoch, a.aggs)
-	}
 }
 
 // AllRows returns every finalized row across queries and epochs, sorted

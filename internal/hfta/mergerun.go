@@ -5,10 +5,10 @@ import (
 	"repro/internal/lfta"
 )
 
-// Batched columnar merge. Per-entry merges (Consume/ConsumeBatch) pay
-// one lock acquisition per partial even though a sealed eviction run
-// from one LFTA shard typically touches only a handful of the keyShards
-// lock shards. MergeRun restructures the work: pre-hash every key in
+// Batched columnar merge. Per-entry merges (Consume) pay one lock
+// acquisition per partial even though a sealed eviction run from one
+// LFTA shard typically touches only a handful of the keyShards lock
+// shards. MergeRun restructures the work: pre-hash every key in
 // the run (a chunk of it, if it is long) with no lock held, partition
 // the entries by lock shard with a stable counting scatter, then acquire
 // each touched shard's mutex ONCE and fold all of its entries under that

@@ -14,11 +14,12 @@ import (
 	"repro/internal/stream"
 )
 
-// Property: the batched record path (ProcessBatch → ProbeBatchInto →
-// run-at-a-time victim cascade) is indistinguishable from the scalar
-// path (Process → ProbeInto → depth-first cascade) — not just in the
-// per-epoch HFTA answers, but in every per-table probe/hit/insert/
-// collision/eviction counter and in the runtime's own cost ledger. The
+// Property: the batched record path (ProcessColumns → ProbeColumnsSelInto
+// → run-at-a-time victim cascade through ProbeBatchInto) is
+// indistinguishable from the scalar path (Process → ProbeInto →
+// depth-first cascade) — not just in the per-epoch HFTA answers, but in
+// every per-table probe/hit/insert/collision/eviction counter and in the
+// runtime's own cost ledger. The
 // feeding graph is a tree, so batching reorders probes only ACROSS
 // tables, never within one; this test pins that argument against the
 // implementation for random workloads, aggregate shapes, cascade depths,
@@ -118,7 +119,7 @@ func testBatchedScalarOracleEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scalar.SetBatchSink(scalarAgg.ConsumeBatch, 32)
+			scalar.SetRunSink(scalarAgg.MergeRun, 32)
 			clock := stream.NewClock(epochLen)
 			for _, rec := range recs {
 				epoch, rolled := clock.Advance(rec.Time)
@@ -129,11 +130,10 @@ func testBatchedScalarOracleEquivalence(t *testing.T) {
 			}
 			scalar.FlushEpoch()
 
-			// Batched: the same stream sliced into runs of random length
-			// (1..600, spanning partial chunks, exact chunks, and
-			// multi-chunk runs), each fed through ProcessBatch. Epoch
-			// boundaries always fall between runs, as the pipeline
-			// guarantees.
+			// Batched: the same stream sliced into column-major runs of
+			// random length (1..600, spanning partial and whole selection
+			// words), each fed through ProcessColumns. Epoch boundaries
+			// always fall between runs, as the pipeline guarantees.
 			batchAgg, err := hfta.New(sh.queries, sh.aggs)
 			if err != nil {
 				t.Fatal(err)
@@ -142,14 +142,16 @@ func testBatchedScalarOracleEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batched.SetBatchSink(batchAgg.ConsumeBatch, 32)
+			batched.SetRunSink(batchAgg.MergeRun, 32)
 			clock = stream.NewClock(epochLen)
-			run := make([]stream.Record, 0, 600)
+			const width = 4
+			var run stream.ColumnBatch
+			run.Reset(width)
 			runEpoch := uint32(0)
 			flushRun := func() {
-				if len(run) > 0 {
-					batched.ProcessBatch(run, runEpoch)
-					run = run[:0]
+				if run.Len() > 0 {
+					batched.ProcessColumns(run.Cols, runEpoch)
+					run.Reset(width)
 				}
 			}
 			limit := 1 + rng.Intn(600)
@@ -159,54 +161,15 @@ func testBatchedScalarOracleEquivalence(t *testing.T) {
 					flushRun()
 					batched.FlushEpoch()
 				}
-				if epoch != runEpoch || len(run) >= limit {
+				if epoch != runEpoch || run.Len() >= limit {
 					flushRun()
 					runEpoch = epoch
 					limit = 1 + rng.Intn(600)
 				}
-				run = append(run, rec)
+				run.Append(rec.Attrs, rec.Time)
 			}
 			flushRun()
 			batched.FlushEpoch()
-
-			// Flat runs: the same stream again through ProcessRun (the
-			// zero-copy record-major block API the engine's staging arena
-			// feeds), with its own random run boundaries.
-			runAgg, err := hfta.New(sh.queries, sh.aggs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flat, err := lfta.New(cfg, alloc, sh.aggs, seed, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flat.SetBatchSink(runAgg.ConsumeBatch, 32)
-			clock = stream.NewClock(epochLen)
-			const width = 4
-			block := make([]uint32, 0, 600*width)
-			blockEpoch := uint32(0)
-			flushBlock := func() {
-				if len(block) > 0 {
-					flat.ProcessRun(block, width, blockEpoch)
-					block = block[:0]
-				}
-			}
-			limit = 1 + rng.Intn(600)
-			for _, rec := range recs {
-				epoch, rolled := clock.Advance(rec.Time)
-				if rolled {
-					flushBlock()
-					flat.FlushEpoch()
-				}
-				if epoch != blockEpoch || len(block) >= limit*width {
-					flushBlock()
-					blockEpoch = epoch
-					limit = 1 + rng.Intn(600)
-				}
-				block = append(block, rec.Attrs...)
-			}
-			flushBlock()
-			flat.FlushEpoch()
 
 			if !hfta.Equal(scalarAgg.AllRows(), want) {
 				t.Fatalf("shape %d trial %d: scalar rows differ from oracle", si, trial)
@@ -214,22 +177,13 @@ func testBatchedScalarOracleEquivalence(t *testing.T) {
 			if !hfta.Equal(batchAgg.AllRows(), scalarAgg.AllRows()) {
 				t.Fatalf("shape %d trial %d: batched rows differ from scalar", si, trial)
 			}
-			if !hfta.Equal(runAgg.AllRows(), scalarAgg.AllRows()) {
-				t.Fatalf("shape %d trial %d: flat-run rows differ from scalar", si, trial)
-			}
 			if so, bo := scalar.Ops(), batched.Ops(); so != bo {
 				t.Fatalf("shape %d trial %d: ops diverge: scalar %+v batched %+v", si, trial, so, bo)
 			}
-			if so, fo := scalar.Ops(), flat.Ops(); so != fo {
-				t.Fatalf("shape %d trial %d: ops diverge: scalar %+v flat-run %+v", si, trial, so, fo)
-			}
-			sstats, bstats, fstats := scalar.TableStats(), batched.TableStats(), flat.TableStats()
+			sstats, bstats := scalar.TableStats(), batched.TableStats()
 			for rel, ss := range sstats {
 				if bs := bstats[rel]; bs != ss {
 					t.Fatalf("shape %d trial %d: table %v stats diverge:\nscalar %+v\nbatch  %+v", si, trial, rel, ss, bs)
-				}
-				if fs := fstats[rel]; fs != ss {
-					t.Fatalf("shape %d trial %d: table %v stats diverge:\nscalar %+v\nflat   %+v", si, trial, rel, ss, fs)
 				}
 			}
 		}

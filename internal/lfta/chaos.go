@@ -16,10 +16,12 @@ type SinkFaults struct {
 	Delay      time.Duration // injected latency
 }
 
-// FaultySink wraps a Sink or BatchSink with injected faults, modelling a
-// flaky transfer channel between the NIC-resident LFTA and the host HFTA.
-// A failed delivery is *lost* — the evictions never reach the inner sink —
-// and the lost record count and aggregate mass are accounted per relation,
+// FaultySink wraps a RunSink — the transfer path production runs — with
+// injected faults, modelling a flaky transfer channel between the
+// NIC-resident LFTA and the host HFTA. Each sealed run is one delivery: a
+// failed delivery is *lost* — the whole run never reaches the inner sink,
+// as a dropped transfer frame would not — and the lost entry count and
+// aggregate mass are accounted per relation from the run's flat columns,
 // so tests can verify exact degradation arithmetic: for additive
 // aggregates, delivered mass + lost mass must equal the mass the runtime
 // transferred. Delays exercise the engine's tolerance of a slow sink
@@ -47,27 +49,26 @@ func NewFaultySink(f SinkFaults) *FaultySink {
 	}
 }
 
-// inject decides the fate of one delivery; it returns true when the
-// delivery must be dropped, after accounting the loss.
-func (s *FaultySink) inject(evs []Eviction) (lost bool) {
+// inject decides the fate of one delivery — a sealed run of n > 0 entries
+// of rel whose aggregates are the flat n×naggs block aggs; it returns true
+// when the delivery must be dropped, after accounting the loss.
+func (s *FaultySink) inject(rel attr.Set, n int, aggs []int64) (lost bool) {
 	s.mu.Lock()
 	s.deliveries++
-	n := s.deliveries
-	fail := s.faults.FailEvery > 0 && n%uint64(s.faults.FailEvery) == 0
-	delay := s.faults.DelayEvery > 0 && n%uint64(s.faults.DelayEvery) == 0
+	d := s.deliveries
+	fail := s.faults.FailEvery > 0 && d%uint64(s.faults.FailEvery) == 0
+	delay := s.faults.DelayEvery > 0 && d%uint64(s.faults.DelayEvery) == 0
 	if fail {
 		s.failures++
-		for i := range evs {
-			ev := &evs[i]
-			s.lostCount[ev.Rel]++
-			mass := s.lostMass[ev.Rel]
-			if len(mass) < len(ev.Aggs) {
-				mass = append(mass, make([]int64, len(ev.Aggs)-len(mass))...)
-				s.lostMass[ev.Rel] = mass
-			}
-			for j, v := range ev.Aggs {
-				mass[j] += v
-			}
+		s.lostCount[rel] += uint64(n)
+		na := len(aggs) / n
+		mass := s.lostMass[rel]
+		if len(mass) < na {
+			mass = append(mass, make([]int64, na-len(mass))...)
+			s.lostMass[rel] = mass
+		}
+		for i, v := range aggs {
+			mass[i%na] += v
 		}
 	}
 	if delay {
@@ -80,26 +81,14 @@ func (s *FaultySink) inject(evs []Eviction) (lost bool) {
 	return fail
 }
 
-// Wrap returns a Sink that injects the configured faults in front of
-// inner. Each eviction is one delivery.
-func (s *FaultySink) Wrap(inner Sink) Sink {
-	return func(ev Eviction) {
-		if s.inject([]Eviction{ev}) {
+// WrapRun returns a RunSink injecting the configured faults in front of
+// inner.
+func (s *FaultySink) WrapRun(inner RunSink) RunSink {
+	return func(rel attr.Set, epoch uint32, keys []uint32, aggs []int64) {
+		if s.inject(rel, len(keys)/rel.Size(), aggs) {
 			return
 		}
-		inner(ev)
-	}
-}
-
-// WrapBatch returns a BatchSink injecting the configured faults in front
-// of inner. Each batch is one delivery: a failure loses the whole batch,
-// as a dropped transfer frame would.
-func (s *FaultySink) WrapBatch(inner BatchSink) BatchSink {
-	return func(evs []Eviction) {
-		if s.inject(evs) {
-			return
-		}
-		inner(evs)
+		inner(rel, epoch, keys, aggs)
 	}
 }
 

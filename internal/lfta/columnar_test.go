@@ -2,6 +2,7 @@ package lfta_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/attr"
@@ -14,13 +15,38 @@ import (
 	"repro/internal/stream"
 )
 
+// transferLog records every HFTA transfer of a runtime per relation, in
+// delivery order, in front of an aggregator.
+type transferLog struct {
+	keys map[attr.Set][]uint32
+	aggs map[attr.Set][]int64
+}
+
+func (l *transferLog) sink(agg *hfta.Aggregator) lfta.RunSink {
+	l.keys, l.aggs = map[attr.Set][]uint32{}, map[attr.Set][]int64{}
+	return func(rel attr.Set, epoch uint32, keys []uint32, aggs []int64) {
+		l.keys[rel] = append(l.keys[rel], keys...)
+		l.aggs[rel] = append(l.aggs[rel], aggs...)
+		agg.MergeRun(rel, epoch, keys, aggs)
+	}
+}
+
 // Property: ProcessColumns — the column-major run entry point the
-// engine's staging and the shard pipeline feed — is indistinguishable
-// from the scalar Process path: same HFTA rows, same op ledger, same
-// per-table counters. Run boundaries are random, aggregate shapes cover
-// both the constant-delta fast path and attribute-valued deltas, and the
-// cascade depth covers multi-level victim feeding.
+// engine's staging flush and the shard pipeline feed, which hands
+// ProcessColumnsSel a saturated selection — is indistinguishable from the
+// scalar Process path at the run lengths where a saturated selection can
+// go wrong: a single lane, one lane either side of a selection word, and
+// either side of the staging run and the router batch. Same HFTA rows,
+// same op ledger, same per-table counters, and the same per-relation
+// transfer sequence entry for entry — every victim in eviction order,
+// then the epoch flush in slot order, which is the tables' final
+// contents. A selection whose tail word is not masked selects lanes past
+// the run and fails here at every length that is not a multiple of 64.
+// Aggregate shapes cover both the constant-delta fast path and
+// attribute-valued deltas, the cascade depth covers multi-level victim
+// feeding, and both tag-scan kernels run.
 func TestColumnarProcessEquivalence(t *testing.T) {
+	defer hashtab.SetSIMD(hashtab.SIMDEnabled())
 	type shape struct {
 		spec    string
 		queries []attr.Set
@@ -45,105 +71,82 @@ func TestColumnarProcessEquivalence(t *testing.T) {
 			},
 		},
 	}
-	for si, sh := range shapes {
-		cfg, err := feedgraph.ParseConfig(sh.spec, sh.queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 3; trial++ {
-			rng := rand.New(rand.NewSource(7100 + int64(si*10+trial)))
-			schema := stream.MustSchema(4)
-			groups := 30 + rng.Intn(400)
-			u, err := gen.UniformUniverse(rng, schema, groups, 30)
+	runLens := []int{1, 63, 64, 65, 511, 512, 1024}
+	const rounds = 4 // one epoch each
+	perRound := 0
+	for _, n := range runLens {
+		perRound += n
+	}
+	for _, simd := range kernelSelections() {
+		hashtab.SetSIMD(simd)
+		for si, sh := range shapes {
+			cfg, err := feedgraph.ParseConfig(sh.spec, sh.queries)
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs := gen.Uniform(rng, u, 3000+rng.Intn(8000), uint32(20+rng.Intn(60)))
+			rng := rand.New(rand.NewSource(7100 + int64(si)))
+			schema := stream.MustSchema(4)
+			u, err := gen.UniformUniverse(rng, schema, 30+rng.Intn(400), 30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := gen.Uniform(rng, u, rounds*perRound, 50)
 			alloc := cost.Alloc{}
 			for i, r := range cfg.Rels {
 				alloc[r] = 7 + i*5 + rng.Intn(40)
 			}
-			const epochLen = 10
-			seed := uint64(7200 + trial)
+			seed := uint64(7200 + si)
 
-			want := hfta.Reference(recs, sh.queries, sh.aggs, epochLen)
-
-			// Scalar reference leg.
-			scalarAgg, err := hfta.New(sh.queries, sh.aggs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scalar, err := lfta.New(cfg, alloc, sh.aggs, seed, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scalar.SetBatchSink(scalarAgg.ConsumeBatch, 32)
-			clock := stream.NewClock(epochLen)
-			for _, rec := range recs {
-				epoch, rolled := clock.Advance(rec.Time)
-				if rolled {
-					scalar.FlushEpoch()
-				}
-				scalar.Process(rec, epoch)
-			}
-			scalar.FlushEpoch()
-
-			// Columnar leg: the same stream sliced into column-major runs
-			// of random length, each fed through ProcessColumns, with the
-			// run sink delivering sealed eviction runs to MergeRun.
-			colAgg, err := hfta.New(sh.queries, sh.aggs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			columnar, err := lfta.New(cfg, alloc, sh.aggs, seed, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			// Small run buffers force mid-epoch seals as well as the
 			// FlushEpoch drain.
-			columnar.SetRunSink(colAgg.MergeRun, 16)
-			clock = stream.NewClock(epochLen)
+			newLeg := func() (*lfta.Runtime, *hfta.Aggregator, *transferLog) {
+				agg, err := hfta.New(sh.queries, sh.aggs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rt, err := lfta.New(cfg, alloc, sh.aggs, seed, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				log := &transferLog{}
+				rt.SetRunSink(log.sink(agg), 16)
+				return rt, agg, log
+			}
+			scalar, scalarAgg, scalarLog := newLeg()
+			columnar, colAgg, colLog := newLeg()
+
 			const width = 4
 			var cb stream.ColumnBatch
-			cb.Reset(width)
-			runEpoch := uint32(0)
-			flushCols := func() {
-				if cb.Len() > 0 {
-					columnar.ProcessColumns(cb.Cols, runEpoch)
+			pos := 0
+			for epoch := uint32(0); epoch < rounds; epoch++ {
+				for _, n := range runLens {
 					cb.Reset(width)
+					for _, rec := range recs[pos : pos+n] {
+						scalar.Process(rec, epoch)
+						cb.Append(rec.Attrs, rec.Time)
+					}
+					pos += n
+					columnar.ProcessColumns(cb.Cols, epoch)
 				}
+				scalar.FlushEpoch()
+				columnar.FlushEpoch()
 			}
-			limit := 1 + rng.Intn(600)
-			for _, rec := range recs {
-				epoch, rolled := clock.Advance(rec.Time)
-				if rolled {
-					flushCols()
-					columnar.FlushEpoch()
-				}
-				if epoch != runEpoch || cb.Len() >= limit {
-					flushCols()
-					runEpoch = epoch
-					limit = 1 + rng.Intn(600)
-				}
-				cb.Append(rec.Attrs, rec.Time)
-			}
-			flushCols()
-			columnar.FlushEpoch()
 
-			if !hfta.Equal(scalarAgg.AllRows(), want) {
-				t.Fatalf("shape %d trial %d: scalar rows differ from oracle", si, trial)
-			}
+			name := "kernel=" + hashtab.KernelName()
 			if !hfta.Equal(colAgg.AllRows(), scalarAgg.AllRows()) {
-				t.Fatalf("shape %d trial %d: columnar rows differ from scalar", si, trial)
+				t.Fatalf("%s shape %d: columnar rows differ from scalar", name, si)
 			}
 			if so, co := scalar.Ops(), columnar.Ops(); so != co {
-				t.Fatalf("shape %d trial %d: ops diverge: scalar %+v columnar %+v", si, trial, so, co)
+				t.Fatalf("%s shape %d: ops diverge: scalar %+v columnar %+v", name, si, so, co)
 			}
 			sstats, cstats := scalar.TableStats(), columnar.TableStats()
 			for rel, ss := range sstats {
 				if cs := cstats[rel]; cs != ss {
-					t.Fatalf("shape %d trial %d: table %v stats diverge:\nscalar   %+v\ncolumnar %+v", si, trial, rel, ss, cs)
+					t.Fatalf("%s shape %d: table %v stats diverge:\nscalar   %+v\ncolumnar %+v", name, si, rel, ss, cs)
 				}
+			}
+			if !reflect.DeepEqual(colLog, scalarLog) {
+				t.Fatalf("%s shape %d: transfer sequences (victims, final contents) diverge", name, si)
 			}
 		}
 	}

@@ -4,36 +4,47 @@ import (
 	"math/bits"
 
 	"repro/internal/hashtab"
+	"repro/internal/selvec"
 )
 
-// Selection-aware columnar ingestion. A vectorized WHERE hands the
-// runtime a column batch plus a 64-bit-per-lane selection bitmap (the
-// selvec convention: bit j of word w covers lane w*64+j, dead bits past
-// the last lane zero) instead of a compacted copy. Dead lanes cost
-// nothing here: the delta gather, the key hashing, and the probe setup
-// all iterate set bits only, and results are bit-identical to
-// compacting the survivors and feeding them through the dense twins.
+// Columnar ingestion — the runtime's one batch kernel. A vectorized WHERE
+// hands the runtime a column batch plus a 64-bit-per-lane selection
+// bitmap (the selvec convention: bit j of word w covers lane w*64+j, dead
+// bits past the last lane zero) instead of a compacted copy. Dead lanes
+// cost nothing here: the delta gather, the key hashing, and the probe
+// setup all iterate set bits only, and each raw relation's key run is
+// just a selection of the input columns (projection is free: no gather,
+// contiguous or not). Results are bit-identical to feeding the selected
+// records through Process one at a time, in lane order.
 
-// selPopcount returns the number of selected lanes among n.
-func selPopcount(sel []uint64, n int) int {
-	total := 0
-	for _, w := range sel[:(n+63)>>6] {
-		total += bits.OnesCount64(w)
+// ProcessColumns feeds every lane of a column-major run (cols is one
+// slice per record attribute, all equally long) sharing one epoch: sealed
+// router runs and the engine's scalar staging flush, which have no
+// selection of their own, enter ProcessColumnsSel with a saturated one.
+func (r *Runtime) ProcessColumns(cols [][]uint32, epoch uint32) {
+	if len(cols) == 0 {
+		return
 	}
-	return total
+	n := len(cols[0])
+	r.allSel = selvec.Grow(r.allSel, n)
+	r.allSel.SetAll(n)
+	r.ProcessColumnsSel(cols, n, r.allSel, epoch)
 }
 
 // ProcessColumnsSel feeds only the selected lanes of a column-major run
 // (cols is one slice per record attribute, each with at least n lanes),
-// all sharing one epoch. Outcomes and counters are identical to
-// compacting the selected lanes and calling ProcessColumns — which in
-// turn matches the scalar Process path record for record.
+// all sharing one epoch. The whole run's victims cascade into child
+// tables as runs rather than one depth-first probe chain per record; the
+// feeding graph is a tree (each relation has exactly one parent), so
+// every table still sees exactly the probe sequence the scalar Process
+// path would send it — same outcomes, same counters, same final contents;
+// only the memory access schedule changes.
 func (r *Runtime) ProcessColumnsSel(cols [][]uint32, n int, sel []uint64, epoch uint32) {
 	width := len(cols)
 	if width == 0 || n == 0 {
 		return
 	}
-	m := selPopcount(sel, n)
+	m := selvec.Bitmap(sel).Count(n)
 	if m == 0 {
 		return
 	}
@@ -102,7 +113,7 @@ func (r *Runtime) ProcessColumnsSel(cols [][]uint32, n int, sel []uint64, epoch 
 // selected record, so checkpoint-resumed deployments route the same
 // regardless of which admission path ran.
 func (s *Sharded) ShardColumns(cols [][]uint32, n int, sel []uint64, six []int32) int {
-	m := selPopcount(sel, n)
+	m := selvec.Bitmap(sel).Count(n)
 	if m == 0 {
 		return 0
 	}

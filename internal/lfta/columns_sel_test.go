@@ -15,8 +15,8 @@ import (
 )
 
 // Property: ProcessColumnsSel over a selection bitmap is
-// indistinguishable from compacting the selected lanes and calling
-// ProcessColumns — same HFTA rows, same op ledger, same per-table
+// indistinguishable from feeding the selected lanes, in lane order,
+// through scalar Process — same HFTA rows, same op ledger, same per-table
 // counters — across aggregate shapes (constant-delta and
 // attribute-valued), cascade depths, selection densities, and both
 // tag-scan kernels.
@@ -80,15 +80,15 @@ func TestColumnarSelectionEquivalence(t *testing.T) {
 			}
 			selRT.SetRunSink(selAgg.MergeRun, 16)
 
-			denAgg, err := hfta.New(sh.queries, sh.aggs)
+			scalarAgg, err := hfta.New(sh.queries, sh.aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			denRT, err := lfta.New(cfg, alloc, sh.aggs, seed, nil)
+			scalarRT, err := lfta.New(cfg, alloc, sh.aggs, seed, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			denRT.SetRunSink(denAgg.MergeRun, 16)
+			scalarRT.SetRunSink(scalarAgg.MergeRun, 16)
 
 			const width = 4
 			pcts := []int{0, 1, 17, 55, 100}
@@ -110,40 +110,33 @@ func TestColumnarSelectionEquivalence(t *testing.T) {
 
 				pct := pcts[rng.Intn(len(pcts))]
 				sel := make([]uint64, (n+63)>>6)
-				compact := make([][]uint32, width)
 				for i := 0; i < n; i++ {
 					if rng.Intn(100) < pct {
 						sel[i>>6] |= 1 << (uint(i) & 63)
-						for a := range cols {
-							compact[a] = append(compact[a], cols[a][i])
-						}
+						scalarRT.Process(recs[pos-n+i], epoch)
 					}
 				}
-
 				selRT.ProcessColumnsSel(cols, n, sel, epoch)
-				if len(compact[0]) > 0 {
-					denRT.ProcessColumns(compact, epoch)
-				}
 				// Occasional epoch roll to cover run sealing.
 				if rng.Intn(4) == 0 {
 					selRT.FlushEpoch()
-					denRT.FlushEpoch()
+					scalarRT.FlushEpoch()
 					epoch++
 				}
 			}
 			selRT.FlushEpoch()
-			denRT.FlushEpoch()
+			scalarRT.FlushEpoch()
 
-			if !hfta.Equal(selAgg.AllRows(), denAgg.AllRows()) {
-				t.Fatalf("kernel=%s shape %d: selected rows differ from dense", hashtab.KernelName(), si)
+			if !hfta.Equal(selAgg.AllRows(), scalarAgg.AllRows()) {
+				t.Fatalf("kernel=%s shape %d: selected rows differ from scalar", hashtab.KernelName(), si)
 			}
-			if so, do := selRT.Ops(), denRT.Ops(); so != do {
-				t.Fatalf("kernel=%s shape %d: ops diverge: selected %+v dense %+v", hashtab.KernelName(), si, so, do)
+			if so, do := selRT.Ops(), scalarRT.Ops(); so != do {
+				t.Fatalf("kernel=%s shape %d: ops diverge: selected %+v scalar %+v", hashtab.KernelName(), si, so, do)
 			}
-			ss, ds := selRT.TableStats(), denRT.TableStats()
+			ss, ds := selRT.TableStats(), scalarRT.TableStats()
 			for rel, s := range ss {
 				if d := ds[rel]; d != s {
-					t.Fatalf("kernel=%s shape %d table %v stats diverge:\nselected %+v\ndense    %+v", hashtab.KernelName(), si, rel, s, d)
+					t.Fatalf("kernel=%s shape %d table %v stats diverge:\nselected %+v\nscalar   %+v", hashtab.KernelName(), si, rel, s, d)
 				}
 			}
 		}

@@ -13,7 +13,7 @@ import (
 	"repro/internal/stream"
 )
 
-// Property: for any trace, RunParallel over n shards (batched eviction
+// Property: for any trace, RunParallel over n shards (per-shard run
 // buffers, concurrent HFTA merge) produces exactly the same sorted rows
 // as a single sequential Runtime — and both match the oracle. Sharding
 // and batching change costs, never answers.
@@ -71,9 +71,9 @@ func TestParallelShardedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Small batches force mid-epoch buffer flushes as well as the
+			// Small run buffers force mid-epoch seals as well as the
 			// FlushEpoch drain.
-			s.SetBatchSink(parAgg.ConsumeBatch, 16)
+			s.SetRunSink(parAgg.MergeRun, 16)
 			ops, err := s.RunParallel(stream.NewSliceSource(recs), epochLen)
 			if err != nil {
 				t.Fatal(err)
@@ -88,10 +88,10 @@ func TestParallelShardedEquivalence(t *testing.T) {
 	}
 }
 
-// The batched transfer path must agree with the per-eviction sink path on
-// the same runtime configuration, including epoch boundaries falling
-// between buffer flushes.
-func TestBatchSinkMatchesSink(t *testing.T) {
+// The buffered run transfer path must agree with the per-eviction sink
+// path on the same runtime configuration, including epoch boundaries
+// falling between run seals.
+func TestRunSinkMatchesSink(t *testing.T) {
 	queries := []attr.Set{attr.MustParseSet("AB"), attr.MustParseSet("CD")}
 	cfg, err := feedgraph.ParseConfig("ABCD(AB CD)", queries)
 	if err != nil {
@@ -118,7 +118,7 @@ func TestBatchSinkMatchesSink(t *testing.T) {
 			t.Fatal(err)
 		}
 		if batch > 0 {
-			rt.SetBatchSink(agg.ConsumeBatch, batch)
+			rt.SetRunSink(agg.MergeRun, batch)
 		}
 		if _, err := rt.Run(stream.NewSliceSource(recs), 10); err != nil {
 			t.Fatal(err)

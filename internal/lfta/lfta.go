@@ -10,10 +10,18 @@
 // operation), which is exactly the "actual cost" metric of the paper's
 // measured experiments (Figures 13-15).
 //
-// The record path is allocation-free in steady state: collision victims
-// are copied into per-cascade-depth scratch frames (hashtab.ProbeInto),
-// and HFTA transfers are staged in an arena-backed eviction buffer that
-// flushes to a BatchSink in batches instead of calling a sink per entry.
+// Two ingest paths exist. ProcessColumnsSel is the columnar kernel every
+// batch enters through (the selected lanes of a column batch, probed with
+// hashtab.ProbeColumnsSelInto, victims cascading as whole runs). Process
+// is one record through hashtab.ProbeInto; it stays because exact
+// per-record budget charging must probe one admitted record and read its
+// cost before the next is offered, and because the end-of-epoch flush
+// cascades entry by entry through the same feed/emit pair.
+//
+// Both are allocation-free in steady state: collision victims are copied
+// into per-cascade-depth scratch, and HFTA transfers accumulate as
+// columnar runs per query relation that seal into a RunSink instead of
+// calling a sink per entry.
 package lfta
 
 import (
@@ -24,6 +32,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/feedgraph"
 	"repro/internal/hashtab"
+	"repro/internal/selvec"
 	"repro/internal/stream"
 )
 
@@ -52,23 +61,17 @@ type Eviction struct {
 // The Eviction's slices are fresh copies the sink may retain.
 type Sink func(Eviction)
 
-// BatchSink receives batches of evictions. The batch and the entries'
-// Key/Aggs slices alias buffer memory owned by the runtime and are valid
-// only for the duration of the call: implementations must fold them into
-// their own state before returning (hfta.(*Aggregator).ConsumeBatch does).
-type BatchSink func([]Eviction)
-
-// RunSink receives HFTA transfers as sealed columnar runs: all entries
-// belong to one query relation and one epoch, keys is flat n×arity and
-// aggs flat n×naggs in transfer order. The slices alias buffer memory
-// owned by the runtime and are valid only for the duration of the call
-// (hfta.(*Aggregator).MergeRun folds them in place). A run sink skips
-// the per-entry Eviction structs of BatchSink entirely and lets the
-// receiver pre-hash and lock-shard the whole run at once.
+// RunSink receives HFTA transfers as sealed columnar runs — the buffered
+// transfer form: all entries belong to one query relation and one epoch,
+// keys is flat n×arity and aggs flat n×naggs in transfer order. The
+// slices alias buffer memory owned by the runtime and are valid only for
+// the duration of the call (hfta.(*Aggregator).MergeRun folds them in
+// place), so the receiver can pre-hash and lock-shard the whole run at
+// once.
 type RunSink func(rel attr.Set, epoch uint32, keys []uint32, aggs []int64)
 
-// DefaultEvictionBatch is the eviction-buffer capacity used when
-// SetBatchSink is given a non-positive batch size.
+// DefaultEvictionBatch is the run-buffer capacity used when SetRunSink is
+// given a non-positive batch size.
 const DefaultEvictionBatch = 256
 
 // Ops are the cumulative operation counts of a runtime.
@@ -132,34 +135,33 @@ type Runtime struct {
 	epoch  uint32
 	ops    Ops
 
-	sink      Sink
-	batchSink BatchSink
-	batchCap  int
-	batch     []Eviction
-	keyArena  []uint32
-	aggArena  []int64
+	sink Sink
 
 	// Columnar transfer path (SetRunSink): one buffered run per query
-	// node. Buffers hold entries of a single epoch — every Process* entry
-	// point flushes them before adopting a new epoch tag.
-	runSink RunSink
-	runBufs []evRunBuf
+	// node, sealing at batchCap entries. Buffers hold entries of a single
+	// epoch — both ingest paths flush them before adopting a new epoch
+	// tag.
+	runSink  RunSink
+	batchCap int
+	runBufs  []evRunBuf
 
 	keyBuf   []uint32
 	deltaBuf []int64
 	frames   []*frame
-	colSel   [][]uint32 // ProcessColumns per-relation key-column selection scratch
 
-	// Batched-path state (ProcessBatch): whether every aggregate input is
-	// the constant 1 (count(*)-style, the common case — the delta run is
-	// then a prefilled block of ones reused verbatim), the columnar delta
-	// run, and per-cascade-depth run scratch.
+	// Columnar-path state (ProcessColumnsSel): the per-relation key-column
+	// selection scratch, the saturated selection ProcessColumns hands it,
+	// whether every aggregate input is the constant 1 (count(*)-style, the
+	// common case — the delta run is then a prefilled block of ones reused
+	// verbatim), the delta run, and per-cascade-depth run scratch.
+	colSel     [][]uint32
+	allSel     selvec.Bitmap
 	constDelta bool
 	deltaRun   []int64
 	runFrames  []*runFrame
 }
 
-// runFrame is the reusable scratch of one cascade depth on the batched
+// runFrame is the reusable scratch of one cascade depth on the columnar
 // path: the columnar key run fed into one table and the victims that
 // run evicts. Frames are pointer-stable like the scalar frames.
 type runFrame struct {
@@ -178,8 +180,8 @@ type evRunBuf struct {
 
 // New builds a runtime for the configuration with the given bucket
 // allocation. Seed derives per-table hash seeds. The sink may be nil, in
-// which case query evictions are counted but discarded; SetBatchSink
-// installs the faster batched transfer path instead.
+// which case query evictions are counted but discarded; SetRunSink
+// installs the buffered columnar transfer path instead.
 func New(cfg *feedgraph.Config, alloc cost.Alloc, aggs []AggSpec, seed uint64, sink Sink) (*Runtime, error) {
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("lfta: need at least one aggregate")
@@ -263,30 +265,12 @@ func projectionPlan(parent, child attr.Set) []int {
 	return plan
 }
 
-// SetBatchSink installs a batched transfer path: query evictions are
-// copied into an arena-backed buffer and handed to fn in batches of up to
-// batchSize entries (DefaultEvictionBatch if batchSize <= 0), instead of
-// invoking a Sink per eviction. The buffer always drains inside
-// FlushEpoch, so per-epoch results are complete at epoch boundaries.
-// A batch sink takes precedence over a Sink passed to New.
-func (r *Runtime) SetBatchSink(fn BatchSink, batchSize int) {
-	if batchSize <= 0 {
-		batchSize = DefaultEvictionBatch
-	}
-	r.batchSink = fn
-	r.batchCap = batchSize
-	if cap(r.batch) < batchSize {
-		r.batch = make([]Eviction, 0, batchSize)
-	}
-}
-
 // SetRunSink installs the columnar transfer path: query evictions
 // accumulate per query node as flat (keys, aggs) runs and are handed to
 // fn sealed — at batchSize entries (DefaultEvictionBatch if batchSize
 // <= 0), at every epoch change, and inside FlushEpoch — so per-epoch
 // results are complete at epoch boundaries and every run carries exactly
-// one epoch tag. A run sink takes precedence over a batch sink and a
-// Sink.
+// one epoch tag. A run sink takes precedence over a Sink passed to New.
 func (r *Runtime) SetRunSink(fn RunSink, batchSize int) {
 	if batchSize <= 0 {
 		batchSize = DefaultEvictionBatch
@@ -336,9 +320,6 @@ func (r *Runtime) Reset() {
 	}
 	r.ops = Ops{}
 	r.epoch = 0
-	r.batch = r.batch[:0]
-	r.keyArena = r.keyArena[:0]
-	r.aggArena = r.aggArena[:0]
 	for i := range r.runBufs {
 		b := &r.runBufs[i]
 		b.keys = b.keys[:0]
@@ -398,232 +379,7 @@ func (r *Runtime) Process(rec stream.Record, epoch uint32) {
 	}
 }
 
-// ProcessBatch feeds a batch of records sharing one epoch; the caller
-// guarantees no epoch boundary falls inside the batch.
-//
-// This is the memory-level-parallel path: the whole run's keys are
-// gathered into a columnar buffer per raw relation and probed through
-// hashtab.ProbeBatchInto, and collision victims cascade into child
-// tables as whole runs rather than one depth-first probe chain per
-// record. The feeding graph is a tree (each relation has exactly one
-// parent), so every table still sees exactly the probe sequence the
-// scalar path would send it — same outcomes, same counters, same final
-// contents; only the memory access schedule changes. The equivalence
-// property suite (TestBatchedScalarOracleEquivalence) pins this.
-func (r *Runtime) ProcessBatch(recs []stream.Record, epoch uint32) {
-	n := len(recs)
-	if n == 0 {
-		return
-	}
-	r.beginEpoch(epoch)
-	r.ops.Records += uint64(n)
-	na := len(r.aggs)
-
-	// Build the delta run (n×na, columnar). Count(*)-style workloads keep
-	// a prefilled block of ones; it is read-only to the probe kernel, so
-	// it survives across batches and only grows.
-	need := n * na
-	if cap(r.deltaRun) < need {
-		r.deltaRun = make([]int64, need)
-		if r.constDelta {
-			for i := range r.deltaRun {
-				r.deltaRun[i] = 1
-			}
-		}
-	}
-	dr := r.deltaRun[:need]
-	if !r.constDelta {
-		for i := range recs {
-			for j, a := range r.aggs {
-				if a.Input < 0 {
-					dr[i*na+j] = 1
-				} else {
-					dr[i*na+j] = int64(recs[i].Attrs[a.Input])
-				}
-			}
-		}
-	}
-
-	for _, ni := range r.rawIdx {
-		nd := &r.nodes[ni]
-		a := nd.tab.Arity()
-		f := r.runFrame(0)
-		if cap(f.keys) < n*a {
-			f.keys = make([]uint32, 0, n*a)
-		}
-		ks := f.keys[:0]
-		if nd.contig {
-			// The raw relation is a record prefix: gather by block copy.
-			for i := range recs {
-				ks = append(ks, recs[i].Attrs[:a]...)
-			}
-		} else {
-			for i := range recs {
-				attrs := recs[i].Attrs
-				for _, id := range nd.ids {
-					ks = append(ks, attrs[id])
-				}
-			}
-		}
-		f.keys = ks
-		r.ops.Probes += uint64(n)
-		nd.tab.ProbeBatchInto(ks, dr, &f.victims)
-		r.cascadeRun(ni, &f.victims, 1)
-	}
-}
-
-// ProcessRun feeds a run of records given as one flat attribute block
-// (record-major: n = len(attrs)/width records of width words each), all
-// sharing one epoch — the zero-copy sibling of ProcessBatch for callers
-// that already stage attribute vectors contiguously (the engine's
-// staging arena). When a raw relation is the full record vector (the
-// usual single-raw configuration), the staged block IS its probe run:
-// the table is probed directly with no per-record gather at all.
-// Outcomes and counters are identical to feeding the same records
-// through Process one at a time; the equivalence property suite pins
-// this path too.
-func (r *Runtime) ProcessRun(attrs []uint32, width int, epoch uint32) {
-	if len(attrs) == 0 {
-		return
-	}
-	if width <= 0 || len(attrs)%width != 0 {
-		panic(fmt.Sprintf("lfta: run of %d attribute words at record width %d", len(attrs), width))
-	}
-	n := len(attrs) / width
-	r.beginEpoch(epoch)
-	r.ops.Records += uint64(n)
-	na := len(r.aggs)
-
-	need := n * na
-	if cap(r.deltaRun) < need {
-		r.deltaRun = make([]int64, need)
-		if r.constDelta {
-			for i := range r.deltaRun {
-				r.deltaRun[i] = 1
-			}
-		}
-	}
-	dr := r.deltaRun[:need]
-	if !r.constDelta {
-		for i := 0; i < n; i++ {
-			rec := attrs[i*width : (i+1)*width]
-			for j, a := range r.aggs {
-				if a.Input < 0 {
-					dr[i*na+j] = 1
-				} else {
-					dr[i*na+j] = int64(rec[a.Input])
-				}
-			}
-		}
-	}
-
-	for _, ni := range r.rawIdx {
-		nd := &r.nodes[ni]
-		a := nd.tab.Arity()
-		f := r.runFrame(0)
-		if nd.contig && a == width {
-			// Full-width identity projection: probe the staged block
-			// in place. ProbeBatchInto does not retain it.
-			r.ops.Probes += uint64(n)
-			nd.tab.ProbeBatchInto(attrs, dr, &f.victims)
-			r.cascadeRun(ni, &f.victims, 1)
-			continue
-		}
-		if cap(f.keys) < n*a {
-			f.keys = make([]uint32, 0, n*a)
-		}
-		ks := f.keys[:0]
-		if nd.contig {
-			// Record-prefix relation: gather by strided block copy.
-			for o := 0; o < len(attrs); o += width {
-				ks = append(ks, attrs[o:o+a]...)
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				rec := attrs[i*width : (i+1)*width]
-				for _, id := range nd.ids {
-					ks = append(ks, rec[id])
-				}
-			}
-		}
-		f.keys = ks
-		r.ops.Probes += uint64(n)
-		nd.tab.ProbeBatchInto(ks, dr, &f.victims)
-		r.cascadeRun(ni, &f.victims, 1)
-	}
-}
-
-// ProcessColumns feeds a run of records given column-major — cols is one
-// slice per record attribute, all equally long — sharing one epoch: the
-// native path of the columnar pipeline (sealed router runs, the engine's
-// columnar staging). The delta run is built with stride-1 reads of the
-// input columns, and each raw relation's key run is just a selection of
-// the input columns (projection is free: no gather, contiguous or not),
-// probed through ProbeColumnsInto. Outcomes and counters are identical
-// to feeding the same records through Process one at a time; the
-// columnar equivalence property suite pins this.
-func (r *Runtime) ProcessColumns(cols [][]uint32, epoch uint32) {
-	width := len(cols)
-	if width == 0 {
-		return
-	}
-	n := len(cols[0])
-	if n == 0 {
-		return
-	}
-	r.beginEpoch(epoch)
-	r.ops.Records += uint64(n)
-	na := len(r.aggs)
-
-	need := n * na
-	if cap(r.deltaRun) < need {
-		r.deltaRun = make([]int64, need)
-		if r.constDelta {
-			for i := range r.deltaRun {
-				r.deltaRun[i] = 1
-			}
-		}
-	}
-	dr := r.deltaRun[:need]
-	if !r.constDelta {
-		for j, a := range r.aggs {
-			if a.Input < 0 {
-				for i := 0; i < n; i++ {
-					dr[i*na+j] = 1
-				}
-			} else {
-				col := cols[a.Input][:n]
-				for i := 0; i < n; i++ {
-					dr[i*na+j] = int64(col[i])
-				}
-			}
-		}
-	}
-
-	if cap(r.colSel) < width {
-		r.colSel = make([][]uint32, 0, width)
-	}
-	for _, ni := range r.rawIdx {
-		nd := &r.nodes[ni]
-		sel := r.colSel[:0]
-		for _, id := range nd.ids {
-			sel = append(sel, cols[id])
-		}
-		r.colSel = sel
-		f := r.runFrame(0)
-		r.ops.Probes += uint64(n)
-		nd.tab.ProbeColumnsInto(sel, dr, &f.victims)
-		r.cascadeRun(ni, &f.victims, 1)
-	}
-	// Drop the borrowed column references so the caller's batch can be
-	// recycled without this scratch pinning it.
-	for i := range r.colSel {
-		r.colSel[i] = nil
-	}
-	r.colSel = r.colSel[:0]
-}
-
-// runFrame returns the batched-path scratch for one cascade depth,
+// runFrame returns the columnar-path scratch for one cascade depth,
 // growing the stack on first use of a depth.
 func (r *Runtime) runFrame(depth int) *runFrame {
 	for len(r.runFrames) <= depth {
@@ -675,10 +431,6 @@ func (r *Runtime) cascadeRun(ni int, vr *hashtab.VictimRun, depth int) {
 			b.n += m
 			if b.n >= r.batchCap {
 				r.flushRun(ni)
-			}
-		case r.batchSink != nil:
-			for i := 0; i < m; i++ {
-				r.pushEviction(nd.rel, vr.Key(i), vr.AggRow(i))
 			}
 		case r.sink != nil:
 			for i := 0; i < m; i++ {
@@ -732,8 +484,6 @@ func (r *Runtime) emit(ni int, key []uint32, aggs []int64, depth int) {
 			if b.n >= r.batchCap {
 				r.flushRun(ni)
 			}
-		case r.batchSink != nil:
-			r.pushEviction(n.rel, key, aggs)
 		case r.sink != nil:
 			r.sink(Eviction{
 				Rel:   n.rel,
@@ -742,25 +492,6 @@ func (r *Runtime) emit(ni int, key []uint32, aggs []int64, depth int) {
 				Epoch: r.epoch,
 			})
 		}
-	}
-}
-
-// pushEviction copies one transfer into the eviction buffer, flushing the
-// batch to the sink when full. Key and aggregate values land in shared
-// arenas so steady-state batches allocate nothing.
-func (r *Runtime) pushEviction(rel attr.Set, key []uint32, aggs []int64) {
-	ks := len(r.keyArena)
-	r.keyArena = append(r.keyArena, key...)
-	as := len(r.aggArena)
-	r.aggArena = append(r.aggArena, aggs...)
-	r.batch = append(r.batch, Eviction{
-		Rel:   rel,
-		Key:   r.keyArena[ks:len(r.keyArena):len(r.keyArena)],
-		Aggs:  r.aggArena[as:len(r.aggArena):len(r.aggArena)],
-		Epoch: r.epoch,
-	})
-	if len(r.batch) >= r.batchCap {
-		r.flushBatch()
 	}
 }
 
@@ -794,23 +525,11 @@ func (r *Runtime) flushRuns() {
 	}
 }
 
-// flushBatch hands the buffered evictions to the batch sink and resets
-// the buffer and arenas for reuse.
-func (r *Runtime) flushBatch() {
-	if len(r.batch) == 0 {
-		return
-	}
-	r.batchSink(r.batch)
-	r.batch = r.batch[:0]
-	r.keyArena = r.keyArena[:0]
-	r.aggArena = r.aggArena[:0]
-}
-
 // FlushEpoch performs the end-of-epoch update: tables are scanned from the
 // raw level down, each entry propagating into the tables it feeds (and to
 // the HFTA for queries); collision victims during the flush cascade
-// further down immediately. Afterwards every table is empty and any
-// buffered evictions have reached the batch sink.
+// further down immediately. Afterwards every table is empty and every
+// buffered run has reached the run sink.
 func (r *Runtime) FlushEpoch() {
 	for _, ni := range r.flush {
 		ni := ni
@@ -820,9 +539,6 @@ func (r *Runtime) FlushEpoch() {
 	}
 	if r.runSink != nil {
 		r.flushRuns()
-	}
-	if r.batchSink != nil {
-		r.flushBatch()
 	}
 }
 

@@ -277,9 +277,9 @@ func (p *pipeline) scatter(cols [][]uint32, six []int32, lo, hi int, epoch uint3
 // record-major ShardOf), scattered into per-shard staging columns, and
 // handed over lock-free SPSC rings; epoch boundaries propagate as
 // in-band markers so per-shard flushes and the HFTA merge overlap the
-// next epoch's routing. The sink passed at construction (or
-// SetBatchSink/SetRunSink) must be concurrency-safe
-// (hfta.(*Aggregator).ConsumeBatch, Consume, and MergeRun all are).
+// next epoch's routing. The sink passed at construction (or SetRunSink)
+// must be concurrency-safe (hfta.(*Aggregator).Consume and MergeRun both
+// are).
 //
 // The router's single clock defines epoch boundaries in stream arrival
 // order — exactly the sequential Run semantics, including the clamping

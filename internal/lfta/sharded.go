@@ -20,11 +20,11 @@ import (
 // commutative.
 //
 // Each shard owns its own hash tables sized by the same allocation (each
-// LFTA has its own memory in the architecture) and, with SetBatchSink,
-// its own eviction buffer, so concurrent shards share no mutable state
-// until the batched HFTA merge. Process routes sequentially; RunParallel
-// drives one goroutine per shard, in which case the sink must be safe for
-// concurrent use (hfta.(*Aggregator).ConsumeBatch and Consume both are).
+// LFTA has its own memory in the architecture) and, with SetRunSink, its
+// own run buffers, so concurrent shards share no mutable state until the
+// batched HFTA merge. Process routes sequentially; RunParallel drives one
+// goroutine per shard, in which case the sink must be safe for concurrent
+// use (hfta.(*Aggregator).MergeRun and Consume both are).
 type Sharded struct {
 	shards []*Runtime
 
@@ -69,16 +69,6 @@ func NewSharded(cfg *feedgraph.Config, alloc cost.Alloc, aggs []AggSpec, seed ui
 		s.shards[i] = rt
 	}
 	return s, nil
-}
-
-// SetBatchSink installs a batched transfer path on every shard (see
-// Runtime.SetBatchSink). Each shard keeps its own eviction buffer; with
-// RunParallel the sink receives batches concurrently and must be safe for
-// concurrent use.
-func (s *Sharded) SetBatchSink(fn BatchSink, batchSize int) {
-	for _, rt := range s.shards {
-		rt.SetBatchSink(fn, batchSize)
-	}
 }
 
 // SetRunSink installs the columnar transfer path on every shard (see

@@ -21,10 +21,10 @@ type Eviction = lfta.Eviction
 // Sink receives evictions, typically an HFTA aggregator's Sink.
 type Sink = lfta.Sink
 
-// BatchSink receives batches of evictions from a runtime's eviction
-// buffer (LFTA.SetBatchSink); typically Aggregator.ConsumeBatch. Batches
-// alias runtime-owned memory valid only during the call.
-type BatchSink = lfta.BatchSink
+// RunSink receives sealed columnar runs of evictions from a runtime's run
+// buffers (LFTA.SetRunSink); typically Aggregator.MergeRun. Runs alias
+// runtime-owned memory valid only during the call.
+type RunSink = lfta.RunSink
 
 // AggSpec describes one aggregate slot (operation + input attribute;
 // input -1 is count(*)).
@@ -43,8 +43,8 @@ func NewLFTA(cfg *Config, alloc Alloc, aggs []AggSpec, seed uint64, sink Sink) (
 type ShardedLFTA = lfta.Sharded
 
 // NewShardedLFTA builds n shards each executing cfg. For the fast path,
-// install per-shard eviction buffers with SetBatchSink
-// (Aggregator.ConsumeBatch is a concurrency-safe batch sink); a plain
+// pass a nil sink and install per-shard run buffers with SetRunSink
+// (Aggregator.MergeRun is a concurrency-safe run sink); a plain
 // concurrency-safe Sink also works with RunParallel.
 func NewShardedLFTA(cfg *Config, alloc Alloc, aggs []AggSpec, seed uint64, sink Sink, n int) (*ShardedLFTA, error) {
 	return lfta.NewSharded(cfg, alloc, aggs, seed, sink, n)
