@@ -1,10 +1,10 @@
-# Developer targets. `make check` is the tier-1 gate; `make race` runs the
-# race detector over the concurrent hot path (parallel LFTA shards,
-# per-shard run buffers, sharded HFTA merge).
+# Developer targets. `make check` is the tier-1 gate. `make test` runs
+# every test and `make race` races every test of the internal packages and
+# the daemon, so a new test is covered by both whatever it is called.
 
 GO ?= go
 
-.PHONY: build test vet race fuzz-short crash-test windows-test columnar-test bench-module check bench loc
+.PHONY: build test vet race fuzz-short bench-module check bench loc
 
 build:
 	$(GO) build ./...
@@ -16,15 +16,13 @@ vet:
 	$(GO) vet ./...
 
 # Race-detect every internal package and the daemon (which drives the
-# engine's columnar feed from an open trace file), then re-run the sharded
-# chaos, equivalence, and checkpoint suites specifically: the sharded runtime's
-# RunParallel fan-out, the runtime run buffers, the lock-sharded
-# HFTA merge, and the engine's unified budget / checkpoint-v2 paths on
-# top of them, plus the shared epoch read-out (allocation bound and
-# retained-row immutability).
+# engine's columnar feed from an open trace file): the sharded runtime's
+# RunParallel fan-out, the runtime run buffers, the lock-sharded HFTA
+# merge, the persister goroutine, and every chaos, equivalence, crash-point,
+# checkpoint, window and read-out suite on top of them. CI runs it a second
+# time with MAGG_SIMD=off, so the generic SWAR kernels are raced too.
 race:
 	$(GO) test -race ./internal/... ./cmd/maggd
-	$(GO) test -race -run 'TestChaos|TestSharded|TestCheckpoint|TestKillRestore|TestReadout' -count=1 ./internal/core
 
 # Replay the checked-in fuzz seed corpora (testdata/fuzz/...) without
 # live fuzzing — what CI runs. Use `go test -fuzz FuzzCheckpointDecode
@@ -34,47 +32,13 @@ race:
 fuzz-short:
 	$(GO) test -run 'Fuzz' ./internal/core ./internal/stream ./internal/feedgraph ./internal/query ./internal/epochstore ./internal/sketch
 
-# The durability crash-point property suites: the epoch store killed at
-# ~100 byte offsets per seed (including during recovery), the engine on
-# a dying disk, and the checkpoint + store-replay resume equivalences.
-crash-test:
-	$(GO) test -run 'TestCrashPoint|TestCrashDuring|TestEngineCrashPoints|TestKillRestoreWithStore|TestReplayMatches' -count=1 ./internal/epochstore ./internal/core
-
-# The sliding-window / sketch suites on their own: the oracle-equivalence
-# grid (pane-composed windows vs the brute-force oracle, clean and under
-# chaos), shard equivalence, kill+restore byte-identity, the chaos window
-# ledger identity, and the sketch merge laws + error bounds.
-windows-test:
-	$(GO) test -run 'TestWindowed|TestGoldenWindowed|TestChaosWindowLedger|TestLateFirstRecord|TestWindowHandler|TestSketchOnly' -count=1 ./internal/core
-	$(GO) test -count=1 ./internal/hfta ./internal/sketch
-	$(GO) test -run 'TestWindow|TestSketch' -count=1 ./internal/query
-
-# The columnar-pipeline equivalence suite under the race detector:
-# ReadColumns ≡ ReadBatch on every source (stream); the columnar probe ≡
-# the record-major batch probe, saturated and selective, and the columnar
-# hashes ≡ HashWords (hashtab); ProcessColumns / ProcessColumnsSel ≡
-# scalar Process, the routed sharded pipeline at 1/2/4/8 shards vs
-# sequential + oracle, and ShardColumns ≡ ShardOf (lfta); MergeRun ≡
-# per-entry Consume including forced lock-shard collisions and concurrent
-# folds, and the sorted read-out ≡ its brute-force model, also concurrent
-# with MergeRun (hfta); the selection-vector kernels vs their generic
-# forms (selvec); compiled filters vs the interpreted DNF walk, scalar and
-# columnar, with adaptive reordering (query); and ProcessColumnBatch vs
-# the scalar engine loop and vs a brute-force oracle across batch-boundary
-# epoch splits, mixed feeds and shard counts — with and without a budget
-# (same drops, same checkpoint bytes, kill + restore) (core).
-# -run selects by name prefix: a new columnar equivalence test is raced
-# here only if it is called TestColumnBatch… or TestColumnar….
-columnar-test:
-	$(GO) test -race -count=1 -run 'TestReadColumns|TestColumnBatch|TestColumnar|TestProbeColumns|TestHashColumns|TestMergeRun|TestRows|TestSelVec|TestFilter|TestNoWhere' ./internal/stream ./internal/hashtab ./internal/lfta ./internal/hfta ./internal/core ./internal/selvec ./internal/query
-
 # bench/ is a nested module that ./... does not reach; it assembles the
 # engine's epoch close from the layers' public entry points, so it is
 # where an hfta or core API change breaks first.
 bench-module:
 	cd bench && $(GO) vet . && $(GO) test .
 
-check: build vet test race fuzz-short crash-test windows-test columnar-test bench-module
+check: build vet test race fuzz-short bench-module
 
 # Quick perf numbers for the engine hot path (see docs/PERF.md).
 bench:

@@ -107,7 +107,7 @@ func main() {
 		slack      = flag.Uint("slack", 0, "reorder out-of-order records within this many time units")
 		budget     = flag.Float64("budget", 0, "weighted LFTA operation units per stream time unit (0 = unlimited)")
 		shed       = flag.String("shed", "droptail", "shedding policy under -budget: droptail or uniform")
-		shards     = flag.Int("shards", 0, "hash-partitioned LFTA shards under one global budget (0 = single runtime)")
+		shards     = flag.Int("shards", 0, "hash-partitioned LFTA shards under one global budget (0 or 1 = one LFTA, no routing)")
 		checkpoint = flag.String("checkpoint", "", "checkpoint file: written at epoch boundaries, resumed from if present")
 		store      = flag.String("store", "", "durable epoch store directory: closed epochs persisted crash-safely, recovered on open")
 		history    = flag.String("history", "", "with -store: print persisted epoch N (or 'all') and exit")
@@ -461,8 +461,14 @@ func readSample(path string, n int) ([]stream.Record, error) {
 	if src.Remaining() == 0 {
 		return nil, fmt.Errorf("trace %s is empty", path)
 	}
-	sample := make([]stream.Record, min(uint64(max(n, 0)), src.Remaining()))
-	sample = sample[:src.NextBatch(sample)]
+	sample := make([]stream.Record, 0, min(uint64(max(n, 0)), src.Remaining()))
+	for len(sample) < cap(sample) {
+		rec, ok := src.Next()
+		if !ok {
+			break
+		}
+		sample = append(sample, rec)
+	}
 	return sample, src.Err()
 }
 

@@ -127,6 +127,7 @@ func (e *Engine) workloadHash() uint64 {
 // (the engine's own CheckpointPath writes satisfy this by construction);
 // mid-epoch LFTA table contents are not captured.
 func (e *Engine) Checkpoint(w io.Writer) error {
+	_ = e.flushStage() // cannot fail outside Process; see flushStage
 	version := uint8(ckptVersionV2)
 	if e.hasDurabilityState() {
 		version = ckptVersionV3
@@ -271,12 +272,15 @@ func (e *Engine) checkpointVersion(w io.Writer, version uint8) error {
 			c.u32(uint32(rel))
 			c.u64(math.Float64bits(e.flowLens[rel]))
 		}
-		// Sharded-deployment state.
-		c.u32(uint32(e.nShards))
-		if e.nShards > 1 {
+		// Sharded-deployment state; an unsharded engine writes shard count 0
+		// and no section. A shard's position (ShardPositions) keeps its slot.
+		if e.nShards <= 1 {
+			c.u32(0)
+		} else {
+			c.u32(uint32(e.nShards))
 			for i := 0; i < e.nShards; i++ {
 				c.u64(math.Float64bits(e.shardWeight[i]))
-				c.u64(e.shardRouted[i])
+				c.u64(e.shardCum[i].Offered + e.shardDeg[i].Offered)
 				c.deg(e.shardCum[i])
 			}
 			c.u32(uint32(len(e.shardHist) / e.nShards))
@@ -409,7 +413,7 @@ func (e *Engine) writeCheckpointTmp(tmp string) error {
 // the resumed plan may differ marginally from the one running at the
 // crash — answers stay exact under any plan.
 func (e *Engine) Restore(r io.Reader) (consumed uint64, err error) {
-	if e.consumed != 0 || e.stats.Epochs != 0 {
+	if e.consumed != 0 || e.stats.Epochs != 0 || e.stage.Len() != 0 {
 		return 0, fmt.Errorf("core: Restore requires a freshly constructed engine")
 	}
 	br := bufio.NewReader(r)
@@ -551,7 +555,6 @@ func (e *Engine) Restore(r io.Reader) (consumed uint64, err error) {
 	flows := map[attr.Set]float64{}
 	var nCkptShards uint32
 	var shardWeights []float64
-	var shardRouted []uint64
 	var shardCum []Degradation
 	var shardHist []Degradation // stride nCkptShards
 	if rerr == nil && version >= 2 {
@@ -594,9 +597,12 @@ func (e *Engine) Restore(r io.Reader) (consumed uint64, err error) {
 					return 0, fmt.Errorf("%w: shard weight %v out of range", ErrBadCheckpoint, w)
 				}
 				shardWeights = append(shardWeights, w)
+				// The shard's position word is read past, not restored: at an
+				// epoch boundary it repeats the ledger's Offered that follows,
+				// and a mid-epoch image's open-epoch records — the difference
+				// — are in no restored ledger either.
 				var routed uint64
 				le(&routed)
-				shardRouted = append(shardRouted, routed)
 				shardCum = append(shardCum, readDeg())
 			}
 			var nShardHist uint32
@@ -855,12 +861,8 @@ func (e *Engine) Restore(r io.Reader) (consumed uint64, err error) {
 		// resumed run must slice the budget exactly as the crashed run
 		// would have, or the byte-identity of its shed decisions breaks.
 		copy(e.shardWeight, shardWeights)
-		copy(e.shardRouted, shardRouted)
 		copy(e.shardCum, shardCum)
 		e.shardHist = shardHist
-		for i := range e.shardDeg {
-			e.shardDeg[i] = Degradation{}
-		}
 	}
 	e.totalOps = ops // the fresh runtime's counters are zero
 	e.consumed = consumed
@@ -871,8 +873,6 @@ func (e *Engine) Restore(r io.Reader) (consumed uint64, err error) {
 	e.clock.RestoreSnapshot(started != 0, cur, regressed)
 	e.cumDeg = cumDeg
 	e.degHist = hist
-	e.deg = Degradation{}
-	e.degInit = false
 	for _, r := range rows {
 		e.agg.Consume(lfta.Eviction{Rel: r.rel, Key: r.key, Aggs: r.aggs, Epoch: r.epoch})
 	}

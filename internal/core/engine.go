@@ -22,7 +22,6 @@ import (
 	"repro/internal/epochstore"
 	"repro/internal/feedgraph"
 	"repro/internal/gen"
-	"repro/internal/hashtab"
 	"repro/internal/hfta"
 	"repro/internal/lfta"
 	"repro/internal/query"
@@ -108,14 +107,15 @@ type Options struct {
 	// owning its own hash tables sized by the same allocation. Records
 	// route by a hash of their full attribute vector, so all records of a
 	// group land on one shard and the HFTA merge stays exact. 0 or 1 runs
-	// the single-runtime fast path.
+	// one shard with the base seed and no routing hash — the same LFTA
+	// shape, and the paper's single-LFTA deployment table for table.
 	//
 	// Overload control is unified across shards: Budget is one global
 	// per-time-unit budget whose slices are split across shards
 	// (demand-proportionally, reconciled at every epoch boundary), and the
-	// engine keeps one ledger per shard plus the global one — the
-	// per-shard ledgers sum exactly to the global
-	// Offered == Processed + Dropped + Late identity on every epoch.
+	// engine keeps one ledger per shard — the global ledger is their sum,
+	// so the Offered == Processed + Dropped + Late identity holds per shard
+	// and globally on every epoch.
 	Shards int
 
 	// Budget enables overload control: the LFTA may spend at most this
@@ -237,8 +237,7 @@ type Engine struct {
 	flowLens map[attr.Set]float64
 
 	plan  *choose.Result
-	rt    *lfta.Runtime // single-runtime path (nShards == 0)
-	srt   *lfta.Sharded // sharded path (nShards > 1); exactly one of rt/srt is set
+	srt   *lfta.Sharded // the LFTA level: nShards ≥ 1 instances (Figure 1)
 	agg   *hfta.Aggregator
 	clock *stream.Clock
 
@@ -247,9 +246,10 @@ type Engine struct {
 
 	specByRel map[attr.Set]*query.Spec
 
-	// Stream position: records offered to Process since construction (or
+	// Stream position: records admission has seen since construction (or
 	// restore), including filtered, late, and shed ones — the replay
-	// offset a checkpoint records.
+	// offset a checkpoint records. Records still in stage are not counted
+	// yet; every reader flushes the stage first.
 	consumed uint64
 
 	// Overload control (active when opts.Budget > 0): the policy, the
@@ -263,23 +263,23 @@ type Engine struct {
 	shardAvail  []float64
 	shardWeight []float64
 
-	// Sharded deployment state (nShards > 1): the per-shard ledgers of the
-	// open epoch, their cumulative totals, the per-epoch per-shard ledger
-	// history (flat, nShards entries per closed epoch), and the per-shard
-	// stream positions (records routed to each shard since construction or
-	// restore).
-	nShards     int
-	shardDeg    []Degradation
-	shardCum    []Degradation
-	shardHist   []Degradation
-	shardRouted []uint64
-
-	// Degradation accounting: the open epoch's counters, the closed
-	// epochs' history, and the cumulative total.
-	deg     Degradation
-	degInit bool
-	degHist []Degradation
-	cumDeg  Degradation
+	// Degradation accounting. The open epoch's counters live in shardDeg,
+	// one ledger per shard (nShards = max(Options.Shards, 1)) and the only
+	// counters admission touches; the open epoch's global ledger is their
+	// sum (openDeg), stamped with openEpoch once degInit says a record has
+	// opened it. Closed epochs append that sum to degHist and fold it into
+	// cumDeg. A sharded deployment (nShards > 1) also keeps each shard's
+	// cumulative total and the per-epoch per-shard history (flat, nShards
+	// entries per closed epoch); a shard's stream position is its
+	// cumulative plus open Offered.
+	nShards   int
+	shardDeg  []Degradation
+	shardCum  []Degradation
+	shardHist []Degradation
+	openEpoch uint32
+	degInit   bool
+	degHist   []Degradation
+	cumDeg    Degradation
 
 	// Online peak-load repair state: consecutive epochs whose measured
 	// flush cost exceeded PeakEu, and the last epoch's measured cost.
@@ -322,27 +322,14 @@ type Engine struct {
 	sketches  map[attr.Set]*sketch.HLL
 	sketchBuf []uint32
 
-	// Record staging for the scalar feed (Process; ProcessColumnBatch
-	// hands the LFTA selections of its own batch and stages nothing).
-	// Nothing is staged under a budget: overload control charges each
-	// admitted record's measured cost before the next admission, so
-	// admitRecord probes its record at once. On-time records accumulate in
-	// runs of up to stageRun records — per shard when sharded —
-	// column-major: one preallocated slice per attribute written by index
-	// (callers may reuse rec.Attrs after Process returns, so the words are
-	// copied exactly once), draining through Runtime.ProcessColumns when a
-	// run fills, at every epoch boundary, before a column batch's own
-	// lanes, and before any counter read — never one record per kernel
-	// call, which costs more than a scalar probe. Ledgers, sketches, and
-	// the stream position are all maintained at Process time, so staging
-	// is invisible everywhere except the memory access schedule.
-	stageCols  [][]uint32
-	stageLen   int
-	stageWidth int
-	stageEpoch uint32
-	shardCols  [][][]uint32
-	shardLens  []int
-	colView    [][]uint32 // reused column views handed to ProcessColumns
+	// The scalar feed's stage: records Process has copied in but admission
+	// has not seen yet (see Process for when it is flushed). Nothing about
+	// a staged record — ledger, position, sketches, probes — exists until
+	// the flush, so every accessor that reads such state flushes first.
+	// flushing marks a flush in progress: an epoch close inside it writes
+	// a checkpoint and runs handlers, which call those accessors.
+	stage    stream.ColumnBatch
+	flushing bool
 
 	// Sliding-window state (active when the workload declares a window
 	// or sketch aggregates): the pane→window composer, the sketch agg
@@ -374,9 +361,9 @@ type Engine struct {
 	rowBuf   []uint32
 }
 
-// stageRun is the staged-run capacity, matching the SPSC pipeline's
-// sealed-run size so the batch kernel sees the same run shape on both
-// ingestion paths.
+// stageRun is the scalar feed's stage capacity, matching the SPSC
+// pipeline's sealed-run size so the batch kernel sees the same run shape
+// on both feeds.
 const stageRun = 512
 
 // New builds an engine from GSQL query texts (see package query for the
@@ -462,28 +449,21 @@ func NewFromSpecs(specs []*query.Spec, groups feedgraph.GroupCounts, opts Option
 		emitRetry: backoff.Policy{Seed: opts.Seed},
 	}
 	e.emitResults = e.closingResults
-	// Compile the WHERE once: the scalar and columnar admission paths
-	// share the same compiled predicate kernels. An empty WHERE leaves the
-	// filter nil, so unfiltered workloads pay nothing.
+	// Compile the WHERE once. An empty WHERE leaves the filter nil, so
+	// unfiltered workloads pay nothing.
 	if !specs[0].Where.Empty() {
 		e.filter = specs[0].Where.Compile()
 	}
-	perShard := max(opts.Shards, 1)
-	e.segSel = make([]selvec.Bitmap, perShard)
-	e.shardAvail = make([]float64, perShard)
-	e.shardWeight = make([]float64, perShard)
+	e.nShards = max(opts.Shards, 1)
+	e.segSel = make([]selvec.Bitmap, e.nShards)
+	e.shardAvail = make([]float64, e.nShards)
+	e.shardWeight = make([]float64, e.nShards)
 	for i := range e.shardWeight {
-		e.shardWeight[i] = 1 / float64(perShard)
+		e.shardWeight[i] = 1 / float64(e.nShards)
 	}
-	if opts.Shards > 1 {
-		e.nShards = opts.Shards
-		e.shardDeg = make([]Degradation, e.nShards)
+	e.shardDeg = make([]Degradation, e.nShards)
+	if e.nShards > 1 {
 		e.shardCum = make([]Degradation, e.nShards)
-		e.shardRouted = make([]uint64, e.nShards)
-		if opts.Budget == 0 {
-			e.shardCols = make([][][]uint32, e.nShards)
-			e.shardLens = make([]int, e.nShards)
-		}
 	}
 	for _, s := range specs {
 		e.queries = append(e.queries, s.GroupBy)
@@ -583,72 +563,21 @@ func (e *Engine) adopt(res *choose.Result) error {
 	if e.opts.WrapRunSink != nil {
 		sink = e.opts.WrapRunSink(sink)
 	}
-	if e.nShards > 1 {
-		srt, err := lfta.NewSharded(res.Config, res.Alloc, e.aggs, e.opts.Seed, nil, e.nShards)
-		if err != nil {
-			return err
-		}
-		srt.SetRunSink(sink, 0)
-		e.retireRuntimeOps()
-		e.plan, e.srt = res, srt
-	} else {
-		rt, err := lfta.New(res.Config, res.Alloc, e.aggs, e.opts.Seed, nil)
-		if err != nil {
-			return err
-		}
-		rt.SetRunSink(sink, 0)
-		e.retireRuntimeOps()
-		e.plan, e.rt = res, rt
+	srt, err := lfta.NewSharded(res.Config, res.Alloc, e.aggs, e.opts.Seed, nil, e.nShards)
+	if err != nil {
+		return err
 	}
+	srt.SetRunSink(sink, 0)
+	if e.srt != nil {
+		// Fold the outgoing runtime's counters into the cross-replan totals.
+		ops := e.srt.Ops()
+		e.totalOps.Probes += ops.Probes
+		e.totalOps.Transfers += ops.Transfers
+		e.totalOps.Records += ops.Records
+	}
+	e.plan, e.srt = res, srt
 	e.stats.ModeledCost = res.Cost
 	return nil
-}
-
-// retireRuntimeOps folds the outgoing runtime's counters into the
-// cross-replan totals before a new runtime is swapped in.
-func (e *Engine) retireRuntimeOps() {
-	if e.rt == nil && e.srt == nil {
-		return
-	}
-	ops := e.runtimeOps()
-	e.totalOps.Probes += ops.Probes
-	e.totalOps.Transfers += ops.Transfers
-	e.totalOps.Records += ops.Records
-}
-
-// runtimeOps returns the active runtime's cumulative operation counts,
-// whichever level shape is deployed.
-func (e *Engine) runtimeOps() lfta.Ops {
-	if e.srt != nil {
-		return e.srt.Ops()
-	}
-	return e.rt.Ops()
-}
-
-// runtimeFlush flushes the active runtime's tables at an epoch boundary.
-func (e *Engine) runtimeFlush() {
-	if e.srt != nil {
-		e.srt.FlushEpoch()
-		return
-	}
-	e.rt.FlushEpoch()
-}
-
-// runtimeTableStats returns merged per-relation table counters.
-func (e *Engine) runtimeTableStats() map[attr.Set]hashtab.Stats {
-	if e.srt != nil {
-		return e.srt.TableStats()
-	}
-	return e.rt.TableStats()
-}
-
-// runtimeResetTableStats zeroes the per-table counters.
-func (e *Engine) runtimeResetTableStats() {
-	if e.srt != nil {
-		e.srt.ResetTableStats()
-		return
-	}
-	e.rt.ResetTableStats()
 }
 
 // replan plans and adopts unconditionally (initial setup).
@@ -679,82 +608,54 @@ func (e *Engine) Groups() feedgraph.GroupCounts { return e.groups }
 // and counted as Late instead of silently corrupting epoch assignment.
 // Configure a stream.OrderedSource upstream to reorder such streams
 // within a slack window. Regressions within the open epoch are harmless.
+//
+// Process is a stager in front of ProcessColumnBatch, the engine's only
+// admission code: the record joins the stage, and the stage is admitted
+// when it is full or when this record may roll the clock (the clock has
+// not started, or the record's epoch is later than the clock's) — so an
+// epoch closes, its handlers run and a checkpoint error surfaces inside
+// the Process call of the record that ends it. One-lane batches cost more
+// than a scalar probe, so nothing else forces a flush.
 func (e *Engine) Process(rec stream.Record) error {
-	if e.filter != nil && !e.filter.Match(rec.Attrs) {
-		e.consumed++
-		return nil // filtered out before any hash-table work (the F of FTA)
-	}
-	epoch, rolled, late := e.clock.Observe(rec.Time)
-	if late {
-		// A late record is charged to its *arrival* epoch (the clamped
-		// current one); if it is the epoch's first record, the ledger
-		// must still open here so the epoch — and its pane — closes
-		// with the Late count instead of leaking it.
-		if !e.degInit {
-			e.degInit = true
-			e.deg.Epoch = epoch
-		}
-		e.consumed++
-		e.deg.Offered++
-		e.deg.Late++
-		if e.srt != nil {
-			s := e.srt.ShardOf(&rec)
-			e.shardRouted[s]++
-			e.shardDeg[s].Offered++
-			e.shardDeg[s].Late++
-		}
-		return nil
-	}
-	if rolled {
-		if err := e.endEpoch(); err != nil {
+	if len(rec.Attrs) != e.stage.Width() {
+		// The first record, or a caller switching schemas mid-stream: every
+		// batch stays rectangular.
+		if err := e.flushStage(); err != nil {
 			return err
 		}
+		e.stage.Reset(len(rec.Attrs))
 	}
-	if !e.degInit {
-		e.degInit = true
-		e.deg.Epoch = epoch
-	}
-	e.consumed++
-	e.deg.Offered++
-	s := 0
-	if e.srt != nil {
-		s = e.srt.ShardOf(&rec)
-		e.shardRouted[s]++
-		e.shardDeg[s].Offered++
-	}
-	switch {
-	case e.opts.Budget > 0:
-		if !e.admitRecord(s, rec, epoch) {
-			return nil
-		}
-	case e.srt != nil:
-		e.stageShardRecord(s, rec, epoch)
-		e.deg.Processed++
-		e.shardDeg[s].Processed++
-	default:
-		e.stageRecord(rec, epoch)
-		e.deg.Processed++
-	}
-	if len(e.sketches) != 0 {
-		for rel, h := range e.sketches {
-			e.sketchBuf = rel.Project(rec.Attrs, e.sketchBuf)
-			h.AddKey(e.sketchBuf)
-		}
-	}
-	if e.paneSk != nil {
-		e.observePaneSketches(rec.Attrs)
+	e.stage.Append(rec.Attrs, rec.Time)
+	if e.stage.Len() == stageRun || !e.clock.Started() ||
+		(stream.Epoch{Length: e.epochLen}).Of(rec.Time) > e.clock.Current() {
+		return e.flushStage()
 	}
 	return nil
 }
 
+// flushStage admits the staged records and empties the stage. It is a
+// no-op when re-entered from inside a flush (an epoch close there writes a
+// checkpoint and runs handlers, which call the flushing accessors). A
+// flush outside Process cannot fail or close an epoch: a staged record
+// that might have rolled the clock was flushed by the Process call that
+// staged it.
+func (e *Engine) flushStage() error {
+	if e.flushing || e.stage.Len() == 0 {
+		return nil
+	}
+	e.flushing = true
+	err := e.admitBatch(&e.stage)
+	e.stage.Reset(e.stage.Width())
+	e.flushing = false
+	return err
+}
+
 // admitRecord is the overload-control step for one on-time record routed
-// to shard s (0 when unsharded), shared by the scalar and the columnar
-// feed so the two cannot drift: replenish every shard's slice of the
-// budget when stream time advances (never on a regression — an
-// adversarial stream alternating timestamps earns nothing), ask the shed
-// policy, and on admission probe the record at once and charge its
-// measured cost to the shard's slice, so the next record's admission sees
-// it. Both ledgers are kept in lockstep; it reports whether the record was
+// to shard s: replenish every shard's slice of the budget when stream time
+// advances (never on a regression — an adversarial stream alternating
+// timestamps earns nothing), ask the shed policy, and on admission probe
+// the record at once and charge its measured cost to the shard's slice, so
+// the next record's admission sees it. It reports whether the record was
 // processed (false = shed).
 //
 // Admission runs in the single-threaded routing path, in stream order, so
@@ -770,114 +671,17 @@ func (e *Engine) admitRecord(s int, rec stream.Record, epoch uint32) bool {
 		}
 	}
 	if !e.shedder.Admit(rec, e.shardAvail[s] <= 0) {
-		e.deg.Dropped++
-		if e.srt != nil {
-			e.shardDeg[s].Dropped++
-		}
+		e.shardDeg[s].Dropped++
 		return false
 	}
-	e.deg.Processed++
-	rt := e.rt
-	if e.srt != nil {
-		e.shardDeg[s].Processed++
-		rt = e.srt.Shard(s)
-	}
+	e.shardDeg[s].Processed++
+	rt := e.srt.Shard(s)
 	before := rt.Ops()
 	rt.Process(rec, epoch)
 	after := rt.Ops()
 	e.shardAvail[s] -= float64(after.Probes-before.Probes)*e.opts.Params.C1 +
 		float64(after.Transfers-before.Transfers)*e.opts.Params.C2
 	return true
-}
-
-// stageRecord scatters one on-time record's attributes into the
-// single-runtime staging columns (one indexed store per attribute — the
-// transpose happens here, once, instead of a gather at probe time) and
-// drains when the run fills. A record width change (possible only if
-// the caller switches schemas mid-stream) drains the pending runs
-// first, so every staged run stays rectangular.
-func (e *Engine) stageRecord(rec stream.Record, epoch uint32) {
-	if len(rec.Attrs) != e.stageWidth {
-		e.drainStage()
-		e.setStageWidth(len(rec.Attrs))
-	}
-	e.stageEpoch = epoch
-	n := e.stageLen
-	for a, v := range rec.Attrs {
-		e.stageCols[a][n] = v
-	}
-	e.stageLen = n + 1
-	if e.stageLen == stageRun {
-		e.drainStage()
-	}
-}
-
-// stageShardRecord is stageRecord for one shard's staging columns.
-func (e *Engine) stageShardRecord(s int, rec stream.Record, epoch uint32) {
-	if len(rec.Attrs) != e.stageWidth {
-		e.drainStage()
-		e.setStageWidth(len(rec.Attrs))
-	}
-	e.stageEpoch = epoch
-	cols := e.shardCols[s]
-	n := e.shardLens[s]
-	for a, v := range rec.Attrs {
-		cols[a][n] = v
-	}
-	n++
-	e.shardLens[s] = n
-	if n == stageRun {
-		e.srt.Shard(s).ProcessColumns(e.stageView(cols, n), epoch)
-		e.shardLens[s] = 0
-	}
-}
-
-// setStageWidth sizes the staging columns (and the reused view headers)
-// for a new record width; existing column storage is retained when the
-// width shrinks back.
-func (e *Engine) setStageWidth(w int) {
-	e.stageWidth = w
-	if e.nShards > 1 {
-		for s := range e.shardCols {
-			for len(e.shardCols[s]) < w {
-				e.shardCols[s] = append(e.shardCols[s], make([]uint32, stageRun))
-			}
-		}
-	} else {
-		for len(e.stageCols) < w {
-			e.stageCols = append(e.stageCols, make([]uint32, stageRun))
-		}
-	}
-	if cap(e.colView) < w {
-		e.colView = make([][]uint32, w)
-	}
-}
-
-// stageView returns the first n records of a staging column set as the
-// reused slice-header view ProcessColumns consumes (no copying).
-func (e *Engine) stageView(cols [][]uint32, n int) [][]uint32 {
-	v := e.colView[:e.stageWidth]
-	for a := range v {
-		v[a] = cols[a][:n]
-	}
-	return v
-}
-
-// drainStage flushes every staged run into the LFTA. Called when a run
-// fills, at epoch boundaries (before the table flush), before a column
-// batch's lanes are probed, and before any read of runtime counters, so
-// staged records are never observable as unprocessed or out of order.
-func (e *Engine) drainStage() {
-	if e.stageLen > 0 {
-		e.rt.ProcessColumns(e.stageView(e.stageCols, e.stageLen), e.stageEpoch)
-		e.stageLen = 0
-	}
-	for s := range e.shardCols {
-		if e.shardLens[s] > 0 {
-			e.srt.Shard(s).ProcessColumns(e.stageView(e.shardCols[s], e.shardLens[s]), e.stageEpoch)
-			e.shardLens[s] = 0
-		}
-	}
 }
 
 // endEpoch flushes the LFTA, closes the epoch's degradation accounting,
@@ -906,21 +710,17 @@ func (e *Engine) endEpoch() error {
 // degradation record. It also measures the flush's actual cost for the
 // online peak-load repair.
 func (e *Engine) closeEpochState() Degradation {
-	e.drainStage()
-	closed := e.deg
-	e.deg = Degradation{}
+	closed := e.openDeg()
 	e.degInit = false
-	flushBefore := e.runtimeOps()
-	e.runtimeFlush()
-	flushAfter := e.runtimeOps()
+	flushBefore := e.srt.Ops()
+	e.srt.FlushEpoch()
+	flushAfter := e.srt.Ops()
 	e.lastFlushCost = float64(flushAfter.Probes-flushBefore.Probes)*e.opts.Params.C1 +
 		float64(flushAfter.Transfers-flushBefore.Transfers)*e.opts.Params.C2
 	e.stats.Epochs++
 	e.degHist = append(e.degHist, closed)
 	e.cumDeg.add(closed)
-	if e.srt != nil {
-		e.closeShardEpoch(closed.Epoch)
-	}
+	e.closeShardEpoch(closed.Epoch)
 	if e.shedder != nil {
 		e.shedder.EpochEnd(closed)
 	}
@@ -997,21 +797,32 @@ func (e *Engine) closingResults(rel attr.Set, epoch uint32) ([]hfta.Row, error) 
 	return nil, fmt.Errorf("core: no read-out of %v for epoch %d (closing epoch %d)", rel, epoch, e.closingEpoch)
 }
 
-// closeShardEpoch closes the per-shard ledgers alongside the global one:
-// each shard's open counters are stamped with the closed epoch, appended
-// to the per-shard history, folded into the cumulative per-shard totals,
-// and reset — then the budget split is reconciled against the epoch's
-// measured per-shard demand. The per-shard ledgers always sum to the
-// global ledger, per epoch and cumulatively.
-func (e *Engine) closeShardEpoch(epoch uint32) {
+// openDeg is the open epoch's global ledger: the sum of the per-shard
+// ledgers, so the two agree by construction.
+func (e *Engine) openDeg() Degradation {
+	d := Degradation{Epoch: e.openEpoch}
 	for i := range e.shardDeg {
-		e.shardDeg[i].Epoch = epoch
-		e.shardCum[i].add(e.shardDeg[i])
-		e.shardCum[i].Epoch = epoch
+		d.add(e.shardDeg[i])
 	}
-	e.shardHist = append(e.shardHist, e.shardDeg...)
+	return d
+}
+
+// closeShardEpoch resets the per-shard ledgers once their sum has been
+// closed as the global one. A sharded deployment first stamps each with
+// the closed epoch, appends it to the per-shard history, folds it into the
+// cumulative per-shard totals, and reconciles the budget split against the
+// epoch's measured per-shard demand.
+func (e *Engine) closeShardEpoch(epoch uint32) {
+	if e.nShards > 1 {
+		for i := range e.shardDeg {
+			e.shardDeg[i].Epoch = epoch
+			e.shardCum[i].add(e.shardDeg[i])
+			e.shardCum[i].Epoch = epoch
+		}
+		e.shardHist = append(e.shardHist, e.shardDeg...)
+		e.reconcileBudget(e.shardDeg)
+	}
 	clear(e.shardDeg)
-	e.reconcileBudget(e.shardHist[len(e.shardHist)-e.nShards:])
 }
 
 // reconcileBudget re-splits the global per-time-unit budget across shards
@@ -1162,12 +973,12 @@ func (e *Engine) refreshGroupEstimates(epoch uint32) {
 	// Flow lengths measured per raw relation feed the rate model. The
 	// table counters are reset afterwards so the next measurement covers
 	// one epoch, not the whole history.
-	stats := e.runtimeTableStats()
+	stats := e.srt.TableStats()
 	flow := make(map[attr.Set]float64, len(stats))
 	for rel, st := range stats {
 		flow[rel] = st.AvgFlowLength()
 	}
-	e.runtimeResetTableStats()
+	e.srt.ResetTableStats()
 	e.installFlowLens(flow)
 }
 
@@ -1248,6 +1059,9 @@ func (e *Engine) emitEpoch(closed Degradation) {
 // at the last closed epoch boundary, so a later restore replays the final
 // epoch in full.
 func (e *Engine) Finish() error {
+	if err := e.flushStage(); err != nil {
+		return err
+	}
 	if e.degInit {
 		e.closeEpochState()
 	}
@@ -1264,28 +1078,37 @@ func (e *Engine) Finish() error {
 	return e.firstResultErr
 }
 
-// ProcessColumnBatch feeds a column-major batch of records — the
-// vectorized admission path. The compiled WHERE runs over whole columns
-// into the batch's selection bitmap (b.Sel); dead lanes are never
-// compacted away, the selection threads through shard routing and the
-// probe setup instead. Epoch rollovers are found by scanning the
-// timestamp column at the selected lanes (filtered records never touch
-// the clock, exactly as in the scalar path), and the batch is split at
-// each boundary so ledger, checkpoint, pane, and persistence semantics
-// are unchanged: a mid-batch checkpoint records the stream position
-// strictly before the rolling record, as Process would.
+// ProcessColumnBatch feeds a column-major batch of records — the engine's
+// one admission path, which Process stages for and Run reads into. The
+// compiled WHERE runs over whole columns into the batch's selection bitmap
+// (b.Sel); dead lanes are never compacted away, the selection threads
+// through shard routing and the probe setup instead. Epoch rollovers are
+// found by scanning the timestamp column at the selected lanes (filtered
+// records never touch the clock), and the batch is split at each boundary
+// so ledger, checkpoint, pane, and persistence semantics do not depend on
+// where batches are cut: a mid-batch checkpoint records the stream position
+// strictly before the rolling record.
 //
 // Under a budget (Options.Budget > 0) decode, WHERE, routing and epoch
 // splitting stay columnar and only admission is per record: each selected
-// on-time lane, in lane order, goes through admitRecord — the step Process
-// uses — which probes an admitted record at once and charges its measured
-// cost before the next lane is offered, so the same records are shed as on
-// the scalar feed.
+// on-time lane, in lane order, goes through admitRecord, which probes an
+// admitted record at once and charges its measured cost before the next
+// lane is offered, so the same records are shed however the stream is cut
+// into batches.
 //
-// Outcomes — results, ledgers, stream position, checkpoint contents —
-// are identical to feeding the batch through Process record by record;
-// the engine equivalence suite pins this.
+// Outcomes — results, ledgers, stream position, checkpoint contents — are
+// invariant under batch splitting, down to one record per batch; the engine
+// equivalence suite pins this.
 func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
+	// Mixed feeds: records staged by Process come first in stream order.
+	if err := e.flushStage(); err != nil {
+		return err
+	}
+	return e.admitBatch(b)
+}
+
+// admitBatch is ProcessColumnBatch behind the stage flush.
+func (e *Engine) admitBatch(b *stream.ColumnBatch) error {
 	n := b.Len()
 	if n == 0 {
 		return nil
@@ -1309,8 +1132,9 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 
 	// Shard routing for every selected lane up front (late lanes route
 	// too: their ledgers are per-shard), compact in ascending lane order.
+	// One shard needs no routing: six stays nil and every lane is shard 0's.
 	var six []int32
-	if e.srt != nil && m > 0 {
+	if e.nShards > 1 && m > 0 {
 		if cap(e.shardIdx) < m {
 			e.shardIdx = make([]int32, m)
 		}
@@ -1330,7 +1154,6 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 		e.segSel[s] = selvec.Grow(e.segSel[s], n)
 		e.segSel[s].Clear(n)
 	}
-	seg := e.segSel[0] // the whole segment when unsharded
 	segCount := 0
 	var segEpoch uint32
 
@@ -1339,23 +1162,12 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 	for wi := 0; wi < nw; wi++ {
 		for w := sel[wi]; w != 0; w &= w - 1 {
 			i := wi<<6 + bits.TrailingZeros64(w)
-			epoch, rolled, late := e.clock.Observe(b.Time[i])
-			if late {
-				if !e.degInit {
-					e.degInit = true
-					e.deg.Epoch = epoch
-				}
-				e.deg.Offered++
-				e.deg.Late++
-				if e.srt != nil {
-					s := six[k]
-					k++
-					e.shardRouted[s]++
-					e.shardDeg[s].Offered++
-					e.shardDeg[s].Late++
-				}
-				continue
+			s := 0
+			if six != nil {
+				s = int(six[k])
+				k++
 			}
+			epoch, rolled, late := e.clock.Observe(b.Time[i])
 			if rolled {
 				if segCount > 0 {
 					// Flush the closing epoch's segment before the epoch
@@ -1370,43 +1182,30 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 					return err
 				}
 			}
+			// A late record is charged to its *arrival* epoch (the clamped
+			// current one); if it is the epoch's first record, the ledger
+			// must still open here so the epoch — and its pane — closes
+			// with the Late count instead of leaking it.
 			if !e.degInit {
 				e.degInit = true
-				e.deg.Epoch = epoch
+				e.openEpoch = epoch
 			}
-			e.deg.Offered++
-			// The budgeted case repeats the shard ledger lines rather than
-			// hoisting them, so an unbudgeted lane gains this one untaken
-			// branch and nothing else.
+			sd := &e.shardDeg[s]
+			sd.Offered++
 			switch {
+			case late:
+				sd.Late++
+				continue
 			case budgeted:
-				s := 0
-				if e.srt != nil {
-					s = int(six[k])
-					k++
-					e.shardRouted[s]++
-					e.shardDeg[s].Offered++
-				}
 				// The row buffer is reused by the next lane: a shed policy
 				// may read rec.Attrs only during the call.
 				e.rowBuf = b.Row(i, e.rowBuf)
 				if !e.admitRecord(s, stream.Record{Attrs: e.rowBuf, Time: b.Time[i]}, epoch) {
 					continue
 				}
-			case e.srt != nil:
-				e.deg.Processed++
-				s := int(six[k])
-				k++
-				e.shardRouted[s]++
-				sd := &e.shardDeg[s]
-				sd.Offered++
+			default:
 				sd.Processed++
 				e.segSel[s].Set(i)
-				segCount++
-				segEpoch = epoch
-			default:
-				e.deg.Processed++
-				seg.Set(i)
 				segCount++
 				segEpoch = epoch
 			}
@@ -1434,17 +1233,10 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 }
 
 // probeSegment feeds each shard its lanes of the gathered segment — all of
-// one epoch — and empties the selections. Staged scalar records drain
-// first, so a shard's probe order matches the record-by-record path when
-// the two feeds are mixed.
+// one epoch — and empties the selections.
 func (e *Engine) probeSegment(cols [][]uint32, n int, epoch uint32) {
-	e.drainStage()
 	for s, seg := range e.segSel {
-		rt := e.rt
-		if e.srt != nil {
-			rt = e.srt.Shard(s)
-		}
-		rt.ProcessColumnsSel(cols, n, seg, epoch)
+		e.srt.Shard(s).ProcessColumnsSel(cols, n, seg, epoch)
 		seg.Clear(n)
 	}
 }
@@ -1494,8 +1286,8 @@ func (e *Engine) Epochs(rel attr.Set) []uint32 { return e.agg.Epochs(rel) }
 // Ops returns cumulative LFTA operation counts, across re-plans and
 // summed over shards.
 func (e *Engine) Ops() lfta.Ops {
-	e.drainStage()
-	ops := e.runtimeOps()
+	_ = e.flushStage() // cannot fail outside Process; see flushStage
+	ops := e.srt.Ops()
 	return lfta.Ops{
 		Probes:    e.totalOps.Probes + ops.Probes,
 		Transfers: e.totalOps.Transfers + ops.Transfers,
@@ -1503,14 +1295,9 @@ func (e *Engine) Ops() lfta.Ops {
 	}
 }
 
-// NumShards returns the number of LFTA shards the engine runs (1 for the
-// single-runtime deployment).
-func (e *Engine) NumShards() int {
-	if e.nShards > 1 {
-		return e.nShards
-	}
-	return 1
-}
+// NumShards returns the number of LFTA shards the engine runs (1 when
+// Options.Shards is 0 or 1).
+func (e *Engine) NumShards() int { return e.nShards }
 
 // ShardDegradations returns each shard's cumulative overload accounting —
 // closed epochs plus the open one. The entries sum to Stats().Degradation.
@@ -1519,6 +1306,7 @@ func (e *Engine) ShardDegradations() []Degradation {
 	if e.nShards <= 1 {
 		return nil
 	}
+	_ = e.flushStage()
 	out := make([]Degradation, e.nShards)
 	for i := range out {
 		out[i] = e.shardCum[i]
@@ -1542,14 +1330,20 @@ func (e *Engine) ShardEpochDegradations() [][]Degradation {
 	return out
 }
 
-// ShardPositions returns the number of records routed to each shard since
-// construction or restore (including late and shed ones) — the per-shard
-// stream positions checkpoint format v2 records. Nil when unsharded.
+// ShardPositions returns the cumulative number of records routed to each
+// shard (including late and shed ones; a restored engine continues from the
+// image's counts) — the per-shard stream positions checkpoint format v2
+// records, which are each shard's cumulative Offered. Nil when unsharded.
 func (e *Engine) ShardPositions() []uint64 {
 	if e.nShards <= 1 {
 		return nil
 	}
-	return append([]uint64(nil), e.shardRouted...)
+	_ = e.flushStage()
+	out := make([]uint64, e.nShards)
+	for i := range out {
+		out[i] = e.shardCum[i].Offered + e.shardDeg[i].Offered
+	}
+	return out
 }
 
 // Stats returns execution statistics. Stats.Degradation is cumulative
@@ -1557,17 +1351,20 @@ func (e *Engine) ShardPositions() []uint64 {
 // in the aggregate).
 func (e *Engine) Stats() Stats {
 	s := e.stats
-	s.Ops = e.Ops()
+	s.Ops = e.Ops() // flushes the stage
 	s.Degradation = e.cumDeg
-	s.Degradation.add(e.deg)
+	s.Degradation.add(e.openDeg())
 	s.Durability = e.Durability()
 	return s
 }
 
-// Consumed returns the number of records offered to Process since
+// Consumed returns the number of records offered to the engine since
 // construction or restore — including filtered, late, and shed records —
 // i.e. the stream position a checkpoint records.
-func (e *Engine) Consumed() uint64 { return e.consumed }
+func (e *Engine) Consumed() uint64 {
+	_ = e.flushStage()
+	return e.consumed
+}
 
 // EpochDegradations returns the per-epoch overload accounting of every
 // closed epoch, oldest first.
@@ -1614,12 +1411,12 @@ type Diagnostics struct {
 // history. In adaptive mode the measured table window is the current
 // epoch (stats reset at each refresh).
 func (e *Engine) Diagnostics() (*Diagnostics, error) {
-	e.drainStage()
+	_ = e.flushStage()
 	rates, err := cost.Rates(e.plan.Config, e.groups, e.plan.Alloc, e.opts.Params)
 	if err != nil {
 		return nil, err
 	}
-	stats := e.runtimeTableStats()
+	stats := e.srt.TableStats()
 	var out []TableDiagnostic
 	for _, r := range e.plan.Config.Rels {
 		st := stats[r]
@@ -1636,7 +1433,7 @@ func (e *Engine) Diagnostics() (*Diagnostics, error) {
 		})
 	}
 	total := e.cumDeg
-	total.add(e.deg)
+	total.add(e.openDeg())
 	d := &Diagnostics{
 		Tables:     out,
 		Epochs:     e.EpochDegradations(),

@@ -284,10 +284,11 @@ func TestPlannerVariants(t *testing.T) {
 	}
 }
 
-// TestProcessStagingFlushAllocs: the scalar feed stages on-time records
-// and flushes them a run at a time through Runtime.ProcessColumns, whose
-// saturated selection lives in per-runtime scratch — so a steady-state
-// flush allocates nothing, sharded or not.
+// TestProcessStagingFlushAllocs: the scalar feed stages records in one
+// engine-owned column batch and hands it to ProcessColumnBatch a run at a
+// time; the stage, the selection and routing scratch and the runtimes'
+// probe frames are all reused — so a steady-state flush allocates nothing,
+// sharded or not.
 func TestProcessStagingFlushAllocs(t *testing.T) {
 	recs, groups := testWorkload(t, 4*stageRun)
 	for _, shards := range []int{0, 2} {
@@ -297,17 +298,17 @@ func TestProcessStagingFlushAllocs(t *testing.T) {
 		}
 		feed := func() {
 			for _, r := range recs {
-				r.Time = 0 // one epoch: only staging flushes, no epoch close
+				r.Time = 0 // one epoch: only full-stage flushes, no epoch close
 				if err := e.Process(r); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		// Two passes size the staging columns, the runtimes' scratch and
+		// Two passes size the stage, the admission and runtime scratch, the
 		// run buffers, and the epoch's HFTA groups.
 		feed()
 		feed()
-		if e.runtimeOps().Records == 0 {
+		if e.srt.Ops().Records == 0 {
 			t.Fatalf("shards=%d: no staged run reached the LFTA", shards)
 		}
 		if avg := testing.AllocsPerRun(10, feed); avg != 0 {

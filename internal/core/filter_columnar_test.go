@@ -20,12 +20,16 @@ import (
 	"repro/internal/stream"
 )
 
-// Equivalence suite for the vectorized WHERE path: ProcessColumnBatch
-// with a compiled filter must be indistinguishable — results, ledgers,
-// stream position, checkpoint contents — from feeding the same records
-// through the scalar Process loop, for every tag-scan kernel the build
-// supports, across batch-boundary epoch splits and shard counts; and both
-// feeds must match a brute-force replica built on the interpreted WHERE.
+// Batch-splitting invariance suite for the engine's one admission path.
+// Process is a stager in front of ProcessColumnBatch (its batches end at
+// 512 records or at a record that may roll the clock), so the "scalar" leg
+// of these grids is one more way of cutting the stream: results, ledgers,
+// stream position and checkpoint contents must not depend on where batches
+// are cut — 1, 7, 512-or-roll, random, ColumnBatchLen, Run — for every
+// tag-scan kernel the build supports and every shard count. What referees
+// the path itself is engine-independent: a brute-force replica built on the
+// interpreted WHERE, the clock's lateness rule and hfta.Reference, and the
+// checkpoint goldens the record-by-record engine wrote.
 
 // filterSQL shares one two-conjunction DNF WHERE across both queries
 // (the engine requires a common filter): with the testWorkload value
@@ -142,12 +146,13 @@ func assertEnginesAgree(t *testing.T, label string, got, want *Engine) {
 	}
 }
 
-// TestColumnBatchMatchesScalarWithWhere: the vectorized admission path —
-// compiled WHERE into a selection bitmap, selection-aware routing and
-// probing, mid-batch epoch splits — produces record-for-record identical
-// outcomes to the scalar Process loop, on a stream that also carries
-// late records, for 1 and 4 shards and under every kernel selection —
-// and so does one engine fed through both in alternation.
+// TestColumnBatchMatchesScalarWithWhere: admission — compiled WHERE into a
+// selection bitmap, selection-aware routing and probing, mid-batch epoch
+// splits — produces record-for-record identical outcomes whether the
+// stream is cut by the Process stager (512-or-roll) or into random batches
+// of 1..2*ColumnBatchLen, on a stream that also carries late records, for
+// 1 and 4 shards and under every kernel selection — and so does one engine
+// fed through both in alternation.
 func TestColumnBatchMatchesScalarWithWhere(t *testing.T) {
 	defer hashtab.SetSIMD(hashtab.SIMDEnabled())
 	_, chaotic := lateWorkload(t, 30000)
@@ -189,8 +194,8 @@ func TestColumnBatchMatchesScalarWithWhere(t *testing.T) {
 				assertEnginesAgree(t, name, columnar, scalar)
 
 				// Both feeds into one engine, alternating: records staged
-				// by Process must reach their shard's tables before the
-				// next batch's lanes do, or the op counts diverge.
+				// by Process must be admitted before the next batch's
+				// lanes are, or ledgers and op counts diverge.
 				mixed, err := New(filterSQL, groups, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -358,7 +363,7 @@ func TestFilterCompiledMatchesOracle(t *testing.T) {
 // record with filtered lanes included — so a crash during columnar
 // ingest resumes to exactly the uninterrupted run's emissions.
 func TestColumnarWhereCheckpointResume(t *testing.T) {
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{0, 1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			columnarKillRestore(t, filterSQL, func() Options { return Options{M: 8000, Seed: 3, Shards: shards} })
 		})
@@ -372,7 +377,7 @@ func TestColumnarWhereCheckpointResume(t *testing.T) {
 // records the uninterrupted run shed.
 func TestColumnarBudgetCheckpointResume(t *testing.T) {
 	for _, policy := range []string{"droptail", "uniform"} {
-		for _, shards := range []int{0, 2} {
+		for _, shards := range []int{0, 1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/shards=%d", policy, shards), func(t *testing.T) {
 				columnarKillRestore(t, budgetSQL(true), func() Options {
 					return Options{M: 8000, Seed: 3, Shards: shards, Budget: 150, Shed: shedPolicyFor(policy)}
@@ -506,9 +511,9 @@ func TestNoWhereZeroFilterOverhead(t *testing.T) {
 	}
 }
 
-// Equivalence under a budget: overload control admits record by record on
-// the columnar feed too, through the same admitRecord step as Process, so
-// for one stream and seed every feed sheds exactly the same records.
+// Invariance under a budget: overload control admits record by record, in
+// lane order, inside whatever batch a record arrives in, so for one stream
+// and seed every way of cutting it sheds exactly the same records.
 
 // budgetSQL groups like filterSQL, with an optional WHERE on A that passes
 // about half of testWorkload's [0, 40) value pool.
@@ -532,13 +537,16 @@ type admitLog struct {
 	attrs     []uint32
 	times     []uint32
 	exhausted []bool
+	admitted  []bool // the wrapped policy's verdicts, for the oracle leg
 }
 
 func (l *admitLog) Admit(rec stream.Record, exhausted bool) bool {
 	l.attrs = append(l.attrs, rec.Attrs...)
 	l.times = append(l.times, rec.Time)
 	l.exhausted = append(l.exhausted, exhausted)
-	return l.inner.Admit(rec, exhausted)
+	ok := l.inner.Admit(rec, exhausted)
+	l.admitted = append(l.admitted, ok)
+	return ok
 }
 
 func (l *admitLog) EpochEnd(d Degradation) { l.inner.EpochEnd(d) }
@@ -611,7 +619,73 @@ func (f *budgetFeed) finish(t *testing.T) {
 	}
 }
 
-// assertBudgetFeedsAgree compares a column-fed run with the Process-fed one.
+// assertBudgetFeedMatchesOracle referees one budgeted run without another
+// engine: the interpreted WHERE picks the survivors of in, the clock's
+// lateness rule replayed over them alone splits off the late ones, and the
+// rest must be exactly what the shed policy was offered, in order. Over
+// exactly the records the policy admitted, hfta.Reference must give the
+// rows the engine emitted, and the replica's per-epoch counts its ledgers.
+func assertBudgetFeedMatchesOracle(t *testing.T, f *budgetFeed, sql string, in []stream.Record) {
+	t.Helper()
+	spec, err := query.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := stream.NewClock(spec.EpochLen)
+	var want []Degradation // by arrival epoch, in closing order
+	var admitted []stream.Record
+	k := 0 // admissions replayed so far
+	for _, r := range in {
+		if !spec.MatchWhere(r.Attrs) {
+			continue
+		}
+		epoch, _, late := clock.Observe(r.Time)
+		if len(want) == 0 || want[len(want)-1].Epoch != epoch {
+			want = append(want, Degradation{Epoch: epoch})
+		}
+		led := &want[len(want)-1]
+		led.Offered++
+		if late {
+			led.Late++
+			continue
+		}
+		w := len(r.Attrs)
+		if k >= len(f.log.times) || f.log.times[k] != r.Time || !slices.Equal(f.log.attrs[k*w:(k+1)*w], r.Attrs) {
+			t.Fatalf("oracle: admission %d is not on-time survivor %v", k, r)
+		}
+		if f.log.admitted[k] {
+			led.Processed++
+			admitted = append(admitted, r)
+		} else {
+			led.Dropped++
+		}
+		k++
+	}
+	if k != len(f.log.times) {
+		t.Errorf("oracle: the policy was offered %d records; the replica has %d on-time survivors", len(f.log.times), k)
+	}
+	if got := f.e.EpochDegradations(); !slices.Equal(got, want) {
+		t.Errorf("oracle: per-epoch ledgers %+v; replica counts %+v", got, want)
+	}
+	oracle := map[epochKey][]hfta.Row{}
+	for _, r := range hfta.Reference(admitted, filterQueries, lfta.CountStar, spec.EpochLen) {
+		k := epochKey{r.Rel, r.Epoch}
+		oracle[k] = append(oracle[k], r)
+	}
+	for k, rows := range oracle {
+		if _, ok := f.emit[k]; !ok {
+			t.Errorf("oracle: epoch %d of %v has %d groups over the admitted records; the engine emitted nothing", k.epoch, k.rel, len(rows))
+		}
+	}
+	for k, got := range f.emit {
+		if got != renderRows(oracle[k]) {
+			t.Errorf("oracle: epoch %d of %v differs from the reference over the admitted records", k.epoch, k.rel)
+		}
+	}
+}
+
+// assertBudgetFeedsAgree compares two runs over the same stream, cut into
+// batches differently.
 func assertBudgetFeedsAgree(t *testing.T, label string, got, want *budgetFeed) {
 	t.Helper()
 	assertEnginesAgree(t, label, got.e, want.e)
@@ -646,12 +720,14 @@ func assertBudgetFeedsAgree(t *testing.T, label string, got, want *budgetFeed) {
 	}
 }
 
-// TestColumnBatchBudgetMatchesScalar: with Budget > 0 the columnar feed —
-// ProcessColumnBatch at batch lengths that put epoch rolls and budget ticks
-// mid-batch, and Run over a ColumnSource — is indistinguishable from the
-// Process loop: same rows per epoch, same ledgers per epoch and per shard,
-// same positions and operation counts, the same bytes in every checkpoint,
-// and the same (attrs, time, exhausted) sequence offered to the policy.
+// TestColumnBatchBudgetMatchesScalar: with Budget > 0 the outcome is
+// invariant under batch splitting — the Process stager (512-or-roll),
+// ProcessColumnBatch at lengths 1, 7 and ColumnBatchLen that put epoch rolls
+// and budget ticks mid-batch, and Run over a ColumnSource: same rows per
+// epoch, same ledgers per epoch and per shard, same positions and operation
+// counts, the same bytes in every checkpoint, and the same (attrs, time,
+// exhausted) sequence offered to the policy. The Process-fed run, which the
+// others are compared with, is itself refereed by the brute-force oracle.
 func TestColumnBatchBudgetMatchesScalar(t *testing.T) {
 	recs, _ := testWorkload(t, 12000)
 	chaotic, err := stream.Collect(stream.NewChaosSource(stream.NewSliceSource(recs),
@@ -691,6 +767,7 @@ func TestColumnBatchBudgetMatchesScalar(t *testing.T) {
 						if len(scalar.ckpts) != len(scalar.e.EpochDegradations())-1 {
 							t.Fatalf("captured %d checkpoints over %d closed epochs", len(scalar.ckpts), len(scalar.e.EpochDegradations()))
 						}
+						assertBudgetFeedMatchesOracle(t, scalar, sqls[0], in)
 
 						for _, batch := range []int{1, 7, stream.ColumnBatchLen} {
 							col := newBudgetFeed(t, sqls, groups, policy, shards, budget)

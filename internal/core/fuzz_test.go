@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -275,6 +276,25 @@ func TestRestoreRejectsCorruptV2(t *testing.T) {
 	})
 	t.Run("shard weight NaN", func(t *testing.T) {
 		mustReject(t, put64(v2, shardOff+4, math.Float64bits(math.NaN())))
+	})
+	t.Run("shard position word is not state", func(t *testing.T) {
+		// The word after shard 0's weight is that shard's position. It is
+		// derived (cumulative Offered, plus the open epoch's in this
+		// mid-epoch image), so Restore reads past it: an image carrying
+		// another value restores to the same engine, whose positions are
+		// its ledgers' Offered.
+		want := fresh()
+		if _, err := want.Restore(bytes.NewReader(v2)); err != nil {
+			t.Fatal(err)
+		}
+		got := fresh()
+		routed := binary.LittleEndian.Uint64(v2[shardOff+12:])
+		if _, err := got.Restore(bytes.NewReader(put64(v2, shardOff+12, routed+12345))); err != nil {
+			t.Fatalf("image with a different position word rejected: %v", err)
+		}
+		if g, w := got.ShardPositions(), want.ShardPositions(); !slices.Equal(g, w) || g[0] != got.ShardDegradations()[0].Offered || g[0] == 0 {
+			t.Errorf("restored positions %v; want %v, each shard's cumulative Offered", g, w)
+		}
 	})
 	t.Run("shed rate out of range", func(t *testing.T) {
 		// First shed word is the UniformShed rate; 2.0 is not a probability.

@@ -46,8 +46,8 @@ func (d *Degradation) add(o Degradation) {
 // processing budget (Options.Budget). Admit is consulted for every
 // offered record, in stream order; exhausted reports whether the current
 // stream time unit's budget is already spent. rec.Attrs is valid only for
-// the duration of the call — on the columnar feed it aliases an
-// engine-owned row buffer the next record overwrites — so a policy that
+// the duration of the call — it aliases an engine-owned row buffer the
+// next record overwrites — so a policy that
 // keeps attributes must copy them (the built-in policies never read
 // them). EpochEnd delivers the closed epoch's degradation so adaptive
 // policies can steer. Policies are used from a single goroutine.

@@ -11,10 +11,10 @@ import (
 // is deliberately thin — at each epoch close it hands the composer the
 // epoch's finalized HFTA rows plus the pane's serialized sketch partials,
 // then delivers whatever windows the composer says are complete. Sketch
-// accumulation runs in the single-threaded admission path (Process),
-// never inside the sharded probe pipeline, so the SIMD probe hot path is
-// byte-identical with and without windowing and windowed results match
-// across shard counts.
+// accumulation runs in the single-threaded admission path
+// (ProcessColumnBatch), never inside the sharded probe pipeline, so the
+// SIMD probe hot path is byte-identical with and without windowing and
+// windowed results match across shard counts.
 
 // WindowHandler streams closed windows out of the engine: one call per
 // query relation per closed window, rows sorted by group key, HAVING

@@ -301,12 +301,6 @@ func (r *Runtime) TableStats() map[attr.Set]hashtab.Stats {
 	return out
 }
 
-// ResetOps zeroes the runtime and table counters (not table contents).
-func (r *Runtime) ResetOps() {
-	r.ops = Ops{}
-	r.ResetTableStats()
-}
-
 // Reset empties every table and zeroes all counters without releasing
 // any allocated storage (tables, scratch frames, eviction buffers): the
 // runtime behaves as freshly constructed, and a subsequent same-shaped

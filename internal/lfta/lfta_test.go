@@ -288,8 +288,8 @@ func TestTableStatsAndReset(t *testing.T) {
 	if st.Probes != 1 {
 		t.Errorf("table probes = %d", st.Probes)
 	}
-	rt.ResetOps()
-	if rt.Ops().Probes != 0 || rt.TableStats()[attr.MustParseSet("A")].Probes != 0 {
-		t.Error("ResetOps left counters behind")
+	rt.ResetTableStats()
+	if rt.TableStats()[attr.MustParseSet("A")].Probes != 0 {
+		t.Error("ResetTableStats left counters behind")
 	}
 }

@@ -10,10 +10,11 @@ import (
 	"repro/internal/stream"
 )
 
-// Sharded runs several independent LFTA instances over one logical
-// stream — Gigascope's deployment shape, where each network interface (or
-// core) hosts its own LFTA and all of them feed the same HFTAs (Figure 1
-// of the paper). Records are partitioned by a hash of their full
+// Sharded runs n ≥ 1 independent LFTA instances over one logical stream —
+// Gigascope's deployment shape, where each network interface (or core)
+// hosts its own LFTA and all of them feed the same HFTAs (Figure 1 of the
+// paper); a single LFTA is the n = 1 case, which routes nothing and keeps
+// the base seed. Records are partitioned by a hash of their full
 // attribute vector, so all records of a group land on the same shard and
 // per-shard partial aggregates stay disjoint until the HFTA merge; the
 // merge is exact either way, since HFTA combination is associative and
@@ -55,14 +56,20 @@ func shardSeed(seed uint64, shard int) uint64 {
 
 // NewSharded builds n shards, each executing cfg with its own tables of
 // the given allocation. Shard hash seeds derive from seed so the shards
-// use independent hash functions.
+// use independent hash functions; the only shard of a 1-shard deployment
+// takes seed itself, so it is New(cfg, alloc, aggs, seed, sink) table for
+// table.
 func NewSharded(cfg *feedgraph.Config, alloc cost.Alloc, aggs []AggSpec, seed uint64, sink Sink, n int) (*Sharded, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("lfta: need at least one shard, got %d", n)
 	}
 	s := &Sharded{shards: make([]*Runtime, n)}
 	for i := range s.shards {
-		rt, err := New(cfg, alloc, aggs, shardSeed(seed, i), sink)
+		tableSeed := seed
+		if n > 1 {
+			tableSeed = shardSeed(seed, i)
+		}
+		rt, err := New(cfg, alloc, aggs, tableSeed, sink)
 		if err != nil {
 			return nil, err
 		}
@@ -97,8 +104,12 @@ const shardRouteSeed = 0x5bd1e995bc9e3779
 // record routes to, using the same word-at-a-time mixing kernel as the
 // hash tables (hashtab.HashWords) with a fastrange reduction. Exposed so
 // engine-level overload control can charge each record against the
-// budget slice of the shard doing the work.
+// budget slice of the shard doing the work. A 1-shard deployment routes
+// everything to shard 0 without hashing.
 func (s *Sharded) ShardOf(rec *stream.Record) int {
+	if len(s.shards) == 1 {
+		return 0
+	}
 	return hashtab.Reduce(hashtab.HashWords(shardRouteSeed, rec.Attrs), len(s.shards))
 }
 

@@ -2,6 +2,7 @@ package lfta_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/attr"
@@ -48,6 +49,45 @@ func TestNewShardedValidation(t *testing.T) {
 	}
 	if s.NumShards() != 4 {
 		t.Errorf("NumShards = %d", s.NumShards())
+	}
+}
+
+// TestOneShardIsTheSingleRuntime: a 1-shard deployment is lfta.New — the
+// only shard takes the base seed, so on a record run it has the same
+// per-table counters, the same operation counts and the same transfer
+// sequence entry for entry — and routes everything to shard 0.
+func TestOneShardIsTheSingleRuntime(t *testing.T) {
+	cfg, alloc, recs, _ := shardedFixture(t)
+	var want, got []lfta.Eviction
+	rt, err := lfta.New(cfg, alloc, lfta.CountStar, 9, func(ev lfta.Eviction) { want = append(want, ev) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := lfta.NewSharded(cfg, alloc, lfta.CountStar, 9, func(ev lfta.Eviction) { got = append(got, ev) }, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOps, err := rt.Run(stream.NewSliceSource(recs), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotOps, err := s.Run(stream.NewSliceSource(recs), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotOps != wantOps || wantOps.Transfers == 0 {
+		t.Errorf("one shard ran %+v; the single runtime %+v (want equal, with transfers)", gotOps, wantOps)
+	}
+	if !reflect.DeepEqual(s.TableStats(), rt.TableStats()) {
+		t.Errorf("per-table counters differ:\n one shard %+v\n runtime   %+v", s.TableStats(), rt.TableStats())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("transfer sequences differ (%d entries; want %d)", len(got), len(want))
+	}
+	for i := range recs[:100] {
+		if sh := s.ShardOf(&recs[i]); sh != 0 {
+			t.Fatalf("record %d routed to shard %d of 1", i, sh)
+		}
 	}
 }
 

@@ -97,34 +97,6 @@ func (b *ColumnBatch) Row(i int, dst []uint32) []uint32 {
 	return dst
 }
 
-// ColumnPool is a freelist of ColumnBatches for single-goroutine reuse
-// cycles (the engine's staging, test fixtures). Cross-goroutine recycling
-// — the shard pipeline — runs batches through SPSC rings instead.
-type ColumnPool struct {
-	free []*ColumnBatch
-}
-
-// Get returns a batch reset to the given width.
-func (p *ColumnPool) Get(width int) *ColumnBatch {
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		b.Reset(width)
-		return b
-	}
-	b := &ColumnBatch{}
-	b.Reset(width)
-	return b
-}
-
-// Put returns a batch to the freelist.
-func (p *ColumnPool) Put(b *ColumnBatch) {
-	if b != nil {
-		p.free = append(p.free, b)
-	}
-}
-
 // ColumnSource is an optional Source refinement for columnar consumers: a
 // source that can decode records directly into a ColumnBatch (an
 // in-memory slice, a binary trace block) should implement it, and

@@ -20,8 +20,8 @@ func columnTestRecs(rng *rand.Rand, n, width int) []Record {
 	return recs
 }
 
-// checkColumnsMatch compares one ColumnBatch against the record-major
-// batch read from the same stream position.
+// checkColumnsMatch compares one ColumnBatch against the records read from
+// the same stream position.
 func checkColumnsMatch(t *testing.T, cb *ColumnBatch, recs []Record) {
 	t.Helper()
 	if cb.Len() != len(recs) {
@@ -42,33 +42,38 @@ func checkColumnsMatch(t *testing.T, cb *ColumnBatch, recs []Record) {
 	}
 }
 
-// drainEquivalence pulls both sources to exhaustion with the given
-// batch limit, comparing every batch. The two sources must yield the
-// same stream.
+// drainEquivalence drains recSrc record by record (Collect, i.e. Next) as
+// the reference and colSrc through ReadColumns with the given batch limit,
+// comparing every batch against its stretch of the reference. The two
+// sources must yield the same stream.
 func drainEquivalence(t *testing.T, colSrc, recSrc Source, limit int) {
 	t.Helper()
+	want, wantErr := Collect(recSrc)
 	var cb ColumnBatch
-	recBuf := make([]Record, limit)
+	pos := 0
 	for {
-		cn := ReadColumns(colSrc, &cb, limit)
-		rn := ReadBatch(recSrc, recBuf[:limit])
-		if cn != rn {
-			t.Fatalf("limit %d: ReadColumns returned %d records, ReadBatch %d", limit, cn, rn)
-		}
-		if cn == 0 {
+		n := ReadColumns(colSrc, &cb, limit)
+		if n == 0 {
 			break
 		}
-		checkColumnsMatch(t, &cb, recBuf[:rn])
+		if n > limit || pos+n > len(want) {
+			t.Fatalf("limit %d: ReadColumns returned %d records at position %d of %d", limit, n, pos, len(want))
+		}
+		checkColumnsMatch(t, &cb, want[pos:pos+n])
+		pos += n
 	}
-	if ce, re := colSrc.Err(), recSrc.Err(); (ce == nil) != (re == nil) {
-		t.Fatalf("limit %d: error mismatch: columnar %v, record-major %v", limit, ce, re)
+	if pos != len(want) {
+		t.Fatalf("limit %d: ReadColumns yielded %d records, Next %d", limit, pos, len(want))
+	}
+	if ce := colSrc.Err(); (ce == nil) != (wantErr == nil) {
+		t.Fatalf("limit %d: error mismatch: columnar %v, record-major %v", limit, ce, wantErr)
 	}
 }
 
-// TestReadColumnsMatchesReadBatchSlice: the SliceSource columnar fast
-// path yields exactly the transposed record stream, across batch limits
-// that divide the stream evenly and ones that leave a short tail.
-func TestReadColumnsMatchesReadBatchSlice(t *testing.T) {
+// TestReadColumnsMatchesNextSlice: the SliceSource columnar fast path
+// yields exactly the transposed record stream, across batch limits that
+// divide the stream evenly and ones that leave a short tail.
+func TestReadColumnsMatchesNextSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	recs := columnTestRecs(rng, 3000, 4)
 	for _, limit := range []int{1, 7, 256, ColumnBatchLen, 5000} {
@@ -76,10 +81,10 @@ func TestReadColumnsMatchesReadBatchSlice(t *testing.T) {
 	}
 }
 
-// TestReadColumnsMatchesReadBatchTrace: the TraceSource columnar decode
-// (block read + per-attribute stride decode) matches the record-major
-// decode byte for byte.
-func TestReadColumnsMatchesReadBatchTrace(t *testing.T) {
+// TestReadColumnsMatchesNextTrace: the TraceSource columnar decode (block
+// read + per-attribute stride decode) matches the record-by-record decode
+// byte for byte.
+func TestReadColumnsMatchesNextTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, width := range []int{1, 3, 8} {
 		recs := columnTestRecs(rng, 2500, width)
@@ -102,7 +107,7 @@ func TestReadColumnsMatchesReadBatchTrace(t *testing.T) {
 	}
 }
 
-// plainSource hides a Source's batch interfaces, forcing ReadColumns
+// plainSource hides a Source's NextColumns, forcing ReadColumns
 // onto its scalar Next-loop transpose fallback.
 type plainSource struct{ src Source }
 

@@ -83,38 +83,6 @@ type Source interface {
 	Err() error
 }
 
-// BatchSource is an optional Source refinement for bulk consumers: one
-// NextBatch call replaces up to len(dst) Next calls, amortizing the
-// interface dispatch that dominates tight ingest loops. A source that
-// can hand out records in bulk (an in-memory slice, a decoded trace
-// block) should implement it; ReadBatch falls back to Next otherwise.
-type BatchSource interface {
-	Source
-	// NextBatch fills dst from the stream and returns how many records
-	// were written. A return of 0 means the stream is exhausted (check
-	// Err); short non-zero returns are allowed.
-	NextBatch(dst []Record) int
-}
-
-// ReadBatch fills dst from src — via one NextBatch call when src
-// implements BatchSource, otherwise by looping Next — and returns the
-// number of records written. 0 means the stream is exhausted.
-func ReadBatch(src Source, dst []Record) int {
-	if bs, ok := src.(BatchSource); ok {
-		return bs.NextBatch(dst)
-	}
-	n := 0
-	for n < len(dst) {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		dst[n] = r
-		n++
-	}
-	return n
-}
-
 // SliceSource replays an in-memory batch of records; the canonical source
 // for experiments, which need repeatable multi-pass access to a dataset.
 type SliceSource struct {
@@ -141,43 +109,11 @@ func (s *SliceSource) Next() (Record, bool) {
 // Err implements Source; a slice source never fails.
 func (s *SliceSource) Err() error { return nil }
 
-// NextBatch implements BatchSource with one bulk copy.
-func (s *SliceSource) NextBatch(dst []Record) int {
-	n := copy(dst, s.recs[s.pos:])
-	s.pos += n
-	return n
-}
-
 // Reset rewinds the source to the beginning for another pass.
 func (s *SliceSource) Reset() { s.pos = 0 }
 
 // Len returns the total number of records in the source.
 func (s *SliceSource) Len() int { return len(s.recs) }
-
-// ChanSource adapts a channel of records to the Source interface, for live
-// pipelines feeding the engine from another goroutine.
-type ChanSource struct {
-	C <-chan Record
-}
-
-// Next implements Source; it blocks until a record arrives or C is closed.
-func (c ChanSource) Next() (Record, bool) {
-	r, ok := <-c.C
-	return r, ok
-}
-
-// Err implements Source.
-func (c ChanSource) Err() error { return nil }
-
-// FuncSource adapts a generator function to Source. The function returns
-// ok=false when the stream ends.
-type FuncSource func() (Record, bool)
-
-// Next implements Source.
-func (f FuncSource) Next() (Record, bool) { return f() }
-
-// Err implements Source.
-func (f FuncSource) Err() error { return nil }
 
 // Epoch identifies an aggregation window: epoch e covers stream times
 // [e*Length, (e+1)*Length).

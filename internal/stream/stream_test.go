@@ -60,32 +60,6 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestChanAndFuncSource(t *testing.T) {
-	ch := make(chan Record, 2)
-	ch <- mkRec(5, 9)
-	close(ch)
-	cs := ChanSource{C: ch}
-	if r, ok := cs.Next(); !ok || r.Time != 5 {
-		t.Errorf("ChanSource.Next = %v, %v", r, ok)
-	}
-	if _, ok := cs.Next(); ok {
-		t.Error("closed channel source returned a record")
-	}
-
-	n := 0
-	fs := FuncSource(func() (Record, bool) {
-		if n >= 2 {
-			return Record{}, false
-		}
-		n++
-		return mkRec(uint32(n), uint32(n)), true
-	})
-	recs, _ := Collect(fs)
-	if len(recs) != 2 {
-		t.Errorf("FuncSource produced %d records", len(recs))
-	}
-}
-
 func TestEpochOf(t *testing.T) {
 	e := Epoch{Length: 60}
 	cases := []struct{ t, want uint32 }{{0, 0}, {59, 0}, {60, 1}, {121, 2}}

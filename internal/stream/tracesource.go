@@ -17,7 +17,6 @@ type TraceSource struct {
 	schema Schema
 	left   uint64
 	buf    []byte
-	cb     *ColumnBatch // NextBatch's reused columnar decode buffer
 	err    error
 }
 
@@ -153,32 +152,6 @@ func (t *TraceSource) NextColumns(dst *ColumnBatch, limit int) int {
 	dst.Time = times
 	if t.left == 0 {
 		t.release()
-	}
-	return n
-}
-
-// NextBatch implements BatchSource as a record-major shim over the
-// columnar decode: records are gathered out of a reused ColumnBatch,
-// with one attribute arena allocation per batch instead of one per
-// record.
-func (t *TraceSource) NextBatch(dst []Record) int {
-	if t.cb == nil {
-		t.cb = &ColumnBatch{}
-	}
-	n := t.NextColumns(t.cb, len(dst))
-	if n == 0 {
-		return 0
-	}
-	w := t.cb.Width()
-	arena := make([]uint32, n*w)
-	for a := 0; a < w; a++ {
-		col := t.cb.Cols[a]
-		for i := 0; i < n; i++ {
-			arena[i*w+a] = col[i]
-		}
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = Record{Attrs: arena[i*w : (i+1)*w : (i+1)*w], Time: t.cb.Time[i]}
 	}
 	return n
 }
