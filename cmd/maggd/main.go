@@ -28,12 +28,13 @@
 //     global budget, split across shards by measured demand and
 //     reconciled every epoch; the summary prints the per-shard
 //     degradation ledgers, which sum exactly to the global one.
-//   - -checkpoint path makes the engine write a checkpoint at every
-//     epoch boundary; if the file already exists, maggd resumes from it,
-//     skipping the records of all closed epochs and re-processing the
-//     open epoch. SIGINT/SIGTERM flush the final (partial) epoch instead
-//     of losing it; the checkpoint on disk stays at the last closed
-//     boundary, so a later resume re-emits the interrupted epoch whole.
+//   - -checkpoint path makes the engine keep a checkpoint log there: a
+//     base image plus one appended delta frame per later epoch boundary.
+//     If the file already exists, maggd resumes from it, skipping the
+//     records of all closed epochs and re-processing the open epoch.
+//     SIGINT/SIGTERM flush the final (partial) epoch instead of losing
+//     it; the log on disk stays at the last closed boundary, so a later
+//     resume re-emits the interrupted epoch whole.
 //   - -store dir attaches a durable epoch store: every closed epoch's
 //     answers are appended (asynchronously, off the hot path) to a
 //     crash-safe segmented log under dir. Opening the store runs
@@ -108,7 +109,7 @@ func main() {
 		budget     = flag.Float64("budget", 0, "weighted LFTA operation units per stream time unit (0 = unlimited)")
 		shed       = flag.String("shed", "droptail", "shedding policy under -budget: droptail or uniform")
 		shards     = flag.Int("shards", 0, "hash-partitioned LFTA shards under one global budget (0 or 1 = one LFTA, no routing)")
-		checkpoint = flag.String("checkpoint", "", "checkpoint file: written at epoch boundaries, resumed from if present")
+		checkpoint = flag.String("checkpoint", "", "checkpoint log: an image plus a delta appended per epoch boundary, resumed from if present")
 		store      = flag.String("store", "", "durable epoch store directory: closed epochs persisted crash-safely, recovered on open")
 		history    = flag.String("history", "", "with -store: print persisted epoch N (or 'all') and exit")
 		sinkFail   = flag.Int("sink-fail-every", 0, "drop every Nth LFTA→HFTA delivery (fault injection; 0 = off)")

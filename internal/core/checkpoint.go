@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,8 +10,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/attr"
+	"repro/internal/epochstore"
 	"repro/internal/feedgraph"
 	"repro/internal/hfta"
 	"repro/internal/lfta"
@@ -26,7 +29,8 @@ import (
 // are empty and every eviction has reached the HFTA, so no partial hash
 // table state ever needs to be serialized: a restore rebuilds the plan
 // from the restored group counts and replays the open epoch's records
-// from the recorded stream position.
+// from the recorded stream position. (Options.CheckpointPath keeps it as a
+// log of an image and per-boundary delta frames; see ckptlog.go.)
 //
 // Binary format ("MAGK", little-endian), in order: magic, version,
 // workload hash, consumed, stats (epochs, replans, peak repairs, result
@@ -128,14 +132,19 @@ func (e *Engine) workloadHash() uint64 {
 // mid-epoch LFTA table contents are not captured.
 func (e *Engine) Checkpoint(w io.Writer) error {
 	_ = e.flushStage() // cannot fail outside Process; see flushStage
-	version := uint8(ckptVersionV2)
-	if e.hasDurabilityState() {
-		version = ckptVersionV3
+	return e.checkpointVersion(w, e.ckptVersion())
+}
+
+// ckptVersion is the format version Checkpoint writes for the engine's
+// current state.
+func (e *Engine) ckptVersion() uint8 {
+	switch {
+	case e.winComposer != nil:
+		return ckptVersion
+	case e.hasDurabilityState():
+		return ckptVersionV3
 	}
-	if e.winComposer != nil {
-		version = ckptVersion
-	}
-	return e.checkpointVersion(w, version)
+	return ckptVersionV2
 }
 
 // hasDurabilityState reports whether the engine has anything for a v3
@@ -161,6 +170,15 @@ type ckptEncoder struct {
 	scratch [36]byte
 }
 
+// reset points the encoder at w, allocating its buffer on first use.
+func (c *ckptEncoder) reset(w io.Writer) {
+	if c.bw == nil {
+		c.bw = bufio.NewWriterSize(w, 64<<10)
+	} else {
+		c.bw.Reset(w)
+	}
+}
+
 func (c *ckptEncoder) u8(v uint8) { _ = c.bw.WriteByte(v) }
 
 func (c *ckptEncoder) u32(v uint32) {
@@ -172,6 +190,8 @@ func (c *ckptEncoder) u64(v uint64) {
 	binary.LittleEndian.PutUint64(c.scratch[:], v)
 	_, _ = c.bw.Write(c.scratch[:8])
 }
+
+func (c *ckptEncoder) f64(v float64) { c.u64(math.Float64bits(v)) }
 
 func (c *ckptEncoder) bytes(b []byte) { _, _ = c.bw.Write(b) }
 
@@ -194,18 +214,73 @@ func (c *ckptEncoder) paneStats(s hfta.PaneStats) {
 	c.u64(s.Late)
 }
 
+// rows writes a retained-row list: count, then each row's relation, epoch,
+// key and aggregates with their lengths.
+func (c *ckptEncoder) rows(rows []hfta.Row) {
+	c.u64(uint64(len(rows)))
+	for i := range rows {
+		r := &rows[i]
+		c.u32(uint32(r.Rel))
+		c.u32(r.Epoch)
+		c.u8(uint8(len(r.Key)))
+		for _, k := range r.Key {
+			c.u32(k)
+		}
+		c.u8(uint8(len(r.Aggs)))
+		for _, a := range r.Aggs {
+			c.u64(uint64(a))
+		}
+	}
+}
+
+// panes writes a pane list: count, then each pane's epoch, stats, and per
+// relation its rows and sketch blobs.
+func (c *ckptEncoder) panes(panes []hfta.PaneSnapshot) {
+	c.u32(uint32(len(panes)))
+	for _, p := range panes {
+		c.u32(p.Epoch)
+		c.paneStats(p.Stats)
+		c.u8(uint8(len(p.Rels)))
+		for _, rs := range p.Rels {
+			c.u32(uint32(rs.Rel))
+			c.u32(uint32(len(rs.Rows)))
+			for i := range rs.Rows {
+				r := &rs.Rows[i]
+				for _, k := range r.Key {
+					c.u32(k)
+				}
+				for _, a := range r.Aggs {
+					c.u64(uint64(a))
+				}
+			}
+			c.u32(uint32(len(rs.Sketches)))
+			for _, kb := range rs.Sketches {
+				for _, k := range kb.Key {
+					c.u32(k)
+				}
+				c.u32(uint32(len(kb.Blob)))
+				c.bytes(kb.Blob)
+			}
+		}
+	}
+}
+
 // checkpointVersion writes the checkpoint in the requested format
 // version; tests use it to produce v1 images for read-compatibility.
 func (e *Engine) checkpointVersion(w io.Writer, version uint8) error {
-	if e.ckpt.bw == nil {
-		e.ckpt.bw = bufio.NewWriterSize(w, 64<<10)
-	} else {
-		e.ckpt.bw.Reset(w)
-	}
 	c := &e.ckpt
+	c.reset(w)
 	_, _ = c.bw.WriteString(ckptMagic)
 	c.u8(version)
 	c.u64(e.workloadHash())
+	e.writeBody(c, version, nil)
+	return c.bw.Flush()
+}
+
+// writeBody writes everything after an image's header, or — with since
+// set — a delta frame's body: only what changed since the log's last
+// record (see ckptlog.go for the differences).
+func (e *Engine) writeBody(c *ckptEncoder, version uint8, since *ckptMark) {
 	c.u64(e.consumed)
 	c.u64(uint64(e.stats.Epochs))
 	c.u64(uint64(e.stats.Replans))
@@ -224,8 +299,13 @@ func (e *Engine) checkpointVersion(w io.Writer, version uint8) error {
 	c.u32(cur)
 	c.u64(regressed)
 	c.deg(e.cumDeg)
-	c.u32(uint32(len(e.degHist)))
-	for _, d := range e.degHist {
+	var m ckptMark // an image carries every history from its start
+	if since != nil {
+		m = *since
+	}
+	closed := e.degHist[m.hist:]
+	c.u32(uint32(len(closed)))
+	for _, d := range closed {
 		c.deg(d)
 	}
 	rels := e.graph.Relations()
@@ -233,21 +313,23 @@ func (e *Engine) checkpointVersion(w io.Writer, version uint8) error {
 	c.u32(uint32(len(rels)))
 	for _, r := range rels {
 		c.u32(uint32(r))
-		c.u64(math.Float64bits(e.groups[r]))
+		c.f64(e.groups[r])
 	}
-	rows := e.agg.AllRows()
-	c.u64(uint64(len(rows)))
-	for i := range rows {
-		r := &rows[i]
-		c.u32(uint32(r.Rel))
-		c.u32(r.Epoch)
-		c.u8(uint8(len(r.Key)))
-		for _, k := range r.Key {
-			c.u32(k)
-		}
-		c.u8(uint8(len(r.Aggs)))
-		for _, a := range r.Aggs {
-			c.u64(uint64(a))
+	if since == nil {
+		c.rows(e.agg.AllRows())
+	} else {
+		// Each epoch closed since the last record, with the rows the HFTA
+		// retains of it now (none: released, or never had any).
+		c.u32(uint32(len(closed)))
+		for _, d := range closed {
+			var rows []hfta.Row
+			for _, q := range e.queries {
+				if e.agg.GroupCount(q, d.Epoch) > 0 {
+					rows = append(rows, e.agg.Rows(q, d.Epoch)...)
+				}
+			}
+			c.u32(d.Epoch)
+			c.rows(rows)
 		}
 	}
 	if version >= 2 {
@@ -270,7 +352,7 @@ func (e *Engine) checkpointVersion(w io.Writer, version uint8) error {
 		c.u32(uint32(len(flowRels)))
 		for _, rel := range flowRels {
 			c.u32(uint32(rel))
-			c.u64(math.Float64bits(e.flowLens[rel]))
+			c.f64(e.flowLens[rel])
 		}
 		// Sharded-deployment state; an unsharded engine writes shard count 0
 		// and no section. A shard's position (ShardPositions) keeps its slot.
@@ -279,12 +361,13 @@ func (e *Engine) checkpointVersion(w io.Writer, version uint8) error {
 		} else {
 			c.u32(uint32(e.nShards))
 			for i := 0; i < e.nShards; i++ {
-				c.u64(math.Float64bits(e.shardWeight[i]))
+				c.f64(e.shardWeight[i])
 				c.u64(e.shardCum[i].Offered + e.shardDeg[i].Offered)
 				c.deg(e.shardCum[i])
 			}
-			c.u32(uint32(len(e.shardHist) / e.nShards))
-			for _, d := range e.shardHist {
+			hist := e.shardHist[m.shardHist:]
+			c.u32(uint32(len(hist) / e.nShards))
+			for _, d := range hist {
 				c.deg(d)
 			}
 		}
@@ -302,59 +385,41 @@ func (e *Engine) checkpointVersion(w io.Writer, version uint8) error {
 	}
 	if version >= 4 {
 		// Sliding-window section: geometry and sketch spec (echoed for
-		// validation), the window cursor, retained panes, closed-window
-		// ledgers, and retained window rows. Pane sketch blobs are written
-		// verbatim from the composer.
-		spec := e.winComposer.Spec()
-		c.u32(spec.Size)
-		c.u32(spec.Slide)
-		c.u32(uint32(len(e.sketchAggs)))
-		for _, sa := range e.sketchAggs {
-			c.u8(uint8(sa.Kind))
-			c.u64(uint64(int64(sa.Input)))
-			c.u64(math.Float64bits(sa.Q))
+		// validation, in an image only), the window cursor, retained panes,
+		// closed-window ledgers, and retained window rows. Pane sketch
+		// blobs are written verbatim from the composer.
+		if since == nil {
+			spec := e.winComposer.Spec()
+			c.u32(spec.Size)
+			c.u32(spec.Slide)
+			c.u32(uint32(len(e.sketchAggs)))
+			for _, sa := range e.sketchAggs {
+				c.u8(uint8(sa.Kind))
+				c.u64(uint64(int64(sa.Input)))
+				c.f64(sa.Q)
+			}
+			c.u8(e.sketchPrecision())
+			c.f64(e.digestCompression())
 		}
-		c.u8(e.sketchPrecision())
-		c.u64(math.Float64bits(e.digestCompression()))
 		c.u64(uint64(e.winComposer.Next()))
 		panes := e.winComposer.SnapshotPanes()
-		c.u32(uint32(len(panes)))
-		for _, p := range panes {
-			c.u32(p.Epoch)
-			c.paneStats(p.Stats)
-			c.u8(uint8(len(p.Rels)))
-			for _, rs := range p.Rels {
-				c.u32(uint32(rs.Rel))
-				c.u32(uint32(len(rs.Rows)))
-				for i := range rs.Rows {
-					r := &rs.Rows[i]
-					for _, k := range r.Key {
-						c.u32(k)
-					}
-					for _, a := range r.Aggs {
-						c.u64(uint64(a))
-					}
-				}
-				c.u32(uint32(len(rs.Sketches)))
-				for _, kb := range rs.Sketches {
-					for _, k := range kb.Key {
-						c.u32(k)
-					}
-					c.u32(uint32(len(kb.Blob)))
-					c.bytes(kb.Blob)
-				}
-			}
+		if since == nil {
+			c.panes(panes)
+		} else {
+			c.panes(fedPanes(panes, closed))
 		}
-		c.u32(uint32(len(e.windowLeds)))
-		for _, l := range e.windowLeds {
+		leds := e.windowLeds[m.winLeds:]
+		c.u32(uint32(len(leds)))
+		for _, l := range leds {
 			c.u32(l.Window)
 			c.u32(l.Start)
 			c.u32(l.End)
 			c.paneStats(l.Stats)
 		}
-		c.u64(uint64(len(e.windowRows)))
-		for i := range e.windowRows {
-			r := &e.windowRows[i]
+		wrows := e.windowRows[m.winRows:]
+		c.u64(uint64(len(wrows)))
+		for i := range wrows {
+			r := &wrows[i]
 			c.u32(uint32(r.Rel))
 			c.u32(r.Window)
 			c.u32(r.Start)
@@ -367,11 +432,17 @@ func (e *Engine) checkpointVersion(w io.Writer, version uint8) error {
 			}
 			c.u8(uint8(len(r.Sketch)))
 			for _, s := range r.Sketch {
-				c.u64(math.Float64bits(s))
+				c.f64(s)
+			}
+		}
+		if since != nil {
+			evicted := evictedPanes(m.panes, panes)
+			c.u32(uint32(len(evicted)))
+			for _, ep := range evicted {
+				c.u32(ep)
 			}
 		}
 	}
-	return c.bw.Flush()
 }
 
 // WriteCheckpointFile writes a checkpoint atomically: the image goes to
@@ -380,28 +451,444 @@ func (e *Engine) checkpointVersion(w io.Writer, version uint8) error {
 // rename leaves that one sibling behind, and the next write truncates and
 // reuses it.
 func (e *Engine) WriteCheckpointFile(path string) error {
-	tmp := path + ".tmp"
-	err := e.writeCheckpointTmp(tmp)
-	if err == nil {
-		err = os.Rename(tmp, path)
+	if path == e.opts.CheckpointPath {
+		// The image replaces the engine's own log; the next boundary must
+		// start a new one rather than append to the replaced file.
+		e.ckptLog.drop()
 	}
+	f, err := e.writeImage(path)
 	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
-}
-
-// writeCheckpointTmp is WriteCheckpointFile up to the rename.
-func (e *Engine) writeCheckpointTmp(tmp string) error {
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	if err := e.Checkpoint(f); err != nil {
-		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// writeImage is WriteCheckpointFile leaving the image's descriptor open,
+// positioned at its end, for the checkpoint log's appends.
+func (e *Engine) writeImage(path string) (*os.File, error) {
+	tmp := path + ".tmp"
+	f, err := e.stageImage(tmp)
+	if err == nil {
+		if err = os.Rename(tmp, path); err != nil {
+			f.Close()
+		}
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return nil, err
+	}
+	return f, nil
+}
+
+// stageImage writes the image to tmp and returns the open descriptor.
+func (e *Engine) stageImage(tmp string) (*os.File, error) {
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.Checkpoint(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// ckptDecoder reads the checkpoint's little-endian fields. The first read
+// error or malformed field sticks: later reads return zeros, and loops stop
+// on it.
+type ckptDecoder struct {
+	e   *Engine
+	r   io.Reader
+	err error
+	b   [8]byte
+}
+
+func (d *ckptDecoder) fill(n int) []byte {
+	if d.err == nil {
+		if _, err := io.ReadFull(d.r, d.b[:n]); err != nil {
+			d.err = err
+		}
+	}
+	if d.err != nil {
+		clear(d.b[:n])
+	}
+	return d.b[:n]
+}
+
+func (d *ckptDecoder) u8() uint8    { return d.fill(1)[0] }
+func (d *ckptDecoder) u32() uint32  { return binary.LittleEndian.Uint32(d.fill(4)) }
+func (d *ckptDecoder) u64() uint64  { return binary.LittleEndian.Uint64(d.fill(8)) }
+func (d *ckptDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
+
+func (d *ckptDecoder) deg() Degradation {
+	return Degradation{Epoch: d.u32(), Offered: d.u64(), Processed: d.u64(), Dropped: d.u64(), Late: d.u64()}
+}
+
+func (d *ckptDecoder) paneStats() hfta.PaneStats {
+	return hfta.PaneStats{Offered: d.u64(), Processed: d.u64(), Dropped: d.u64(), Late: d.u64()}
+}
+
+// fail records a malformed field unless an earlier error stuck.
+func (d *ckptDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: "+format, append([]any{ErrBadCheckpoint}, args...)...)
+	}
+}
+
+// count reads a length field of n bytes (4 or 8) and fails above limit.
+func (d *ckptDecoder) count(n int, limit uint64, what string) int {
+	var v uint64
+	if n == 4 {
+		v = uint64(d.u32())
+	} else {
+		v = d.u64()
+	}
+	if v > limit {
+		d.fail("implausible %s %d", what, v)
+		return 0
+	}
+	return int(v)
+}
+
+// result is the decode's error: nil, a malformed field, or a truncation.
+func (d *ckptDecoder) result() error {
+	if d.err == nil || errors.Is(d.err, ErrBadCheckpoint) {
+		return d.err
+	}
+	return fmt.Errorf("%w: truncated: %v", ErrBadCheckpoint, d.err)
+}
+
+type ckptRow struct {
+	rel   attr.Set
+	epoch uint32
+	key   []uint32
+	aggs  []int64
+}
+
+// ckptState is a checkpoint parsed into local state: what Restore
+// installs once every cross-check has passed, and what the log's delta
+// frames fold into before that. A frame decodes into one of these too,
+// holding only what the frame carries.
+type ckptState struct {
+	version uint8
+
+	consumed                                   uint64
+	epochs, replans, peakRepairs, resultErrors uint64
+	ops                                        lfta.Ops
+	started                                    uint8
+	cur                                        uint32
+	regressed                                  uint64
+	cumDeg                                     Degradation
+
+	hist   []Degradation
+	groups feedgraph.GroupCounts
+	rows   map[uint32][]ckptRow // retained HFTA rows by epoch
+
+	// Version 2: shed-policy words, measured flow lengths, sharded state.
+	shedWords    []uint64
+	flows        map[attr.Set]float64
+	nShards      uint32
+	shardWeights []float64
+	shardCum     []Degradation
+	shardHist    []Degradation // stride nShards
+
+	// Version 3: the durability footer.
+	durPersisted, durQueueFull uint32
+	durUnpersisted             []uint32
+
+	// Version 4: the composer's cursor and panes, window ledgers and rows.
+	winNext uint64
+	panes   []hfta.PaneSnapshot
+	winLeds []hfta.WindowLedger
+	winRows []hfta.WindowRow
+	evicted []uint32 // a delta frame's evicted panes
+}
+
+// readImage parses a checkpoint image into local state.
+func (e *Engine) readImage(r io.Reader) (*ckptState, error) {
+	magic := make([]byte, len(ckptMagic))
+	if _, err := io.ReadFull(r, magic); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+	}
+	if string(magic) != ckptMagic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrBadCheckpoint, magic)
+	}
+	d := &ckptDecoder{e: e, r: r}
+	st := &ckptState{version: d.u8()}
+	if d.err == nil && (st.version < ckptVersionV1 || st.version > ckptVersion) {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, st.version)
+	}
+	if d.err == nil && st.version < 4 && e.winComposer != nil {
+		// A windowed workload only ever writes v4 images, so an older
+		// version here means a relabeled or foreign image; accepting it
+		// would silently drop the pane state.
+		return nil, fmt.Errorf("%w: windowed workload requires a v4 checkpoint, got v%d", ErrBadCheckpoint, st.version)
+	}
+	if hash := d.u64(); d.err == nil && hash != e.workloadHash() {
+		return nil, fmt.Errorf("%w: checkpoint is for a different workload (queries, M, or seed changed)", ErrBadCheckpoint)
+	}
+	if d.err == nil && st.version >= 4 && e.winComposer == nil {
+		return nil, fmt.Errorf("%w: checkpoint carries window state but the workload is tumbling", ErrBadCheckpoint)
+	}
+	d.body(st, false)
+	if err := d.result(); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// body reads an image's body, or a delta frame's; see writeBody.
+func (d *ckptDecoder) body(st *ckptState, delta bool) {
+	st.consumed = d.u64()
+	st.epochs = d.u64()
+	st.replans = d.u64()
+	st.peakRepairs = d.u64()
+	st.resultErrors = d.u64()
+	st.ops = lfta.Ops{Probes: d.u64(), Transfers: d.u64(), Records: d.u64()}
+	st.started = d.u8()
+	st.cur = d.u32()
+	st.regressed = d.u64()
+	st.cumDeg = d.deg()
+	n := d.count(4, ckptMaxHistory, "history length")
+	for i := 0; d.err == nil && i < n; i++ {
+		st.hist = append(st.hist, d.deg())
+	}
+	n = d.count(4, ckptMaxGroups, "group count")
+	st.groups = feedgraph.GroupCounts{}
+	for i := 0; d.err == nil && i < n; i++ {
+		rel := attr.Set(d.u32())
+		st.groups[rel] = d.f64()
+	}
+	st.rows = map[uint32][]ckptRow{}
+	if !delta {
+		d.rows(st, nil)
+	} else {
+		n = d.count(4, ckptMaxHistory, "closed epoch count")
+		for i := 0; d.err == nil && i < n; i++ {
+			ep := d.u32()
+			d.rows(st, &ep)
+		}
+	}
+	if st.version >= 2 {
+		d.v2(st)
+	}
+	if st.version >= 3 {
+		st.durPersisted = d.u32()
+		st.durQueueFull = d.u32()
+		n = d.count(4, ckptMaxHistory, "unpersisted-epoch count")
+		for i := 0; d.err == nil && i < n; i++ {
+			st.durUnpersisted = append(st.durUnpersisted, d.u32())
+		}
+	}
+	if st.version >= 4 {
+		if !delta {
+			d.windowSpec()
+		}
+		d.window(st)
+		if delta {
+			n = d.count(4, ckptMaxPanes, "evicted pane count")
+			for i := 0; d.err == nil && i < n; i++ {
+				st.evicted = append(st.evicted, d.u32())
+			}
+		}
+	}
+}
+
+// rows reads a retained-row list into st.rows; with epoch set, every row
+// must belong to it.
+func (d *ckptDecoder) rows(st *ckptState, epoch *uint32) {
+	e := d.e
+	n := d.count(8, ckptMaxRows, "row count")
+	for i := 0; d.err == nil && i < n; i++ {
+		r := ckptRow{rel: attr.Set(d.u32()), epoch: d.u32()}
+		keyLen := d.u8()
+		if d.err != nil {
+			return
+		}
+		// Rows must belong to the workload with the query's exact arity:
+		// the aggregator's key packing assumes both.
+		if _, known := e.specByRel[r.rel]; !known {
+			d.fail("row for %v, not a workload query", r.rel)
+			return
+		}
+		if int(keyLen) != r.rel.Size() {
+			d.fail("row key arity %d for %v", keyLen, r.rel)
+			return
+		}
+		if epoch != nil && r.epoch != *epoch {
+			d.fail("row of epoch %d listed under epoch %d", r.epoch, *epoch)
+			return
+		}
+		r.key = make([]uint32, keyLen)
+		for j := range r.key {
+			r.key[j] = d.u32()
+		}
+		if aggLen := d.u8(); d.err == nil && int(aggLen) != len(e.aggs) {
+			d.fail("row has %d aggregates, workload has %d", aggLen, len(e.aggs))
+			return
+		}
+		r.aggs = make([]int64, len(e.aggs))
+		for j := range r.aggs {
+			r.aggs[j] = int64(d.u64())
+		}
+		st.rows[r.epoch] = append(st.rows[r.epoch], r)
+	}
+}
+
+// v2 reads the version-2 section: shed-policy state, measured flow
+// lengths, and the sharded-deployment state.
+func (d *ckptDecoder) v2(st *ckptState) {
+	n := d.count(4, ckptMaxShedWords, "shed-state size")
+	for i := 0; d.err == nil && i < n; i++ {
+		st.shedWords = append(st.shedWords, d.u64())
+	}
+	n = d.count(4, ckptMaxGroups, "flow-length count")
+	st.flows = map[attr.Set]float64{}
+	for i := 0; d.err == nil && i < n; i++ {
+		rel := attr.Set(d.u32())
+		l := d.f64()
+		if d.err == nil && (math.IsNaN(l) || math.IsInf(l, 0) || l < 0) {
+			d.fail("flow length %v for %v", l, rel)
+		}
+		st.flows[rel] = l
+	}
+	st.nShards = uint32(d.count(4, ckptMaxShards, "shard count"))
+	if d.err != nil || st.nShards <= 1 {
+		return
+	}
+	for i := uint32(0); d.err == nil && i < st.nShards; i++ {
+		w := d.f64()
+		if d.err == nil && (math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 || w > 1) {
+			d.fail("shard weight %v out of range", w)
+		}
+		st.shardWeights = append(st.shardWeights, w)
+		// The shard's position word is read past, not restored: at an
+		// epoch boundary it repeats the ledger's Offered that follows,
+		// and a mid-epoch image's open-epoch records — the difference
+		// — are in no restored ledger either.
+		_ = d.u64()
+		st.shardCum = append(st.shardCum, d.deg())
+	}
+	n = d.count(4, ckptMaxHistory, "shard history length")
+	for i := 0; d.err == nil && i < n*int(st.nShards); i++ {
+		st.shardHist = append(st.shardHist, d.deg())
+	}
+}
+
+// windowSpec reads an image's echo of the window geometry and sketch spec
+// and checks it against the engine.
+func (d *ckptDecoder) windowSpec() {
+	e := d.e
+	spec := e.winComposer.Spec()
+	size, slide := d.u32(), d.u32()
+	if d.err == nil && (size != spec.Size || slide != spec.Slide) {
+		d.fail("window %d/%d, engine runs %d/%d", size, slide, spec.Size, spec.Slide)
+	}
+	if n := d.u32(); d.err == nil && int(n) != len(e.sketchAggs) {
+		d.fail("%d sketch aggregates, workload has %d", n, len(e.sketchAggs))
+	}
+	for i := 0; d.err == nil && i < len(e.sketchAggs); i++ {
+		kind, input, q := sketch.AggKind(d.u8()), int64(d.u64()), d.f64()
+		if sa := e.sketchAggs[i]; d.err == nil && (kind != sa.Kind || int(input) != sa.Input || q != sa.Q) {
+			d.fail("sketch aggregate %d differs from the workload", i)
+		}
+	}
+	prec, comp := d.u8(), d.f64()
+	if d.err == nil && (prec != e.sketchPrecision() || comp != e.digestCompression()) {
+		d.fail("sketch parameters differ from the workload")
+	}
+}
+
+// window reads the window cursor, panes, window ledgers and window rows.
+// Parsed only into local state; the composer is mutated after every
+// cross-check passes.
+func (d *ckptDecoder) window(st *ckptState) {
+	e := d.e
+	if st.winNext = d.u64(); st.winNext > math.MaxInt64 {
+		d.fail("implausible window cursor %d", st.winNext)
+	}
+	n := d.count(4, ckptMaxPanes, "pane count")
+	for i := 0; d.err == nil && i < n; i++ {
+		st.panes = append(st.panes, d.pane())
+	}
+	n = d.count(4, ckptMaxHistory, "window ledger count")
+	for i := 0; d.err == nil && i < n; i++ {
+		st.winLeds = append(st.winLeds, hfta.WindowLedger{Window: d.u32(), Start: d.u32(), End: d.u32(), Stats: d.paneStats()})
+	}
+	n = d.count(8, ckptMaxRows, "window row count")
+	for i := 0; d.err == nil && i < n; i++ {
+		r := hfta.WindowRow{Rel: attr.Set(d.u32())}
+		if _, known := e.specByRel[r.Rel]; d.err == nil && !known {
+			d.fail("window row for %v, not a workload query", r.Rel)
+			return
+		}
+		r.Window, r.Start, r.End = d.u32(), d.u32(), d.u32()
+		r.Key = make([]uint32, r.Rel.Size())
+		for k := range r.Key {
+			r.Key[k] = d.u32()
+		}
+		r.Aggs = make([]int64, len(e.aggs))
+		for a := range r.Aggs {
+			r.Aggs[a] = int64(d.u64())
+		}
+		if skLen := d.u8(); d.err == nil && int(skLen) != len(e.sketchAggs) {
+			d.fail("window row has %d sketch slots, workload has %d", skLen, len(e.sketchAggs))
+			return
+		}
+		r.Sketch = make([]float64, len(e.sketchAggs))
+		for s := range r.Sketch {
+			r.Sketch[s] = d.f64()
+		}
+		st.winRows = append(st.winRows, r)
+	}
+}
+
+// pane reads one retained pane.
+func (d *ckptDecoder) pane() hfta.PaneSnapshot {
+	e := d.e
+	ps := hfta.PaneSnapshot{Epoch: d.u32(), Stats: d.paneStats()}
+	if nRels := d.u8(); d.err == nil && int(nRels) > len(e.queries) {
+		d.fail("pane %d names %d relations, workload has %d", ps.Epoch, nRels, len(e.queries))
+	} else {
+		for j := uint8(0); d.err == nil && j < nRels; j++ {
+			rs := hfta.PaneRelSnapshot{Rel: attr.Set(d.u32())}
+			if _, known := e.specByRel[rs.Rel]; d.err == nil && !known {
+				d.fail("pane %d names %v, not a workload query", ps.Epoch, rs.Rel)
+				break
+			}
+			arity := rs.Rel.Size()
+			n := d.count(4, ckptMaxRows, "pane row count")
+			for r := 0; d.err == nil && r < n; r++ {
+				key := make([]uint32, arity)
+				for k := range key {
+					key[k] = d.u32()
+				}
+				aggs := make([]int64, len(e.aggs))
+				for a := range aggs {
+					aggs[a] = int64(d.u64())
+				}
+				rs.Rows = append(rs.Rows, hfta.Row{Rel: rs.Rel, Epoch: ps.Epoch, Key: key, Aggs: aggs})
+			}
+			n = d.count(4, ckptMaxRows, "pane sketch count")
+			for s := 0; d.err == nil && s < n; s++ {
+				key := make([]uint32, arity)
+				for k := range key {
+					key[k] = d.u32()
+				}
+				blobLen := d.count(4, ckptMaxBlob, "sketch blob size")
+				if d.err != nil {
+					break
+				}
+				blob := make([]byte, blobLen)
+				if _, err := io.ReadFull(d.r, blob); err != nil {
+					d.err = err
+				}
+				rs.Sketches = append(rs.Sketches, hfta.KeyBlob{Key: key, Blob: blob})
+			}
+			ps.Rels = append(ps.Rels, rs)
+		}
+	}
+	return ps
 }
 
 // Restore loads a checkpoint into a freshly constructed engine for the
@@ -412,480 +899,115 @@ func (e *Engine) writeCheckpointTmp(tmp string) error {
 // restored group counts; measured flow lengths are not carried over, so
 // the resumed plan may differ marginally from the one running at the
 // crash — answers stay exact under any plan.
+//
+// r may hold a checkpoint log (ckptlog.go): the image is followed by delta
+// frames, folded in order up to the first that is torn, fails its
+// checksum or does not extend the state folded so far.
 func (e *Engine) Restore(r io.Reader) (consumed uint64, err error) {
+	consumed, _, err = e.restore(r)
+	return consumed, err
+}
+
+// restore is Restore, also reporting how many delta frames it folded.
+func (e *Engine) restore(r io.Reader) (consumed uint64, frames int, err error) {
 	if e.consumed != 0 || e.stats.Epochs != 0 || e.stage.Len() != 0 {
-		return 0, fmt.Errorf("core: Restore requires a freshly constructed engine")
+		return 0, 0, fmt.Errorf("core: Restore requires a freshly constructed engine")
 	}
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(ckptMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+	st, err := e.readImage(br)
+	if err != nil {
+		return 0, 0, err
 	}
-	if string(magic) != ckptMagic {
-		return 0, fmt.Errorf("%w: bad magic %q", ErrBadCheckpoint, magic)
-	}
-	var rerr error
-	le := func(v any) {
-		if rerr == nil {
-			rerr = binary.Read(br, binary.LittleEndian, v)
+	var buf bytes.Buffer
+	for {
+		payload, err := epochstore.ReadFrame(br, &buf)
+		if err != nil || !e.foldFrame(st, payload) {
+			break
 		}
+		frames++
 	}
-	readDeg := func() Degradation {
-		var d Degradation
-		le(&d.Epoch)
-		le(&d.Offered)
-		le(&d.Processed)
-		le(&d.Dropped)
-		le(&d.Late)
-		return d
+	if err := e.install(st); err != nil {
+		return 0, 0, err
 	}
-	var version uint8
-	le(&version)
-	if rerr == nil && (version < ckptVersionV1 || version > ckptVersion) {
-		return 0, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, version)
-	}
-	if rerr == nil && version < 4 && e.winComposer != nil {
-		// A windowed workload only ever writes v4 images, so an older
-		// version here means a relabeled or foreign image; accepting it
-		// would silently drop the pane state.
-		return 0, fmt.Errorf("%w: windowed workload requires a v4 checkpoint, got v%d", ErrBadCheckpoint, version)
-	}
-	var hash uint64
-	le(&hash)
-	if rerr == nil && hash != e.workloadHash() {
-		return 0, fmt.Errorf("%w: checkpoint is for a different workload (queries, M, or seed changed)", ErrBadCheckpoint)
-	}
-	var epochs, replans, peakRepairs, resultErrors uint64
-	le(&consumed)
-	le(&epochs)
-	le(&replans)
-	le(&peakRepairs)
-	le(&resultErrors)
-	var ops lfta.Ops
-	le(&ops.Probes)
-	le(&ops.Transfers)
-	le(&ops.Records)
-	var started uint8
-	var cur uint32
-	var regressed uint64
-	le(&started)
-	le(&cur)
-	le(&regressed)
-	cumDeg := readDeg()
-	var nHist uint32
-	le(&nHist)
-	if rerr == nil && nHist > ckptMaxHistory {
-		return 0, fmt.Errorf("%w: implausible history length %d", ErrBadCheckpoint, nHist)
-	}
-	var hist []Degradation
-	for i := uint32(0); rerr == nil && i < nHist; i++ {
-		hist = append(hist, readDeg())
-	}
-	var nGroups uint32
-	le(&nGroups)
-	if rerr == nil && nGroups > ckptMaxGroups {
-		return 0, fmt.Errorf("%w: implausible group count %d", ErrBadCheckpoint, nGroups)
-	}
-	groups := feedgraph.GroupCounts{}
-	for i := uint32(0); rerr == nil && i < nGroups; i++ {
-		var rel uint32
-		var bits uint64
-		le(&rel)
-		le(&bits)
-		groups[attr.Set(rel)] = math.Float64frombits(bits)
-	}
-	var nRows uint64
-	le(&nRows)
-	if rerr == nil && nRows > ckptMaxRows {
-		return 0, fmt.Errorf("%w: implausible row count %d", ErrBadCheckpoint, nRows)
-	}
-	type ckptRow struct {
-		rel   attr.Set
-		epoch uint32
-		key   []uint32
-		aggs  []int64
-	}
-	var rows []ckptRow
-	for i := uint64(0); rerr == nil && i < nRows; i++ {
-		var rel uint32
-		var epoch uint32
-		var keyLen, aggLen uint8
-		le(&rel)
-		le(&epoch)
-		le(&keyLen)
-		if rerr == nil {
-			// Rows must belong to the workload with the query's exact
-			// arity: the aggregator's key packing assumes both.
-			rs := attr.Set(rel)
-			known := false
-			for _, q := range e.queries {
-				if q == rs {
-					known = true
-					break
-				}
-			}
-			if !known {
-				return 0, fmt.Errorf("%w: row for %v, not a workload query", ErrBadCheckpoint, rs)
-			}
-			if int(keyLen) != rs.Size() {
-				return 0, fmt.Errorf("%w: row key arity %d for %v", ErrBadCheckpoint, keyLen, rs)
-			}
-		}
-		key := make([]uint32, keyLen)
-		for j := range key {
-			le(&key[j])
-		}
-		le(&aggLen)
-		if rerr == nil && int(aggLen) != len(e.aggs) {
-			return 0, fmt.Errorf("%w: row has %d aggregates, workload has %d", ErrBadCheckpoint, aggLen, len(e.aggs))
-		}
-		aggs := make([]int64, aggLen)
-		for j := range aggs {
-			var u uint64
-			le(&u)
-			aggs[j] = int64(u)
-		}
-		rows = append(rows, ckptRow{rel: attr.Set(rel), epoch: epoch, key: key, aggs: aggs})
-	}
+	return st.consumed, frames, nil
+}
 
-	// Version-2 section: shed-policy state, measured flow lengths, and the
-	// sharded-deployment state. A v1 image stops here and every v2 field
-	// defaults to fresh state.
-	var shedWords []uint64
-	flows := map[attr.Set]float64{}
-	var nCkptShards uint32
-	var shardWeights []float64
-	var shardCum []Degradation
-	var shardHist []Degradation // stride nCkptShards
-	if rerr == nil && version >= 2 {
-		var nWords uint32
-		le(&nWords)
-		if rerr == nil && nWords > ckptMaxShedWords {
-			return 0, fmt.Errorf("%w: implausible shed-state size %d", ErrBadCheckpoint, nWords)
-		}
-		for i := uint32(0); rerr == nil && i < nWords; i++ {
-			var wd uint64
-			le(&wd)
-			shedWords = append(shedWords, wd)
-		}
-		var nFlows uint32
-		le(&nFlows)
-		if rerr == nil && nFlows > ckptMaxGroups {
-			return 0, fmt.Errorf("%w: implausible flow-length count %d", ErrBadCheckpoint, nFlows)
-		}
-		for i := uint32(0); rerr == nil && i < nFlows; i++ {
-			var rel uint32
-			var bits uint64
-			le(&rel)
-			le(&bits)
-			l := math.Float64frombits(bits)
-			if rerr == nil && (math.IsNaN(l) || math.IsInf(l, 0) || l < 0) {
-				return 0, fmt.Errorf("%w: flow length %v for %v", ErrBadCheckpoint, l, attr.Set(rel))
-			}
-			flows[attr.Set(rel)] = l
-		}
-		le(&nCkptShards)
-		if rerr == nil && nCkptShards > ckptMaxShards {
-			return 0, fmt.Errorf("%w: implausible shard count %d", ErrBadCheckpoint, nCkptShards)
-		}
-		if rerr == nil && nCkptShards > 1 {
-			for i := uint32(0); rerr == nil && i < nCkptShards; i++ {
-				var bits uint64
-				le(&bits)
-				w := math.Float64frombits(bits)
-				if rerr == nil && (math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 || w > 1) {
-					return 0, fmt.Errorf("%w: shard weight %v out of range", ErrBadCheckpoint, w)
-				}
-				shardWeights = append(shardWeights, w)
-				// The shard's position word is read past, not restored: at an
-				// epoch boundary it repeats the ledger's Offered that follows,
-				// and a mid-epoch image's open-epoch records — the difference
-				// — are in no restored ledger either.
-				var routed uint64
-				le(&routed)
-				shardCum = append(shardCum, readDeg())
-			}
-			var nShardHist uint32
-			le(&nShardHist)
-			if rerr == nil && nShardHist > ckptMaxHistory {
-				return 0, fmt.Errorf("%w: implausible shard history length %d", ErrBadCheckpoint, nShardHist)
-			}
-			for i := uint64(0); rerr == nil && i < uint64(nShardHist)*uint64(nCkptShards); i++ {
-				shardHist = append(shardHist, readDeg())
-			}
-		}
-	}
-
-	// Version-3 footer: the durability ledger of the epoch-store pipeline.
-	var durPersisted, durQueueFull uint32
-	var durUnpersisted []uint32
-	haveDurability := false
-	if rerr == nil && version >= 3 {
-		haveDurability = true
-		le(&durPersisted)
-		le(&durQueueFull)
-		var nUnp uint32
-		le(&nUnp)
-		if rerr == nil && nUnp > ckptMaxHistory {
-			return 0, fmt.Errorf("%w: implausible unpersisted-epoch count %d", ErrBadCheckpoint, nUnp)
-		}
-		for i := uint32(0); rerr == nil && i < nUnp; i++ {
-			var ep uint32
-			le(&ep)
-			durUnpersisted = append(durUnpersisted, ep)
-		}
-	}
-
-	// Version-4 section: the sliding-window composer state. Parsed only
-	// into local state here; the composer is mutated after every
-	// cross-check passes.
-	knownRel := func(rel attr.Set) bool {
-		for _, q := range e.queries {
-			if q == rel {
-				return true
-			}
-		}
-		return false
-	}
-	var winNext uint64
-	var winPanes []hfta.PaneSnapshot
-	var winLeds []hfta.WindowLedger
-	var winRows []hfta.WindowRow
-	haveWindow := false
-	if rerr == nil && version >= 4 {
-		haveWindow = true
-		if e.winComposer == nil {
-			return 0, fmt.Errorf("%w: checkpoint carries window state but the workload is tumbling", ErrBadCheckpoint)
-		}
-		spec := e.winComposer.Spec()
-		var size, slide uint32
-		le(&size)
-		le(&slide)
-		if rerr == nil && (size != spec.Size || slide != spec.Slide) {
-			return 0, fmt.Errorf("%w: window %d/%d, engine runs %d/%d", ErrBadCheckpoint, size, slide, spec.Size, spec.Slide)
-		}
-		var nSaggs uint32
-		le(&nSaggs)
-		if rerr == nil && int(nSaggs) != len(e.sketchAggs) {
-			return 0, fmt.Errorf("%w: %d sketch aggregates, workload has %d", ErrBadCheckpoint, nSaggs, len(e.sketchAggs))
-		}
-		for i := uint32(0); rerr == nil && i < nSaggs; i++ {
-			var kind uint8
-			var input int64
-			var qbits uint64
-			le(&kind)
-			le(&input)
-			le(&qbits)
-			if rerr == nil {
-				sa := e.sketchAggs[i]
-				if sketch.AggKind(kind) != sa.Kind || int(input) != sa.Input || math.Float64frombits(qbits) != sa.Q {
-					return 0, fmt.Errorf("%w: sketch aggregate %d differs from the workload", ErrBadCheckpoint, i)
-				}
-			}
-		}
-		var prec uint8
-		var compBits uint64
-		le(&prec)
-		le(&compBits)
-		if rerr == nil && (prec != e.sketchPrecision() || math.Float64frombits(compBits) != e.digestCompression()) {
-			return 0, fmt.Errorf("%w: sketch parameters differ from the workload", ErrBadCheckpoint)
-		}
-		le(&winNext)
-		if rerr == nil && winNext > math.MaxInt64 {
-			return 0, fmt.Errorf("%w: implausible window cursor %d", ErrBadCheckpoint, winNext)
-		}
-		var nPanes uint32
-		le(&nPanes)
-		if rerr == nil && nPanes > ckptMaxPanes {
-			return 0, fmt.Errorf("%w: implausible pane count %d", ErrBadCheckpoint, nPanes)
-		}
-		for i := uint32(0); rerr == nil && i < nPanes; i++ {
-			var ps hfta.PaneSnapshot
-			le(&ps.Epoch)
-			le(&ps.Stats.Offered)
-			le(&ps.Stats.Processed)
-			le(&ps.Stats.Dropped)
-			le(&ps.Stats.Late)
-			var nRels uint8
-			le(&nRels)
-			if rerr == nil && int(nRels) > len(e.queries) {
-				return 0, fmt.Errorf("%w: pane %d names %d relations, workload has %d", ErrBadCheckpoint, ps.Epoch, nRels, len(e.queries))
-			}
-			for j := uint8(0); rerr == nil && j < nRels; j++ {
-				var rel uint32
-				le(&rel)
-				rs := hfta.PaneRelSnapshot{Rel: attr.Set(rel)}
-				if rerr == nil && !knownRel(rs.Rel) {
-					return 0, fmt.Errorf("%w: pane %d names %v, not a workload query", ErrBadCheckpoint, ps.Epoch, rs.Rel)
-				}
-				arity := rs.Rel.Size()
-				var nRows uint32
-				le(&nRows)
-				if rerr == nil && uint64(nRows) > ckptMaxRows {
-					return 0, fmt.Errorf("%w: implausible pane row count %d", ErrBadCheckpoint, nRows)
-				}
-				for r := uint32(0); rerr == nil && r < nRows; r++ {
-					key := make([]uint32, arity)
-					for k := range key {
-						le(&key[k])
-					}
-					aggs := make([]int64, len(e.aggs))
-					for a := range aggs {
-						var u uint64
-						le(&u)
-						aggs[a] = int64(u)
-					}
-					rs.Rows = append(rs.Rows, hfta.Row{Rel: rs.Rel, Epoch: ps.Epoch, Key: key, Aggs: aggs})
-				}
-				var nSk uint32
-				le(&nSk)
-				if rerr == nil && uint64(nSk) > ckptMaxRows {
-					return 0, fmt.Errorf("%w: implausible pane sketch count %d", ErrBadCheckpoint, nSk)
-				}
-				for s := uint32(0); rerr == nil && s < nSk; s++ {
-					key := make([]uint32, arity)
-					for k := range key {
-						le(&key[k])
-					}
-					var blobLen uint32
-					le(&blobLen)
-					if rerr == nil && blobLen > ckptMaxBlob {
-						return 0, fmt.Errorf("%w: implausible sketch blob size %d", ErrBadCheckpoint, blobLen)
-					}
-					blob := make([]byte, blobLen)
-					le(blob)
-					rs.Sketches = append(rs.Sketches, hfta.KeyBlob{Key: key, Blob: blob})
-				}
-				ps.Rels = append(ps.Rels, rs)
-			}
-			winPanes = append(winPanes, ps)
-		}
-		var nLeds uint32
-		le(&nLeds)
-		if rerr == nil && nLeds > ckptMaxHistory {
-			return 0, fmt.Errorf("%w: implausible window ledger count %d", ErrBadCheckpoint, nLeds)
-		}
-		for i := uint32(0); rerr == nil && i < nLeds; i++ {
-			var l hfta.WindowLedger
-			le(&l.Window)
-			le(&l.Start)
-			le(&l.End)
-			le(&l.Stats.Offered)
-			le(&l.Stats.Processed)
-			le(&l.Stats.Dropped)
-			le(&l.Stats.Late)
-			winLeds = append(winLeds, l)
-		}
-		var nWRows uint64
-		le(&nWRows)
-		if rerr == nil && nWRows > ckptMaxRows {
-			return 0, fmt.Errorf("%w: implausible window row count %d", ErrBadCheckpoint, nWRows)
-		}
-		for i := uint64(0); rerr == nil && i < nWRows; i++ {
-			var rel uint32
-			le(&rel)
-			r := hfta.WindowRow{Rel: attr.Set(rel)}
-			if rerr == nil && !knownRel(r.Rel) {
-				return 0, fmt.Errorf("%w: window row for %v, not a workload query", ErrBadCheckpoint, r.Rel)
-			}
-			le(&r.Window)
-			le(&r.Start)
-			le(&r.End)
-			r.Key = make([]uint32, r.Rel.Size())
-			for k := range r.Key {
-				le(&r.Key[k])
-			}
-			r.Aggs = make([]int64, len(e.aggs))
-			for a := range r.Aggs {
-				var u uint64
-				le(&u)
-				r.Aggs[a] = int64(u)
-			}
-			var skLen uint8
-			le(&skLen)
-			if rerr == nil && int(skLen) != len(e.sketchAggs) {
-				return 0, fmt.Errorf("%w: window row has %d sketch slots, workload has %d", ErrBadCheckpoint, skLen, len(e.sketchAggs))
-			}
-			r.Sketch = make([]float64, skLen)
-			for s := range r.Sketch {
-				var bits uint64
-				le(&bits)
-				r.Sketch[s] = math.Float64frombits(bits)
-			}
-			winRows = append(winRows, r)
-		}
-	}
-	if rerr != nil {
-		return 0, fmt.Errorf("%w: truncated: %v", ErrBadCheckpoint, rerr)
-	}
-
-	// Cross-checks against the engine's own configuration before any state
-	// is mutated: the group counts must cover (and be sane for) the
-	// feeding graph, the shard count must match the deployment, and a
-	// stateful shed image needs a policy able to absorb it.
+// install cross-checks parsed checkpoint state against the engine's own
+// configuration and then, only if every check passes, loads it.
+func (e *Engine) install(st *ckptState) error {
+	// The group counts must cover (and be sane for) the feeding graph, the
+	// shard count must match the deployment, and a stateful shed image needs
+	// a policy able to absorb it.
 	for _, rel := range e.graph.Relations() {
-		g, err := groups.Get(rel)
+		g, err := st.groups.Get(rel)
 		if err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+			return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 		}
 		if math.IsNaN(g) || math.IsInf(g, 0) || g <= 0 {
-			return 0, fmt.Errorf("%w: group count %v for %v", ErrBadCheckpoint, g, rel)
+			return fmt.Errorf("%w: group count %v for %v", ErrBadCheckpoint, g, rel)
 		}
 	}
-	if version >= 2 && int(nCkptShards) != e.nShards && !(nCkptShards <= 1 && e.nShards <= 1) {
-		return 0, fmt.Errorf("%w: checkpoint has %d shards, engine runs %d", ErrBadCheckpoint, nCkptShards, e.NumShards())
+	if st.version >= 2 && int(st.nShards) != e.nShards && !(st.nShards <= 1 && e.nShards <= 1) {
+		return fmt.Errorf("%w: checkpoint has %d shards, engine runs %d", ErrBadCheckpoint, st.nShards, e.NumShards())
 	}
 	var shedCarrier ShedPolicyState
-	if len(shedWords) > 0 {
+	if len(st.shedWords) > 0 {
 		carrier, ok := e.shedder.(ShedPolicyState)
 		if !ok {
-			return 0, fmt.Errorf("%w: checkpoint carries shed-policy state but the engine's policy is stateless", ErrBadCheckpoint)
+			return fmt.Errorf("%w: checkpoint carries shed-policy state but the engine's policy is stateless", ErrBadCheckpoint)
 		}
 		shedCarrier = carrier
 	}
 
-	e.groups = groups
-	if len(flows) > 0 {
-		e.installFlowLens(flows)
+	e.groups = st.groups
+	if len(st.flows) > 0 {
+		e.installFlowLens(st.flows)
 	}
 	if err := e.replan(); err != nil {
-		return 0, err
+		return err
 	}
 	if shedCarrier != nil {
-		if err := shedCarrier.RestoreShedState(shedWords); err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+		if err := shedCarrier.RestoreShedState(st.shedWords); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 		}
 	}
-	if e.nShards > 1 && len(shardWeights) == e.nShards {
+	if e.nShards > 1 && len(st.shardWeights) == e.nShards {
 		// The weights restore bit-exactly (no renormalization): the
 		// resumed run must slice the budget exactly as the crashed run
 		// would have, or the byte-identity of its shed decisions breaks.
-		copy(e.shardWeight, shardWeights)
-		copy(e.shardCum, shardCum)
-		e.shardHist = shardHist
+		copy(e.shardWeight, st.shardWeights)
+		copy(e.shardCum, st.shardCum)
+		e.shardHist = st.shardHist
 	}
-	e.totalOps = ops // the fresh runtime's counters are zero
-	e.consumed = consumed
-	e.stats.Epochs = int(epochs)
-	e.stats.Replans = int(replans)
-	e.stats.PeakRepairs = int(peakRepairs)
-	e.stats.ResultErrors = int(resultErrors)
-	e.clock.RestoreSnapshot(started != 0, cur, regressed)
-	e.cumDeg = cumDeg
-	e.degHist = hist
-	for _, r := range rows {
-		e.agg.Consume(lfta.Eviction{Rel: r.rel, Key: r.key, Aggs: r.aggs, Epoch: r.epoch})
+	e.totalOps = st.ops // the fresh runtime's counters are zero
+	e.consumed = st.consumed
+	e.stats.Epochs = int(st.epochs)
+	e.stats.Replans = int(st.replans)
+	e.stats.PeakRepairs = int(st.peakRepairs)
+	e.stats.ResultErrors = int(st.resultErrors)
+	e.clock.RestoreSnapshot(st.started != 0, st.cur, st.regressed)
+	e.cumDeg = st.cumDeg
+	e.degHist = st.hist
+	epochs := make([]uint32, 0, len(st.rows))
+	for ep := range st.rows {
+		epochs = append(epochs, ep)
 	}
-	if haveDurability {
-		e.durable.restore(int(durPersisted), durUnpersisted, int(durQueueFull))
-	}
-	if haveWindow {
-		if err := e.winComposer.RestorePanes(int64(winNext), winPanes); err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+	slices.Sort(epochs) // a deterministic consume order
+	for _, ep := range epochs {
+		for _, r := range st.rows[ep] {
+			e.agg.Consume(lfta.Eviction{Rel: r.rel, Key: r.key, Aggs: r.aggs, Epoch: r.epoch})
 		}
-		e.windowLeds = winLeds
-		e.windowRows = winRows
-		e.stats.Windows = len(winLeds)
+	}
+	if st.version >= 3 {
+		e.durable.restore(int(st.durPersisted), st.durUnpersisted, int(st.durQueueFull))
+	}
+	if st.version >= 4 {
+		if err := e.winComposer.RestorePanes(int64(st.winNext), st.panes); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+		}
+		e.windowLeds = st.winLeds
+		e.windowRows = st.winRows
+		e.stats.Windows = len(st.winLeds)
 	}
 	if e.persist != nil {
 		// With a store attached its contents are authoritative over the
@@ -894,11 +1016,11 @@ func (e *Engine) Restore(r io.Reader) (consumed uint64, err error) {
 		// also want the rows back run ReplayStore (which reconciles too).
 		e.reconcileStore()
 	}
-	return consumed, nil
+	return nil
 }
 
-// RestoreCheckpointFile restores from the named checkpoint file; see
-// Restore.
+// RestoreCheckpointFile restores from the named checkpoint file — an
+// image, or the log Options.CheckpointPath keeps; see Restore.
 func (e *Engine) RestoreCheckpointFile(path string) (uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {

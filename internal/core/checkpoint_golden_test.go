@@ -47,10 +47,10 @@ func goldenShardedOpts() Options {
 const goldenCrashAt = 17000
 
 // writeGolden runs the workload past the crash point with the engine
-// writing its checkpoint at every epoch boundary, keeps the last
-// boundary image as the golden v2 file, and (when v1Path is non-empty)
-// derives the matching v1 image by restoring a fresh engine from that
-// boundary and serializing it in the v1 format.
+// keeping its checkpoint log, writes the last boundary's image (restored
+// from the log) as the golden v2 file, and (when v1Path is non-empty)
+// derives the matching v1 image by serializing that restored state in the
+// v1 format.
 func writeGolden(t *testing.T, opts Options, v2Path, v1Path string) {
 	t.Helper()
 	recs, groups := testWorkload(t, 30000)
@@ -58,7 +58,7 @@ func writeGolden(t *testing.T, opts Options, v2Path, v1Path string) {
 		t.Fatal(err)
 	}
 	copts := opts
-	copts.CheckpointPath = v2Path
+	copts.CheckpointPath = filepath.Join(t.TempDir(), "golden.ckpt")
 	e, err := New(pairSQL, groups, copts)
 	if err != nil {
 		t.Fatal(err)
@@ -71,16 +71,19 @@ func writeGolden(t *testing.T, opts Options, v2Path, v1Path string) {
 	if e.Stats().Epochs == 0 {
 		t.Fatal("golden run never crossed an epoch boundary")
 	}
-	t.Logf("wrote %s", v2Path)
-	if v1Path == "" {
-		return
-	}
 	r, err := New(pairSQL, groups, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.RestoreCheckpointFile(v2Path); err != nil {
+	if _, err := r.RestoreCheckpointFile(copts.CheckpointPath); err != nil {
 		t.Fatal(err)
+	}
+	if err := r.WriteCheckpointFile(v2Path); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %s", v2Path)
+	if v1Path == "" {
+		return
 	}
 	var buf bytes.Buffer
 	if err := r.checkpointVersion(&buf, ckptVersionV1); err != nil {
@@ -345,7 +348,7 @@ func maybeWriteGoldenWindowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	copts := goldenPlainOpts()
-	copts.CheckpointPath = goldenPath(goldenWindowedSparse)
+	copts.CheckpointPath = filepath.Join(t.TempDir(), "golden.ckpt")
 	e, err := NewFromSample(goldenWindowedSQL(), recs, copts)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +361,17 @@ func maybeWriteGoldenWindowed(t *testing.T) {
 	if e.Stats().Epochs == 0 {
 		t.Fatal("windowed golden run never crossed an epoch boundary")
 	}
-	t.Logf("wrote %s", copts.CheckpointPath)
+	r, err := NewFromSample(goldenWindowedSQL(), recs, goldenPlainOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RestoreCheckpointFile(copts.CheckpointPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteCheckpointFile(goldenPath(goldenWindowedSparse)); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %s", goldenPath(goldenWindowedSparse))
 }
 
 // TestGoldenWindowedCheckpoint pins the v4 format and both HLL wire

@@ -269,3 +269,12 @@ func TestCheckpointFileCrashLeavesOneSibling(t *testing.T) {
 		t.Fatalf("after a failed write the directory holds %v", got)
 	}
 }
+
+// writeCheckpointTmp is WriteCheckpointFile killed before its rename.
+func (e *Engine) writeCheckpointTmp(tmp string) error {
+	f, err := e.stageImage(tmp)
+	if err != nil {
+		return err
+	}
+	return f.Close()
+}

@@ -140,9 +140,11 @@ type Options struct {
 	// (shrink/shift) to the live allocation. 0 disables; requires PeakEu.
 	PeakRepairEpochs int
 
-	// CheckpointPath, when set, makes the engine write a checkpoint of
-	// its state to this file (atomically, via rename) at every epoch
-	// boundary; see Engine.WriteCheckpointFile and RestoreCheckpointFile.
+	// CheckpointPath, when set, makes the engine keep a checkpoint of its
+	// state at this path, current as of every epoch boundary: a log of a
+	// base image (written atomically, via rename) and one appended delta
+	// frame per later boundary, which RestoreCheckpointFile reads back to
+	// the last complete boundary. Finish closes it.
 	CheckpointPath string
 
 	// Store, when set, persists every finalized epoch's results durably:
@@ -289,8 +291,10 @@ type Engine struct {
 	firstResultErr error
 
 	// ckpt is the checkpoint encoder; its buffer is allocated by the first
-	// Checkpoint and reused by every later one.
-	ckpt ckptEncoder
+	// Checkpoint and reused by every later one. ckptLog is the log kept at
+	// Options.CheckpointPath (ckptlog.go).
+	ckpt    ckptEncoder
+	ckptLog ckptLog
 
 	// closing is the read-out of the epoch being closed when the result
 	// handler is not its only consumer (sharedReadout): each query's
@@ -698,7 +702,7 @@ func (e *Engine) endEpoch() error {
 		return err
 	}
 	if e.opts.CheckpointPath != "" {
-		if err := e.WriteCheckpointFile(e.opts.CheckpointPath); err != nil {
+		if err := e.logCheckpoint(); err != nil {
 			return fmt.Errorf("core: checkpoint: %w", err)
 		}
 	}
@@ -1054,10 +1058,11 @@ func (e *Engine) emitEpoch(closed Degradation) {
 }
 
 // Finish flushes the final epoch and returns the first error swallowed
-// while emitting results, if any. Call once after the last record. Finish
-// does not write a checkpoint: the checkpoint file (if configured) stays
-// at the last closed epoch boundary, so a later restore replays the final
-// epoch in full.
+// while emitting results (or else the error closing the checkpoint log),
+// if any. Call once after the last record. Finish does not write a
+// checkpoint: the checkpoint log (if configured) stays at the last closed
+// epoch boundary, so a later restore replays the final epoch in full;
+// Finish closes its descriptor.
 func (e *Engine) Finish() error {
 	if err := e.flushStage(); err != nil {
 		return err
@@ -1074,6 +1079,9 @@ func (e *Engine) Finish() error {
 		// (persisted or recorded as unpersisted) before the caller reads
 		// Stats or closes the store.
 		e.persist.stop()
+	}
+	if err := e.ckptLog.close(); err != nil && e.firstResultErr == nil {
+		return fmt.Errorf("core: checkpoint: %w", err)
 	}
 	return e.firstResultErr
 }

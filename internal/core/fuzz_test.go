@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/attr"
@@ -140,6 +141,85 @@ func fuzzImageV4(tb testing.TB) []byte {
 	return b.Bytes()
 }
 
+// fuzzLog runs the fuzz workload through an engine keeping a checkpoint
+// log — first restored from the image from, when given — and returns the
+// log split into its base image and the frames appended after it.
+func fuzzLog(tb testing.TB, sqls []string, opts Options, from []byte) (image []byte, frames [][]byte) {
+	tb.Helper()
+	recs, groups := fuzzWorkload(tb)
+	opts.CheckpointPath = filepath.Join(tb.TempDir(), "fuzz.ckpt")
+	e, err := New(sqls, groups, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var skip uint64
+	if from != nil {
+		if skip, err = e.Restore(bytes.NewReader(from)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, r := range recs[skip:] {
+		if err := e.Process(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	log, err := os.ReadFile(opts.CheckpointPath)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	image, rest := log[:e.ckptLog.image], log[e.ckptLog.image:]
+	for len(rest) > 0 {
+		n := 8 + int(binary.LittleEndian.Uint32(rest))
+		frames, rest = append(frames, rest[:n]), rest[n:]
+	}
+	if len(frames) == 0 {
+		tb.Fatal("the fuzz workload's log holds no frame after its last image")
+	}
+	return image, frames
+}
+
+// fuzzLogV3 is fuzzLog over a v3 base: an engine with no store restored
+// from a v3 image carries the restored durability ledger, and so writes v3
+// — deterministically, unlike an engine whose persister runs alongside.
+func fuzzLogV3(tb testing.TB) (image []byte, frames [][]byte) {
+	tb.Helper()
+	recs, groups := fuzzWorkload(tb)
+	st, err := epochstore.Open(filepath.Join(tb.TempDir(), "store"), epochstore.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer st.Close()
+	opts := fuzzOptions()
+	opts.Store = st
+	e, err := New(fuzzSQL, groups, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range recs[:700] { // into the second of five epochs
+		if err := e.Process(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	e.SyncStore()
+	var v3 bytes.Buffer
+	if err := e.Checkpoint(&v3); err != nil {
+		tb.Fatal(err)
+	}
+	e.persist.stop()
+	return fuzzLog(tb, fuzzSQL, fuzzOptions(), v3.Bytes())
+}
+
+// logForms returns a log in the four forms the corpus covers: whole, torn
+// inside its last frame, with that frame's checksum failing, and with that
+// frame repeated (the copy does not extend the state the first produced).
+func logForms(image []byte, frames [][]byte) [][]byte {
+	whole := slices.Concat(append([][]byte{image}, frames...)...)
+	last := frames[len(frames)-1]
+	flipped := bytes.Clone(whole)
+	flipped[len(flipped)-1] ^= 0x5a
+	return [][]byte{whole, whole[:len(whole)-3], flipped, slices.Concat(whole, last)}
+}
+
 // fuzzSeeds enumerates the seed inputs shared by the fuzz target and the
 // checked-in corpus generator.
 func fuzzSeeds(tb testing.TB) [][]byte {
@@ -152,7 +232,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		b[off] ^= xor
 		return b
 	}
-	return [][]byte{
+	seeds := [][]byte{
 		v2,
 		v1,
 		nil,
@@ -176,6 +256,10 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		flip(v4, len(v4)-1, 0xff), // mangled window-section tail
 		flip(v4, len(v4)/2, 0xff), // corrupted pane body
 	}
+	// Checkpoint logs: delta frames after a v2, a v3 and a v4 image.
+	seeds = append(seeds, logForms(fuzzLog(tb, fuzzSQL, fuzzOptions(), nil))...)
+	seeds = append(seeds, logForms(fuzzLogV3(tb))...)
+	return append(seeds, logForms(fuzzLog(tb, fuzzWinSQL, fuzzWinOptions(), nil))...)
 }
 
 // FuzzCheckpointDecode: arbitrary bytes fed to Restore must never panic.
@@ -468,7 +552,8 @@ func TestRestoreRejectsCorruptV4(t *testing.T) {
 // TestFuzzCorpusCoversCurrentVersion fails the build when the checked-in
 // fuzz corpus lags the checkpoint format: at least one seed must be a
 // well-formed image of the current version, so CI's short fuzz run
-// always starts from current framing. Regenerate with
+// always starts from current framing, and for each of v2, v3 and v4 a
+// seed must be a checkpoint log whose delta frames fold. Regenerate with
 // MAGG_WRITE_CORPUS=1 when the format version bumps.
 func TestFuzzCorpusCoversCurrentVersion(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzCheckpointDecode")
@@ -476,6 +561,8 @@ func TestFuzzCorpusCoversCurrentVersion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("seed corpus missing: %v", err)
 	}
+	_, groups := fuzzWorkload(t)
+	folds := map[byte]bool{} // versions with a seed whose frames fold
 	versions := map[byte]bool{}
 	for _, ent := range entries {
 		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
@@ -493,14 +580,32 @@ func TestFuzzCorpusCoversCurrentVersion(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: unparseable corpus line: %v", ent.Name(), err)
 			}
-			if len(seed) >= 5 && seed[:4] == ckptMagic {
-				versions[seed[4]] = true
+			if len(seed) < 5 || seed[:4] != ckptMagic {
+				continue
+			}
+			v := seed[4]
+			versions[v] = true
+			sqls, opts := fuzzSQL, fuzzOptions()
+			if v == ckptVersion {
+				sqls, opts = fuzzWinSQL, fuzzWinOptions()
+			}
+			e, err := New(sqls, groups, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, frames, err := e.restore(strings.NewReader(seed)); err == nil && frames > 0 {
+				folds[v] = true
 			}
 		}
 	}
 	for v := byte(ckptVersionV1); v <= ckptVersion; v++ {
 		if !versions[v] {
 			t.Errorf("no corpus seed carries a v%d image; regenerate with MAGG_WRITE_CORPUS=1 go test -run TestWriteFuzzCorpus ./internal/core", v)
+		}
+	}
+	for v := byte(ckptVersionV2); v <= ckptVersion; v++ {
+		if !folds[v] {
+			t.Errorf("no corpus seed is a v%d checkpoint log whose delta frames fold; regenerate with MAGG_WRITE_CORPUS=1 go test -run TestWriteFuzzCorpus ./internal/core", v)
 		}
 	}
 }

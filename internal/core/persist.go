@@ -271,6 +271,9 @@ func (e *Engine) ReplayStore() error {
 		return err
 	}
 	e.reconcileStore()
+	// The replayed epochs are in no record of the checkpoint log: the next
+	// boundary writes a base image.
+	e.ckptLog.drop()
 	return nil
 }
 

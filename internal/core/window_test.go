@@ -177,9 +177,10 @@ func TestWindowedShardEquivalence(t *testing.T) {
 }
 
 // TestWindowedKillRestore: kill the engine mid-window, restore from the
-// v4 checkpoint, and finish — the full window output matches the
-// uninterrupted run, and the restored engine re-serializes the image
-// byte-identically (panes and sketch blobs carried verbatim).
+// v4 checkpoint log, and finish — the full window output matches the
+// uninterrupted run, and the restored engine re-serializes the image the
+// killed engine checkpointed at its last boundary byte-identically (panes
+// and sketch blobs carried verbatim).
 func TestWindowedKillRestore(t *testing.T) {
 	recs, _ := testWorkload(t, 30000)
 	sqls := windowSQL(3, 2)
@@ -199,11 +200,13 @@ func TestWindowedKillRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	const crashAt = 17000
-	for i := 0; i < crashAt; i++ {
-		if err := e1.Process(recs[i]); err != nil {
+	var boundary bytes.Buffer // the killed engine's image at its last boundary
+	feedBoundaries(t, e1, recs[:crashAt], nil, func() {
+		boundary.Reset()
+		if err := e1.Checkpoint(&boundary); err != nil {
 			t.Fatal(err)
 		}
-	}
+	})
 	if e1.Stats().Epochs == 0 {
 		t.Fatal("crash point never crossed an epoch boundary")
 	}
@@ -227,12 +230,12 @@ func TestWindowedKillRestore(t *testing.T) {
 		t.Fatal("restore carried no window state; the kill point is vacuous")
 	}
 	// Byte identity before any further input: restore → checkpoint must
-	// reproduce the image exactly.
+	// reproduce the boundary's image exactly.
 	var buf bytes.Buffer
 	if err := e2.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), img) {
+	if !bytes.Equal(buf.Bytes(), boundary.Bytes()) {
 		t.Fatal("restored engine does not re-serialize the v4 image byte-identically")
 	}
 	if err := e2.Run(stream.NewSkipSource(stream.NewSliceSource(recs), consumed)); err != nil {

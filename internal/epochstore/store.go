@@ -18,12 +18,16 @@
 package epochstore
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -43,18 +47,23 @@ const (
 	manMagic     = "MMAN"
 	manVersion   = 1
 
-	// Frame header: payload length + CRC32C of the payload.
-	frameHeaderSize = 8
+	// FrameHeaderSize is a frame's header: payload length + CRC32C of the
+	// payload.
+	FrameHeaderSize = 8
 
 	// Sanity caps on untrusted length fields: corrupt frames must fail
 	// cleanly, never demand gigabytes.
-	maxFramePayload = 1 << 26
+	MaxFramePayload = 1 << 26
 	maxRows         = 1 << 24
 	maxSegments     = 1 << 20
 
 	// DefaultSegmentBytes is the rotation threshold when Options leaves it
 	// zero.
 	DefaultSegmentBytes = 4 << 20
+
+	// maxSegmentBytes bounds a segment whatever the rotation threshold, so
+	// an index entry holds a frame's offset in 32 bits.
+	maxSegmentBytes = math.MaxUint32
 )
 
 // ErrCorrupt reports a malformed record, segment, or manifest.
@@ -89,6 +98,7 @@ type Options struct {
 	// FS routes all I/O; nil = the real filesystem (OSFS).
 	FS FS
 	// SegmentBytes is the rotation threshold (default DefaultSegmentBytes).
+	// A segment also rotates before an append would take it past 4 GiB.
 	SegmentBytes int64
 }
 
@@ -105,15 +115,27 @@ func (r Recovery) Dirty() bool {
 	return r.TruncatedBytes > 0 || r.DroppedSegments > 0 || r.DuplicateFrames > 0 || r.ManifestRebuilt
 }
 
-type indexKey struct {
+// indexEntry locates one persisted (epoch, relation) record. The index is
+// a slice of these sorted by (epoch, rel): 16 bytes a record, where a map
+// entry cost 40 and more, read in order by Epochs, Relations, LastEpoch
+// and Scan. It is the store's only memory that grows with the epochs
+// persisted. Appends arrive in epoch order, so an insert is an append at
+// the end except when an epoch older than the newest is persisted (a
+// replay after a restore), which binary-searches its slot. The frame's
+// length is not kept: a read takes it from the frame header.
+type indexEntry struct {
 	epoch uint32
 	rel   attr.Set
+	seg   uint32
+	off   uint32 // frame start (header included); below maxSegmentBytes
 }
 
-type indexEntry struct {
-	seg uint32
-	off int64 // frame start (header included)
-	len int64 // full frame length
+// cmpKey orders an entry against an (epoch, rel) key.
+func (ent indexEntry) cmpKey(epoch uint32, rel attr.Set) int {
+	if c := cmp.Compare(ent.epoch, epoch); c != 0 {
+		return c
+	}
+	return cmp.Compare(ent.rel, rel)
 }
 
 // Store is the durable epoch store. All methods are safe for concurrent
@@ -131,7 +153,7 @@ type Store struct {
 	activeID uint32
 	goodSize int64 // committed (synced, indexed) bytes of the active segment
 	damaged  bool  // bytes past goodSize may be torn; repair before appending
-	index    map[indexKey]indexEntry
+	index    []indexEntry
 	recovery Recovery
 	scratch  []byte
 }
@@ -157,7 +179,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:      dir,
 		fs:       fsys,
 		segBytes: segBytes,
-		index:    make(map[indexKey]indexEntry),
 	}
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -304,6 +325,9 @@ func (s *Store) scanSegment(id uint32, size int64) (int64, error) {
 	if size < segHeaderSize {
 		return -1, nil
 	}
+	if size > maxSegmentBytes {
+		return 0, fmt.Errorf("%w: segment %d holds %d bytes, past the %d a segment may", ErrCorrupt, id, size, int64(maxSegmentBytes))
+	}
 	f, err := s.fs.OpenFile(s.segName(id), os.O_RDONLY, 0)
 	if err != nil {
 		return 0, fmt.Errorf("epochstore: %w", err)
@@ -318,21 +342,83 @@ func (s *Store) scanSegment(id uint32, size int64) (int64, error) {
 	}
 	clean, frames := scanFrames(data[segHeaderSize:])
 	for _, fr := range frames {
-		rec, err := decodeRecord(data[segHeaderSize+fr.off+frameHeaderSize : segHeaderSize+fr.off+fr.len])
+		rec, err := decodeRecord(data[segHeaderSize+fr.off+FrameHeaderSize : segHeaderSize+fr.off+fr.len])
 		if err != nil {
 			// CRC passed but the payload is not a record: treat as torn
 			// from this frame on.
 			clean = fr.off
 			break
 		}
-		key := indexKey{epoch: rec.Epoch, rel: rec.Rel}
-		if _, dup := s.index[key]; dup {
+		if _, dup := s.find(rec.Epoch, rec.Rel); dup {
 			s.recovery.DuplicateFrames++
 			continue
 		}
-		s.index[key] = indexEntry{seg: id, off: segHeaderSize + fr.off, len: fr.len}
+		s.put(indexEntry{epoch: rec.Epoch, rel: rec.Rel, seg: id, off: uint32(segHeaderSize + fr.off)})
 	}
 	return segHeaderSize + clean, nil
+}
+
+// find returns the index position of (epoch, rel), or the position it
+// would be inserted at, and whether it is present.
+func (s *Store) find(epoch uint32, rel attr.Set) (int, bool) {
+	return slices.BinarySearchFunc(s.index, indexEntry{epoch: epoch, rel: rel}, func(a, b indexEntry) int {
+		return a.cmpKey(b.epoch, b.rel)
+	})
+}
+
+// put indexes ent, replacing an entry with the same key.
+func (s *Store) put(ent indexEntry) {
+	if n := len(s.index); n == 0 || s.index[n-1].cmpKey(ent.epoch, ent.rel) < 0 {
+		s.index = append(s.index, ent)
+		return
+	}
+	i, found := s.find(ent.epoch, ent.rel)
+	if found {
+		s.index[i] = ent
+		return
+	}
+	s.index = slices.Insert(s.index, i, ent)
+}
+
+// SealFrame makes frame — FrameHeaderSize reserved bytes followed by a
+// payload of 1 to MaxFramePayload bytes — one frame of the store's log
+// format by filling the header with the payload's length and CRC32C.
+// Other append-only logs (the engine's checkpoint log) share the store's
+// framing and its torn-tail rule (ReadFrame).
+func SealFrame(frame []byte) {
+	payload := frame[FrameHeaderSize:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
+}
+
+// ReadFrame reads the next frame from r into buf and returns its payload,
+// which aliases buf. It returns io.EOF when r ends exactly at a frame
+// boundary, and an error wrapping ErrCorrupt for a torn frame (r ends inside
+// it), an implausible length, or a checksum mismatch: whatever follows such
+// a frame is not part of the log.
+func ReadFrame(r io.Reader, buf *bytes.Buffer) ([]byte, error) {
+	var hdr [FrameHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("%w: torn frame header: %v", ErrCorrupt, err)
+	}
+	plen := int64(binary.LittleEndian.Uint32(hdr[:]))
+	if plen <= 0 || plen > MaxFramePayload {
+		return nil, fmt.Errorf("%w: frame length %d", ErrCorrupt, plen)
+	}
+	// Copy rather than pre-size: a corrupt header must not allocate the
+	// length it claims before the bytes exist.
+	buf.Reset()
+	if n, err := io.CopyN(buf, r, plen); n != plen {
+		return nil, fmt.Errorf("%w: torn frame: %d of %d payload bytes (%v)", ErrCorrupt, n, plen, err)
+	}
+	payload := buf.Bytes()
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[4:]) {
+		return nil, fmt.Errorf("%w: frame checksum mismatch", ErrCorrupt)
+	}
+	return payload, nil
 }
 
 type frameSpan struct{ off, len int64 }
@@ -343,20 +429,20 @@ type frameSpan struct{ off, len int64 }
 func scanFrames(data []byte) (clean int64, frames []frameSpan) {
 	off := int64(0)
 	for {
-		if off+frameHeaderSize > int64(len(data)) {
+		if off+FrameHeaderSize > int64(len(data)) {
 			return off, frames
 		}
 		plen := int64(binary.LittleEndian.Uint32(data[off:]))
 		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if plen <= 0 || plen > maxFramePayload || off+frameHeaderSize+plen > int64(len(data)) {
+		if plen <= 0 || plen > MaxFramePayload || off+FrameHeaderSize+plen > int64(len(data)) {
 			return off, frames
 		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+plen]
+		payload := data[off+FrameHeaderSize : off+FrameHeaderSize+plen]
 		if crc32.Checksum(payload, crcTable) != crc {
 			return off, frames
 		}
-		frames = append(frames, frameSpan{off: off, len: frameHeaderSize + plen})
-		off += frameHeaderSize + plen
+		frames = append(frames, frameSpan{off: off, len: FrameHeaderSize + plen})
+		off += FrameHeaderSize + plen
 	}
 }
 
@@ -594,48 +680,36 @@ func (s *Store) AppendEpoch(recs []Record) error {
 			return err
 		}
 	}
-	type staged struct {
-		key      indexKey
-		off, len int64
-	}
 	var (
-		frames []staged
+		frames []indexEntry // offsets within buf until the write lands
 		buf    = s.scratch[:0]
 	)
-	off := s.goodSize
 	for i := range recs {
 		rec := &recs[i]
-		key := indexKey{epoch: rec.Epoch, rel: rec.Rel}
-		if _, dup := s.index[key]; dup {
+		if _, dup := s.find(rec.Epoch, rec.Rel); dup {
 			continue
 		}
 		start := len(buf)
-		buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
+		buf = append(buf, make([]byte, FrameHeaderSize)...) // sealed below
 		var err error
 		buf, err = encodeRecord(buf, rec)
 		if err != nil {
 			return err
 		}
-		payload := buf[start+frameHeaderSize:]
-		binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
-		flen := int64(len(buf) - start)
-		frames = append(frames, staged{key: key, off: off, len: flen})
-		off += flen
+		SealFrame(buf[start:])
+		frames = append(frames, indexEntry{epoch: rec.Epoch, rel: rec.Rel, off: uint32(start)})
 	}
 	s.scratch = buf[:0]
 	if len(frames) == 0 {
 		return nil
 	}
-	if s.goodSize >= s.segBytes {
+	if s.goodSize >= s.segBytes || s.goodSize+int64(len(buf)) > maxSegmentBytes {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
-		// Rebase the staged offsets onto the fresh segment.
-		delta := s.goodSize - frames[0].off
-		for i := range frames {
-			frames[i].off += delta
-		}
+	}
+	if s.goodSize+int64(len(buf)) > maxSegmentBytes {
+		return fmt.Errorf("epochstore: epoch %d's %d bytes exceed a segment", frames[0].epoch, len(buf))
 	}
 	if _, err := s.active.Write(buf); err != nil {
 		s.damaged = true
@@ -646,7 +720,8 @@ func (s *Store) AppendEpoch(recs []Record) error {
 		return fmt.Errorf("epochstore: append sync: %w", err)
 	}
 	for _, fr := range frames {
-		s.index[fr.key] = indexEntry{seg: s.activeID, off: fr.off, len: fr.len}
+		fr.seg, fr.off = s.activeID, uint32(s.goodSize)+fr.off
+		s.put(fr)
 	}
 	s.goodSize += int64(len(buf))
 	return nil
@@ -694,7 +769,7 @@ func (s *Store) rotateLocked() error {
 func (s *Store) Has(epoch uint32, rel attr.Set) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.index[indexKey{epoch: epoch, rel: rel}]
+	_, ok := s.find(epoch, rel)
 	return ok
 }
 
@@ -703,29 +778,26 @@ func (s *Store) Has(epoch uint32, rel attr.Set) bool {
 func (s *Store) Epochs() []uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seen := make(map[uint32]bool)
 	var out []uint32
-	for k := range s.index {
-		if !seen[k.epoch] {
-			seen[k.epoch] = true
-			out = append(out, k.epoch)
+	for _, ent := range s.index {
+		if n := len(out); n == 0 || out[n-1] != ent.epoch {
+			out = append(out, ent.epoch)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// Relations returns the relations persisted for one epoch, sorted.
+// Relations returns the relations persisted for one epoch, in
+// attr.SortSets order.
 func (s *Store) Relations(epoch uint32) []attr.Set {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []attr.Set
-	for k := range s.index {
-		if k.epoch == epoch {
-			out = append(out, k.rel)
-		}
+	i, _ := s.find(epoch, 0)
+	for ; i < len(s.index) && s.index[i].epoch == epoch; i++ {
+		out = append(out, s.index[i].rel)
 	}
-	attr.SortSets(out)
+	attr.SortSets(out) // the epoch's few entries; the index holds them by bits
 	return out
 }
 
@@ -733,15 +805,10 @@ func (s *Store) Relations(epoch uint32) []attr.Set {
 func (s *Store) LastEpoch() (uint32, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var best uint32
-	found := false
-	for k := range s.index {
-		if !found || k.epoch > best {
-			best = k.epoch
-			found = true
-		}
+	if len(s.index) == 0 {
+		return 0, false
 	}
-	return best, found
+	return s.index[len(s.index)-1].epoch, true
 }
 
 // Len returns the number of persisted (epoch, relation) records.
@@ -754,7 +821,7 @@ func (s *Store) Len() int {
 // Read returns one persisted record, re-verifying its CRC on the way in.
 func (s *Store) Read(epoch uint32, rel attr.Set) (*Record, error) {
 	s.mu.Lock()
-	ent, ok := s.index[indexKey{epoch: epoch, rel: rel}]
+	i, ok := s.find(epoch, rel)
 	if !ok {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("epochstore: epoch %d of %v is not persisted", epoch, rel)
@@ -763,6 +830,7 @@ func (s *Store) Read(epoch uint32, rel attr.Set) (*Record, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
+	ent := s.index[i]
 	s.mu.Unlock()
 	return s.readEntry(ent)
 }
@@ -773,18 +841,10 @@ func (s *Store) readEntry(ent indexEntry) (*Record, error) {
 		return nil, fmt.Errorf("epochstore: %w", err)
 	}
 	defer f.Close()
-	frame := make([]byte, ent.len)
-	if _, err := f.ReadAt(frame, ent.off); err != nil {
-		return nil, fmt.Errorf("epochstore: %w", err)
-	}
-	plen := int64(binary.LittleEndian.Uint32(frame))
-	crc := binary.LittleEndian.Uint32(frame[4:])
-	if plen != ent.len-frameHeaderSize {
-		return nil, fmt.Errorf("%w: frame length changed under us", ErrCorrupt)
-	}
-	payload := frame[frameHeaderSize:]
-	if crc32.Checksum(payload, crcTable) != crc {
-		return nil, fmt.Errorf("%w: frame checksum mismatch", ErrCorrupt)
+	var buf bytes.Buffer
+	payload, err := ReadFrame(io.NewSectionReader(f, int64(ent.off), FrameHeaderSize+MaxFramePayload), &buf)
+	if err != nil {
+		return nil, fmt.Errorf("epochstore: epoch %d of %v: %w", ent.epoch, ent.rel, err)
 	}
 	return decodeRecord(payload)
 }
@@ -792,19 +852,10 @@ func (s *Store) readEntry(ent indexEntry) (*Record, error) {
 // Scan calls fn for every persisted record in (epoch, relation) order.
 func (s *Store) Scan(fn func(*Record) error) error {
 	s.mu.Lock()
-	keys := make([]indexKey, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
+	ents := slices.Clone(s.index)
 	s.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].epoch != keys[j].epoch {
-			return keys[i].epoch < keys[j].epoch
-		}
-		return keys[i].rel < keys[j].rel
-	})
-	for _, k := range keys {
-		rec, err := s.Read(k.epoch, k.rel)
+	for _, ent := range ents {
+		rec, err := s.Read(ent.epoch, ent.rel)
 		if err != nil {
 			return err
 		}

@@ -299,7 +299,7 @@ func TestMidLogCorruptionDropsSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[segHeaderSize+frameHeaderSize+2] ^= 0xff
+	b[segHeaderSize+FrameHeaderSize+2] ^= 0xff
 	if err := os.WriteFile(victim, b, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,8 @@ type OracleRow struct {
 }
 
 // OracleWindow is one recomputed window: ledger plus rows in query
-// order, sorted by key within each relation.
+// order, in packed little-endian byte order of the group keys (see PackKey)
+// within each relation.
 type OracleWindow struct {
 	Ledger WindowLedger
 	Rows   []OracleRow

@@ -74,8 +74,9 @@ type WindowRow struct {
 }
 
 // WindowResult is everything emitted when one window closes: its ledger
-// and the rows of every query relation, in query order, sorted by key
-// within each relation.
+// and the rows of every query relation, in query order, in packed
+// little-endian byte order of their group keys (see PackKey) within each
+// relation.
 type WindowResult struct {
 	Ledger WindowLedger
 	Rows   []WindowRow
@@ -188,8 +189,10 @@ func (c *Composer) SketchAggs() []sketch.Agg { return c.saggs }
 func (c *Composer) PaneCount() int { return len(c.panes) }
 
 // PackKey encodes a group key as a comparable map key: little-endian
-// 4-byte words. Lexicographic byte order equals per-attribute numeric
-// order, which keeps sorted read-out cheap.
+// 4-byte words. Byte order of packed keys is not numeric order — the low
+// byte of each word compares first, so key 256 (00 01 00 00) sorts before
+// key 1 (01 00 00 00). Window rows, pane snapshots and WindowOracle all
+// sort by packed bytes, and checkpoint byte identity depends on that order.
 func PackKey(key []uint32) string { return string(AppendKeyBytes(nil, key)) }
 
 // AppendKeyBytes appends the packed form of key to dst.

@@ -27,13 +27,39 @@ func TestPackKeyRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Packed byte order must equal per-attribute numeric order.
-	a, b := PackKey([]uint32{1, 500}), PackKey([]uint32{2, 3})
-	if !(a < b) {
-		t.Fatal("packed order does not follow attribute order")
+}
+
+// TestPackedKeyOrder pins the order window rows, pane snapshots and the
+// window oracle share — packed little-endian bytes, low byte first — with
+// keys 1 and 256, where it and numeric order disagree. A change to either
+// would silently re-order window output and every v4 checkpoint.
+func TestPackedKeyOrder(t *testing.T) {
+	one, k256 := []uint32{1}, []uint32{256}
+	if !(PackKey(k256) < PackKey(one)) || !lessKeys(one, k256) {
+		t.Fatal("keys 1 and 256: packed order must put 256 first, numeric order 1 first")
 	}
-	if lessKeys([]uint32{1, 500}, []uint32{2, 3}) != (a < b) {
-		t.Fatal("PackKey order disagrees with lessKeys")
+	queries := []attr.Set{attr.MustParseSet("A")}
+	aggs := []lfta.AggSpec{{Op: hashtab.Sum, Input: -1}}
+	c, err := NewComposer(WindowSpec{Size: 1, Slide: 1}, queries, aggs, nil, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ClosePane(0, PaneStats{Offered: 2, Processed: 2}, []PaneInput{{Rel: queries[0], Rows: []Row{
+		{Rel: queries[0], Key: one, Aggs: []int64{1}},
+		{Rel: queries[0], Key: k256, Aggs: []int64{1}},
+	}}})
+	snap := c.SnapshotPanes()
+	res := c.CloseThrough(0)
+	if len(res) != 1 || len(res[0].Rows) != 2 || res[0].Rows[0].Key[0] != 256 {
+		t.Fatalf("window rows %+v; want key 256 before key 1", res)
+	}
+	if rows := snap[0].Rels[0].Rows; len(rows) != 2 || rows[0].Key[0] != 256 {
+		t.Fatalf("pane snapshot rows %+v; want key 256 before key 1", rows)
+	}
+	recs := []stream.Record{{Attrs: []uint32{1}, Time: 0}, {Attrs: []uint32{256}, Time: 0}}
+	oracle := WindowOracle(recs, queries, aggs, nil, 0, 0, 10, WindowSpec{Size: 1, Slide: 1})
+	if len(oracle) != 1 || len(oracle[0].Rows) != 2 || oracle[0].Rows[0].Key[0] != 256 {
+		t.Fatalf("oracle rows %+v; want key 256 before key 1", oracle)
 	}
 }
 
