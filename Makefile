@@ -28,13 +28,16 @@ race:
 # live fuzzing — what CI runs. Use `go test -fuzz FuzzCheckpointDecode
 # -fuzzminimizetime 50x ./internal/core` (or FuzzSegmentDecode in
 # ./internal/epochstore, FuzzDecodePartial in ./internal/sketch) for a
-# live session.
+# live session (FuzzComposer in ./internal/hfta minimizes slowly: pass
+# -fuzzminimizetime 1s).
 fuzz-short:
-	$(GO) test -run 'Fuzz' ./internal/core ./internal/stream ./internal/feedgraph ./internal/query ./internal/epochstore ./internal/sketch
+	$(GO) test -run 'Fuzz' ./internal/core ./internal/stream ./internal/feedgraph ./internal/query ./internal/epochstore ./internal/sketch ./internal/hfta
 
 # bench/ is a nested module that ./... does not reach; it assembles the
-# engine's epoch close from the layers' public entry points, so it is
-# where an hfta or core API change breaks first.
+# engine's epoch close from the layers' public entry points
+# (Aggregator.Rows/Drop/MergeRun, PaneInput.Rows and PaneInput.Sketches,
+# AppendKeyBytes, sketch.NewPartial and Partial.AppendBinary), so it is
+# where an hfta, sketch or core API change breaks first.
 bench-module:
 	cd bench && $(GO) vet . && $(GO) test .
 

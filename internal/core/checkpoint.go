@@ -303,10 +303,10 @@ func (e *Engine) writeBody(c *ckptEncoder, version uint8, since *ckptMark) {
 	if since != nil {
 		m = *since
 	}
-	closed := e.degHist[m.hist:]
+	closed := e.hist.epochs[m.hist:]
 	c.u32(uint32(len(closed)))
-	for _, d := range closed {
-		c.deg(d)
+	for i := m.hist; i < len(e.hist.epochs); i++ {
+		c.deg(e.hist.global(i))
 	}
 	rels := e.graph.Relations()
 	attr.SortSets(rels)
@@ -321,14 +321,14 @@ func (e *Engine) writeBody(c *ckptEncoder, version uint8, since *ckptMark) {
 		// Each epoch closed since the last record, with the rows the HFTA
 		// retains of it now (none: released, or never had any).
 		c.u32(uint32(len(closed)))
-		for _, d := range closed {
+		for _, ep := range closed {
 			var rows []hfta.Row
 			for _, q := range e.queries {
-				if e.agg.GroupCount(q, d.Epoch) > 0 {
-					rows = append(rows, e.agg.Rows(q, d.Epoch)...)
+				if e.agg.GroupCount(q, ep) > 0 {
+					rows = append(rows, e.agg.Rows(q, ep)...)
 				}
 			}
-			c.u32(d.Epoch)
+			c.u32(ep)
 			c.rows(rows)
 		}
 	}
@@ -365,10 +365,11 @@ func (e *Engine) writeBody(c *ckptEncoder, version uint8, since *ckptMark) {
 				c.u64(e.shardCum[i].Offered + e.shardDeg[i].Offered)
 				c.deg(e.shardCum[i])
 			}
-			hist := e.shardHist[m.shardHist:]
-			c.u32(uint32(len(hist) / e.nShards))
-			for _, d := range hist {
-				c.deg(d)
+			c.u32(uint32(len(closed)))
+			for i := m.hist; i < len(e.hist.epochs); i++ {
+				for s := 0; s < e.nShards; s++ {
+					c.deg(e.hist.shard(i, s))
+				}
 			}
 		}
 	}
@@ -936,8 +937,9 @@ func (e *Engine) restore(r io.Reader) (consumed uint64, frames int, err error) {
 // configuration and then, only if every check passes, loads it.
 func (e *Engine) install(st *ckptState) error {
 	// The group counts must cover (and be sane for) the feeding graph, the
-	// shard count must match the deployment, and a stateful shed image needs
-	// a policy able to absorb it.
+	// shard count must match the deployment, the history's shard rows must
+	// split its global ledgers exactly, and a stateful shed image needs a
+	// policy able to absorb it.
 	for _, rel := range e.graph.Relations() {
 		g, err := st.groups.Get(rel)
 		if err != nil {
@@ -947,8 +949,13 @@ func (e *Engine) install(st *ckptState) error {
 			return fmt.Errorf("%w: group count %v for %v", ErrBadCheckpoint, g, rel)
 		}
 	}
-	if st.version >= 2 && int(st.nShards) != e.nShards && !(st.nShards <= 1 && e.nShards <= 1) {
+	// Every version: a v1 image has no shard section, so it carries 0 shards.
+	if int(st.nShards) != e.nShards && !(st.nShards <= 1 && e.nShards <= 1) {
 		return fmt.Errorf("%w: checkpoint has %d shards, engine runs %d", ErrBadCheckpoint, st.nShards, e.NumShards())
+	}
+	hist, err := restoreHistory(e.nShards, st.hist, st.shardHist)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
 	var shedCarrier ShedPolicyState
 	if len(st.shedWords) > 0 {
@@ -977,7 +984,6 @@ func (e *Engine) install(st *ckptState) error {
 		// would have, or the byte-identity of its shed decisions breaks.
 		copy(e.shardWeight, st.shardWeights)
 		copy(e.shardCum, st.shardCum)
-		e.shardHist = st.shardHist
 	}
 	e.totalOps = st.ops // the fresh runtime's counters are zero
 	e.consumed = st.consumed
@@ -987,7 +993,7 @@ func (e *Engine) install(st *ckptState) error {
 	e.stats.ResultErrors = int(st.resultErrors)
 	e.clock.RestoreSnapshot(st.started != 0, st.cur, st.regressed)
 	e.cumDeg = st.cumDeg
-	e.degHist = st.hist
+	e.hist = hist
 	epochs := make([]uint32, 0, len(st.rows))
 	for ep := range st.rows {
 		epochs = append(epochs, ep)

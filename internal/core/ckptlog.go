@@ -57,9 +57,9 @@ const ckptLogRewrite = 2
 // ckptMark is what the log's last record covered: the closed-epoch count
 // and history lengths the next frame extends, and the panes retained then.
 type ckptMark struct {
-	epochs                            int
-	hist, shardHist, winLeds, winRows int
-	panes                             []uint32 // ascending epochs
+	epochs                 int
+	hist, winLeds, winRows int
+	panes                  []uint32 // ascending epochs
 }
 
 // ckptLog is the engine's side of the checkpoint log.
@@ -127,8 +127,7 @@ func (e *Engine) logCheckpoint() error {
 func (e *Engine) markCkpt() {
 	m := &e.ckptLog.mark
 	m.epochs = e.stats.Epochs
-	m.hist = len(e.degHist)
-	m.shardHist = len(e.shardHist)
+	m.hist = len(e.hist.epochs)
 	m.winLeds = len(e.windowLeds)
 	m.winRows = len(e.windowRows)
 	m.panes = m.panes[:0]
@@ -162,10 +161,10 @@ func (e *Engine) deltaFrame() []byte {
 
 // fedPanes returns the panes of closed epochs: the ones fed since the
 // log's mark.
-func fedPanes(panes []hfta.PaneSnapshot, closed []Degradation) []hfta.PaneSnapshot {
+func fedPanes(panes []hfta.PaneSnapshot, closed []uint32) []hfta.PaneSnapshot {
 	var out []hfta.PaneSnapshot
 	for _, p := range panes {
-		if slices.ContainsFunc(closed, func(d Degradation) bool { return d.Epoch == p.Epoch }) {
+		if slices.Contains(closed, p.Epoch) {
 			out = append(out, p)
 		}
 	}

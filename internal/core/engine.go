@@ -269,18 +269,16 @@ type Engine struct {
 	// one ledger per shard (nShards = max(Options.Shards, 1)) and the only
 	// counters admission touches; the open epoch's global ledger is their
 	// sum (openDeg), stamped with openEpoch once degInit says a record has
-	// opened it. Closed epochs append that sum to degHist and fold it into
-	// cumDeg. A sharded deployment (nShards > 1) also keeps each shard's
-	// cumulative total and the per-epoch per-shard history (flat, nShards
-	// entries per closed epoch); a shard's stream position is its
-	// cumulative plus open Offered.
+	// opened it. Closed epochs append their per-shard ledgers to hist
+	// (whose rows sum to the global ones) and fold the sum into cumDeg. A
+	// sharded deployment (nShards > 1) also keeps each shard's cumulative
+	// total; a shard's stream position is its cumulative plus open Offered.
 	nShards   int
 	shardDeg  []Degradation
 	shardCum  []Degradation
-	shardHist []Degradation
 	openEpoch uint32
 	degInit   bool
-	degHist   []Degradation
+	hist      epochHistory
 	cumDeg    Degradation
 
 	// Online peak-load repair state: consecutive epochs whose measured
@@ -337,18 +335,18 @@ type Engine struct {
 
 	// Sliding-window state (active when the workload declares a window
 	// or sketch aggregates): the pane→window composer, the sketch agg
-	// list, the open pane's per-(relation, group) sketch partials, and
-	// the closed windows' ledgers plus (without an OnWindow handler)
-	// their result rows. Pane sketch accumulation runs in the
-	// single-threaded admission path, so serialized pane partials — and
-	// therefore windowed results — are identical across shard counts.
-	winComposer  *hfta.Composer
-	sketchAggs   []sketch.Agg
-	paneSk       map[attr.Set]map[string]*sketch.Partial
-	paneKeyBuf   []uint32
-	paneKeyBytes []byte
-	windowLeds   []hfta.WindowLedger
-	windowRows   []hfta.WindowRow
+	// list, the open pane's sketch partials (one table per query, by
+	// position; nil without sketch aggregates), and the closed windows'
+	// ledgers plus (without an OnWindow handler) their result rows. Pane
+	// sketch accumulation runs in the single-threaded admission path, so
+	// serialized pane partials — and therefore windowed results — are
+	// identical across shard counts.
+	winComposer *hfta.Composer
+	sketchAggs  []sketch.Agg
+	paneTabs    []paneTable
+	paneKeyBuf  []uint32
+	windowLeds  []hfta.WindowLedger
+	windowRows  []hfta.WindowRow
 
 	// winRowScratch is deliverWindows' reused per-query HAVING filter
 	// buffer (safe to reuse across handler calls: rows are only valid
@@ -459,6 +457,7 @@ func NewFromSpecs(specs []*query.Spec, groups feedgraph.GroupCounts, opts Option
 		e.filter = specs[0].Where.Compile()
 	}
 	e.nShards = max(opts.Shards, 1)
+	e.hist.n = e.nShards
 	e.segSel = make([]selvec.Bitmap, e.nShards)
 	e.shardAvail = make([]float64, e.nShards)
 	e.shardWeight = make([]float64, e.nShards)
@@ -722,7 +721,6 @@ func (e *Engine) closeEpochState() Degradation {
 	e.lastFlushCost = float64(flushAfter.Probes-flushBefore.Probes)*e.opts.Params.C1 +
 		float64(flushAfter.Transfers-flushBefore.Transfers)*e.opts.Params.C2
 	e.stats.Epochs++
-	e.degHist = append(e.degHist, closed)
 	e.cumDeg.add(closed)
 	e.closeShardEpoch(closed.Epoch)
 	if e.shedder != nil {
@@ -811,19 +809,18 @@ func (e *Engine) openDeg() Degradation {
 	return d
 }
 
-// closeShardEpoch resets the per-shard ledgers once their sum has been
-// closed as the global one. A sharded deployment first stamps each with
-// the closed epoch, appends it to the per-shard history, folds it into the
-// cumulative per-shard totals, and reconciles the budget split against the
-// epoch's measured per-shard demand.
+// closeShardEpoch appends the per-shard ledgers, whose sum has been
+// closed as the global one, to the history and resets them. A sharded
+// deployment also folds them into the cumulative per-shard totals and
+// reconciles the budget split against the epoch's measured per-shard
+// demand.
 func (e *Engine) closeShardEpoch(epoch uint32) {
+	e.hist.add(epoch, e.shardDeg)
 	if e.nShards > 1 {
 		for i := range e.shardDeg {
-			e.shardDeg[i].Epoch = epoch
 			e.shardCum[i].add(e.shardDeg[i])
 			e.shardCum[i].Epoch = epoch
 		}
-		e.shardHist = append(e.shardHist, e.shardDeg...)
 		e.reconcileBudget(e.shardDeg)
 	}
 	clear(e.shardDeg)
@@ -1153,7 +1150,7 @@ func (e *Engine) admitBatch(b *stream.ColumnBatch) error {
 
 	// Sketch and pane accumulation need record-major rows (as per-record
 	// admission does); gather only when one of them is active.
-	needRows := len(e.sketches) != 0 || e.paneSk != nil
+	needRows := len(e.sketches) != 0 || e.paneTabs != nil
 
 	// Epoch segment: the on-time selected lanes since the last roll, one
 	// selection per shard, flushed through the selection-aware probe with
@@ -1227,7 +1224,7 @@ func (e *Engine) admitBatch(b *stream.ColumnBatch) error {
 						h.AddKey(e.sketchBuf)
 					}
 				}
-				if e.paneSk != nil {
+				if e.paneTabs != nil {
 					e.observePaneSketches(e.rowBuf)
 				}
 			}
@@ -1331,9 +1328,12 @@ func (e *Engine) ShardEpochDegradations() [][]Degradation {
 	if e.nShards <= 1 {
 		return nil
 	}
-	out := make([][]Degradation, len(e.shardHist)/e.nShards)
+	out := make([][]Degradation, len(e.hist.epochs))
 	for i := range out {
-		out[i] = append([]Degradation(nil), e.shardHist[i*e.nShards:(i+1)*e.nShards]...)
+		out[i] = make([]Degradation, e.nShards)
+		for s := range out[i] {
+			out[i][s] = e.hist.shard(i, s)
+		}
 	}
 	return out
 }
@@ -1377,7 +1377,11 @@ func (e *Engine) Consumed() uint64 {
 // EpochDegradations returns the per-epoch overload accounting of every
 // closed epoch, oldest first.
 func (e *Engine) EpochDegradations() []Degradation {
-	return append([]Degradation(nil), e.degHist...)
+	var out []Degradation
+	for i := range e.hist.epochs {
+		out = append(out, e.hist.global(i))
+	}
+	return out
 }
 
 // TableDiagnostic compares one LFTA table's modeled and measured

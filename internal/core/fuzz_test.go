@@ -391,6 +391,18 @@ func TestRestoreRejectsCorruptV2(t *testing.T) {
 		mustReject(t, b)
 	})
 
+	t.Run("global history differs from its shard rows", func(t *testing.T) {
+		// The history count follows the header, the scalars and the
+		// cumulative ledger; each entry is epoch u32 + four u64 counters.
+		histOff := len(ckptMagic) + 1 + 8 + 8 + 4*8 + 3*8 + 1 + 4 + 8 + 36
+		if n := binary.LittleEndian.Uint32(v2[histOff:]); n == 0 {
+			t.Fatal("image has no closed epoch; the test is vacuous")
+		}
+		offered := histOff + 4 + 4
+		mustReject(t, put64(v2, offered, binary.LittleEndian.Uint64(v2[offered:])+1))
+		mustReject(t, put32(v2, histOff+4, binary.LittleEndian.Uint32(v2[histOff+4:])+1))
+	})
+
 	t.Run("prefix sweep", func(t *testing.T) {
 		// Every strict prefix is a truncation and must be rejected. Sample
 		// with a stride (plus the section boundaries) to keep it fast; the

@@ -287,10 +287,10 @@ func (e *Engine) reconcileStore() {
 	defer l.mu.Unlock()
 	l.persisted = 0
 	l.unpersisted = make(map[uint32]string)
-	for _, d := range e.degHist {
+	for _, ep := range e.hist.epochs {
 		complete := true
 		for _, q := range e.queries {
-			if !st.Has(d.Epoch, q) {
+			if !st.Has(ep, q) {
 				complete = false
 				break
 			}
@@ -298,7 +298,7 @@ func (e *Engine) reconcileStore() {
 		if complete {
 			l.persisted++
 		} else {
-			l.unpersisted[d.Epoch] = "missing from store after recovery"
+			l.unpersisted[ep] = "missing from store after recovery"
 		}
 	}
 }

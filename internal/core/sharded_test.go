@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"path/filepath"
 	"testing"
 
@@ -200,8 +202,9 @@ func TestShardedKillRestoreV2(t *testing.T) {
 }
 
 // TestCheckpointV1ReadCompat: a version-1 image (the pre-v2 format) still
-// restores — into an unsharded engine and into a sharded one — with the
-// v2-only state simply starting fresh.
+// restores into an unsharded engine, with the v2-only state simply
+// starting fresh, and is refused by a sharded one, as a v2 image of the
+// same state is.
 func TestCheckpointV1ReadCompat(t *testing.T) {
 	recs, groups := testWorkload(t, 30000)
 	opts := Options{M: 8000, Seed: 3}
@@ -271,24 +274,21 @@ func TestCheckpointV1ReadCompat(t *testing.T) {
 	})
 
 	t.Run("into sharded engine", func(t *testing.T) {
-		// Read-compat extends to a sharded deployment: a v1 image has no
-		// per-shard state, so the shard ledgers start fresh, but results
-		// stay exact.
+		// A v1 image carries no per-shard ledgers. Accepting it would leave
+		// a sharded engine whose ShardEpochDegradations no longer sums to
+		// its EpochDegradations, so the shard count is checked for every
+		// version: the image counts as 0 shards.
 		sopts := opts
 		sopts.Shards = 4
 		e2, err := New(pairSQL, groups, sopts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		consumed, err := e2.Restore(bytes.NewReader(v1.Bytes()))
-		if err != nil {
-			t.Fatal(err)
+		if _, err := e2.Restore(bytes.NewReader(v1.Bytes())); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("v1 image into a 4-shard engine: err = %v; want ErrBadCheckpoint", err)
 		}
-		if err := e2.Run(stream.NewSkipSource(stream.NewSliceSource(recs), consumed)); err != nil {
-			t.Fatal(err)
-		}
-		if !hfta.Equal(e2.AllResults(), want) {
-			t.Error("v1 restore into a sharded engine differs from the uninterrupted run")
+		if len(e2.EpochDegradations()) != 0 || len(e2.ShardEpochDegradations()) != 0 {
+			t.Fatal("a refused restore left history behind")
 		}
 	})
 }
@@ -320,6 +320,107 @@ func TestCheckpointShardCountMismatch(t *testing.T) {
 		}
 		if _, err := e2.Restore(bytes.NewReader(buf.Bytes())); err == nil {
 			t.Errorf("4-shard checkpoint restored into %d-shard engine", n)
+		}
+	}
+}
+
+// TestShardedKillRestoreHistory: killed and restored from its checkpoint
+// log, a sharded engine — with and without a budget — ends with the
+// uninterrupted run's global and per-shard epoch histories, each per-shard
+// row summing to its epoch's global ledger, and both histories hash to the
+// values the separate global and per-shard histories produced before they
+// became one columnar history.
+func TestShardedKillRestoreHistory(t *testing.T) {
+	recs, groups := testWorkload(t, 30000)
+	pinned := map[string]uint64{}
+	for _, n := range []int{2, 4, 8} {
+		for _, budget := range []float64{0, 600} {
+			name := fmt.Sprintf("shards=%d/budget=%v", n, budget)
+			t.Run(name, func(t *testing.T) {
+				mkOpts := func() Options {
+					o := Options{M: 8000, Seed: 3, Shards: n}
+					if budget > 0 {
+						o.Budget, o.Shed = budget, NewUniformShed(0.5, 99)
+					}
+					return o
+				}
+				ref, err := New(pairSQL, groups, mkOpts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.Run(stream.NewSliceSource(recs)); err != nil {
+					t.Fatal(err)
+				}
+				copts := mkOpts()
+				copts.CheckpointPath = filepath.Join(t.TempDir(), "ckpt")
+				e1, err := New(pairSQL, groups, copts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range recs[:17000] {
+					if err := e1.Process(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				e2, err := New(pairSQL, groups, mkOpts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				consumed, err := e2.RestoreCheckpointFile(copts.CheckpointPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e2.Run(stream.NewSkipSource(stream.NewSliceSource(recs), consumed)); err != nil {
+					t.Fatal(err)
+				}
+				want := fmt.Sprint(ref.EpochDegradations(), ref.ShardEpochDegradations())
+				got := fmt.Sprint(e2.EpochDegradations(), e2.ShardEpochDegradations())
+				if got != want {
+					t.Fatal("resumed epoch histories differ from the uninterrupted run's")
+				}
+				assertShardLedgers(t, e2)
+				h := fnv.New64a()
+				h.Write([]byte(got))
+				pinned[name] = h.Sum64()
+			})
+		}
+	}
+	want := map[string]uint64{
+		"shards=2/budget=0":   0x5c52ca88c2db3b5f,
+		"shards=2/budget=600": 0xd4f1033f88a0806a,
+		"shards=4/budget=0":   0x93d9e21abc59b8a3,
+		"shards=4/budget=600": 0xa07729eccd3fb5a7,
+		"shards=8/budget=0":   0x4ee470bc7aa4b463,
+		"shards=8/budget=600": 0xd2d8540e2c34a83e,
+	}
+	for name, sum := range pinned {
+		if w, ok := want[name]; !ok || w != sum {
+			t.Errorf("%s: history hash %#x, pinned %#x", name, sum, w)
+		}
+	}
+}
+
+// TestEpochHistoryWidens: the history keeps ledgers in 32 bits until a
+// counter needs more, then converts every row, so each reads back exactly.
+func TestEpochHistoryWidens(t *testing.T) {
+	h := epochHistory{n: 2}
+	rows := [][]Degradation{
+		{{Offered: 5, Processed: 3, Dropped: 1, Late: 1}, {Offered: 7, Processed: 7}},
+		{{Offered: 1 << 33, Processed: 1<<33 - 2, Late: 2}, {Offered: 1}},
+		{{Offered: 4, Dropped: 4}, {Offered: 1 << 40, Processed: 1 << 40}},
+	}
+	for i, row := range rows {
+		h.add(uint32(10+i), row)
+	}
+	if h.wide == nil {
+		t.Fatal("a counter over 32 bits did not widen the history")
+	}
+	for i, row := range rows {
+		for s, want := range row {
+			want.Epoch = uint32(10 + i)
+			if got := h.shard(i, s); got != want {
+				t.Errorf("row %d shard %d: %+v, want %+v", i, s, got, want)
+			}
 		}
 	}
 }

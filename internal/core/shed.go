@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/stream"
 )
@@ -40,6 +41,74 @@ func (d *Degradation) add(o Degradation) {
 	d.Processed += o.Processed
 	d.Dropped += o.Dropped
 	d.Late += o.Late
+}
+
+// epochHistory is the closed epochs' ledgers in columns: per epoch, its
+// number and one {Offered, Processed, Dropped, Late} per shard (n =
+// max(Options.Shards, 1)), whose sum is its global ledger. The counters
+// are kept in 32 bits until one does not fit, and in 64 from then on.
+type epochHistory struct {
+	n      int
+	epochs []uint32
+	leds   [][4]uint32 // n per row, while wide is nil
+	wide   [][4]uint64
+}
+
+func (h *epochHistory) add(epoch uint32, shards []Degradation) {
+	h.epochs = append(h.epochs, epoch)
+	for _, d := range shards {
+		if h.wide == nil && max(d.Offered, d.Processed, d.Dropped, d.Late) <= math.MaxUint32 {
+			h.leds = append(h.leds, [4]uint32{uint32(d.Offered), uint32(d.Processed), uint32(d.Dropped), uint32(d.Late)})
+			continue
+		}
+		if h.wide == nil {
+			h.wide = make([][4]uint64, 0, len(h.leds)+1)
+			for _, l := range h.leds {
+				h.wide = append(h.wide, [4]uint64{uint64(l[0]), uint64(l[1]), uint64(l[2]), uint64(l[3])})
+			}
+			h.leds = nil
+		}
+		h.wide = append(h.wide, [4]uint64{d.Offered, d.Processed, d.Dropped, d.Late})
+	}
+}
+
+// shard returns row i's ledger of shard s.
+func (h *epochHistory) shard(i, s int) Degradation {
+	if h.wide != nil {
+		l := h.wide[i*h.n+s]
+		return Degradation{h.epochs[i], l[0], l[1], l[2], l[3]}
+	}
+	l := h.leds[i*h.n+s]
+	return Degradation{h.epochs[i], uint64(l[0]), uint64(l[1]), uint64(l[2]), uint64(l[3])}
+}
+
+// global returns row i's epoch ledger.
+func (h *epochHistory) global(i int) Degradation {
+	d := Degradation{Epoch: h.epochs[i]}
+	for s := 0; s < h.n; s++ {
+		d.add(h.shard(i, s))
+	}
+	return d
+}
+
+// restoreHistory rebuilds an n-shard history from a checkpoint's global
+// ledgers and, when n > 1, its per-shard ones (n per epoch), which must
+// split each global one exactly.
+func restoreHistory(n int, global, shards []Degradation) (epochHistory, error) {
+	h := epochHistory{n: n}
+	if n == 1 {
+		shards = global
+	}
+	if len(shards) != n*len(global) {
+		return h, fmt.Errorf("%d per-shard ledgers for %d epochs of %d shards", len(shards), len(global), n)
+	}
+	for i, g := range global {
+		row := shards[i*n : (i+1)*n]
+		if h.add(g.Epoch, row); h.global(i) != g || slices.ContainsFunc(row, func(d Degradation) bool { return d.Epoch != g.Epoch }) {
+			return h, fmt.Errorf("epoch %d: per-shard ledgers %+v do not split its ledger %+v", g.Epoch, row, g)
+		}
+	}
+	return h, nil
 }
 
 // ShedPolicy decides which records to shed when the engine runs with a

@@ -46,10 +46,7 @@ func (e *Engine) initWindowing() error {
 	}
 	e.winComposer = comp
 	if len(e.sketchAggs) > 0 {
-		e.paneSk = make(map[attr.Set]map[string]*sketch.Partial, len(e.queries))
-		for _, q := range e.queries {
-			e.paneSk[q] = make(map[string]*sketch.Partial)
-		}
+		e.paneTabs = make([]paneTable, len(e.queries))
 	}
 	return nil
 }
@@ -76,45 +73,65 @@ func (e *Engine) digestCompression() float64 {
 	return sketch.DefaultCompression
 }
 
+// paneTable is one query's sketch partials for the open pane, one per
+// group of a key index. close Resets each for the group that takes its
+// place in the next pane, so observing a record allocates nothing once
+// the table has held as many groups.
+type paneTable struct {
+	hfta.KeyIndex
+	parts []*sketch.Partial // the first len(Keys)/arity are the open pane's
+	blob  []byte
+	out   []hfta.KeyBlob
+}
+
+// close serializes the open pane's partials in group order, resets them
+// and empties the table. The result aliases the table's buffers: it is
+// valid until the next record is observed.
+func (t *paneTable) close(arity int) []hfta.KeyBlob {
+	t.blob, t.out = t.blob[:0], t.out[:0]
+	for g, p := range t.parts[:len(t.Keys)/arity] {
+		at := len(t.blob)
+		t.blob = p.AppendBinary(t.blob)
+		t.out = append(t.out, hfta.KeyBlob{Key: t.Keys[g*arity : (g+1)*arity], Blob: t.blob[at:]})
+		p.Reset()
+	}
+	at := 0 // the appends may have moved the buffer: point every blob into it
+	for i := range t.out {
+		n := len(t.out[i].Blob)
+		t.out[i].Blob = t.blob[at : at+n : at+n]
+		at += n
+	}
+	t.Reset()
+	return t.out
+}
+
 // observePaneSketches feeds one admitted record into the open pane's
 // per-group sketch partials, for every query relation. Runs on the
 // admission path before sharding, so partials are deterministic in the
-// stream order regardless of deployment shape. Alloc-free on the hot
-// path: the packed-key lookup uses the compiler's map[string] byte-slice
-// optimization and only a first-seen group allocates.
+// stream order regardless of deployment shape.
 func (e *Engine) observePaneSketches(attrs []uint32) {
-	for _, q := range e.queries {
+	for i, q := range e.queries {
+		t := &e.paneTabs[i]
 		e.paneKeyBuf = q.Project(attrs, e.paneKeyBuf[:0])
-		e.paneKeyBytes = hfta.AppendKeyBytes(e.paneKeyBytes[:0], e.paneKeyBuf)
-		m := e.paneSk[q]
-		p := m[string(e.paneKeyBytes)]
-		if p == nil {
-			var err error
-			p, err = sketch.NewPartial(e.sketchAggs, e.opts.WindowSketchPrecision, e.opts.DigestCompression)
-			if err != nil {
-				// Spec list was validated at construction; unreachable.
-				continue
-			}
-			m[string(e.paneKeyBytes)] = p
+		g, _ := t.Lookup(e.paneKeyBuf)
+		if g == len(t.parts) {
+			// The spec list was validated when the composer was built.
+			p, _ := sketch.NewPartial(e.sketchAggs, e.opts.WindowSketchPrecision, e.opts.DigestCompression)
+			t.parts = append(t.parts, p)
 		}
-		p.Observe(attrs)
+		t.parts[g].Observe(attrs)
 	}
 }
 
 // feedPane hands the closing epoch to the composer as a pane: the
-// epoch's read-out before HAVING plus the serialized sketch partials.
-// The composer keeps each row's Aggs by reference and never writes
-// through it.
+// epoch's read-out before HAVING plus the serialized sketch partials,
+// both of which the composer copies.
 func (e *Engine) feedPane(closed Degradation) {
 	inputs := make([]hfta.PaneInput, 0, len(e.queries))
 	for i, q := range e.queries {
 		in := hfta.PaneInput{Rel: q, Rows: e.closing[i]}
-		if m := e.paneSk[q]; len(m) > 0 {
-			in.Sketches = make(map[string][]byte, len(m))
-			for k, p := range m {
-				in.Sketches[k] = p.AppendBinary(nil)
-			}
-			e.paneSk[q] = make(map[string]*sketch.Partial)
+		if e.paneTabs != nil {
+			in.Blobs = e.paneTabs[i].close(q.Size())
 		}
 		inputs = append(inputs, in)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -499,4 +500,97 @@ func TestCheckpointAllocsIndependentOfHistory(t *testing.T) {
 	if many > 100 {
 		t.Errorf("Checkpoint allocates %.0f times, want a small constant", many)
 	}
+}
+
+// admitSQL is a windowed count_distinct workload: the product path's pane
+// sketches, with no t-digest (whose insert buffer is the one sketch that
+// allocates as it fills).
+var admitSQL = []string{
+	"select A, B, count(*) as cnt, count_distinct(D) as uniq from R group by A, B, time/10 window 4 slide 2",
+	"select B, C, count(*) as cnt, count_distinct(D) as uniq from R group by B, C, time/10 window 4 slide 2",
+}
+
+// TestObservePaneSketchesAllocs: observing a record into a group the open
+// pane holds allocates nothing, and once a pane has closed, neither does a
+// group new to the next pane — its partial is one the table reset.
+func TestObservePaneSketchesAllocs(t *testing.T) {
+	recs, groups := testWorkload(t, 2000)
+	e, err := New(admitSQL, groups, Options{M: 8000, Seed: 3, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := recs[0].Attrs
+	e.observePaneSketches(row)
+	if avg := testing.AllocsPerRun(200, func() { e.observePaneSketches(row) }); avg != 0 {
+		t.Errorf("observing into an existing group averaged %.1f allocs, want 0", avg)
+	}
+	feed := func() {
+		for _, r := range recs[:500] {
+			e.observePaneSketches(r.Attrs)
+		}
+	}
+	closePane := func() {
+		for i, q := range e.queries {
+			e.paneTabs[i].close(q.Size())
+		}
+	}
+	feed()
+	closePane()
+	if avg := testing.AllocsPerRun(20, func() { feed(); closePane() }); avg != 0 {
+		t.Errorf("a pane of 500 records over pooled partials averaged %.1f allocs, want 0", avg)
+	}
+}
+
+// BenchmarkWindowedAdmit is the admission layer's local signal on the
+// product path: ProcessColumnBatch plus epoch close on a windowed
+// count_distinct 2-shard engine, per record.
+func BenchmarkWindowedAdmit(b *testing.B) {
+	recs := make([]stream.Record, 1<<16)
+	for i := range recs {
+		h := uint32(i) * 2654435761
+		recs[i] = stream.Record{Attrs: []uint32{h % 61, h >> 8 % 97, h >> 16 % 53, h % 4099}, Time: uint32(i / 512)}
+	}
+	groups, err := EstimateGroups(recs[:8192], []attr.Set{attr.MustParseSet("AB"), attr.MustParseSet("BC")})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := New(admitSQL, groups, Options{
+		M: 8000, Seed: 3, Shards: 2,
+		OnResults: func(attr.Set, uint32, []hfta.Row, Degradation) {},
+		OnWindow:  func(attr.Set, hfta.WindowLedger, []hfta.WindowRow) {},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var batches []stream.ColumnBatch
+	src := stream.NewSliceSource(recs)
+	for {
+		var cb stream.ColumnBatch
+		if stream.ReadColumns(src, &cb, stream.ColumnBatchLen) == 0 {
+			break
+		}
+		batches = append(batches, cb)
+	}
+	// Each pass shifts time past the last, so every pass closes epochs.
+	span := recs[len(recs)-1].Time + 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	records := 0
+	for i := 0; i < b.N; i++ {
+		for j := range batches {
+			cb := &batches[j]
+			for k := range cb.Time {
+				cb.Time[k] += span
+			}
+			if err := e.ProcessColumnBatch(cb); err != nil {
+				b.Fatal(err)
+			}
+			records += cb.Len()
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(records), "allocs/record")
 }

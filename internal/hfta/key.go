@@ -1,5 +1,10 @@
 package hfta
 
+import (
+	"cmp"
+	"math/bits"
+)
+
 // Group keys travel as flat []uint32 words, one per attribute; the arity
 // is fixed per relation and never stored with the key. Keys of arity ≤ 2
 // additionally pack into one uint64 (attribute 0 in the high word) whose
@@ -16,6 +21,27 @@ func packSmall(vals []uint32) uint64 {
 		return uint64(vals[0])
 	}
 	return uint64(vals[0])<<32 | uint64(vals[1])
+}
+
+// packOrd is the packed bytes (PackKey) of a key of arity 1 or 2 read as
+// one big-endian number, so its numeric order is the packed byte order
+// that window rows, pane runs and checkpoints use.
+func packOrd(key []uint32) uint64 {
+	w := uint64(key[0])
+	if len(key) > 1 {
+		w |= uint64(key[1]) << 32
+	}
+	return bits.ReverseBytes64(w)
+}
+
+// cmpPacked orders two keys of one arity as their packed bytes compare.
+func cmpPacked(a, b []uint32) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return cmp.Compare(bits.ReverseBytes32(a[i]), bits.ReverseBytes32(b[i]))
+		}
+	}
+	return 0
 }
 
 // mix64 is the splitmix64 finalizer: a cheap full-avalanche mix used to

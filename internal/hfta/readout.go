@@ -68,7 +68,7 @@ func (a *Aggregator) Rows(rel attr.Set, epoch uint32) []Row {
 		sh := &rs.shards[i]
 		sh.mu.Lock()
 		if t := sh.epochs[epoch]; t != nil {
-			sc.keys = append(sc.keys, t.keys...)
+			sc.keys = append(sc.keys, t.Keys...)
 			sc.aggs = append(sc.aggs, t.aggs...)
 		}
 		sh.mu.Unlock()
@@ -83,7 +83,11 @@ func (a *Aggregator) Rows(rel attr.Set, epoch uint32) []Row {
 		sc.perm[g] = uint32(g)
 	}
 	if arity <= smallArity {
-		sc.sortPacked(arity)
+		sc.packed = sized(sc.packed, n)
+		for g := range sc.packed {
+			sc.packed[g] = packSmall(sc.keys[g*arity : (g+1)*arity])
+		}
+		sc.radixSort()
 	} else {
 		src := sc.keys
 		slices.SortFunc(sc.perm, func(x, y uint32) int {
@@ -103,17 +107,16 @@ func (a *Aggregator) Rows(rel attr.Set, epoch uint32) []Row {
 	return rows
 }
 
-// sortPacked orders perm by packed key with an LSD radix sort, one byte
-// per pass. A byte position at which every key holds the same value
-// cannot reorder anything, so its pass is skipped: keys drawn from 16-bit
-// attribute domains sort in four passes, not eight.
-func (sc *readScratch) sortPacked(arity int) {
+// radixSort orders perm by the parallel keys in packed with a stable LSD
+// radix sort, one byte per pass. A byte position at which every key holds
+// the same value cannot reorder anything, so its pass is skipped: keys
+// drawn from 16-bit attribute domains sort in four passes, not eight.
+func (sc *readScratch) radixSort() {
 	n := len(sc.perm)
-	keys, perm := sized(sc.packed, n), sc.perm
+	keys, perm := sc.packed, sc.perm
 	var varying uint64
-	for g := range keys {
-		keys[g] = packSmall(sc.keys[g*arity : (g+1)*arity])
-		varying |= keys[g] ^ keys[0]
+	for _, k := range keys {
+		varying |= k ^ keys[0]
 	}
 	keysTmp, permTmp := sized(sc.pkdTmp, n), sized(sc.permTmp, n)
 	for shift := 0; shift < 64; shift += 8 {

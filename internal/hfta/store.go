@@ -14,23 +14,23 @@ const (
 	keyShards = 1 << shardBits
 )
 
-// groupTable holds one epoch's groups for one lock shard of one relation,
-// whatever the arity: dense columns in insertion order (keys flat
-// n×arity, aggs flat n×len(aggs)) plus an open-addressed slot index over
-// them (0 = empty, else 1 + group number; linear probing at load ≤ 1/2).
-// The columns are what Rows copies out; a group's accumulator is its
-// stretch of aggs, with no per-group allocation or pointer.
-type groupTable struct {
-	keys  []uint32
-	aggs  []int64
+// KeyIndex is an open-addressed index over a flat key column: Keys holds
+// the groups' keys in insertion order, and the slot index maps a key to
+// its group (0 = empty, else 1 + group number; linear probing at load
+// ≤ 1/2). A group's state lives in columns parallel to the keys.
+type KeyIndex struct {
+	Keys  []uint32
 	slots []uint32
 	n     int
 }
 
-// upsert folds one partial into its group, appending the group
-// (initialized to the aggregate identities) when h/key is new.
-func (t *groupTable) upsert(h uint64, key []uint32, deltas []int64, aggs []lfta.AggSpec) {
-	arity, na := len(key), len(aggs)
+// Lookup returns key's group number, appending key as a new group if it
+// is not indexed yet.
+func (t *KeyIndex) Lookup(key []uint32) (g int, added bool) { return t.lookup(hashKey(key), key) }
+
+// lookup is Lookup with the key's hashKey already at hand.
+func (t *KeyIndex) lookup(h uint64, key []uint32) (int, bool) {
+	arity := len(key)
 	if 2*(t.n+1) > len(t.slots) {
 		t.grow(arity)
 	}
@@ -41,37 +41,60 @@ probe:
 		if s == 0 {
 			t.slots[i] = uint32(t.n) + 1
 			t.n++
-			t.keys = append(t.keys, key...)
-			for j, spec := range aggs {
-				t.aggs = append(t.aggs, spec.Op.Combine(spec.Op.Identity(), deltas[j]))
-			}
-			return
+			t.Keys = append(t.Keys, key...)
+			return t.n - 1, true
 		}
 		g := int(s - 1)
-		for j, v := range t.keys[g*arity : (g+1)*arity] {
+		for j, v := range t.Keys[g*arity : (g+1)*arity] {
 			if v != key[j] {
 				continue probe
 			}
 		}
-		acc := t.aggs[g*na : (g+1)*na]
-		for j, spec := range aggs {
-			acc[j] = spec.Op.Combine(acc[j], deltas[j])
-		}
-		return
+		return g, false
 	}
 }
 
 // grow doubles the slot index and re-enters every group from the key
 // column (hashes are not stored).
-func (t *groupTable) grow(arity int) {
+func (t *KeyIndex) grow(arity int) {
 	t.slots = make([]uint32, max(16, 2*len(t.slots)))
 	mask := uint64(len(t.slots) - 1)
 	for g := 0; g < t.n; g++ {
-		i := (hashKey(t.keys[g*arity:(g+1)*arity]) >> shardBits) & mask
+		i := (hashKey(t.Keys[g*arity:(g+1)*arity]) >> shardBits) & mask
 		for t.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
 		t.slots[i] = uint32(g) + 1
+	}
+}
+
+// Reset empties the index, keeping its capacity.
+func (t *KeyIndex) Reset() {
+	t.Keys, t.n = t.Keys[:0], 0
+	clear(t.slots)
+}
+
+// groupTable holds one epoch's groups for one lock shard of one relation:
+// the key index plus the aggregates, flat in group order, the columns
+// Rows copies out.
+type groupTable struct {
+	KeyIndex
+	aggs []int64
+}
+
+// upsert folds one partial into its group, appending the group
+// (initialized to the aggregate identities) when h/key is new.
+func (t *groupTable) upsert(h uint64, key []uint32, deltas []int64, aggs []lfta.AggSpec) {
+	g, added := t.lookup(h, key)
+	if added {
+		for j, spec := range aggs {
+			t.aggs = append(t.aggs, spec.Op.Combine(spec.Op.Identity(), deltas[j]))
+		}
+		return
+	}
+	acc := t.aggs[g*len(aggs) : (g+1)*len(aggs)]
+	for j, spec := range aggs {
+		acc[j] = spec.Op.Combine(acc[j], deltas[j])
 	}
 }
 
@@ -108,8 +131,8 @@ func (sh *relShard) release(epoch uint32) {
 	if t == nil {
 		return
 	}
-	t.keys, t.aggs, t.n = t.keys[:0], t.aggs[:0], 0
-	clear(t.slots)
+	t.Reset()
+	t.aggs = t.aggs[:0]
 	sh.pool = append(sh.pool, t)
 	delete(sh.epochs, epoch)
 }

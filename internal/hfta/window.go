@@ -82,41 +82,65 @@ type WindowResult struct {
 	Rows   []WindowRow
 }
 
-// PaneInput is one relation's slice of a closing pane.
+// PaneInput is one relation's slice of a closing pane: per-group rows and
+// partials, keyed by packed key (Sketches) or by key words (Blobs). A key
+// of the wrong arity is ignored; ClosePane copies the rest.
 type PaneInput struct {
 	Rel      attr.Set
-	Rows     []Row             // per-group exact aggregates; each row's Aggs is kept by reference, never written
+	Rows     []Row             // per-group exact aggregates
 	Sketches map[string][]byte // packed group key → serialized sketch.Partial
+	Blobs    []KeyBlob         // group key → serialized sketch.Partial
 }
 
-// relPane is the per-relation state of one retained pane.
+// relPane is one relation's groups in a retained pane, sorted on arrival
+// in packed key order (see PackKey): a run. Group g's key is
+// keys[g·arity:], its exact slots aggs[g·na:] (identities without a row),
+// its partial blob[boff[g]:boff[g+1]]; has[g] says which it carries. The
+// columns are never written once built, so snapshots share them.
 type relPane struct {
-	rows map[string][]int64 // packed key → exact agg slots
-	sk   map[string][]byte  // packed key → serialized partial
+	keys []uint32
+	aggs []int64
+	has  []uint8
+	boff []uint32
+	blob []byte
 }
 
-// pane is one retained epoch. A closed pane does not change until it is
-// evicted (or, rarely, fed again), so the sorted read-out a checkpoint
-// needs is built once, on the first SnapshotPanes that sees the pane, and
-// kept in snap.
+const (
+	hasRow uint8 = 1 << iota
+	hasSketch
+)
+
+func (rp *relPane) key(g, arity int) []uint32 { return rp.keys[g*arity : (g+1)*arity : (g+1)*arity] }
+func (rp *relPane) slots(g, na int) []int64   { return rp.aggs[g*na : (g+1)*na : (g+1)*na] }
+func (rp *relPane) partial(g int) []byte      { return rp.blob[rp.boff[g]:rp.boff[g+1]:rp.boff[g+1]] }
+
+// pane is one retained epoch: its ledger and one run per query (nil where
+// the query had no group). A closed pane does not change until it is
+// evicted (or, rarely, fed again), so the first SnapshotPanes that sees it
+// keeps the read-out a checkpoint needs in snap.
 type pane struct {
 	stats   PaneStats
-	rels    map[attr.Set]*relPane
+	rels    []*relPane // by query position
 	snap    []PaneRelSnapshot
 	snapped bool // snap is current
 }
 
+// paneEnt is one contribution to a run being built: a row's slots, a
+// partial, or both (a group of the run a re-fed pane already holds).
+type paneEnt struct {
+	key  []uint32
+	aggs []int64
+	blob []byte
+	has  uint8
+}
+
 // Composer retains panes and closes sliding windows over them.
 //
-// Steady-state composition recycles its storage: evicted panes (struct +
-// cleared maps) and delivered results (row slices, per-group agg/key/
-// estimate slices) return to freelists instead of the heap, and every
-// group's sketches are merged through the same two partials, so a caller
-// that hands results back via Recycle composes windows with only the
-// per-new-group map-key strings and the t-digest decode path still
-// allocating. The freelists are plain slices — the
-// composer is single-goroutine by contract (it runs on the engine's
-// epoch-close path), so no locking.
+// A pane costs a handful of allocations, its runs' columns. Delivered
+// results return their row, key, agg and estimate slices via Recycle, and
+// every group's sketches merge through the same two partials, so a window
+// close allocates for its t-digest decodes only. The composer is
+// single-goroutine by contract (it runs on the engine's epoch close).
 type Composer struct {
 	win     WindowSpec
 	queries []attr.Set
@@ -124,23 +148,22 @@ type Composer struct {
 	saggs   []sketch.Agg
 	prec    uint8
 	comp    float64
+	ident   []int64 // the aggregates' identities
 
 	panes map[uint32]*pane
 	next  int64 // lowest window index not yet closed
 
 	// freelists and reusable scratch (see type comment)
-	panePool []*pane
-	relPool  []*relPane
 	rowsPool [][]WindowRow
 	aggsPool [][]int64
 	keyPool  [][]uint32
 	estPool  [][]float64
-	groups   map[string][]int64 // packed key → exact slots; reused across compose calls, cleared after each query
-	rels     []*relPane         // the composed window's panes of one query, ascending epoch
-	acc      *sketch.Partial    // groupSketch's accumulator and its decode scratch,
-	spare    *sketch.Partial    // both overwritten group after group
-	sortKeys []string
-	kbuf     []byte // packed-key scratch for allocation-free map hits
+	runs     []*relPane      // the composed window's runs of one query, ascending epoch
+	cur      []int           // the merge's cursor into each run
+	acc      *sketch.Partial // a group's merged partial and its decode scratch,
+	spare    *sketch.Partial // both overwritten group after group
+	ents     []paneEnt       // a run under construction
+	order    readScratch     // its sort permutation
 }
 
 // NewComposer builds a composer for a workload's query relations, exact
@@ -175,6 +198,7 @@ func NewComposer(win WindowSpec, queries []attr.Set, aggs []lfta.AggSpec, saggs 
 		saggs:   saggs,
 		prec:    precision,
 		comp:    compression,
+		ident:   identities(aggs),
 		panes:   make(map[uint32]*pane),
 	}, nil
 }
@@ -219,53 +243,139 @@ func appendKeyWords(dst []uint32, s string) []uint32 {
 // records never reopen an epoch), so a pane is final on arrival. Panes
 // older than any live window are ignored — they can only appear after a
 // checkpoint restore replays input the restored composer already closed
-// windows over.
+// windows over. An epoch fed again folds into the pane it has.
 func (c *Composer) ClosePane(epoch uint32, stats PaneStats, inputs []PaneInput) {
 	if int64(epoch) < c.win.start(c.next) {
 		return
 	}
 	p := c.panes[epoch]
 	if p == nil {
-		p = c.takePane()
+		p = &pane{rels: make([]*relPane, len(c.queries))}
 		c.panes[epoch] = p
 	}
 	p.snap, p.snapped = nil, false
 	p.stats.add(stats)
+	for qi := range c.queries {
+		_ = c.feed(p, qi, inputs, false)
+	}
+}
+
+// feed sorts query qi's groups in the inputs — after the run pane p holds
+// for it, if any — into p's new run for the query (see buildRun).
+func (c *Composer) feed(p *pane, qi int, inputs []PaneInput, strict bool) error {
+	q, na := c.queries[qi], len(c.aggs)
+	arity := q.Size()
+	ents := c.ents[:0]
+	defer func() { clear(ents); c.ents = ents[:0] }() // drop the references to the inputs
+	if rp := p.rels[qi]; rp != nil {
+		for g, h := range rp.has {
+			ents = append(ents, paneEnt{rp.key(g, arity), rp.slots(g, na), rp.partial(g), h})
+		}
+	}
 	for _, in := range inputs {
-		rp := p.rels[in.Rel]
-		if rp == nil {
-			rp = c.takeRelPane()
-			p.rels[in.Rel] = rp
+		if in.Rel != q {
+			continue
 		}
 		for i := range in.Rows {
-			r := &in.Rows[i]
-			// Pack into the scratch buffer: the map hit needs no string
-			// allocation, only a genuinely new group pays for its key.
-			c.kbuf = AppendKeyBytes(c.kbuf[:0], r.Key)
-			if acc, ok := rp.rows[string(c.kbuf)]; ok {
-				// The same epoch's pane fed again (rare). The stored slice
-				// is the first feed's caller's — the engine shares it with
-				// result handlers and the persister — so fold into a copy.
-				acc = append([]int64(nil), acc...)
-				for j, spec := range c.aggs {
-					acc[j] = spec.Op.Combine(acc[j], r.Aggs[j])
-				}
-				rp.rows[string(c.kbuf)] = acc
-			} else {
-				rp.rows[string(c.kbuf)] = r.Aggs
+			if r := &in.Rows[i]; len(r.Key) == arity {
+				ents = append(ents, paneEnt{key: r.Key, aggs: r.Aggs, has: hasRow})
 			}
 		}
+		words := make([]uint32, 0, len(in.Sketches)*arity) // sized: the keys below alias it
 		for k, blob := range in.Sketches {
-			if prev, ok := rp.sk[k]; ok {
-				merged, err := c.mergeBlobs(prev, blob)
-				if err == nil {
-					rp.sk[k] = merged
-				}
-			} else {
-				rp.sk[k] = blob
+			if len(k) == 4*arity {
+				words = appendKeyWords(words, k)
+				ents = append(ents, paneEnt{key: words[len(words)-arity:], blob: blob, has: hasSketch})
+			}
+		}
+		for _, kb := range in.Blobs {
+			if len(kb.Key) == arity {
+				ents = append(ents, paneEnt{key: kb.Key, blob: kb.Blob, has: hasSketch})
 			}
 		}
 	}
+	if len(ents) == 0 {
+		return nil
+	}
+	rp, err := c.buildRun(ents, arity, strict)
+	if err == nil {
+		p.rels[qi] = rp
+	}
+	return err
+}
+
+// buildRun sorts entries into a run (radix on packOrd up to smallArity
+// words, else by cmpPacked; stable) and folds each key's entries in
+// arrival order into one group: rows combine, partials merge (one that
+// does not merge is dropped). With strict set a key's second row or
+// partial is an error instead.
+func (c *Composer) buildRun(ents []paneEnt, arity int, strict bool) (*relPane, error) {
+	sc := &c.order
+	perm := sized(sc.perm, len(ents))
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	sc.perm = perm
+	if arity <= smallArity {
+		sc.packed = sized(sc.packed, len(ents))
+		for i := range ents {
+			sc.packed[i] = packOrd(ents[i].key)
+		}
+		sc.radixSort()
+		perm = sc.perm
+	} else {
+		slices.SortStableFunc(perm, func(x, y uint32) int { return cmpPacked(ents[x].key, ents[y].key) })
+	}
+	n := 0
+	for i, x := range perm {
+		if i == 0 || !slices.Equal(ents[x].key, ents[perm[i-1]].key) {
+			n++
+		}
+	}
+	na, size := len(c.aggs), 0
+	for _, e := range ents {
+		size += len(e.blob) // a capacity hint: merging does not grow partials
+	}
+	rp := &relPane{keys: make([]uint32, n*arity), aggs: make([]int64, n*na), has: make([]uint8, n),
+		boff: make([]uint32, n+1), blob: make([]byte, 0, size)}
+	g := -1
+	for i, x := range perm {
+		e := &ents[x]
+		if i == 0 || !slices.Equal(e.key, ents[perm[i-1]].key) {
+			g++
+			copy(rp.keys[g*arity:], e.key)
+			copy(rp.aggs[g*na:], c.ident)
+			rp.boff[g] = uint32(len(rp.blob))
+		}
+		if e.has&hasRow != 0 {
+			acc := rp.slots(g, na)
+			switch {
+			case rp.has[g]&hasRow == 0:
+				copy(acc, e.aggs)
+			case strict:
+				return nil, fmt.Errorf("duplicate group")
+			default:
+				for j, spec := range c.aggs {
+					acc[j] = spec.Op.Combine(acc[j], e.aggs[j])
+				}
+			}
+		}
+		if e.has&hasSketch != 0 {
+			switch {
+			case rp.has[g]&hasSketch == 0:
+				rp.blob = append(rp.blob, e.blob...)
+			case strict:
+				return nil, fmt.Errorf("duplicate sketch group")
+			default: // the group's partial is the last one copied
+				if merged, err := c.mergeBlobs(rp.blob[rp.boff[g]:], e.blob); err == nil {
+					rp.blob = append(rp.blob[:rp.boff[g]], merged...)
+				}
+			}
+		}
+		rp.has[g] |= e.has
+	}
+	rp.boff[n] = uint32(len(rp.blob))
+	return rp, nil
 }
 
 func (c *Composer) mergeBlobs(a, b []byte) ([]byte, error) {
@@ -283,51 +393,38 @@ func (c *Composer) mergeBlobs(a, b []byte) ([]byte, error) {
 	return pa.AppendBinary(nil), nil
 }
 
-// CloseThrough closes every window whose last epoch is ≤ lastFinal (the
-// newest epoch known to be final: the engine passes clock.Current()-1
-// whenever the clock has advanced). Results come back in window order.
-func (c *Composer) CloseThrough(lastFinal int64) []WindowResult {
-	return c.closeWindows(lastFinal)
-}
-
 // CloseAll flushes at end of stream: every window that overlaps a
 // retained pane closes, including trailing partially-filled ones.
 func (c *Composer) CloseAll() []WindowResult {
-	maxPane, ok := c.maxPaneEpoch()
+	_, maxPane, ok := c.paneSpan()
 	if !ok {
 		return nil
 	}
 	// All windows with start ≤ maxPane, i.e. end ≤ maxPane + Size - 1.
-	return c.closeWindows(int64(maxPane) + int64(c.win.Size) - 1)
+	return c.CloseThrough(int64(maxPane) + int64(c.win.Size) - 1)
 }
 
-func (c *Composer) minPaneEpoch() (uint32, bool) {
-	var min uint32
-	found := false
+// paneSpan returns the oldest and newest retained pane's epochs.
+func (c *Composer) paneSpan() (min, max uint32, ok bool) {
 	for e := range c.panes {
-		if !found || e < min {
-			min, found = e, true
+		if !ok || e < min {
+			min = e
 		}
+		if !ok || e > max {
+			max = e
+		}
+		ok = true
 	}
-	return min, found
+	return min, max, ok
 }
 
-func (c *Composer) maxPaneEpoch() (uint32, bool) {
-	var max uint32
-	found := false
-	for e := range c.panes {
-		if !found || e > max {
-			max, found = e, true
-		}
-	}
-	return max, found
-}
-
-// closeWindows emits every not-yet-closed window with end ≤ maxEnd.
+// CloseThrough closes every window whose last epoch is ≤ maxEnd (the
+// newest epoch known to be final: the engine passes clock.Current()-1
+// whenever the clock has advanced). Results come back in window order.
 // Windows whose span holds no pane at all are skipped silently (the
 // stream had no traffic there); the skip fast-forwards in O(1) per gap,
 // so a clock jump of billions of epochs does not spin.
-func (c *Composer) closeWindows(maxEnd int64) []WindowResult {
+func (c *Composer) CloseThrough(maxEnd int64) []WindowResult {
 	var out []WindowResult
 	defer c.evict()
 	for {
@@ -336,7 +433,7 @@ func (c *Composer) closeWindows(maxEnd int64) []WindowResult {
 			break
 		}
 		c.evict()
-		minPane, ok := c.minPaneEpoch()
+		minPane, _, ok := c.paneSpan()
 		if !ok || int64(minPane) > maxEnd {
 			// Nothing left through maxEnd: jump past it entirely.
 			c.next = fastForward(c.next, maxEnd+1, c.win)
@@ -353,73 +450,25 @@ func (c *Composer) closeWindows(maxEnd int64) []WindowResult {
 	return out
 }
 
-// evict drops every pane no window at index ≥ next can reference,
-// returning its storage to the freelists.
+// evict drops every pane no window at index ≥ next can reference.
 func (c *Composer) evict() {
 	start := c.win.start(c.next)
-	for e, p := range c.panes {
+	for e := range c.panes {
 		if int64(e) < start {
 			delete(c.panes, e)
-			c.releasePane(p)
 		}
 	}
 }
 
-// releasePane clears a pane's maps (the map values — caller-owned agg
-// slices and sketch blobs — are simply dropped) and pools the structs.
-func (c *Composer) releasePane(p *pane) {
-	for rel, rp := range p.rels {
-		clear(rp.rows)
-		clear(rp.sk)
-		c.relPool = append(c.relPool, rp)
-		delete(p.rels, rel)
+// take pops a freelist's last slice (emptied), or returns nil.
+func take[T any](pool *[][]T) []T {
+	n := len(*pool)
+	if n == 0 {
+		return nil
 	}
-	p.stats = PaneStats{}
-	p.snap, p.snapped = nil, false
-	c.panePool = append(c.panePool, p)
-}
-
-func (c *Composer) takePane() *pane {
-	if n := len(c.panePool); n > 0 {
-		p := c.panePool[n-1]
-		c.panePool = c.panePool[:n-1]
-		return p
-	}
-	return &pane{rels: make(map[attr.Set]*relPane, len(c.queries))}
-}
-
-func (c *Composer) takeRelPane() *relPane {
-	if n := len(c.relPool); n > 0 {
-		rp := c.relPool[n-1]
-		c.relPool = c.relPool[:n-1]
-		return rp
-	}
-	return &relPane{rows: make(map[string][]int64), sk: make(map[string][]byte)}
-}
-
-// takeAggs returns a pooled (or fresh) slice of len(c.aggs) identity
-// values.
-func (c *Composer) takeAggs() []int64 {
-	var s []int64
-	if n := len(c.aggsPool); n > 0 {
-		s = c.aggsPool[n-1]
-		c.aggsPool = c.aggsPool[:n-1]
-	}
-	for _, a := range c.aggs {
-		s = append(s, a.Op.Identity())
-	}
+	s := (*pool)[n-1]
+	*pool = (*pool)[:n-1]
 	return s
-}
-
-// unpackKeyInto decodes a packed group key into a pooled (or fresh)
-// slice — UnpackKey without the per-row allocation.
-func (c *Composer) unpackKeyInto(s string) []uint32 {
-	var k []uint32
-	if n := len(c.keyPool); n > 0 {
-		k = c.keyPool[n-1]
-		c.keyPool = c.keyPool[:n-1]
-	}
-	return appendKeyWords(k, s)
 }
 
 // Recycle returns a delivered WindowResult's storage — the row slice and
@@ -461,80 +510,27 @@ func fastForward(cur, target int64, w WindowSpec) int64 {
 	return i
 }
 
-// compose merges the panes of [start, end] into one WindowResult. Agg
-// slices, key slices, estimate buffers, and the row slice itself come
-// from the freelists (refilled by Recycle). The exact slots are folded
-// pane by pane; the sketches group by group, as each row is written, so
-// that two partials serve the whole window (see groupSketch).
+// compose merges the panes of [start, end] into one WindowResult: per
+// query, a merge of the window's sorted runs (see merge). Agg slices, key
+// slices, estimate buffers, and the row slice itself come from the
+// freelists (refilled by Recycle).
 func (c *Composer) compose(start, end int64) WindowResult {
 	res := WindowResult{Ledger: WindowLedger{
 		Window: uint32(c.next),
 		Start:  uint32(start),
 		End:    uint32(end),
 	}}
-	if n := len(c.rowsPool); n > 0 {
-		res.Rows = c.rowsPool[n-1]
-		c.rowsPool = c.rowsPool[:n-1]
-	}
-	if c.groups == nil {
-		c.groups = make(map[string][]int64)
-	}
-	for _, q := range c.queries {
-		groups := c.groups
-		rels := c.rels[:0]
+	res.Rows = take(&c.rowsPool)
+	for qi := range c.queries {
+		runs := c.runs[:0]
 		for e := start; e <= end; e++ {
-			if p := c.panes[uint32(e)]; p != nil && p.rels[q] != nil {
-				rels = append(rels, p.rels[q])
+			if p := c.panes[uint32(e)]; p != nil && p.rels[qi] != nil {
+				runs = append(runs, p.rels[qi])
 			}
 		}
-		c.rels = rels
-		for _, rp := range rels {
-			for k, slots := range rp.rows {
-				acc, ok := groups[k]
-				if !ok {
-					acc = c.takeAggs()
-					groups[k] = acc
-				}
-				for j, spec := range c.aggs {
-					acc[j] = spec.Op.Combine(acc[j], slots[j])
-				}
-			}
-			if len(c.saggs) == 0 {
-				continue
-			}
-			for k, blob := range rp.sk {
-				if _, ok := groups[k]; ok {
-					continue
-				}
-				// A group only the sketches know exists if a blob of its
-				// own decodes.
-				if _, err := c.spare.DecodeFrom(c.prec, c.comp, blob); err == nil {
-					groups[k] = c.takeAggs()
-				}
-			}
-		}
-		keys := sortedKeys(c.sortKeys[:0], groups)
-		c.sortKeys = keys[:0]
-		for _, k := range keys {
-			row := WindowRow{
-				Rel:    q,
-				Window: uint32(c.next),
-				Start:  uint32(start),
-				End:    uint32(end),
-				Key:    c.unpackKeyInto(k),
-				Aggs:   groups[k],
-			}
-			if len(c.saggs) > 0 {
-				var est []float64
-				if n := len(c.estPool); n > 0 {
-					est = c.estPool[n-1]
-					c.estPool = c.estPool[:n-1]
-				}
-				row.Sketch = c.groupSketch(rels, k).Estimates(est)
-			}
-			res.Rows = append(res.Rows, row)
-		}
-		clear(groups)
+		c.runs = runs
+		res.Rows = c.merge(res.Rows, qi, res.Ledger)
+		clear(runs)
 	}
 	for e := start; e <= end; e++ {
 		if p := c.panes[uint32(e)]; p != nil {
@@ -544,51 +540,79 @@ func (c *Composer) compose(start, end int64) WindowResult {
 	return res
 }
 
-// groupSketch merges one group's partials out of a window's panes (rels,
-// ascending epoch: the order keeps t-digest merge sequences — and so
-// serialized results — identical across runs and shard counts). The
-// first blob that decodes is decoded into c.acc, every later one into
-// c.spare and merged from there, so a window of any number of groups
-// allocates for its t-digests only. The result is valid until the next
-// call; a blob that does not decode is skipped.
-func (c *Composer) groupSketch(rels []*relPane, k string) *sketch.Partial {
-	merged := false
-	for _, rp := range rels {
-		blob, ok := rp.sk[k]
-		if !ok {
+// merge appends one query's rows of a window: a k-way merge of c.runs
+// (ascending epoch) that takes the smallest head key and folds and
+// advances every run holding it. Slots combine; partials merge in
+// ascending epoch (which keeps t-digest results identical across runs and
+// shard counts), the first that decodes into c.acc, later ones through
+// c.spare. A partial that does not decode is skipped, and a group with
+// neither a row nor a partial that decodes is not emitted.
+func (c *Composer) merge(rows []WindowRow, qi int, led WindowLedger) []WindowRow {
+	q, runs := c.queries[qi], c.runs
+	arity, na := q.Size(), len(c.aggs)
+	cur := c.cur[:0]
+	for range runs {
+		cur = append(cur, 0)
+	}
+	c.cur = cur
+	for {
+		min := -1
+		var key []uint32
+		for r, rp := range runs {
+			if g := cur[r]; g < len(rp.has) {
+				if k := rp.key(g, arity); min < 0 || cmpPacked(k, key) < 0 {
+					min, key = r, k
+				}
+			}
+		}
+		if min < 0 {
+			return rows
+		}
+		acc := append(take(&c.aggsPool), c.ident...)
+		row, merged := false, false
+		for r := min; r < len(runs); r++ {
+			rp, g := runs[r], cur[r]
+			if g >= len(rp.has) || (r > min && !slices.Equal(rp.key(g, arity), key)) {
+				continue
+			}
+			cur[r]++
+			if rp.has[g]&hasRow != 0 {
+				for j, spec := range c.aggs {
+					acc[j] = spec.Op.Combine(acc[j], rp.aggs[g*na+j])
+				}
+				row = true
+			}
+			if len(c.saggs) > 0 && rp.has[g]&hasSketch != 0 {
+				into := c.acc
+				if merged {
+					into = c.spare
+				}
+				if _, err := into.DecodeFrom(c.prec, c.comp, rp.partial(g)); err != nil {
+					continue
+				}
+				if merged {
+					_ = c.acc.Merge(c.spare)
+				}
+				merged = true
+			}
+		}
+		if !row && !merged {
+			c.aggsPool = append(c.aggsPool, acc[:0])
 			continue
 		}
-		into := c.acc
-		if merged {
-			into = c.spare
+		wr := WindowRow{Rel: q, Window: led.Window, Start: led.Start, End: led.End,
+			Key: append(take(&c.keyPool), key...), Aggs: acc}
+		if len(c.saggs) > 0 {
+			if !merged {
+				c.acc.Reset() // no partial in any pane: the estimates of an empty one
+			}
+			wr.Sketch = c.acc.Estimates(take(&c.estPool))
 		}
-		if _, err := into.DecodeFrom(c.prec, c.comp, blob); err != nil {
-			continue
-		}
-		if merged {
-			_ = c.acc.Merge(c.spare)
-		}
-		merged = true
+		rows = append(rows, wr)
 	}
-	if !merged {
-		// No sketch in any pane: the estimates of an empty partial.
-		empty, _ := sketch.NewPartial(c.saggs, c.prec, c.comp)
-		return empty
-	}
-	return c.acc
 }
 
-// sortedKeys appends m's packed keys to dst in ascending order.
-func sortedKeys[V any](dst []string, m map[string]V) []string {
-	for k := range m {
-		dst = append(dst, k)
-	}
-	slices.Sort(dst)
-	return dst
-}
-
-// identities returns a fresh slice of aggregate identity values (the
-// reference oracle folds into these; compose uses pooled takeAggs).
+// identities returns a fresh slice of aggregate identity values.
 func identities(aggs []lfta.AggSpec) []int64 {
 	out := make([]int64, len(aggs))
 	for i, a := range aggs {
@@ -626,7 +650,7 @@ func (c *Composer) Next() int64 { return c.next }
 
 // SnapshotPanes captures the retained panes: ascending epoch, relations
 // in query order, rows and sketch blobs sorted by packed key. The result
-// shares each pane's cached read-out and is read-only.
+// shares each pane's columns and cached read-out and is read-only.
 func (c *Composer) SnapshotPanes() []PaneSnapshot {
 	epochs := make([]uint32, 0, len(c.panes))
 	for e := range c.panes {
@@ -644,36 +668,25 @@ func (c *Composer) SnapshotPanes() []PaneSnapshot {
 	return out
 }
 
-// snapshotRels builds one pane's sorted read-out; each relation's keys
-// are unpacked into one array.
+// snapshotRels builds one pane's read-out: its runs, already in order,
+// split into the rows and the partials.
 func (c *Composer) snapshotRels(e uint32, p *pane) []PaneRelSnapshot {
 	var out []PaneRelSnapshot
-	for _, q := range c.queries {
-		rp := p.rels[q]
-		if rp == nil || len(rp.rows)+len(rp.sk) == 0 {
+	for qi, q := range c.queries {
+		rp := p.rels[qi]
+		if rp == nil {
 			continue
 		}
 		rs := PaneRelSnapshot{Rel: q}
-		words := make([]uint32, 0, (len(rp.rows)+len(rp.sk))*q.Size())
-		keys := sortedKeys(c.sortKeys[:0], rp.rows)
-		if len(keys) > 0 {
-			rs.Rows = make([]Row, 0, len(keys))
+		for g, h := range rp.has {
+			key := rp.key(g, q.Size())
+			if h&hasRow != 0 {
+				rs.Rows = append(rs.Rows, Row{Rel: q, Epoch: e, Key: key, Aggs: rp.slots(g, len(c.aggs))})
+			}
+			if h&hasSketch != 0 {
+				rs.Sketches = append(rs.Sketches, KeyBlob{Key: key, Blob: rp.partial(g)})
+			}
 		}
-		for _, k := range keys {
-			at := len(words)
-			words = appendKeyWords(words, k)
-			rs.Rows = append(rs.Rows, Row{Rel: q, Epoch: e, Key: words[at:len(words):len(words)], Aggs: rp.rows[k]})
-		}
-		keys = sortedKeys(keys[:0], rp.sk)
-		if len(keys) > 0 {
-			rs.Sketches = make([]KeyBlob, 0, len(keys))
-		}
-		for _, k := range keys {
-			at := len(words)
-			words = appendKeyWords(words, k)
-			rs.Sketches = append(rs.Sketches, KeyBlob{Key: words[at:len(words):len(words)], Blob: rp.sk[k]})
-		}
-		c.sortKeys = keys[:0]
 		out = append(out, rs)
 	}
 	return out
@@ -694,52 +707,24 @@ func (c *Composer) RestorePanes(next int64, panes []PaneSnapshot) error {
 		if fresh[ps.Epoch] != nil {
 			return fmt.Errorf("hfta: duplicate pane %d", ps.Epoch)
 		}
-		p := &pane{stats: ps.Stats, rels: make(map[attr.Set]*relPane, len(ps.Rels))}
+		p := &pane{stats: ps.Stats, rels: make([]*relPane, len(c.queries))}
+		seen := make([]bool, len(c.queries))
 		for _, rs := range ps.Rels {
-			ok := false
-			for _, q := range c.queries {
-				if q == rs.Rel {
-					ok = true
-					break
-				}
-			}
-			if !ok {
+			qi := slices.Index(c.queries, rs.Rel)
+			if qi < 0 {
 				return fmt.Errorf("hfta: pane %d names unknown relation %v", ps.Epoch, rs.Rel)
 			}
-			if p.rels[rs.Rel] != nil {
+			if seen[qi] {
 				return fmt.Errorf("hfta: pane %d repeats relation %v", ps.Epoch, rs.Rel)
 			}
-			rp := &relPane{rows: make(map[string][]int64, len(rs.Rows)), sk: make(map[string][]byte, len(rs.Sketches))}
-			for i := range rs.Rows {
-				r := &rs.Rows[i]
-				if len(r.Key) != rs.Rel.Size() {
-					return fmt.Errorf("hfta: pane %d row key arity %d, want %d", ps.Epoch, len(r.Key), rs.Rel.Size())
-				}
-				if len(r.Aggs) != len(c.aggs) {
-					return fmt.Errorf("hfta: pane %d row has %d agg slots, want %d", ps.Epoch, len(r.Aggs), len(c.aggs))
-				}
-				k := PackKey(r.Key)
-				if _, dup := rp.rows[k]; dup {
-					return fmt.Errorf("hfta: pane %d duplicate group", ps.Epoch)
-				}
-				rp.rows[k] = r.Aggs
+			seen[qi] = true
+			err := c.checkRel(rs)
+			if err == nil {
+				err = c.feed(p, qi, []PaneInput{{Rel: rs.Rel, Rows: rs.Rows, Blobs: rs.Sketches}}, true)
 			}
-			for _, kb := range rs.Sketches {
-				if len(kb.Key) != rs.Rel.Size() {
-					return fmt.Errorf("hfta: pane %d sketch key arity %d, want %d", ps.Epoch, len(kb.Key), rs.Rel.Size())
-				}
-				if _, rest, err := sketch.DecodePartial(c.saggs, c.prec, c.comp, kb.Blob); err != nil {
-					return fmt.Errorf("hfta: pane %d sketch blob: %v", ps.Epoch, err)
-				} else if len(rest) != 0 {
-					return fmt.Errorf("hfta: pane %d sketch blob has %d trailing bytes", ps.Epoch, len(rest))
-				}
-				k := PackKey(kb.Key)
-				if _, dup := rp.sk[k]; dup {
-					return fmt.Errorf("hfta: pane %d duplicate sketch group", ps.Epoch)
-				}
-				rp.sk[k] = kb.Blob
+			if err != nil {
+				return fmt.Errorf("hfta: pane %d %v", ps.Epoch, err)
 			}
-			p.rels[rs.Rel] = rp
 		}
 		fresh[ps.Epoch] = p
 	}
@@ -748,12 +733,33 @@ func (c *Composer) RestorePanes(next int64, panes []PaneSnapshot) error {
 	return nil
 }
 
-// Reset drops all retained panes and rewinds the window cursor. Pane
-// storage returns to the freelists, so a reset composer re-runs warm.
-func (c *Composer) Reset() {
-	for e, p := range c.panes {
-		delete(c.panes, e)
-		c.releasePane(p)
+// checkRel validates one relation's snapshot against the workload: key
+// arities, slot counts, and blobs that decode whole.
+func (c *Composer) checkRel(rs PaneRelSnapshot) error {
+	arity := rs.Rel.Size()
+	for _, r := range rs.Rows {
+		if len(r.Key) != arity {
+			return fmt.Errorf("row key arity %d, want %d", len(r.Key), arity)
+		}
+		if len(r.Aggs) != len(c.aggs) {
+			return fmt.Errorf("row has %d agg slots, want %d", len(r.Aggs), len(c.aggs))
+		}
 	}
+	for _, kb := range rs.Sketches {
+		if len(kb.Key) != arity {
+			return fmt.Errorf("sketch key arity %d, want %d", len(kb.Key), arity)
+		}
+		if _, rest, err := sketch.DecodePartial(c.saggs, c.prec, c.comp, kb.Blob); err != nil {
+			return fmt.Errorf("sketch blob: %v", err)
+		} else if len(rest) != 0 {
+			return fmt.Errorf("sketch blob has %d trailing bytes", len(rest))
+		}
+	}
+	return nil
+}
+
+// Reset drops all retained panes and rewinds the window cursor.
+func (c *Composer) Reset() {
+	clear(c.panes)
 	c.next = 0
 }

@@ -137,6 +137,19 @@ func (p *Partial) Estimates(dst []float64) []float64 {
 	return dst
 }
 
+// Reset empties every sketch, keeping its storage. An HLL's store changes
+// neither its estimates nor its blob, so a reset partial fed some values
+// serializes as a fresh one fed the same.
+func (p *Partial) Reset() {
+	for i := range p.aggs {
+		if p.hll[i] != nil {
+			p.hll[i].Reset()
+		} else {
+			p.dig[i].Reset()
+		}
+	}
+}
+
 // Clone returns an independent copy.
 func (p *Partial) Clone() *Partial {
 	c := &Partial{aggs: p.aggs, hll: make([]*HLL, len(p.aggs)), dig: make([]*TDigest, len(p.aggs))}

@@ -416,6 +416,39 @@ func TestPartialOutOfRangeInput(t *testing.T) {
 	}
 }
 
+// TestPartialResetMatchesFresh: a pooled partial whose HLL went dense in
+// one pane and whose t-digest flushed centroids, once Reset and fed the
+// same three values as a fresh partial, serializes to the same blob and
+// estimates the same bits.
+func TestPartialResetMatchesFresh(t *testing.T) {
+	aggs := []Agg{{Kind: Distinct, Input: 1}, {Kind: Quantile, Input: 2, Q: 0.5}, {Kind: Quantile, Input: 2, Q: 0.99}}
+	pooled, err := NewPartial(aggs, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint32(0); i < 2000; i++ {
+		pooled.Observe([]uint32{0, i * 2654435761, i % 977})
+	}
+	if pooled.hll[0].regs == nil {
+		t.Fatal("2000 distinct values left a precision-8 HLL sparse; the test is vacuous")
+	}
+	pooled.Reset()
+	fresh, _ := NewPartial(aggs, 8, 0)
+	for _, v := range [][]uint32{{0, 7, 30}, {0, 9, 10}, {0, 7, 20}} {
+		pooled.Observe(v)
+		fresh.Observe(v)
+	}
+	if !bytes.Equal(pooled.AppendBinary(nil), fresh.AppendBinary(nil)) {
+		t.Error("reset partial serializes differently from a fresh one")
+	}
+	got, want := pooled.Estimates(nil), fresh.Estimates(nil)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("estimate %d: reset partial %v, fresh %v", i, got[i], want[i])
+		}
+	}
+}
+
 // DecodeFrom through one reused partial must leave exactly what
 // DecodePartial builds, whatever the partial held before, and must not
 // allocate for an HLL-only spec list.
