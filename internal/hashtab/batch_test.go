@@ -2,6 +2,7 @@ package hashtab
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/attr"
@@ -25,26 +26,82 @@ func buildRun(rng *rand.Rand, n, arity, naggs, universe int) ([]uint32, []int64)
 	return keys, deltas
 }
 
-// collectScalar replays a run through ProbeInto, gathering victims in
-// eviction order.
-func collectScalar(t *Table, keys []uint32, deltas []int64) (vkeys []uint32, vaggs []int64) {
-	a, na := t.Arity(), t.NumAggs()
-	n := len(keys) / a
-	var victim Entry
-	for i := 0; i < n; i++ {
-		if t.ProbeInto(keys[i*a:(i+1)*a], deltas[i*na:(i+1)*na], &victim) {
-			vkeys = append(vkeys, victim.Key...)
-			vaggs = append(vaggs, victim.Aggs...)
-		}
+// columns splits a flat record-major key run into one column per key
+// word.
+func columns(keys []uint32, arity int) [][]uint32 {
+	cols := make([][]uint32, arity)
+	for i, k := range keys {
+		cols[i%arity] = append(cols[i%arity], k)
 	}
-	return vkeys, vaggs
+	return cols
 }
 
-// TestProbeBatchMatchesScalar holds ProbeBatchInto to bit-identical
-// behaviour with scalar ProbeInto: same victims in the same order, same
-// statistics, same final table contents — across arities, aggregate
-// shapes, table sizes (spanning the prefetch gate), and run lengths that
-// exercise partial chunks.
+// fullSel returns the saturated selection over n lanes.
+func fullSel(n int) []uint64 {
+	sel := make([]uint64, selWords(n))
+	for i := 0; i < n; i++ {
+		sel[i>>6] |= 1 << (uint(i) & 63)
+	}
+	return sel
+}
+
+// reference returns a table whose probes all take the generic commit:
+// the model that the columnar kernel's commitSum2 and ProbeInto's
+// monomorphic kernels are each held to.
+func reference(rel attr.Set, b int, ops []AggOp, seed uint64) *Table {
+	t := MustNew(rel, b, ops, seed)
+	t.fastKind = fastNone
+	return t
+}
+
+// probeLanes calls ProbeInto on each selected lane of a column run, in
+// ascending lane order, collecting the victims in out (reset first): the
+// model of one ProbeColumnsSelInto call.
+func probeLanes(t *Table, cols [][]uint32, deltas []int64, n int, sel []uint64, out *VictimRun) {
+	a, na := t.Arity(), t.NumAggs()
+	out.Reset(a, na)
+	key := make([]uint32, a)
+	k := 0
+	for i := 0; i < n; i++ {
+		if sel[i>>6]&(1<<(uint(i)&63)) == 0 {
+			continue
+		}
+		for j := range key {
+			key[j] = cols[j][i]
+		}
+		t.ProbeInto(key, deltas[k*na:(k+1)*na], out)
+		k++
+	}
+}
+
+// sameRun reports whether two victim runs hold the same entries in the
+// same order.
+func sameRun(a, b *VictimRun) bool {
+	return a.Len() == b.Len() && slices.Equal(a.Keys, b.Keys) && slices.Equal(a.Aggs, b.Aggs)
+}
+
+// checkSameTable fails unless got matches want in statistics, live
+// count, and storage slot for slot.
+func checkSameTable(t *testing.T, got, want *Table) {
+	t.Helper()
+	if got.Stats() != want.Stats() {
+		t.Fatalf("stats diverge:\ngot  %+v\nwant %+v", got.Stats(), want.Stats())
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("live count diverges: %d vs %d", got.Len(), want.Len())
+	}
+	if !slices.Equal(got.tags, want.tags) || !slices.Equal(got.keys, want.keys) || !slices.Equal(got.aggs, want.aggs) {
+		t.Fatal("table contents diverge")
+	}
+}
+
+// TestProbeBatchMatchesScalar holds a record run through the columnar
+// kernel (ProbeColumnsSelInto, saturated selection) and the same run
+// through ProbeInto, lane by lane, to a reference table forced onto the
+// generic commit: same victims in the same order, same statistics, same
+// final table contents — across arities, aggregate shapes (each
+// monomorphic kernel included), table sizes (spanning the prefetch gate),
+// and run lengths on both sides of a selection word.
 func TestProbeBatchMatchesScalar(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -58,74 +115,49 @@ func TestProbeBatchMatchesScalar(t *testing.T) {
 		{"multi-agg", 3, []AggOp{Sum, Min, Max}, 4096, 6000},
 		{"arity1-dense-dups", 1, []AggOp{Sum}, 257, 40},
 		{"arity4", 4, []AggOp{Sum, Max}, 1 << 15, 50000},
+		{"arity4-count", 4, []AggOp{Sum}, 1000, 3000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rel := attr.MustParseSet("ABCD"[:tc.arity])
 			rng := rand.New(rand.NewSource(int64(tc.buckets)))
+			ref := reference(rel, tc.buckets, tc.ops, 42)
 			scalar := MustNew(rel, tc.buckets, tc.ops, 42)
 			batched := MustNew(rel, tc.buckets, tc.ops, 42)
-			var out VictimRun
-			// Run lengths chosen to hit exact chunks, partial tails, and
-			// sub-chunk runs.
+			var refOut, scOut, out VictimRun
 			for _, n := range []int{1, 63, 64, 65, 200, 512, 1000} {
 				keys, deltas := buildRun(rng, n, tc.arity, len(tc.ops), tc.universe)
-				wantK, wantA := collectScalar(scalar, keys, deltas)
-				batched.ProbeBatchInto(keys, deltas, &out)
-				if got := out.Len(); got != len(wantK)/tc.arity {
-					t.Fatalf("n=%d: %d batch victims, scalar %d", n, got, len(wantK)/tc.arity)
+				cols, sel := columns(keys, tc.arity), fullSel(n)
+				probeLanes(ref, cols, deltas, n, sel, &refOut)
+				probeLanes(scalar, cols, deltas, n, sel, &scOut)
+				batched.ProbeColumnsSelInto(cols, deltas, n, sel, &out)
+				if !sameRun(&scOut, &refOut) {
+					t.Fatalf("n=%d: ProbeInto victims diverge from the generic commit", n)
 				}
-				for i := 0; i < out.Len(); i++ {
-					ks, as := out.Key(i), out.AggRow(i)
-					for j := range ks {
-						if ks[j] != wantK[i*tc.arity+j] {
-							t.Fatalf("n=%d victim %d key differs", n, i)
-						}
-					}
-					for j := range as {
-						if as[j] != wantA[i*len(tc.ops)+j] {
-							t.Fatalf("n=%d victim %d aggs differ", n, i)
-						}
-					}
-				}
-				if sc, bt := scalar.Stats(), batched.Stats(); sc != bt {
-					t.Fatalf("n=%d: stats diverge: scalar %+v batch %+v", n, sc, bt)
+				if !sameRun(&out, &refOut) {
+					t.Fatalf("n=%d: %d columnar victims diverge from %d of the generic commit", n, out.Len(), refOut.Len())
 				}
 			}
-			if scalar.Len() != batched.Len() {
-				t.Fatalf("live count diverges: %d vs %d", scalar.Len(), batched.Len())
-			}
-			scalar.Scan(func(e Entry) {
-				got, ok := batched.Get(e.Key)
-				if !ok {
-					t.Fatalf("batched table missing key %v", e.Key)
-				}
-				if got.Updates != e.Updates {
-					t.Fatalf("updates differ for %v: %d vs %d", e.Key, got.Updates, e.Updates)
-				}
-				for j := range e.Aggs {
-					if got.Aggs[j] != e.Aggs[j] {
-						t.Fatalf("aggs differ for %v", e.Key)
-					}
-				}
-			})
+			checkSameTable(t, scalar, ref)
+			checkSameTable(t, batched, ref)
 		})
 	}
 }
 
 // TestProbeBatchDuplicateKeysInChunk pins the fresh-tag-read requirement
-// directly: a run that is one key repeated must produce one insert and
-// n-1 hits, never a self-collision from stale setup-pass state.
+// directly: a columnar run that is one key repeated must produce one
+// insert and n-1 hits, never a self-collision from stale setup-pass
+// state.
 func TestProbeBatchDuplicateKeysInChunk(t *testing.T) {
 	tab := MustNew(attr.MustParseSet("AB"), 1024, []AggOp{Sum}, 7)
-	keys := make([]uint32, 0, 200*2)
-	deltas := make([]int64, 0, 200)
-	for i := 0; i < 200; i++ {
-		keys = append(keys, 11, 22)
-		deltas = append(deltas, 1)
+	cols := [][]uint32{make([]uint32, 200), make([]uint32, 200)}
+	deltas := make([]int64, 200)
+	for i := range deltas {
+		cols[0][i], cols[1][i] = 11, 22
+		deltas[i] = 1
 	}
 	var out VictimRun
-	tab.ProbeBatchInto(keys, deltas, &out)
+	tab.ProbeColumnsSelInto(cols, deltas, 200, fullSel(200), &out)
 	if out.Len() != 0 {
 		t.Fatalf("%d victims from a single-key run", out.Len())
 	}
@@ -139,19 +171,21 @@ func TestProbeBatchDuplicateKeysInChunk(t *testing.T) {
 	}
 }
 
-// TestProbeBatchZeroAllocSteadyState proves the batch kernel allocates
-// nothing once its chunk scratch and the caller's VictimRun have warmed.
+// TestProbeBatchZeroAllocSteadyState proves the columnar kernel
+// allocates nothing once its setup scratch and the caller's VictimRun
+// have warmed.
 func TestProbeBatchZeroAllocSteadyState(t *testing.T) {
 	tab := MustNew(attr.MustParseSet("AB"), 4096, []AggOp{Sum}, 9)
 	rng := rand.New(rand.NewSource(5))
 	keys, deltas := buildRun(rng, 512, 2, 1, 9000)
+	cols, sel := columns(keys, 2), fullSel(512)
 	var out VictimRun
-	tab.ProbeBatchInto(keys, deltas, &out) // warm scratch + victim capacity
+	tab.ProbeColumnsSelInto(cols, deltas, 512, sel, &out) // warm scratch + victim capacity
 	avg := testing.AllocsPerRun(50, func() {
-		tab.ProbeBatchInto(keys, deltas, &out)
+		tab.ProbeColumnsSelInto(cols, deltas, 512, sel, &out)
 	})
 	if avg != 0 {
-		t.Fatalf("ProbeBatchInto allocates %.1f per run in steady state", avg)
+		t.Fatalf("ProbeColumnsSelInto allocates %.1f per run in steady state", avg)
 	}
 }
 
@@ -159,8 +193,9 @@ func TestProbeBatchZeroAllocSteadyState(t *testing.T) {
 // that are distinct but share both their group and their 8-bit tag. The
 // tag scan reports every aliased lane as a probable hit, and only the
 // key compare may separate them — each aliased key must get its own
-// slot, re-probes must fold into the right entry, and the batch path
-// must agree with scalar bit-for-bit. Runs under both kernels.
+// slot, re-probes must fold into the right entry, and ProbeInto, the
+// columnar kernel and the generic commit must agree bit-for-bit. Runs
+// under both tag-scan kernels.
 func TestTagAliasDistinctKeys(t *testing.T) {
 	defer SetSIMD(SIMDEnabled())
 	for _, simd := range []bool{false, true} {
@@ -190,6 +225,7 @@ func TestTagAliasDistinctKeys(t *testing.T) {
 			}
 			keys := aliases[hit]
 
+			ref := reference(rel, 1024, []AggOp{Sum}, 42)
 			scalar := MustNew(rel, 1024, []AggOp{Sum}, 42)
 			batched := MustNew(rel, 1024, []AggOp{Sum}, 42)
 
@@ -203,22 +239,22 @@ func TestTagAliasDistinctKeys(t *testing.T) {
 					deltas = append(deltas, int64(1+i+10*round))
 				}
 			}
-			var victim Entry
-			for i := 0; i < len(deltas); i++ {
-				if scalar.ProbeInto(flat[i*2:i*2+2], deltas[i:i+1], &victim) {
-					t.Fatalf("probe %d evicted from a near-empty table", i)
+			n := len(deltas)
+			cols, sel := columns(flat, 2), fullSel(n)
+			var refOut, scOut, out VictimRun
+			probeLanes(ref, cols, deltas, n, sel, &refOut)
+			probeLanes(scalar, cols, deltas, n, sel, &scOut)
+			batched.ProbeColumnsSelInto(cols, deltas, n, sel, &out)
+			for _, run := range []*VictimRun{&refOut, &scOut, &out} {
+				if run.Len() != 0 {
+					t.Fatalf("%d victims from a near-empty table", run.Len())
 				}
 			}
-			var out VictimRun
-			batched.ProbeBatchInto(flat, deltas, &out)
-			if out.Len() != 0 {
-				t.Fatalf("batch evicted %d victims from a near-empty table", out.Len())
-			}
 
-			for _, tab := range []*Table{scalar, batched} {
+			for _, tab := range []*Table{ref, scalar, batched} {
 				st := tab.Stats()
-				if st.Inserts != uint64(len(keys)) || st.Hits != uint64(len(deltas)-len(keys)) {
-					t.Fatalf("stats %+v, want %d inserts / %d hits", st, len(keys), len(deltas)-len(keys))
+				if st.Inserts != uint64(len(keys)) || st.Hits != uint64(n-len(keys)) {
+					t.Fatalf("stats %+v, want %d inserts / %d hits", st, len(keys), n-len(keys))
 				}
 				for i, key := range keys {
 					e, ok := tab.Get(key)
@@ -234,9 +270,84 @@ func TestTagAliasDistinctKeys(t *testing.T) {
 					}
 				}
 			}
-			if sc, bt := scalar.Stats(), batched.Stats(); sc != bt {
-				t.Fatalf("stats diverge: scalar %+v batch %+v", sc, bt)
-			}
+			checkSameTable(t, scalar, ref)
+			checkSameTable(t, batched, ref)
 		})
+	}
+}
+
+// TestDrainIntoChunked: draining a table a chunk at a time must empty
+// the same entries, in the same slot order, with the same statistics as
+// one drain of the whole table, and both must end at Buckets() with the
+// table empty. A chunk that stops early resumes at the slot after its
+// last entry.
+func TestDrainIntoChunked(t *testing.T) {
+	for _, ops := range [][]AggOp{{Sum}, {Sum, Min, Max}} {
+		for _, chunk := range []int{1, 3, 64} {
+			rng := rand.New(rand.NewSource(int64(90 + chunk)))
+			rel := attr.MustParseSet("ABC")
+			chunked := MustNew(rel, 300, ops, 4)
+			whole := MustNew(rel, 300, ops, 4)
+			keys, deltas := buildRun(rng, 2000, 3, len(ops), 400)
+			cols, sel := columns(keys, 3), fullSel(2000)
+			var out, all VictimRun
+			chunked.ProbeColumnsSelInto(cols, deltas, 2000, sel, &out)
+			whole.ProbeColumnsSelInto(cols, deltas, 2000, sel, &out)
+
+			var want []Entry
+			whole.Scan(func(e Entry) {
+				want = append(want, Entry{Key: slices.Clone(e.Key), Aggs: slices.Clone(e.Aggs)})
+			})
+			if next := whole.DrainInto(&all, 0, whole.Buckets()); next != whole.Buckets() {
+				t.Fatalf("one-shot drain resumes at %d, want %d", next, whole.Buckets())
+			}
+			if all.Len() != len(want) {
+				t.Fatalf("one-shot drain emptied %d entries, %d resident", all.Len(), len(want))
+			}
+			for i, e := range want {
+				if !slices.Equal(all.Key(i), e.Key) || !slices.Equal(all.AggRow(i), e.Aggs) {
+					t.Fatalf("one-shot drain entry %d is not slot-order entry %v", i, e)
+				}
+			}
+
+			var keysOut []uint32
+			var aggsOut []int64
+			pos, drained := 0, 0
+			for pos < chunked.Buckets() {
+				next := chunked.DrainInto(&out, pos, chunk)
+				if out.Len() > chunk {
+					t.Fatalf("chunk of %d entries, max %d", out.Len(), chunk)
+				}
+				if next <= pos {
+					t.Fatalf("drain did not advance: %d → %d", pos, next)
+				}
+				drained += out.Len()
+				if next < chunked.Buckets() && chunked.Len() != len(want)-drained {
+					t.Fatalf("live count %d after draining %d of %d", chunked.Len(), drained, len(want))
+				}
+				keysOut = append(keysOut, out.Keys...)
+				aggsOut = append(aggsOut, out.Aggs...)
+				pos = next
+			}
+			if pos != chunked.Buckets() {
+				t.Fatalf("chunked drain resumes at %d, want %d", pos, chunked.Buckets())
+			}
+			if !slices.Equal(keysOut, all.Keys) || !slices.Equal(aggsOut, all.Aggs) {
+				t.Fatalf("chunk %d: chunked drain diverges from one-shot drain", chunk)
+			}
+			cs, ws := chunked.Stats(), whole.Stats()
+			if cs.Flushes != ws.Flushes || cs.EvictedUpdates != ws.EvictedUpdates || cs.EvictedEntries != ws.EvictedEntries {
+				t.Fatalf("chunk %d: stats diverge:\nchunked  %+v\none-shot %+v", chunk, cs, ws)
+			}
+			if cs.Flushes != uint64(len(want)) {
+				t.Fatalf("Flushes = %d, want %d", cs.Flushes, len(want))
+			}
+			for _, tab := range []*Table{chunked, whole} {
+				if tab.Len() != 0 {
+					t.Fatalf("%d entries left after a drain", tab.Len())
+				}
+				tab.Scan(func(e Entry) { t.Fatalf("entry %v left after a drain", e.Key) })
+			}
+		}
 	}
 }

@@ -33,33 +33,38 @@ func newBenchFixture(tb testing.TB) (*Table, []uint32) {
 func BenchmarkProbeScalarLarge(b *testing.B) {
 	tab, keys := newBenchFixture(b)
 	one := []int64{1}
-	var victim Entry
+	var victims VictimRun
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o := (i % benchStream) * 2
-		tab.ProbeInto(keys[o:o+2], one, &victim)
+		victims.Reset(2, 1)
+		tab.ProbeInto(keys[o:o+2], one, &victims)
 	}
 }
 
-func BenchmarkProbeBatchLarge(b *testing.B) {
+func BenchmarkProbeColumnsLarge(b *testing.B) {
 	tab, keys := newBenchFixture(b)
+	cols := columns(keys, 2)
+	sel := fullSel(benchRun)
 	deltas := make([]int64, benchRun)
 	for i := range deltas {
 		deltas[i] = 1
 	}
+	kc := make([][]uint32, 2)
 	var out VictimRun
 	b.ReportAllocs()
 	b.ResetTimer()
 	nruns := benchStream / benchRun
 	for done := 0; done < b.N; {
-		r := (done / benchRun) % nruns
+		o := ((done / benchRun) % nruns) * benchRun
 		n := benchRun
 		if b.N-done < n {
 			n = b.N - done
+			sel = fullSel(n)
 		}
-		o := r * benchRun * 2
-		tab.ProbeBatchInto(keys[o:o+2*n], deltas[:n], &out)
+		kc[0], kc[1] = cols[0][o:o+n], cols[1][o:o+n]
+		tab.ProbeColumnsSelInto(kc, deltas[:n], n, sel, &out)
 		done += n
 	}
 }

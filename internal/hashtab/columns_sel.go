@@ -3,23 +3,22 @@ package hashtab
 import (
 	"fmt"
 	"math/bits"
-	"unsafe"
 
 	"repro/internal/attr"
 )
 
-// Selection-aware columnar entry points — the table's one columnar probe
+// Selection-aware columnar entry points — the table's one run probe
 // kernel. A vectorized WHERE leaves a column batch with a
 // 64-bit-per-word selection bitmap instead of a compacted copy; these
 // kernels consume the columns plus the bitmap directly, iterating set
 // bits so dead lanes cost nothing — no gather, no hash, no probe. The
 // setup pass hashes column-wise with per-arity unrolled loops and only
 // the commit pass — which must touch the group's key line anyway —
-// materializes each key, into a stack buffer. Selected lanes are
-// processed in ascending lane order, so results are bit-identical to
-// compacting the batch record-major and probing it with ProbeBatchInto
-// (or ProbeInto, lane by lane); an unfiltered batch is the saturated
-// selection.
+// materializes each key, into a stack buffer (or, for sum-only arity-2
+// tables, one packed word). Selected lanes are processed in ascending
+// lane order, so results are bit-identical to calling ProbeInto lane by
+// lane. An unfiltered batch, and a victim run projected into child key
+// columns by lfta's cascade, is the saturated selection.
 //
 // The bitmap follows the selvec convention: bit j of word w covers lane
 // w*64+j, and dead bits past lane n-1 are zero (so popcounts over whole
@@ -119,10 +118,9 @@ func HashColumnsSel(seed uint64, cols [][]uint32, n int, sel []uint64, out []uin
 // the selection bitmap, and deltas is flat m×NumAggs() in selection
 // (ascending lane) order, where m is the selection popcount. Victims
 // land in out in columnar form, reset first. Table contents, victims,
-// and statistics are bit-identical to compacting the selected lanes
-// record-major and calling ProbeBatchInto. Every table shape takes the
-// generic commit here; the monomorphic sum-2 kernel serves the
-// record-major paths only and shares its layout and semantics exactly.
+// and statistics are bit-identical to calling ProbeInto on each
+// selected lane in order. Sum-only arity-2 tables commit through
+// commitSum2; every other shape takes the generic commit.
 func (t *Table) ProbeColumnsSelInto(cols [][]uint32, deltas []int64, n int, sel []uint64, out *VictimRun) {
 	a := t.arity
 	na := len(t.ops)
@@ -143,7 +141,7 @@ func (t *Table) ProbeColumnsSelInto(cols [][]uint32, deltas []int64, n int, sel 
 		return
 	}
 	if cap(t.batchIdx) < m {
-		t.batchIdx = make([]int, m)
+		t.batchIdx = make([]int32, m)
 		t.batchTag = make([]uint8, m)
 		t.batchVic = make([]uint8, m)
 	}
@@ -171,7 +169,7 @@ func (t *Table) ProbeColumnsSelInto(cols [][]uint32, deltas []int64, n int, sel 
 				i := lbase + bits.TrailingZeros64(w)
 				h := mixWord(init, uint64(c0[i]))
 				base, tag := t.group(h)
-				idx[k] = base
+				idx[k] = int32(base)
 				tg[k] = tag
 				vic[k] = uint8(t.victimSlot(base, h) - base)
 				lane[k] = int32(i)
@@ -187,7 +185,7 @@ func (t *Table) ProbeColumnsSelInto(cols [][]uint32, deltas []int64, n int, sel 
 				i := lbase + bits.TrailingZeros64(w)
 				h := mixWord(init, uint64(c0[i])|uint64(c1[i])<<32)
 				base, tag := t.group(h)
-				idx[k] = base
+				idx[k] = int32(base)
 				tg[k] = tag
 				vic[k] = uint8(t.victimSlot(base, h) - base)
 				lane[k] = int32(i)
@@ -203,7 +201,7 @@ func (t *Table) ProbeColumnsSelInto(cols [][]uint32, deltas []int64, n int, sel 
 				i := lbase + bits.TrailingZeros64(w)
 				h := mixWord(mixWord(init, uint64(c0[i])|uint64(c1[i])<<32), uint64(c2[i]))
 				base, tag := t.group(h)
-				idx[k] = base
+				idx[k] = int32(base)
 				tg[k] = tag
 				vic[k] = uint8(t.victimSlot(base, h) - base)
 				lane[k] = int32(i)
@@ -219,7 +217,7 @@ func (t *Table) ProbeColumnsSelInto(cols [][]uint32, deltas []int64, n int, sel 
 				i := lbase + bits.TrailingZeros64(w)
 				h := mixWord(mixWord(init, uint64(c0[i])|uint64(c1[i])<<32), uint64(c2[i])|uint64(c3[i])<<32)
 				base, tag := t.group(h)
-				idx[k] = base
+				idx[k] = int32(base)
 				tg[k] = tag
 				vic[k] = uint8(t.victimSlot(base, h) - base)
 				lane[k] = int32(i)
@@ -236,7 +234,7 @@ func (t *Table) ProbeColumnsSelInto(cols [][]uint32, deltas []int64, n int, sel 
 				}
 				h := t.hash(kbuf[:a:a])
 				base, tag := t.group(h)
-				idx[k] = base
+				idx[k] = int32(base)
 				tg[k] = tag
 				vic[k] = uint8(t.victimSlot(base, h) - base)
 				lane[k] = int32(i)
@@ -245,37 +243,36 @@ func (t *Table) ProbeColumnsSelInto(cols [][]uint32, deltas []int64, n int, sel 
 		}
 	}
 
-	// Commit pass: identical prefetch schedule to ProbeBatchInto over the
-	// compact entries; keys gather through the recorded lanes.
-	if t.SpaceUnits()*4 >= prefetchMinBytes {
-		warm := prefetchDist
-		if warm > m {
-			warm = m
+	// Commit pass: resolve in order against fresh group state, keeping
+	// the group prefetchDist probes ahead in flight; keys gather through
+	// the recorded lanes.
+	pf := t.SpaceUnits()*4 >= prefetchMinBytes
+	if pf {
+		for k := 0; k < prefetchDist && k < m; k++ {
+			t.prefetchGroup(int(idx[k]), int(vic[k]))
 		}
-		for k := 0; k < warm; k++ {
-			i := idx[k] + int(vic[k])
-			prefetch3(unsafe.Pointer(&t.tags[idx[k]]), unsafe.Pointer(&t.keys[i*a]), unsafe.Pointer(&t.aggs[i*t.astride]))
-		}
+	}
+	if t.fastKind == fastSum2 {
+		c0, c1 := cols[0], cols[1]
 		for k := 0; k < m; k++ {
-			if k+prefetchDist < m {
-				i := idx[k+prefetchDist] + int(vic[k+prefetchDist])
-				prefetch3(unsafe.Pointer(&t.tags[idx[k+prefetchDist]]), unsafe.Pointer(&t.keys[i*a]), unsafe.Pointer(&t.aggs[i*t.astride]))
+			if pf && k+prefetchDist < m {
+				t.prefetchGroup(int(idx[k+prefetchDist]), int(vic[k+prefetchDist]))
 			}
 			t.stats.Probes++
-			l := int(lane[k])
-			for j := 0; j < a; j++ {
-				kbuf[j] = cols[j][l]
-			}
-			t.commitProbe(idx[k], tg[k], int(vic[k]), kbuf[:a:a], deltas[k*na:k*na+na:k*na+na], out)
+			l := lane[k]
+			t.commitSum2(int(idx[k]), tg[k], int(vic[k]), uint64(c0[l])|uint64(c1[l])<<32, deltas[k], out)
 		}
 		return
 	}
 	for k := 0; k < m; k++ {
+		if pf && k+prefetchDist < m {
+			t.prefetchGroup(int(idx[k+prefetchDist]), int(vic[k+prefetchDist]))
+		}
 		t.stats.Probes++
 		l := int(lane[k])
 		for j := 0; j < a; j++ {
 			kbuf[j] = cols[j][l]
 		}
-		t.commitProbe(idx[k], tg[k], int(vic[k]), kbuf[:a:a], deltas[k*na:k*na+na:k*na+na], out)
+		t.commitProbe(int(idx[k]), tg[k], int(vic[k]), kbuf[:a:a], deltas[k*na:k*na+na:k*na+na], out)
 	}
 }

@@ -59,13 +59,20 @@ func TestHashColumnsSelMatchesDense(t *testing.T) {
 }
 
 // TestProbeColumnsSelMatchesDense: probing the selected lanes of a
-// column run must produce victims, statistics, and table contents
-// bit-identical to compacting the selection into a dense record-major
-// run and probing that with ProbeBatchInto — on every arity, on the
-// sum-only shape (which the dense run takes through the monomorphic
-// sum-2 kernel) and multi-agg lists, at sparse and dense selections,
-// under both tag-scan kernels.
+// column run at sparse and dense selections must probe exactly as
+// ProbeInto on the selected lanes, in lane order, on the generic commit
+// (see checkColumnsMatchLanes).
 func TestProbeColumnsSelMatchesDense(t *testing.T) {
+	checkColumnsMatchLanes(t, 80, 4000, []int{0, 1, 10, 50, 100})
+}
+
+// checkColumnsMatchLanes holds ProbeColumnsSelInto to a reference table
+// on the generic commit, probed lane by lane with ProbeInto: same victims
+// in the same order, same statistics, same final contents. It covers
+// runs of random length drawn at the given selection densities (percent)
+// on every arity, the sum-only shape (commitSum2 at arity 2) and a
+// multi-agg list, under both tag-scan kernels.
+func checkColumnsMatchLanes(t *testing.T, seed int64, total int, pcts []int) {
 	defer SetSIMD(SIMDEnabled())
 	kernels := []bool{false}
 	if SIMDAvailable() {
@@ -80,19 +87,14 @@ func TestProbeColumnsSelMatchesDense(t *testing.T) {
 		for arity := 1; arity <= 5; arity++ {
 			for shapeName, ops := range aggShapes {
 				t.Run(fmt.Sprintf("kernel=%s/arity=%d/%s", KernelName(), arity, shapeName), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(80 + arity)))
-					const (
-						buckets = 64 // tiny: heavy eviction traffic
-						total   = 4000
-					)
+					rng := rand.New(rand.NewSource(seed + int64(arity)))
+					const buckets = 64 // tiny: heavy eviction traffic
 					rel := relOfArity(arity)
-					selTab := MustNew(rel, buckets, ops, 9)
-					denTab := MustNew(rel, buckets, ops, 9)
+					tab := MustNew(rel, buckets, ops, 9)
+					ref := reference(rel, buckets, ops, 9)
 
 					cols := make([][]uint32, arity)
-					var compact []uint32
-					var selOut, denOut VictimRun
-					pcts := []int{0, 1, 10, 50, 100}
+					var out, refOut VictimRun
 					for done := 0; done < total; {
 						n := 1 + rng.Intn(512)
 						if total-done < n {
@@ -102,7 +104,6 @@ func TestProbeColumnsSelMatchesDense(t *testing.T) {
 						for a := range cols {
 							cols[a] = cols[a][:0]
 						}
-						compact = compact[:0]
 						for i := 0; i < n; i++ {
 							g := rng.Intn(200)
 							for a := range cols {
@@ -110,35 +111,17 @@ func TestProbeColumnsSelMatchesDense(t *testing.T) {
 							}
 						}
 						sel := randomSel(rng, n, pcts[rng.Intn(len(pcts))])
-						m := selCount(sel, n)
-						deltas := make([]int64, m*len(ops))
+						deltas := make([]int64, selCount(sel, n)*len(ops))
 						for i := range deltas {
 							deltas[i] = int64(rng.Intn(50) + 1)
 						}
-						selTab.ProbeColumnsSelInto(cols, deltas, n, sel, &selOut)
-
-						for i := 0; i < n; i++ {
-							if sel[i>>6]&(1<<(uint(i)&63)) != 0 {
-								for a := range cols {
-									compact = append(compact, cols[a][i])
-								}
-							}
-						}
-						denTab.ProbeBatchInto(compact, deltas, &denOut)
-
-						if selOut.Len() != denOut.Len() {
-							t.Fatalf("victim counts diverge: selected %d, dense %d", selOut.Len(), denOut.Len())
-						}
-						if !reflect.DeepEqual(selOut.Keys, denOut.Keys) || !reflect.DeepEqual(selOut.Aggs, denOut.Aggs) {
-							t.Fatal("victim runs diverge between selected and dense probes")
+						tab.ProbeColumnsSelInto(cols, deltas, n, sel, &out)
+						probeLanes(ref, cols, deltas, n, sel, &refOut)
+						if !sameRun(&out, &refOut) {
+							t.Fatalf("victim runs diverge: columnar %d, lane by lane %d", out.Len(), refOut.Len())
 						}
 					}
-					if ss, ds := selTab.Stats(), denTab.Stats(); ss != ds {
-						t.Fatalf("stats diverge:\nselected %+v\ndense    %+v", ss, ds)
-					}
-					if !reflect.DeepEqual(drainSorted(selTab), drainSorted(denTab)) {
-						t.Fatal("drained table contents diverge between selected and dense probes")
-					}
+					checkSameTable(t, tab, ref)
 				})
 			}
 		}

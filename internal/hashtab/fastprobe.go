@@ -2,13 +2,12 @@ package hashtab
 
 // Monomorphic probe kernels for the table shapes the paper's workloads
 // actually run: a single Sum aggregate (count(*) and sum tables — every
-// CountStar deployment, every collision-model experiment) over keys of
-// arity 1, 2, or 4. The generic ProbeInto/commitProbe kernel pays real
-// per-probe costs that only exist because arity and aggregate shape are
-// runtime values: an out-of-line call to Table.hash (the arity switch
-// pushes it past the inlining budget), a slice header + bounds check +
-// word loop per candidate key compare, and a strided slice expression
-// per aggregate touch. The kernels here are selected once at New() —
+// CountStar deployment, every collision-model experiment). The generic
+// commit (commitProbe) pays per-probe costs that only exist because
+// arity and aggregate shape are runtime values: a slice header + bounds
+// check + word loop per candidate key compare, and a strided slice
+// expression per aggregate touch, plus (for ProbeInto) an out-of-line
+// call to Table.hash. The kernels here are selected once at New() —
 // fastKind — and specialize all of it away:
 //
 //   - the hash chunk is packed from the key words in registers and mixed
@@ -21,13 +20,18 @@ package hashtab
 //   - the sum-only aggregate row is a fixed [2]int64 (sum, update
 //     count), so hits are two adds on one cache line.
 //
-// Behaviour is bit-identical to the generic kernel — same hash, same
+// ProbeInto dispatches sum-only arity 1, 2 (open-coded in ProbeInto) and
+// 4 here. The columnar kernel has one specialisation, commitSum2: the
+// commit of sum-only arity-2 tables, the dominant shape of both raw
+// tables and the cascade.
+//
+// Behaviour is bit-identical to the generic commit — same hash, same
 // group, same victim lane, same statistics, same victim bytes — which
-// TestFastProbeMatchesGeneric and the batched≡scalar suites pin. The
-// kernels do unaligned word loads through unsafe, so they are enabled
-// only on architectures that support them (fastProbeArch, per-GOARCH);
-// elsewhere fastKind stays fastNone and every probe takes the generic
-// path.
+// the hashtab suites pin against a reference table forced to fastNone.
+// The kernels do unaligned word loads through unsafe, so they are
+// enabled only on architectures that support them (fastProbeArch,
+// per-GOARCH); elsewhere fastKind stays fastNone and every probe takes
+// the generic path.
 
 import (
 	"math/bits"
@@ -74,7 +78,7 @@ func (t *Table) sumRow(i int) *[2]int64 {
 // probeSum1 is ProbeInto for sum-only arity-1 tables. (The arity-2
 // variant is open-coded directly in ProbeInto — the dominant shape pays
 // no second call frame; these share its structure exactly.)
-func (t *Table) probeSum1(k0 uint32, delta int64, victim *Entry) (collided bool) {
+func (t *Table) probeSum1(k0 uint32, delta int64, out *VictimRun) (collided bool) {
 	t.stats.Probes++
 	h := mixWord(t.seed^gamma1, uint64(k0))
 	base := Reduce(h, t.ngroups) * GroupSlots
@@ -116,9 +120,9 @@ func (t *Table) probeSum1(k0 uint32, delta int64, victim *Entry) (collided bool)
 	i := t.victimSlot(base, h)
 	row := t.sumRow(i)
 	up := clampUpdates(row[1])
-	victim.Key = append(victim.Key[:0], t.keys[i])
-	victim.Aggs = append(victim.Aggs[:0], row[0])
-	victim.Updates = up
+	out.Keys = append(out.Keys, t.keys[i])
+	out.Aggs = append(out.Aggs, row[0])
+	out.n++
 	t.stats.Collisions++
 	t.stats.EvictedUpdates += uint64(up)
 	t.stats.EvictedEntries++
@@ -131,7 +135,7 @@ func (t *Table) probeSum1(k0 uint32, delta int64, victim *Entry) (collided bool)
 
 // probeSum4 is ProbeInto for sum-only arity-4 tables: two packed chunks
 // feed two inline mix rounds and two word compares.
-func (t *Table) probeSum4(k0, k1, k2, k3 uint32, delta int64, victim *Entry) (collided bool) {
+func (t *Table) probeSum4(k0, k1, k2, k3 uint32, delta int64, out *VictimRun) (collided bool) {
 	t.stats.Probes++
 	w0 := uint64(k0) | uint64(k1)<<32
 	w1 := uint64(k2) | uint64(k3)<<32
@@ -178,9 +182,9 @@ func (t *Table) probeSum4(k0, k1, k2, k3 uint32, delta int64, victim *Entry) (co
 	i := t.victimSlot(base, h)
 	row := t.sumRow(i)
 	up := clampUpdates(row[1])
-	victim.Key = append(victim.Key[:0], t.keys[i*4:i*4+4]...)
-	victim.Aggs = append(victim.Aggs[:0], row[0])
-	victim.Updates = up
+	out.Keys = append(out.Keys, t.keys[i*4:i*4+4]...)
+	out.Aggs = append(out.Aggs, row[0])
+	out.n++
 	t.stats.Collisions++
 	t.stats.EvictedUpdates += uint64(up)
 	t.stats.EvictedEntries++
@@ -194,8 +198,8 @@ func (t *Table) probeSum4(k0, k1, k2, k3 uint32, delta int64, victim *Entry) (co
 }
 
 // commitSum2 is commitProbe for sum-only arity-2 tables: the packed key
-// word and precomputed (base, tag, victim lane) from the batch setup
-// pass, with victims appended to the columnar run.
+// word and precomputed (base, tag, victim lane) from the columnar
+// kernel's setup pass, with victims appended to the run.
 func (t *Table) commitSum2(base int, tag uint8, vs int, w uint64, delta int64, out *VictimRun) {
 	grp := (*[GroupSlots]uint8)(unsafe.Add(t.tagp, base))
 	var mm uint16
@@ -244,48 +248,4 @@ func (t *Table) commitSum2(base int, tag uint8, vs int, w uint64, delta int64, o
 	*(*uint64)(t.keyPtr(i)) = w
 	row[0] = delta
 	row[1] = 1
-}
-
-// probeBatchSum2 is the ProbeBatchInto setup+commit loop for sum-only
-// arity-2 tables: the setup pass packs and mixes each key inline (no
-// hash call), and the commit pass dispatches straight to commitSum2.
-// Prefetch schedule and semantics match the generic loop exactly.
-func (t *Table) probeBatchSum2(keys []uint32, deltas []int64, out *VictimRun, n int) {
-	idx := t.batchIdx[:n]
-	tg := t.batchTag[:n]
-	vic := t.batchVic[:n]
-	seed := t.seed ^ gamma2
-	for k := 0; k < n; k++ {
-		w := uint64(keys[2*k]) | uint64(keys[2*k+1])<<32
-		h := mixWord(seed, w)
-		base := Reduce(h, t.ngroups) * GroupSlots
-		idx[k] = base
-		tg[k] = uint8(h) | 0x80
-		vic[k] = uint8(t.victimSlot(base, h) - base)
-	}
-	if t.SpaceUnits()*4 >= prefetchMinBytes {
-		warm := prefetchDist
-		if warm > n {
-			warm = n
-		}
-		for k := 0; k < warm; k++ {
-			i := idx[k] + int(vic[k])
-			prefetch3(unsafe.Add(t.tagp, idx[k]), t.keyPtr(i), unsafe.Pointer(t.sumRow(i)))
-		}
-		for k := 0; k < n; k++ {
-			if k+prefetchDist < n {
-				i := idx[k+prefetchDist] + int(vic[k+prefetchDist])
-				prefetch3(unsafe.Add(t.tagp, idx[k+prefetchDist]), t.keyPtr(i), unsafe.Pointer(t.sumRow(i)))
-			}
-			t.stats.Probes++
-			w := uint64(keys[2*k]) | uint64(keys[2*k+1])<<32
-			t.commitSum2(idx[k], tg[k], int(vic[k]), w, deltas[k], out)
-		}
-		return
-	}
-	for k := 0; k < n; k++ {
-		t.stats.Probes++
-		w := uint64(keys[2*k]) | uint64(keys[2*k+1])<<32
-		t.commitSum2(idx[k], tg[k], int(vic[k]), w, deltas[k], out)
-	}
 }

@@ -104,7 +104,7 @@ type Stats struct {
 	Hits       uint64 // probe matched resident group
 	Inserts    uint64 // probe filled an empty slot
 	Collisions uint64 // probe evicted a resident group (cost c2 if leaf)
-	Flushes    uint64 // entries emitted by Flush/Scan-and-clear
+	Flushes    uint64 // entries emptied out by DrainInto
 
 	// Flow-length bookkeeping: total updates accumulated by entries that
 	// have been evicted or flushed, and how many such entries there were.
@@ -142,10 +142,13 @@ func (s Stats) AvgFlowLength() float64 {
 // the group has room (install without loading any key line), and a group
 // with neither free nor matching lanes is full — the probe evicts the
 // group's hash-chosen victim lane. Because the tag vector answers
-// "hit / room / full" from one dense 16-byte load, the batch kernels
-// (ProbeColumnsSelInto, ProbeBatchInto) can classify and prefetch a
-// whole run of groups before the first entry line is needed — see
-// batch.go.
+// "hit / room / full" from one dense 16-byte load, the columnar kernel
+// (ProbeColumnsSelInto) can classify and prefetch a whole run of groups
+// before the first entry line is needed — see batch.go.
+//
+// Every entry leaves a table as a VictimRun: the victims of either probe
+// form (ProbeColumnsSelInto for runs, ProbeInto for one key) and the
+// chunks DrainInto empties at the end of an epoch.
 //
 // Entry storage interleaves each slot's update count with its aggregates
 // (aggs stride is NumAggs()+1, count in the last cell) so the hit and
@@ -179,16 +182,14 @@ type Table struct {
 	keyp unsafe.Pointer
 	aggp unsafe.Pointer
 
-	// Batch-probe scratch (see ProbeBatchInto): precomputed group base
-	// slot, fingerprint, and victim lane of the setup pass, sized to the
-	// run on first use. Tables are single-owner (one shard probes a
-	// table), so the scratch lives on the table rather than in every
-	// caller.
-	batchIdx []int
-	batchTag []uint8
-	batchVic []uint8
-	// batchLane maps compact entry → source lane for the selection-aware
-	// probe (ProbeColumnsSelInto), whose commit pass gathers keys by lane.
+	// Columnar-kernel scratch (see ProbeColumnsSelInto): precomputed
+	// group base slot, fingerprint, victim lane, and source lane of the
+	// setup pass, sized to the run on first use. Tables are single-owner
+	// (one shard probes a table), so the scratch lives on the table
+	// rather than in every caller.
+	batchIdx  []int32
+	batchTag  []uint8
+	batchVic  []uint8
 	batchLane []int32
 
 	live  int
@@ -318,38 +319,37 @@ func clampUpdates(u int64) uint32 {
 // If the key's hash group is full of other groups, one entry is evicted:
 // Probe returns it with collided = true, and its slot is re-initialized
 // to the probing group. The returned Entry holds freshly allocated slices
-// and is safe to retain. It is ProbeInto with a scratch victim per call —
+// and is safe to retain. It is ProbeInto with a scratch run per call —
 // the convenience form for experiments and tests, which therefore
 // exercise the hot kernel.
 //
 // key must have length Arity(); deltas must have length NumAggs(). For a
 // count(*) table pass deltas = {1}.
 func (t *Table) Probe(key []uint32, deltas []int64) (evicted Entry, collided bool) {
-	collided = t.ProbeInto(key, deltas, &evicted)
-	return evicted, collided
+	var run VictimRun
+	run.Reset(t.arity, len(t.ops))
+	before := t.stats.EvictedUpdates
+	if !t.ProbeInto(key, deltas, &run) {
+		return Entry{}, false
+	}
+	return Entry{Key: run.Keys, Aggs: run.Aggs, Updates: uint32(t.stats.EvictedUpdates - before)}, true
 }
 
-// ProbeInto is the scalar probe of the LFTA hot path, allocation-free in
-// steady state. On a collision the victim's key, aggregates and update
-// count are copied into victim, reusing its slice capacity; the caller
-// owns victim and may retain it until the next ProbeInto with the same
-// scratch. It stays beside the batch kernels because two callers need
-// one probe at a time: exact per-record budget charging (the engine
-// probes an admitted record and charges its measured cost before the
-// next admission) and the end-of-epoch flush cascade.
-//
-// The resolution kernel is open-coded here rather than shared with the
-// batch path's commitProbe (batch.go): a call per probe costs measurably
-// more than the duplicated body, and the batched≡scalar property tests
-// hold the two copies together.
-func (t *Table) ProbeInto(key []uint32, deltas []int64, victim *Entry) (collided bool) {
+// ProbeInto probes one key, allocation-free in steady state. On a
+// collision the victim's key and aggregates are appended to out, which
+// must have been Reset to this table's widths. Outcomes and statistics
+// are those of a one-lane ProbeColumnsSelInto. Its one hot caller is
+// lfta's per-record Runtime.Process: exact per-record budget charging
+// probes an admitted record and reads its cost before the next is
+// offered.
+func (t *Table) ProbeInto(key []uint32, deltas []int64, out *VictimRun) (collided bool) {
 	if len(key) != t.arity || len(deltas) != len(t.ops) {
 		t.probePanic(key, deltas)
 	}
 	// Sum-only tables of the common arities take a monomorphic kernel
 	// (fastprobe.go) with the hash inlined and the key compare collapsed
 	// to packed-word compares; behaviour is bit-identical to the generic
-	// body below. The dominant arity-2 shape (the paper's two-attribute
+	// commit. The dominant arity-2 shape (the paper's two-attribute
 	// count/sum tables) is open-coded here so the hot path pays exactly
 	// one call frame.
 	// The guards re-state what fastKind already implies (arity 2, one
@@ -398,9 +398,9 @@ func (t *Table) ProbeInto(key []uint32, deltas []int64, victim *Entry) (collided
 		i := t.victimSlot(base, h)
 		row := t.sumRow(i)
 		up := clampUpdates(row[1])
-		victim.Key = append(victim.Key[:0], t.keys[i*2:i*2+2]...)
-		victim.Aggs = append(victim.Aggs[:0], row[0])
-		victim.Updates = up
+		out.Keys = append(out.Keys, t.keys[i*2], t.keys[i*2+1])
+		out.Aggs = append(out.Aggs, row[0])
+		out.n++
 		t.stats.Collisions++
 		t.stats.EvictedUpdates += uint64(up)
 		t.stats.EvictedEntries++
@@ -412,76 +412,16 @@ func (t *Table) ProbeInto(key []uint32, deltas []int64, victim *Entry) (collided
 	}
 	switch t.fastKind {
 	case fastSum1:
-		return t.probeSum1(key[0], deltas[0], victim)
+		return t.probeSum1(key[0], deltas[0], out)
 	case fastSum4:
-		return t.probeSum4(key[0], key[1], key[2], key[3], deltas[0], victim)
+		return t.probeSum4(key[0], key[1], key[2], key[3], deltas[0], out)
 	}
 	t.stats.Probes++
 	h := t.hash(key)
 	base, tag := t.group(h)
-	grp := (*[GroupSlots]uint8)(t.tags[base:])
-	a := t.arity
-
-	// One vector compare classifies the whole group; iterate the (almost
-	// always 0- or 1-bit) match mask, confirming with the key compare.
-	// Key comparison is open-coded: equalKeys is beyond the inlining
-	// budget, and a call per probe costs more than the compare itself.
-	var mm uint16
-	if simdEnabled {
-		mm = matchTagsSIMD(grp, tag)
-	} else {
-		mm = matchTagsGeneric(grp, tag)
-	}
-	for ; mm != 0; mm &= mm - 1 {
-		i := base + bits.TrailingZeros16(mm)
-		ks := t.keys[i*a : i*a+a : i*a+a]
-		match := true
-		for j := 0; j < a; j++ {
-			if ks[j] != key[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			// Hit — the steady-state common case (1-x of probes): fold
-			// the deltas into the resident aggregates.
-			if t.sumOnly {
-				t.aggs[i*2] += deltas[0]
-				t.aggs[i*2+1]++
-			} else {
-				t.fold(t.aggs[i*t.astride:(i+1)*t.astride], deltas)
-			}
-			t.stats.Hits++
-			return false
-		}
-		// Fingerprint alias (1/128 per colliding lane): keep scanning.
-	}
-	var em uint16
-	if simdEnabled {
-		em = matchTagsSIMD(grp, 0)
-	} else {
-		em = matchTagsGeneric(grp, 0)
-	}
-	if em != 0 {
-		// Room in the group: install without ever loading a key line.
-		i := base + bits.TrailingZeros16(em)
-		t.install(i, tag, t.keys[i*a:i*a+a:i*a+a], t.aggs[i*t.astride:(i+1)*t.astride], key, deltas)
-		t.live++
-		t.stats.Inserts++
-		return false
-	}
-	i := t.victimSlot(base, h)
-	ks := t.keys[i*a : i*a+a : i*a+a]
-	row := t.aggs[i*t.astride : (i+1)*t.astride]
-	up := clampUpdates(row[len(t.ops)])
-	victim.Key = append(victim.Key[:0], ks...)
-	victim.Aggs = append(victim.Aggs[:0], row[:len(t.ops)]...)
-	victim.Updates = up
-	t.stats.Collisions++
-	t.stats.EvictedUpdates += uint64(up)
-	t.stats.EvictedEntries++
-	t.install(i, tag, ks, row, key, deltas)
-	return true
+	n := out.n
+	t.commitProbe(base, tag, t.victimSlot(base, h)-base, key, deltas, out)
+	return out.n > n
 }
 
 // probePanic reports a key-arity or delta-count mismatch out of line, so
@@ -587,58 +527,32 @@ func (t *Table) Scan(fn func(Entry)) {
 	}
 }
 
-// Flush emits every resident entry through fn and clears the table; the
-// end-of-epoch operation of the paper. Entries passed to fn are fresh
-// copies, safe to retain. The number of flushed entries is returned.
-func (t *Table) Flush(fn func(Entry)) int {
-	n := 0
-	for i := 0; i < t.b; i++ {
-		if t.tags[i] == 0 {
+// DrainInto empties resident entries into out (reset first), in slot
+// order from slot pos, until out holds max entries or the table is
+// empty; it returns the slot to resume from, Buckets() once the table is
+// empty. Chunk by chunk, it is the end-of-epoch flush of the paper: the
+// caller cascades each chunk before draining the next.
+func (t *Table) DrainInto(out *VictimRun, pos, max int) (next int) {
+	a, na := t.arity, len(t.ops)
+	out.Reset(a, na)
+	for ; pos < t.b && out.n < max && t.live > 0; pos++ {
+		if t.tags[pos] == 0 {
 			continue
 		}
-		row := t.aggs[i*t.astride : (i+1)*t.astride]
-		e := Entry{
-			Key:     append([]uint32(nil), t.keys[i*t.arity:(i+1)*t.arity]...),
-			Aggs:    append([]int64(nil), row[:len(t.ops)]...),
-			Updates: clampUpdates(row[len(t.ops)]),
-		}
-		t.tags[i] = 0
+		t.tags[pos] = 0
+		row := t.aggs[pos*t.astride : (pos+1)*t.astride]
+		out.Keys = append(out.Keys, t.keys[pos*a:pos*a+a]...)
+		out.Aggs = append(out.Aggs, row[:na]...)
+		out.n++
+		t.live--
 		t.stats.Flushes++
-		t.stats.EvictedUpdates += uint64(e.Updates)
+		t.stats.EvictedUpdates += uint64(clampUpdates(row[na]))
 		t.stats.EvictedEntries++
-		n++
-		fn(e)
 	}
-	t.live = 0
-	return n
-}
-
-// Drain emits every resident entry through fn and clears the table, like
-// Flush, but the Entry passed to fn aliases internal table storage: it is
-// valid only for the duration of the call and must not be retained. This
-// is the allocation-free end-of-epoch path; fn may probe *other* tables
-// (the top-down cascade) but must not probe the draining table itself.
-func (t *Table) Drain(fn func(Entry)) int {
-	n := 0
-	for i := 0; i < t.b; i++ {
-		if t.tags[i] == 0 {
-			continue
-		}
-		t.tags[i] = 0
-		row := t.aggs[i*t.astride : (i+1)*t.astride]
-		up := clampUpdates(row[len(t.ops)])
-		t.stats.Flushes++
-		t.stats.EvictedUpdates += uint64(up)
-		t.stats.EvictedEntries++
-		n++
-		fn(Entry{
-			Key:     t.keys[i*t.arity : (i+1)*t.arity],
-			Aggs:    row[:len(t.ops)],
-			Updates: up,
-		})
+	if t.live == 0 {
+		return t.b
 	}
-	t.live = 0
-	return n
+	return pos
 }
 
 // Clear empties the table without emitting entries or touching stats.

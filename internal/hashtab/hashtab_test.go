@@ -153,25 +153,24 @@ func TestFlush(t *testing.T) {
 		tab.Probe(k, []int64{1})
 		tab.Probe(k, []int64{1})
 	}
-	var got []Entry
-	n := tab.Flush(func(e Entry) { got = append(got, e) })
-	if n != 3 || len(got) != 3 {
-		t.Fatalf("Flush emitted %d entries", n)
+	var out VictimRun
+	if next := tab.DrainInto(&out, 0, tab.Buckets()); next != tab.Buckets() || out.Len() != 3 {
+		t.Fatalf("DrainInto emptied %d entries, resumes at %d", out.Len(), next)
 	}
-	for _, e := range got {
-		if e.Aggs[0] != 2 || e.Updates != 2 {
-			t.Errorf("flushed entry %+v; want count 2", e)
+	for i := 0; i < out.Len(); i++ {
+		if out.AggRow(i)[0] != 2 {
+			t.Errorf("flushed entry %v count %d; want 2", out.Key(i), out.AggRow(i)[0])
 		}
 	}
 	if tab.Len() != 0 {
-		t.Error("table not empty after Flush")
+		t.Error("table not empty after DrainInto")
 	}
-	if tab.Stats().Flushes != 3 {
-		t.Errorf("Flushes = %d", tab.Stats().Flushes)
+	if st := tab.Stats(); st.Flushes != 3 || st.EvictedUpdates != 6 || st.EvictedEntries != 3 {
+		t.Errorf("stats after flush %+v", st)
 	}
-	// Flushing again emits nothing.
-	if n := tab.Flush(func(Entry) {}); n != 0 {
-		t.Errorf("second Flush emitted %d", n)
+	// Flushing again empties nothing.
+	if tab.DrainInto(&out, 0, tab.Buckets()); out.Len() != 0 {
+		t.Errorf("second DrainInto emptied %d", out.Len())
 	}
 }
 

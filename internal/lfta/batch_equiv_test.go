@@ -15,16 +15,17 @@ import (
 )
 
 // Property: the batched record path (ProcessColumns → ProbeColumnsSelInto
-// → run-at-a-time victim cascade through ProbeBatchInto) is
-// indistinguishable from the scalar path (Process → ProbeInto →
-// depth-first cascade) — not just in the per-epoch HFTA answers, but in
-// every per-table probe/hit/insert/collision/eviction counter and in the
-// runtime's own cost ledger. The
-// feeding graph is a tree, so batching reorders probes only ACROSS
-// tables, never within one; this test pins that argument against the
-// implementation for random workloads, aggregate shapes, cascade depths,
-// and run boundaries. Runs under -race in CI via the internal/... race
-// job.
+// over whole batches, cascading run-sized victim runs) is
+// indistinguishable from the per-record path (Process → ProbeInto,
+// cascading one-entry victim runs), and both match the oracle — not just
+// in the per-epoch HFTA answers, but in every per-table
+// probe/hit/insert/collision/eviction counter and in the runtime's own
+// cost ledger. The feeding graph is a tree, so batching reorders probes
+// only ACROSS tables, never within one; this test pins that argument
+// against the implementation for random workloads, aggregate shapes,
+// cascade depths, and run boundaries (TestCascadeMatchesReference holds
+// both to the depth-first model). Runs under -race in CI via the
+// internal/... race job.
 //
 // Since the tables grew vector tag-scan kernels, the whole suite runs
 // once per available kernel (generic SWAR always; AVX2/NEON when the

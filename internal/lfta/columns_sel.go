@@ -36,9 +36,10 @@ func (r *Runtime) ProcessColumns(cols [][]uint32, epoch uint32) {
 // all sharing one epoch. The whole run's victims cascade into child
 // tables as runs rather than one depth-first probe chain per record; the
 // feeding graph is a tree (each relation has exactly one parent), so
-// every table still sees exactly the probe sequence the scalar Process
-// path would send it — same outcomes, same counters, same final contents;
-// only the memory access schedule changes.
+// every table still sees exactly the probe sequence that feeding the
+// records through Process one at a time would send it — same outcomes,
+// same counters, same final contents; only the memory access schedule
+// changes.
 func (r *Runtime) ProcessColumnsSel(cols [][]uint32, n int, sel []uint64, epoch uint32) {
 	width := len(cols)
 	if width == 0 || n == 0 {

@@ -10,18 +10,20 @@
 // operation), which is exactly the "actual cost" metric of the paper's
 // measured experiments (Figures 13-15).
 //
-// Two ingest paths exist. ProcessColumnsSel is the columnar kernel every
-// batch enters through (the selected lanes of a column batch, probed with
-// hashtab.ProbeColumnsSelInto, victims cascading as whole runs). Process
-// is one record through hashtab.ProbeInto; it stays because exact
+// Every entry leaving a table — ingest victims, and the chunks the epoch
+// flush drains — is a hashtab.VictimRun, and one cascade (cascadeRun)
+// carries it: the run is projected into the child's key columns and
+// probed with hashtab.ProbeColumnsSelInto, recursing on the child's
+// victims. Records enter through ProcessColumnsSel (the selected lanes of
+// a column batch) or, one at a time, through Process, whose one-lane
+// victim run joins the same cascade; Process stays because exact
 // per-record budget charging must probe one admitted record and read its
-// cost before the next is offered, and because the end-of-epoch flush
-// cascades entry by entry through the same feed/emit pair.
+// cost before the next is offered.
 //
-// Both are allocation-free in steady state: collision victims are copied
-// into per-cascade-depth scratch, and HFTA transfers accumulate as
-// columnar runs per query relation that seal into a RunSink instead of
-// calling a sink per entry.
+// Both are allocation-free in steady state: victim runs live in
+// per-cascade-depth scratch, and HFTA transfers accumulate as columnar
+// runs per query relation that seal into a RunSink instead of calling a
+// sink per entry.
 package lfta
 
 import (
@@ -94,15 +96,6 @@ func (o Ops) PerRecordCost(c1, c2 float64) float64 {
 	return o.ActualCost(c1, c2) / float64(o.Records)
 }
 
-// frame is the reusable scratch of one cascade level: the collision
-// victim copied out of a table plus the projected child key fed onward.
-// Frames are pointer-stable so deeper cascades can grow the frame stack
-// without invalidating shallower levels.
-type frame struct {
-	victim   hashtab.Entry
-	childKey []uint32
-}
-
 // childEdge is one compiled feeding edge: the child's node index and the
 // projection plan mapping parent-key positions to the child key.
 type childEdge struct {
@@ -145,9 +138,9 @@ type Runtime struct {
 	batchCap int
 	runBufs  []evRunBuf
 
+	// Per-record state (Process): the projected key and the deltas.
 	keyBuf   []uint32
 	deltaBuf []int64
-	frames   []*frame
 
 	// Columnar-path state (ProcessColumnsSel): the per-relation key-column
 	// selection scratch, the saturated selection ProcessColumns hands it,
@@ -161,17 +154,29 @@ type Runtime struct {
 	runFrames  []*runFrame
 }
 
-// runFrame is the reusable scratch of one cascade depth on the columnar
-// path: the columnar key run fed into one table and the victims that
-// run evicts. Frames are pointer-stable like the scalar frames.
+// runFrame is the reusable scratch of one cascade depth: the child key
+// columns a victim run is projected into, the saturated selection over
+// the run, and the victims the run evicts (at depth 0, the raw victims or
+// the flush chunk). Each depth owns its selection, because a child's
+// recursion resizes its own under its siblings. Frames are
+// pointer-stable so deeper cascades can grow the stack without
+// invalidating shallower levels.
 type runFrame struct {
-	keys    []uint32
+	cols    [][]uint32
+	sel     selvec.Bitmap
 	victims hashtab.VictimRun
 }
 
+// drainChunk is how many entries the epoch flush drains from a table
+// before cascading them. It bounds every flush-time victim run and the
+// scratch that holds it: large chunks (512 entries) raise peak heap on
+// the sharded pipeline, while 64 still batches the child probes.
+const drainChunk = 64
+
 // evRunBuf accumulates one query node's HFTA transfers in columnar form
 // (flat keys, flat aggs) until the run seals — batchCap entries, an
-// epoch change, or FlushEpoch. Victim runs append as whole blocks.
+// epoch change, or FlushEpoch. Victim runs append as block copies, split
+// so the buffer never holds more than batchCap entries.
 type evRunBuf struct {
 	keys []uint32
 	aggs []int64
@@ -332,15 +337,6 @@ func (r *Runtime) ResetTableStats() {
 	}
 }
 
-// frame returns the scratch frame for one cascade depth, growing the
-// stack on first use of a depth.
-func (r *Runtime) frame(depth int) *frame {
-	for len(r.frames) <= depth {
-		r.frames = append(r.frames, &frame{})
-	}
-	return r.frames[depth]
-}
-
 // Process feeds one record into the raw tables. epoch tags any evictions
 // it causes; the engine must call FlushEpoch before the first record of a
 // new epoch.
@@ -358,18 +354,23 @@ func (r *Runtime) Process(rec stream.Record, epoch uint32) {
 			deltas[i] = int64(rec.Attrs[a.Input])
 		}
 	}
+	f := r.runFrame(0)
 	for _, ni := range r.rawIdx {
 		n := &r.nodes[ni]
-		if n.contig && len(rec.Attrs) == n.tab.Arity() {
-			// The raw relation is the record's full attribute vector (the
-			// usual single-raw configuration): probe it directly instead
-			// of copying through the projection buffer. ProbeInto does
-			// not retain the key.
-			r.feed(ni, rec.Attrs, deltas, 0)
-			continue
+		// The raw relation is usually the record's full attribute vector
+		// (the single-raw configuration): probe it directly instead of
+		// copying through the projection buffer. ProbeInto does not
+		// retain the key.
+		key := rec.Attrs
+		if !n.contig || len(key) != n.tab.Arity() {
+			r.keyBuf = n.rel.Project(rec.Attrs, r.keyBuf)
+			key = r.keyBuf
 		}
-		r.keyBuf = n.rel.Project(rec.Attrs, r.keyBuf)
-		r.feed(ni, r.keyBuf, deltas, 0)
+		r.ops.Probes++
+		f.victims.Reset(n.tab.Arity(), len(deltas))
+		if n.tab.ProbeInto(key, deltas, &f.victims) {
+			r.cascadeRun(ni, &f.victims, 1)
+		}
 	}
 }
 
@@ -382,107 +383,73 @@ func (r *Runtime) runFrame(depth int) *runFrame {
 	return r.runFrames[depth]
 }
 
-// cascadeRun routes a run of victims evicted from a node: each child
-// table is probed with the whole run at once (victim keys projected into
-// the child's key run, victim aggregates passed as the child's deltas
-// verbatim), recursing on the children's own victims; query victims
-// transfer to the HFTA. Victims stay in eviction order throughout, so
-// per-table probe sequences match the scalar cascade exactly.
+// cascadeRun routes a run of entries that left a node's table: each
+// child table is probed with the whole run at once (keys projected into
+// the child's key columns under the depth's saturated selection,
+// aggregates passed as the child's deltas verbatim), recursing on the
+// children's own victims; a query node's run then transfers to the HFTA.
+// The feeding graph is a tree and entries stay in leaving order, so every
+// table sees exactly the probe sequence of a depth-first cascade of one
+// entry at a time.
 func (r *Runtime) cascadeRun(ni int, vr *hashtab.VictimRun, depth int) {
 	m := vr.Len()
 	if m == 0 {
 		return
 	}
 	nd := &r.nodes[ni]
-	a := nd.tab.Arity()
-	for _, edge := range nd.children {
-		ca := len(edge.plan)
+	if len(nd.children) > 0 {
+		a := nd.tab.Arity()
 		f := r.runFrame(depth)
-		if cap(f.keys) < m*ca {
-			f.keys = make([]uint32, 0, m*ca)
-		}
-		ck := f.keys[:0]
-		for i := 0; i < m; i++ {
-			base := i * a
-			for _, idx := range edge.plan {
-				ck = append(ck, vr.Keys[base+idx])
+		f.sel = selvec.Grow(f.sel, m)
+		f.sel.SetAll(m)
+		for _, edge := range nd.children {
+			for len(f.cols) < len(edge.plan) {
+				f.cols = append(f.cols, nil)
 			}
-		}
-		f.keys = ck
-		r.ops.Probes += uint64(m)
-		r.nodes[edge.node].tab.ProbeBatchInto(ck, vr.Aggs, &f.victims)
-		r.cascadeRun(edge.node, &f.victims, depth+1)
-	}
-	if nd.isQuery {
-		r.ops.Transfers += uint64(m)
-		switch {
-		case r.runSink != nil:
-			// The victim run already is the columnar transfer layout:
-			// append it to the node's buffered run as two block copies.
-			b := &r.runBufs[ni]
-			b.keys = append(b.keys, vr.Keys...)
-			b.aggs = append(b.aggs, vr.Aggs...)
-			b.n += m
-			if b.n >= r.batchCap {
-				r.flushRun(ni)
+			cols := f.cols[:len(edge.plan)]
+			for j, p := range edge.plan {
+				c := cols[j]
+				if cap(c) < m {
+					c = make([]uint32, m)
+				}
+				c = c[:m]
+				for i := range c {
+					c[i] = vr.Keys[i*a+p]
+				}
+				cols[j] = c
 			}
-		case r.sink != nil:
-			for i := 0; i < m; i++ {
-				r.sink(Eviction{
-					Rel:   nd.rel,
-					Key:   append([]uint32(nil), vr.Key(i)...),
-					Aggs:  append([]int64(nil), vr.AggRow(i)...),
-					Epoch: r.epoch,
-				})
-			}
+			r.ops.Probes += uint64(m)
+			r.nodes[edge.node].tab.ProbeColumnsSelInto(cols, vr.Aggs, m, f.sel, &f.victims)
+			r.cascadeRun(edge.node, &f.victims, depth+1)
 		}
 	}
-}
-
-// feed probes a node's table with (key, deltas) and cascades any
-// eviction, using the scratch frame of the given cascade depth for the
-// victim.
-func (r *Runtime) feed(ni int, key []uint32, deltas []int64, depth int) {
-	r.ops.Probes++
-	f := r.frame(depth)
-	if !r.nodes[ni].tab.ProbeInto(key, deltas, &f.victim) {
+	if !nd.isQuery {
 		return
 	}
-	r.emit(ni, f.victim.Key, f.victim.Aggs, depth)
-}
-
-// emit routes an evicted entry of a node: into each child table, and to
-// the HFTA when the relation is a user query. key and aggs may alias
-// scratch or table storage; emit copies before anything escapes the call.
-func (r *Runtime) emit(ni int, key []uint32, aggs []int64, depth int) {
-	n := &r.nodes[ni]
-	for _, edge := range n.children {
-		f := r.frame(depth)
-		if cap(f.childKey) < len(edge.plan) {
-			f.childKey = make([]uint32, len(edge.plan))
-		}
-		ck := f.childKey[:len(edge.plan)]
-		for i, idx := range edge.plan {
-			ck[i] = key[idx]
-		}
-		r.feed(edge.node, ck, aggs, depth+1)
-	}
-	if n.isQuery {
-		r.ops.Transfers++
-		switch {
-		case r.runSink != nil:
-			b := &r.runBufs[ni]
-			b.keys = append(b.keys, key...)
-			b.aggs = append(b.aggs, aggs...)
-			b.n++
+	r.ops.Transfers += uint64(m)
+	switch {
+	case r.runSink != nil:
+		// The victim run already is the columnar transfer layout: append
+		// it to the node's buffered run as block copies, sealing whenever
+		// the buffer reaches batchCap so it never grows past it.
+		b := &r.runBufs[ni]
+		a, na := nd.tab.Arity(), len(r.aggs)
+		for i := 0; i < m; {
+			k := min(m-i, r.batchCap-b.n)
+			b.keys = append(b.keys, vr.Keys[i*a:(i+k)*a]...)
+			b.aggs = append(b.aggs, vr.Aggs[i*na:(i+k)*na]...)
+			b.n += k
+			i += k
 			if b.n >= r.batchCap {
 				r.flushRun(ni)
 			}
-		case r.sink != nil:
+		}
+	case r.sink != nil:
+		for i := 0; i < m; i++ {
 			r.sink(Eviction{
-				Rel:   n.rel,
-				Key:   append([]uint32(nil), key...),
-				Aggs:  append([]int64(nil), aggs...),
+				Rel:   nd.rel,
+				Key:   append([]uint32(nil), vr.Key(i)...),
+				Aggs:  append([]int64(nil), vr.AggRow(i)...),
 				Epoch: r.epoch,
 			})
 		}
@@ -519,17 +486,20 @@ func (r *Runtime) flushRuns() {
 	}
 }
 
-// FlushEpoch performs the end-of-epoch update: tables are scanned from the
-// raw level down, each entry propagating into the tables it feeds (and to
-// the HFTA for queries); collision victims during the flush cascade
-// further down immediately. Afterwards every table is empty and every
-// buffered run has reached the run sink.
+// FlushEpoch performs the end-of-epoch update: tables are drained from
+// the raw level down, in slot order, drainChunk entries at a time, and
+// each chunk cascades into the tables its relation feeds (and to the
+// HFTA for queries) before the next is drained; collision victims during
+// the flush cascade further down immediately. Afterwards every table is
+// empty and every buffered run has reached the run sink.
 func (r *Runtime) FlushEpoch() {
+	f := r.runFrame(0)
 	for _, ni := range r.flush {
-		ni := ni
-		r.nodes[ni].tab.Drain(func(e hashtab.Entry) {
-			r.emit(ni, e.Key, e.Aggs, 0)
-		})
+		tab := r.nodes[ni].tab
+		for pos := 0; pos < tab.Buckets(); {
+			pos = tab.DrainInto(&f.victims, pos, drainChunk)
+			r.cascadeRun(ni, &f.victims, 1)
+		}
 	}
 	if r.runSink != nil {
 		r.flushRuns()
