@@ -168,6 +168,7 @@ func (e *Engine) hasDurabilityState() bool {
 type ckptEncoder struct {
 	bw      *bufio.Writer
 	scratch [36]byte
+	panes   []uint32 // the retained panes' epochs
 }
 
 // reset points the encoder at w, allocating its buffer on first use.
@@ -233,34 +234,70 @@ func (c *ckptEncoder) rows(rows []hfta.Row) {
 	}
 }
 
-// panes writes a pane list: count, then each pane's epoch, stats, and per
-// relation its rows and sketch blobs.
-func (c *ckptEncoder) panes(panes []hfta.PaneSnapshot) {
-	c.u32(uint32(len(panes)))
-	for _, p := range panes {
-		c.u32(p.Epoch)
-		c.paneStats(p.Stats)
-		c.u8(uint8(len(p.Rels)))
-		for _, rs := range p.Rels {
-			c.u32(uint32(rs.Rel))
-			c.u32(uint32(len(rs.Rows)))
-			for i := range rs.Rows {
-				r := &rs.Rows[i]
-				for _, k := range r.Key {
-					c.u32(k)
-				}
-				for _, a := range r.Aggs {
-					c.u64(uint64(a))
+// writePane writes one retained pane straight from the composer's runs:
+// its epoch and stats, then per query with a run its relation, its rows
+// and its sketch blobs, each in the run's (packed key) order.
+func (e *Engine) writePane(c *ckptEncoder, ep uint32) {
+	stats, runs, _ := e.winComposer.Pane(ep)
+	c.u32(ep)
+	c.paneStats(stats)
+	rels := 0
+	for _, rp := range runs {
+		if rp != nil {
+			rels++
+		}
+	}
+	c.u8(uint8(rels))
+	for qi, rp := range runs {
+		if rp == nil {
+			continue
+		}
+		q := e.queries[qi]
+		c.u32(uint32(q))
+		for _, blobs := range [2]bool{false, true} { // the rows, then the blobs
+			has := rp.HasRow
+			if blobs {
+				has = rp.HasSketch
+			}
+			n := 0
+			for g := 0; g < rp.Len(); g++ {
+				if has(g) {
+					n++
 				}
 			}
-			c.u32(uint32(len(rs.Sketches)))
-			for _, kb := range rs.Sketches {
-				for _, k := range kb.Key {
+			c.u32(uint32(n))
+			for g := 0; g < rp.Len(); g++ {
+				if !has(g) {
+					continue
+				}
+				for _, k := range rp.Key(g, q.Size()) {
 					c.u32(k)
 				}
-				c.u32(uint32(len(kb.Blob)))
-				c.bytes(kb.Blob)
+				if blobs {
+					c.u32(uint32(len(rp.Partial(g))))
+					c.bytes(rp.Partial(g))
+				} else {
+					for _, a := range rp.Slots(g, len(e.aggs)) {
+						c.u64(uint64(a))
+					}
+				}
 			}
+		}
+	}
+}
+
+// each writes how many of eps keep accepts, then calls write for each.
+func (c *ckptEncoder) each(eps []uint32, keep func(uint32) bool, write func(uint32)) {
+	n := 0
+	for _, ep := range eps {
+		if keep(ep) {
+			n++
+		}
+	}
+	c.u32(uint32(n))
+	for _, ep := range eps {
+		if keep(ep) {
+			write(ep)
 		}
 	}
 }
@@ -403,12 +440,12 @@ func (e *Engine) writeBody(c *ckptEncoder, version uint8, since *ckptMark) {
 			c.f64(e.digestCompression())
 		}
 		c.u64(uint64(e.winComposer.Next()))
-		panes := e.winComposer.SnapshotPanes()
-		if since == nil {
-			c.panes(panes)
-		} else {
-			c.panes(fedPanes(panes, closed))
-		}
+		// Every retained pane, or in a frame the panes fed since: the
+		// epochs closed since.
+		panes := e.winComposer.PaneEpochs(c.panes[:0])
+		c.panes = panes
+		c.each(panes, func(ep uint32) bool { return since == nil || slices.Contains(closed, ep) },
+			func(ep uint32) { e.writePane(c, ep) })
 		leds := e.windowLeds[m.winLeds:]
 		c.u32(uint32(len(leds)))
 		for _, l := range leds {
@@ -437,11 +474,8 @@ func (e *Engine) writeBody(c *ckptEncoder, version uint8, since *ckptMark) {
 			}
 		}
 		if since != nil {
-			evicted := evictedPanes(m.panes, panes)
-			c.u32(uint32(len(evicted)))
-			for _, ep := range evicted {
-				c.u32(ep)
-			}
+			// The panes the previous record held that are gone.
+			c.each(m.panes, func(ep uint32) bool { return !slices.Contains(panes, ep) }, c.u32)
 		}
 	}
 }

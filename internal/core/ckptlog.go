@@ -132,9 +132,7 @@ func (e *Engine) markCkpt() {
 	m.winRows = len(e.windowRows)
 	m.panes = m.panes[:0]
 	if e.winComposer != nil {
-		for _, p := range e.winComposer.SnapshotPanes() {
-			m.panes = append(m.panes, p.Epoch)
-		}
+		m.panes = e.winComposer.PaneEpochs(m.panes)
 	}
 }
 
@@ -157,29 +155,6 @@ func (e *Engine) deltaFrame() []byte {
 	}
 	epochstore.SealFrame(frame)
 	return frame
-}
-
-// fedPanes returns the panes of closed epochs: the ones fed since the
-// log's mark.
-func fedPanes(panes []hfta.PaneSnapshot, closed []uint32) []hfta.PaneSnapshot {
-	var out []hfta.PaneSnapshot
-	for _, p := range panes {
-		if slices.Contains(closed, p.Epoch) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// evictedPanes returns the epochs in was that panes no longer holds.
-func evictedPanes(was []uint32, panes []hfta.PaneSnapshot) []uint32 {
-	var out []uint32
-	for _, ep := range was {
-		if !slices.ContainsFunc(panes, func(p hfta.PaneSnapshot) bool { return p.Epoch == ep }) {
-			out = append(out, ep)
-		}
-	}
-	return out
 }
 
 // foldFrame applies one delta frame's payload to st and reports whether it

@@ -335,16 +335,15 @@ type Engine struct {
 
 	// Sliding-window state (active when the workload declares a window
 	// or sketch aggregates): the pane→window composer, the sketch agg
-	// list, the open pane's sketch partials (one table per query, by
-	// position; nil without sketch aggregates), and the closed windows'
-	// ledgers plus (without an OnWindow handler) their result rows. Pane
-	// sketch accumulation runs in the single-threaded admission path, so
-	// serialized pane partials — and therefore windowed results — are
-	// identical across shard counts.
+	// list, the open pane's sketch state (nil without sketch
+	// aggregates), and the closed windows' ledgers plus (without an
+	// OnWindow handler) their result rows. Pane sketch accumulation runs
+	// in the single-threaded admission path, so serialized pane partials
+	// — and therefore windowed results — are identical across shard
+	// counts.
 	winComposer *hfta.Composer
 	sketchAggs  []sketch.Agg
-	paneTabs    []paneTable
-	paneKeyBuf  []uint32
+	paneSk      *paneSketches
 	windowLeds  []hfta.WindowLedger
 	windowRows  []hfta.WindowRow
 
@@ -1150,7 +1149,7 @@ func (e *Engine) admitBatch(b *stream.ColumnBatch) error {
 
 	// Sketch and pane accumulation need record-major rows (as per-record
 	// admission does); gather only when one of them is active.
-	needRows := len(e.sketches) != 0 || e.paneTabs != nil
+	needRows := len(e.sketches) != 0 || e.paneSk != nil
 
 	// Epoch segment: the on-time selected lanes since the last roll, one
 	// selection per shard, flushed through the selection-aware probe with
@@ -1224,8 +1223,8 @@ func (e *Engine) admitBatch(b *stream.ColumnBatch) error {
 						h.AddKey(e.sketchBuf)
 					}
 				}
-				if e.paneTabs != nil {
-					e.observePaneSketches(e.rowBuf)
+				if e.paneSk != nil {
+					e.paneSk.observe(e.rowBuf)
 				}
 			}
 		}

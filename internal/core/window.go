@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/attr"
 	"repro/internal/hfta"
 	"repro/internal/sketch"
@@ -46,7 +48,7 @@ func (e *Engine) initWindowing() error {
 	}
 	e.winComposer = comp
 	if len(e.sketchAggs) > 0 {
-		e.paneTabs = make([]paneTable, len(e.queries))
+		e.paneSk = newPaneSketches(e.queries, e.sketchAggs, e.opts.WindowSketchPrecision, e.opts.DigestCompression)
 	}
 	return nil
 }
@@ -84,6 +86,18 @@ type paneTable struct {
 	out   []hfta.KeyBlob
 }
 
+// group returns key's partial, appending a pooled or new one for a key
+// the open pane has not held.
+func (t *paneTable) group(key []uint32, ps *paneSketches) *sketch.Partial {
+	g, _ := t.Lookup(key)
+	if g == len(t.parts) {
+		// The spec list was validated when the composer was built.
+		p, _ := sketch.NewPartial(ps.aggs, ps.prec, ps.comp)
+		t.parts = append(t.parts, p)
+	}
+	return t.parts[g]
+}
+
 // close serializes the open pane's partials in group order, resets them
 // and empties the table. The result aliases the table's buffers: it is
 // valid until the next record is observed.
@@ -105,33 +119,122 @@ func (t *paneTable) close(arity int) []hfta.KeyBlob {
 	return t.out
 }
 
-// observePaneSketches feeds one admitted record into the open pane's
-// per-group sketch partials, for every query relation. Runs on the
+// paneSketches is the open pane's sketch state, kept the way the paper
+// keeps a phantom: admission records each distinct tuple over F — the
+// queries' attributes, then the Distinct inputs outside them — once, in
+// one key index, and pane close derives every query's HLLs from those
+// tuples, hashing each Distinct input once per tuple. An HLL is a
+// register max, so the derived partials serialize to the bytes observing
+// every record into every query would. A t-digest is not bit-associative:
+// Quantile entries are still fed per record and query at admission.
+type paneSketches struct {
+	queries []attr.Set
+	aggs    []sketch.Agg
+	prec    uint8
+	comp    float64
+
+	union    attr.Set      // the queries' attributes: F's leading words
+	extra    []sketch.Agg  // Distinct aggs reading inputs outside union: F's trailing words
+	keyPos   [][]int       // per query, the F positions of its key
+	inPos    []int         // per sketch agg, the F position of a Distinct input (-1: a Quantile)
+	digests  bool          // some agg is a Quantile
+	tuples   hfta.KeyIndex // the open pane's distinct F-tuples
+	tabs     []paneTable   // per query
+	buf, key []uint32      // an F-tuple and a query key under construction
+	hash     []uint64      // per sketch agg, the tuple's Distinct hash
+}
+
+// newPaneSketches lays F out for the queries and sketch aggregates.
+func newPaneSketches(queries []attr.Set, aggs []sketch.Agg, prec uint8, comp float64) *paneSketches {
+	ps := &paneSketches{queries: queries, aggs: aggs, prec: prec, comp: comp, union: attr.Universe(queries),
+		tabs: make([]paneTable, len(queries)), hash: make([]uint64, len(aggs))}
+	// pos is attribute id's position among union's attributes.
+	pos := func(id int) int { return attr.Set(uint32(ps.union) & (1<<id - 1)).Size() }
+	for _, q := range queries {
+		var kp []int
+		for _, id := range q.IDs() {
+			kp = append(kp, pos(int(id)))
+		}
+		ps.keyPos = append(ps.keyPos, kp)
+	}
+	for _, a := range aggs {
+		switch {
+		case a.Kind != sketch.Distinct:
+			ps.digests = true
+			ps.inPos = append(ps.inPos, -1)
+		case a.Input >= 0 && a.Input < attr.MaxAttrs && ps.union.Has(attr.ID(a.Input)):
+			ps.inPos = append(ps.inPos, pos(a.Input))
+		default:
+			i := slices.IndexFunc(ps.extra, func(x sketch.Agg) bool { return x.Input == a.Input })
+			if i < 0 {
+				i = len(ps.extra)
+				ps.extra = append(ps.extra, a)
+			}
+			ps.inPos = append(ps.inPos, ps.union.Size()+i)
+		}
+	}
+	return ps
+}
+
+// observe records one admitted record tuple in the open pane. Runs on the
 // admission path before sharding, so partials are deterministic in the
 // stream order regardless of deployment shape.
-func (e *Engine) observePaneSketches(attrs []uint32) {
-	for i, q := range e.queries {
-		t := &e.paneTabs[i]
-		e.paneKeyBuf = q.Project(attrs, e.paneKeyBuf[:0])
-		g, _ := t.Lookup(e.paneKeyBuf)
-		if g == len(t.parts) {
-			// The spec list was validated when the composer was built.
-			p, _ := sketch.NewPartial(e.sketchAggs, e.opts.WindowSketchPrecision, e.opts.DigestCompression)
-			t.parts = append(t.parts, p)
-		}
-		t.parts[g].Observe(attrs)
+func (ps *paneSketches) observe(attrs []uint32) {
+	t := ps.union.Project(attrs, ps.buf)
+	for _, a := range ps.extra {
+		t = append(t, a.Value(attrs))
 	}
+	ps.buf = t
+	ps.tuples.Lookup(t)
+	if ps.digests {
+		for i, q := range ps.queries {
+			ps.key = q.Project(attrs, ps.key)
+			ps.tabs[i].group(ps.key, ps).ObserveDigests(attrs)
+		}
+	}
+}
+
+// derive raises every query's group HLLs from the open pane's distinct
+// F-tuples and empties the tuple index.
+func (ps *paneSketches) derive() {
+	w := ps.union.Size() + len(ps.extra)
+	keys := ps.tuples.Keys
+	for at := 0; at < len(keys); at += w {
+		t := keys[at : at+w]
+		for j, pos := range ps.inPos {
+			if pos >= 0 {
+				ps.hash[j] = sketch.HashValue(t[pos])
+			}
+		}
+		for qi, kp := range ps.keyPos {
+			key := ps.key[:0]
+			for _, pos := range kp {
+				key = append(key, t[pos])
+			}
+			ps.key = key
+			p := ps.tabs[qi].group(key, ps)
+			for j, pos := range ps.inPos {
+				if pos >= 0 {
+					p.AddHash(j, ps.hash[j])
+				}
+			}
+		}
+	}
+	ps.tuples.Reset()
 }
 
 // feedPane hands the closing epoch to the composer as a pane: the
 // epoch's read-out before HAVING plus the serialized sketch partials,
 // both of which the composer copies.
 func (e *Engine) feedPane(closed Degradation) {
+	if e.paneSk != nil {
+		e.paneSk.derive()
+	}
 	inputs := make([]hfta.PaneInput, 0, len(e.queries))
 	for i, q := range e.queries {
 		in := hfta.PaneInput{Rel: q, Rows: e.closing[i]}
-		if e.paneTabs != nil {
-			in.Blobs = e.paneTabs[i].close(q.Size())
+		if e.paneSk != nil {
+			in.Blobs = e.paneSk.tabs[i].close(q.Size())
 		}
 		inputs = append(inputs, in)
 	}

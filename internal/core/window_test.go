@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/attr"
+	"repro/internal/gen"
 	"repro/internal/hfta"
 	"repro/internal/sketch"
 	"repro/internal/stream"
@@ -449,9 +451,8 @@ func TestSketchOnlyTumbling(t *testing.T) {
 // TestCheckpointAllocsIndependentOfHistory: a checkpoint's size grows with
 // every closed epoch (three ledger histories), its allocations must not —
 // each field is a store into the engine's one buffer, and the retained
-// panes' sorted read-out is built when a pane is first seen, not per
-// checkpoint. Every record here opens a new epoch, so 2000 records close
-// 2000 epochs.
+// panes are encoded from the composer's runs in place. Every record here
+// opens a new epoch, so 2000 records close 2000 epochs.
 func TestCheckpointAllocsIndependentOfHistory(t *testing.T) {
 	sqls := []string{
 		"select A, B, count(*) as cnt, count_distinct(D) as uniq from R group by A, B, time/10 window 4 slide 2",
@@ -510,46 +511,68 @@ var admitSQL = []string{
 	"select B, C, count(*) as cnt, count_distinct(D) as uniq from R group by B, C, time/10 window 4 slide 2",
 }
 
-// TestObservePaneSketchesAllocs: observing a record into a group the open
-// pane holds allocates nothing, and once a pane has closed, neither does a
-// group new to the next pane — its partial is one the table reset.
+// TestObservePaneSketchesAllocs: recording a tuple the open pane holds
+// allocates nothing, and once a pane has closed, neither does a pane —
+// admission, the derivation of every query's partials at close, and their
+// serialization — over groups new to it: their partials are ones the
+// tables reset.
 func TestObservePaneSketchesAllocs(t *testing.T) {
 	recs, groups := testWorkload(t, 2000)
 	e, err := New(admitSQL, groups, Options{M: 8000, Seed: 3, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ps := e.paneSk
 	row := recs[0].Attrs
-	e.observePaneSketches(row)
-	if avg := testing.AllocsPerRun(200, func() { e.observePaneSketches(row) }); avg != 0 {
-		t.Errorf("observing into an existing group averaged %.1f allocs, want 0", avg)
+	ps.observe(row)
+	if avg := testing.AllocsPerRun(200, func() { ps.observe(row) }); avg != 0 {
+		t.Errorf("observing a tuple the pane holds averaged %.1f allocs, want 0", avg)
 	}
-	feed := func() {
-		for _, r := range recs[:500] {
-			e.observePaneSketches(r.Attrs)
+	pane := func(recs []stream.Record) {
+		for _, r := range recs {
+			ps.observe(r.Attrs)
 		}
-	}
-	closePane := func() {
+		ps.derive()
 		for i, q := range e.queries {
-			e.paneTabs[i].close(q.Size())
+			ps.tabs[i].close(q.Size())
 		}
 	}
-	feed()
-	closePane()
-	if avg := testing.AllocsPerRun(20, func() { feed(); closePane() }); avg != 0 {
+	pane(recs[:500])
+	if avg := testing.AllocsPerRun(20, func() { pane(recs[500:1000]) }); avg != 0 {
 		t.Errorf("a pane of 500 records over pooled partials averaged %.1f allocs, want 0", avg)
 	}
 }
 
 // BenchmarkWindowedAdmit is the admission layer's local signal on the
 // product path: ProcessColumnBatch plus epoch close on a windowed
-// count_distinct 2-shard engine, per record.
+// count_distinct 2-shard engine, per record. Its tuples are nearly all
+// distinct within a pane, the unfavourable case for the pane sketches'
+// phantom (see BenchmarkWindowedAdmitFlows).
 func BenchmarkWindowedAdmit(b *testing.B) {
 	recs := make([]stream.Record, 1<<16)
 	for i := range recs {
 		h := uint32(i) * 2654435761
 		recs[i] = stream.Record{Attrs: []uint32{h % 61, h >> 8 % 97, h >> 16 % 53, h % 4099}, Time: uint32(i / 512)}
 	}
+	benchWindowedAdmit(b, recs)
+}
+
+// BenchmarkWindowedAdmitFlows is BenchmarkWindowedAdmit over the paper's
+// clustered flows (mean length 30): a pane's records repeat few distinct
+// tuples, the favourable case for the phantom.
+func BenchmarkWindowedAdmitFlows(b *testing.B) {
+	u, err := gen.PaperUniverse(5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ft, err := gen.Flows(rand.New(rand.NewSource(6)), u, gen.FlowConfig{NumRecords: 1 << 16, Duration: 128, MeanFlowLen: 30, Concurrency: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchWindowedAdmit(b, ft.Records)
+}
+
+func benchWindowedAdmit(b *testing.B, recs []stream.Record) {
 	groups, err := EstimateGroups(recs[:8192], []attr.Set{attr.MustParseSet("AB"), attr.MustParseSet("BC")})
 	if err != nil {
 		b.Fatal(err)

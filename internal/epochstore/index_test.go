@@ -122,15 +122,24 @@ func TestIndexMatchesMapModel(t *testing.T) {
 		}
 		maxEpoch = max(maxEpoch, ep)
 		var batch []Record
-		for _, rel := range rels {
-			if rng.Intn(3) == 0 {
-				continue
-			}
-			rec := modelRecord(ep, rel, 0)
+		add := func(ep uint32, rel attr.Set, salt int) {
+			rec := modelRecord(ep, rel, salt)
 			batch = append(batch, rec)
 			if _, dup := m[[2]uint32{ep, uint32(rel)}]; !dup {
 				m[[2]uint32{ep, uint32(rel)}] = rec
 			}
+		}
+		for _, rel := range rels {
+			if rng.Intn(3) != 0 {
+				add(ep, rel, 0)
+			}
+		}
+		switch r := rng.Intn(8); {
+		case r == 0 && len(batch) > 0: // a relation repeated inside the batch: the first copy counts
+			add(ep, batch[rng.Intn(len(batch))].Rel, 2)
+		case r == 1: // a second epoch in the batch: a run of its own
+			maxEpoch++
+			add(maxEpoch, rels[rng.Intn(len(rels))], 0)
 		}
 		if err := s.AppendEpoch(batch); err != nil {
 			t.Fatalf("step %d: AppendEpoch(epoch %d): %v", step, ep, err)
@@ -142,6 +151,13 @@ func TestIndexMatchesMapModel(t *testing.T) {
 	checkIndex(t, s, m, rels, maxEpoch)
 	if len(s.segs) < 3 {
 		t.Fatalf("only %d segments; the model run never rotated", len(s.segs))
+	}
+	rotated := false // a run of several relations followed by a segment rotation
+	for i := 1; i < len(s.index); i++ {
+		rotated = rotated || s.index[i].seg != s.index[i-1].seg && len(s.relLists[s.index[i-1].rels]) > 1
+	}
+	if !rotated {
+		t.Fatal("no multi-relation run was followed by a segment rotation")
 	}
 
 	// Recovery: frames for already-persisted keys, carrying other rows, are
@@ -177,4 +193,86 @@ func TestIndexMatchesMapModel(t *testing.T) {
 		t.Fatalf("Recovery.DuplicateFrames = %d, want %d", got, dups)
 	}
 	checkIndex(t, s2, m, rels, maxEpoch)
+
+	// A torn tail that cuts a run: the epoch's first two records survive
+	// the recovery scan, the third is cut mid-frame, the fourth is gone.
+	maxEpoch++
+	var batch []Record
+	for _, rel := range rels {
+		batch = append(batch, modelRecord(maxEpoch, rel, 0))
+	}
+	if err := s2.AppendEpoch(batch); err != nil {
+		t.Fatal(err)
+	}
+	i, _, _ := s2.find(maxEpoch, rels[0])
+	run := s2.index[i]
+	if got := s2.relLists[run.rels]; !slices.Equal(got, rels) {
+		t.Fatalf("one AppendEpoch of %v indexed a run of %v", rels, got)
+	}
+	active = s2.segName(s2.activeID)
+	s2.Close()
+	third := int64(run.off)
+	for k := 0; k < 2; k++ {
+		payload, _ := encodeRecord(nil, &batch[k])
+		third += FrameHeaderSize + int64(len(payload))
+	}
+	if err := os.Truncate(active, third+FrameHeaderSize+3); err != nil {
+		t.Fatal(err)
+	}
+	m[[2]uint32{maxEpoch, uint32(rels[0])}] = batch[0]
+	m[[2]uint32{maxEpoch, uint32(rels[1])}] = batch[1]
+	s3 := mustOpen(t, dir, Options{SegmentBytes: 400})
+	if got, want := s3.Recovery().TruncatedBytes, int64(FrameHeaderSize+3); got != want {
+		t.Fatalf("Recovery.TruncatedBytes = %d, want %d", got, want)
+	}
+	checkIndex(t, s3, m, rels, maxEpoch)
+}
+
+// noSyncFS is the real filesystem without fsync, for tests that append many
+// epochs and check only what the index holds.
+type noSyncFS struct{ OSFS }
+
+type noSyncFile struct{ File }
+
+func (noSyncFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := OSFS{}.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
+}
+
+func (noSyncFile) Sync() error { return nil }
+
+// TestIndexOneEntryPerEpoch: an epoch's relations, appended together, take
+// one 16-byte index entry, after the appends and after a recovery scan,
+// and every interned relation list is the one the epochs share.
+func TestIndexOneEntryPerEpoch(t *testing.T) {
+	rels := []attr.Set{attr.MustParseSet("AB"), attr.MustParseSet("BC"), attr.MustParseSet("BD"), attr.MustParseSet("CD")}
+	dir := t.TempDir() + "/store"
+	opts := Options{FS: noSyncFS{}}
+	s := mustOpen(t, dir, opts)
+	const epochs = 10000
+	batch := make([]Record, len(rels))
+	for ep := uint32(0); ep < epochs; ep++ {
+		for i, rel := range rels {
+			batch[i] = Record{Epoch: ep, Rel: rel, Rows: []Row{{Key: make([]uint32, rel.Size()), Aggs: []int64{int64(ep)}}}}
+		}
+		if err := s.AppendEpoch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		if len(s.index) != epochs || len(s.relLists) != 1 || s.Len() != epochs*len(rels) {
+			t.Fatalf("%s: %d index entries over %d relation lists for %d records, want %d, 1, %d",
+				when, len(s.index), len(s.relLists), s.Len(), epochs, epochs*len(rels))
+		}
+		if rec, err := s.Read(epochs/2, rels[3]); err != nil || rec.Rows[0].Aggs[0] != epochs/2 {
+			t.Fatalf("%s: Read(%d, %v) = %+v, %v", when, epochs/2, rels[3], rec, err)
+		}
+	}
+	check(s, "appended")
+	s.Close()
+	check(mustOpen(t, dir, opts), "recovered")
 }

@@ -115,27 +115,22 @@ func (r Recovery) Dirty() bool {
 	return r.TruncatedBytes > 0 || r.DroppedSegments > 0 || r.DuplicateFrames > 0 || r.ManifestRebuilt
 }
 
-// indexEntry locates one persisted (epoch, relation) record. The index is
-// a slice of these sorted by (epoch, rel): 16 bytes a record, where a map
-// entry cost 40 and more, read in order by Epochs, Relations, LastEpoch
-// and Scan. It is the store's only memory that grows with the epochs
-// persisted. Appends arrive in epoch order, so an insert is an append at
-// the end except when an epoch older than the newest is persisted (a
-// replay after a restore), which binary-searches its slot. The frame's
-// length is not kept: a read takes it from the frame header.
+// indexEntry locates one run of persisted records: the frames one
+// AppendEpoch wrote for one epoch, back to back from off in segment seg,
+// whose relations — in frame order — are the interned list rels names.
+// The engine persists an epoch's relations together, so the index holds
+// one 16-byte entry per epoch, not one per (epoch, relation). It is the
+// store's only memory that grows with the epochs persisted. The entries
+// are sorted by epoch, the runs of one epoch in append order. Appends
+// arrive in epoch order, so an insert is an append at the end except when
+// an epoch older than the newest is persisted (a replay after a restore),
+// which binary-searches its slot. A frame's length is not kept: a read
+// reaches the k-th relation of a run by skipping k frame headers.
 type indexEntry struct {
 	epoch uint32
-	rel   attr.Set
 	seg   uint32
-	off   uint32 // frame start (header included); below maxSegmentBytes
-}
-
-// cmpKey orders an entry against an (epoch, rel) key.
-func (ent indexEntry) cmpKey(epoch uint32, rel attr.Set) int {
-	if c := cmp.Compare(ent.epoch, epoch); c != 0 {
-		return c
-	}
-	return cmp.Compare(ent.rel, rel)
+	off   uint32 // the run's first frame start (header included); below maxSegmentBytes
+	rels  uint32 // index into Store.relLists
 }
 
 // Store is the durable epoch store. All methods are safe for concurrent
@@ -154,6 +149,9 @@ type Store struct {
 	goodSize int64 // committed (synced, indexed) bytes of the active segment
 	damaged  bool  // bytes past goodSize may be torn; repair before appending
 	index    []indexEntry
+	records  int          // persisted (epoch, relation) records: the runs' relations
+	relLists [][]attr.Set // interned run relation lists: the few an engine's epochs share
+	runRels  []attr.Set
 	recovery Recovery
 	scratch  []byte
 }
@@ -341,6 +339,16 @@ func (s *Store) scanSegment(id uint32, size int64) (int64, error) {
 		return -1, nil
 	}
 	clean, frames := scanFrames(data[segHeaderSize:])
+	// Consecutive frames of one epoch are indexed as one run, as the
+	// AppendEpoch that wrote them did; a duplicate frame ends the run.
+	var run []attr.Set
+	var head indexEntry
+	flush := func() {
+		if len(run) > 0 {
+			s.insertRun(head, run)
+			run = run[:0]
+		}
+	}
 	for _, fr := range frames {
 		rec, err := decodeRecord(data[segHeaderSize+fr.off+FrameHeaderSize : segHeaderSize+fr.off+fr.len])
 		if err != nil {
@@ -349,35 +357,56 @@ func (s *Store) scanSegment(id uint32, size int64) (int64, error) {
 			clean = fr.off
 			break
 		}
-		if _, dup := s.find(rec.Epoch, rec.Rel); dup {
+		if len(run) > 0 && head.epoch != rec.Epoch {
+			flush()
+		}
+		if _, _, dup := s.find(rec.Epoch, rec.Rel); dup || slices.Contains(run, rec.Rel) {
 			s.recovery.DuplicateFrames++
+			flush()
 			continue
 		}
-		s.put(indexEntry{epoch: rec.Epoch, rel: rec.Rel, seg: id, off: uint32(segHeaderSize + fr.off)})
+		if len(run) == 0 {
+			head = indexEntry{epoch: rec.Epoch, seg: id, off: uint32(segHeaderSize + fr.off)}
+		}
+		run = append(run, rec.Rel)
 	}
+	flush()
 	return segHeaderSize + clean, nil
 }
 
-// find returns the index position of (epoch, rel), or the position it
-// would be inserted at, and whether it is present.
-func (s *Store) find(epoch uint32, rel attr.Set) (int, bool) {
-	return slices.BinarySearchFunc(s.index, indexEntry{epoch: epoch, rel: rel}, func(a, b indexEntry) int {
-		return a.cmpKey(b.epoch, b.rel)
-	})
+// find locates (epoch, rel): the index of its run and its position in the
+// run's relations, and whether it is persisted.
+func (s *Store) find(epoch uint32, rel attr.Set) (run, k int, ok bool) {
+	for i := s.firstRun(epoch); i < len(s.index) && s.index[i].epoch == epoch; i++ {
+		if k := slices.Index(s.relLists[s.index[i].rels], rel); k >= 0 {
+			return i, k, true
+		}
+	}
+	return 0, 0, false
 }
 
-// put indexes ent, replacing an entry with the same key.
-func (s *Store) put(ent indexEntry) {
-	if n := len(s.index); n == 0 || s.index[n-1].cmpKey(ent.epoch, ent.rel) < 0 {
+// firstRun returns the index of the first run of epoch, or of the first
+// run of a later epoch when there is none.
+func (s *Store) firstRun(epoch uint32) int {
+	i, _ := slices.BinarySearchFunc(s.index, epoch, func(ent indexEntry, epoch uint32) int { return cmp.Compare(ent.epoch, epoch) })
+	return i
+}
+
+// insertRun indexes a run of frames (ent's rels is set here) behind every
+// run of its epoch and the ones before.
+func (s *Store) insertRun(ent indexEntry, rels []attr.Set) {
+	id := slices.IndexFunc(s.relLists, func(l []attr.Set) bool { return slices.Equal(l, rels) })
+	if id < 0 {
+		id = len(s.relLists)
+		s.relLists = append(s.relLists, slices.Clone(rels))
+	}
+	ent.rels = uint32(id)
+	s.records += len(rels)
+	if n := len(s.index); n == 0 || s.index[n-1].epoch <= ent.epoch {
 		s.index = append(s.index, ent)
 		return
 	}
-	i, found := s.find(ent.epoch, ent.rel)
-	if found {
-		s.index[i] = ent
-		return
-	}
-	s.index = slices.Insert(s.index, i, ent)
+	s.index = slices.Insert(s.index, s.firstRun(ent.epoch+1), ent)
 }
 
 // SealFrame makes frame — FrameHeaderSize reserved bytes followed by a
@@ -663,12 +692,13 @@ func decodeRecord(payload []byte) (*Record, error) {
 }
 
 // AppendEpoch appends one finalized epoch — one record per query relation
-// — and fsyncs once. Records already persisted (same epoch and relation)
-// are skipped, so a retry after a transient error or a crash never
-// duplicates: the store stays an exactly-once log under at-least-once
-// delivery. On error nothing is committed; the next call repairs the torn
-// tail (truncate back to the last committed byte) before writing, so
-// failed attempts leave no trace either.
+// — and fsyncs once. Records already persisted (same epoch and relation),
+// or repeated earlier in recs, are skipped, so a retry after a transient
+// error or a crash never duplicates: the store stays an exactly-once log
+// under at-least-once delivery, and the first copy is the one kept, as the
+// recovery scan keeps it. On error nothing is committed; the next call
+// repairs the torn tail (truncate back to the last committed byte) before
+// writing, so failed attempts leave no trace either.
 func (s *Store) AppendEpoch(recs []Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -680,13 +710,20 @@ func (s *Store) AppendEpoch(recs []Record) error {
 			return err
 		}
 	}
+	type frame struct {
+		epoch uint32
+		rel   attr.Set
+		off   uint32 // within buf until the write lands
+	}
 	var (
-		frames []indexEntry // offsets within buf until the write lands
+		frames []frame
 		buf    = s.scratch[:0]
 	)
 	for i := range recs {
 		rec := &recs[i]
-		if _, dup := s.find(rec.Epoch, rec.Rel); dup {
+		if _, _, dup := s.find(rec.Epoch, rec.Rel); dup || slices.ContainsFunc(frames, func(f frame) bool {
+			return f.epoch == rec.Epoch && f.rel == rec.Rel
+		}) {
 			continue
 		}
 		start := len(buf)
@@ -697,7 +734,7 @@ func (s *Store) AppendEpoch(recs []Record) error {
 			return err
 		}
 		SealFrame(buf[start:])
-		frames = append(frames, indexEntry{epoch: rec.Epoch, rel: rec.Rel, off: uint32(start)})
+		frames = append(frames, frame{epoch: rec.Epoch, rel: rec.Rel, off: uint32(start)})
 	}
 	s.scratch = buf[:0]
 	if len(frames) == 0 {
@@ -719,9 +756,16 @@ func (s *Store) AppendEpoch(recs []Record) error {
 		s.damaged = true
 		return fmt.Errorf("epochstore: append sync: %w", err)
 	}
-	for _, fr := range frames {
-		fr.seg, fr.off = s.activeID, uint32(s.goodSize)+fr.off
-		s.put(fr)
+	// One run per stretch of frames of one epoch.
+	for i := 0; i < len(frames); {
+		rels := s.runRels[:0]
+		j := i
+		for ; j < len(frames) && frames[j].epoch == frames[i].epoch; j++ {
+			rels = append(rels, frames[j].rel)
+		}
+		s.runRels = rels
+		s.insertRun(indexEntry{epoch: frames[i].epoch, seg: s.activeID, off: uint32(s.goodSize) + frames[i].off}, rels)
+		i = j
 	}
 	s.goodSize += int64(len(buf))
 	return nil
@@ -769,7 +813,7 @@ func (s *Store) rotateLocked() error {
 func (s *Store) Has(epoch uint32, rel attr.Set) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.find(epoch, rel)
+	_, _, ok := s.find(epoch, rel)
 	return ok
 }
 
@@ -793,11 +837,10 @@ func (s *Store) Relations(epoch uint32) []attr.Set {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []attr.Set
-	i, _ := s.find(epoch, 0)
-	for ; i < len(s.index) && s.index[i].epoch == epoch; i++ {
-		out = append(out, s.index[i].rel)
+	for i := s.firstRun(epoch); i < len(s.index) && s.index[i].epoch == epoch; i++ {
+		out = append(out, s.relLists[s.index[i].rels]...)
 	}
-	attr.SortSets(out) // the epoch's few entries; the index holds them by bits
+	attr.SortSets(out)
 	return out
 }
 
@@ -811,17 +854,18 @@ func (s *Store) LastEpoch() (uint32, bool) {
 	return s.index[len(s.index)-1].epoch, true
 }
 
-// Len returns the number of persisted (epoch, relation) records.
+// Len returns the number of persisted (epoch, relation) records — not of
+// index entries, which hold a run of an epoch's records each.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
+	return s.records
 }
 
 // Read returns one persisted record, re-verifying its CRC on the way in.
 func (s *Store) Read(epoch uint32, rel attr.Set) (*Record, error) {
 	s.mu.Lock()
-	i, ok := s.find(epoch, rel)
+	i, k, ok := s.find(epoch, rel)
 	if !ok {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("epochstore: epoch %d of %v is not persisted", epoch, rel)
@@ -832,35 +876,51 @@ func (s *Store) Read(epoch uint32, rel attr.Set) (*Record, error) {
 	}
 	ent := s.index[i]
 	s.mu.Unlock()
-	return s.readEntry(ent)
+	return s.readRun(ent, k, rel)
 }
 
-func (s *Store) readEntry(ent indexEntry) (*Record, error) {
+// readRun reads the k-th record of a run, rel's, skipping the k frames
+// ahead of it by their headers.
+func (s *Store) readRun(ent indexEntry, k int, rel attr.Set) (*Record, error) {
 	f, err := s.fs.OpenFile(s.segName(ent.seg), os.O_RDONLY, 0)
 	if err != nil {
 		return nil, fmt.Errorf("epochstore: %w", err)
 	}
 	defer f.Close()
-	var buf bytes.Buffer
-	payload, err := ReadFrame(io.NewSectionReader(f, int64(ent.off), FrameHeaderSize+MaxFramePayload), &buf)
-	if err != nil {
-		return nil, fmt.Errorf("epochstore: epoch %d of %v: %w", ent.epoch, ent.rel, err)
+	off := int64(ent.off)
+	for ; k > 0; k-- {
+		var hdr [FrameHeaderSize]byte
+		if _, err := f.ReadAt(hdr[:], off); err != nil {
+			return nil, fmt.Errorf("epochstore: epoch %d of %v: %w: frame header: %v", ent.epoch, rel, ErrCorrupt, err)
+		}
+		off += FrameHeaderSize + int64(binary.LittleEndian.Uint32(hdr[:]))
 	}
-	return decodeRecord(payload)
+	var buf bytes.Buffer
+	payload, err := ReadFrame(io.NewSectionReader(f, off, FrameHeaderSize+MaxFramePayload), &buf)
+	if err != nil {
+		return nil, fmt.Errorf("epochstore: epoch %d of %v: %w", ent.epoch, rel, err)
+	}
+	rec, err := decodeRecord(payload)
+	if err == nil && (rec.Epoch != ent.epoch || rec.Rel != rel) {
+		err = fmt.Errorf("%w: epoch %d of %v reads as epoch %d of %v", ErrCorrupt, ent.epoch, rel, rec.Epoch, rec.Rel)
+	}
+	return rec, err
 }
 
-// Scan calls fn for every persisted record in (epoch, relation) order.
+// Scan calls fn for every persisted record in (epoch, relation) order,
+// relations by their bits.
 func (s *Store) Scan(fn func(*Record) error) error {
-	s.mu.Lock()
-	ents := slices.Clone(s.index)
-	s.mu.Unlock()
-	for _, ent := range ents {
-		rec, err := s.Read(ent.epoch, ent.rel)
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
+	for _, ep := range s.Epochs() {
+		rels := s.Relations(ep)
+		slices.Sort(rels)
+		for _, rel := range rels {
+			rec, err := s.Read(ep, rel)
+			if err != nil {
+				return err
+			}
+			if err := fn(rec); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

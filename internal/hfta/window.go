@@ -92,12 +92,13 @@ type PaneInput struct {
 	Blobs    []KeyBlob         // group key → serialized sketch.Partial
 }
 
-// relPane is one relation's groups in a retained pane, sorted on arrival
+// PaneRun is one relation's groups in a retained pane, sorted on arrival
 // in packed key order (see PackKey): a run. Group g's key is
-// keys[g·arity:], its exact slots aggs[g·na:] (identities without a row),
-// its partial blob[boff[g]:boff[g+1]]; has[g] says which it carries. The
-// columns are never written once built, so snapshots share them.
-type relPane struct {
+// Key(g, arity), its exact slots Slots(g, na) (identities without a row),
+// its partial Partial(g); HasRow and HasSketch say which it carries. The
+// columns are never written once built, so a reader — the checkpoint
+// encoder — shares them.
+type PaneRun struct {
 	keys []uint32
 	aggs []int64
 	has  []uint8
@@ -110,19 +111,19 @@ const (
 	hasSketch
 )
 
-func (rp *relPane) key(g, arity int) []uint32 { return rp.keys[g*arity : (g+1)*arity : (g+1)*arity] }
-func (rp *relPane) slots(g, na int) []int64   { return rp.aggs[g*na : (g+1)*na : (g+1)*na] }
-func (rp *relPane) partial(g int) []byte      { return rp.blob[rp.boff[g]:rp.boff[g+1]:rp.boff[g+1]] }
+// Len returns the run's group count.
+func (rp *PaneRun) Len() int                  { return len(rp.has) }
+func (rp *PaneRun) Key(g, arity int) []uint32 { return rp.keys[g*arity : (g+1)*arity : (g+1)*arity] }
+func (rp *PaneRun) Slots(g, na int) []int64   { return rp.aggs[g*na : (g+1)*na : (g+1)*na] }
+func (rp *PaneRun) Partial(g int) []byte      { return rp.blob[rp.boff[g]:rp.boff[g+1]:rp.boff[g+1]] }
+func (rp *PaneRun) HasRow(g int) bool         { return rp.has[g]&hasRow != 0 }
+func (rp *PaneRun) HasSketch(g int) bool      { return rp.has[g]&hasSketch != 0 }
 
 // pane is one retained epoch: its ledger and one run per query (nil where
-// the query had no group). A closed pane does not change until it is
-// evicted (or, rarely, fed again), so the first SnapshotPanes that sees it
-// keeps the read-out a checkpoint needs in snap.
+// the query had no group).
 type pane struct {
-	stats   PaneStats
-	rels    []*relPane // by query position
-	snap    []PaneRelSnapshot
-	snapped bool // snap is current
+	stats PaneStats
+	rels  []*PaneRun // by query position
 }
 
 // paneEnt is one contribution to a run being built: a row's slots, a
@@ -158,7 +159,7 @@ type Composer struct {
 	aggsPool [][]int64
 	keyPool  [][]uint32
 	estPool  [][]float64
-	runs     []*relPane      // the composed window's runs of one query, ascending epoch
+	runs     []*PaneRun      // the composed window's runs of one query, ascending epoch
 	cur      []int           // the merge's cursor into each run
 	acc      *sketch.Partial // a group's merged partial and its decode scratch,
 	spare    *sketch.Partial // both overwritten group after group
@@ -250,10 +251,9 @@ func (c *Composer) ClosePane(epoch uint32, stats PaneStats, inputs []PaneInput) 
 	}
 	p := c.panes[epoch]
 	if p == nil {
-		p = &pane{rels: make([]*relPane, len(c.queries))}
+		p = &pane{rels: make([]*PaneRun, len(c.queries))}
 		c.panes[epoch] = p
 	}
-	p.snap, p.snapped = nil, false
 	p.stats.add(stats)
 	for qi := range c.queries {
 		_ = c.feed(p, qi, inputs, false)
@@ -269,7 +269,7 @@ func (c *Composer) feed(p *pane, qi int, inputs []PaneInput, strict bool) error 
 	defer func() { clear(ents); c.ents = ents[:0] }() // drop the references to the inputs
 	if rp := p.rels[qi]; rp != nil {
 		for g, h := range rp.has {
-			ents = append(ents, paneEnt{rp.key(g, arity), rp.slots(g, na), rp.partial(g), h})
+			ents = append(ents, paneEnt{rp.Key(g, arity), rp.Slots(g, na), rp.Partial(g), h})
 		}
 	}
 	for _, in := range inputs {
@@ -309,7 +309,7 @@ func (c *Composer) feed(p *pane, qi int, inputs []PaneInput, strict bool) error 
 // arrival order into one group: rows combine, partials merge (one that
 // does not merge is dropped). With strict set a key's second row or
 // partial is an error instead.
-func (c *Composer) buildRun(ents []paneEnt, arity int, strict bool) (*relPane, error) {
+func (c *Composer) buildRun(ents []paneEnt, arity int, strict bool) (*PaneRun, error) {
 	sc := &c.order
 	perm := sized(sc.perm, len(ents))
 	for i := range perm {
@@ -336,7 +336,7 @@ func (c *Composer) buildRun(ents []paneEnt, arity int, strict bool) (*relPane, e
 	for _, e := range ents {
 		size += len(e.blob) // a capacity hint: merging does not grow partials
 	}
-	rp := &relPane{keys: make([]uint32, n*arity), aggs: make([]int64, n*na), has: make([]uint8, n),
+	rp := &PaneRun{keys: make([]uint32, n*arity), aggs: make([]int64, n*na), has: make([]uint8, n),
 		boff: make([]uint32, n+1), blob: make([]byte, 0, size)}
 	g := -1
 	for i, x := range perm {
@@ -348,7 +348,7 @@ func (c *Composer) buildRun(ents []paneEnt, arity int, strict bool) (*relPane, e
 			rp.boff[g] = uint32(len(rp.blob))
 		}
 		if e.has&hasRow != 0 {
-			acc := rp.slots(g, na)
+			acc := rp.Slots(g, na)
 			switch {
 			case rp.has[g]&hasRow == 0:
 				copy(acc, e.aggs)
@@ -560,7 +560,7 @@ func (c *Composer) merge(rows []WindowRow, qi int, led WindowLedger) []WindowRow
 		var key []uint32
 		for r, rp := range runs {
 			if g := cur[r]; g < len(rp.has) {
-				if k := rp.key(g, arity); min < 0 || cmpPacked(k, key) < 0 {
+				if k := rp.Key(g, arity); min < 0 || cmpPacked(k, key) < 0 {
 					min, key = r, k
 				}
 			}
@@ -572,7 +572,7 @@ func (c *Composer) merge(rows []WindowRow, qi int, led WindowLedger) []WindowRow
 		row, merged := false, false
 		for r := min; r < len(runs); r++ {
 			rp, g := runs[r], cur[r]
-			if g >= len(rp.has) || (r > min && !slices.Equal(rp.key(g, arity), key)) {
+			if g >= len(rp.has) || (r > min && !slices.Equal(rp.Key(g, arity), key)) {
 				continue
 			}
 			cur[r]++
@@ -587,7 +587,7 @@ func (c *Composer) merge(rows []WindowRow, qi int, led WindowLedger) []WindowRow
 				if merged {
 					into = c.spare
 				}
-				if _, err := into.DecodeFrom(c.prec, c.comp, rp.partial(g)); err != nil {
+				if _, err := into.DecodeFrom(c.prec, c.comp, rp.Partial(g)); err != nil {
 					continue
 				}
 				if merged {
@@ -638,7 +638,8 @@ type PaneRelSnapshot struct {
 	Sketches []KeyBlob
 }
 
-// PaneSnapshot is one retained pane in deterministic order.
+// PaneSnapshot is one retained pane in deterministic order: what a
+// checkpoint decodes and RestorePanes takes.
 type PaneSnapshot struct {
 	Epoch uint32
 	Stats PaneStats
@@ -648,48 +649,25 @@ type PaneSnapshot struct {
 // Next returns the lowest window index not yet closed.
 func (c *Composer) Next() int64 { return c.next }
 
-// SnapshotPanes captures the retained panes: ascending epoch, relations
-// in query order, rows and sketch blobs sorted by packed key. The result
-// shares each pane's columns and cached read-out and is read-only.
-func (c *Composer) SnapshotPanes() []PaneSnapshot {
-	epochs := make([]uint32, 0, len(c.panes))
+// PaneEpochs appends the retained panes' epochs to dst, ascending.
+func (c *Composer) PaneEpochs(dst []uint32) []uint32 {
+	at := len(dst)
 	for e := range c.panes {
-		epochs = append(epochs, e)
+		dst = append(dst, e)
 	}
-	slices.Sort(epochs)
-	out := make([]PaneSnapshot, 0, len(epochs))
-	for _, e := range epochs {
-		p := c.panes[e]
-		if !p.snapped {
-			p.snap, p.snapped = c.snapshotRels(e, p), true
-		}
-		out = append(out, PaneSnapshot{Epoch: e, Stats: p.stats, Rels: p.snap})
-	}
-	return out
+	slices.Sort(dst[at:])
+	return dst
 }
 
-// snapshotRels builds one pane's read-out: its runs, already in order,
-// split into the rows and the partials.
-func (c *Composer) snapshotRels(e uint32, p *pane) []PaneRelSnapshot {
-	var out []PaneRelSnapshot
-	for qi, q := range c.queries {
-		rp := p.rels[qi]
-		if rp == nil {
-			continue
-		}
-		rs := PaneRelSnapshot{Rel: q}
-		for g, h := range rp.has {
-			key := rp.key(g, q.Size())
-			if h&hasRow != 0 {
-				rs.Rows = append(rs.Rows, Row{Rel: q, Epoch: e, Key: key, Aggs: rp.slots(g, len(c.aggs))})
-			}
-			if h&hasSketch != 0 {
-				rs.Sketches = append(rs.Sketches, KeyBlob{Key: key, Blob: rp.partial(g)})
-			}
-		}
-		out = append(out, rs)
+// Pane returns the retained pane of epoch e: its ledger and its runs by
+// query position (nil where the query has no group), shared with the
+// composer and read-only. ok is false when no pane of e is retained.
+func (c *Composer) Pane(e uint32) (stats PaneStats, runs []*PaneRun, ok bool) {
+	p := c.panes[e]
+	if p == nil {
+		return PaneStats{}, nil, false
 	}
-	return out
+	return p.stats, p.rels, true
 }
 
 // RestorePanes replaces the composer's state with a snapshot. Blobs are
@@ -707,7 +685,7 @@ func (c *Composer) RestorePanes(next int64, panes []PaneSnapshot) error {
 		if fresh[ps.Epoch] != nil {
 			return fmt.Errorf("hfta: duplicate pane %d", ps.Epoch)
 		}
-		p := &pane{stats: ps.Stats, rels: make([]*relPane, len(c.queries))}
+		p := &pane{stats: ps.Stats, rels: make([]*PaneRun, len(c.queries))}
 		seen := make([]bool, len(c.queries))
 		for _, rs := range ps.Rels {
 			qi := slices.Index(c.queries, rs.Rel)

@@ -83,10 +83,10 @@ func composerSteadyStateAllocs(t *testing.T, saggs []sketch.Agg) {
 	}
 }
 
-// TestSnapshotPanesAllocsOnce: a retained pane is sorted and unpacked by
-// the first SnapshotPanes that sees it; the next one, with no pane closed
-// in between, allocates the epoch list and the slice it returns and
-// nothing per pane, relation or group.
+// TestSnapshotPanesAllocsOnce: the checkpoint encoder reads the retained
+// panes through PaneEpochs and Pane, which share the runs the composer
+// built when each pane closed. Walking every pane, relation and group a
+// second time, into a reused epoch list, allocates nothing.
 func TestSnapshotPanesAllocsOnce(t *testing.T) {
 	queries := []attr.Set{attr.MustParseSet("AB")}
 	saggs := []sketch.Agg{{Kind: sketch.Distinct, Input: 2}}
@@ -105,11 +105,25 @@ func TestSnapshotPanesAllocsOnce(t *testing.T) {
 		}
 		comp.ClosePane(e, PaneStats{Offered: 200, Processed: 200}, []PaneInput{in})
 	}
-	first := comp.SnapshotPanes()
-	if len(first) != 4 || len(first[3].Rels) != 1 || len(first[3].Rels[0].Rows) != 200 || len(first[3].Rels[0].Sketches) != 200 {
-		t.Fatalf("snapshot of 4 panes × 200 groups has the wrong shape")
+	var epochs []uint32
+	bytes := 0
+	walk := func() {
+		bytes = 0
+		epochs = comp.PaneEpochs(epochs[:0])
+		for _, e := range epochs {
+			_, runs, _ := comp.Pane(e)
+			for qi, rp := range runs {
+				for g := 0; g < rp.Len(); g++ {
+					bytes += 4*len(rp.Key(g, queries[qi].Size())) + 8*len(rp.Slots(g, 1)) + len(rp.Partial(g))
+				}
+			}
+		}
 	}
-	if avg := testing.AllocsPerRun(50, func() { _ = comp.SnapshotPanes() }); avg > 2 {
-		t.Errorf("repeat SnapshotPanes averaged %.1f allocs, want ≤ 2 (epoch list + result slice)", avg)
+	walk()
+	if len(epochs) != 4 || bytes == 0 {
+		t.Fatalf("accessor read %d panes and %d bytes, want 4 panes × 200 groups", len(epochs), bytes)
+	}
+	if avg := testing.AllocsPerRun(50, walk); avg != 0 {
+		t.Errorf("walking the retained panes again averaged %.1f allocs, want 0", avg)
 	}
 }

@@ -490,13 +490,41 @@ func TestComposerRefeedLeavesInputUntouched(t *testing.T) {
 	}
 }
 
-// TestSnapshotPanesCacheInvalidation: SnapshotPanes keeps each pane's
-// sorted read-out once built, so everything that changes a pane must drop
-// it — the same epoch fed again, eviction (the pane struct is pooled and
-// comes back as a later epoch), Reset and RestorePanes. One composer is
-// snapshotted after every step; it must read out what a composer taken
-// through the same steps and never snapshotted does, and what one
-// restored from that snapshot does.
+// SnapshotPanes reads the retained panes out through the run accessor
+// the checkpoint encoder uses (PaneEpochs, Pane): ascending epoch,
+// relations in query order, rows and sketch blobs in run order. It is the
+// form RestorePanes takes, so the round-trip tests compare through it.
+func (c *Composer) SnapshotPanes() []PaneSnapshot {
+	var out []PaneSnapshot
+	for _, e := range c.PaneEpochs(nil) {
+		stats, runs, _ := c.Pane(e)
+		ps := PaneSnapshot{Epoch: e, Stats: stats}
+		for qi, rp := range runs {
+			if rp == nil {
+				continue
+			}
+			q := c.queries[qi]
+			rs := PaneRelSnapshot{Rel: q}
+			for g := 0; g < rp.Len(); g++ {
+				key := rp.Key(g, q.Size())
+				if rp.HasRow(g) {
+					rs.Rows = append(rs.Rows, Row{Rel: q, Epoch: e, Key: key, Aggs: rp.Slots(g, len(c.aggs))})
+				}
+				if rp.HasSketch(g) {
+					rs.Sketches = append(rs.Sketches, KeyBlob{Key: key, Blob: rp.Partial(g)})
+				}
+			}
+			ps.Rels = append(ps.Rels, rs)
+		}
+		out = append(out, ps)
+	}
+	return out
+}
+
+// TestSnapshotPanesCacheInvalidation: everything that changes a pane —
+// the same epoch fed again, eviction and a later epoch, Reset and
+// RestorePanes — must show in its read-out. (The composer once cached
+// each pane's read-out, which all of these had to drop.) One composer is
 func TestSnapshotPanesCacheInvalidation(t *testing.T) {
 	queries := []attr.Set{attr.MustParseSet("A"), attr.MustParseSet("AB")}
 	aggs := []lfta.AggSpec{{Op: hashtab.Sum, Input: -1}}

@@ -68,22 +68,40 @@ func NewPartial(aggs []Agg, precision uint8, compression float64) (*Partial, err
 // of absent attributes elsewhere in the engine.
 func (p *Partial) Observe(attrs []uint32) {
 	for i, a := range p.aggs {
-		var v uint32
-		if a.Input >= 0 && a.Input < len(attrs) {
-			v = attrs[a.Input]
+		if a.Kind == Distinct {
+			p.hll[i].Add(HashValue(a.Value(attrs)))
 		}
-		switch a.Kind {
-		case Distinct:
-			p.hll[i].Add(mix1(v))
-		case Quantile:
-			p.dig[i].Add(float64(v))
+	}
+	p.ObserveDigests(attrs)
+}
+
+// ObserveDigests is Observe for the Quantile entries alone.
+func (p *Partial) ObserveDigests(attrs []uint32) {
+	for i, a := range p.aggs {
+		if a.Kind == Quantile {
+			p.dig[i].Add(float64(a.Value(attrs)))
 		}
 	}
 }
 
-// mix1 hashes a single attribute value with the same construction AddKey
-// uses for keys, without the slice indirection.
-func mix1(v uint32) uint64 {
+// AddHash raises the Distinct entry i's registers for one HashValue. An
+// HLL is a register max, so feeding a group each distinct value once
+// leaves it as Observe over every record would.
+func (p *Partial) AddHash(i int, hash uint64) { p.hll[i].Add(hash) }
+
+// Value is the attribute value the aggregate observes in a record tuple:
+// 0 for an Input outside it.
+func (a Agg) Value(attrs []uint32) uint32 {
+	if a.Input >= 0 && a.Input < len(attrs) {
+		return attrs[a.Input]
+	}
+	return 0
+}
+
+// HashValue hashes a single attribute value, as a Distinct entry adds it,
+// with the same construction AddKey uses for keys, without the slice
+// indirection.
+func HashValue(v uint32) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
