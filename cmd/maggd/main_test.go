@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/epochstore"
@@ -113,6 +117,40 @@ func TestRunCheckpointResume(t *testing.T) {
 	// checkpoint time) epoch is re-processed.
 	if err := run(cfg); err != nil {
 		t.Fatalf("resume: %v", err)
+	}
+}
+
+// TestRefusesPreFormatCheckpoint: a checkpoint in an earlier release's
+// format (version 2) stops maggd with a non-zero exit naming the version,
+// and the file is left byte for byte as it was: no fresh log replaces it.
+// The test re-runs its own binary as maggd, so main's exit path is the one
+// under test.
+func TestRefusesPreFormatCheckpoint(t *testing.T) {
+	if args := os.Getenv("MAGGD_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"maggd"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	trace := writeTestTrace(t)
+	ckpt := filepath.Join(t.TempDir(), "maggd.ckpt")
+	old := append([]byte("MAGK\x02"), make([]byte, 256)...)
+	if err := os.WriteFile(ckpt, old, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-trace", trace, "-sample", "5000", "-quiet", "-checkpoint", ckpt,
+		"-query", "select A, B, count(*) as cnt from R group by A, B, time/10"}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRefusesPreFormatCheckpoint$")
+	cmd.Env = append(os.Environ(), "MAGGD_MAIN_ARGS="+strings.Join(args, "\n"))
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("maggd on a version-2 checkpoint: err = %v; want a non-zero exit\n%s", err, out)
+	}
+	if !bytes.Contains(out, []byte("unsupported version 2")) {
+		t.Errorf("maggd output does not name the unsupported version:\n%s", out)
+	}
+	if got, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(got, old) {
+		t.Errorf("checkpoint file changed (err %v): %d bytes, was %d", err, len(got), len(old))
 	}
 }
 

@@ -32,48 +32,33 @@ import (
 // from the recorded stream position. (Options.CheckpointPath keeps it as a
 // log of an image and per-boundary delta frames; see ckptlog.go.)
 //
-// Binary format ("MAGK", little-endian), in order: magic, version,
-// workload hash, consumed, stats (epochs, replans, peak repairs, result
-// errors), cumulative ops, clock snapshot, cumulative degradation,
-// per-epoch degradation history, group counts, retained HFTA rows. The
-// workload hash covers the query relations, epoch length, aggregates, M,
-// and seed, so a checkpoint can only be restored into an engine built
-// for the same workload.
+// Binary format ("MAGK", little-endian, version 4), in order:
 //
-// Version 2 appends, after the rows: the shed-policy state words (for
-// policies implementing ShedPolicyState — UniformShed's EWMA rate and RNG
-// position), the measured per-relation flow lengths the adaptive planner
-// runs on, and the sharded-deployment state (per-shard budget-split
-// weights, stream positions, cumulative ledgers, and the per-epoch
-// per-shard ledger history). Together these make a killed
-// sharded-and-shedding run resume byte-identically. Version 1 checkpoints
-// still load (the v2 section simply defaults to fresh state).
+//   - magic, version, workload hash;
+//   - consumed, stats (epochs, replans, peak repairs, result errors),
+//     cumulative ops, clock snapshot, cumulative and per-epoch
+//     degradation, group counts, retained HFTA rows;
+//   - shed-policy state words (ShedPolicyState: UniformShed's EWMA rate
+//     and RNG position) and the measured per-relation flow lengths;
+//   - sharded state: per-shard budget-split weights, stream positions,
+//     cumulative ledgers and per-epoch ledgers (shard count 0 if unsharded);
+//   - the durability footer: epochs persisted, enqueues that hit a full
+//     persist queue, the unpersisted epochs (zeros without a store);
+//   - windowed workloads only: window geometry and sketch spec (echoed for
+//     validation), the composer's cursor, every retained pane with its
+//     sketch blobs verbatim, closed-window ledgers, retained window rows.
 //
-// Version 3 appends, after the v2 section, the durability ledger of the
-// epoch-store pipeline: how many closed epochs were persisted, how many
-// enqueues hit a full persist queue, and the list of unpersisted epochs —
-// so a resumed run still knows which epochs never reached the store. The
-// engine writes version 3 only when it carries durability state (a store
-// attached, or a ledger restored from a v3 image); otherwise it writes
-// version 2 byte-identically to previous releases.
-//
-// Version 4 appends, after the v3 footer, the sliding-window section:
-// the window geometry and sketch aggregate list (echoed for validation —
-// they are also folded into the workload hash), the composer's window
-// cursor, every retained pane (stats, per-relation rows, and serialized
-// sketch partials, all in deterministic order with blobs carried
-// verbatim so a restore → checkpoint round trip is byte-identical), the
-// closed-window ledger history, and any retained window result rows. The
-// engine writes version 4 only when the workload composes windows;
-// tumbling workloads keep producing v2/v3 images byte-identically to
-// previous releases.
+// The workload hash covers the query relations, epoch length, aggregates,
+// M and seed, plus the window geometry and sketch spec when windowed, so
+// an image restores only into an engine for the same workload, which also
+// decides whether a window section follows. Any other version is refused.
+// Restoring an image and calling Checkpoint reproduces its bytes.
 
 const (
-	ckptMagic     = "MAGK"
-	ckptVersion   = 4
-	ckptVersionV3 = 3
-	ckptVersionV2 = 2
-	ckptVersionV1 = 1
+	ckptMagic   = "MAGK"
+	ckptVersion = 4
+
+	ckptMaxAggs = math.MaxUint8 // a row's aggregate and sketch counts are one byte; New refuses more
 
 	// Sanity caps on untrusted length fields: a corrupt header must fail
 	// cleanly, not demand gigabytes.
@@ -106,9 +91,8 @@ func (e *Engine) workloadHash() uint64 {
 		le(int64(a.Input))
 	}
 	if e.winComposer != nil {
-		// Windowed workloads fold the window geometry and sketch spec in
-		// too; tumbling workloads hash exactly as before, so v1–v3 images
-		// stay restorable byte-for-byte.
+		// Windowed workloads fold in the window geometry and sketch spec,
+		// so the hash also fixes whether an image has a window section.
 		spec := e.winComposer.Spec()
 		le(spec.Size)
 		le(spec.Slide)
@@ -124,39 +108,18 @@ func (e *Engine) workloadHash() uint64 {
 	return h.Sum64()
 }
 
-// Checkpoint serializes the engine state: format v3 when the engine
-// carries durability state (an attached epoch store or a restored
-// ledger), otherwise v2 — so engines without a store keep producing
-// byte-identical images across releases. Call only at an epoch boundary
+// Checkpoint serializes the engine state. Call only at an epoch boundary
 // (the engine's own CheckpointPath writes satisfy this by construction);
 // mid-epoch LFTA table contents are not captured.
 func (e *Engine) Checkpoint(w io.Writer) error {
 	_ = e.flushStage() // cannot fail outside Process; see flushStage
-	return e.checkpointVersion(w, e.ckptVersion())
-}
-
-// ckptVersion is the format version Checkpoint writes for the engine's
-// current state.
-func (e *Engine) ckptVersion() uint8 {
-	switch {
-	case e.winComposer != nil:
-		return ckptVersion
-	case e.hasDurabilityState():
-		return ckptVersionV3
-	}
-	return ckptVersionV2
-}
-
-// hasDurabilityState reports whether the engine has anything for a v3
-// checkpoint's durability footer to record.
-func (e *Engine) hasDurabilityState() bool {
-	if e.persist != nil {
-		return true
-	}
-	l := e.durable
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.persisted > 0 || len(l.unpersisted) > 0 || l.queueFull > 0
+	c := &e.ckpt
+	c.reset(w)
+	_, _ = c.bw.WriteString(ckptMagic)
+	c.u8(ckptVersion)
+	c.u64(e.workloadHash())
+	e.writeBody(c, nil)
+	return c.bw.Flush()
 }
 
 // ckptEncoder writes the checkpoint's little-endian fields through the
@@ -302,22 +265,10 @@ func (c *ckptEncoder) each(eps []uint32, keep func(uint32) bool, write func(uint
 	}
 }
 
-// checkpointVersion writes the checkpoint in the requested format
-// version; tests use it to produce v1 images for read-compatibility.
-func (e *Engine) checkpointVersion(w io.Writer, version uint8) error {
-	c := &e.ckpt
-	c.reset(w)
-	_, _ = c.bw.WriteString(ckptMagic)
-	c.u8(version)
-	c.u64(e.workloadHash())
-	e.writeBody(c, version, nil)
-	return c.bw.Flush()
-}
-
 // writeBody writes everything after an image's header, or — with since
 // set — a delta frame's body: only what changed since the log's last
 // record (see ckptlog.go for the differences).
-func (e *Engine) writeBody(c *ckptEncoder, version uint8, since *ckptMark) {
+func (e *Engine) writeBody(c *ckptEncoder, since *ckptMark) {
 	c.u64(e.consumed)
 	c.u64(uint64(e.stats.Epochs))
 	c.u64(uint64(e.stats.Replans))
@@ -369,114 +320,110 @@ func (e *Engine) writeBody(c *ckptEncoder, version uint8, since *ckptMark) {
 			c.rows(rows)
 		}
 	}
-	if version >= 2 {
-		// Shed-policy state: the mutable words a stateful policy needs to
-		// resume byte-identically (empty for DropTail / no budget).
-		var words []uint64
-		if carrier, ok := e.shedder.(ShedPolicyState); ok {
-			words = carrier.ShedState()
+	// Shed-policy state: the mutable words a stateful policy needs to
+	// resume byte-identically (empty for DropTail / no budget).
+	var words []uint64
+	if carrier, ok := e.shedder.(ShedPolicyState); ok {
+		words = carrier.ShedState()
+	}
+	c.u32(uint32(len(words)))
+	for _, wd := range words {
+		c.u64(wd)
+	}
+	// Measured flow lengths (adaptive planning input).
+	flowRels := make([]attr.Set, 0, len(e.flowLens))
+	for rel := range e.flowLens {
+		flowRels = append(flowRels, rel)
+	}
+	attr.SortSets(flowRels)
+	c.u32(uint32(len(flowRels)))
+	for _, rel := range flowRels {
+		c.u32(uint32(rel))
+		c.f64(e.flowLens[rel])
+	}
+	// Sharded-deployment state; an unsharded engine writes shard count 0
+	// and no section. A shard's position (ShardPositions) keeps its slot.
+	if e.nShards <= 1 {
+		c.u32(0)
+	} else {
+		c.u32(uint32(e.nShards))
+		for i := 0; i < e.nShards; i++ {
+			c.f64(e.shardWeight[i])
+			c.u64(e.shardCum[i].Offered + e.shardDeg[i].Offered)
+			c.deg(e.shardCum[i])
 		}
-		c.u32(uint32(len(words)))
-		for _, wd := range words {
-			c.u64(wd)
-		}
-		// Measured flow lengths (adaptive planning input).
-		flowRels := make([]attr.Set, 0, len(e.flowLens))
-		for rel := range e.flowLens {
-			flowRels = append(flowRels, rel)
-		}
-		attr.SortSets(flowRels)
-		c.u32(uint32(len(flowRels)))
-		for _, rel := range flowRels {
-			c.u32(uint32(rel))
-			c.f64(e.flowLens[rel])
-		}
-		// Sharded-deployment state; an unsharded engine writes shard count 0
-		// and no section. A shard's position (ShardPositions) keeps its slot.
-		if e.nShards <= 1 {
-			c.u32(0)
-		} else {
-			c.u32(uint32(e.nShards))
-			for i := 0; i < e.nShards; i++ {
-				c.f64(e.shardWeight[i])
-				c.u64(e.shardCum[i].Offered + e.shardDeg[i].Offered)
-				c.deg(e.shardCum[i])
-			}
-			c.u32(uint32(len(closed)))
-			for i := m.hist; i < len(e.hist.epochs); i++ {
-				for s := 0; s < e.nShards; s++ {
-					c.deg(e.hist.shard(i, s))
-				}
+		c.u32(uint32(len(closed)))
+		for i := m.hist; i < len(e.hist.epochs); i++ {
+			for s := 0; s < e.nShards; s++ {
+				c.deg(e.hist.shard(i, s))
 			}
 		}
 	}
-	if version >= 3 {
-		// Durability footer: the persisted-epoch position and the
-		// unpersisted ledger, so Restore + store replay resume exactly.
-		d := e.Durability()
-		c.u32(uint32(d.Persisted))
-		c.u32(uint32(d.QueueFull))
-		c.u32(uint32(len(d.Unpersisted)))
-		for _, ep := range d.Unpersisted {
-			c.u32(ep)
+	// Durability footer, zeros without a store: the persisted-epoch
+	// position and unpersisted ledger, so Restore + store replay resume.
+	d := e.Durability()
+	c.u32(uint32(d.Persisted))
+	c.u32(uint32(d.QueueFull))
+	c.u32(uint32(len(d.Unpersisted)))
+	for _, ep := range d.Unpersisted {
+		c.u32(ep)
+	}
+	if e.winComposer == nil {
+		return
+	}
+	// Window section: geometry and sketch spec (echoed for validation, in
+	// an image only), the window cursor, retained panes (sketch blobs
+	// verbatim from the composer), closed-window ledgers, window rows.
+	if since == nil {
+		spec := e.winComposer.Spec()
+		c.u32(spec.Size)
+		c.u32(spec.Slide)
+		c.u32(uint32(len(e.sketchAggs)))
+		for _, sa := range e.sketchAggs {
+			c.u8(uint8(sa.Kind))
+			c.u64(uint64(int64(sa.Input)))
+			c.f64(sa.Q)
+		}
+		c.u8(e.sketchPrecision())
+		c.f64(e.digestCompression())
+	}
+	c.u64(uint64(e.winComposer.Next()))
+	// Every retained pane, or in a frame the panes fed since: the
+	// epochs closed since.
+	panes := e.winComposer.PaneEpochs(c.panes[:0])
+	c.panes = panes
+	c.each(panes, func(ep uint32) bool { return since == nil || slices.Contains(closed, ep) },
+		func(ep uint32) { e.writePane(c, ep) })
+	leds := e.windowLeds[m.winLeds:]
+	c.u32(uint32(len(leds)))
+	for _, l := range leds {
+		c.u32(l.Window)
+		c.u32(l.Start)
+		c.u32(l.End)
+		c.paneStats(l.Stats)
+	}
+	wrows := e.windowRows[m.winRows:]
+	c.u64(uint64(len(wrows)))
+	for i := range wrows {
+		r := &wrows[i]
+		c.u32(uint32(r.Rel))
+		c.u32(r.Window)
+		c.u32(r.Start)
+		c.u32(r.End)
+		for _, k := range r.Key {
+			c.u32(k)
+		}
+		for _, a := range r.Aggs {
+			c.u64(uint64(a))
+		}
+		c.u8(uint8(len(r.Sketch)))
+		for _, s := range r.Sketch {
+			c.f64(s)
 		}
 	}
-	if version >= 4 {
-		// Sliding-window section: geometry and sketch spec (echoed for
-		// validation, in an image only), the window cursor, retained panes,
-		// closed-window ledgers, and retained window rows. Pane sketch
-		// blobs are written verbatim from the composer.
-		if since == nil {
-			spec := e.winComposer.Spec()
-			c.u32(spec.Size)
-			c.u32(spec.Slide)
-			c.u32(uint32(len(e.sketchAggs)))
-			for _, sa := range e.sketchAggs {
-				c.u8(uint8(sa.Kind))
-				c.u64(uint64(int64(sa.Input)))
-				c.f64(sa.Q)
-			}
-			c.u8(e.sketchPrecision())
-			c.f64(e.digestCompression())
-		}
-		c.u64(uint64(e.winComposer.Next()))
-		// Every retained pane, or in a frame the panes fed since: the
-		// epochs closed since.
-		panes := e.winComposer.PaneEpochs(c.panes[:0])
-		c.panes = panes
-		c.each(panes, func(ep uint32) bool { return since == nil || slices.Contains(closed, ep) },
-			func(ep uint32) { e.writePane(c, ep) })
-		leds := e.windowLeds[m.winLeds:]
-		c.u32(uint32(len(leds)))
-		for _, l := range leds {
-			c.u32(l.Window)
-			c.u32(l.Start)
-			c.u32(l.End)
-			c.paneStats(l.Stats)
-		}
-		wrows := e.windowRows[m.winRows:]
-		c.u64(uint64(len(wrows)))
-		for i := range wrows {
-			r := &wrows[i]
-			c.u32(uint32(r.Rel))
-			c.u32(r.Window)
-			c.u32(r.Start)
-			c.u32(r.End)
-			for _, k := range r.Key {
-				c.u32(k)
-			}
-			for _, a := range r.Aggs {
-				c.u64(uint64(a))
-			}
-			c.u8(uint8(len(r.Sketch)))
-			for _, s := range r.Sketch {
-				c.f64(s)
-			}
-		}
-		if since != nil {
-			// The panes the previous record held that are gone.
-			c.each(m.panes, func(ep uint32) bool { return !slices.Contains(panes, ep) }, c.u32)
-		}
+	if since != nil {
+		// The panes the previous record held that are gone.
+		c.each(m.panes, func(ep uint32) bool { return !slices.Contains(panes, ep) }, c.u32)
 	}
 }
 
@@ -593,20 +540,11 @@ func (d *ckptDecoder) result() error {
 	return fmt.Errorf("%w: truncated: %v", ErrBadCheckpoint, d.err)
 }
 
-type ckptRow struct {
-	rel   attr.Set
-	epoch uint32
-	key   []uint32
-	aggs  []int64
-}
-
 // ckptState is a checkpoint parsed into local state: what Restore
 // installs once every cross-check has passed, and what the log's delta
 // frames fold into before that. A frame decodes into one of these too,
 // holding only what the frame carries.
 type ckptState struct {
-	version uint8
-
 	consumed                                   uint64
 	epochs, replans, peakRepairs, resultErrors uint64
 	ops                                        lfta.Ops
@@ -617,21 +555,20 @@ type ckptState struct {
 
 	hist   []Degradation
 	groups feedgraph.GroupCounts
-	rows   map[uint32][]ckptRow // retained HFTA rows by epoch
+	rows   map[uint32][]hfta.Row // retained HFTA rows by epoch
 
-	// Version 2: shed-policy words, measured flow lengths, sharded state.
-	shedWords    []uint64
-	flows        map[attr.Set]float64
-	nShards      uint32
-	shardWeights []float64
-	shardCum     []Degradation
-	shardHist    []Degradation // stride nShards
-
-	// Version 3: the durability footer.
+	// Shed-policy words, measured flow lengths, sharded state, and the
+	// durability footer.
+	shedWords                  []uint64
+	flows                      map[attr.Set]float64
+	nShards                    uint32
+	shardWeights               []float64
+	shardCum                   []Degradation
+	shardHist                  []Degradation // stride nShards
 	durPersisted, durQueueFull uint32
 	durUnpersisted             []uint32
 
-	// Version 4: the composer's cursor and panes, window ledgers and rows.
+	// Windowed only: composer cursor and panes, window ledgers and rows.
 	winNext uint64
 	panes   []hfta.PaneSnapshot
 	winLeds []hfta.WindowLedger
@@ -641,30 +578,17 @@ type ckptState struct {
 
 // readImage parses a checkpoint image into local state.
 func (e *Engine) readImage(r io.Reader) (*ckptState, error) {
-	magic := make([]byte, len(ckptMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	if string(magic) != ckptMagic {
+	d := &ckptDecoder{e: e, r: r}
+	if magic := d.fill(len(ckptMagic)); d.err == nil && string(magic) != ckptMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadCheckpoint, magic)
 	}
-	d := &ckptDecoder{e: e, r: r}
-	st := &ckptState{version: d.u8()}
-	if d.err == nil && (st.version < ckptVersionV1 || st.version > ckptVersion) {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, st.version)
-	}
-	if d.err == nil && st.version < 4 && e.winComposer != nil {
-		// A windowed workload only ever writes v4 images, so an older
-		// version here means a relabeled or foreign image; accepting it
-		// would silently drop the pane state.
-		return nil, fmt.Errorf("%w: windowed workload requires a v4 checkpoint, got v%d", ErrBadCheckpoint, st.version)
+	if v := d.u8(); d.err == nil && v != ckptVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, v)
 	}
 	if hash := d.u64(); d.err == nil && hash != e.workloadHash() {
 		return nil, fmt.Errorf("%w: checkpoint is for a different workload (queries, M, or seed changed)", ErrBadCheckpoint)
 	}
-	if d.err == nil && st.version >= 4 && e.winComposer == nil {
-		return nil, fmt.Errorf("%w: checkpoint carries window state but the workload is tumbling", ErrBadCheckpoint)
-	}
+	st := &ckptState{}
 	d.body(st, false)
 	if err := d.result(); err != nil {
 		return nil, err
@@ -672,8 +596,22 @@ func (e *Engine) readImage(r io.Reader) (*ckptState, error) {
 	return st, nil
 }
 
-// body reads an image's body, or a delta frame's; see writeBody.
+// body reads an image's body, or a delta frame's, one section at a time
+// in writeBody's order.
 func (d *ckptDecoder) body(st *ckptState, delta bool) {
+	d.head(st, delta)
+	d.shedWords(st)
+	d.flows(st)
+	d.shards(st)
+	d.durability(st)
+	if d.e.winComposer != nil {
+		d.window(st, delta)
+	}
+}
+
+// head reads the stream position, scalars, degradation history, group
+// counts and retained rows.
+func (d *ckptDecoder) head(st *ckptState, delta bool) {
 	st.consumed = d.u64()
 	st.epochs = d.u64()
 	st.replans = d.u64()
@@ -694,38 +632,15 @@ func (d *ckptDecoder) body(st *ckptState, delta bool) {
 		rel := attr.Set(d.u32())
 		st.groups[rel] = d.f64()
 	}
-	st.rows = map[uint32][]ckptRow{}
+	st.rows = map[uint32][]hfta.Row{}
 	if !delta {
 		d.rows(st, nil)
-	} else {
-		n = d.count(4, ckptMaxHistory, "closed epoch count")
-		for i := 0; d.err == nil && i < n; i++ {
-			ep := d.u32()
-			d.rows(st, &ep)
-		}
+		return
 	}
-	if st.version >= 2 {
-		d.v2(st)
-	}
-	if st.version >= 3 {
-		st.durPersisted = d.u32()
-		st.durQueueFull = d.u32()
-		n = d.count(4, ckptMaxHistory, "unpersisted-epoch count")
-		for i := 0; d.err == nil && i < n; i++ {
-			st.durUnpersisted = append(st.durUnpersisted, d.u32())
-		}
-	}
-	if st.version >= 4 {
-		if !delta {
-			d.windowSpec()
-		}
-		d.window(st)
-		if delta {
-			n = d.count(4, ckptMaxPanes, "evicted pane count")
-			for i := 0; d.err == nil && i < n; i++ {
-				st.evicted = append(st.evicted, d.u32())
-			}
-		}
+	n = d.count(4, ckptMaxHistory, "closed epoch count")
+	for i := 0; d.err == nil && i < n; i++ {
+		ep := d.u32()
+		d.rows(st, &ep)
 	}
 }
 
@@ -735,49 +650,52 @@ func (d *ckptDecoder) rows(st *ckptState, epoch *uint32) {
 	e := d.e
 	n := d.count(8, ckptMaxRows, "row count")
 	for i := 0; d.err == nil && i < n; i++ {
-		r := ckptRow{rel: attr.Set(d.u32()), epoch: d.u32()}
+		r := hfta.Row{Rel: attr.Set(d.u32()), Epoch: d.u32()}
 		keyLen := d.u8()
 		if d.err != nil {
 			return
 		}
 		// Rows must belong to the workload with the query's exact arity:
 		// the aggregator's key packing assumes both.
-		if _, known := e.specByRel[r.rel]; !known {
-			d.fail("row for %v, not a workload query", r.rel)
+		if _, known := e.specByRel[r.Rel]; !known {
+			d.fail("row for %v, not a workload query", r.Rel)
 			return
 		}
-		if int(keyLen) != r.rel.Size() {
-			d.fail("row key arity %d for %v", keyLen, r.rel)
+		if int(keyLen) != r.Rel.Size() {
+			d.fail("row key arity %d for %v", keyLen, r.Rel)
 			return
 		}
-		if epoch != nil && r.epoch != *epoch {
-			d.fail("row of epoch %d listed under epoch %d", r.epoch, *epoch)
+		if epoch != nil && r.Epoch != *epoch {
+			d.fail("row of epoch %d listed under epoch %d", r.Epoch, *epoch)
 			return
 		}
-		r.key = make([]uint32, keyLen)
-		for j := range r.key {
-			r.key[j] = d.u32()
+		r.Key = make([]uint32, keyLen)
+		for j := range r.Key {
+			r.Key[j] = d.u32()
 		}
 		if aggLen := d.u8(); d.err == nil && int(aggLen) != len(e.aggs) {
 			d.fail("row has %d aggregates, workload has %d", aggLen, len(e.aggs))
 			return
 		}
-		r.aggs = make([]int64, len(e.aggs))
-		for j := range r.aggs {
-			r.aggs[j] = int64(d.u64())
+		r.Aggs = make([]int64, len(e.aggs))
+		for j := range r.Aggs {
+			r.Aggs[j] = int64(d.u64())
 		}
-		st.rows[r.epoch] = append(st.rows[r.epoch], r)
+		st.rows[r.Epoch] = append(st.rows[r.Epoch], r)
 	}
 }
 
-// v2 reads the version-2 section: shed-policy state, measured flow
-// lengths, and the sharded-deployment state.
-func (d *ckptDecoder) v2(st *ckptState) {
+// shedWords reads the shed-policy state words.
+func (d *ckptDecoder) shedWords(st *ckptState) {
 	n := d.count(4, ckptMaxShedWords, "shed-state size")
 	for i := 0; d.err == nil && i < n; i++ {
 		st.shedWords = append(st.shedWords, d.u64())
 	}
-	n = d.count(4, ckptMaxGroups, "flow-length count")
+}
+
+// flows reads the measured flow lengths.
+func (d *ckptDecoder) flows(st *ckptState) {
+	n := d.count(4, ckptMaxGroups, "flow-length count")
 	st.flows = map[attr.Set]float64{}
 	for i := 0; d.err == nil && i < n; i++ {
 		rel := attr.Set(d.u32())
@@ -787,6 +705,10 @@ func (d *ckptDecoder) v2(st *ckptState) {
 		}
 		st.flows[rel] = l
 	}
+}
+
+// shards reads the sharded-deployment state.
+func (d *ckptDecoder) shards(st *ckptState) {
 	st.nShards = uint32(d.count(4, ckptMaxShards, "shard count"))
 	if d.err != nil || st.nShards <= 1 {
 		return
@@ -804,9 +726,19 @@ func (d *ckptDecoder) v2(st *ckptState) {
 		_ = d.u64()
 		st.shardCum = append(st.shardCum, d.deg())
 	}
-	n = d.count(4, ckptMaxHistory, "shard history length")
+	n := d.count(4, ckptMaxHistory, "shard history length")
 	for i := 0; d.err == nil && i < n*int(st.nShards); i++ {
 		st.shardHist = append(st.shardHist, d.deg())
+	}
+}
+
+// durability reads the durability footer.
+func (d *ckptDecoder) durability(st *ckptState) {
+	st.durPersisted = d.u32()
+	st.durQueueFull = d.u32()
+	n := d.count(4, ckptMaxHistory, "unpersisted-epoch count")
+	for i := 0; d.err == nil && i < n; i++ {
+		st.durUnpersisted = append(st.durUnpersisted, d.u32())
 	}
 }
 
@@ -834,11 +766,15 @@ func (d *ckptDecoder) windowSpec() {
 	}
 }
 
-// window reads the window cursor, panes, window ledgers and window rows.
-// Parsed only into local state; the composer is mutated after every
-// cross-check passes.
-func (d *ckptDecoder) window(st *ckptState) {
+// window reads the window section: an image's window spec echo, the
+// window cursor, panes, window ledgers and window rows, and a frame's
+// evicted panes. Parsed only into local state; the composer is mutated
+// after every cross-check passes.
+func (d *ckptDecoder) window(st *ckptState, delta bool) {
 	e := d.e
+	if !delta {
+		d.windowSpec()
+	}
 	if st.winNext = d.u64(); st.winNext > math.MaxInt64 {
 		d.fail("implausible window cursor %d", st.winNext)
 	}
@@ -875,6 +811,12 @@ func (d *ckptDecoder) window(st *ckptState) {
 			r.Sketch[s] = d.f64()
 		}
 		st.winRows = append(st.winRows, r)
+	}
+	if delta {
+		n = d.count(4, ckptMaxPanes, "evicted pane count")
+		for i := 0; d.err == nil && i < n; i++ {
+			st.evicted = append(st.evicted, d.u32())
+		}
 	}
 }
 
@@ -983,7 +925,7 @@ func (e *Engine) install(st *ckptState) error {
 			return fmt.Errorf("%w: group count %v for %v", ErrBadCheckpoint, g, rel)
 		}
 	}
-	// Every version: a v1 image has no shard section, so it carries 0 shards.
+	// An unsharded engine's image carries 0 shards.
 	if int(st.nShards) != e.nShards && !(st.nShards <= 1 && e.nShards <= 1) {
 		return fmt.Errorf("%w: checkpoint has %d shards, engine runs %d", ErrBadCheckpoint, st.nShards, e.NumShards())
 	}
@@ -1012,13 +954,12 @@ func (e *Engine) install(st *ckptState) error {
 			return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 		}
 	}
-	if e.nShards > 1 && len(st.shardWeights) == e.nShards {
-		// The weights restore bit-exactly (no renormalization): the
-		// resumed run must slice the budget exactly as the crashed run
-		// would have, or the byte-identity of its shed decisions breaks.
-		copy(e.shardWeight, st.shardWeights)
-		copy(e.shardCum, st.shardCum)
-	}
+	// The weights restore bit-exactly (no renormalization): the resumed
+	// run must slice the budget exactly as the crashed run would have, or
+	// the byte-identity of its shed decisions breaks. (An unsharded image
+	// carries neither weights nor ledgers.)
+	copy(e.shardWeight, st.shardWeights)
+	copy(e.shardCum, st.shardCum)
 	e.totalOps = st.ops // the fresh runtime's counters are zero
 	e.consumed = st.consumed
 	e.stats.Epochs = int(st.epochs)
@@ -1035,13 +976,11 @@ func (e *Engine) install(st *ckptState) error {
 	slices.Sort(epochs) // a deterministic consume order
 	for _, ep := range epochs {
 		for _, r := range st.rows[ep] {
-			e.agg.Consume(lfta.Eviction{Rel: r.rel, Key: r.key, Aggs: r.aggs, Epoch: r.epoch})
+			e.agg.Consume(lfta.Eviction{Rel: r.Rel, Key: r.Key, Aggs: r.Aggs, Epoch: r.Epoch})
 		}
 	}
-	if st.version >= 3 {
-		e.durable.restore(int(st.durPersisted), st.durUnpersisted, int(st.durQueueFull))
-	}
-	if st.version >= 4 {
+	e.durable.restore(int(st.durPersisted), st.durUnpersisted, int(st.durQueueFull))
+	if e.winComposer != nil {
 		if err := e.winComposer.RestorePanes(int64(st.winNext), st.panes); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 		}

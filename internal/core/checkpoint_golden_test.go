@@ -13,28 +13,25 @@ import (
 	"repro/internal/stream"
 )
 
-// Golden checkpoint images. The files under testdata/ckpt were written by
-// the engine BEFORE the hash-table layout switched to the fingerprint-
+// Golden checkpoint images. plain.ckpt and sharded.ckpt hold state the
+// engine wrote BEFORE the hash-table layout switched to the fingerprint-
 // tagged split arrays, so these tests prove the compatibility claim the
 // checkpoint format makes: images never serialize table internals (they
 // are written at epoch boundaries, tables empty), so a layout change must
 // restore old images onto the new tables with nothing lost — same resumed
 // answers, and a re-serialized checkpoint byte-identical to the original.
-//
-// Regenerate (only when the checkpoint FORMAT itself changes, never for a
-// table-layout change) with:
-//
-//	MAGG_WRITE_GOLDEN=1 go test -run TestGoldenCheckpoint ./internal/core
+// When the format folded into one version, each was re-framed once, its
+// state untouched: version byte 4 and an empty durability footer. No
+// fresh run reproduces that state, so nothing regenerates them.
 
 const goldenDir = "testdata/ckpt"
 
 // goldenPlainOpts is the unsharded, non-shedding deployment of the plain
-// golden images; v1 and v2 restore to identical state for it, which the
-// byte-identity check across versions relies on.
+// golden image.
 func goldenPlainOpts() Options { return Options{M: 8000, Seed: 3} }
 
 // goldenShardedOpts is the sharded-and-shedding deployment of the
-// sharded golden image (v2 only: v1 cannot carry its state).
+// sharded golden image.
 func goldenShardedOpts() Options {
 	return Options{
 		M: 8000, Seed: 3, Shards: 4,
@@ -46,65 +43,7 @@ func goldenShardedOpts() Options {
 // (mid-epoch, past several boundaries; see TestCheckpointRoundTrip).
 const goldenCrashAt = 17000
 
-// writeGolden runs the workload past the crash point with the engine
-// keeping its checkpoint log, writes the last boundary's image (restored
-// from the log) as the golden v2 file, and (when v1Path is non-empty)
-// derives the matching v1 image by serializing that restored state in the
-// v1 format.
-func writeGolden(t *testing.T, opts Options, v2Path, v1Path string) {
-	t.Helper()
-	recs, groups := testWorkload(t, 30000)
-	if err := os.MkdirAll(goldenDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	copts := opts
-	copts.CheckpointPath = filepath.Join(t.TempDir(), "golden.ckpt")
-	e, err := New(pairSQL, groups, copts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < goldenCrashAt; i++ {
-		if err := e.Process(recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.Stats().Epochs == 0 {
-		t.Fatal("golden run never crossed an epoch boundary")
-	}
-	r, err := New(pairSQL, groups, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.RestoreCheckpointFile(copts.CheckpointPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteCheckpointFile(v2Path); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", v2Path)
-	if v1Path == "" {
-		return
-	}
-	var buf bytes.Buffer
-	if err := r.checkpointVersion(&buf, ckptVersionV1); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(v1Path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d bytes)", v1Path, buf.Len())
-}
-
 func goldenPath(name string) string { return filepath.Join(goldenDir, name) }
-
-func maybeWriteGolden(t *testing.T) {
-	t.Helper()
-	if os.Getenv("MAGG_WRITE_GOLDEN") == "" {
-		return
-	}
-	writeGolden(t, goldenPlainOpts(), goldenPath("plain_v2.ckpt"), goldenPath("plain_v1.ckpt"))
-	writeGolden(t, goldenShardedOpts(), goldenPath("sharded_v2.ckpt"), "")
-}
 
 // TestGoldenCheckpointRestore restores each pre-layout-change image onto
 // the current table layout, replays the remaining stream, and requires
@@ -112,14 +51,12 @@ func maybeWriteGolden(t *testing.T) {
 // tag-scan kernel: a restored table must behave identically whether the
 // replay probes through the vector kernel or the portable one.
 func TestGoldenCheckpointRestore(t *testing.T) {
-	maybeWriteGolden(t)
 	recs, groups := testWorkload(t, 30000)
 	cases := []struct {
 		file string
 		opts Options
 	}{
-		{"plain_v1.ckpt", goldenPlainOpts()},
-		{"plain_v2.ckpt", goldenPlainOpts()},
+		{"plain.ckpt", goldenPlainOpts()},
 	}
 	defer hashtab.SetSIMD(hashtab.SIMDEnabled())
 	kernels := []bool{false}
@@ -182,12 +119,11 @@ func TestGoldenCheckpointRestore(t *testing.T) {
 // resuming it straight through and resuming it with a second
 // crash+restore in between must emit identically and end in identical
 // ledgers, with the carried policy state round-tripping through the new
-// engine's own v2 checkpoints. (Byte-level restore fidelity is pinned
+// engine's own checkpoints. (Byte-level restore fidelity is pinned
 // separately by TestGoldenCheckpointByteIdentity.)
 func TestGoldenShardedCheckpointRestore(t *testing.T) {
-	maybeWriteGolden(t)
 	recs, groups := testWorkload(t, 30000)
-	golden := goldenPath("sharded_v2.ckpt")
+	golden := goldenPath("sharded.ckpt")
 
 	// Reference: restore the golden image and run the remainder straight.
 	wantEmit := emissionMap{}
@@ -278,51 +214,44 @@ func TestGoldenShardedCheckpointRestore(t *testing.T) {
 
 // TestGoldenCheckpointByteIdentity proves the stronger claim: an engine
 // restored from a pre-layout-change image serializes back to the exact
-// bytes of the golden v2 image — nothing in the checkpoint state was
-// reinterpreted by the new table layout. Restoring the v1 image must
-// also produce the golden v2 bytes (its deployment carries no
-// v2-section state, so v1 and v2 restore identically).
+// bytes of the golden — nothing in the checkpoint state was reinterpreted
+// by the new table layout.
 func TestGoldenCheckpointByteIdentity(t *testing.T) {
-	maybeWriteGolden(t)
 	_, groups := testWorkload(t, 30000)
-	wantV2 := func(name string) []byte {
-		data, err := os.ReadFile(goldenPath(name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
 	cases := []struct {
-		file, want string
-		opts       Options
+		file string
+		opts Options
 	}{
-		{"plain_v1.ckpt", "plain_v2.ckpt", goldenPlainOpts()},
-		{"plain_v2.ckpt", "plain_v2.ckpt", goldenPlainOpts()},
-		{"sharded_v2.ckpt", "sharded_v2.ckpt", goldenShardedOpts()},
+		{"plain.ckpt", goldenPlainOpts()},
+		{"sharded.ckpt", goldenShardedOpts()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {
+			want, err := os.ReadFile(goldenPath(tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
 			e, err := New(pairSQL, groups, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.RestoreCheckpointFile(goldenPath(tc.file)); err != nil {
+			if _, err := e.Restore(bytes.NewReader(want)); err != nil {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
 			if err := e.Checkpoint(&buf); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(buf.Bytes(), wantV2(tc.want)) {
-				t.Errorf("re-serialized checkpoint differs from golden %s", tc.want)
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("re-serialized checkpoint differs from golden %s", tc.file)
 			}
 		})
 	}
 }
 
-// --- windowed v4 goldens ---
+// --- windowed goldens ---
 
-// goldenWindowedSQL is the windowed workload of the v4 golden images:
+// goldenWindowedSQL is the windowed workload of the windowed golden images:
 // overlapping 3/2 windows with all three sketch kinds, so the images
 // carry live panes with serialized sketch partials mid-window.
 func goldenWindowedSQL() []string { return windowSQL(3, 2) }
@@ -332,7 +261,12 @@ func goldenWindowedSQL() []string { return windowSQL(3, 2) }
 // count_distinct blob in it is the dense register array; it is a
 // read-compatibility pin no release can write again. The engine now
 // writes windowed_v4_sparse.ckpt: the same panes with each HLL in the
-// shorter of its two forms.
+// shorter of its two forms. Both were written in the format's version 4
+// (the "v4" in their names), and no byte of either changed when the
+// format folded into that one version. Rewrite the sparse one, only when
+// the format changes, with
+//
+//	MAGG_WRITE_GOLDEN=1 go test -run TestGoldenWindowedCheckpoint ./internal/core
 const (
 	goldenWindowedDense  = "windowed_v4.ckpt"
 	goldenWindowedSparse = "windowed_v4_sparse.ckpt"
@@ -374,7 +308,7 @@ func maybeWriteGoldenWindowed(t *testing.T) {
 	t.Logf("wrote %s", goldenPath(goldenWindowedSparse))
 }
 
-// TestGoldenWindowedCheckpoint pins the v4 format and both HLL wire
+// TestGoldenWindowedCheckpoint pins the window section and both HLL wire
 // forms: each golden image must keep restoring (with its panes and sketch
 // blobs carried verbatim, proven by byte-identical re-serialization) and
 // resuming to the same window output as an uninterrupted run.

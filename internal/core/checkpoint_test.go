@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/hfta"
@@ -277,4 +279,69 @@ func (e *Engine) writeCheckpointTmp(tmp string) error {
 		return err
 	}
 	return f.Close()
+}
+
+// TestNewRefusesAggregatesTheCheckpointCannotHold: a checkpoint row writes
+// its aggregate count and a window row its sketch-slot count as one byte
+// each, so New takes at most 255 of either; an engine at the limit
+// restores its own image and re-serializes it byte for byte.
+func TestNewRefusesAggregatesTheCheckpointCannotHold(t *testing.T) {
+	recs, groups := fuzzWorkload(t)
+	workload := func(agg string, n int) []string {
+		cols := make([]string, n)
+		for i := range cols {
+			cols[i] = fmt.Sprintf("%s as a%d", agg, i)
+		}
+		return []string{"select A, B, " + strings.Join(cols, ", ") + " from R group by A, B, time/10"}
+	}
+	cases := []struct {
+		name, agg string
+		n         int
+	}{
+		{"exact/255", "sum(C)", 255},
+		{"exact/256", "sum(C)", 256},
+		{"sketch/255", "count_distinct(C)", 255},
+		{"sketch/256", "count_distinct(C)", 256},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sqls := workload(tc.agg, tc.n)
+			opts := Options{M: 600, Seed: 3}
+			e, err := New(sqls, groups, opts)
+			if tc.n > ckptMaxAggs {
+				if err == nil || !strings.Contains(err.Error(), "at most 255") {
+					t.Fatalf("New with %d of %s: err = %v; want a refusal naming the limit of 255", tc.n, tc.agg, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs[:1200] {
+				if err := e.Process(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if e.Stats().Epochs < 2 || len(e.AllResults()) == 0 {
+				t.Fatal("no closed epoch with rows; the image holds no row to check")
+			}
+			var img, again bytes.Buffer
+			if err := e.Checkpoint(&img); err != nil {
+				t.Fatal(err)
+			}
+			r, err := New(sqls, groups, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Restore(bytes.NewReader(img.Bytes())); err != nil {
+				t.Fatalf("restoring its own image: %v", err)
+			}
+			if err := r.Checkpoint(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), img.Bytes()) {
+				t.Error("restored engine does not re-serialize its image byte-identically")
+			}
+		})
+	}
 }

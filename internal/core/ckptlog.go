@@ -21,8 +21,8 @@ import (
 // change keeps the bytes written per boundary O(newest pane).
 //
 // A frame is the epochstore's framing (payload length, CRC32C, payload;
-// epochstore.SealFrame). Its payload is the base image's version byte,
-// the closed-epoch count of the state it extends (u64), then the image
+// epochstore.SealFrame). Its payload is the format's version byte, the
+// closed-epoch count of the state it extends (u64), then the image
 // body from the stream position on, with these differences:
 //
 //   - the scalars, group counts, shed words, flow lengths, per-shard
@@ -34,17 +34,17 @@ import (
 //     previous record, each its epoch (u32) and the image's row list for
 //     it: the rows the HFTA retains of it (none once a result handler has
 //     taken them);
-//   - the v4 section omits the window geometry and sketch echo, lists only
+//   - the window section omits the geometry and sketch echo, lists only
 //     the panes fed since the previous record (the epochs it closed), and
 //     ends with the epochs of the panes evicted since (u32 count, u32 each).
 //
 // Restore parses the image, folds the frames into that local state in
 // order, and only then runs its cross-checks. It stops at the end of the
 // file, at the first torn or checksum-failing frame, or at a frame that
-// does not extend the state folded so far (another version, closed-epoch
-// count or shard count), so a kill mid-append resumes from the previous
-// boundary as a kill before the rename does. Neither the image nor the
-// frames are fsynced.
+// does not extend the state folded so far (another version byte,
+// closed-epoch count or shard count), so a kill mid-append resumes from
+// the previous boundary as a kill before the rename does. Neither the
+// image nor the frames are fsynced.
 
 // ckptLogRewrite is how many image-sizes of frames the log takes before a
 // boundary writes a new base image instead of appending. The file stays
@@ -64,12 +64,11 @@ type ckptMark struct {
 
 // ckptLog is the engine's side of the checkpoint log.
 type ckptLog struct {
-	f       *os.File // the log, positioned at its end; nil: the next boundary writes a base image
-	version uint8    // the base image's format version
-	image   int64    // base image bytes
-	frames  int64    // frame bytes appended since
-	mark    ckptMark
-	frame   bytes.Buffer // the next frame: header room, then its payload
+	f      *os.File // the log, positioned at its end; nil: the next boundary writes a base image
+	image  int64    // base image bytes
+	frames int64    // frame bytes appended since
+	mark   ckptMark
+	frame  bytes.Buffer // the next frame: header room, then its payload
 }
 
 // close closes the log's descriptor; the next boundary writes a base image.
@@ -89,12 +88,11 @@ func (l *ckptLog) drop() { _ = l.close() }
 
 // logCheckpoint records the boundary just closed at Options.CheckpointPath:
 // a delta frame appended to the log, or a new base image at the first
-// boundary after New or Restore, after a failed append, when the frames
-// would reach ckptLogRewrite× the image, or when the format version the
-// engine writes has changed since the image.
+// boundary after New or Restore, after a failed append, or when the
+// frames would reach ckptLogRewrite× the image.
 func (e *Engine) logCheckpoint() error {
 	l := &e.ckptLog
-	if l.f != nil && l.version == e.ckptVersion() {
+	if l.f != nil {
 		frame := e.deltaFrame()
 		if frame != nil && l.frames+int64(len(frame)) <= ckptLogRewrite*l.image {
 			if _, err := l.f.Write(frame); err != nil {
@@ -118,7 +116,7 @@ func (e *Engine) logCheckpoint() error {
 		f.Close()
 		return err
 	}
-	l.f, l.version, l.image, l.frames = f, e.ckptVersion(), size, 0
+	l.f, l.image, l.frames = f, size, 0
 	e.markCkpt()
 	return nil
 }
@@ -145,9 +143,9 @@ func (e *Engine) deltaFrame() []byte {
 	l.frame.Write(hdr[:])
 	c := &e.ckpt
 	c.reset(&l.frame)
-	c.u8(l.version)
+	c.u8(ckptVersion)
 	c.u64(uint64(l.mark.epochs))
-	e.writeBody(c, l.version, &l.mark)
+	e.writeBody(c, &l.mark)
 	_ = c.bw.Flush() // into a bytes.Buffer: cannot fail
 	frame := l.frame.Bytes()
 	if len(frame)-len(hdr) > epochstore.MaxFramePayload {
@@ -162,31 +160,28 @@ func (e *Engine) deltaFrame() []byte {
 func (e *Engine) foldFrame(st *ckptState, payload []byte) bool {
 	r := bytes.NewReader(payload)
 	d := &ckptDecoder{e: e, r: r}
-	f := &ckptState{version: d.u8()}
-	extends := d.u64()
-	if d.err != nil || f.version != st.version || extends != st.epochs {
+	version, extends := d.u8(), d.u64()
+	if d.err != nil || version != ckptVersion || extends != st.epochs {
 		return false
 	}
+	f := &ckptState{}
 	d.body(f, true)
 	if d.err != nil || r.Len() != 0 || f.nShards != st.nShards {
 		return false
 	}
-	st.consumed, st.epochs, st.replans, st.peakRepairs, st.resultErrors = f.consumed, f.epochs, f.replans, f.peakRepairs, f.resultErrors
-	st.ops, st.started, st.cur, st.regressed, st.cumDeg = f.ops, f.started, f.cur, f.regressed, f.cumDeg
-	st.hist = append(st.hist, f.hist...)
-	st.groups = f.groups
+	// The frame's scalars, counts and ledgers replace st's; its histories,
+	// rows and panes extend them.
+	prev := *st
+	*st = *f
+	st.hist = append(prev.hist, f.hist...)
+	st.rows = prev.rows
 	maps.Copy(st.rows, f.rows)
-	st.shedWords, st.flows = f.shedWords, f.flows
-	st.shardWeights, st.shardCum = f.shardWeights, f.shardCum
-	st.shardHist = append(st.shardHist, f.shardHist...)
-	st.durPersisted, st.durQueueFull, st.durUnpersisted = f.durPersisted, f.durQueueFull, f.durUnpersisted
-	st.winNext = f.winNext
-	st.panes = slices.DeleteFunc(st.panes, func(p hfta.PaneSnapshot) bool {
+	st.shardHist = append(prev.shardHist, f.shardHist...)
+	st.panes = append(slices.DeleteFunc(prev.panes, func(p hfta.PaneSnapshot) bool {
 		return slices.Contains(f.evicted, p.Epoch) ||
 			slices.ContainsFunc(f.panes, func(q hfta.PaneSnapshot) bool { return q.Epoch == p.Epoch })
-	})
-	st.panes = append(st.panes, f.panes...)
-	st.winLeds = append(st.winLeds, f.winLeds...)
-	st.winRows = append(st.winRows, f.winRows...)
+	}), f.panes...)
+	st.winLeds = append(prev.winLeds, f.winLeds...)
+	st.winRows = append(prev.winRows, f.winRows...)
 	return true
 }

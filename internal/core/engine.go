@@ -234,7 +234,7 @@ type Engine struct {
 
 	// flowLens holds the last epoch's measured per-relation flow lengths
 	// (adaptive mode); it backs opts.Params.FlowLen and is carried by
-	// checkpoint format v2 so a restored engine re-plans from the same
+	// the checkpoint so a restored engine re-plans from the same
 	// measurements the crashed one used.
 	flowLens map[attr.Set]float64
 
@@ -313,7 +313,7 @@ type Engine struct {
 
 	// Durable persistence (Options.Store): the async persister pipeline
 	// and the ledger of persisted/unpersisted epochs. The ledger always
-	// exists (a restored v3 checkpoint can carry durability state even
+	// exists (a restored checkpoint can carry durability state even
 	// into an engine with no store attached); persist is nil without a
 	// store.
 	persist *persister
@@ -404,6 +404,9 @@ func NewFromSpecs(specs []*query.Spec, groups feedgraph.GroupCounts, opts Option
 	}
 	if opts.M <= 0 {
 		return nil, fmt.Errorf("core: memory budget M must be positive, got %d", opts.M)
+	}
+	if n, k := len(specs[0].Aggs), len(specs[0].Sketches); max(n, k) > ckptMaxAggs {
+		return nil, fmt.Errorf("core: %d aggregates and %d sketch aggregates; a checkpoint holds at most %d of each", n, k, ckptMaxAggs)
 	}
 	if opts.Params.C1 == 0 && opts.Params.C2 == 0 {
 		opts.Params = cost.DefaultParams()
@@ -663,7 +666,7 @@ func (e *Engine) flushStage() error {
 // Admission runs in the single-threaded routing path, in stream order, so
 // a stateful shed policy (UniformShed's RNG) draws in a deterministic
 // sequence regardless of shard count and feed — the property the
-// checkpoint-v2 byte-identical resume guarantee rests on.
+// checkpoint's byte-identical resume guarantee rests on.
 func (e *Engine) admitRecord(s int, rec stream.Record, epoch uint32) bool {
 	if !e.shedStarted || rec.Time > e.shedTick {
 		e.shedStarted = true
@@ -831,7 +834,7 @@ func (e *Engine) closeShardEpoch(epoch uint32) {
 // therefore stops wasting budget on idle shards after one epoch, while a
 // uniform stream keeps the even split. Deterministic: the weights are a
 // pure function of the stream, so they replay identically and are carried
-// by checkpoint format v2.
+// by the checkpoint.
 func (e *Engine) reconcileBudget(epochShards []Degradation) {
 	if e.opts.Budget <= 0 {
 		return
@@ -983,7 +986,7 @@ func (e *Engine) refreshGroupEstimates(epoch uint32) {
 }
 
 // installFlowLens records measured flow lengths and wires them into the
-// cost model; checkpoint format v2 carries the map so a restored engine
+// cost model; the checkpoint carries the map so a restored engine
 // re-plans from the same measurements.
 func (e *Engine) installFlowLens(flow map[attr.Set]float64) {
 	e.flowLens = flow
@@ -1339,7 +1342,7 @@ func (e *Engine) ShardEpochDegradations() [][]Degradation {
 
 // ShardPositions returns the cumulative number of records routed to each
 // shard (including late and shed ones; a restored engine continues from the
-// image's counts) — the per-shard stream positions checkpoint format v2
+// image's counts) — the per-shard stream positions the checkpoint
 // records, which are each shard's cumulative Offered. Nil when unsharded.
 func (e *Engine) ShardPositions() []uint64 {
 	if e.nShards <= 1 {

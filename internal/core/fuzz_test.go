@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -50,18 +51,18 @@ func fuzzWorkload(tb testing.TB) ([]stream.Record, feedgraph.GroupCounts) {
 }
 
 // fuzzOptions configures the engine whose workload hash the images carry:
-// sharded and shedding with a stateful policy, so the full v2 section
+// sharded and shedding with a stateful policy, so every deployment section
 // (shed words, shard weights, ledgers, history) is exercised.
 func fuzzOptions() Options {
 	return Options{M: 600, Seed: 3, Shards: 2, Budget: 400, Shed: NewUniformShed(0.5, 7)}
 }
 
-// fuzzImages runs the workload and returns a matching v2 and v1 image
-// written at the same state.
-func fuzzImages(tb testing.TB) (v2, v1 []byte) {
+// fuzzRun runs the fuzz workload through a fresh engine and returns its
+// image.
+func fuzzRun(tb testing.TB, sqls []string, opts Options) []byte {
 	tb.Helper()
 	recs, groups := fuzzWorkload(tb)
-	e, err := New(fuzzSQL, groups, fuzzOptions())
+	e, err := New(sqls, groups, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -70,19 +71,20 @@ func fuzzImages(tb testing.TB) (v2, v1 []byte) {
 			tb.Fatal(err)
 		}
 	}
-	var b2, b1 bytes.Buffer
-	if err := e.Checkpoint(&b2); err != nil {
+	var b bytes.Buffer
+	if err := e.Checkpoint(&b); err != nil {
 		tb.Fatal(err)
 	}
-	if err := e.checkpointVersion(&b1, ckptVersionV1); err != nil {
-		tb.Fatal(err)
-	}
-	return b2.Bytes(), b1.Bytes()
+	return b.Bytes()
 }
 
-// fuzzImageV3 writes the same engine state as a v3 image: a store is
-// attached, so the checkpoint carries the durability footer.
-func fuzzImageV3(tb testing.TB) []byte {
+// fuzzImage is the tumbling engine's image; no store is attached, so its
+// durability footer is zeros.
+func fuzzImage(tb testing.TB) []byte { return fuzzRun(tb, fuzzSQL, fuzzOptions()) }
+
+// fuzzImageDurable writes the engine state after the first n records
+// with a store attached, so the durability footer carries a ledger.
+func fuzzImageDurable(tb testing.TB, n int) []byte {
 	tb.Helper()
 	recs, groups := fuzzWorkload(tb)
 	st, err := epochstore.Open(filepath.Join(tb.TempDir(), "store"), epochstore.Options{})
@@ -96,7 +98,7 @@ func fuzzImageV3(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for _, r := range recs {
+	for _, r := range recs[:n] {
 		if err := e.Process(r); err != nil {
 			tb.Fatal(err)
 		}
@@ -120,25 +122,57 @@ var fuzzWinSQL = []string{
 
 func fuzzWinOptions() Options { return Options{M: 600, Seed: 3} }
 
-// fuzzImageV4 writes a v4 image: the windowed workload run to the same
-// stream position, panes and sketch blobs included.
-func fuzzImageV4(tb testing.TB) []byte {
+// fuzzImageWindowed is the windowed engine's image at the same stream
+// position, panes and sketch blobs included.
+func fuzzImageWindowed(tb testing.TB) []byte { return fuzzRun(tb, fuzzWinSQL, fuzzWinOptions()) }
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// ckptSections decodes img for e one section at a time, through a
+// counting reader under ckptDecoder, and returns the offset each section
+// starts at: "head", "shed", "flows", "shards", "durability", and for a
+// windowed engine "window".
+func ckptSections(tb testing.TB, e *Engine, img []byte) map[string]int {
 	tb.Helper()
-	recs, groups := fuzzWorkload(tb)
-	e, err := New(fuzzWinSQL, groups, fuzzWinOptions())
-	if err != nil {
-		tb.Fatal(err)
+	cr := &countingReader{r: bytes.NewReader(img)}
+	d := &ckptDecoder{e: e, r: cr}
+	st := &ckptState{}
+	d.fill(len(ckptMagic))
+	d.u8()
+	d.u64()
+	sections := []struct {
+		name string
+		read func()
+	}{
+		{"head", func() { d.head(st, false) }},
+		{"shed", func() { d.shedWords(st) }},
+		{"flows", func() { d.flows(st) }},
+		{"shards", func() { d.shards(st) }},
+		{"durability", func() { d.durability(st) }},
+		{"window", func() { d.window(st, false) }},
 	}
-	for _, r := range recs {
-		if err := e.Process(r); err != nil {
-			tb.Fatal(err)
-		}
+	if e.winComposer == nil {
+		sections = sections[:len(sections)-1]
 	}
-	var b bytes.Buffer
-	if err := e.Checkpoint(&b); err != nil {
-		tb.Fatal(err)
+	off := map[string]int{}
+	for _, sec := range sections {
+		off[sec.name] = cr.n
+		sec.read()
 	}
-	return b.Bytes()
+	if d.err != nil || cr.n != len(img) {
+		tb.Fatalf("section decode stopped at byte %d of %d: %v", cr.n, len(img), d.err)
+	}
+	return off
 }
 
 // fuzzLog runs the fuzz workload through an engine keeping a checkpoint
@@ -178,35 +212,12 @@ func fuzzLog(tb testing.TB, sqls []string, opts Options, from []byte) (image []b
 	return image, frames
 }
 
-// fuzzLogV3 is fuzzLog over a v3 base: an engine with no store restored
-// from a v3 image carries the restored durability ledger, and so writes v3
-// — deterministically, unlike an engine whose persister runs alongside.
-func fuzzLogV3(tb testing.TB) (image []byte, frames [][]byte) {
-	tb.Helper()
-	recs, groups := fuzzWorkload(tb)
-	st, err := epochstore.Open(filepath.Join(tb.TempDir(), "store"), epochstore.Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer st.Close()
-	opts := fuzzOptions()
-	opts.Store = st
-	e, err := New(fuzzSQL, groups, opts)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for _, r := range recs[:700] { // into the second of five epochs
-		if err := e.Process(r); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	e.SyncStore()
-	var v3 bytes.Buffer
-	if err := e.Checkpoint(&v3); err != nil {
-		tb.Fatal(err)
-	}
-	e.persist.stop()
-	return fuzzLog(tb, fuzzSQL, fuzzOptions(), v3.Bytes())
+// fuzzLogDurable is fuzzLog over an image with a durability ledger, cut
+// into the second of five epochs: an engine with no store restored from it
+// carries the ledger on into every frame, deterministically, unlike an
+// engine whose persister runs alongside.
+func fuzzLogDurable(tb testing.TB) (image []byte, frames [][]byte) {
+	return fuzzLog(tb, fuzzSQL, fuzzOptions(), fuzzImageDurable(tb, 700))
 }
 
 // logForms returns a log in the four forms the corpus covers: whole, torn
@@ -224,41 +235,50 @@ func logForms(image []byte, frames [][]byte) [][]byte {
 // checked-in corpus generator.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
-	v2, v1 := fuzzImages(tb)
-	v3 := fuzzImageV3(tb)
-	v4 := fuzzImageV4(tb)
-	flip := func(img []byte, off int, xor byte) []byte {
-		b := append([]byte(nil), img...)
-		b[off] ^= xor
+	recs, groups := fuzzWorkload(tb)
+	img, dur, win := fuzzImage(tb), fuzzImageDurable(tb, len(recs)), fuzzImageWindowed(tb)
+	te, err := New(fuzzSQL, groups, fuzzOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	we, err := New(fuzzWinSQL, groups, fuzzWinOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	off, woff := ckptSections(tb, te, img), ckptSections(tb, we, win)
+	flip := func(b []byte, at int, xor byte) []byte {
+		b = bytes.Clone(b)
+		b[at] ^= xor
 		return b
 	}
 	seeds := [][]byte{
-		v2,
-		v1,
+		img,
 		nil,
 		[]byte(ckptMagic),
 		[]byte("XXXX"),
-		v2[:10],                 // truncated header
-		v2[:len(v2)-5],          // truncated v2 tail
-		v1[:len(v1)-5],          // truncated v1 body
-		v2[:len(v1)],            // v2 header with the v2 section sheared off
-		flip(v2, 4, 0xff),       // mangled version byte
-		flip(v2, 5, 0xff),       // flipped workload hash
-		flip(v1, 4, 3),          // v1 image relabeled as an unknown version
-		flip(v2, len(v1), 0xff), // corrupted shed-word count
-		v3,
-		v3[:len(v3)-3],            // truncated durability footer
-		flip(v3, len(v3)-4, 0xff), // mangled unpersisted-epoch count/entry
-		flip(v2, 4, 1),            // v2 payload relabeled v3: footer missing
-		v4,
-		v4[:len(v4)-9],            // truncated window section
-		flip(v4, 4, 7),            // v4 relabeled as v3: pane state sheared off
-		flip(v4, len(v4)-1, 0xff), // mangled window-section tail
-		flip(v4, len(v4)/2, 0xff), // corrupted pane body
+		img[:10],                       // truncated header
+		img[:len(img)-5],               // truncated durability footer
+		img[:off["shed"]],              // deployment sections sheared off
+		img[:off["durability"]],        // durability footer sheared off
+		flip(img, 4, 0xff),             // mangled version byte
+		flip(img, 5, 0xff),             // flipped workload hash
+		flip(img, 4, ckptVersion^2),    // an earlier release's version
+		flip(img, 4, ckptVersion^5),    // an unknown later version
+		flip(img, off["shed"], 0xff),   // corrupted shed-word count
+		flip(img, off["shards"], 0xff), // corrupted shard count
+		dur,
+		dur[:len(dur)-3],            // truncated durability footer
+		flip(dur, len(dur)-4, 0xff), // mangled unpersisted-epoch count/entry
+		win,
+		win[:len(win)-9],            // truncated window section
+		win[:woff["window"]],        // window section sheared off
+		flip(win, len(win)-1, 0xff), // mangled window-section tail
+		flip(win, len(win)/2, 0xff), // corrupted pane body
 	}
-	// Checkpoint logs: delta frames after a v2, a v3 and a v4 image.
+	// Checkpoint logs: delta frames after a tumbling image, after one
+	// carrying a durability ledger, and after a windowed image.
 	seeds = append(seeds, logForms(fuzzLog(tb, fuzzSQL, fuzzOptions(), nil))...)
-	seeds = append(seeds, logForms(fuzzLogV3(tb))...)
+	seeds = append(seeds, logForms(fuzzLogDurable(tb))...)
 	return append(seeds, logForms(fuzzLog(tb, fuzzWinSQL, fuzzWinOptions(), nil))...)
 }
 
@@ -273,7 +293,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	probe := recs[:50]
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode into both deployment shapes: the sharded tumbling engine
-		// (v1–v3 sections) and the windowed engine (v4 pane section).
+		// and the windowed engine, which reads the window section too.
 		engines := []func() (*Engine, error){
 			func() (*Engine, error) { return New(fuzzSQL, groups, fuzzOptions()) },
 			func() (*Engine, error) { return New(fuzzWinSQL, groups, fuzzWinOptions()) },
@@ -303,63 +323,79 @@ func FuzzCheckpointDecode(f *testing.F) {
 	})
 }
 
-// TestRestoreRejectsCorruptV2 covers the v2 framing the generic corrupt
-// table (checkpoint_test.go) does not reach: the shed-state, flow-length,
-// and shard sections, plus a prefix sweep across the whole image.
-func TestRestoreRejectsCorruptV2(t *testing.T) {
-	v2, v1 := fuzzImages(t)
+// corruptRejecter returns a constructor of fresh engines for one
+// deployment and a check that Restore refuses an image with
+// ErrBadCheckpoint.
+func corruptRejecter(t *testing.T, sqls []string, opts Options) (func() *Engine, func(*testing.T, []byte)) {
 	_, groups := fuzzWorkload(t)
 	fresh := func() *Engine {
-		e, err := New(fuzzSQL, groups, fuzzOptions())
+		e, err := New(sqls, groups, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
-	mustReject := func(t *testing.T, data []byte) {
+	return fresh, func(t *testing.T, data []byte) {
 		t.Helper()
 		if _, err := fresh().Restore(bytes.NewReader(data)); !errors.Is(err, ErrBadCheckpoint) {
 			t.Errorf("err = %v; want ErrBadCheckpoint", err)
 		}
 	}
+}
 
-	// The v2 section starts where the v1 payload ends (same engine state,
-	// same prefix). Locate its fields from the known section layout.
-	v2Off := len(v1)
-	nWords := binary.LittleEndian.Uint32(v2[v2Off:])
-	if nWords != 2 {
-		t.Fatalf("expected 2 shed words (UniformShed), image has %d; update the offsets", nWords)
-	}
-	flowOff := v2Off + 4 + int(nWords)*8
-	nFlows := binary.LittleEndian.Uint32(v2[flowOff:])
-	shardOff := flowOff + 4 + int(nFlows)*12
+func put32(img []byte, at int, v uint32) []byte {
+	b := bytes.Clone(img)
+	binary.LittleEndian.PutUint32(b[at:], v)
+	return b
+}
 
-	put32 := func(img []byte, off int, v uint32) []byte {
-		b := append([]byte(nil), img...)
-		binary.LittleEndian.PutUint32(b[off:], v)
-		return b
+func put64(img []byte, at int, v uint64) []byte {
+	b := bytes.Clone(img)
+	binary.LittleEndian.PutUint64(b[at:], v)
+	return b
+}
+
+// rejectsOtherVersions: earlier releases wrote versions 1 to 3; none of
+// them, nor any later number, is read as the one format.
+func rejectsOtherVersions(t *testing.T, fresh func() *Engine, img []byte) {
+	t.Helper()
+	for _, v := range []byte{0, 1, 2, 3, ckptVersion + 1, 0xff} {
+		b := bytes.Clone(img)
+		b[4] = v
+		_, err := fresh().Restore(bytes.NewReader(b))
+		if want := fmt.Sprintf("unsupported version %d", v); !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(fmt.Sprint(err), want) {
+			t.Errorf("version %d: err = %v; want ErrBadCheckpoint: %s", v, err, want)
+		}
 	}
-	put64 := func(img []byte, off int, v uint64) []byte {
-		b := append([]byte(nil), img...)
-		binary.LittleEndian.PutUint64(b[off:], v)
-		return b
+}
+
+// TestRestoreRejectsCorruptSections covers the framing the generic corrupt
+// table (checkpoint_test.go) does not reach: the shed-state, flow-length
+// and shard sections, each located by decoding the image, plus prefix
+// sweeps and images of any version but the one format's.
+func TestRestoreRejectsCorruptSections(t *testing.T) {
+	fresh, mustReject := corruptRejecter(t, fuzzSQL, fuzzOptions())
+	img := fuzzImage(t)
+	off := ckptSections(t, fresh(), img)
+	if n := binary.LittleEndian.Uint32(img[off["shed"]:]); n != 2 {
+		t.Fatalf("expected 2 shed words (UniformShed), image has %d", n)
 	}
 
 	t.Run("huge shed-word count", func(t *testing.T) {
-		mustReject(t, put32(v2, v2Off, 1<<31))
+		mustReject(t, put32(img, off["shed"], 1<<31))
 	})
 	t.Run("huge flow count", func(t *testing.T) {
-		mustReject(t, put32(v2, flowOff, 1<<31))
+		mustReject(t, put32(img, off["flows"], 1<<31))
 	})
 	t.Run("huge shard count", func(t *testing.T) {
-		mustReject(t, put32(v2, shardOff, 1<<31))
+		mustReject(t, put32(img, off["shards"], 1<<31))
 	})
 	t.Run("shard count mismatch", func(t *testing.T) {
 		// 0 shards parses but contradicts the 2-shard engine.
-		mustReject(t, put32(v2, shardOff, 0))
+		mustReject(t, put32(img, off["shards"], 0))
 	})
 	t.Run("shard weight NaN", func(t *testing.T) {
-		mustReject(t, put64(v2, shardOff+4, math.Float64bits(math.NaN())))
+		mustReject(t, put64(img, off["shards"]+4, math.Float64bits(math.NaN())))
 	})
 	t.Run("shard position word is not state", func(t *testing.T) {
 		// The word after shard 0's weight is that shard's position. It is
@@ -368,12 +404,13 @@ func TestRestoreRejectsCorruptV2(t *testing.T) {
 		// another value restores to the same engine, whose positions are
 		// its ledgers' Offered.
 		want := fresh()
-		if _, err := want.Restore(bytes.NewReader(v2)); err != nil {
+		if _, err := want.Restore(bytes.NewReader(img)); err != nil {
 			t.Fatal(err)
 		}
 		got := fresh()
-		routed := binary.LittleEndian.Uint64(v2[shardOff+12:])
-		if _, err := got.Restore(bytes.NewReader(put64(v2, shardOff+12, routed+12345))); err != nil {
+		pos := off["shards"] + 12
+		routed := binary.LittleEndian.Uint64(img[pos:])
+		if _, err := got.Restore(bytes.NewReader(put64(img, pos, routed+12345))); err != nil {
 			t.Fatalf("image with a different position word rejected: %v", err)
 		}
 		if g, w := got.ShardPositions(), want.ShardPositions(); !slices.Equal(g, w) || g[0] != got.ShardDegradations()[0].Offered || g[0] == 0 {
@@ -382,40 +419,117 @@ func TestRestoreRejectsCorruptV2(t *testing.T) {
 	})
 	t.Run("shed rate out of range", func(t *testing.T) {
 		// First shed word is the UniformShed rate; 2.0 is not a probability.
-		mustReject(t, put64(v2, v2Off+4, math.Float64bits(2.0)))
+		mustReject(t, put64(img, off["shed"]+4, math.Float64bits(2.0)))
 	})
-	t.Run("v1 payload relabeled v2", func(t *testing.T) {
-		// Claiming version 2 obliges the image to carry the v2 section.
-		b := append([]byte(nil), v1...)
-		b[4] = ckptVersionV3
-		mustReject(t, b)
+	t.Run("unsupported version", func(t *testing.T) {
+		rejectsOtherVersions(t, fresh, img)
 	})
 
 	t.Run("global history differs from its shard rows", func(t *testing.T) {
-		// The history count follows the header, the scalars and the
-		// cumulative ledger; each entry is epoch u32 + four u64 counters.
-		histOff := len(ckptMagic) + 1 + 8 + 8 + 4*8 + 3*8 + 1 + 4 + 8 + 36
-		if n := binary.LittleEndian.Uint32(v2[histOff:]); n == 0 {
+		// The history count follows the scalars and the cumulative ledger;
+		// each entry is epoch u32 + four u64 counters.
+		histOff := off["head"] + 8 + 4*8 + 3*8 + 1 + 4 + 8 + 36
+		if n := binary.LittleEndian.Uint32(img[histOff:]); n == 0 {
 			t.Fatal("image has no closed epoch; the test is vacuous")
 		}
 		offered := histOff + 4 + 4
-		mustReject(t, put64(v2, offered, binary.LittleEndian.Uint64(v2[offered:])+1))
-		mustReject(t, put32(v2, histOff+4, binary.LittleEndian.Uint32(v2[histOff+4:])+1))
+		mustReject(t, put64(img, offered, binary.LittleEndian.Uint64(img[offered:])+1))
+		mustReject(t, put32(img, histOff+4, binary.LittleEndian.Uint32(img[histOff+4:])+1))
 	})
 
 	t.Run("prefix sweep", func(t *testing.T) {
 		// Every strict prefix is a truncation and must be rejected. Sample
 		// with a stride (plus the section boundaries) to keep it fast; the
 		// fuzz target covers the space continuously.
-		offsets := []int{0, 1, 4, 5, 12, v2Off - 1, v2Off, flowOff, shardOff, len(v2) - 1}
-		for off := 13; off < len(v2); off += 97 {
-			offsets = append(offsets, off)
+		cuts := []int{0, 1, 4, 5, 12, off["shed"] - 1, len(img) - 1}
+		for _, at := range off {
+			cuts = append(cuts, at)
 		}
-		for _, off := range offsets {
-			if off < 0 || off >= len(v2) {
-				continue
-			}
-			mustReject(t, v2[:off])
+		for cut := 13; cut < len(img); cut += 97 {
+			cuts = append(cuts, cut)
+		}
+		for _, cut := range cuts {
+			mustReject(t, img[:cut])
+		}
+	})
+
+}
+
+// TestRestoreRejectsCorruptWindowSection: a windowed image's pane state,
+// from its decoded start to the first pane's first sketch blob, must be
+// refused when any count, epoch or blob is out of bounds, when it is cut
+// short, or when the image claims another format version.
+func TestRestoreRejectsCorruptWindowSection(t *testing.T) {
+	freshWin, mustRejectWin := corruptRejecter(t, fuzzWinSQL, fuzzWinOptions())
+	// Layout: size, slide | nSaggs ×(kind,input,q) | prec, comp | next |
+	// panes.
+	win := fuzzImageWindowed(t)
+	we := freshWin()
+	winOff := ckptSections(t, we, win)["window"]
+	if _, err := we.Restore(bytes.NewReader(win)); err != nil {
+		t.Fatal(err)
+	}
+	if we.winComposer.Next() == 0 || we.winComposer.PaneCount() == 0 {
+		t.Fatal("fuzz image carries no closed windows or panes; the window cases are vacuous")
+	}
+	get32 := func(at int) uint32 { return binary.LittleEndian.Uint32(win[at:]) }
+	arity := 2            // both fuzz queries group two attributes
+	nAggs := len(we.aggs) // exact slots per row
+	at := winOff + 8      // size, slide
+	nS := int(get32(at))  // sketch agg count
+	at += 4 + nS*17       // kind u8 + input i64 + q f64
+	at += 9               // precision u8 + compression f64
+	at += 8               // window cursor
+	nPanesOff := at
+	if get32(nPanesOff) == 0 {
+		t.Fatal("image carries zero panes")
+	}
+	at += 4
+	paneEpochOff := at
+	at += 4 + 32 // epoch + stats
+	if win[at] == 0 {
+		t.Fatal("first pane names no relations")
+	}
+	at++    // nRels
+	at += 4 // rel
+	nRows := int(get32(at))
+	at += 4 + nRows*(arity*4+nAggs*8)
+	if get32(at) == 0 {
+		t.Fatal("first pane relation carries no sketch blobs")
+	}
+	at += 4
+	at += arity * 4 // first blob's key
+	blobLenOff := at
+	blobOff := at + 4
+
+	t.Run("pane count over cap", func(t *testing.T) {
+		mustRejectWin(t, put32(win, nPanesOff, ckptMaxPanes+1))
+	})
+	t.Run("blob size over cap", func(t *testing.T) {
+		mustRejectWin(t, put32(win, blobLenOff, ckptMaxBlob+1))
+	})
+	t.Run("corrupt sketch blob", func(t *testing.T) {
+		b := bytes.Clone(win)
+		b[blobOff] ^= 0xff
+		mustRejectWin(t, b)
+	})
+	t.Run("stale pane epoch", func(t *testing.T) {
+		// An epoch older than the live window range must be rejected, not
+		// silently resurrected.
+		mustRejectWin(t, put32(win, paneEpochOff, 0))
+	})
+	t.Run("unsupported version", func(t *testing.T) {
+		rejectsOtherVersions(t, freshWin, win)
+	})
+	t.Run("window section truncations", func(t *testing.T) {
+		// Sample with a stride plus the section boundaries; the fuzz
+		// target covers the space continuously.
+		cuts := []int{winOff, nPanesOff, paneEpochOff, blobLenOff, blobOff, len(win) - 1}
+		for cut := winOff; cut < len(win); cut += 211 {
+			cuts = append(cuts, cut)
+		}
+		for _, cut := range cuts {
+			mustRejectWin(t, win[:cut])
 		}
 	})
 }
@@ -441,132 +555,12 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCorruptV4 covers the v4 window-section framing:
-// corrupt pane counts, blob sizes, blob bytes, stale pane epochs, and
-// truncations must all reject with ErrBadCheckpoint, and a v4 image
-// relabeled as v3 must not silently shed its pane state.
-func TestRestoreRejectsCorruptV4(t *testing.T) {
-	recs, groups := fuzzWorkload(t)
-	e, err := New(fuzzWinSQL, groups, fuzzWinOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := e.Process(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var b4, b3 bytes.Buffer
-	if err := e.Checkpoint(&b4); err != nil {
-		t.Fatal(err)
-	}
-	// The v4 section starts where a v3 serialization of the identical
-	// state ends (same prefix, different version byte).
-	if err := e.checkpointVersion(&b3, ckptVersionV3); err != nil {
-		t.Fatal(err)
-	}
-	img := b4.Bytes()
-	if img[4] != ckptVersion {
-		t.Fatalf("windowed image version = %d; want %d", img[4], ckptVersion)
-	}
-	v4Off := b3.Len()
-	if e.winComposer.Next() == 0 || e.winComposer.PaneCount() == 0 {
-		t.Fatal("fuzz image carries no closed windows or panes; the corrupt-v4 suite is vacuous")
-	}
-
-	fresh := func() *Engine {
-		f, err := New(fuzzWinSQL, groups, fuzzWinOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	mustReject := func(t *testing.T, data []byte) {
-		t.Helper()
-		if _, err := fresh().Restore(bytes.NewReader(data)); !errors.Is(err, ErrBadCheckpoint) {
-			t.Errorf("err = %v; want ErrBadCheckpoint", err)
-		}
-	}
-	get32 := func(off int) uint32 { return binary.LittleEndian.Uint32(img[off:]) }
-	put32 := func(off int, v uint32) []byte {
-		b := append([]byte(nil), img...)
-		binary.LittleEndian.PutUint32(b[off:], v)
-		return b
-	}
-	flip := func(off int, xor byte) []byte {
-		b := append([]byte(nil), img...)
-		b[off] ^= xor
-		return b
-	}
-
-	// Walk the v4 section to the first pane's first sketch blob. Layout:
-	// size, slide | nSaggs ×(kind,input,q) | prec, comp | next | panes.
-	arity := 2            // both fuzz queries group two attributes
-	nAggs := len(e.aggs)  // exact slots per row
-	off := v4Off + 8      // size, slide
-	nS := int(get32(off)) // sketch agg count
-	off += 4 + nS*17      // kind u8 + input i64 + q f64
-	off += 9              // precision u8 + compression f64
-	off += 8              // window cursor
-	nPanesOff := off
-	if get32(nPanesOff) == 0 {
-		t.Fatal("image carries zero panes")
-	}
-	off += 4
-	paneEpochOff := off
-	off += 4 + 32 // epoch + stats
-	if img[off] == 0 {
-		t.Fatal("first pane names no relations")
-	}
-	off++    // nRels
-	off += 4 // rel
-	nRows := int(get32(off))
-	off += 4 + nRows*(arity*4+nAggs*8)
-	nSk := int(get32(off))
-	if nSk == 0 {
-		t.Fatal("first pane relation carries no sketch blobs")
-	}
-	off += 4
-	off += arity * 4 // first blob's key
-	blobLenOff := off
-	blobOff := off + 4
-
-	t.Run("pane count over cap", func(t *testing.T) {
-		mustReject(t, put32(nPanesOff, ckptMaxPanes+1))
-	})
-	t.Run("blob size over cap", func(t *testing.T) {
-		mustReject(t, put32(blobLenOff, ckptMaxBlob+1))
-	})
-	t.Run("corrupt sketch blob", func(t *testing.T) {
-		mustReject(t, flip(blobOff, 0xff))
-	})
-	t.Run("stale pane epoch", func(t *testing.T) {
-		// An epoch older than the live window range must be rejected, not
-		// silently resurrected.
-		mustReject(t, put32(paneEpochOff, 0))
-	})
-	t.Run("v4 relabeled v3", func(t *testing.T) {
-		mustReject(t, flip(4, ckptVersion^ckptVersionV3))
-	})
-	t.Run("window section truncations", func(t *testing.T) {
-		// Sample with a stride plus the section boundaries; the fuzz
-		// target covers the space continuously.
-		cuts := []int{v4Off, nPanesOff, paneEpochOff, blobLenOff, blobOff, len(img) - 1}
-		for cut := v4Off; cut < len(img); cut += 211 {
-			cuts = append(cuts, cut)
-		}
-		for _, cut := range cuts {
-			mustReject(t, img[:cut])
-		}
-	})
-}
-
 // TestFuzzCorpusCoversCurrentVersion fails the build when the checked-in
 // fuzz corpus lags the checkpoint format: at least one seed must be a
-// well-formed image of the current version, so CI's short fuzz run
-// always starts from current framing, and for each of v2, v3 and v4 a
-// seed must be a checkpoint log whose delta frames fold. Regenerate with
-// MAGG_WRITE_CORPUS=1 when the format version bumps.
+// well-formed image of the format's version, so CI's short fuzz run always
+// starts from current framing, and for the tumbling engine and for the
+// windowed one a seed must be a checkpoint log whose delta frames fold.
+// Regenerate with MAGG_WRITE_CORPUS=1 when the format changes.
 func TestFuzzCorpusCoversCurrentVersion(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzCheckpointDecode")
 	entries, err := os.ReadDir(dir)
@@ -574,8 +568,16 @@ func TestFuzzCorpusCoversCurrentVersion(t *testing.T) {
 		t.Fatalf("seed corpus missing: %v", err)
 	}
 	_, groups := fuzzWorkload(t)
-	folds := map[byte]bool{} // versions with a seed whose frames fold
-	versions := map[byte]bool{}
+	deployments := []struct {
+		name string
+		sqls []string
+		opts Options
+	}{
+		{"tumbling", fuzzSQL, fuzzOptions()},
+		{"windowed", fuzzWinSQL, fuzzWinOptions()},
+	}
+	current := false
+	folds := map[string]bool{} // deployments with a seed whose frames fold
 	for _, ent := range entries {
 		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
 		if err != nil {
@@ -592,32 +594,28 @@ func TestFuzzCorpusCoversCurrentVersion(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: unparseable corpus line: %v", ent.Name(), err)
 			}
-			if len(seed) < 5 || seed[:4] != ckptMagic {
+			if len(seed) < 5 || seed[:4] != ckptMagic || seed[4] != ckptVersion {
 				continue
 			}
-			v := seed[4]
-			versions[v] = true
-			sqls, opts := fuzzSQL, fuzzOptions()
-			if v == ckptVersion {
-				sqls, opts = fuzzWinSQL, fuzzWinOptions()
-			}
-			e, err := New(sqls, groups, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, frames, err := e.restore(strings.NewReader(seed)); err == nil && frames > 0 {
-				folds[v] = true
+			current = true
+			for _, dep := range deployments {
+				e, err := New(dep.sqls, groups, dep.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, frames, err := e.restore(strings.NewReader(seed)); err == nil && frames > 0 {
+					folds[dep.name] = true
+				}
 			}
 		}
 	}
-	for v := byte(ckptVersionV1); v <= ckptVersion; v++ {
-		if !versions[v] {
-			t.Errorf("no corpus seed carries a v%d image; regenerate with MAGG_WRITE_CORPUS=1 go test -run TestWriteFuzzCorpus ./internal/core", v)
-		}
+	const regen = "regenerate with MAGG_WRITE_CORPUS=1 go test -run TestWriteFuzzCorpus ./internal/core"
+	if !current {
+		t.Errorf("no corpus seed carries a version %d image; %s", ckptVersion, regen)
 	}
-	for v := byte(ckptVersionV2); v <= ckptVersion; v++ {
-		if !folds[v] {
-			t.Errorf("no corpus seed is a v%d checkpoint log whose delta frames fold; regenerate with MAGG_WRITE_CORPUS=1 go test -run TestWriteFuzzCorpus ./internal/core", v)
+	for _, dep := range deployments {
+		if !folds[dep.name] {
+			t.Errorf("no corpus seed is a %s checkpoint log whose delta frames fold; %s", dep.name, regen)
 		}
 	}
 }

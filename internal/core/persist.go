@@ -18,8 +18,9 @@ import (
 // or the queue is full because persistence cannot keep up, the epoch is
 // recorded as unpersisted in the durability ledger and ingest continues —
 // graceful degradation, surfaced through Stats/Diagnostics exactly like
-// the overload ledger. Checkpoints (format v3) carry the ledger so a
-// resumed run still knows which epochs never reached the store.
+// the overload ledger. Every checkpoint carries the ledger in its
+// durability footer (zeros without a store), so a resumed run still knows
+// which epochs never reached the store.
 
 // Durability is the durable-store accounting: how many closed epochs
 // reached the store, and which did not (with why).
@@ -82,7 +83,7 @@ func (l *durableLedger) markFailed(epoch uint32, reason string, queueFull bool) 
 	l.mu.Unlock()
 }
 
-// restore seeds the ledger from a checkpoint's v3 footer.
+// restore seeds the ledger from a checkpoint's durability footer.
 func (l *durableLedger) restore(persisted int, unpersisted []uint32, queueFull int) {
 	l.mu.Lock()
 	l.persisted = persisted
@@ -233,8 +234,8 @@ func (e *Engine) SyncStore() {
 }
 
 // Durability returns the durable-store accounting. Without a store it
-// reports Enabled=false (and whatever ledger state a v3 checkpoint
-// restored).
+// reports Enabled=false (and whatever ledger a restored checkpoint's
+// footer carried).
 func (e *Engine) Durability() Durability {
 	return e.durable.snapshot(e.persist != nil)
 }

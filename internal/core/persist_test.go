@@ -631,24 +631,24 @@ func TestEmitEpochRetries(t *testing.T) {
 	})
 }
 
-// TestCheckpointV3DurabilityRoundTrip: an engine with durability state
-// writes a v3 image whose footer carries the ledger; restoring it — even
-// into a storeless engine — round-trips the ledger, an attached store's
-// contents override the footer, and truncated or future-versioned images
-// are rejected.
-func TestCheckpointV3DurabilityRoundTrip(t *testing.T) {
+// TestCheckpointDurabilityRoundTrip: an engine with durability state
+// writes an image whose footer carries the ledger; restoring it — even
+// into a storeless engine — round-trips the ledger and the image's bytes,
+// an attached store's contents override the footer's persisted and
+// unpersisted epochs, and truncated or future-versioned images are
+// rejected.
+func TestCheckpointDurabilityRoundTrip(t *testing.T) {
 	recs, groups := testWorkload(t, 12000)
 	opts := Options{M: 8000, Seed: 3}
 
-	// Dead disk: every closed epoch degrades to unpersisted, giving the
-	// footer a non-trivial ledger to carry.
-	ffs := epochstore.NewFaultFS(nil, epochstore.Faults{})
-	st := openStore(t, filepath.Join(t.TempDir(), "store"), epochstore.Options{FS: ffs})
-	defer st.Close()
-	ffs.CrashNow()
+	// A store whose writes never complete, behind a one-epoch queue: the
+	// persister blocks on the first closed epoch, the queue holds the
+	// next, and every later epoch is lost to a full queue — a ledger with
+	// queue-full and unpersisted epochs for the footer to carry.
+	st, _, release := gatedStore(t)
 	sopts := opts
 	sopts.Store = st
-	sopts.StoreBackoff = noSleep()
+	sopts.StoreQueue = 1
 	sopts.OnResults = func(attr.Set, uint32, []hfta.Row, Degradation) {}
 	e, err := New(pairSQL, groups, sopts)
 	if err != nil {
@@ -659,18 +659,16 @@ func TestCheckpointV3DurabilityRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.SyncStore() // settle the ledger before snapshotting it
 	var buf bytes.Buffer
 	if err := e.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	img := buf.Bytes()
-	if img[4] != ckptVersionV3 {
-		t.Fatalf("image version = %d; want v%d with durability state", img[4], ckptVersionV3)
-	}
 	d0 := e.Durability()
-	if len(d0.Unpersisted) == 0 {
-		t.Fatal("dead store produced an empty unpersisted ledger; footer untested")
+	release()
+	e.persist.stop()
+	if d0.QueueFull == 0 || len(d0.Unpersisted) == 0 {
+		t.Fatalf("ledger %+v has no queue-full or unpersisted epoch; footer untested", d0)
 	}
 
 	// Round trip into a storeless engine: the ledger must survive.
@@ -691,6 +689,13 @@ func TestCheckpointV3DurabilityRoundTrip(t *testing.T) {
 	if fmt.Sprint(d2.Unpersisted) != fmt.Sprint(d0.Unpersisted) {
 		t.Errorf("restored unpersisted set %v; checkpointed %v", d2.Unpersisted, d0.Unpersisted)
 	}
+	var again bytes.Buffer
+	if err := e2.Checkpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), img) {
+		t.Error("restored storeless engine does not re-serialize the image byte-identically")
+	}
 
 	// With a store attached, its actual contents are authoritative over
 	// the footer: an empty store means nothing is persisted.
@@ -707,8 +712,9 @@ func TestCheckpointV3DurabilityRoundTrip(t *testing.T) {
 	}
 	d3 := e3.Durability()
 	degs := e3.EpochDegradations()
-	if d3.Persisted != 0 || len(d3.Unpersisted) != len(degs) {
-		t.Errorf("empty store reconciled to %+v over %d closed epochs", d3, len(degs))
+	if d3.Persisted != 0 || len(d3.Unpersisted) != len(degs) || d3.QueueFull != d0.QueueFull {
+		t.Errorf("empty store reconciled to %+v over %d closed epochs; want none persisted, all unpersisted, QueueFull %d kept",
+			d3, len(degs), d0.QueueFull)
 	}
 
 	mustReject := func(t *testing.T, data []byte) {

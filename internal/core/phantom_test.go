@@ -174,7 +174,6 @@ func TestDeltaFrameAllocsIndependentOfGroups(t *testing.T) {
 		// Close epochs 0–7 and mark the log there, as a boundary's record
 		// does; then close epoch 8, whose pane the next frame carries.
 		feed(recs[:8*groups+1])
-		e.ckptLog.version = e.ckptVersion()
 		e.markCkpt()
 		feed(recs[8*groups+1 : 9*groups+1])
 		frame := e.deltaFrame()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
@@ -16,7 +15,7 @@ import (
 // Equivalence and crash-recovery properties of the sharded engine: with
 // shedding disabled, any shard count computes exactly the single engine's
 // (and the oracle's) answers; with a seeded UniformShed, a killed run
-// restored from a v2 checkpoint replays byte-identically.
+// restored from its checkpoint replays byte-identically.
 
 // TestShardedEquivalence: with shedding disabled, the sharded engine at
 // n ∈ {1,2,4,8} emits results identical to the single engine and to the
@@ -86,9 +85,10 @@ func TestShardedAdaptiveEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedKillRestoreV2 is the v2-checkpoint acceptance test: a
-// sharded run shedding with a seeded, stateful UniformShed policy is
-// killed mid-stream and restored from its v2 checkpoint; the union of the
+// TestShardedKillRestoreV2 is the acceptance test of the checkpoint's shed
+// and shard sections (named for the format version that introduced them):
+// a sharded run shedding with a seeded, stateful UniformShed policy is
+// killed mid-stream and restored from its checkpoint; the union of the
 // crashed and resumed runs' emissions must be byte-identical to the
 // uninterrupted run — which requires the checkpoint to carry the policy's
 // EWMA rate and RNG position plus the per-shard budget-split weights.
@@ -136,7 +136,7 @@ func TestShardedKillRestoreV2(t *testing.T) {
 			}
 			// No Finish: the process is gone.
 
-			// Resumed run from the v2 checkpoint.
+			// Resumed run from the checkpoint.
 			resumeEmit := emissionMap{}
 			popts := mkOpts()
 			popts.OnResults = collectEmissions(t, resumeEmit)
@@ -201,99 +201,7 @@ func TestShardedKillRestoreV2(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1ReadCompat: a version-1 image (the pre-v2 format) still
-// restores into an unsharded engine, with the v2-only state simply
-// starting fresh, and is refused by a sharded one, as a v2 image of the
-// same state is.
-func TestCheckpointV1ReadCompat(t *testing.T) {
-	recs, groups := testWorkload(t, 30000)
-	opts := Options{M: 8000, Seed: 3}
-
-	// Write the v1 image at a real epoch boundary, replicating the
-	// sequence the engine's own CheckpointPath write runs inside Process:
-	// roll the clock, close the epoch (flushing the LFTA), write, then
-	// feed the rolling record — which the checkpoint does not count, so
-	// the restore replays it.
-	var v1 bytes.Buffer
-	e1, err := New(pairSQL, groups, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const crashAt = 17000
-	for i := 0; i < crashAt; i++ {
-		rec := recs[i]
-		if e1.specs[0].MatchWhere(rec.Attrs) && e1.clock.Started() &&
-			rec.Time/e1.epochLen > e1.clock.Current() {
-			_ = e1.flushStage() // staged records belong to the epoch closed by hand below
-			if _, rolled, _ := e1.clock.Observe(rec.Time); rolled {
-				if err := e1.endEpoch(); err != nil {
-					t.Fatal(err)
-				}
-				v1.Reset()
-				if err := e1.checkpointVersion(&v1, ckptVersionV1); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := e1.Process(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if v1.Len() == 0 {
-		t.Fatal("no epoch boundary crossed before the crash point")
-	}
-	if v1.Bytes()[4] != ckptVersionV1 {
-		t.Fatalf("v1 writer stamped version %d", v1.Bytes()[4])
-	}
-
-	// Uninterrupted reference.
-	ref, err := New(pairSQL, groups, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Run(stream.NewSliceSource(recs)); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.AllResults()
-
-	t.Run("unsharded", func(t *testing.T) {
-		e2, err := New(pairSQL, groups, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		consumed, err := e2.Restore(bytes.NewReader(v1.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e2.Run(stream.NewSkipSource(stream.NewSliceSource(recs), consumed)); err != nil {
-			t.Fatal(err)
-		}
-		if !hfta.Equal(e2.AllResults(), want) {
-			t.Error("v1 restore differs from the uninterrupted run")
-		}
-	})
-
-	t.Run("into sharded engine", func(t *testing.T) {
-		// A v1 image carries no per-shard ledgers. Accepting it would leave
-		// a sharded engine whose ShardEpochDegradations no longer sums to
-		// its EpochDegradations, so the shard count is checked for every
-		// version: the image counts as 0 shards.
-		sopts := opts
-		sopts.Shards = 4
-		e2, err := New(pairSQL, groups, sopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e2.Restore(bytes.NewReader(v1.Bytes())); !errors.Is(err, ErrBadCheckpoint) {
-			t.Fatalf("v1 image into a 4-shard engine: err = %v; want ErrBadCheckpoint", err)
-		}
-		if len(e2.EpochDegradations()) != 0 || len(e2.ShardEpochDegradations()) != 0 {
-			t.Fatal("a refused restore left history behind")
-		}
-	})
-}
-
-// TestCheckpointShardCountMismatch: a v2 image written by an n-shard
+// TestCheckpointShardCountMismatch: an image written by an n-shard
 // engine must not restore into a deployment with a different shard count
 // — the per-shard state would be meaningless.
 func TestCheckpointShardCountMismatch(t *testing.T) {

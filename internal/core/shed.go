@@ -126,7 +126,7 @@ type ShedPolicy interface {
 }
 
 // ShedPolicyState is optionally implemented by shed policies whose
-// admission decisions depend on mutable state. Checkpoint format v2
+// admission decisions depend on mutable state. The checkpoint
 // carries the state words across a crash, so a killed-and-restored run
 // sheds exactly the records the uninterrupted run would have shed
 // (byte-identical resume). Stateless policies (DropTail) need not

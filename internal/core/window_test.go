@@ -180,7 +180,7 @@ func TestWindowedShardEquivalence(t *testing.T) {
 }
 
 // TestWindowedKillRestore: kill the engine mid-window, restore from the
-// v4 checkpoint log, and finish — the full window output matches the
+// checkpoint log, and finish — the full window output matches the
 // uninterrupted run, and the restored engine re-serializes the image the
 // killed engine checkpointed at its last boundary byte-identically (panes
 // and sketch blobs carried verbatim).
@@ -218,7 +218,7 @@ func TestWindowedKillRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if img[4] != ckptVersion {
-		t.Fatalf("windowed image version = %d; want v%d", img[4], ckptVersion)
+		t.Fatalf("windowed image version = %d; want %d", img[4], ckptVersion)
 	}
 
 	e2, err := NewFromSample(sqls, recs, opts)
@@ -239,7 +239,7 @@ func TestWindowedKillRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), boundary.Bytes()) {
-		t.Fatal("restored engine does not re-serialize the v4 image byte-identically")
+		t.Fatal("restored engine does not re-serialize the windowed image byte-identically")
 	}
 	if err := e2.Run(stream.NewSkipSource(stream.NewSliceSource(recs), consumed)); err != nil {
 		t.Fatal(err)
