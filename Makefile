@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fuzz-short bench-module check bench loc
+.PHONY: build test vet race fuzz-short bench-module cross check bench loc
 
 build:
 	$(GO) build ./...
@@ -41,7 +41,15 @@ fuzz-short:
 bench-module:
 	cd bench && $(GO) vet . && $(GO) test .
 
-check: build vet test race fuzz-short bench-module
+# Cross-build the architecture-gated kernels the amd64 host never
+# compiles: arm64 vets the NEON tag scan and selection kernels; riscv64
+# vets and builds the portable tree, where fastProbeArch is false and
+# every table commits through commitProbe.
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/...
+	GOARCH=riscv64 $(GO) vet ./internal/... && GOARCH=riscv64 $(GO) build ./...
+
+check: build vet test race fuzz-short bench-module cross
 
 # Quick perf numbers for the engine hot path (see docs/PERF.md).
 bench:

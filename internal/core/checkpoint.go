@@ -58,7 +58,8 @@ const (
 	ckptMagic   = "MAGK"
 	ckptVersion = 4
 
-	ckptMaxAggs = math.MaxUint8 // a row's aggregate and sketch counts are one byte; New refuses more
+	ckptMaxAggs     = math.MaxUint8 // a row's aggregate and sketch counts are one byte; New refuses more
+	ckptMaxPaneRels = math.MaxUint8 // a pane's relation count is one byte; New refuses more windowed queries
 
 	// Sanity caps on untrusted length fields: a corrupt header must fail
 	// cleanly, not demand gigabytes.

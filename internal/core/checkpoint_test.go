@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/hfta"
 	"repro/internal/stream"
 )
@@ -343,5 +346,78 @@ func TestNewRefusesAggregatesTheCheckpointCannotHold(t *testing.T) {
 				t.Error("restored engine does not re-serialize its image byte-identically")
 			}
 		})
+	}
+}
+
+// TestNewRefusesWindowedQueriesAPaneCannotHold: a checkpoint pane writes
+// its relation count as one byte, so New takes at most 255 windowed or
+// sketch queries; an engine at the limit restores its own image and
+// re-serializes it byte for byte.
+func TestNewRefusesWindowedQueriesAPaneCannotHold(t *testing.T) {
+	const names = "ABCDEFGHI"
+	var rels []string
+	for mask := 0; mask < 1<<len(names); mask++ {
+		if k := bits.OnesCount(uint(mask)); k < 3 || k > 5 {
+			continue
+		}
+		var cols []string
+		for i := range names {
+			if mask&(1<<i) != 0 {
+				cols = append(cols, names[i:i+1])
+			}
+		}
+		rels = append(rels, strings.Join(cols, ", "))
+	}
+	workload := func(n int, agg, window string) []string {
+		sqls := make([]string, n)
+		for i, g := range rels[:n] {
+			sqls[i] = "select " + g + ", " + agg + " from R group by " + g + ", time/10" + window
+		}
+		return sqls
+	}
+	rng := rand.New(rand.NewSource(11))
+	u, err := gen.UniformUniverse(rng, stream.MustSchema(len(names)), 40, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := gen.Uniform(rng, u, 600, 30)
+	// No phantoms: the image under test is the panes', and GCSL over a
+	// 255-query feeding graph would take most of the test's time.
+	opts := Options{M: 20000, Seed: 3, Planner: NoPhantomPlanner}
+	for _, sqls := range [][]string{
+		workload(256, "count(*) as cnt", " window 2 slide 1"),
+		workload(256, "count_distinct(A) as d", ""),
+	} {
+		if _, err := NewFromSample(sqls, recs, opts); err == nil || !strings.Contains(err.Error(), "at most 255") {
+			t.Fatalf("New with 256 queries like %q: err = %v; want a refusal naming the limit of 255", sqls[0], err)
+		}
+	}
+
+	sqls := workload(255, "count(*) as cnt", " window 2 slide 1")
+	e, err := NewFromSample(sqls, recs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := e.Process(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var img, again bytes.Buffer
+	if err := e.Checkpoint(&img); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewFromSample(sqls, recs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Restore(bytes.NewReader(img.Bytes())); err != nil {
+		t.Fatalf("restoring its own image: %v", err)
+	}
+	if err := r.Checkpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), img.Bytes()) {
+		t.Error("restored engine does not re-serialize its image byte-identically")
 	}
 }

@@ -408,6 +408,9 @@ func NewFromSpecs(specs []*query.Spec, groups feedgraph.GroupCounts, opts Option
 	if n, k := len(specs[0].Aggs), len(specs[0].Sketches); max(n, k) > ckptMaxAggs {
 		return nil, fmt.Errorf("core: %d aggregates and %d sketch aggregates; a checkpoint holds at most %d of each", n, k, ckptMaxAggs)
 	}
+	if s0 := specs[0]; (s0.Windowed() || len(s0.Sketches) > 0) && len(specs) > ckptMaxPaneRels {
+		return nil, fmt.Errorf("core: %d windowed queries; a checkpoint pane holds at most %d", len(specs), ckptMaxPaneRels)
+	}
 	if opts.Params.C1 == 0 && opts.Params.C2 == 0 {
 		opts.Params = cost.DefaultParams()
 	}

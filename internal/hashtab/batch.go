@@ -95,8 +95,8 @@ func (t *Table) prefetchGroup(base, vs int) {
 
 // commitProbe resolves one probe against a precomputed group base,
 // fingerprint, and victim lane, appending any victim to out. It is the
-// generic commit of the columnar kernel and the tail of ProbeInto for
-// the shapes without a monomorphic kernel.
+// generic commit of both probe forms (ProbeColumnsSelInto and ProbeInto)
+// for every shape but the sum-only arity-2 one (commitSum2).
 func (t *Table) commitProbe(base int, tag uint8, vs int, key []uint32, deltas []int64, out *VictimRun) {
 	a := t.arity
 	grp := (*[GroupSlots]uint8)(t.tags[base:])

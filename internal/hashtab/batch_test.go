@@ -45,12 +45,12 @@ func fullSel(n int) []uint64 {
 	return sel
 }
 
-// reference returns a table whose probes all take the generic commit:
-// the model that the columnar kernel's commitSum2 and ProbeInto's
-// monomorphic kernels are each held to.
+// reference returns a table whose probes all take the generic commit
+// (fastSum2 cleared): the model that commitSum2, through either probe
+// form, is held to.
 func reference(rel attr.Set, b int, ops []AggOp, seed uint64) *Table {
 	t := MustNew(rel, b, ops, seed)
-	t.fastKind = fastNone
+	t.fastSum2 = false
 	return t
 }
 
@@ -99,9 +99,10 @@ func checkSameTable(t *testing.T, got, want *Table) {
 // kernel (ProbeColumnsSelInto, saturated selection) and the same run
 // through ProbeInto, lane by lane, to a reference table forced onto the
 // generic commit: same victims in the same order, same statistics, same
-// final table contents — across arities, aggregate shapes (each
-// monomorphic kernel included), table sizes (spanning the prefetch gate),
-// and run lengths on both sides of a selection word.
+// final table contents — across arities, aggregate shapes (the sum-only
+// arity-2 shapes commit through commitSum2 in both probe forms), table
+// sizes (spanning the prefetch gate), and run lengths on both sides of a
+// selection word.
 func TestProbeBatchMatchesScalar(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -171,9 +172,11 @@ func TestProbeBatchDuplicateKeysInChunk(t *testing.T) {
 	}
 }
 
-// TestProbeBatchZeroAllocSteadyState proves the columnar kernel
-// allocates nothing once its setup scratch and the caller's VictimRun
-// have warmed.
+// TestProbeBatchZeroAllocSteadyState proves both probe forms allocate
+// nothing once the columnar kernel's setup scratch and the caller's
+// VictimRun have warmed: ProbeColumnsSelInto on a run, and ProbeInto key
+// by key on sum-only tables of arity 1, 2 (commitSum2) and 4 and on a
+// multi-aggregate table.
 func TestProbeBatchZeroAllocSteadyState(t *testing.T) {
 	tab := MustNew(attr.MustParseSet("AB"), 4096, []AggOp{Sum}, 9)
 	rng := rand.New(rand.NewSource(5))
@@ -186,6 +189,38 @@ func TestProbeBatchZeroAllocSteadyState(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("ProbeColumnsSelInto allocates %.1f per run in steady state", avg)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		arity int
+		ops   []AggOp
+	}{
+		{"sum/arity1", 1, []AggOp{Sum}},
+		{"sum/arity2", 2, []AggOp{Sum}},
+		{"sum/arity4", 4, []AggOp{Sum}},
+		{"multi-agg", 3, []AggOp{Sum, Min, Max}},
+	} {
+		t.Run("ProbeInto/"+tc.name, func(t *testing.T) {
+			// A small table under a wide universe, so steady state evicts.
+			tab := MustNew(attr.MustParseSet("ABCD"[:tc.arity]), 256, tc.ops, 9)
+			na := len(tc.ops)
+			keys, deltas := buildRun(rng, 512, tc.arity, na, 9000)
+			var out VictimRun
+			probeAll := func() {
+				for i := 0; i < 512; i++ {
+					out.Reset(tc.arity, na)
+					tab.ProbeInto(keys[i*tc.arity:(i+1)*tc.arity], deltas[i*na:(i+1)*na], &out)
+				}
+			}
+			probeAll() // warm victim capacity
+			if avg := testing.AllocsPerRun(20, probeAll); avg != 0 {
+				t.Fatalf("ProbeInto allocates %.1f per 512 probes in steady state", avg)
+			}
+			if tab.Stats().Collisions == 0 {
+				t.Fatal("no probe evicted; the victim path went unmeasured")
+			}
+		})
 	}
 }
 

@@ -42,8 +42,10 @@ func selCount(sel []uint64, n int) int {
 // of a column-major key block compactly into out, in ascending lane
 // order, and returns the number of hashes written. cols is one slice
 // per key word, each with at least n lanes; out must have room for the
-// selection popcount. Hashes are bit-identical to HashColumns on the
-// compacted rows.
+// selection popcount. It is the columnar twin of HashWords — same pair
+// packing, same per-arity initial states — so record-major routing
+// (ShardOf) and columnar routing (ShardColumns) agree bit for bit; a
+// dense block is the saturated selection.
 func HashColumnsSel(seed uint64, cols [][]uint32, n int, sel []uint64, out []uint64) int {
 	if n == 0 {
 		return 0
@@ -252,7 +254,7 @@ func (t *Table) ProbeColumnsSelInto(cols [][]uint32, deltas []int64, n int, sel 
 			t.prefetchGroup(int(idx[k]), int(vic[k]))
 		}
 	}
-	if t.fastKind == fastSum2 {
+	if t.fastSum2 {
 		c0, c1 := cols[0], cols[1]
 		for k := 0; k < m; k++ {
 			if pf && k+prefetchDist < m {

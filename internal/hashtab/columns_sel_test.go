@@ -20,8 +20,8 @@ func randomSel(rng *rand.Rand, n, pct int) []uint64 {
 }
 
 // TestHashColumnsSelMatchesDense: hashing the selected lanes must be
-// bit-identical to compacting them and running the dense kernel, on
-// every arity, at sparse and dense selections.
+// bit-identical to compacting them and hashing the compacted block under
+// a saturated selection, on every arity, at sparse and dense selections.
 func TestHashColumnsSelMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
 	for arity := 1; arity <= 6; arity++ {
@@ -50,7 +50,7 @@ func TestHashColumnsSelMatchesDense(t *testing.T) {
 				}
 			}
 			want := make([]uint64, m)
-			HashColumns(7, compact, want)
+			HashColumnsSel(7, compact, m, fullSel(m), want)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("arity %d pct %d: selected hashes diverge from dense", arity, pct)
 			}

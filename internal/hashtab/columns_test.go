@@ -7,7 +7,8 @@ import (
 	"repro/internal/attr"
 )
 
-// TestHashColumnsMatchesHashWords: the columnar hash kernels must be
+// TestHashColumnsMatchesHashWords: the columnar hash kernel over a
+// saturated selection (how the router hashes a dense pull batch) must be
 // bit-identical to HashWords on every arity (unrolled 1–4 plus the
 // gather fallback), or columnar and record-major shard routing would
 // disagree.
@@ -24,14 +25,16 @@ func TestHashColumnsMatchesHashWords(t *testing.T) {
 		}
 		for _, seed := range []uint64{0, 1, 0x5bd1e995bc9e3779, rng.Uint64()} {
 			out := make([]uint64, n)
-			HashColumns(seed, cols, out)
+			if m := HashColumnsSel(seed, cols, n, fullSel(n), out); m != n {
+				t.Fatalf("arity %d: wrote %d hashes for %d lanes", arity, m, n)
+			}
 			key := make([]uint32, arity)
 			for i := 0; i < n; i++ {
 				for a := range cols {
 					key[a] = cols[a][i]
 				}
 				if want := HashWords(seed, key); out[i] != want {
-					t.Fatalf("arity %d seed %#x row %d: HashColumns %#x, HashWords %#x", arity, seed, i, out[i], want)
+					t.Fatalf("arity %d seed %#x row %d: HashColumnsSel %#x, HashWords %#x", arity, seed, i, out[i], want)
 				}
 			}
 		}

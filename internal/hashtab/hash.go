@@ -78,8 +78,8 @@ func tagOf(h uint64) uint8 {
 
 // hashGamma·len, wrapped mod 2^64 (the constant products overflow
 // untyped arithmetic): the per-arity initial states of Table.hash and
-// the monomorphic probe kernels (fastprobe.go), which must produce
-// hashes bit-identical to HashWords.
+// the columnar hash kernels (columns_sel.go), which must produce hashes
+// bit-identical to HashWords.
 const (
 	gamma1 = hashGamma
 	gamma2 = 0x3c6ef372fe94f82a

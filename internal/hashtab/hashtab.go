@@ -164,20 +164,21 @@ type Table struct {
 	ngroups int  // ⌈b/GroupSlots⌉
 	lastW   int  // usable lanes in the final group (GroupSlots when b divides evenly)
 	astride int  // len(ops)+1: aggregates plus the update count
-	// fastKind selects a monomorphic probe kernel (fastprobe.go) for
-	// sum-only tables of the common arities; fastNone probes generically.
-	fastKind uint8
+	// fastSum2 routes both probe forms' commits through commitSum2
+	// (fastprobe.go): set for sum-only arity-2 tables on architectures
+	// that allow its unaligned word loads.
+	fastSum2 bool
 	seed     uint64
 
 	tags []uint8  // ngroups×GroupSlots lane fingerprints, 16-byte aligned; 0 = empty, tagDisabled = pad lane, else tagOf(hash)
 	keys []uint32 // b × arity, flat
 	aggs []int64  // b × astride, flat; row tail cell is the update count
 
-	// Base pointers of tags/keys/aggs, cached at construction for the
-	// monomorphic probe kernels (fastprobe.go): slot addressing by
-	// unsafe.Add skips the slice-header loads and bounds checks of the
-	// generic kernel. The arrays never reallocate after New, and the
-	// pointers keep them live.
+	// Base pointers of tags/keys/aggs, cached at construction for
+	// commitSum2 and the prefetcher (fastprobe.go, batch.go): slot
+	// addressing by unsafe.Add skips the slice-header loads and bounds
+	// checks of the generic commit. The arrays never reallocate after
+	// New, and the pointers keep them live.
 	tagp unsafe.Pointer
 	keyp unsafe.Pointer
 	aggp unsafe.Pointer
@@ -230,7 +231,7 @@ func New(rel attr.Set, b int, ops []AggOp, seed uint64) (*Table, error) {
 		ngroups:  ng,
 		lastW:    b - (ng-1)*GroupSlots,
 		astride:  len(ops) + 1,
-		fastKind: fastKindOf(arity, sumOnly),
+		fastSum2: fastProbeArch && sumOnly && arity == 2,
 		seed:     seed,
 		tags:     tags,
 		keys:     make([]uint32, b*arity),
@@ -249,11 +250,6 @@ func MustNew(rel attr.Set, b int, ops []AggOp, seed uint64) *Table {
 		panic(err)
 	}
 	return t
-}
-
-// NewCounter creates a count(*) table: a single Sum aggregate.
-func NewCounter(rel attr.Set, b int, seed uint64) (*Table, error) {
-	return New(rel, b, []AggOp{Sum}, seed)
 }
 
 // Rel returns the relation the table aggregates.
@@ -337,90 +333,27 @@ func (t *Table) Probe(key []uint32, deltas []int64) (evicted Entry, collided boo
 
 // ProbeInto probes one key, allocation-free in steady state. On a
 // collision the victim's key and aggregates are appended to out, which
-// must have been Reset to this table's widths. Outcomes and statistics
-// are those of a one-lane ProbeColumnsSelInto. Its one hot caller is
-// lfta's per-record Runtime.Process: exact per-record budget charging
-// probes an admitted record and reads its cost before the next is
-// offered.
+// must have been Reset to this table's widths. It hashes the key, picks
+// the group and victim lane, and commits through the columnar kernel's
+// own commit (commitSum2 for sum-only arity-2 tables, commitProbe for
+// every other shape), so outcomes and statistics are those of a
+// one-lane ProbeColumnsSelInto. Its one hot caller is lfta's per-record
+// Runtime.Process: exact per-record budget charging probes an admitted
+// record and reads its cost before the next is offered.
 func (t *Table) ProbeInto(key []uint32, deltas []int64, out *VictimRun) (collided bool) {
 	if len(key) != t.arity || len(deltas) != len(t.ops) {
 		t.probePanic(key, deltas)
 	}
-	// Sum-only tables of the common arities take a monomorphic kernel
-	// (fastprobe.go) with the hash inlined and the key compare collapsed
-	// to packed-word compares; behaviour is bit-identical to the generic
-	// commit. The dominant arity-2 shape (the paper's two-attribute
-	// count/sum tables) is open-coded here so the hot path pays exactly
-	// one call frame.
-	// The guards re-state what fastKind already implies (arity 2, one
-	// delta) in a form the compiler can see, eliminating the bounds
-	// checks on the key/delta loads below.
-	if t.fastKind == fastSum2 && len(key) == 2 && len(deltas) == 1 {
-		t.stats.Probes++
-		w := uint64(key[0]) | uint64(key[1])<<32
-		h := mixWord(t.seed^gamma2, w)
-		base := Reduce(h, t.ngroups) * GroupSlots
-		tag := uint8(h) | 0x80
-		grp := (*[GroupSlots]uint8)(unsafe.Add(t.tagp, base))
-		var mm uint16
-		if simdEnabled {
-			mm = matchTagsSIMD(grp, tag)
-		} else {
-			mm = matchTagsGeneric(grp, tag)
-		}
-		for ; mm != 0; mm &= mm - 1 {
-			i := base + bits.TrailingZeros16(mm)
-			if *(*uint64)(t.keyPtr(i)) == w {
-				row := t.sumRow(i)
-				row[0] += deltas[0]
-				row[1]++
-				t.stats.Hits++
-				return false
-			}
-		}
-		var em uint16
-		if simdEnabled {
-			em = matchTagsSIMD(grp, 0)
-		} else {
-			em = matchTagsGeneric(grp, 0)
-		}
-		if em != 0 {
-			i := base + bits.TrailingZeros16(em)
-			t.tags[i] = tag
-			*(*uint64)(t.keyPtr(i)) = w
-			row := t.sumRow(i)
-			row[0] = deltas[0]
-			row[1] = 1
-			t.live++
-			t.stats.Inserts++
-			return false
-		}
-		i := t.victimSlot(base, h)
-		row := t.sumRow(i)
-		up := clampUpdates(row[1])
-		out.Keys = append(out.Keys, t.keys[i*2], t.keys[i*2+1])
-		out.Aggs = append(out.Aggs, row[0])
-		out.n++
-		t.stats.Collisions++
-		t.stats.EvictedUpdates += uint64(up)
-		t.stats.EvictedEntries++
-		t.tags[i] = tag
-		*(*uint64)(t.keyPtr(i)) = w
-		row[0] = deltas[0]
-		row[1] = 1
-		return true
-	}
-	switch t.fastKind {
-	case fastSum1:
-		return t.probeSum1(key[0], deltas[0], out)
-	case fastSum4:
-		return t.probeSum4(key[0], key[1], key[2], key[3], deltas[0], out)
-	}
 	t.stats.Probes++
 	h := t.hash(key)
 	base, tag := t.group(h)
+	vs := t.victimSlot(base, h) - base
 	n := out.n
-	t.commitProbe(base, tag, t.victimSlot(base, h)-base, key, deltas, out)
+	if t.fastSum2 {
+		t.commitSum2(base, tag, vs, uint64(key[0])|uint64(key[1])<<32, deltas[0], out)
+	} else {
+		t.commitProbe(base, tag, vs, key, deltas, out)
+	}
 	return out.n > n
 }
 

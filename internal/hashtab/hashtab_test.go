@@ -13,7 +13,7 @@ var relA = attr.MustParseSet("A")
 
 func counter(t *testing.T, rel string, b int) *Table {
 	t.Helper()
-	tab, err := NewCounter(attr.MustParseSet(rel), b, 1)
+	tab, err := New(attr.MustParseSet(rel), b, []AggOp{Sum}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

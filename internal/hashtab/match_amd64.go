@@ -3,7 +3,7 @@ package hashtab
 // kernelNameArch names this GOARCH's vector kernel.
 const kernelNameArch = "avx2"
 
-// fastProbeArch gates the monomorphic probe kernels (fastprobe.go),
+// fastProbeArch gates commitSum2 (fastprobe.go),
 // which load packed key words through unsafe at 4-byte alignment:
 // fine on amd64, where unaligned scalar loads are architectural.
 const fastProbeArch = true

@@ -3,7 +3,7 @@ package hashtab
 // kernelNameArch names this GOARCH's vector kernel.
 const kernelNameArch = "neon"
 
-// fastProbeArch gates the monomorphic probe kernels (fastprobe.go),
+// fastProbeArch gates commitSum2 (fastprobe.go),
 // which load packed key words through unsafe at 4-byte alignment:
 // fine on arm64, where Go already assumes unaligned load support.
 const fastProbeArch = true

@@ -15,7 +15,7 @@ func matchTagsSIMD(g *[GroupSlots]uint8, tag uint8) uint16 {
 // haveSIMD: no vector kernel for this GOARCH.
 func haveSIMD() bool { return false }
 
-// fastProbeArch: the monomorphic probe kernels (fastprobe.go) do
-// unaligned word loads through unsafe, which not every GOARCH permits —
-// probes take the generic kernel here.
+// fastProbeArch: commitSum2 (fastprobe.go) does unaligned word loads
+// through unsafe, which not every GOARCH permits — every table commits
+// through commitProbe here.
 const fastProbeArch = false

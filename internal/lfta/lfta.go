@@ -15,10 +15,11 @@
 // carries it: the run is projected into the child's key columns and
 // probed with hashtab.ProbeColumnsSelInto, recursing on the child's
 // victims. Records enter through ProcessColumnsSel (the selected lanes of
-// a column batch) or, one at a time, through Process, whose one-lane
-// victim run joins the same cascade; Process stays because exact
-// per-record budget charging must probe one admitted record and read its
-// cost before the next is offered.
+// a column batch) or, one at a time, through Process, which probes with
+// hashtab.ProbeInto — the same commit as the columnar kernel, one key at
+// a time — and whose one-lane victim run joins the same cascade; Process
+// stays because exact per-record budget charging must probe one admitted
+// record and read its cost before the next is offered.
 //
 // Both are allocation-free in steady state: victim runs live in
 // per-cascade-depth scratch, and HFTA transfers accumulate as columnar

@@ -5,7 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/hashtab"
+	"repro/internal/selvec"
 	"repro/internal/spsc"
 	"repro/internal/stream"
 )
@@ -27,11 +27,11 @@ import (
 //
 // The router pulls column-major batches from the source (ReadColumns,
 // routerBatch records) and partitions each same-epoch segment in two
-// passes: pass 1 hashes the attribute columns with the tables' shared
-// mixing kernel (hashtab.HashColumns — bit-identical to the
-// record-major ShardOf) into a per-record shard index and per-shard
-// counts; pass 2 scatters each attribute column into the shards'
-// staging ColumnBatches, one stride-1 source read per attribute.
+// passes: pass 1 routes the attribute columns through ShardColumns (the
+// engine's routing kernel over a saturated selection, bit-identical to
+// the record-major ShardOf) into a per-record shard index; pass 2
+// scatters each attribute column into the shards' staging
+// ColumnBatches, one stride-1 source read per attribute.
 // Records are never materialized row-wise anywhere on this path.
 //
 // Full staging batches (runCapacity records, all of one epoch) are
@@ -55,10 +55,10 @@ type pipeline struct {
 	staging []*stream.ColumnBatch // router-side current run per shard
 	batch   *stream.ColumnBatch   // router's source pull buffer
 
-	// Router partitioning scratch, all sized once: per-record route
-	// hashes and shard indices of the pull batch, and per-shard
+	// Router partitioning scratch, all sized once: the pull batch's
+	// saturated selection and per-record shard indices, and per-shard
 	// counts/cursors/column views of the scatter pass.
-	hashes  []uint64
+	all     selvec.Bitmap
 	shardIx []int32
 	cnt     []int32
 	base    []int32
@@ -110,7 +110,7 @@ func newPipeline(nShards int) *pipeline {
 		free:    make([]*spsc.Ring[*stream.ColumnBatch], nShards),
 		staging: make([]*stream.ColumnBatch, nShards),
 		batch:   &stream.ColumnBatch{},
-		hashes:  make([]uint64, routerBatch),
+		all:     selvec.Grow(nil, routerBatch),
 		shardIx: make([]int32, routerBatch),
 		cnt:     make([]int32, nShards),
 		base:    make([]int32, nShards),
@@ -323,21 +323,11 @@ func (s *Sharded) RunParallel(src stream.Source, epochLen uint32) (Ops, error) {
 		}
 		cols, times := p.batch.Cols, p.batch.Time
 
-		// Pass 1: route-hash the whole pull batch column-wise.
-		hv := p.hashes
-		six := p.shardIx
-		if cap(hv) < m {
-			hv = make([]uint64, m)
-			six = make([]int32, m)
-			p.hashes = hv
-			p.shardIx = six
-		}
-		hv = hv[:m]
-		six = six[:m]
-		hashtab.HashColumns(shardRouteSeed, cols, hv)
-		for i := range hv {
-			six[i] = int32(hashtab.Reduce(hv[i], n))
-		}
+		// Pass 1: route the whole pull batch through the engine's own
+		// routing kernel, over the saturated selection.
+		p.all = selvec.Grow(p.all, m)
+		p.all.SetAll(m)
+		six := p.shardIx[:s.ShardColumns(cols, m, p.all, p.shardIx)]
 
 		// Split the batch into same-epoch segments in arrival order and
 		// scatter each (pass 2). The segment rule reproduces per-record

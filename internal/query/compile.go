@@ -168,39 +168,6 @@ func (cf *CompiledFilter) MatchesNothing() bool {
 	return !cf.empty && len(cf.conjs) == 0
 }
 
-// Match evaluates the compiled filter on one record, with semantics
-// identical to the interpreted Filter.Match.
-func (cf *CompiledFilter) Match(attrs []uint32) bool {
-	if cf.empty {
-		return true
-	}
-	for i := range cf.conjs {
-		cc := &cf.conjs[i]
-		if cc.maxAttr >= len(attrs) {
-			continue
-		}
-		ok := true
-		for k := range cc.preds {
-			p := &cc.preds[k]
-			v := attrs[p.attr]
-			var m bool
-			if p.kind == predEq {
-				m = v == p.c
-			} else {
-				m = v < p.c
-			}
-			if m == p.neg {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
-}
-
 // evalWord scores one predicate over lanes [lo,hi) of its column,
 // returning the pass word; dead high bits may be set when neg is true,
 // so callers mask with the word's valid-lane mask.

@@ -70,9 +70,21 @@ func randomColumns(rng *rand.Rand, width, n int) [][]uint32 {
 	return cols
 }
 
-// TestFilterCompileScalarEquivalence pins CompiledFilter.Match against
-// the interpreted Filter.Match over random DNFs and rows, including
-// rows narrower than the referenced attributes.
+// matchRow evaluates the compiled filter on one record through
+// EvalColumns, as a one-lane batch of len(row) columns.
+func matchRow(cf *CompiledFilter, row []uint32) bool {
+	cols := make([][]uint32, len(row))
+	for a := range row {
+		cols[a] = row[a : a+1]
+	}
+	sel := selvec.Grow(nil, 1)
+	cf.EvalColumns(cols, 1, sel)
+	return sel.Test(0)
+}
+
+// TestFilterCompileScalarEquivalence pins the compiled filter, evaluated
+// one row at a time, against the interpreted Filter.Match over random
+// DNFs and rows, including rows narrower than the referenced attributes.
 func TestFilterCompileScalarEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for iter := 0; iter < 5000; iter++ {
@@ -88,7 +100,7 @@ func TestFilterCompileScalarEquivalence(t *testing.T) {
 					row[i] = rng.Uint32()
 				}
 			}
-			if got, want := cf.Match(row), f.Match(row); got != want {
+			if got, want := matchRow(cf, row), f.Match(row); got != want {
 				t.Fatalf("filter %v row %v: compiled %v, interpreted %v", f, row, got, want)
 			}
 		}
@@ -139,10 +151,10 @@ func TestFilterCompileFolds(t *testing.T) {
 	if cf.AlwaysTrue() {
 		t.Fatal("width-gated vacuous-true conjunction must not report AlwaysTrue")
 	}
-	if cf.Match([]uint32{1, 2}) {
+	if matchRow(cf, []uint32{1, 2}) {
 		t.Fatal("narrow row must fail the width gate")
 	}
-	if !cf.Match([]uint32{1, 2, 3, 4}) {
+	if !matchRow(cf, []uint32{1, 2, 3, 4}) {
 		t.Fatal("wide row must pass the folded-true predicate")
 	}
 
@@ -150,17 +162,17 @@ func TestFilterCompileFolds(t *testing.T) {
 	// attr 0 ... still requires the row to have attr 0.
 	f = Filter{DNF: [][]Predicate{{{Attr: 0, Op: Ge, Val: 0}}}}
 	cf = f.Compile()
-	if cf.Match(nil) {
+	if matchRow(cf, nil) {
 		t.Fatal("empty row must fail attr-0 width gate")
 	}
-	if !cf.Match([]uint32{0}) {
+	if !matchRow(cf, []uint32{0}) {
 		t.Fatal("attr 0 present: vacuous-true must pass")
 	}
 
 	// Empty conjunction matches everything, even the empty row.
 	f = Filter{DNF: [][]Predicate{{}}}
 	cf = f.Compile()
-	if !cf.AlwaysTrue() || !cf.Match(nil) {
+	if !cf.AlwaysTrue() || !matchRow(cf, nil) {
 		t.Fatal("empty conjunction must fold to always-true")
 	}
 

@@ -22,6 +22,11 @@ import (
 const (
 	traceMagic   = "MAGT"
 	traceVersion = 1
+
+	// maxTraceRecords is the largest header count ReadTrace accepts: a
+	// forged count must not make it materialize records until memory
+	// runs out.
+	maxTraceRecords = 1 << 30
 )
 
 var (
@@ -60,60 +65,22 @@ func WriteTrace(w io.Writer, schema Schema, recs []Record) error {
 	return bw.Flush()
 }
 
-// ReadTrace reads a binary trace written by WriteTrace.
+// ReadTrace reads a binary trace written by WriteTrace into memory: a
+// TraceSource drained by Collect, refused before any record is read when
+// the header's record count is implausible.
 func ReadTrace(r io.Reader) (Schema, []Record, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(traceMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return Schema{}, nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	if string(magic) != traceMagic {
-		return Schema{}, nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, magic)
-	}
-	var version, numAttrs uint8
-	var count uint64
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return Schema{}, nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	if version != traceVersion {
-		return Schema{}, nil, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, version)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &numAttrs); err != nil {
-		return Schema{}, nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return Schema{}, nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	schema, err := NewSchema(int(numAttrs))
+	src, err := NewTraceSource(r)
 	if err != nil {
-		return Schema{}, nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
+		return Schema{}, nil, err
 	}
-	const maxReasonable = 1 << 30
-	if count > maxReasonable {
-		return Schema{}, nil, fmt.Errorf("%w: implausible record count %d", ErrBadTrace, count)
+	if src.Remaining() > maxTraceRecords {
+		return Schema{}, nil, fmt.Errorf("%w: implausible record count %d", ErrBadTrace, src.Remaining())
 	}
-	// The header count is untrusted input: cap the preallocation so a
-	// forged header cannot demand gigabytes up front; a truncated body is
-	// detected by the read loop regardless.
-	prealloc := count
-	if prealloc > 1<<20 {
-		prealloc = 1 << 20
+	recs, err := Collect(src)
+	if err != nil {
+		return Schema{}, nil, err
 	}
-	recs := make([]Record, 0, prealloc)
-	buf := make([]byte, 4*(int(numAttrs)+1))
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return Schema{}, nil, fmt.Errorf("%w: truncated at record %d: %v", ErrBadTrace, i, err)
-		}
-		attrs := make([]uint32, numAttrs)
-		off := 0
-		for j := range attrs {
-			attrs[j] = binary.LittleEndian.Uint32(buf[off:])
-			off += 4
-		}
-		recs = append(recs, Record{Attrs: attrs, Time: binary.LittleEndian.Uint32(buf[off:])})
-	}
-	return schema, recs, nil
+	return src.Schema(), recs, nil
 }
 
 // WriteTraceFile writes a binary trace to the named file.
