@@ -17,8 +17,8 @@ vet:
 
 # Race-detect every internal package and the daemon (which drives the
 # engine's columnar feed from an open trace file): the sharded runtime's
-# RunParallel fan-out, the runtime run buffers, the lock-sharded HFTA
-# merge, the persister goroutine, and every chaos, equivalence, crash-point,
+# RunParallel fan-out, the runtime run buffers, the HFTA's per-epoch
+# logs, the persister goroutine, and every chaos, equivalence, crash-point,
 # checkpoint, window and read-out suite on top of them. CI runs it a second
 # time with MAGG_SIMD=off, so the generic SWAR kernels are raced too.
 race:

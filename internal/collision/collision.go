@@ -31,6 +31,9 @@ import (
 	"math"
 )
 
+// logMinNormal is ln 2^-1022: exp of anything lower is not a normal float64.
+const logMinNormal = -708.3964185322641
+
 // Rough is Equation 10: x = 1 - b/g, clamped to [0, 1]. It assumes every
 // bucket holds exactly the expected g/b groups.
 func Rough(g, b float64) float64 {
@@ -43,7 +46,8 @@ func Rough(g, b float64) float64 {
 // Precise is Equation 13 evaluated the way Section 4.4 prescribes: sum the
 // per-k collision contributions of the binomial occupancy distribution from
 // k = 2 up to μ + 5σ (the Gaussian tail bound), where μ = g/b and
-// σ² = g(1-1/b)/b.
+// σ² = g(1-1/b)/b. Past μ ≈ 708, where pmf(0) is no longer a normal
+// float and the recurrence loses the sum, it returns Closed.
 func Precise(g, b float64) float64 {
 	if g <= 0 || b <= 0 {
 		return 0
@@ -71,7 +75,11 @@ func Precise(g, b float64) float64 {
 	// pmf(k) for K ~ Binomial(g, 1/b), computed by the stable recurrence
 	// pmf(k+1) = pmf(k) · (g-k)/((k+1)(b-1)) from
 	// pmf(0) = (1-1/b)^g = exp(g·log1p(-1/b)).
-	pmf := math.Exp(g * math.Log1p(-1/b))
+	lp0 := g * math.Log1p(-1/b)
+	if lp0 < logMinNormal {
+		return Closed(g, b)
+	}
+	pmf := math.Exp(lp0)
 	sum := 0.0
 	for k := 0; k < kmax; k++ {
 		pmf *= (g - float64(k)) / (float64(k+1) * (b - 1))

@@ -103,6 +103,50 @@ func TestPreciseMonotoneProperty(t *testing.T) {
 	}
 }
 
+// TestPreciseSaturatedSweep walks μ = g/b across the edge where the
+// binomial pmf(0) leaves the normal float range (μ ≈ 708), for the
+// single-slot model at b ∈ {10, 1000} and the grouped one at s = 16. The
+// rate must keep rising with μ and track the closed form: within the
+// μ+5σ truncation (under 1e-6) while the sum runs, and to 1e-9 past the
+// edge, where a subnormal pmf(0) used to collapse the sum to 0.
+func TestPreciseSaturatedSweep(t *testing.T) {
+	type model struct {
+		name           string
+		bins           float64 // b, or the group count ⌈b/s⌉
+		precise, exact func(mu float64) float64
+	}
+	var models []model
+	for _, b := range []float64{10, 1000} {
+		models = append(models, model{"s=1", b,
+			func(mu float64) float64 { return Precise(mu*b, b) },
+			func(mu float64) float64 { return Closed(mu*b, b) }})
+	}
+	const b, s = 1024, 16
+	models = append(models, model{"s=16", b / s,
+		func(mu float64) float64 { return PreciseSlots(mu*b/s, b, s) },
+		func(mu float64) float64 { return ClosedSlots(mu*b/s, b, s) }})
+	for _, m := range models {
+		prev := 0.0
+		for mu := 650.0; mu <= 800; mu += 0.25 {
+			p, c := m.precise(mu), m.exact(mu)
+			tol := 1e-6
+			if mu*m.bins*math.Log1p(-1/m.bins) < logMinNormal {
+				tol = 1e-9
+			}
+			if math.Abs(p-c) > tol {
+				t.Fatalf("%s, %v bins, μ=%v: Precise %v, Closed %v", m.name, m.bins, mu, p, c)
+			}
+			if p < prev {
+				t.Fatalf("%s, %v bins, μ=%v: rate fell from %v to %v", m.name, m.bins, mu, prev, p)
+			}
+			prev = p
+		}
+	}
+	if got, want := Precise(8000, 10), Closed(8000, 10); got != want {
+		t.Errorf("Precise(8000, 10) = %v; want Closed's %v", got, want)
+	}
+}
+
 // TestTable1 reproduces Table 1: for fixed g/b, the rate varies by well
 // under a few percent as b sweeps 300..3000.
 func TestTable1RateDependsOnlyOnRatio(t *testing.T) {

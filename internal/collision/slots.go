@@ -48,9 +48,9 @@ const TableSlots = 16
 // Section 4.4 prescribes for Equation 13: sum the per-k contributions of
 // the binomial occupancy distribution up to μ + 5σ. s is the number of
 // slots per probe group; s ≤ 1 delegates to the paper's Precise. When
-// the occupancy mean is so large that the binomial pmf underflows
-// (μ ≳ 700 — deeply saturated tables), the exact closed form is used
-// instead.
+// the occupancy mean is so large that the binomial pmf(0) leaves the
+// normal float range (μ ≳ 708 — deeply saturated tables), the exact
+// closed form is used instead.
 func PreciseSlots(g, b, s float64) float64 {
 	if g <= 0 || b <= 0 {
 		return 0
@@ -66,12 +66,14 @@ func PreciseSlots(g, b, s float64) float64 {
 	}
 	w := b - (ng-1)*s
 	mu := g / ng
-	pmf := math.Exp(g * math.Log1p(-1/ng))
-	if pmf == 0 {
-		// Binomial underflow: the table is saturated far past the Gaussian
-		// window; the closed form's below-width sums are exact and robust.
+	lp0 := g * math.Log1p(-1/ng)
+	if lp0 < logMinNormal {
+		// Binomial underflow (pmf(0) not a normal float): the table is
+		// saturated far past the Gaussian window; the closed form's
+		// below-width sums are exact and robust.
 		return ClosedSlots(g, b, s)
 	}
+	pmf := math.Exp(lp0)
 	sigma := math.Sqrt(g * (1 - 1/ng) / ng)
 	kmax := int(math.Ceil(mu + 5*sigma))
 	// Keep at least ~10 terms past the group width, mirroring Precise's

@@ -5,11 +5,11 @@
 //
 // Within an epoch the HFTA may see several partials for the same group
 // (one per eviction plus the end-of-epoch flush); they combine under the
-// aggregate operations. The HFTA runs in host memory, but with parallel
-// LFTA shards its merge state is on the ingest path, so it is held in flat
-// columnar group tables (see store.go) split into lock shards by key hash:
-// concurrent flushes from different LFTA shards rarely touch the same
-// lock, and the sequential path pays only an uncontended mutex.
+// aggregate operations. Since the answers leave sorted by key, the HFTA
+// does not hash them as they arrive: each (query, epoch) keeps a log of
+// its partials in arrival order (see store.go), a merge only appends to
+// it, and the read-out sorts the log once and folds equal keys in the
+// same pass (readout.go) — aggregation inside the sort.
 package hfta
 
 import (
@@ -57,11 +57,7 @@ func New(queries []attr.Set, aggs []lfta.AggSpec) (*Aggregator, error) {
 		if q.IsEmpty() {
 			return nil, fmt.Errorf("hfta: empty query relation")
 		}
-		rs := &relState{arity: q.Size()}
-		for i := range rs.shards {
-			rs.shards[i].epochs = make(map[uint32]*groupTable)
-		}
-		a.state[q] = rs
+		a.state[q] = &relState{arity: q.Size(), logs: make(map[uint32]*epochLog)}
 	}
 	return a, nil
 }
@@ -69,16 +65,15 @@ func New(queries []attr.Set, aggs []lfta.AggSpec) (*Aggregator, error) {
 // Sink returns the aggregator as an lfta.Sink.
 func (a *Aggregator) Sink() lfta.Sink { return a.Consume }
 
-// Consume folds one eviction into the per-epoch state. Evictions for
+// Consume adds one eviction to the per-epoch state. Evictions for
 // relations that are not user queries are ignored (phantoms never reach
-// the HFTA in a correct runtime, but defense costs nothing). Safe for
+// the HFTA in a correct runtime, but defense costs nothing), and so is a
+// key of the wrong arity, which would shear the flat key column. Safe for
 // concurrent use; the eviction's slices are not retained.
 func (a *Aggregator) Consume(ev lfta.Eviction) {
-	rs := a.state[ev.Rel]
-	if rs == nil {
-		return
+	if rs := a.state[ev.Rel]; rs != nil && len(ev.Key) == rs.arity {
+		a.MergeRun(ev.Rel, ev.Epoch, ev.Key, ev.Aggs)
 	}
-	rs.merge(ev.Key, ev.Aggs, ev.Epoch, a.aggs)
 }
 
 // AllRows returns every finalized row across queries and epochs, sorted
@@ -105,67 +100,49 @@ func (a *Aggregator) Epochs(rel attr.Set) []uint32 {
 		return nil
 	}
 	var out []uint32
-	for i := range rs.shards {
-		sh := &rs.shards[i]
-		sh.mu.Lock()
-		for e := range sh.epochs {
-			out = append(out, e)
-		}
-		sh.mu.Unlock()
+	rs.mu.Lock()
+	for e := range rs.logs {
+		out = append(out, e)
 	}
+	rs.mu.Unlock()
 	slices.Sort(out)
-	return slices.Compact(out)
+	return out
 }
 
 // Drop releases the state of one epoch across all queries. The epoch's
-// group tables are emptied and pooled for reuse by later epochs (see
-// relShard).
+// logs are emptied and pooled for reuse by later epochs (see relState).
 func (a *Aggregator) Drop(epoch uint32) {
 	for _, rs := range a.state {
-		for i := range rs.shards {
-			sh := &rs.shards[i]
-			sh.mu.Lock()
-			sh.release(epoch)
-			sh.mu.Unlock()
-		}
+		rs.mu.Lock()
+		rs.release(epoch)
+		rs.mu.Unlock()
 	}
 }
 
-// Reset drops all epochs of all queries, keeping the allocated group
-// tables (pooled) for reuse: the aggregator behaves as freshly
-// constructed but a subsequent same-shaped workload allocates almost
-// nothing. Not safe to call concurrently with merges.
+// Reset drops all epochs of all queries, keeping the allocated logs
+// (pooled) for reuse: the aggregator behaves as freshly constructed but a
+// subsequent same-shaped workload allocates almost nothing. Not safe to
+// call concurrently with merges.
 func (a *Aggregator) Reset() {
 	for _, rs := range a.state {
-		for i := range rs.shards {
-			sh := &rs.shards[i]
-			sh.mu.Lock()
-			for e := range sh.epochs {
-				sh.release(e)
-			}
-			sh.mu.Unlock()
+		rs.mu.Lock()
+		for e := range rs.logs {
+			rs.release(e)
 		}
+		rs.mu.Unlock()
 	}
 }
 
 // GroupCount returns the number of distinct groups a query produced in an
 // epoch — the measured g_R signal the adaptive engine feeds back into the
-// optimizer.
+// optimizer. It folds the epoch's log, so a later Rows copies it.
 func (a *Aggregator) GroupCount(rel attr.Set, epoch uint32) int {
-	rs := a.state[rel]
-	if rs == nil {
+	l, _ := a.folded(rel, epoch)
+	if l == nil {
 		return 0
 	}
-	n := 0
-	for i := range rs.shards {
-		sh := &rs.shards[i]
-		sh.mu.Lock()
-		if t := sh.epochs[epoch]; t != nil {
-			n += t.n
-		}
-		sh.mu.Unlock()
-	}
-	return n
+	defer l.mu.Unlock()
+	return l.folded
 }
 
 // Reference computes exact query answers directly from the records (no

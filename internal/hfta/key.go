@@ -9,7 +9,7 @@ import (
 // is fixed per relation and never stored with the key. Keys of arity ≤ 2
 // additionally pack into one uint64 (attribute 0 in the high word) whose
 // numeric order equals the per-attribute lexicographic order — the form
-// the lock-shard hash and the read-out's radix sort work on.
+// the key hash and the read-out's sort work on.
 
 // smallArity is the widest group key packed directly into a uint64.
 const smallArity = 2
@@ -21,6 +21,16 @@ func packSmall(vals []uint32) uint64 {
 		return uint64(vals[0])
 	}
 	return uint64(vals[0])<<32 | uint64(vals[1])
+}
+
+// unpackSmall is packSmall's inverse: it writes the len(key) ≤ 2 values
+// packed into p.
+func unpackSmall(key []uint32, p uint64) {
+	if len(key) == 1 {
+		key[0] = uint32(p)
+		return
+	}
+	key[0], key[1] = uint32(p>>32), uint32(p)
 }
 
 // packOrd is the packed bytes (PackKey) of a key of arity 1 or 2 read as
@@ -45,7 +55,7 @@ func cmpPacked(a, b []uint32) int {
 }
 
 // mix64 is the splitmix64 finalizer: a cheap full-avalanche mix used to
-// spread packed keys across the aggregator's lock shards.
+// spread packed keys across a KeyIndex's slots.
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x ^= x >> 30
@@ -56,9 +66,8 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// hashKey is the group hash: its low bits pick the lock shard, the bits
-// above them the slot in that shard's group table. A key that packs is
-// mixed once; a wider one chains mix64 over its words.
+// hashKey is the group hash of a KeyIndex: its low bits pick the slot. A
+// key that packs is mixed once; a wider one chains mix64 over its words.
 func hashKey(key []uint32) uint64 {
 	if len(key) <= smallArity {
 		return mix64(packSmall(key))

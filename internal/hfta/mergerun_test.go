@@ -11,8 +11,7 @@ import (
 )
 
 // mergeRunRel returns a query relation with the given arity; ≤ 2 takes
-// the packed-key hash and radix read-out, wider the word-chained hash and
-// comparison sort.
+// the read-out's packed-key sort kernel, wider the comparison sort.
 func mergeRunRel(arity int) attr.Set {
 	return attr.MustParseSet("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:arity])
 }
@@ -20,11 +19,10 @@ func mergeRunRel(arity int) attr.Set {
 // TestMergeRunMatchesPerEntry: folding a run through MergeRun must
 // produce exactly the state n Consume calls produce — across the
 // packed and wide key arities, several epochs interleaved across
-// runs, and duplicate groups within one run (where the stable scatter's
+// runs, and duplicate groups within one run (where the stable sort's
 // in-order combine matters for non-commutative-looking sequences like
-// Min/Max chains). The universe then grows 100× on the tables a Drop
-// recycled (the slot index doubles and rehashes several times under
-// MergeRun) and shrinks back onto the now oversized ones.
+// Min/Max chains). The universe then grows 100× on the logs a Drop
+// recycled and shrinks back onto the now oversized ones.
 func TestMergeRunMatchesPerEntry(t *testing.T) {
 	specs := sumMinMax
 	for _, arity := range []int{1, 2, 4, 8, 12} {
@@ -76,48 +74,6 @@ func TestMergeRunMatchesPerEntry(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestMergeRunLockShardCollisions drives a run whose keys all hash to
-// ONE lock shard (brute-forced via the same shard-pick the aggregator
-// uses), so the whole run folds under a single mutex hold and the
-// within-shard ordering path carries every entry.
-func TestMergeRunLockShardCollisions(t *testing.T) {
-	rel := mergeRunRel(2)
-	specs := lfta.CountStar
-	var keys []uint32
-	var g uint32
-	for cnt := 0; cnt < 64; g++ {
-		k := []uint32{g, g * 7}
-		if hashKey(k)&(keyShards-1) != 0 {
-			continue
-		}
-		keys = append(keys, k...)
-		cnt++
-	}
-	n := len(keys) / 2
-	deltas := make([]int64, n)
-	for i := range deltas {
-		deltas[i] = int64(i + 1)
-	}
-	runAgg, err := New([]attr.Set{rel}, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entAgg, err := New([]attr.Set{rel}, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed the run twice so every group is both an insert and a combine.
-	for pass := 0; pass < 2; pass++ {
-		runAgg.MergeRun(rel, 0, keys, deltas)
-		for i := 0; i < n; i++ {
-			entAgg.Consume(lfta.Eviction{Rel: rel, Key: keys[i*2 : (i+1)*2], Aggs: deltas[i : i+1], Epoch: 0})
-		}
-	}
-	if !Equal(runAgg.AllRows(), entAgg.AllRows()) {
-		t.Fatal("single-lock-shard MergeRun state differs from per-entry state")
 	}
 }
 

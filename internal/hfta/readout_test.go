@@ -51,9 +51,8 @@ func (m bruteModel) rows(epoch uint32) []Row {
 // boundaryKeys returns keys of the given arity that put each of 0, 1,
 // 1<<31 and MaxUint32 in every key position (the other positions cycling
 // through the same values, so high and low words, and first and last
-// attributes, all see every boundary), plus random fill until the keys
-// land on all 16 lock shards.
-func boundaryKeys(t *testing.T, rng *rand.Rand, arity int) [][]uint32 {
+// attributes, all see every boundary), plus random fill.
+func boundaryKeys(rng *rand.Rand, arity int) [][]uint32 {
 	bounds := []uint32{0, 1, 1 << 31, math.MaxUint32}
 	var keys [][]uint32
 	for pos := 0; pos < arity; pos++ {
@@ -68,36 +67,28 @@ func boundaryKeys(t *testing.T, rng *rand.Rand, arity int) [][]uint32 {
 			}
 		}
 	}
-	var shards uint16
-	for _, k := range keys {
-		shards |= 1 << (hashKey(k) & (keyShards - 1))
-	}
-	for n := 0; n < 300 || shards != 1<<keyShards-1; n++ {
+	for n := 0; n < 300; n++ {
 		k := make([]uint32, arity)
 		for i := range k {
 			k[i] = rng.Uint32() >> uint(rng.Intn(32))
 		}
 		keys = append(keys, k)
-		shards |= 1 << (hashKey(k) & (keyShards - 1))
-		if n > 10000 {
-			t.Fatal("random keys never covered all lock shards")
-		}
 	}
 	return keys
 }
 
-// TestRowsMatchBruteForce: the flat store plus sorted read-out must equal
-// the brute-force model for the radix path (arity 1, 2) and the
+// TestRowsMatchBruteForce: the log plus sort-fold read-out must equal the
+// brute-force model for the packed sort kernel (arity 1, 2) and the
 // comparison path (3, 8, 9), with boundary values in every key position,
-// groups on all 16 lock shards, several live epochs, and sum/min/max
-// aggregates (identity initialisation). The rows read before a Drop must
-// also survive it and the store's reuse unchanged.
+// several live epochs, and sum/min/max aggregates (identity
+// initialisation). The rows read before a Drop must also survive it and
+// the store's reuse unchanged.
 func TestRowsMatchBruteForce(t *testing.T) {
 	for _, arity := range []int{1, 2, 3, 8, 9} {
 		t.Run(fmt.Sprintf("arity=%d", arity), func(t *testing.T) {
 			rel := mergeRunRel(arity)
 			rng := rand.New(rand.NewSource(int64(160 + arity)))
-			keys := boundaryKeys(t, rng, arity)
+			keys := boundaryKeys(rng, arity)
 			agg, err := New([]attr.Set{rel}, sumMinMax)
 			if err != nil {
 				t.Fatal(err)
@@ -139,8 +130,8 @@ func TestRowsMatchBruteForce(t *testing.T) {
 }
 
 // TestRowsAllocsConstant: a read-out is three allocations (flat keys, flat
-// aggs, the rows) whatever the group count, on the radix path and on the
-// comparison-sort path.
+// aggs, the rows) whatever the group count, on the packed sort kernel and
+// on the comparison-sort path.
 func TestRowsAllocsConstant(t *testing.T) {
 	for _, arity := range []int{2, 3} {
 		rel := mergeRunRel(arity)

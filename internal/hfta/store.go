@@ -3,15 +3,7 @@ package hfta
 import (
 	"sync"
 
-	"repro/internal/lfta"
-)
-
-// keyShards is the number of lock shards per query relation: the low
-// shardBits bits of the key hash select the shard, the bits above them
-// the slot in that shard's group table.
-const (
-	shardBits = 4
-	keyShards = 1 << shardBits
+	"repro/internal/attr"
 )
 
 // KeyIndex is an open-addressed index over a flat key column: Keys holds
@@ -26,17 +18,14 @@ type KeyIndex struct {
 
 // Lookup returns key's group number, appending key as a new group if it
 // is not indexed yet.
-func (t *KeyIndex) Lookup(key []uint32) (g int, added bool) { return t.lookup(hashKey(key), key) }
-
-// lookup is Lookup with the key's hashKey already at hand.
-func (t *KeyIndex) lookup(h uint64, key []uint32) (int, bool) {
+func (t *KeyIndex) Lookup(key []uint32) (g int, added bool) {
 	arity := len(key)
 	if 2*(t.n+1) > len(t.slots) {
 		t.grow(arity)
 	}
 	mask := uint64(len(t.slots) - 1)
 probe:
-	for i := (h >> shardBits) & mask; ; i = (i + 1) & mask {
+	for i := hashKey(key) & mask; ; i = (i + 1) & mask {
 		s := t.slots[i]
 		if s == 0 {
 			t.slots[i] = uint32(t.n) + 1
@@ -60,7 +49,7 @@ func (t *KeyIndex) grow(arity int) {
 	t.slots = make([]uint32, max(16, 2*len(t.slots)))
 	mask := uint64(len(t.slots) - 1)
 	for g := 0; g < t.n; g++ {
-		i := (hashKey(t.Keys[g*arity:(g+1)*arity]) >> shardBits) & mask
+		i := hashKey(t.Keys[g*arity:(g+1)*arity]) & mask
 		for t.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -74,85 +63,96 @@ func (t *KeyIndex) Reset() {
 	clear(t.slots)
 }
 
-// groupTable holds one epoch's groups for one lock shard of one relation:
-// the key index plus the aggregates, flat in group order, the columns
-// Rows copies out.
-type groupTable struct {
-	KeyIndex
-	aggs []int64
-}
+// foldAt is the unfolded tail a log may hold before an append folds it,
+// when its folded prefix is shorter: a (relation, epoch) never holds more
+// than 2·groups + foldAt partials, and an ordinary epoch, whose partials
+// number well under foldAt, is sorted exactly once, by its read-out.
+const foldAt = 1 << 14
 
-// upsert folds one partial into its group, appending the group
-// (initialized to the aggregate identities) when h/key is new.
-func (t *groupTable) upsert(h uint64, key []uint32, deltas []int64, aggs []lfta.AggSpec) {
-	g, added := t.lookup(h, key)
-	if added {
-		for j, spec := range aggs {
-			t.aggs = append(t.aggs, spec.Op.Combine(spec.Op.Identity(), deltas[j]))
-		}
-		return
-	}
-	acc := t.aggs[g*len(aggs) : (g+1)*len(aggs)]
-	for j, spec := range aggs {
-		acc[j] = spec.Op.Combine(acc[j], deltas[j])
-	}
-}
-
-// relShard is one lock shard of a relation's state: the live epochs'
-// group tables plus the emptied tables of dropped epochs. A recycled table
-// keeps its column and index capacity, so a steady Drop-after-emit
-// cadence stops allocating once capacities reach the per-epoch group
-// count.
-type relShard struct {
+// epochLog is one (relation, epoch)'s merge state: its partials, keys
+// flat n×arity and aggregates flat n×len(aggs). The first folded entries
+// are distinct groups sorted by key, each the combine of the partials
+// that arrived before the rest; the tail after them is in arrival order.
+type epochLog struct {
 	mu     sync.Mutex
-	epochs map[uint32]*groupTable
-	pool   []*groupTable
+	keys   []uint32
+	aggs   []int64
+	folded int
 }
 
-// table returns the epoch's group table, taking a pooled or fresh one for
-// a new epoch. Caller holds the shard lock.
-func (sh *relShard) table(epoch uint32) *groupTable {
-	t := sh.epochs[epoch]
-	if t == nil {
-		if n := len(sh.pool); n > 0 {
-			t, sh.pool = sh.pool[n-1], sh.pool[:n-1]
-		} else {
-			t = &groupTable{}
-		}
-		sh.epochs[epoch] = t
-	}
-	return t
-}
-
-// release empties the epoch's table into the pool: two length resets and
-// a clear of the slot index. Caller holds the shard lock.
-func (sh *relShard) release(epoch uint32) {
-	t := sh.epochs[epoch]
-	if t == nil {
-		return
-	}
-	t.Reset()
-	t.aggs = t.aggs[:0]
-	sh.pool = append(sh.pool, t)
-	delete(sh.epochs, epoch)
-}
-
-// relState is the merge state of one query relation.
+// relState is the merge state of one query relation: the live epochs'
+// logs, plus the emptied logs of dropped epochs. A recycled log keeps its
+// capacity, so a steady Drop-after-emit cadence stops allocating once
+// capacities reach the per-epoch partial count.
 type relState struct {
-	arity  int
-	shards [keyShards]relShard
+	arity int
+	mu    sync.Mutex // guards logs and pool; each log's contents have its own lock
+	logs  map[uint32]*epochLog
+	pool  []*epochLog
 }
 
-// merge folds one partial (key, deltas) into the epoch's group state.
-// Safe for concurrent use; key and deltas are not retained. A key of the
-// wrong arity would shear the flat key column and is ignored.
-func (rs *relState) merge(key []uint32, deltas []int64, epoch uint32, aggs []lfta.AggSpec) {
-	if len(key) != rs.arity {
+// acquire returns the epoch's log with its lock held, or nil when the
+// epoch has none and create is false. The relation lock is released once
+// the log's lock is taken: a read-out sorting one epoch holds nothing an
+// append to another epoch needs, unless a caller queues on that log.
+func (rs *relState) acquire(epoch uint32, create bool) *epochLog {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	l := rs.logs[epoch]
+	if l == nil {
+		if !create {
+			return nil
+		}
+		if n := len(rs.pool); n > 0 {
+			l, rs.pool = rs.pool[n-1], rs.pool[:n-1]
+		} else {
+			l = &epochLog{}
+		}
+		rs.logs[epoch] = l
+	}
+	l.mu.Lock()
+	return l
+}
+
+// release empties the epoch's log into the pool, after any append or
+// read-out in flight on it. Caller holds rs.mu.
+func (rs *relState) release(epoch uint32) {
+	l := rs.logs[epoch]
+	if l == nil {
 		return
 	}
-	h := hashKey(key)
-	sh := &rs.shards[h&(keyShards-1)]
-	sh.mu.Lock()
-	sh.table(epoch).upsert(h, key, deltas, aggs)
-	sh.mu.Unlock()
+	delete(rs.logs, epoch)
+	l.mu.Lock()
+	l.keys, l.aggs, l.folded = l.keys[:0], l.aggs[:0], 0
+	l.mu.Unlock()
+	rs.pool = append(rs.pool, l)
+}
+
+// MergeRun appends a sealed columnar run of partials for one query
+// relation and epoch — keys flat n×arity, aggs flat n×NumAggs, in
+// transfer order (exactly the layout lfta.RunSink delivers) — to the
+// epoch's log under one lock hold, folding the log first whenever its
+// tail would pass max(folded, foldAt). The partials combine at read-out,
+// in arrival order, exactly as n Consume calls would. Safe for concurrent
+// use; the slices are not retained. Unknown relations are ignored, like
+// Consume.
+func (a *Aggregator) MergeRun(rel attr.Set, epoch uint32, keys []uint32, aggs []int64) {
+	rs := a.state[rel]
+	if rs == nil || len(keys) < rs.arity {
+		return
+	}
+	arity, na := rs.arity, len(a.aggs)
+	l := rs.acquire(epoch, true)
+	defer l.mu.Unlock()
+	for n := len(keys) / arity; n > 0; n = len(keys) / arity {
+		room := max(l.folded, foldAt) - (len(l.keys)/arity - l.folded)
+		if room <= 0 {
+			a.fold(l, arity)
+			continue
+		}
+		n = min(n, room)
+		l.keys = append(l.keys, keys[:n*arity]...)
+		l.aggs = append(l.aggs, aggs[:n*na]...)
+		keys, aggs = keys[n*arity:], aggs[n*na:]
+	}
 }

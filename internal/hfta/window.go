@@ -207,9 +207,6 @@ func NewComposer(win WindowSpec, queries []attr.Set, aggs []lfta.AggSpec, saggs 
 // Spec returns the window geometry.
 func (c *Composer) Spec() WindowSpec { return c.win }
 
-// SketchAggs returns the sketch aggregate list the composer was built with.
-func (c *Composer) SketchAggs() []sketch.Agg { return c.saggs }
-
 // PaneCount returns the number of retained panes (diagnostics).
 func (c *Composer) PaneCount() int { return len(c.panes) }
 
@@ -304,28 +301,23 @@ func (c *Composer) feed(p *pane, qi int, inputs []PaneInput, strict bool) error 
 	return err
 }
 
-// buildRun sorts entries into a run (radix on packOrd up to smallArity
-// words, else by cmpPacked; stable) and folds each key's entries in
-// arrival order into one group: rows combine, partials merge (one that
-// does not merge is dropped). With strict set a key's second row or
-// partial is an error instead.
+// buildRun sorts entries into a run (the read-out's sort kernel on
+// packOrd up to smallArity words, else by cmpPacked; stable) and folds
+// each key's entries in arrival order into one group: rows combine,
+// partials merge (one that does not merge is dropped). With strict set a
+// key's second row or partial is an error instead.
 func (c *Composer) buildRun(ents []paneEnt, arity int, strict bool) (*PaneRun, error) {
 	sc := &c.order
-	perm := sized(sc.perm, len(ents))
-	for i := range perm {
-		perm[i] = uint32(i)
-	}
-	sc.perm = perm
+	packed := sc.load(len(ents))
 	if arity <= smallArity {
-		sc.packed = sized(sc.packed, len(ents))
 		for i := range ents {
-			sc.packed[i] = packOrd(ents[i].key)
+			packed[i] = packOrd(ents[i].key)
 		}
-		sc.radixSort()
-		perm = sc.perm
+		sc.sort()
 	} else {
-		slices.SortStableFunc(perm, func(x, y uint32) int { return cmpPacked(ents[x].key, ents[y].key) })
+		slices.SortStableFunc(sc.perm, func(x, y uint32) int { return cmpPacked(ents[x].key, ents[y].key) })
 	}
+	perm := sc.perm
 	n := 0
 	for i, x := range perm {
 		if i == 0 || !slices.Equal(ents[x].key, ents[perm[i-1]].key) {

@@ -68,9 +68,8 @@ type Sink func(Eviction)
 // transfer form: all entries belong to one query relation and one epoch,
 // keys is flat n×arity and aggs flat n×naggs in transfer order. The
 // slices alias buffer memory owned by the runtime and are valid only for
-// the duration of the call (hfta.(*Aggregator).MergeRun folds them in
-// place), so the receiver can pre-hash and lock-shard the whole run at
-// once.
+// the duration of the call (hfta.(*Aggregator).MergeRun copies them into
+// the epoch's log), so the receiver handles the whole run at once.
 type RunSink func(rel attr.Set, epoch uint32, keys []uint32, aggs []int64)
 
 // DefaultEvictionBatch is the run-buffer capacity used when SetRunSink is
