@@ -2,6 +2,7 @@ package magg
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -95,26 +96,60 @@ func BenchmarkTraceEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceDecode times the binary trace reader over an in-memory
+// trace of 64 Ki records. "records" is ReadTrace, the Next path with one
+// allocated Record per record; "columns/wN" drains NextColumns into one
+// recycled ColumnBatch at ColumnBatchLen, the path the engine and maggd
+// take, at widths 4 (the paper's ABCD schema) and 8. ns/record is the
+// figure to compare.
 func BenchmarkTraceDecode(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	schema := stream.MustSchema(4)
-	u, err := gen.UniformUniverse(rng, schema, 500, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := gen.Uniform(rng, u, 10000, 60)
-	var buf bytes.Buffer
-	if err := stream.WriteTrace(&buf, schema, recs); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := stream.ReadTrace(bytes.NewReader(data)); err != nil {
+	const records = 1 << 16
+	trace := func(b *testing.B, width int) []byte {
+		rng := rand.New(rand.NewSource(3))
+		schema := stream.MustSchema(width)
+		u, err := gen.UniformUniverse(rng, schema, 500, 0)
+		if err != nil {
 			b.Fatal(err)
 		}
+		var buf bytes.Buffer
+		if err := stream.WriteTrace(&buf, schema, gen.Uniform(rng, u, records, 60)); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(buf.Len()))
+		b.ReportAllocs()
+		return buf.Bytes()
+	}
+	perRecord := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+	}
+	b.Run("records", func(b *testing.B) {
+		data := trace(b, 4)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := stream.ReadTrace(bytes.NewReader(data)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRecord(b)
+	})
+	for _, width := range []int{4, 8} {
+		b.Run(fmt.Sprintf("columns/w%d", width), func(b *testing.B) {
+			data := trace(b, width)
+			var cb stream.ColumnBatch
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src, err := stream.NewTraceSource(bytes.NewReader(data))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for stream.ReadColumns(src, &cb, stream.ColumnBatchLen) > 0 {
+				}
+				if err := src.Err(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perRecord(b)
+		})
 	}
 }
 

@@ -353,8 +353,9 @@ func run(cfg runConfig) error {
 
 	// Ingest the way Engine.Run does: the trace decodes straight into
 	// column batches (through the Next fallback of ReadColumns when a
-	// reorder window or a resume skip wraps it), so maggd runs the path the
-	// benchmark measures and its memory does not grow with the trace.
+	// reorder window wraps it; a resume skip passes batches through), so
+	// maggd runs the path the benchmark measures and its memory does not
+	// grow with the trace.
 	trace, err := stream.OpenTraceSource(cfg.trace)
 	if err != nil {
 		return err

@@ -204,11 +204,12 @@ func (c *Clock) Started() bool { return c.started }
 
 // SkipSource discards the first n records of a source before yielding the
 // rest — the resume path for replaying a trace from a checkpoint's stream
-// position. The skipped prefix is consumed lazily on the first Next call.
+// position. The skipped prefix is consumed lazily by the first Next or
+// NextColumns call; NextColumns discards it in column batches, so a
+// resumed columnar reader never falls back to record-by-record decode.
 type SkipSource struct {
-	src     Source
-	n       uint64
-	skipped bool
+	src Source
+	n   uint64
 }
 
 // NewSkipSource wraps src, discarding its first n records.
@@ -218,15 +219,25 @@ func NewSkipSource(src Source, n uint64) *SkipSource {
 
 // Next implements Source.
 func (s *SkipSource) Next() (Record, bool) {
-	if !s.skipped {
-		s.skipped = true
-		for i := uint64(0); i < s.n; i++ {
-			if _, ok := s.src.Next(); !ok {
-				return Record{}, false
-			}
+	for ; s.n > 0; s.n-- {
+		if _, ok := s.src.Next(); !ok {
+			return Record{}, false
 		}
 	}
 	return s.src.Next()
+}
+
+// NextColumns implements ColumnSource, reading the skipped prefix into
+// dst and dropping it before the first batch it returns.
+func (s *SkipSource) NextColumns(dst *ColumnBatch, limit int) int {
+	for s.n > 0 {
+		k := ReadColumns(s.src, dst, int(min(s.n, ColumnBatchLen)))
+		if k == 0 {
+			return 0
+		}
+		s.n -= uint64(k)
+	}
+	return ReadColumns(s.src, dst, limit)
 }
 
 // Err implements Source.

@@ -6,7 +6,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+
+	"repro/internal/attr"
 )
+
+// traceBufSize is the TraceSource read buffer. Records are decoded
+// straight out of it, so one NextColumns call returns at most
+// traceBufSize/rb records of rb bytes: 1024 (ColumnBatchLen) up to width
+// 15, fewer past it.
+const traceBufSize = 1 << 16
 
 // TraceSource reads a binary trace incrementally, implementing Source
 // without materializing the whole record batch — the right shape for
@@ -16,7 +25,6 @@ type TraceSource struct {
 	closer io.Closer
 	schema Schema
 	left   uint64
-	buf    []byte
 	err    error
 }
 
@@ -24,7 +32,7 @@ type TraceSource struct {
 // trace. The header is consumed immediately so the schema is available
 // before the first record.
 func NewTraceSource(r io.Reader) (*TraceSource, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := bufio.NewReaderSize(r, traceBufSize)
 	magic := make([]byte, len(traceMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
@@ -50,12 +58,7 @@ func NewTraceSource(r io.Reader) (*TraceSource, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
 	}
-	return &TraceSource{
-		r:      br,
-		schema: schema,
-		left:   count,
-		buf:    make([]byte, 4*(int(numAttrs)+1)),
-	}, nil
+	return &TraceSource{r: br, schema: schema, left: count}, nil
 }
 
 // OpenTraceSource opens a trace file for incremental reading; Close must
@@ -87,73 +90,113 @@ func (t *TraceSource) Next() (Record, bool) {
 		t.release()
 		return Record{}, false
 	}
-	if _, err := io.ReadFull(t.r, t.buf); err != nil {
-		t.err = fmt.Errorf("%w: truncated with %d records left: %v", ErrBadTrace, t.left, err)
-		t.release()
+	w := t.schema.NumAttrs
+	rb := 4 * (w + 1)
+	buf, ok := t.peek(rb)
+	if !ok {
 		return Record{}, false
 	}
-	t.left--
-	attrs := make([]uint32, t.schema.NumAttrs)
-	off := 0
+	attrs := make([]uint32, w)
 	for i := range attrs {
-		attrs[i] = binary.LittleEndian.Uint32(t.buf[off:])
-		off += 4
+		attrs[i] = binary.LittleEndian.Uint32(buf[4*i:])
 	}
-	rec := Record{Attrs: attrs, Time: binary.LittleEndian.Uint32(t.buf[off:])}
-	if t.left == 0 {
-		t.release()
-	}
+	rec := Record{Attrs: attrs, Time: binary.LittleEndian.Uint32(buf[4*w:])}
+	t.consume(rb, 1)
 	return rec, true
 }
 
-// NextColumns implements ColumnSource: it reads a block of encoded
-// records in one ReadFull and decodes each attribute with a stride-1
-// destination pass, skipping the per-record attribute allocation Next
-// pays. Truncation behaves exactly like Next: the error is recorded and
-// whatever decoded cleanly before it is discarded.
+// NextColumns implements ColumnSource: it peeks a block of encoded records
+// in the read buffer and transposes it into dst's columns (decodeRows),
+// skipping the per-record attribute allocation Next pays and any copy out
+// of the buffer. A call returns at most traceBufSize/rb records whatever
+// the limit. Truncation is recorded as Next records it, except that the
+// whole block that hit it is dropped.
 func (t *TraceSource) NextColumns(dst *ColumnBatch, limit int) int {
 	w := t.schema.NumAttrs
 	dst.Reset(w)
-	if t.err != nil || t.left == 0 || limit <= 0 {
+	if t.err != nil || t.left == 0 {
 		t.release()
 		return 0
 	}
-	n := limit
+	if limit <= 0 {
+		return 0
+	}
+	rb := 4 * (w + 1)
+	n := min(limit, traceBufSize/rb)
 	if uint64(n) > t.left {
 		n = int(t.left)
 	}
-	rb := 4 * (w + 1)
-	need := n * rb
-	if cap(t.buf) < need {
-		t.buf = make([]byte, need)
-	}
-	buf := t.buf[:need]
-	if _, err := io.ReadFull(t.r, buf); err != nil {
-		t.err = fmt.Errorf("%w: truncated with %d records left: %v", ErrBadTrace, t.left, err)
-		t.release()
+	buf, ok := t.peek(n * rb)
+	if !ok {
 		return 0
 	}
+	dst.Extend(n)
+	dst.Time = slices.Grow(dst.Time, n)[:n]
+	decodeRows(dst.Cols, dst.Time, buf)
+	t.consume(n*rb, n)
+	return n
+}
+
+// peek returns the next size bytes of the read buffer, or records the
+// truncation and releases the file.
+func (t *TraceSource) peek(size int) ([]byte, bool) {
+	buf, err := t.r.Peek(size)
+	if err == nil {
+		return buf, true
+	}
+	if err == io.EOF && len(buf) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	t.err = fmt.Errorf("%w: truncated with %d records left: %v", ErrBadTrace, t.left, err)
+	t.release()
+	return nil, false
+}
+
+// consume discards the size bytes of n records peek returned.
+func (t *TraceSource) consume(size, n int) {
+	_, _ = t.r.Discard(size) // cannot fail: peek buffered size bytes
 	t.left -= uint64(n)
-	for a := 0; a < w; a++ {
-		col := dst.Cols[a]
-		off := 4 * a
-		for i := 0; i < n; i++ {
-			col = append(col, binary.LittleEndian.Uint32(buf[off:]))
-			off += rb
-		}
-		dst.Cols[a] = col
-	}
-	times := dst.Time
-	off := 4 * w
-	for i := 0; i < n; i++ {
-		times = append(times, binary.LittleEndian.Uint32(buf[off:]))
-		off += rb
-	}
-	dst.Time = times
 	if t.left == 0 {
 		t.release()
 	}
-	return n
+}
+
+// decodeRows transposes the encoded records in buf — each len(cols)
+// little-endian attribute words and a timestamp word — into cols and
+// times, which hold exactly one slot per record. Width 4, the paper's
+// ABCD schema, walks buf once, row by row, as a fixed run of loads and
+// stores. Other widths take the record's words four at a time: one
+// strided pass fills four columns, so buf is walked about (w+1)/4 times
+// instead of w+1.
+func decodeRows(cols [][]uint32, times []uint32, buf []byte) {
+	le := binary.LittleEndian
+	n := len(times)
+	if len(cols) == 4 {
+		c0, c1, c2, c3 := cols[0][:n], cols[1][:n], cols[2][:n], cols[3][:n]
+		for i := range times {
+			r := buf[20*i : 20*i+20]
+			c0[i], c1[i], c2[i], c3[i] = le.Uint32(r), le.Uint32(r[4:]), le.Uint32(r[8:]), le.Uint32(r[12:])
+			times[i] = le.Uint32(r[16:])
+		}
+		return
+	}
+	var all [attr.MaxAttrs + 1][]uint32
+	words := append(append(all[:0], cols...), times)
+	rb := 4 * len(words)
+	g := 0
+	for ; g+4 <= len(words); g += 4 {
+		c0, c1, c2, c3 := words[g][:n], words[g+1][:n], words[g+2][:n], words[g+3][:n]
+		for i, off := 0, 4*g; i < n; i, off = i+1, off+rb {
+			r := buf[off : off+16]
+			c0[i], c1[i], c2[i], c3[i] = le.Uint32(r), le.Uint32(r[4:]), le.Uint32(r[8:]), le.Uint32(r[12:])
+		}
+	}
+	for ; g < len(words); g++ {
+		col := words[g][:n]
+		for i, off := 0, 4*g; i < n; i, off = i+1, off+rb {
+			col[i] = le.Uint32(buf[off : off+4])
+		}
+	}
 }
 
 // Err implements Source.

@@ -134,3 +134,34 @@ func TestOpenTraceSource(t *testing.T) {
 		t.Error("non-trace file accepted")
 	}
 }
+
+// TestTraceSourceZeroLimitKeepsFile: a NextColumns call with limit 0
+// returns nothing and leaves an opened trace file open, so the stream
+// reads on to its end.
+func TestTraceSourceZeroLimitKeepsFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.magt")
+	recs := seqRecords(20000, 4) // 160 KB: more than the read buffer holds
+	if err := WriteTraceFile(path, MustSchema(1), recs); err != nil {
+		t.Fatal(err)
+	}
+	src, err := OpenTraceSource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	var cb ColumnBatch
+	total := src.NextColumns(&cb, ColumnBatchLen)
+	if n := src.NextColumns(&cb, 0); n != 0 {
+		t.Fatalf("limit 0 returned %d records", n)
+	}
+	for {
+		n := src.NextColumns(&cb, ColumnBatchLen)
+		if n == 0 {
+			break
+		}
+		total += n
+	}
+	if total != len(recs) || src.Err() != nil {
+		t.Fatalf("read %d of %d records after a limit-0 call, err %v", total, len(recs), src.Err())
+	}
+}
