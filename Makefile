@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fuzz-short bench-module cross check bench loc
+.PHONY: build test vet fmt race fuzz-short bench-module cross check bench loc
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt-clean tree, bench/ included.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # Race-detect every internal package and the daemon (which drives the
 # engine's columnar feed from an open trace file): the sharded runtime's
@@ -49,11 +53,13 @@ cross:
 	GOARCH=arm64 $(GO) vet ./internal/...
 	GOARCH=riscv64 $(GO) vet ./internal/... && GOARCH=riscv64 $(GO) build ./...
 
-check: build vet test race fuzz-short bench-module cross
+check: build vet fmt test race fuzz-short bench-module cross
 
-# Quick perf numbers for the engine hot path (see docs/PERF.md).
+# Quick perf numbers for the root micro-benchmarks: the engine's scalar
+# stager, the HFTA merge + read-out, and the budget lane's one-record
+# cascade (see docs/PERF.md; bench/run.sh is the end-to-end measure).
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkEngineThroughput|BenchmarkHFTAMerge|BenchmarkSharded|BenchmarkRuntimeRecord|BenchmarkLFTAProbe' -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkEngineThroughput|BenchmarkHFTAMerge|BenchmarkRuntimeRecord' -benchmem .
 
 # Non-test Go lines per internal package and command, and for the repo
 # outside bench/ — the number ROADMAP aim 2 tracks.

@@ -2,11 +2,8 @@ package magg
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/attr"
 	"repro/internal/gen"
@@ -16,8 +13,8 @@ import (
 	"repro/internal/stream"
 )
 
-// Additional micro-benchmarks: HFTA merge, trace encoding/decoding,
-// query parsing, and sequential-vs-parallel sharding.
+// Additional micro-benchmarks: HFTA merge, trace encoding and query
+// parsing.
 
 // BenchmarkHFTAMerge times the HFTA's whole share of one epoch: the
 // evicted partials (8192, one query's share of a hostile-card epoch)
@@ -96,213 +93,12 @@ func BenchmarkTraceEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceDecode times the binary trace reader over an in-memory
-// trace of 64 Ki records. "records" is ReadTrace, the Next path with one
-// allocated Record per record; "columns/wN" drains NextColumns into one
-// recycled ColumnBatch at ColumnBatchLen, the path the engine and maggd
-// take, at widths 4 (the paper's ABCD schema) and 8. ns/record is the
-// figure to compare.
-func BenchmarkTraceDecode(b *testing.B) {
-	const records = 1 << 16
-	trace := func(b *testing.B, width int) []byte {
-		rng := rand.New(rand.NewSource(3))
-		schema := stream.MustSchema(width)
-		u, err := gen.UniformUniverse(rng, schema, 500, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := stream.WriteTrace(&buf, schema, gen.Uniform(rng, u, records, 60)); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(buf.Len()))
-		b.ReportAllocs()
-		return buf.Bytes()
-	}
-	perRecord := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
-	}
-	b.Run("records", func(b *testing.B) {
-		data := trace(b, 4)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := stream.ReadTrace(bytes.NewReader(data)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		perRecord(b)
-	})
-	for _, width := range []int{4, 8} {
-		b.Run(fmt.Sprintf("columns/w%d", width), func(b *testing.B) {
-			data := trace(b, width)
-			var cb stream.ColumnBatch
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src, err := stream.NewTraceSource(bytes.NewReader(data))
-				if err != nil {
-					b.Fatal(err)
-				}
-				for stream.ReadColumns(src, &cb, stream.ColumnBatchLen) > 0 {
-				}
-				if err := src.Err(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			perRecord(b)
-		})
-	}
-}
-
 func BenchmarkQueryParse(b *testing.B) {
 	const sql = "select A, B, count(*) as cnt, avg(D) as len from R where C >= 1024 group by A, B, time/300 having cnt > 100"
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := query.Parse(sql); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkShardedSequential / BenchmarkShardedParallel measure the
-// multi-LFTA deployment over a fixed batch; compare ns/op to see the
-// parallel speedup on multicore hosts.
-func BenchmarkShardedSequential(b *testing.B) { benchSharded(b, false) }
-func BenchmarkShardedParallel(b *testing.B)   { benchSharded(b, true) }
-
-// shardedFixture builds the reusable deployment the sharded benchmarks
-// and the steady-state allocation assertion drive: a planned 4-shard
-// LFTA over a fixed uniform trace, feeding a batched HFTA. Reusing one
-// fixture across iterations (Reset between runs) measures the steady
-// state instead of per-iteration construction cost.
-type shardedFixture struct {
-	recs []stream.Record
-	src  *stream.SliceSource
-	agg  *hfta.Aggregator
-	s    *lfta.Sharded
-}
-
-func newShardedFixture(tb testing.TB, records int) *shardedFixture {
-	tb.Helper()
-	rng := rand.New(rand.NewSource(4))
-	schema := stream.MustSchema(4)
-	u, err := gen.UniformUniverse(rng, schema, 2000, 0)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	recs := gen.Uniform(rng, u, records, 50)
-	queries := []Relation{MustRelation("AB"), MustRelation("BC"), MustRelation("CD")}
-	groups, err := EstimateGroups(recs[:20000], queries)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	plan, err := Plan(queries, groups, 20000, DefaultParams())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	agg, err := NewAggregator(queries, CountStar)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	s, err := NewShardedLFTA(plan.Config, plan.Alloc, CountStar, 5, nil, 4)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	s.SetRunSink(agg.MergeRun, 0)
-	return &shardedFixture{recs: recs, src: NewSliceSource(recs), agg: agg, s: s}
-}
-
-// run performs one full pass over the trace from clean state.
-func (f *shardedFixture) run(tb testing.TB, parallel bool) {
-	f.agg.Reset()
-	f.s.Reset()
-	f.src.Reset()
-	var err error
-	if parallel {
-		_, err = f.s.RunParallel(f.src, 10)
-	} else {
-		_, err = f.s.Run(f.src, 10)
-	}
-	if err != nil {
-		tb.Fatal(err)
-	}
-}
-
-func benchSharded(b *testing.B, parallel bool) {
-	b.Helper()
-	f := newShardedFixture(b, 200000)
-	b.SetBytes(int64(len(f.recs)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.run(b, parallel)
-	}
-}
-
-// TestShardedParallelSpeedup asserts the pipelined parallel path beats
-// sequential routing by ≥1.5× at 4 shards. The measurement always runs;
-// the assertion is skipped on hosts without enough CPUs to give the four
-// shard workers and the router their own cores (a single-CPU runner
-// time-slices them, and the pipeline can only tie sequential at best).
-func TestShardedParallelSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("speedup measurement needs the full trace")
-	}
-	f := newShardedFixture(t, 200000)
-	measure := func(parallel bool) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			f.run(t, parallel)
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	f.run(t, true) // warm pools before timing
-	seq := measure(false)
-	par := measure(true)
-	speedup := float64(seq) / float64(par)
-	t.Logf("4 shards over 200k records: sequential %v, parallel %v, speedup %.2fx (GOMAXPROCS=%d)",
-		seq, par, speedup, runtime.GOMAXPROCS(0))
-	if runtime.GOMAXPROCS(0) < 4 {
-		t.Skipf("parallel speedup assertion needs ≥4 CPUs, have %d", runtime.GOMAXPROCS(0))
-	}
-	if speedup < 1.5 {
-		t.Errorf("parallel speedup %.2fx below the 1.5x floor", speedup)
-	}
-}
-
-// TestShardedSteadyStateAllocs is the allocation regression gate for the
-// sharded ingest path: after one warm-up pass (which sizes every pooled
-// structure — hash tables, eviction run buffers, SPSC run batches, HFTA group
-// maps), a full 200k-record pass must run effectively allocation-free.
-// The bound is a hard budget per *pass*, not per record: 200 allocations
-// over 200k records is 0.001 allocs/record, three orders of magnitude
-// below the pre-pooling figure (~3800 per pass), and loose enough to
-// absorb goroutine spawns and map-rehash jitter.
-func TestShardedSteadyStateAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation measurement needs the full trace")
-	}
-	f := newShardedFixture(t, 200000)
-	for _, tc := range []struct {
-		name     string
-		parallel bool
-		budget   float64
-	}{
-		// Sequential routing spawns nothing; parallel spawns one worker
-		// goroutine per shard per pass plus scheduler bookkeeping.
-		{"sequential", false, 100},
-		{"parallel", true, 200},
-	} {
-		f.run(t, tc.parallel) // warm up pools to steady state
-		avg := testing.AllocsPerRun(3, func() {
-			f.run(t, tc.parallel)
-		})
-		if avg > tc.budget {
-			t.Errorf("%s: %v allocs per 200k-record pass, budget %v — pooled buffers are churning again",
-				tc.name, avg, tc.budget)
 		}
 	}
 }

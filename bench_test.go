@@ -1,85 +1,24 @@
 package magg
 
 import (
-	"io"
 	"math/rand"
 	"testing"
 
 	"repro/internal/attr"
-	"repro/internal/choose"
 	"repro/internal/collision"
 	"repro/internal/cost"
-	"repro/internal/experiments"
 	"repro/internal/feedgraph"
 	"repro/internal/gen"
-	"repro/internal/hashtab"
 	"repro/internal/lfta"
 	"repro/internal/spacealloc"
 	"repro/internal/stream"
 )
 
-// One benchmark per paper table/figure: each runs the corresponding
-// experiment harness (quick datasets) and reports its wall time. Use
-// cmd/maggbench for the full-size paper runs and the printed series.
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		ctx := experiments.NewContext(true)
-		tab, err := experiments.Run(id, ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tab.Fprint(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5(b *testing.B)   { benchExperiment(b, "fig5") }
-func BenchmarkFig6(b *testing.B)   { benchExperiment(b, "fig6") }
-func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
-func BenchmarkFig7(b *testing.B)   { benchExperiment(b, "fig7") }
-func BenchmarkFig8(b *testing.B)   { benchExperiment(b, "fig8") }
-func BenchmarkFig9(b *testing.B)   { benchExperiment(b, "fig9") }
-func BenchmarkFig10(b *testing.B)  { benchExperiment(b, "fig10") }
-func BenchmarkTable2(b *testing.B) { benchExperiment(b, "table2") }
-func BenchmarkTable3(b *testing.B) { benchExperiment(b, "table3") }
-func BenchmarkFig11(b *testing.B)  { benchExperiment(b, "fig11") }
-func BenchmarkFig12(b *testing.B)  { benchExperiment(b, "fig12") }
-func BenchmarkFig13(b *testing.B)  { benchExperiment(b, "fig13") }
-func BenchmarkFig14(b *testing.B)  { benchExperiment(b, "fig14") }
-func BenchmarkFig15(b *testing.B)  { benchExperiment(b, "fig15") }
-
-// Ablation experiments (design choices the paper argues for; see
-// EXPERIMENTS.md "Beyond the paper").
-func BenchmarkAblation1(b *testing.B) { benchExperiment(b, "ablation1") }
-func BenchmarkAblation2(b *testing.B) { benchExperiment(b, "ablation2") }
-
-// Extension experiments (drop behaviour under bounded capacity, scaling
-// with query count, skew sensitivity).
-func BenchmarkExtDrops(b *testing.B)    { benchExperiment(b, "ext-drops") }
-func BenchmarkExtScale(b *testing.B)    { benchExperiment(b, "ext-scale") }
-func BenchmarkExtZipf(b *testing.B)     { benchExperiment(b, "ext-zipf") }
-func BenchmarkExtAdaptive(b *testing.B) { benchExperiment(b, "ext-adaptive") }
-
-// --- micro benchmarks of the building blocks ---
-
-// BenchmarkLFTAProbe measures the hot path: one probe of an LFTA table.
-func BenchmarkLFTAProbe(b *testing.B) {
-	tab := hashtab.MustNew(attr.MustParseSet("ABCD"), 4096, []hashtab.AggOp{hashtab.Sum}, 1)
-	rng := rand.New(rand.NewSource(1))
-	keys := make([][]uint32, 1024)
-	for i := range keys {
-		keys[i] = []uint32{rng.Uint32() % 500, rng.Uint32() % 500, rng.Uint32() % 500, rng.Uint32() % 500}
-	}
-	deltas := []int64{1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.Probe(keys[i%len(keys)], deltas)
-	}
-}
+// Micro-benchmarks of the building blocks bench/'s per-layer metrics do
+// not time — the space allocators, the collision model and the engine's
+// scalar stager — plus BenchmarkRuntimeRecord, the budget lane's
+// one-record probe and cascade. bench/run.sh measures the product path end
+// to end and layer by layer; cmd/maggbench times the paper's experiments.
 
 // BenchmarkRuntimeRecord measures a full record through a three-level
 // configuration (probe + cascades).
@@ -110,46 +49,6 @@ func BenchmarkRuntimeRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rt.Process(recs[i%len(recs)], 0)
 	}
-}
-
-// BenchmarkPlannerGCSL validates the paper's claim that choosing a
-// configuration takes only milliseconds (Section 6.3.4).
-func BenchmarkPlannerGCSL(b *testing.B) {
-	g, err := feedgraph.New([]attr.Set{
-		attr.MustParseSet("A"), attr.MustParseSet("B"),
-		attr.MustParseSet("C"), attr.MustParseSet("D"),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	groups := feedgraph.GroupCounts{}
-	rng := rand.New(rand.NewSource(3))
-	for _, r := range g.Relations() {
-		groups[r] = 300 + float64(rng.Intn(2500))
-	}
-	if err := clampForBench(groups, g); err != nil {
-		b.Fatal(err)
-	}
-	p := cost.DefaultParams()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := choose.GCSL(g, groups, 40000, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func clampForBench(groups feedgraph.GroupCounts, g *feedgraph.Graph) error {
-	rels := g.Relations()
-	attr.SortSets(rels)
-	for i := len(rels) - 1; i >= 0; i-- {
-		for _, r := range rels {
-			if r.ProperSubsetOf(rels[i]) && groups[r] > groups[rels[i]] {
-				groups[rels[i]] = groups[r]
-			}
-		}
-	}
-	return groups.CheckMonotone()
 }
 
 // BenchmarkAllocSL and BenchmarkAllocES compare heuristic vs exhaustive

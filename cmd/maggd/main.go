@@ -352,10 +352,9 @@ func run(cfg runConfig) error {
 	}
 
 	// Ingest the way Engine.Run does: the trace decodes straight into
-	// column batches (through the Next fallback of ReadColumns when a
-	// reorder window wraps it; a resume skip passes batches through), so
-	// maggd runs the path the benchmark measures and its memory does not
-	// grow with the trace.
+	// column batches (a reorder window and a resume skip pass batches
+	// through), so maggd runs the path the benchmark measures and its
+	// memory does not grow with the trace.
 	trace, err := stream.OpenTraceSource(cfg.trace)
 	if err != nil {
 		return err

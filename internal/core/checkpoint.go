@@ -977,7 +977,7 @@ func (e *Engine) install(st *ckptState) error {
 	slices.Sort(epochs) // a deterministic consume order
 	for _, ep := range epochs {
 		for _, r := range st.rows[ep] {
-			e.agg.Consume(lfta.Eviction{Rel: r.Rel, Key: r.Key, Aggs: r.Aggs, Epoch: r.Epoch})
+			e.agg.MergeRun(r.Rel, r.Epoch, r.Key, r.Aggs)
 		}
 	}
 	e.durable.restore(int(st.durPersisted), st.durUnpersisted, int(st.durQueueFull))

@@ -561,9 +561,9 @@ func (e *Engine) adopt(res *choose.Result) error {
 		e.agg = agg
 	}
 	// Buffered transfers: evictions reach the HFTA through the runtime's
-	// run buffers instead of a per-eviction sink call, keeping the record
-	// hot path allocation-free — sealed (keys, aggs) runs folded by the
-	// batched MergeRun, one lock hold per touched HFTA shard. A WrapRunSink
+	// run buffers, keeping the record hot path allocation-free — sealed
+	// (keys, aggs) runs appended by MergeRun, one lock hold per run and
+	// (query, epoch) log. A WrapRunSink
 	// hook (chaos/fault injection) sits in front of that same sink.
 	// FlushEpoch drains the buffers, so every endEpoch read of HFTA state
 	// sees the complete epoch.

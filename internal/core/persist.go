@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/epochstore"
-	"repro/internal/lfta"
 )
 
 // Durable epoch persistence. When Options.Store is set, every finalized
@@ -258,13 +257,18 @@ func (e *Engine) ReplayStore() error {
 		if _, known := e.specByRel[rec.Rel]; !known {
 			return fmt.Errorf("core: store holds epoch %d of %v, not a workload query", rec.Epoch, rec.Rel)
 		}
+		// The store's decoder already refuses a key of the wrong arity;
+		// the aggregate arity is the workload's, which only the engine
+		// knows, and a mismatch would shear the HFTA's flat columns.
+		if len(rec.Rows) > 0 && len(rec.Rows[0].Aggs) != len(e.aggs) {
+			return fmt.Errorf("core: store holds epoch %d of %v with %d aggregates, workload has %d",
+				rec.Epoch, rec.Rel, len(rec.Rows[0].Aggs), len(e.aggs))
+		}
 		if e.agg.GroupCount(rec.Rel, rec.Epoch) > 0 {
 			return nil // already present (retained rows from the checkpoint)
 		}
 		for i := range rec.Rows {
-			e.agg.Consume(lfta.Eviction{
-				Rel: rec.Rel, Key: rec.Rows[i].Key, Aggs: rec.Rows[i].Aggs, Epoch: rec.Epoch,
-			})
+			e.agg.MergeRun(rec.Rel, rec.Epoch, rec.Rows[i].Key, rec.Rows[i].Aggs)
 		}
 		return nil
 	})

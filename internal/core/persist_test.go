@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -737,4 +738,57 @@ func TestCheckpointDurabilityRoundTrip(t *testing.T) {
 		b[4] = ckptVersion + 1
 		mustReject(t, b)
 	})
+}
+
+// TestReplayStoreRefusesAggregateArity: a store written by a workload
+// whose queries carry a different number of aggregates than the replaying
+// engine's — fewer or more, over the same relations — is refused with an
+// error naming the epoch, the relation and both arities, instead of
+// shearing (or silently misaligning) the HFTA's aggregate columns.
+func TestReplayStoreRefusesAggregateArity(t *testing.T) {
+	recs, groups := testWorkload(t, 6000)
+	withSum := make([]string, len(pairSQL))
+	for i, q := range pairSQL {
+		withSum[i] = strings.Replace(q, "count(*) as cnt", "count(*) as cnt, sum(A) as s", 1)
+	}
+	for _, tc := range []struct {
+		name          string
+		written, read []string
+		have, want    int
+	}{
+		{"fewer", pairSQL, withSum, 1, 2},
+		{"more", withSum, pairSQL, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "store")
+			st := openStore(t, dir, epochstore.Options{})
+			w, err := New(tc.written, groups, Options{M: 8000, Seed: 3, Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Run(stream.NewSliceSource(recs)); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+
+			st2 := openStore(t, dir, epochstore.Options{})
+			defer st2.Close()
+			if st2.Len() == 0 {
+				t.Fatal("the written store is empty")
+			}
+			r, err := New(tc.read, groups, Options{M: 8000, Seed: 3, Store: st2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = r.ReplayStore()
+			if err == nil {
+				t.Fatal("ReplayStore accepted a store of another aggregate arity")
+			}
+			for _, part := range []string{"epoch 0 of AB", fmt.Sprintf("with %d aggregates, workload has %d", tc.have, tc.want)} {
+				if !strings.Contains(err.Error(), part) {
+					t.Errorf("error %q does not name %q", err, part)
+				}
+			}
+		})
+	}
 }

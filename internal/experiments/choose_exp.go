@@ -165,15 +165,17 @@ func Fig12(ctx *Context) (*Table, error) {
 
 // runActual streams records through a configuration and returns the
 // measured per-record cost (probes·c1 + transfers·c2)/n, the paper's
-// "actual cost". The final epoch flush is excluded, matching the paper's
-// intra-epoch cost focus.
+// "actual cost", feeding them in column batches as the engine does. The
+// final epoch flush is excluded, matching the paper's intra-epoch focus.
 func runActual(cfg *feedgraph.Config, alloc cost.Alloc, recs []stream.Record, p cost.Params, seed uint64) (float64, error) {
 	rt, err := lfta.New(cfg, alloc, lfta.CountStar, seed, nil)
 	if err != nil {
 		return 0, err
 	}
-	for i := range recs {
-		rt.Process(recs[i], 0)
+	src := stream.NewSliceSource(recs)
+	var b stream.ColumnBatch
+	for stream.ReadColumns(src, &b, stream.ColumnBatchLen) > 0 {
+		rt.ProcessColumns(b.Cols, 0)
 	}
 	return rt.Ops().PerRecordCost(p.C1, p.C2), nil
 }

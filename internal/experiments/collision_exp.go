@@ -117,9 +117,11 @@ func measureRateEqualFreq(u *gen.Universe, rel attr.Set, b, passes int, seed int
 	rng := newRng(seed + int64(b))
 	tab := hashtab.MustNew(rel, b, []hashtab.AggOp{hashtab.Sum}, uint64(seed)*31+7)
 	var key []uint32
+	var victims hashtab.VictimRun
 	for n := passes * len(u.Tuples); n > 0; n-- {
 		key = rel.Project(u.Tuples[rng.Intn(len(u.Tuples))], key)
-		tab.Probe(key, []int64{1})
+		victims.Reset() // victims are discarded: only the statistics count
+		tab.ProbeInto(key, []int64{1}, &victims)
 	}
 	return tab.Stats().CollisionRate()
 }
@@ -131,10 +133,12 @@ func measureRate(recs []stream.Record, rel attr.Set, b, passes, trials int) floa
 	for trial := 0; trial < trials; trial++ {
 		tab := hashtab.MustNew(rel, b, []hashtab.AggOp{hashtab.Sum}, uint64(trial)*1009+13)
 		var key []uint32
+		var victims hashtab.VictimRun
 		for pass := 0; pass < passes; pass++ {
 			for i := range recs {
 				key = rel.Project(recs[i].Attrs, key)
-				tab.Probe(key, []int64{1})
+				victims.Reset()
+				tab.ProbeInto(key, []int64{1}, &victims)
 			}
 		}
 		sum += tab.Stats().CollisionRate()

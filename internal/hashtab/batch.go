@@ -47,8 +47,9 @@ const prefetchMinBytes = 256 << 10
 
 // VictimRun is the one form in which entries leave a table: collision
 // victims of ProbeColumnsSelInto and ProbeInto, and the chunks DrainInto
-// empties at the end of an epoch. Keys holds Len()×arity key words and
-// Aggs holds Len()×NumAggs() aggregate values, both in leaving order.
+// empties at the end of an epoch. Keys holds Len()×Arity() key words and
+// Aggs holds Len()×NumAggs() aggregate values of the table the entries
+// left, both in leaving order.
 // The layout is exactly a probe run, so a cascade feeds entries onward
 // by projecting Keys into child key columns and passing Aggs as the
 // child's deltas verbatim. The slices are reused across Resets; steady
@@ -57,33 +58,18 @@ type VictimRun struct {
 	Keys []uint32
 	Aggs []int64
 
-	n     int
-	arity int
-	naggs int
+	n int
 }
 
-// Reset empties the run and fixes the per-victim widths.
-func (r *VictimRun) Reset(arity, naggs int) {
+// Reset empties the run, keeping its storage.
+func (r *VictimRun) Reset() {
 	r.Keys = r.Keys[:0]
 	r.Aggs = r.Aggs[:0]
 	r.n = 0
-	r.arity = arity
-	r.naggs = naggs
 }
 
 // Len returns the number of victims in the run.
 func (r *VictimRun) Len() int { return r.n }
-
-// Key returns the i-th victim's key, aliasing the run's storage.
-func (r *VictimRun) Key(i int) []uint32 {
-	return r.Keys[i*r.arity : (i+1)*r.arity]
-}
-
-// AggRow returns the i-th victim's aggregates, aliasing the run's
-// storage.
-func (r *VictimRun) AggRow(i int) []int64 {
-	return r.Aggs[i*r.naggs : (i+1)*r.naggs]
-}
 
 // prefetchGroup requests the tag vector of the group at base and the
 // key and aggregate lines of its victim lane vs — exact for evictions,

@@ -59,7 +59,7 @@ func reference(rel attr.Set, b int, ops []AggOp, seed uint64) *Table {
 // model of one ProbeColumnsSelInto call.
 func probeLanes(t *Table, cols [][]uint32, deltas []int64, n int, sel []uint64, out *VictimRun) {
 	a, na := t.Arity(), t.NumAggs()
-	out.Reset(a, na)
+	out.Reset()
 	key := make([]uint32, a)
 	k := 0
 	for i := 0; i < n; i++ {
@@ -166,7 +166,7 @@ func TestProbeBatchDuplicateKeysInChunk(t *testing.T) {
 	if st.Inserts != 1 || st.Hits != 199 || st.Collisions != 0 {
 		t.Fatalf("stats %+v, want 1 insert / 199 hits / 0 collisions", st)
 	}
-	e, ok := tab.Get([]uint32{11, 22})
+	e, ok := lookup(tab, []uint32{11, 22})
 	if !ok || e.Aggs[0] != 200 {
 		t.Fatalf("resident entry %+v ok=%v, want sum 200", e, ok)
 	}
@@ -209,7 +209,7 @@ func TestProbeBatchZeroAllocSteadyState(t *testing.T) {
 			var out VictimRun
 			probeAll := func() {
 				for i := 0; i < 512; i++ {
-					out.Reset(tc.arity, na)
+					out.Reset()
 					tab.ProbeInto(keys[i*tc.arity:(i+1)*tc.arity], deltas[i*na:(i+1)*na], &out)
 				}
 			}
@@ -292,7 +292,7 @@ func TestTagAliasDistinctKeys(t *testing.T) {
 					t.Fatalf("stats %+v, want %d inserts / %d hits", st, len(keys), n-len(keys))
 				}
 				for i, key := range keys {
-					e, ok := tab.Get(key)
+					e, ok := lookup(tab, key)
 					if !ok {
 						t.Fatalf("aliased key %v missing", key)
 					}
@@ -329,10 +329,7 @@ func TestDrainIntoChunked(t *testing.T) {
 			chunked.ProbeColumnsSelInto(cols, deltas, 2000, sel, &out)
 			whole.ProbeColumnsSelInto(cols, deltas, 2000, sel, &out)
 
-			var want []Entry
-			whole.Scan(func(e Entry) {
-				want = append(want, Entry{Key: slices.Clone(e.Key), Aggs: slices.Clone(e.Aggs)})
-			})
+			want := resident(whole)
 			if next := whole.DrainInto(&all, 0, whole.Buckets()); next != whole.Buckets() {
 				t.Fatalf("one-shot drain resumes at %d, want %d", next, whole.Buckets())
 			}
@@ -340,7 +337,8 @@ func TestDrainIntoChunked(t *testing.T) {
 				t.Fatalf("one-shot drain emptied %d entries, %d resident", all.Len(), len(want))
 			}
 			for i, e := range want {
-				if !slices.Equal(all.Key(i), e.Key) || !slices.Equal(all.AggRow(i), e.Aggs) {
+				na := len(ops)
+				if !slices.Equal(all.Keys[3*i:3*i+3], e.Key) || !slices.Equal(all.Aggs[na*i:na*i+na], e.Aggs) {
 					t.Fatalf("one-shot drain entry %d is not slot-order entry %v", i, e)
 				}
 			}
@@ -381,7 +379,9 @@ func TestDrainIntoChunked(t *testing.T) {
 				if tab.Len() != 0 {
 					t.Fatalf("%d entries left after a drain", tab.Len())
 				}
-				tab.Scan(func(e Entry) { t.Fatalf("entry %v left after a drain", e.Key) })
+				if left := resident(tab); len(left) > 0 {
+					t.Fatalf("entry %v left after a drain", left[0].Key)
+				}
 			}
 		}
 	}

@@ -38,7 +38,7 @@ func BenchmarkProbeScalarLarge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o := (i % benchStream) * 2
-		victims.Reset(2, 1)
+		victims.Reset()
 		tab.ProbeInto(keys[o:o+2], one, &victims)
 	}
 }

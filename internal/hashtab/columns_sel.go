@@ -43,9 +43,9 @@ func selCount(sel []uint64, n int) int {
 // order, and returns the number of hashes written. cols is one slice
 // per key word, each with at least n lanes; out must have room for the
 // selection popcount. It is the columnar twin of HashWords — same pair
-// packing, same per-arity initial states — so record-major routing
-// (ShardOf) and columnar routing (ShardColumns) agree bit for bit; a
-// dense block is the saturated selection.
+// packing, same per-arity initial states — so the shard router
+// (lfta.Sharded.ShardColumns) routes a lane exactly where HashWords of its
+// attribute vector says; a dense block is the saturated selection.
 func HashColumnsSel(seed uint64, cols [][]uint32, n int, sel []uint64, out []uint64) int {
 	if n == 0 {
 		return 0
@@ -138,7 +138,7 @@ func (t *Table) ProbeColumnsSelInto(cols [][]uint32, deltas []int64, n int, sel 
 	if len(deltas) != m*na {
 		panic(fmt.Sprintf("hashtab: %d batch deltas for %d selected probes of table %v (%d aggs)", len(deltas), m, t.rel, na))
 	}
-	out.Reset(a, na)
+	out.Reset()
 	if m == 0 {
 		return
 	}

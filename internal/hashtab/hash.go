@@ -40,9 +40,9 @@ func mixWord(h, w uint64) uint64 {
 
 // HashWords mixes the 4-byte words of key with seed, word-at-a-time.
 // It is the one shared mixing kernel of the system: table probes
-// (Table.hash specializes it per arity), shard routing
-// (lfta.Sharded.ShardOf), and any other consumer that must agree with
-// the tables' random-hash behaviour.
+// (Table.hash specializes it per arity), shard routing (through its
+// columnar twin HashColumnsSel), and any other consumer that must agree
+// with the tables' random-hash behaviour.
 func HashWords(seed uint64, key []uint32) uint64 {
 	h := seed ^ hashGamma*uint64(len(key))
 	i := 0

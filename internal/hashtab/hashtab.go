@@ -25,7 +25,6 @@ package hashtab
 
 import (
 	"fmt"
-	"math/bits"
 	"unsafe"
 
 	"repro/internal/attr"
@@ -87,20 +86,9 @@ func (op AggOp) Identity() int64 {
 	}
 }
 
-// Entry is one evicted or scanned table entry: the group key (projected
-// attribute values of the table's relation, in attribute order) and its
-// accumulated aggregates. Updates counts how many records were folded into
-// the entry while it was resident, which the engine uses to measure
-// average flow length (Section 4.3 of the paper).
-type Entry struct {
-	Key     []uint32
-	Aggs    []int64
-	Updates uint32
-}
-
 // Stats are cumulative operation counts for one table.
 type Stats struct {
-	Probes     uint64 // every Probe call (cost c1 each)
+	Probes     uint64 // every probed key (cost c1 each)
 	Hits       uint64 // probe matched resident group
 	Inserts    uint64 // probe filled an empty slot
 	Collisions uint64 // probe evicted a resident group (cost c2 if leaf)
@@ -153,8 +141,8 @@ func (s Stats) AvgFlowLength() float64 {
 // Entry storage interleaves each slot's update count with its aggregates
 // (aggs stride is NumAggs()+1, count in the last cell) so the hit and
 // eviction paths touch one line, not two. The count is kept as int64 and
-// clamped to uint32 when surfaced in an Entry; occupancy is tracked by
-// the tag byte alone (tags[i] == 0 ⟺ slot i empty).
+// clamped to uint32 when it reaches the flow-length statistics; occupancy
+// is tracked by the tag byte alone (tags[i] == 0 ⟺ slot i empty).
 type Table struct {
 	rel     attr.Set
 	arity   int
@@ -301,8 +289,8 @@ func (t *Table) victimSlot(base int, h uint64) int {
 	return base + vs
 }
 
-// clampUpdates narrows a stored update count to the Entry's uint32
-// (saturating; a slot would need 2³² folds in one epoch to get here).
+// clampUpdates narrows a stored update count to uint32 (saturating; a
+// slot would need 2³² folds in one epoch to get here).
 func clampUpdates(u int64) uint32 {
 	if u >= int64(^uint32(0)) {
 		return ^uint32(0)
@@ -310,34 +298,13 @@ func clampUpdates(u int64) uint32 {
 	return uint32(u)
 }
 
-// Probe folds one observation of the group identified by key into the
-// table, applying deltas (one per aggregate slot) under the table's ops.
-// If the key's hash group is full of other groups, one entry is evicted:
-// Probe returns it with collided = true, and its slot is re-initialized
-// to the probing group. The returned Entry holds freshly allocated slices
-// and is safe to retain. It is ProbeInto with a scratch run per call —
-// the convenience form for experiments and tests, which therefore
-// exercise the hot kernel.
-//
-// key must have length Arity(); deltas must have length NumAggs(). For a
-// count(*) table pass deltas = {1}.
-func (t *Table) Probe(key []uint32, deltas []int64) (evicted Entry, collided bool) {
-	var run VictimRun
-	run.Reset(t.arity, len(t.ops))
-	before := t.stats.EvictedUpdates
-	if !t.ProbeInto(key, deltas, &run) {
-		return Entry{}, false
-	}
-	return Entry{Key: run.Keys, Aggs: run.Aggs, Updates: uint32(t.stats.EvictedUpdates - before)}, true
-}
-
 // ProbeInto probes one key, allocation-free in steady state. On a
 // collision the victim's key and aggregates are appended to out, which
-// must have been Reset to this table's widths. It hashes the key, picks
-// the group and victim lane, and commits through the columnar kernel's
-// own commit (commitSum2 for sum-only arity-2 tables, commitProbe for
-// every other shape), so outcomes and statistics are those of a
-// one-lane ProbeColumnsSelInto. Its one hot caller is lfta's per-record
+// must hold only this table's victims since its last Reset. It hashes the
+// key, picks the group and victim lane, and commits through the columnar
+// kernel's own commit (commitSum2 for sum-only arity-2 tables,
+// commitProbe for every other shape), so outcomes and statistics are
+// those of a one-lane ProbeColumnsSelInto. Its one hot caller is lfta's per-record
 // Runtime.Process: exact per-record budget charging probes an admitted
 // record and reads its cost before the next is offered.
 func (t *Table) ProbeInto(key []uint32, deltas []int64, out *VictimRun) (collided bool) {
@@ -418,48 +385,6 @@ func equalKeys(a, b []uint32) bool {
 	return true
 }
 
-// Get looks up the resident entry for key without modifying the table. It
-// returns ok = false if the key's hash group holds no matching entry.
-func (t *Table) Get(key []uint32) (Entry, bool) {
-	if len(key) != t.arity {
-		return Entry{}, false
-	}
-	h := t.hash(key)
-	base, tag := t.group(h)
-	grp := (*[GroupSlots]uint8)(t.tags[base:])
-	for mm := matchTags(grp, tag); mm != 0; mm &= mm - 1 {
-		i := base + bits.TrailingZeros16(mm)
-		ks := t.keys[i*t.arity : (i+1)*t.arity]
-		if !equalKeys(ks, key) {
-			continue
-		}
-		row := t.aggs[i*t.astride : (i+1)*t.astride]
-		return Entry{
-			Key:     append([]uint32(nil), ks...),
-			Aggs:    append([]int64(nil), row[:len(t.ops)]...),
-			Updates: clampUpdates(row[len(t.ops)]),
-		}, true
-	}
-	return Entry{}, false
-}
-
-// Scan calls fn for every resident entry, in slot order, without
-// modifying the table. The Entry passed to fn aliases internal storage and
-// must not be retained across calls.
-func (t *Table) Scan(fn func(Entry)) {
-	for i := 0; i < t.b; i++ {
-		if t.tags[i] == 0 {
-			continue
-		}
-		row := t.aggs[i*t.astride : (i+1)*t.astride]
-		fn(Entry{
-			Key:     t.keys[i*t.arity : (i+1)*t.arity],
-			Aggs:    row[:len(t.ops)],
-			Updates: clampUpdates(row[len(t.ops)]),
-		})
-	}
-}
-
 // DrainInto empties resident entries into out (reset first), in slot
 // order from slot pos, until out holds max entries or the table is
 // empty; it returns the slot to resume from, Buckets() once the table is
@@ -467,7 +392,7 @@ func (t *Table) Scan(fn func(Entry)) {
 // caller cascades each chunk before draining the next.
 func (t *Table) DrainInto(out *VictimRun, pos, max int) (next int) {
 	a, na := t.arity, len(t.ops)
-	out.Reset(a, na)
+	out.Reset()
 	for ; pos < t.b && out.n < max && t.live > 0; pos++ {
 		if t.tags[pos] == 0 {
 			continue

@@ -2,7 +2,9 @@ package hashtab
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +12,64 @@ import (
 )
 
 var relA = attr.MustParseSet("A")
+
+// entry is one table entry as the tests inspect it: the group key, its
+// aggregates, and how many records were folded into it while resident.
+type entry struct {
+	Key     []uint32
+	Aggs    []int64
+	Updates uint32
+}
+
+// probe folds one observation of key through ProbeInto and returns the
+// entry it evicted, if any, with the update count the eviction added to
+// the table's flow-length statistics.
+func probe(tab *Table, key []uint32, deltas []int64) (evicted entry, collided bool) {
+	var run VictimRun
+	run.Reset()
+	before := tab.Stats().EvictedUpdates
+	if !tab.ProbeInto(key, deltas, &run) {
+		return entry{}, false
+	}
+	return entry{Key: run.Keys, Aggs: run.Aggs, Updates: uint32(tab.Stats().EvictedUpdates - before)}, true
+}
+
+// slotEntry copies the entry resident in slot i.
+func slotEntry(tab *Table, i int) entry {
+	row := tab.aggs[i*tab.astride : (i+1)*tab.astride]
+	return entry{
+		Key:     slices.Clone(tab.keys[i*tab.arity : (i+1)*tab.arity]),
+		Aggs:    slices.Clone(row[:len(tab.ops)]),
+		Updates: clampUpdates(row[len(tab.ops)]),
+	}
+}
+
+// lookup finds key's resident entry without modifying the table, searching
+// only the hash group the key maps to: an entry stored in any other group
+// is missing.
+func lookup(tab *Table, key []uint32) (entry, bool) {
+	h := tab.hash(key)
+	base, tag := tab.group(h)
+	grp := (*[GroupSlots]uint8)(tab.tags[base:])
+	for mm := matchTags(grp, tag); mm != 0; mm &= mm - 1 {
+		if e := slotEntry(tab, base+bits.TrailingZeros16(mm)); slices.Equal(e.Key, key) {
+			return e, true
+		}
+	}
+	return entry{}, false
+}
+
+// resident returns every resident entry in slot order, without modifying
+// the table.
+func resident(tab *Table) []entry {
+	var out []entry
+	for i := 0; i < tab.b; i++ {
+		if tab.tags[i] != 0 {
+			out = append(out, slotEntry(tab, i))
+		}
+	}
+	return out
+}
 
 func counter(t *testing.T, rel string, b int) *Table {
 	t.Helper()
@@ -55,14 +115,14 @@ func TestPaperExample(t *testing.T) {
 	tab := counter(t, "A", 1024)
 	stream := []uint32{2, 24, 2, 2, 3, 17, 3}
 	for _, v := range stream {
-		if _, collided := tab.Probe([]uint32{v}, []int64{1}); collided {
+		if _, collided := probe(tab, []uint32{v}, []int64{1}); collided {
 			t.Fatalf("unexpected collision for %d", v)
 		}
 	}
 	// Status after 7 items (Figure 1): counts 2→3, 3→2, 17→1, 24→1.
 	want := map[uint32]int64{2: 3, 3: 2, 17: 1, 24: 1}
 	for v, cnt := range want {
-		e, ok := tab.Get([]uint32{v})
+		e, ok := lookup(tab, []uint32{v})
 		if !ok || e.Aggs[0] != cnt {
 			t.Errorf("group %d: got %+v, ok=%v; want count %d", v, e, ok, cnt)
 		}
@@ -74,24 +134,24 @@ func TestPaperExample(t *testing.T) {
 	// Force the collision of the 8th item: group 4 arrives at a bucket
 	// holding (24, 1). With b = 1 every probe shares the bucket.
 	one := counter(t, "A", 1)
-	one.Probe([]uint32{24}, []int64{1})
-	evicted, collided := one.Probe([]uint32{4}, []int64{1})
+	probe(one, []uint32{24}, []int64{1})
+	evicted, collided := probe(one, []uint32{4}, []int64{1})
 	if !collided {
 		t.Fatal("expected collision in single-bucket table")
 	}
 	if evicted.Key[0] != 24 || evicted.Aggs[0] != 1 {
 		t.Errorf("evicted = %+v; want (24, 1)", evicted)
 	}
-	if e, ok := one.Get([]uint32{4}); !ok || e.Aggs[0] != 1 {
+	if e, ok := lookup(one, []uint32{4}); !ok || e.Aggs[0] != 1 {
 		t.Errorf("bucket after eviction = %+v, %v; want (4, 1)", e, ok)
 	}
 }
 
 func TestStatsAccounting(t *testing.T) {
 	tab := counter(t, "A", 1)
-	tab.Probe([]uint32{1}, []int64{1}) // insert
-	tab.Probe([]uint32{1}, []int64{1}) // hit
-	tab.Probe([]uint32{2}, []int64{1}) // collision
+	probe(tab, []uint32{1}, []int64{1}) // insert
+	probe(tab, []uint32{1}, []int64{1}) // hit
+	probe(tab, []uint32{2}, []int64{1}) // collision
 	s := tab.Stats()
 	if s.Probes != 3 || s.Inserts != 1 || s.Hits != 1 || s.Collisions != 1 {
 		t.Errorf("stats = %+v", s)
@@ -114,10 +174,10 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestMinMaxAggregates(t *testing.T) {
 	tab := MustNew(relA, 8, []AggOp{Sum, Min, Max}, 0)
-	tab.Probe([]uint32{7}, []int64{1, 100, 100})
-	tab.Probe([]uint32{7}, []int64{1, 42, 42})
-	tab.Probe([]uint32{7}, []int64{1, 77, 77})
-	e, ok := tab.Get([]uint32{7})
+	probe(tab, []uint32{7}, []int64{1, 100, 100})
+	probe(tab, []uint32{7}, []int64{1, 42, 42})
+	probe(tab, []uint32{7}, []int64{1, 77, 77})
+	e, ok := lookup(tab, []uint32{7})
 	if !ok {
 		t.Fatal("group 7 missing")
 	}
@@ -150,16 +210,16 @@ func TestFlush(t *testing.T) {
 	tab := counter(t, "AB", 64)
 	keys := [][]uint32{{1, 2}, {3, 4}, {5, 6}}
 	for _, k := range keys {
-		tab.Probe(k, []int64{1})
-		tab.Probe(k, []int64{1})
+		probe(tab, k, []int64{1})
+		probe(tab, k, []int64{1})
 	}
 	var out VictimRun
 	if next := tab.DrainInto(&out, 0, tab.Buckets()); next != tab.Buckets() || out.Len() != 3 {
 		t.Fatalf("DrainInto emptied %d entries, resumes at %d", out.Len(), next)
 	}
 	for i := 0; i < out.Len(); i++ {
-		if out.AggRow(i)[0] != 2 {
-			t.Errorf("flushed entry %v count %d; want 2", out.Key(i), out.AggRow(i)[0])
+		if out.Aggs[i] != 2 {
+			t.Errorf("flushed entry %v count %d; want 2", out.Keys[2*i:2*i+2], out.Aggs[i])
 		}
 	}
 	if tab.Len() != 0 {
@@ -174,29 +234,14 @@ func TestFlush(t *testing.T) {
 	}
 }
 
-func TestScanDoesNotModify(t *testing.T) {
-	tab := counter(t, "A", 16)
-	tab.Probe([]uint32{9}, []int64{1})
-	count := 0
-	tab.Scan(func(e Entry) {
-		count++
-		if e.Key[0] != 9 {
-			t.Errorf("scanned key %v", e.Key)
-		}
-	})
-	if count != 1 || tab.Len() != 1 {
-		t.Errorf("Scan visited %d entries, Len = %d", count, tab.Len())
-	}
-}
-
 func TestClear(t *testing.T) {
 	tab := counter(t, "A", 16)
-	tab.Probe([]uint32{1}, []int64{1})
+	probe(tab, []uint32{1}, []int64{1})
 	tab.Clear()
 	if tab.Len() != 0 {
 		t.Error("Clear left entries behind")
 	}
-	if _, ok := tab.Get([]uint32{1}); ok {
+	if _, ok := lookup(tab, []uint32{1}); ok {
 		t.Error("entry survived Clear")
 	}
 	// Stats must be preserved by Clear.
@@ -207,8 +252,8 @@ func TestClear(t *testing.T) {
 
 func TestProbePanicsOnArityMismatch(t *testing.T) {
 	tab := counter(t, "AB", 4)
-	assertPanics(t, func() { tab.Probe([]uint32{1}, []int64{1}) })
-	assertPanics(t, func() { tab.Probe([]uint32{1, 2}, []int64{1, 1}) })
+	assertPanics(t, func() { probe(tab, []uint32{1}, []int64{1}) })
+	assertPanics(t, func() { probe(tab, []uint32{1, 2}, []int64{1, 1}) })
 }
 
 func assertPanics(t *testing.T, fn func()) {
@@ -277,12 +322,14 @@ func TestCountConservationProperty(t *testing.T) {
 		tab := MustNew(relA, b, []AggOp{Sum}, uint64(bRaw))
 		var evictedTotal int64
 		for _, v := range vals {
-			if e, collided := tab.Probe([]uint32{uint32(v % 128)}, []int64{1}); collided {
+			if e, collided := probe(tab, []uint32{uint32(v % 128)}, []int64{1}); collided {
 				evictedTotal += e.Aggs[0]
 			}
 		}
 		var residentTotal int64
-		tab.Scan(func(e Entry) { residentTotal += e.Aggs[0] })
+		for _, e := range resident(tab) {
+			residentTotal += e.Aggs[0]
+		}
 		return evictedTotal+residentTotal == int64(len(vals))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -295,15 +342,14 @@ func TestUpdatesMatchCountProperty(t *testing.T) {
 	f := func(vals []uint8) bool {
 		tab := MustNew(relA, 16, []AggOp{Sum}, 7)
 		for _, v := range vals {
-			tab.Probe([]uint32{uint32(v)}, []int64{1})
+			probe(tab, []uint32{uint32(v)}, []int64{1})
 		}
-		ok := true
-		tab.Scan(func(e Entry) {
+		for _, e := range resident(tab) {
 			if int64(e.Updates) != e.Aggs[0] {
-				ok = false
+				return false
 			}
-		})
-		return ok
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -318,7 +364,7 @@ func TestEmpiricalCollisionRateOrder(t *testing.T) {
 		tab := MustNew(relA, b, []AggOp{Sum}, 99)
 		for i := 0; i < 20000; i++ {
 			v := uint32(rng.Intn(g))
-			tab.Probe([]uint32{v}, []int64{1})
+			probe(tab, []uint32{v}, []int64{1})
 		}
 		return tab.Stats().CollisionRate()
 	}

@@ -62,20 +62,6 @@ func New(queries []attr.Set, aggs []lfta.AggSpec) (*Aggregator, error) {
 	return a, nil
 }
 
-// Sink returns the aggregator as an lfta.Sink.
-func (a *Aggregator) Sink() lfta.Sink { return a.Consume }
-
-// Consume adds one eviction to the per-epoch state. Evictions for
-// relations that are not user queries are ignored (phantoms never reach
-// the HFTA in a correct runtime, but defense costs nothing), and so is a
-// key of the wrong arity, which would shear the flat key column. Safe for
-// concurrent use; the eviction's slices are not retained.
-func (a *Aggregator) Consume(ev lfta.Eviction) {
-	if rs := a.state[ev.Rel]; rs != nil && len(ev.Key) == rs.arity {
-		a.MergeRun(ev.Rel, ev.Epoch, ev.Key, ev.Aggs)
-	}
-}
-
 // AllRows returns every finalized row across queries and epochs, sorted
 // by (relation, epoch, key).
 func (a *Aggregator) AllRows() []Row {
@@ -167,12 +153,7 @@ func Reference(recs []stream.Record, queries []attr.Set, aggs []lfta.AggSpec, ep
 		}
 		for _, q := range queries {
 			keyBuf = q.Project(rec.Attrs, keyBuf)
-			agg.Consume(lfta.Eviction{
-				Rel:   q,
-				Key:   keyBuf,
-				Aggs:  deltas,
-				Epoch: e.Of(rec.Time),
-			})
+			agg.MergeRun(q, e.Of(rec.Time), keyBuf, deltas)
 		}
 	}
 	return agg.AllRows()

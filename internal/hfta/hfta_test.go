@@ -34,19 +34,22 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestConsumeAndRows(t *testing.T) {
+// TestMergeRunAndRows merges one-entry runs: partials of one group
+// combine, groups and epochs stay apart, and a relation that is not a
+// query is ignored.
+func TestMergeRunAndRows(t *testing.T) {
 	a, err := New(sets("A"), lfta.CountStar)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rel := attr.MustParseSet("A")
 	// Two partials for the same group combine; different groups stay apart.
-	a.Consume(lfta.Eviction{Rel: rel, Key: []uint32{7}, Aggs: []int64{3}, Epoch: 0})
-	a.Consume(lfta.Eviction{Rel: rel, Key: []uint32{7}, Aggs: []int64{4}, Epoch: 0})
-	a.Consume(lfta.Eviction{Rel: rel, Key: []uint32{9}, Aggs: []int64{1}, Epoch: 0})
-	a.Consume(lfta.Eviction{Rel: rel, Key: []uint32{7}, Aggs: []int64{5}, Epoch: 1})
+	a.MergeRun(rel, 0, []uint32{7}, []int64{3})
+	a.MergeRun(rel, 0, []uint32{7}, []int64{4})
+	a.MergeRun(rel, 0, []uint32{9}, []int64{1})
+	a.MergeRun(rel, 1, []uint32{7}, []int64{5})
 	// Non-query relations are ignored.
-	a.Consume(lfta.Eviction{Rel: attr.MustParseSet("AB"), Key: []uint32{1, 2}, Aggs: []int64{9}, Epoch: 0})
+	a.MergeRun(attr.MustParseSet("AB"), 0, []uint32{1, 2}, []int64{9})
 
 	rows := a.Rows(rel, 0)
 	if len(rows) != 2 {
@@ -83,8 +86,8 @@ func TestMinMaxMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel := attr.MustParseSet("A")
-	a.Consume(lfta.Eviction{Rel: rel, Key: []uint32{1}, Aggs: []int64{5, 5}, Epoch: 0})
-	a.Consume(lfta.Eviction{Rel: rel, Key: []uint32{1}, Aggs: []int64{2, 9}, Epoch: 0})
+	a.MergeRun(rel, 0, []uint32{1}, []int64{5, 5})
+	a.MergeRun(rel, 0, []uint32{1}, []int64{2, 9})
 	rows := a.Rows(rel, 0)
 	if rows[0].Aggs[0] != 2 || rows[0].Aggs[1] != 9 {
 		t.Errorf("min/max merge = %v; want [2 9]", rows[0].Aggs)
@@ -139,11 +142,11 @@ func TestEndToEndExactness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := lfta.New(cfg, alloc, lfta.CountStar, 31, agg.Sink())
+		s, err := lfta.NewSharded(cfg, alloc, lfta.CountStar, 31, agg.MergeRun, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.Run(stream.NewSliceSource(recs), 10); err != nil {
+		if _, err := s.RunParallel(stream.NewSliceSource(recs), 10); err != nil {
 			t.Fatal(err)
 		}
 		got := agg.AllRows()
@@ -186,11 +189,11 @@ func TestEndToEndExactnessClustered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := lfta.New(cfg, alloc, aggs, 13, agg.Sink())
+	s, err := lfta.NewSharded(cfg, alloc, aggs, 13, agg.MergeRun, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Run(stream.NewSliceSource(ft.Records), 5); err != nil {
+	if _, err := s.RunParallel(stream.NewSliceSource(ft.Records), 5); err != nil {
 		t.Fatal(err)
 	}
 	if !Equal(agg.AllRows(), want) {
@@ -205,23 +208,17 @@ func TestMergeOrderIndependenceProperty(t *testing.T) {
 			return true
 		}
 		rel := attr.MustParseSet("A")
-		evs := make([]lfta.Eviction, len(counts))
-		for i, c := range counts {
-			evs[i] = lfta.Eviction{
-				Rel:   rel,
-				Key:   []uint32{uint32(c % 8)},
-				Aggs:  []int64{int64(c%5) + 1},
-				Epoch: uint32(c % 3),
-			}
+		merge := func(a *Aggregator, c uint8) {
+			a.MergeRun(rel, uint32(c%3), []uint32{uint32(c % 8)}, []int64{int64(c%5) + 1})
 		}
 		a1, _ := New([]attr.Set{rel}, lfta.CountStar)
-		for _, e := range evs {
-			a1.Consume(e)
+		for _, c := range counts {
+			merge(a1, c)
 		}
 		a2, _ := New([]attr.Set{rel}, lfta.CountStar)
 		rng := rand.New(rand.NewSource(seed))
-		for _, i := range rng.Perm(len(evs)) {
-			a2.Consume(evs[i])
+		for _, i := range rng.Perm(len(counts)) {
+			merge(a2, counts[i])
 		}
 		return Equal(a1.AllRows(), a2.AllRows())
 	}

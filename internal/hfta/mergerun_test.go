@@ -17,7 +17,7 @@ func mergeRunRel(arity int) attr.Set {
 }
 
 // TestMergeRunMatchesPerEntry: folding a run through MergeRun must
-// produce exactly the state n Consume calls produce — across the
+// produce exactly the state n one-entry MergeRun calls produce — across the
 // packed and wide key arities, several epochs interleaved across
 // runs, and duplicate groups within one run (where the stable sort's
 // in-order combine matters for non-commutative-looking sequences like
@@ -58,12 +58,12 @@ func TestMergeRunMatchesPerEntry(t *testing.T) {
 					runAgg.MergeRun(rel, epoch, keys, deltas)
 					for i := 0; i < n; i++ {
 						key, d := keys[i*arity:(i+1)*arity], deltas[i*na:(i+1)*na]
-						entAgg.Consume(lfta.Eviction{Rel: rel, Key: key, Aggs: d, Epoch: epoch})
+						entAgg.MergeRun(rel, epoch, key, d)
 						model.fold(rel, epoch, key, d, specs)
 					}
 				}
 				if !Equal(runAgg.AllRows(), entAgg.AllRows()) {
-					t.Fatalf("cycle %d: MergeRun state differs from per-entry Consume state", cycle)
+					t.Fatalf("cycle %d: MergeRun state differs from per-entry MergeRun state", cycle)
 				}
 				for e := uint32(0); e < 4; e++ {
 					if !Equal(runAgg.Rows(rel, e), model.rows(e)) {

@@ -99,7 +99,7 @@ func TestRowsMatchBruteForce(t *testing.T) {
 				key := keys[rng.Intn(len(keys))]
 				epoch := uint32(rng.Intn(epochs))
 				deltas := []int64{int64(rng.Intn(9) + 1), rng.Int63n(2000) - 1000, rng.Int63n(2000) - 1000}
-				agg.Consume(lfta.Eviction{Rel: rel, Key: key, Aggs: deltas, Epoch: epoch})
+				agg.MergeRun(rel, epoch, key, deltas)
 				model.fold(rel, epoch, key, deltas, sumMinMax)
 			}
 			kept := make([][]Row, epochs)
@@ -118,7 +118,7 @@ func TestRowsMatchBruteForce(t *testing.T) {
 				agg.Drop(e)
 			}
 			for _, key := range keys {
-				agg.Consume(lfta.Eviction{Rel: rel, Key: key, Aggs: []int64{77, -5000, 5000}, Epoch: 1})
+				agg.MergeRun(rel, 1, key, []int64{77, -5000, 5000})
 			}
 			for e := uint32(0); e < epochs; e++ {
 				if !Equal(kept[e], model.rows(e)) {
@@ -146,7 +146,7 @@ func TestRowsAllocsConstant(t *testing.T) {
 				for a := range key {
 					key[a] = uint32(g * (a + 3))
 				}
-				agg.Consume(lfta.Eviction{Rel: rel, Key: key, Aggs: []int64{1}, Epoch: 5})
+				agg.MergeRun(rel, 5, key, []int64{1})
 			}
 			agg.Rows(rel, 5) // first call sizes the scratch
 			per[i] = testing.AllocsPerRun(20, func() {

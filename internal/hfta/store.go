@@ -133,9 +133,10 @@ func (rs *relState) release(epoch uint32) {
 // transfer order (exactly the layout lfta.RunSink delivers) — to the
 // epoch's log under one lock hold, folding the log first whenever its
 // tail would pass max(folded, foldAt). The partials combine at read-out,
-// in arrival order, exactly as n Consume calls would. Safe for concurrent
-// use; the slices are not retained. Unknown relations are ignored, like
-// Consume.
+// in arrival order. Safe for concurrent use; the slices are not retained.
+// Relations that are not user queries are ignored (phantoms never reach
+// the HFTA in a correct runtime, but defense costs nothing), and so is a
+// run shorter than one key.
 func (a *Aggregator) MergeRun(rel attr.Set, epoch uint32, keys []uint32, aggs []int64) {
 	rs := a.state[rel]
 	if rs == nil || len(keys) < rs.arity {

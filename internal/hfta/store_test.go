@@ -25,7 +25,7 @@ var countSumMinMax = []lfta.AggSpec{
 // driveAggregator applies a stream of operations, each drawn from pick
 // (pick(n) returns a choice in [0, n), ok false once the stream is out),
 // to an aggregator and to bruteModel side by side: MergeRun runs of 1–300
-// partials, single Consume calls, runs long enough to cross foldAt,
+// partials, one-entry runs, runs long enough to cross foldAt,
 // read-outs and group counts in the middle of an epoch followed by more
 // merges, Drop and Reset. After every operation each live log must hold
 // at most 2·groups + foldAt partials; after every read-out the rows must
@@ -85,12 +85,12 @@ func driveAggregator(t *testing.T, arity int, pick func(n int) (int, bool)) (app
 		case 3: // one partial at a time, Reference's way
 			n, _ := pick(64)
 			if n == 0 {
-				n = foldAt + 500 // crosses foldAt through Consume alone
+				n = foldAt + 500 // crosses foldAt through one-entry runs alone
 			}
 			keys, deltas := run(n, universe, seed)
 			for i := 0; i < n; i++ {
 				k, d := keys[i*arity:(i+1)*arity], deltas[i*len(specs):(i+1)*len(specs)]
-				agg.Consume(lfta.Eviction{Rel: rel, Key: k, Aggs: d, Epoch: epoch})
+				agg.MergeRun(rel, epoch, k, d)
 				model.fold(rel, epoch, k, d, specs)
 			}
 		case 4: // many runs into one epoch: crosses foldAt

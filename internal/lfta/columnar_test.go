@@ -191,9 +191,7 @@ func TestColumnarRoutedShardedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt.SetRunSink(seqAgg.MergeRun, 16)
-		if _, err := rt.Run(stream.NewSliceSource(recs), epochLen); err != nil {
-			t.Fatal(err)
-		}
+		lfta.RunRecords(rt, recs, epochLen)
 		seqRows := seqAgg.AllRows()
 		if !hfta.Equal(seqRows, want) {
 			t.Fatalf("trial %d: sequential run-sink runtime differs from reference", trial)

@@ -110,9 +110,11 @@ func (r *Runtime) ProcessColumnsSel(cols [][]uint32, n int, sel []uint64, epoch 
 // ShardColumns hashes the selected lanes of a column batch (the full
 // attribute vector, one slice per attribute) to shard indices, written
 // compactly in ascending-lane order into six; it returns the number of
-// entries written. Routing is bit-identical to calling ShardOf on each
-// selected record, so checkpoint-resumed deployments route the same
-// regardless of which admission path ran.
+// entries written. A lane routes to
+// hashtab.Reduce(hashtab.HashWords(shardRouteSeed, attrs), NumShards()), a
+// pure function of its attribute vector, so every group stays on one
+// shard and checkpoint-resumed deployments route the same. It is the one
+// router: the engine's admission and RunParallel both call it.
 func (s *Sharded) ShardColumns(cols [][]uint32, n int, sel []uint64, six []int32) int {
 	m := selvec.Bitmap(sel).Count(n)
 	if m == 0 {

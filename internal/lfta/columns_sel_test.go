@@ -143,8 +143,9 @@ func TestColumnarSelectionEquivalence(t *testing.T) {
 	}
 }
 
-// Property: ShardColumns routes every selected lane to exactly the
-// shard ShardOf picks for the same record, in ascending lane order.
+// Property: ShardColumns routes every selected lane to the shard the
+// routing hash of its full attribute vector reduces to, in ascending lane
+// order.
 func TestColumnarShardRouting(t *testing.T) {
 	queries := []attr.Set{attr.MustParseSet("AB")}
 	cfg, err := feedgraph.ParseConfig("ABCD(AB)", queries)
@@ -180,13 +181,14 @@ func TestColumnarShardRouting(t *testing.T) {
 			if got := s.ShardColumns(cols, n, sel, six); got != len(lanes) {
 				t.Fatalf("%d shards: ShardColumns wrote %d, want %d", nsh, got, len(lanes))
 			}
-			rec := stream.Record{Attrs: make([]uint32, width)}
+			attrs := make([]uint32, width)
 			for k, i := range lanes {
 				for a := 0; a < width; a++ {
-					rec.Attrs[a] = cols[a][i]
+					attrs[a] = cols[a][i]
 				}
-				if want := s.ShardOf(&rec); int(six[k]) != want {
-					t.Fatalf("%d shards lane %d: ShardColumns %d, ShardOf %d", nsh, i, six[k], want)
+				want := hashtab.Reduce(hashtab.HashWords(lfta.ShardRouteSeed, attrs), nsh)
+				if int(six[k]) != want {
+					t.Fatalf("%d shards lane %d: ShardColumns %d, routing hash %d", nsh, i, six[k], want)
 				}
 			}
 			lanes = lanes[:0]

@@ -45,18 +45,16 @@ func TestParallelShardedEquivalence(t *testing.T) {
 
 		want := hfta.Reference(recs, queries, lfta.CountStar, epochLen)
 
-		// Sequential single runtime through the per-eviction sink path.
+		// Sequential single runtime, one record at a time.
 		seqAgg, err := hfta.New(queries, lfta.CountStar)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := lfta.New(cfg, alloc, lfta.CountStar, 21, seqAgg.Sink())
+		rt, err := lfta.New(cfg, alloc, lfta.CountStar, 21, seqAgg.MergeRun)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.Run(stream.NewSliceSource(recs), epochLen); err != nil {
-			t.Fatal(err)
-		}
+		lfta.RunRecords(rt, recs, epochLen)
 		seqRows := seqAgg.AllRows()
 		if !hfta.Equal(seqRows, want) {
 			t.Fatalf("trial %d: sequential runtime differs from reference", trial)
@@ -88,10 +86,11 @@ func TestParallelShardedEquivalence(t *testing.T) {
 	}
 }
 
-// The buffered run transfer path must agree with the per-eviction sink
-// path on the same runtime configuration, including epoch boundaries
-// falling between run seals.
-func TestRunSinkMatchesSink(t *testing.T) {
+// The run transfer path must deliver the same answers whatever the run
+// buffer's capacity, from one entry per run (a transfer per entry) to runs
+// larger than an epoch's transfers, including epoch boundaries falling
+// between run seals; all match the oracle.
+func TestRunSinkBatchSizes(t *testing.T) {
 	queries := []attr.Set{attr.MustParseSet("AB"), attr.MustParseSet("CD")}
 	cfg, err := feedgraph.ParseConfig("ABCD(AB CD)", queries)
 	if err != nil {
@@ -108,27 +107,20 @@ func TestRunSinkMatchesSink(t *testing.T) {
 	for i, r := range cfg.Rels {
 		alloc[r] = 11 + i*3
 	}
-	run := func(batch int) []hfta.Row {
+	want := hfta.Reference(recs, queries, lfta.CountStar, 10)
+	for _, batch := range []int{1, 3, 64, 4096} {
 		agg, err := hfta.New(queries, lfta.CountStar)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := lfta.New(cfg, alloc, lfta.CountStar, 5, agg.Sink())
+		rt, err := lfta.New(cfg, alloc, lfta.CountStar, 5, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch > 0 {
-			rt.SetRunSink(agg.MergeRun, batch)
-		}
-		if _, err := rt.Run(stream.NewSliceSource(recs), 10); err != nil {
-			t.Fatal(err)
-		}
-		return agg.AllRows()
-	}
-	want := run(0)
-	for _, batch := range []int{1, 3, 64, 4096} {
-		if !hfta.Equal(run(batch), want) {
-			t.Errorf("batch size %d: rows differ from per-eviction sink path", batch)
+		rt.SetRunSink(agg.MergeRun, batch)
+		lfta.RunRecords(rt, recs, 10)
+		if !hfta.Equal(agg.AllRows(), want) {
+			t.Errorf("batch size %d: rows differ from the reference", batch)
 		}
 	}
 }

@@ -23,8 +23,10 @@
 //
 // Both are allocation-free in steady state: victim runs live in
 // per-cascade-depth scratch, and HFTA transfers accumulate as columnar
-// runs per query relation that seal into a RunSink instead of calling a
-// sink per entry.
+// runs per query relation that seal into the RunSink — the one way an
+// entry reaches the HFTA. A Sharded deployment routes column batches with
+// ShardColumns, its one router; the engine drives its shards in turn and
+// RunParallel drives one goroutine per shard.
 package lfta
 
 import (
@@ -50,21 +52,7 @@ type AggSpec struct {
 // CountStar is the aggregate list of the paper's queries.
 var CountStar = []AggSpec{{Op: hashtab.Sum, Input: -1}}
 
-// Eviction is an entry transferred to the HFTA: the relation it belongs
-// to, its group key (projected values, attribute order), aggregates, and
-// the epoch it was accumulated in.
-type Eviction struct {
-	Rel   attr.Set
-	Key   []uint32
-	Aggs  []int64
-	Epoch uint32
-}
-
-// Sink receives evictions one at a time; typically an HFTA aggregator.
-// The Eviction's slices are fresh copies the sink may retain.
-type Sink func(Eviction)
-
-// RunSink receives HFTA transfers as sealed columnar runs — the buffered
+// RunSink receives HFTA transfers as sealed columnar runs — the one
 // transfer form: all entries belong to one query relation and one epoch,
 // keys is flat n×arity and aggs flat n×naggs in transfer order. The
 // slices alias buffer memory owned by the runtime and are valid only for
@@ -119,7 +107,6 @@ type node struct {
 
 // Runtime executes one configuration.
 type Runtime struct {
-	cfg    *feedgraph.Config
 	aggs   []AggSpec
 	nodes  []node                      // compiled cascade, indexed as cfg.Rels
 	rawIdx []int                       // node indices of the raw (record-probed) relations
@@ -128,12 +115,10 @@ type Runtime struct {
 	epoch  uint32
 	ops    Ops
 
-	sink Sink
-
-	// Columnar transfer path (SetRunSink): one buffered run per query
-	// node, sealing at batchCap entries. Buffers hold entries of a single
-	// epoch — both ingest paths flush them before adopting a new epoch
-	// tag.
+	// Transfer path (SetRunSink): one buffered run per query node,
+	// sealing at batchCap entries. Buffers hold entries of a single epoch
+	// — both ingest paths flush them before adopting a new epoch tag.
+	// Without a run sink transfers are counted and discarded.
 	runSink  RunSink
 	batchCap int
 	runBufs  []evRunBuf
@@ -184,10 +169,10 @@ type evRunBuf struct {
 }
 
 // New builds a runtime for the configuration with the given bucket
-// allocation. Seed derives per-table hash seeds. The sink may be nil, in
-// which case query evictions are counted but discarded; SetRunSink
-// installs the buffered columnar transfer path instead.
-func New(cfg *feedgraph.Config, alloc cost.Alloc, aggs []AggSpec, seed uint64, sink Sink) (*Runtime, error) {
+// allocation. Seed derives per-table hash seeds. A non-nil sink is
+// installed as SetRunSink(sink, 0); with a nil sink query evictions are
+// counted but discarded until SetRunSink installs one.
+func New(cfg *feedgraph.Config, alloc cost.Alloc, aggs []AggSpec, seed uint64, sink RunSink) (*Runtime, error) {
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("lfta: need at least one aggregate")
 	}
@@ -196,11 +181,9 @@ func New(cfg *feedgraph.Config, alloc cost.Alloc, aggs []AggSpec, seed uint64, s
 		ops[i] = a.Op
 	}
 	r := &Runtime{
-		cfg:    cfg,
 		aggs:   append([]AggSpec(nil), aggs...),
 		nodes:  make([]node, len(cfg.Rels)),
 		tables: make(map[attr.Set]*hashtab.Table, len(cfg.Rels)),
-		sink:   sink,
 	}
 	index := make(map[attr.Set]int, len(cfg.Rels))
 	for i, rel := range cfg.Rels {
@@ -251,6 +234,9 @@ func New(cfg *feedgraph.Config, alloc cost.Alloc, aggs []AggSpec, seed uint64, s
 	for _, rel := range order {
 		r.flush = append(r.flush, index[rel])
 	}
+	if sink != nil {
+		r.SetRunSink(sink, 0)
+	}
 	return r, nil
 }
 
@@ -275,7 +261,7 @@ func projectionPlan(parent, child attr.Set) []int {
 // fn sealed — at batchSize entries (DefaultEvictionBatch if batchSize
 // <= 0), at every epoch change, and inside FlushEpoch — so per-epoch
 // results are complete at epoch boundaries and every run carries exactly
-// one epoch tag. A run sink takes precedence over a Sink passed to New.
+// one epoch tag.
 func (r *Runtime) SetRunSink(fn RunSink, batchSize int) {
 	if batchSize <= 0 {
 		batchSize = DefaultEvictionBatch
@@ -287,14 +273,8 @@ func (r *Runtime) SetRunSink(fn RunSink, batchSize int) {
 	}
 }
 
-// Config returns the configuration the runtime executes.
-func (r *Runtime) Config() *feedgraph.Config { return r.cfg }
-
 // Ops returns the cumulative operation counters.
 func (r *Runtime) Ops() Ops { return r.ops }
-
-// Epoch returns the epoch currently accumulating.
-func (r *Runtime) Epoch() uint32 { return r.epoch }
 
 // TableStats exposes each table's hashtab counters, keyed by relation;
 // used for measured collision rates and flow-length estimation.
@@ -304,27 +284,6 @@ func (r *Runtime) TableStats() map[attr.Set]hashtab.Stats {
 		out[rel] = t.Stats()
 	}
 	return out
-}
-
-// Reset empties every table and zeroes all counters without releasing
-// any allocated storage (tables, scratch frames, eviction buffers): the
-// runtime behaves as freshly constructed, and a subsequent same-shaped
-// workload runs allocation-free from the first record. Buffered
-// evictions are discarded, not flushed — call FlushEpoch first if they
-// matter.
-func (r *Runtime) Reset() {
-	for i := range r.nodes {
-		r.nodes[i].tab.Clear()
-		r.nodes[i].tab.ResetStats()
-	}
-	r.ops = Ops{}
-	r.epoch = 0
-	for i := range r.runBufs {
-		b := &r.runBufs[i]
-		b.keys = b.keys[:0]
-		b.aggs = b.aggs[:0]
-		b.n = 0
-	}
 }
 
 // ResetTableStats zeroes the per-table counters while preserving the
@@ -367,7 +326,7 @@ func (r *Runtime) Process(rec stream.Record, epoch uint32) {
 			key = r.keyBuf
 		}
 		r.ops.Probes++
-		f.victims.Reset(n.tab.Arity(), len(deltas))
+		f.victims.Reset()
 		if n.tab.ProbeInto(key, deltas, &f.victims) {
 			r.cascadeRun(ni, &f.victims, 1)
 		}
@@ -427,31 +386,22 @@ func (r *Runtime) cascadeRun(ni int, vr *hashtab.VictimRun, depth int) {
 		return
 	}
 	r.ops.Transfers += uint64(m)
-	switch {
-	case r.runSink != nil:
-		// The victim run already is the columnar transfer layout: append
-		// it to the node's buffered run as block copies, sealing whenever
-		// the buffer reaches batchCap so it never grows past it.
-		b := &r.runBufs[ni]
-		a, na := nd.tab.Arity(), len(r.aggs)
-		for i := 0; i < m; {
-			k := min(m-i, r.batchCap-b.n)
-			b.keys = append(b.keys, vr.Keys[i*a:(i+k)*a]...)
-			b.aggs = append(b.aggs, vr.Aggs[i*na:(i+k)*na]...)
-			b.n += k
-			i += k
-			if b.n >= r.batchCap {
-				r.flushRun(ni)
-			}
-		}
-	case r.sink != nil:
-		for i := 0; i < m; i++ {
-			r.sink(Eviction{
-				Rel:   nd.rel,
-				Key:   append([]uint32(nil), vr.Key(i)...),
-				Aggs:  append([]int64(nil), vr.AggRow(i)...),
-				Epoch: r.epoch,
-			})
+	if r.runSink == nil {
+		return
+	}
+	// The victim run already is the columnar transfer layout: append it
+	// to the node's buffered run as block copies, sealing whenever the
+	// buffer reaches batchCap so it never grows past it.
+	b := &r.runBufs[ni]
+	a, na := nd.tab.Arity(), len(r.aggs)
+	for i := 0; i < m; {
+		k := min(m-i, r.batchCap-b.n)
+		b.keys = append(b.keys, vr.Keys[i*a:(i+k)*a]...)
+		b.aggs = append(b.aggs, vr.Aggs[i*na:(i+k)*na]...)
+		b.n += k
+		i += k
+		if b.n >= r.batchCap {
+			r.flushRun(ni)
 		}
 	}
 }
@@ -504,29 +454,4 @@ func (r *Runtime) FlushEpoch() {
 	if r.runSink != nil {
 		r.flushRuns()
 	}
-}
-
-// Run processes an entire record stream with the given epoch length
-// (0 = one unbounded epoch), flushing at every epoch boundary and once at
-// the end. It returns the operation counters.
-func (r *Runtime) Run(src stream.Source, epochLen uint32) (Ops, error) {
-	clock := stream.NewClock(epochLen)
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		epoch, rolled := clock.Advance(rec.Time)
-		if rolled {
-			r.FlushEpoch()
-		}
-		r.Process(rec, epoch)
-	}
-	if err := src.Err(); err != nil {
-		return r.ops, err
-	}
-	if clock.Started() {
-		r.FlushEpoch()
-	}
-	return r.ops, nil
 }

@@ -40,8 +40,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestSingleQueryCounts(t *testing.T) {
 	cfg, _ := feedgraph.NewConfig(sets("A"), nil)
-	var evs []Eviction
-	rt, err := New(cfg, allocOf(map[string]int{"A": 1024}), CountStar, 1, func(e Eviction) { evs = append(evs, e) })
+	var evs []Transfer
+	rt, err := New(cfg, allocOf(map[string]int{"A": 1024}), CountStar, 1, Collect(&evs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +75,9 @@ func TestPhantomCascade(t *testing.T) {
 	// victims must land in the query tables and then the sink, with no
 	// count lost.
 	cfg, _ := feedgraph.NewConfig(sets("A", "B", "C"), sets("ABC"))
-	var total int64
+	var evs []Transfer
 	rt, err := New(cfg, allocOf(map[string]int{"ABC": 2, "A": 64, "B": 64, "C": 64}),
-		CountStar, 7, func(e Eviction) { total += e.Aggs[0] })
+		CountStar, 7, Collect(&evs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +87,10 @@ func TestPhantomCascade(t *testing.T) {
 		rt.Process(stream.Record{Attrs: []uint32{uint32(rng.Intn(20)), uint32(rng.Intn(20)), uint32(rng.Intn(20))}}, 0)
 	}
 	rt.FlushEpoch()
+	var total int64
+	for _, e := range evs {
+		total += e.Aggs[0]
+	}
 	// Each record contributes once per query: 3 queries × n records.
 	if total != 3*n {
 		t.Errorf("sink saw total count %d; want %d", total, 3*n)
@@ -108,13 +112,8 @@ func TestPhantomLeafVictimsAreDropped(t *testing.T) {
 	cfg, _ := feedgraph.NewConfig(sets("AB"), sets("ABC"))
 	// ABC feeds only AB; make AB huge and ABC tiny. ABC victims feed AB;
 	// AB itself rarely collides.
-	var phantomEvs int
-	rt, err := New(cfg, allocOf(map[string]int{"ABC": 1, "AB": 4096}), CountStar, 5,
-		func(e Eviction) {
-			if e.Rel == attr.MustParseSet("ABC") {
-				phantomEvs++
-			}
-		})
+	var evs []Transfer
+	rt, err := New(cfg, allocOf(map[string]int{"ABC": 1, "AB": 4096}), CountStar, 5, Collect(&evs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,27 +122,30 @@ func TestPhantomLeafVictimsAreDropped(t *testing.T) {
 		rt.Process(stream.Record{Attrs: []uint32{uint32(rng.Intn(30)), uint32(rng.Intn(30)), uint32(rng.Intn(30))}}, 0)
 	}
 	rt.FlushEpoch()
-	if phantomEvs != 0 {
-		t.Errorf("%d phantom evictions reached the sink", phantomEvs)
+	phantomEvs := 0
+	for _, e := range evs {
+		if e.Rel == attr.MustParseSet("ABC") {
+			phantomEvs++
+		}
+	}
+	if phantomEvs != 0 || len(evs) == 0 {
+		t.Errorf("%d of %d transfers are phantom evictions", phantomEvs, len(evs))
 	}
 }
 
 func TestEpochTagging(t *testing.T) {
 	cfg, _ := feedgraph.NewConfig(sets("A"), nil)
-	var evs []Eviction
-	rt, err := New(cfg, allocOf(map[string]int{"A": 64}), CountStar, 9, func(e Eviction) { evs = append(evs, e) })
+	var evs []Transfer
+	rt, err := New(cfg, allocOf(map[string]int{"A": 64}), CountStar, 9, Collect(&evs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := stream.NewSliceSource([]stream.Record{
+	RunRecords(rt, []stream.Record{
 		{Attrs: []uint32{1}, Time: 0},
 		{Attrs: []uint32{1}, Time: 5},
 		{Attrs: []uint32{1}, Time: 10}, // epoch 1 begins (len 10)
 		{Attrs: []uint32{2}, Time: 25}, // epoch 2
-	})
-	if _, err := rt.Run(src, 10); err != nil {
-		t.Fatal(err)
-	}
+	}, 10)
 	// Expect: flush of epoch 0 with (1,2); flush of epoch 1 with (1,1);
 	// flush of epoch 2 with (2,1).
 	if len(evs) != 3 {
@@ -167,8 +169,8 @@ func TestSumMinMaxAggregates(t *testing.T) {
 		{Op: hashtab.Min, Input: 1},  // min(B)
 		{Op: hashtab.Max, Input: 1},  // max(B)
 	}
-	var evs []Eviction
-	rt, err := New(cfg, allocOf(map[string]int{"A": 64}), aggs, 11, func(e Eviction) { evs = append(evs, e) })
+	var evs []Transfer
+	rt, err := New(cfg, allocOf(map[string]int{"A": 64}), aggs, 11, Collect(&evs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +218,15 @@ func TestCountConservationThroughCascade(t *testing.T) {
 		for i, r := range cfg.Rels {
 			alloc[r] = 7 + i*13 // deliberately small and uneven
 		}
-		totals := map[attr.Set]int64{}
-		rt, err := New(cfg, alloc, CountStar, 17, func(e Eviction) { totals[e.Rel] += e.Aggs[0] })
+		var evs []Transfer
+		rt, err := New(cfg, alloc, CountStar, 17, Collect(&evs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.Run(stream.NewSliceSource(recs), 10); err != nil {
-			t.Fatal(err)
+		RunRecords(rt, recs, 10)
+		totals := map[attr.Set]int64{}
+		for _, e := range evs {
+			totals[e.Rel] += e.Aggs[0]
 		}
 		for _, q := range queries {
 			if totals[q] != int64(len(recs)) {
@@ -259,11 +263,7 @@ func TestPhantomReducesCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ops, err := rt.Run(stream.NewSliceSource(recs), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ops.PerRecordCost(1, 50)
+		return RunRecords(rt, recs, 0).PerRecordCost(1, 50)
 	}
 
 	// No phantom: M split equally, h = 2 per entry.

@@ -28,8 +28,8 @@ import (
 // The router pulls column-major batches from the source (ReadColumns,
 // routerBatch records) and partitions each same-epoch segment in two
 // passes: pass 1 routes the attribute columns through ShardColumns (the
-// engine's routing kernel over a saturated selection, bit-identical to
-// the record-major ShardOf) into a per-record shard index; pass 2
+// engine's routing kernel, over a saturated selection) into a per-record
+// shard index; pass 2
 // scatters each attribute column into the shards' staging
 // ColumnBatches, one stride-1 source read per attribute.
 // Records are never materialized row-wise anywhere on this path.
@@ -273,17 +273,16 @@ func (p *pipeline) scatter(cols [][]uint32, six []int32, lo, hi int, epoch uint3
 
 // RunParallel consumes the source with one goroutine per shard behind a
 // pipelined columnar router. Column-major batches are pulled via
-// ReadColumns, route-hashed column-wise (bit-identical to the
-// record-major ShardOf), scattered into per-shard staging columns, and
-// handed over lock-free SPSC rings; epoch boundaries propagate as
-// in-band markers so per-shard flushes and the HFTA merge overlap the
-// next epoch's routing. The sink passed at construction (or SetRunSink)
-// must be concurrency-safe (hfta.(*Aggregator).Consume and MergeRun both
-// are).
+// ReadColumns, routed by ShardColumns, scattered into per-shard staging
+// columns, and handed over lock-free SPSC rings; epoch boundaries
+// propagate as in-band markers so per-shard flushes and the HFTA merge
+// overlap the next epoch's routing. The run sink passed at construction
+// (or SetRunSink) must be concurrency-safe (hfta.(*Aggregator).MergeRun
+// is).
 //
 // The router's single clock defines epoch boundaries in stream arrival
-// order — exactly the sequential Run semantics, including the clamping
-// of late records into the open epoch.
+// order — the engine's clock semantics, including the clamping of late
+// records into the open epoch.
 func (s *Sharded) RunParallel(src stream.Source, epochLen uint32) (Ops, error) {
 	n := len(s.shards)
 	if s.pipe == nil {

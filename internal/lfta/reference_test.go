@@ -19,16 +19,15 @@ import (
 // the paper describes. Each record probes the raw tables one key at a
 // time through ProbeInto; a victim feeds each child table in turn (each
 // child's own victims recursing before the next child is fed) and then
-// transfers if its relation is a query; the epoch flush empties each
-// table, parents first, one entry at a time in slot order through the
-// same feeding. It drives the compiled nodes of its own Runtime (built by
-// New with the runtime's arguments, so its tables hash identically) and
-// keeps its own op ledger, flush statistics and transfer log.
+// transfers if its relation is a query; the epoch flush drains each
+// table, parents first, in slot order, and feeds its entries on the same
+// way one at a time. It drives the compiled nodes of its own Runtime
+// (built by New with the runtime's arguments, so its tables hash
+// identically) and keeps its own op ledger and transfer log.
 type refCascade struct {
-	rt      *Runtime
-	ops     Ops
-	flushed map[attr.Set]hashtab.Stats
-	log     transfers
+	rt  *Runtime
+	ops Ops
+	log transfers
 }
 
 // transfers is every HFTA transfer per relation, in delivery order.
@@ -63,9 +62,9 @@ func (m *refCascade) feed(ni int, key []uint32, deltas []int64) {
 	m.ops.Probes++
 	tab := m.rt.nodes[ni].tab
 	var victim hashtab.VictimRun
-	victim.Reset(tab.Arity(), tab.NumAggs())
+	victim.Reset()
 	if tab.ProbeInto(key, deltas, &victim) {
-		m.emit(ni, victim.Key(0), victim.AggRow(0))
+		m.emit(ni, victim.Keys, victim.Aggs)
 	}
 }
 
@@ -84,38 +83,36 @@ func (m *refCascade) emit(ni int, key []uint32, aggs []int64) {
 	}
 }
 
-func (m *refCascade) flushEpoch() {
+// flushEpoch drains and cascades every table, and holds each drain to
+// the flush bookkeeping: Flushes and EvictedEntries rise by exactly the
+// entries drained, and once a table is empty every update it ever took
+// has left it (each probe adds one update to one entry), so its
+// EvictedUpdates equals its Probes.
+func (m *refCascade) flushEpoch(t *testing.T) {
+	t.Helper()
+	var entries hashtab.VictimRun
 	for _, ni := range m.rt.flush {
-		nd := &m.rt.nodes[ni]
-		entries := residents(nd.tab)
-		nd.tab.Clear()
-		st := m.flushed[nd.rel]
-		for _, e := range entries {
-			st.Flushes++
-			st.EvictedUpdates += uint64(e.Updates)
-			st.EvictedEntries++
+		tab := m.rt.nodes[ni].tab
+		before := tab.Stats()
+		tab.DrainInto(&entries, 0, tab.Buckets())
+		st, n := tab.Stats(), uint64(entries.Len())
+		if tab.Len() != 0 || st.Flushes != before.Flushes+n || st.EvictedEntries != before.EvictedEntries+n || st.EvictedUpdates != st.Probes {
+			t.Fatalf("reference flush of %v drained %d entries, leaving %d: stats %+v -> %+v",
+				tab.Rel(), n, tab.Len(), before, st)
 		}
-		m.flushed[nd.rel] = st
-		for _, e := range entries {
-			m.emit(ni, e.Key, e.Aggs)
+		a, na := tab.Arity(), tab.NumAggs()
+		for i := 0; i < entries.Len(); i++ {
+			m.emit(ni, entries.Keys[i*a:(i+1)*a], entries.Aggs[i*na:(i+1)*na])
 		}
 	}
 }
 
-// residents copies a table's entries out in slot order.
-func residents(tab *hashtab.Table) []hashtab.Entry {
-	var out []hashtab.Entry
-	tab.Scan(func(e hashtab.Entry) {
-		out = append(out, hashtab.Entry{Key: slices.Clone(e.Key), Aggs: slices.Clone(e.Aggs), Updates: e.Updates})
-	})
-	return out
-}
-
 // checkAgainstReference fails unless rt matches the model in its op
-// ledger and every table's statistics (the model's plus its flush
-// counts) and contents slot for slot; once rt's transfer runs are sealed
-// (after FlushEpoch), also in every relation's transfer sequence entry
-// for entry.
+// ledger and every table's statistics and resident count; once rt's
+// transfer runs are sealed (after FlushEpoch), also in every relation's
+// transfer sequence entry for entry. The flush drains every table in slot
+// order, so the sealed sequences also hold the tables' contents to the
+// model's slot for slot.
 func checkAgainstReference(t *testing.T, what string, rt *Runtime, log *transfers, m *refCascade, sealed bool) {
 	t.Helper()
 	if rt.Ops() != m.ops {
@@ -124,27 +121,15 @@ func checkAgainstReference(t *testing.T, what string, rt *Runtime, log *transfer
 	for i := range rt.nodes {
 		got, ref := rt.nodes[i].tab, m.rt.nodes[i].tab
 		rel := rt.nodes[i].rel
-		want, fl := ref.Stats(), m.flushed[rel]
-		want.Flushes += fl.Flushes
-		want.EvictedUpdates += fl.EvictedUpdates
-		want.EvictedEntries += fl.EvictedEntries
-		if got.Stats() != want {
-			t.Fatalf("%s: table %v stats diverge:\ncascade   %+v\nreference %+v", what, rel, got.Stats(), want)
+		if got.Stats() != ref.Stats() {
+			t.Fatalf("%s: table %v stats diverge:\ncascade   %+v\nreference %+v", what, rel, got.Stats(), ref.Stats())
 		}
-		ge, re := residents(got), residents(ref)
-		if len(ge) != len(re) {
-			t.Fatalf("%s: table %v holds %d entries, reference %d", what, rel, len(ge), len(re))
+		if got.Len() != ref.Len() {
+			t.Fatalf("%s: table %v holds %d entries, reference %d", what, rel, got.Len(), ref.Len())
 		}
-		for j := range ge {
-			if !slices.Equal(ge[j].Key, re[j].Key) || !slices.Equal(ge[j].Aggs, re[j].Aggs) || ge[j].Updates != re[j].Updates {
-				t.Fatalf("%s: table %v resident %d is %+v, reference %+v", what, rel, j, ge[j], re[j])
-			}
+		if !sealed {
+			continue
 		}
-	}
-	if !sealed {
-		return
-	}
-	for _, rel := range rt.cfg.Rels {
 		if !slices.Equal(log.keys[rel], m.log.keys[rel]) || !slices.Equal(log.aggs[rel], m.log.aggs[rel]) {
 			t.Fatalf("%s: relation %v transfer sequence diverges from the reference", what, rel)
 		}
@@ -155,7 +140,7 @@ func checkAgainstReference(t *testing.T, what string, rt *Runtime, log *transfer
 // reference model, whichever way records enter: Process one at a time,
 // ProcessColumns over whole batches, and ProcessColumnsSel over sparse
 // selections, mixed at random batch by batch, with FlushEpoch closing
-// every epoch. Ops, per-table statistics and contents, and each
+// every epoch. Ops, per-table statistics and resident counts, and each
 // relation's transfer sequence must match after every epoch. Shapes cover
 // tiny tables (down to a single partial probe group), a configuration
 // with two raw relations and three cascade levels under one of them, a
@@ -224,7 +209,7 @@ func TestCascadeMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := &refCascade{rt: refRT, flushed: map[attr.Set]hashtab.Stats{}}
+			m := &refCascade{rt: refRT}
 
 			name := "kernel=" + hashtab.KernelName() + " shape " + sh.spec
 			const width, epochs = 4, 6
@@ -269,7 +254,7 @@ func TestCascadeMatchesReference(t *testing.T) {
 				}
 				checkAgainstReference(t, name+" before flush", rt, &log, m, false)
 				rt.FlushEpoch()
-				m.flushEpoch()
+				m.flushEpoch(t)
 				checkAgainstReference(t, name+" after flush", rt, &log, m, true)
 			}
 		}

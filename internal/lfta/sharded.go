@@ -7,7 +7,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/feedgraph"
 	"repro/internal/hashtab"
-	"repro/internal/stream"
 )
 
 // Sharded runs n ≥ 1 independent LFTA instances over one logical stream —
@@ -21,11 +20,12 @@ import (
 // commutative.
 //
 // Each shard owns its own hash tables sized by the same allocation (each
-// LFTA has its own memory in the architecture) and, with SetRunSink, its
-// own run buffers, so concurrent shards share no mutable state until the
-// batched HFTA merge. Process routes sequentially; RunParallel drives one
-// goroutine per shard, in which case the sink must be safe for concurrent
-// use (hfta.(*Aggregator).MergeRun and Consume both are).
+// LFTA has its own memory in the architecture) and its own run buffers,
+// so concurrent shards share no mutable state until the batched HFTA
+// merge. ShardColumns is the one router: the engine uses it to split an
+// admitted column batch across the shards it then drives in turn, and
+// RunParallel to feed one goroutine per shard, in which case the run sink
+// must be safe for concurrent use (hfta.(*Aggregator).MergeRun is).
 type Sharded struct {
 	shards []*Runtime
 
@@ -58,8 +58,8 @@ func shardSeed(seed uint64, shard int) uint64 {
 // the given allocation. Shard hash seeds derive from seed so the shards
 // use independent hash functions; the only shard of a 1-shard deployment
 // takes seed itself, so it is New(cfg, alloc, aggs, seed, sink) table for
-// table.
-func NewSharded(cfg *feedgraph.Config, alloc cost.Alloc, aggs []AggSpec, seed uint64, sink Sink, n int) (*Sharded, error) {
+// table. A non-nil sink is installed on every shard as SetRunSink(sink, 0).
+func NewSharded(cfg *feedgraph.Config, alloc cost.Alloc, aggs []AggSpec, seed uint64, sink RunSink, n int) (*Sharded, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("lfta: need at least one shard, got %d", n)
 	}
@@ -100,26 +100,6 @@ func (s *Sharded) Shard(i int) *Runtime { return s.shards[i] }
 // routing stable across runs, which checkpoint resume relies on.
 const shardRouteSeed = 0x5bd1e995bc9e3779
 
-// ShardOf hashes the full attribute vector to the index of the shard the
-// record routes to, using the same word-at-a-time mixing kernel as the
-// hash tables (hashtab.HashWords) with a fastrange reduction. Exposed so
-// engine-level overload control can charge each record against the
-// budget slice of the shard doing the work. A 1-shard deployment routes
-// everything to shard 0 without hashing.
-func (s *Sharded) ShardOf(rec *stream.Record) int {
-	if len(s.shards) == 1 {
-		return 0
-	}
-	return hashtab.Reduce(hashtab.HashWords(shardRouteSeed, rec.Attrs), len(s.shards))
-}
-
-// Process routes one record to its shard. The record is passed by
-// pointer so the router does not copy it once for routing and again for
-// processing; the callee copies what it retains.
-func (s *Sharded) Process(rec *stream.Record, epoch uint32) {
-	s.shards[s.ShardOf(rec)].Process(*rec, epoch)
-}
-
 // FlushEpoch flushes every shard.
 func (s *Sharded) FlushEpoch() {
 	for _, rt := range s.shards {
@@ -149,15 +129,6 @@ func (s *Sharded) TableStats() map[attr.Set]hashtab.Stats {
 	return out
 }
 
-// Reset empties every shard's tables and counters without releasing any
-// storage (see Runtime.Reset); the pipelined routing state is likewise
-// retained, so a reset deployment re-runs allocation-free.
-func (s *Sharded) Reset() {
-	for _, rt := range s.shards {
-		rt.Reset()
-	}
-}
-
 // ResetTableStats zeroes every shard's per-table counters (not contents).
 func (s *Sharded) ResetTableStats() {
 	for _, rt := range s.shards {
@@ -175,28 +146,4 @@ func (s *Sharded) Ops() Ops {
 		total.Records += o.Records
 	}
 	return total
-}
-
-// Run consumes the source sequentially, routing records to shards and
-// flushing all shards at epoch boundaries.
-func (s *Sharded) Run(src stream.Source, epochLen uint32) (Ops, error) {
-	clock := stream.NewClock(epochLen)
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		epoch, rolled := clock.Advance(rec.Time)
-		if rolled {
-			s.FlushEpoch()
-		}
-		s.Process(&rec, epoch)
-	}
-	if err := src.Err(); err != nil {
-		return s.Ops(), err
-	}
-	if clock.Started() {
-		s.FlushEpoch()
-	}
-	return s.Ops(), nil
 }

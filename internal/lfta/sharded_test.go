@@ -11,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/hfta"
 	"repro/internal/lfta"
+	"repro/internal/selvec"
 	"repro/internal/stream"
 )
 
@@ -58,23 +59,17 @@ func TestNewShardedValidation(t *testing.T) {
 // sequence entry for entry — and routes everything to shard 0.
 func TestOneShardIsTheSingleRuntime(t *testing.T) {
 	cfg, alloc, recs, _ := shardedFixture(t)
-	var want, got []lfta.Eviction
-	rt, err := lfta.New(cfg, alloc, lfta.CountStar, 9, func(ev lfta.Eviction) { want = append(want, ev) })
+	var want, got []lfta.Transfer
+	rt, err := lfta.New(cfg, alloc, lfta.CountStar, 9, lfta.Collect(&want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := lfta.NewSharded(cfg, alloc, lfta.CountStar, 9, func(ev lfta.Eviction) { got = append(got, ev) }, 1)
+	s, err := lfta.NewSharded(cfg, alloc, lfta.CountStar, 9, lfta.Collect(&got), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOps, err := rt.Run(stream.NewSliceSource(recs), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotOps, err := s.Run(stream.NewSliceSource(recs), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantOps := lfta.RunRecords(rt, recs, 10)
+	gotOps := lfta.RunShardedRecords(s, recs, 10)
 	if gotOps != wantOps || wantOps.Transfers == 0 {
 		t.Errorf("one shard ran %+v; the single runtime %+v (want equal, with transfers)", gotOps, wantOps)
 	}
@@ -84,11 +79,32 @@ func TestOneShardIsTheSingleRuntime(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("transfer sequences differ (%d entries; want %d)", len(got), len(want))
 	}
-	for i := range recs[:100] {
-		if sh := s.ShardOf(&recs[i]); sh != 0 {
+	cols, n := columnsOf(recs[:100])
+	six := make([]int32, n)
+	s.ShardColumns(cols, n, fullSel(n), six)
+	for i, sh := range six {
+		if sh != 0 {
 			t.Fatalf("record %d routed to shard %d of 1", i, sh)
 		}
 	}
+}
+
+// columnsOf transposes records into column-major attribute slices.
+func columnsOf(recs []stream.Record) ([][]uint32, int) {
+	cols := make([][]uint32, len(recs[0].Attrs))
+	for a := range cols {
+		for _, rec := range recs {
+			cols[a] = append(cols[a], rec.Attrs[a])
+		}
+	}
+	return cols, len(recs)
+}
+
+// fullSel is the saturated selection over n lanes.
+func fullSel(n int) []uint64 {
+	sel := selvec.Grow(nil, n)
+	sel.SetAll(n)
+	return sel
 }
 
 func TestShardedSequentialExactness(t *testing.T) {
@@ -99,14 +115,11 @@ func TestShardedSequentialExactness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := lfta.NewSharded(cfg, alloc, lfta.CountStar, 9, agg.Sink(), 4)
+	s, err := lfta.NewSharded(cfg, alloc, lfta.CountStar, 9, agg.MergeRun, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops, err := s.Run(stream.NewSliceSource(recs), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ops := lfta.RunShardedRecords(s, recs, 10)
 	if !hfta.Equal(agg.AllRows(), want) {
 		t.Error("sharded pipeline answers differ from reference")
 	}
@@ -130,7 +143,7 @@ func TestShardedParallelExactness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := lfta.NewSharded(cfg, alloc, lfta.CountStar, 9, agg.Sink(), 8)
+	s, err := lfta.NewSharded(cfg, alloc, lfta.CountStar, 9, agg.MergeRun, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +168,11 @@ func TestShardedMatchesSingleRuntimeResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := lfta.NewSharded(cfg, alloc, lfta.CountStar, 9, agg.Sink(), n)
+		s, err := lfta.NewSharded(cfg, alloc, lfta.CountStar, 9, agg.MergeRun, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Run(stream.NewSliceSource(recs), 10); err != nil {
-			t.Fatal(err)
-		}
+		lfta.RunShardedRecords(s, recs, 10)
 		return agg.AllRows()
 	}
 	if !hfta.Equal(run(1), run(4)) {
@@ -173,33 +184,23 @@ func TestShardedGroupStability(t *testing.T) {
 	// All records of one group must land on the same shard, so shard
 	// table stats reflect disjoint group populations.
 	cfg, alloc, recs, _ := shardedFixture(t)
-	type seen struct{ shard int }
 	s, err := lfta.NewSharded(cfg, alloc, lfta.CountStar, 2, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	groupShard := map[string]seen{}
+	recs = recs[:2002]
+	cols, n := columnsOf(recs)
+	six := make([]int32, n)
+	s.ShardColumns(cols, n, fullSel(n), six)
+	groupShard := map[string]int32{}
 	for i := range recs {
-		// Route through Process and infer the shard by record counts.
-		before := make([]uint64, s.NumShards())
-		for j := 0; j < s.NumShards(); j++ {
-			before[j] = s.Shard(j).Ops().Records
-		}
-		s.Process(&recs[i], 0)
-		shard := -1
-		for j := 0; j < s.NumShards(); j++ {
-			if s.Shard(j).Ops().Records != before[j] {
-				shard = j
-				break
-			}
-		}
 		key := stream.GroupKey(attr.MustParseSet("ABCD"), recs[i])
-		if prev, ok := groupShard[key]; ok && prev.shard != shard {
-			t.Fatalf("group %s visited shards %d and %d", key, prev.shard, shard)
+		if prev, ok := groupShard[key]; ok && prev != six[i] {
+			t.Fatalf("group %s visited shards %d and %d", key, prev, six[i])
 		}
-		groupShard[key] = seen{shard: shard}
-		if i > 2000 {
-			break
-		}
+		groupShard[key] = six[i]
+	}
+	if len(groupShard) == len(recs) {
+		t.Fatal("no group recurs in the sample: stability is untested")
 	}
 }

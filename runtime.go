@@ -15,15 +15,10 @@ import (
 // cascading evictions, end-of-epoch flushes, exact operation counts.
 type LFTA = lfta.Runtime
 
-// Eviction is an entry transferred from the LFTA to the HFTA.
-type Eviction = lfta.Eviction
-
-// Sink receives evictions, typically an HFTA aggregator's Sink.
-type Sink = lfta.Sink
-
 // RunSink receives sealed columnar runs of evictions from a runtime's run
-// buffers (LFTA.SetRunSink); typically Aggregator.MergeRun. Runs alias
-// runtime-owned memory valid only during the call.
+// buffers — the only way an entry reaches the HFTA; typically
+// Aggregator.MergeRun. Runs alias runtime-owned memory valid only during
+// the call.
 type RunSink = lfta.RunSink
 
 // AggSpec describes one aggregate slot (operation + input attribute;
@@ -34,7 +29,9 @@ type AggSpec = lfta.AggSpec
 var CountStar = lfta.CountStar
 
 // NewLFTA builds a low-level runtime for a configuration and allocation.
-func NewLFTA(cfg *Config, alloc Alloc, aggs []AggSpec, seed uint64, sink Sink) (*LFTA, error) {
+// A non-nil sink is installed as SetRunSink(sink, 0); with nil, transfers
+// are counted and discarded until SetRunSink installs one.
+func NewLFTA(cfg *Config, alloc Alloc, aggs []AggSpec, seed uint64, sink RunSink) (*LFTA, error) {
 	return lfta.New(cfg, alloc, aggs, seed, sink)
 }
 
@@ -42,11 +39,11 @@ func NewLFTA(cfg *Config, alloc Alloc, aggs []AggSpec, seed uint64, sink Sink) (
 // partitioned by group hash; see its RunParallel for multi-core execution.
 type ShardedLFTA = lfta.Sharded
 
-// NewShardedLFTA builds n shards each executing cfg. For the fast path,
-// pass a nil sink and install per-shard run buffers with SetRunSink
-// (Aggregator.MergeRun is a concurrency-safe run sink); a plain
-// concurrency-safe Sink also works with RunParallel.
-func NewShardedLFTA(cfg *Config, alloc Alloc, aggs []AggSpec, seed uint64, sink Sink, n int) (*ShardedLFTA, error) {
+// NewShardedLFTA builds n shards each executing cfg, each with its own run
+// buffers sealing into sink (nil: counted and discarded until SetRunSink).
+// RunParallel calls the sink from every shard's goroutine, so it must be
+// concurrency-safe; Aggregator.MergeRun is.
+func NewShardedLFTA(cfg *Config, alloc Alloc, aggs []AggSpec, seed uint64, sink RunSink, n int) (*ShardedLFTA, error) {
 	return lfta.NewSharded(cfg, alloc, aggs, seed, sink, n)
 }
 
