@@ -24,9 +24,12 @@ fmt:
 # RunParallel fan-out, the runtime run buffers, the HFTA's per-epoch
 # logs, the persister goroutine, and every chaos, equivalence, crash-point,
 # checkpoint, window and read-out suite on top of them. CI runs it a second
-# time with MAGG_SIMD=off, so the generic SWAR kernels are raced too.
+# time with MAGG_SIMD=off, so the generic SWAR kernels are raced too. The
+# root package's tests (RunParallel and the engine facade) run with
+# -short, which skips TestShardedParallelSpeedup's timing assertion.
 race:
 	$(GO) test -race ./internal/... ./cmd/maggd
+	$(GO) test -race -short .
 
 # Replay the checked-in fuzz seed corpora (testdata/fuzz/...) without
 # live fuzzing — what CI runs. Use `go test -fuzz FuzzCheckpointDecode

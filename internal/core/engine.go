@@ -85,11 +85,12 @@ type AdaptOptions struct {
 // of stream length; without one, results accumulate for later retrieval
 // via Results/AllResults.
 //
-// Ownership: rows is the epoch's one read-out of the query, shared by
-// reference with the durable store's persister and the window composer. It
-// is immutable and never recycled, so a handler may retain rows, and their
-// Key and Aggs slices, for as long as it likes, and must not write to any
-// of them.
+// Ownership: rows is a borrowed view of the HFTA's folded log for the
+// epoch. rows, and each row's Key and Aggs, are only valid during the
+// call and must not be written: once the handler returns, the header
+// array is reused for the next read-out and the log is recycled into
+// later epochs (WindowHandler's rule). A handler that keeps results must
+// copy them; Engine.Results and AllResults return rows the caller owns.
 type ResultHandler func(rel attr.Set, epoch uint32, rows []hfta.Row, deg Degradation)
 
 // Options configure an Engine.
@@ -295,13 +296,16 @@ type Engine struct {
 	ckptLog ckptLog
 
 	// closing is the read-out of the epoch being closed when the result
-	// handler is not its only consumer (sharedReadout): each query's
-	// finalized rows in query order, read from the HFTA exactly once by
-	// closeEpochState and shared by reference by the pane feed (before
-	// HAVING), the persister and the result handler (after). It is nil
-	// between epoch closes, so the engine pins no rows it has delivered.
+	// handler is not its only consumer (sharedReadout): each query's view
+	// of its folded HFTA log (hfta.Aggregator.View) in query order, taken
+	// once by closeEpochState and read by the pane feed (before HAVING),
+	// the persister and the result handler (after); the first two copy.
+	// It is empty between epoch closes; its header arrays, one per query,
+	// are reused by the next close. emitBuf is the handler-only path's one
+	// header array, reused by every query's read-out.
 	closing      [][]hfta.Row
 	closingEpoch uint32
+	emitBuf      []hfta.Row
 
 	// Result emission: emitResults is the row source emitEpoch delivers
 	// from (the closing epoch's read-out normally; tests substitute
@@ -733,23 +737,20 @@ func (e *Engine) closeEpochState() Degradation {
 	}
 	// One read-out per query serves every consumer of the closed epoch.
 	// The composer takes the rows before HAVING (a window's aggregates
-	// cover groups no single pane would report) and keeps only their Aggs;
-	// HAVING then compacts each read-out in place for the persister and
-	// the handler. The persister is handed its epoch before any handler
-	// runs — the durable copy never waits on user code — and windows are
-	// delivered before the epoch's own rows, as they always were.
-	//
-	// With the handler as the only consumer nothing is read ahead:
-	// closingResults reads each query out as its turn comes and emitEpoch
-	// lets the rows go when the handler returns, so one query's read-out is
-	// live at a time, not the epoch's. (Read ahead, a 4-query epoch of 8 k
-	// groups is 2 MiB the collector counts as live whenever a cycle crosses
-	// the close, and the heap's saw-tooth moves in steps of that size.)
+	// cover groups no single pane would report) and copies their Aggs;
+	// HAVING then compacts each read-out's headers in place for the
+	// persister, which copies the rows it keeps, and the handler. The
+	// persister is handed its epoch before any handler runs — the durable
+	// copy never waits on user code — and windows are delivered before
+	// the epoch's own rows, as they always were. With the handler as the
+	// only consumer nothing is read ahead: closingResults reads each query
+	// out into emitBuf as its turn comes.
 	if e.sharedReadout() {
-		e.closing = make([][]hfta.Row, len(e.queries))
+		// Re-extend to the queries' header arrays of the last close.
+		e.closing = slices.Grow(e.closing[:0], len(e.queries))[:len(e.queries)]
 		e.closingEpoch = closed.Epoch
 		for i, q := range e.queries {
-			e.closing[i] = e.agg.Rows(q, closed.Epoch)
+			e.closing[i] = e.agg.View(e.closing[i], q, closed.Epoch)
 		}
 		if e.winComposer != nil {
 			e.feedPane(closed)
@@ -763,7 +764,7 @@ func (e *Engine) closeEpochState() Degradation {
 		}
 	}
 	e.emitEpoch(closed)
-	e.closing = nil
+	e.closing = e.closing[:0]
 	return closed
 }
 
@@ -789,16 +790,17 @@ func applyHaving(spec *query.Spec, rows []hfta.Row) []hfta.Row {
 	return out
 }
 
-// closingResults is the default emitResults: the closing epoch's cached
-// read-out when it is shared, otherwise a read-out made for this call;
-// HAVING applied either way.
+// closingResults is the default emitResults: the closing epoch's shared
+// view when there is one, otherwise a view taken into emitBuf for this
+// call; HAVING applied either way.
 func (e *Engine) closingResults(rel attr.Set, epoch uint32) ([]hfta.Row, error) {
 	i := slices.Index(e.queries, rel)
 	switch {
 	case i < 0:
 	case !e.sharedReadout():
-		return applyHaving(e.specs[i], e.agg.Rows(rel, epoch)), nil
-	case e.closing != nil && epoch == e.closingEpoch:
+		e.emitBuf = e.agg.View(e.emitBuf, rel, epoch)
+		return applyHaving(e.specs[i], e.emitBuf), nil
+	case len(e.closing) > 0 && epoch == e.closingEpoch:
 		return e.closing[i], nil
 	}
 	return nil, fmt.Errorf("core: no read-out of %v for epoch %d (closing epoch %d)", rel, epoch, e.closingEpoch)
@@ -1054,7 +1056,6 @@ func (e *Engine) emitEpoch(closed Degradation) {
 			continue
 		}
 		e.opts.OnResults(q, epoch, rows, closed)
-		rows = nil // not pinned while the next query is read out
 	}
 	e.agg.Drop(epoch)
 }

@@ -199,26 +199,36 @@ func (p *persister) stop() {
 }
 
 // persistEpoch hands the closing epoch's read-out (HAVING applied —
-// exactly what emitEpoch delivers, and the same immutable rows) to the
-// persister. Never blocks.
+// exactly what emitEpoch delivers) to the persister. The read-out is a
+// view of logs the next epochs recycle and the persister may lag the
+// close, so every kept row is copied into one flat key array and one
+// flat aggregate array the job owns. Never blocks.
 func (e *Engine) persistEpoch(closed Degradation) {
 	if e.persist == nil {
 		return
 	}
 	epoch := closed.Epoch
+	var nr, nk int
+	for i, q := range e.queries {
+		nr += len(e.closing[i])
+		nk += len(e.closing[i]) * q.Size()
+	}
+	keys, aggs := make([]uint32, 0, nk), make([]int64, 0, nr*len(e.aggs))
+	all := make([]epochstore.Row, 0, nr)
 	recs := make([]epochstore.Record, 0, len(e.queries))
 	for i, q := range e.queries {
-		rows := e.closing[i]
-		rec := epochstore.Record{
+		first := len(all)
+		for _, r := range e.closing[i] {
+			k, a := len(keys), len(aggs)
+			keys, aggs = append(keys, r.Key...), append(aggs, r.Aggs...)
+			all = append(all, epochstore.Row{Key: keys[k:len(keys):len(keys)], Aggs: aggs[a:len(aggs):len(aggs)]})
+		}
+		recs = append(recs, epochstore.Record{
 			Epoch: epoch, Rel: q,
 			Offered: closed.Offered, Processed: closed.Processed,
 			Dropped: closed.Dropped, Late: closed.Late,
-			Rows: make([]epochstore.Row, len(rows)),
-		}
-		for i := range rows {
-			rec.Rows[i] = epochstore.Row{Key: rows[i].Key, Aggs: rows[i].Aggs}
-		}
-		recs = append(recs, rec)
+			Rows: all[first:len(all):len(all)],
+		})
 	}
 	e.persist.enqueue(epoch, recs)
 }

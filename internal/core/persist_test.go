@@ -224,6 +224,68 @@ func TestPersistQueueFullDegrades(t *testing.T) {
 	}
 }
 
+// TestPersisterLagCopiesRows: the persister never holds a view of the
+// HFTA's logs. Behind a store whose writes block, the persister stalls on
+// the first closed epoch and every later one waits in its queue while the
+// engine recycles the logs those epochs were read out of; once the store
+// recovers, each stored record must equal a storeless reference run's
+// emission row for row. Run under -race, it also sees a record whose rows
+// alias a log the engine is writing.
+func TestPersisterLagCopiesRows(t *testing.T) {
+	recs, groups := testWorkload(t, 24000)
+	for i := range recs { // spread over 12 epochs of 10 ticks
+		recs[i].Time = uint32(i * 120 / len(recs))
+	}
+	sqls := make([]string, len(pairSQL))
+	for i, q := range pairSQL {
+		sqls[i] = q + " having cnt > 1"
+	}
+	want := emissionMap{}
+	ref, err := New(sqls, groups, Options{M: 8000, Seed: 3, OnResults: collectEmissions(t, want)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Run(stream.NewSliceSource(recs)); err != nil {
+		t.Fatal(err)
+	}
+
+	st, _, release := gatedStore(t)
+	e, err := New(sqls, groups, Options{
+		M: 8000, Seed: 3, Store: st, StoreQueue: 16, StoreBackoff: noSleep(),
+		OnResults: func(attr.Set, uint32, []hfta.Row, Degradation) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := e.Process(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d, closed := e.Durability(), len(e.EpochDegradations()); d.Persisted != 0 || closed < 10 {
+		t.Fatalf("persister is %d epochs behind the close (persisted %d); want ≥ 10 and 0", closed, d.Persisted)
+	}
+	release()
+	if err := e.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	degs := e.EpochDegradations()
+	if d := e.Durability(); d.Persisted != len(degs) {
+		t.Fatalf("persisted %d of %d epochs: %+v", d.Persisted, len(degs), d)
+	}
+	for _, deg := range degs {
+		for _, q := range chaosQueries {
+			rec, err := st.Read(deg.Epoch, q)
+			if err != nil {
+				t.Fatalf("epoch %d of %v: %v", deg.Epoch, q, err)
+			}
+			if renderStored(rec) != want[epochKey{q, deg.Epoch}] {
+				t.Errorf("epoch %d of %v: stored rows differ from the reference's", deg.Epoch, q)
+			}
+		}
+	}
+}
+
 // TestKillRestoreWithStoreReplay is the acceptance crash test for the
 // durable pipeline: kill the engine mid-epoch, reopen the store, restore
 // the checkpoint, replay the store — the resumed engine answers every

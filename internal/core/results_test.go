@@ -31,7 +31,7 @@ func TestResultHandlerStreamsAndBoundsMemory(t *testing.T) {
 				t.Errorf("epoch %d of %v delivered twice", epoch, rel)
 			}
 			handled[rel][epoch] = true
-			streamed = append(streamed, rows...)
+			streamed = append(streamed, copyRows(rows)...) // rows are borrowed
 		},
 	})
 	if err != nil {

@@ -28,6 +28,10 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+	// Timings are wall-clock readings, printed after the notes as
+	// "(…)" lines like maggbench's "(… completed in …)", so one filter
+	// drops every reading that differs between two runs of one build.
+	Timings []string
 }
 
 // Fprint renders the table with aligned columns.
@@ -57,6 +61,11 @@ func (t *Table) Fprint(w io.Writer) error {
 	}
 	for _, n := range t.Notes {
 		if _, err := fmt.Fprintf(w, "note: %s\n", n); err != nil {
+			return err
+		}
+	}
+	for _, n := range t.Timings {
+		if _, err := fmt.Fprintf(w, "(%s: %s)\n", t.ID, n); err != nil {
 			return err
 		}
 	}

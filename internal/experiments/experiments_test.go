@@ -297,7 +297,7 @@ func TestExtensions(t *testing.T) {
 
 	scale := runExp(t, "ext-scale", ctx)
 	for _, row := range scale.Rows {
-		if ratio := parseCell(t, row[4]); ratio > 1.0001 {
+		if ratio := parseCell(t, row[3]); ratio > 1.0001 {
 			t.Errorf("%s queries: GCSL cost ratio %v above no-phantom", row[0], ratio)
 		}
 	}

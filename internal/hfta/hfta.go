@@ -185,16 +185,3 @@ func Equal(a, b []Row) bool {
 	}
 	return true
 }
-
-// HavingCountAtLeast filters rows to those whose aggregate at index aggIdx
-// reaches min — the paper's introductory "report ... provided this number
-// of packets is more than 100" query shape.
-func HavingCountAtLeast(rows []Row, aggIdx int, min int64) []Row {
-	out := rows[:0:0]
-	for _, r := range rows {
-		if aggIdx < len(r.Aggs) && r.Aggs[aggIdx] >= min {
-			out = append(out, r)
-		}
-	}
-	return out
-}

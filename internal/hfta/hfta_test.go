@@ -94,21 +94,6 @@ func TestMinMaxMerge(t *testing.T) {
 	}
 }
 
-func TestHavingCountAtLeast(t *testing.T) {
-	rows := []Row{
-		{Key: []uint32{1}, Aggs: []int64{150}},
-		{Key: []uint32{2}, Aggs: []int64{99}},
-		{Key: []uint32{3}, Aggs: []int64{100}},
-	}
-	got := HavingCountAtLeast(rows, 0, 100)
-	if len(got) != 2 || got[0].Key[0] != 1 || got[1].Key[0] != 3 {
-		t.Errorf("HavingCountAtLeast = %+v", got)
-	}
-	if got := HavingCountAtLeast(rows, 5, 1); len(got) != 0 {
-		t.Errorf("out-of-range agg index matched rows: %+v", got)
-	}
-}
-
 // TestEndToEndExactness is the central integration test of the two-level
 // architecture: for every configuration shape, with deliberately tiny
 // tables, the LFTA+HFTA pipeline must produce answers identical to the

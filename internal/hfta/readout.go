@@ -13,11 +13,13 @@ import (
 // aggregation inside the sort, the sorted output being what Rows returns
 // anyway. The fold writes into pooled scratch that then swaps places with
 // the log, so the log is left folded: a second read-out or GroupCount
-// copies it instead of sorting again. Rows copies the folded log into
-// exactly three allocations: one flat key array, one flat aggregate
-// array, and the []Row whose Key/Aggs fields are sub-slices of the two.
-// Nothing in the result aliases the log or the scratch, so it stays valid
-// and unchanged after Drop.
+// reads it instead of sorting again. View hands out the folded log in
+// place: row headers whose Key/Aggs fields are sub-slices of the log's
+// own columns, in a header array the caller reuses, so a read-out
+// allocates nothing. Rows is a copy of the view in exactly three
+// allocations (one flat key array, one flat aggregate array, the []Row);
+// nothing in it aliases the log or the scratch, so it stays valid and
+// unchanged after Drop.
 
 // readScratch is the scratch of one sort. Idle ones wait on the
 // aggregator's freelist (not a sync.Pool: the collector empties those,
@@ -67,15 +69,34 @@ func (a *Aggregator) Rows(rel attr.Set, epoch uint32) []Row {
 	}
 	keys, aggs := slices.Clone(l.keys), slices.Clone(l.aggs)
 	l.mu.Unlock()
-	na := len(a.aggs)
-	rows := make([]Row, len(keys)/arity)
-	for i := range rows {
-		r := &rows[i]
-		r.Rel, r.Epoch = rel, epoch
-		r.Key = keys[i*arity : (i+1)*arity : (i+1)*arity]
-		r.Aggs = aggs[i*na : (i+1)*na : (i+1)*na]
+	return a.rowsOf(make([]Row, 0, len(keys)/arity), rel, epoch, keys, aggs, arity)
+}
+
+// View is Rows without the copy: it finalizes one query's epoch and
+// returns its answers in dst's reused header array, each row's Key and
+// Aggs a sub-slice of the log's own columns. It allocates nothing once
+// dst has room for the groups. The view is borrowed: it is valid until
+// the epoch is dropped (Drop, Reset) or the next MergeRun into the same
+// (query, epoch), and its Key/Aggs must not be written.
+func (a *Aggregator) View(dst []Row, rel attr.Set, epoch uint32) []Row {
+	l, arity := a.folded(rel, epoch)
+	if l == nil {
+		return dst[:0]
 	}
-	return rows
+	defer l.mu.Unlock()
+	return a.rowsOf(dst[:0], rel, epoch, l.keys, l.aggs, arity)
+}
+
+// rowsOf appends to dst one row per group of a folded key/aggregate
+// column pair, Key and Aggs capped sub-slices of the columns.
+func (a *Aggregator) rowsOf(dst []Row, rel attr.Set, epoch uint32, keys []uint32, aggs []int64, arity int) []Row {
+	na := len(a.aggs)
+	for i := range len(keys) / arity {
+		dst = append(dst, Row{Rel: rel, Epoch: epoch,
+			Key:  keys[i*arity : (i+1)*arity : (i+1)*arity],
+			Aggs: aggs[i*na : (i+1)*na : (i+1)*na]})
+	}
+	return dst
 }
 
 // folded returns a query's log of the epoch folded, with its lock held,

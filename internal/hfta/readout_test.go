@@ -162,6 +162,45 @@ func TestRowsAllocsConstant(t *testing.T) {
 	}
 }
 
+// TestViewAllocsZero: a whole epoch through the borrowed read-out —
+// MergeRun into a recycled log, the sort-fold, View into a header array
+// with room for the groups, Drop — allocates nothing, and the view is the
+// owned read-out's rows.
+func TestViewAllocsZero(t *testing.T) {
+	for _, arity := range []int{2, 3} {
+		rel := mergeRunRel(arity)
+		agg, err := New([]attr.Set{rel}, lfta.CountStar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const groups = 4096
+		keys, ones := make([]uint32, 2*groups*arity), make([]int64, 2*groups)
+		for i := range ones {
+			g := (i * 7919) % groups
+			for a := 0; a < arity; a++ {
+				keys[i*arity+a] = uint32(g * (a + 3))
+			}
+			ones[i] = 1
+		}
+		var dst []Row
+		epoch := func() {
+			agg.MergeRun(rel, 5, keys, ones)
+			if dst = agg.View(dst, rel, 5); len(dst) != groups || dst[0].Aggs[0] != 2 {
+				t.Fatalf("arity %d: view of %d rows; want %d with count 2", arity, len(dst), groups)
+			}
+			agg.Drop(5)
+		}
+		epoch() // sizes the log, the scratch and dst
+		if n := testing.AllocsPerRun(20, epoch); n != 0 {
+			t.Errorf("arity %d: an epoch through View allocated %.0f times; want 0", arity, n)
+		}
+		agg.MergeRun(rel, 5, keys, ones)
+		if dst = agg.View(dst, rel, 5); !Equal(dst, agg.Rows(rel, 5)) {
+			t.Errorf("arity %d: View differs from Rows", arity)
+		}
+	}
+}
+
 // TestRowsConcurrentWithMergeRun is pipeline-par's access pattern: two
 // workers fold runs into epoch e while the client reads epoch e−3 out
 // and drops it. Run under -race in CI.

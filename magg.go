@@ -257,7 +257,9 @@ func NewOrderedSource(src Source, slack uint32) *stream.OrderedSource {
 
 // ResultHandler receives finalized per-epoch rows together with the
 // epoch's degradation accounting; installing one in Options.OnResults
-// bounds the engine's memory.
+// bounds the engine's memory. The rows are borrowed: they, and each row's
+// Key and Aggs, are valid only during the call and must not be written.
+// Copy what you keep; Engine.Results returns rows the caller owns.
 type ResultHandler = core.ResultHandler
 
 // WindowSpec is a sliding window in epochs: each window covers Size
