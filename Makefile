@@ -32,11 +32,12 @@ race:
 	$(GO) test -race -short .
 
 # Replay the checked-in fuzz seed corpora (testdata/fuzz/...) without
-# live fuzzing — what CI runs. Use `go test -fuzz FuzzCheckpointDecode
+# live fuzzing. Use `go test -fuzz FuzzCheckpointDecode
 # -fuzzminimizetime 50x ./internal/core` (or FuzzSegmentDecode in
 # ./internal/epochstore, FuzzDecodePartial in ./internal/sketch) for a
-# live session (FuzzComposer in ./internal/hfta minimizes slowly: pass
-# -fuzzminimizetime 1s).
+# live session. CI also runs three 30 s live sessions: FuzzCheckpointDecode,
+# FuzzReadTrace (./internal/stream, -fuzzminimizetime 50x) and FuzzComposer
+# (./internal/hfta, which minimizes slowly: -fuzzminimizetime 1s).
 fuzz-short:
 	$(GO) test -run 'Fuzz' ./internal/core ./internal/stream ./internal/feedgraph ./internal/query ./internal/epochstore ./internal/sketch ./internal/hfta
 

@@ -101,12 +101,6 @@ func (s Set) Remove(id ID) Set { return s &^ (1 << id) }
 // two queries is the minimal phantom able to feed both.
 func (s Set) Union(t Set) Set { return s | t }
 
-// Intersect returns the intersection of s and t.
-func (s Set) Intersect(t Set) Set { return s & t }
-
-// Diff returns the attributes of s not present in t.
-func (s Set) Diff(t Set) Set { return s &^ t }
-
 // Size returns the number of attributes in the set (the arity of the
 // relation's group key).
 func (s Set) Size() int { return bits.OnesCount32(uint32(s)) }
@@ -157,15 +151,6 @@ func (s Set) Project(tuple []uint32, dst []uint32) []uint32 {
 		rest &= rest - 1
 	}
 	return dst
-}
-
-// Subsets calls fn for every non-empty proper subset of s, in no particular
-// order. It is used to enumerate the relations a phantom could feed.
-func (s Set) Subsets(fn func(Set)) {
-	// Standard subset-enumeration trick: iterate sub = (sub-1) & s.
-	for sub := (uint32(s) - 1) & uint32(s); sub != 0; sub = (sub - 1) & uint32(s) {
-		fn(Set(sub))
-	}
 }
 
 // SortSets orders a slice of relations by decreasing size and then by

@@ -286,31 +286,6 @@ func (c *Curve) RateGB(g, b float64) float64 {
 	return c.Rate(g / b)
 }
 
-// Tabulated returns a copy of the tabulation grid, for experiment plots.
-func (c *Curve) Tabulated() (rs, xs []float64) {
-	return append([]float64(nil), c.rs...), append([]float64(nil), c.xs...)
-}
-
-// MaxRelErr reports the maximum relative error of the regression against
-// the tabulated precise values over r ∈ (lo, hi]; the paper targets 5% per
-// interval (average below 1%).
-func (c *Curve) MaxRelErr(lo, hi float64) float64 {
-	worst := 0.0
-	for i, r := range c.rs {
-		if r <= lo || r > hi {
-			continue
-		}
-		if c.xs[i] < 1e-9 {
-			continue
-		}
-		err := math.Abs(c.Rate(r)-c.xs[i]) / c.xs[i]
-		if err > worst {
-			worst = err
-		}
-	}
-	return worst
-}
-
 // FitLinearLow regresses a line over the tabulated curve where x ≤ maxX
 // (Figure 8's zoom region), returning the fitted alpha and mu, comparable
 // to Equation 16's published 0.0267 and 0.354.

@@ -200,7 +200,7 @@ func (c *ckptEncoder) rows(rows []hfta.Row) {
 
 // writePane writes one retained pane straight from the composer's runs:
 // its epoch and stats, then per query with a run its relation, its rows
-// and its sketch blobs, each in the run's (packed key) order.
+// and its sketch blobs, each in the run's order (numeric by key).
 func (e *Engine) writePane(c *ckptEncoder, ep uint32) {
 	stats, runs, _ := e.winComposer.Pane(ep)
 	c.u32(ep)

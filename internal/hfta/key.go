@@ -1,15 +1,12 @@
 package hfta
 
-import (
-	"cmp"
-	"math/bits"
-)
-
 // Group keys travel as flat []uint32 words, one per attribute; the arity
 // is fixed per relation and never stored with the key. Keys of arity ≤ 2
 // additionally pack into one uint64 (attribute 0 in the high word) whose
 // numeric order equals the per-attribute lexicographic order — the form
-// the key hash and the read-out's sort work on.
+// the key hash and the read-out's sort work on. That order, numeric per
+// attribute, is the HFTA's only key order: read-out rows, pane runs,
+// window rows and checkpoint panes all list groups in it.
 
 // smallArity is the widest group key packed directly into a uint64.
 const smallArity = 2
@@ -31,27 +28,6 @@ func unpackSmall(key []uint32, p uint64) {
 		return
 	}
 	key[0], key[1] = uint32(p>>32), uint32(p)
-}
-
-// packOrd is the packed bytes (PackKey) of a key of arity 1 or 2 read as
-// one big-endian number, so its numeric order is the packed byte order
-// that window rows, pane runs and checkpoints use.
-func packOrd(key []uint32) uint64 {
-	w := uint64(key[0])
-	if len(key) > 1 {
-		w |= uint64(key[1]) << 32
-	}
-	return bits.ReverseBytes64(w)
-}
-
-// cmpPacked orders two keys of one arity as their packed bytes compare.
-func cmpPacked(a, b []uint32) int {
-	for i := range a {
-		if a[i] != b[i] {
-			return cmp.Compare(bits.ReverseBytes32(a[i]), bits.ReverseBytes32(b[i]))
-		}
-	}
-	return 0
 }
 
 // mix64 is the splitmix64 finalizer: a cheap full-avalanche mix used to

@@ -1,6 +1,7 @@
 package hfta
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/attr"
@@ -40,8 +41,8 @@ type OracleRow struct {
 }
 
 // OracleWindow is one recomputed window: ledger plus rows in query
-// order, in packed little-endian byte order of the group keys (see PackKey)
-// within each relation.
+// order, sorted by group key (numeric, per attribute) within each
+// relation.
 type OracleWindow struct {
 	Ledger WindowLedger
 	Rows   []OracleRow
@@ -168,19 +169,19 @@ func WindowOracle(recs []stream.Record, queries []attr.Set, aggs []lfta.AggSpec,
 					}
 				}
 			}
-			keys := make([]string, 0, len(groups))
+			keys := make([][]uint32, 0, len(groups))
 			for k := range groups {
-				keys = append(keys, k)
+				keys = append(keys, UnpackKey(k))
 			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				a := groups[k]
+			slices.SortFunc(keys, slices.Compare)
+			for _, key := range keys {
+				a := groups[PackKey(key)]
 				row := OracleRow{
 					Rel:    q,
 					Window: uint32(i),
 					Start:  uint32(start),
 					End:    uint32(end),
-					Key:    UnpackKey(k),
+					Key:    key,
 					Aggs:   a.aggs,
 				}
 				if a.sk != nil {

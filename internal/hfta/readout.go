@@ -26,7 +26,7 @@ import (
 // and at one read-out per epoch the scratch would be rebuilt from zero
 // capacity whenever two collections fit into an epoch).
 type readScratch struct {
-	keys           []uint32 // a fold's output, swapped with the log's columns
+	keys           []uint32 // a fold's output (swapped with the log's columns), or buildRun's keys
 	aggs           []int64
 	perm, permTmp  []uint32 // entry numbers, sorted by key
 	packed, pkdTmp []uint64 // each entry's key packed, moved along with perm
@@ -157,7 +157,8 @@ func (a *Aggregator) fold(l *epochLog, arity int) {
 
 // order sets sc.perm to the entries of a flat key column (arity words
 // each) stably sorted by key, numeric per attribute; keys that pack leave
-// their packed form, sorted, in sc.packed.
+// their packed form, sorted, in sc.packed. It is the HFTA's one sort: the
+// read-out's fold and the composer's buildRun both order through it.
 func (sc *readScratch) order(keys []uint32, arity int) {
 	n := len(keys) / arity
 	packed := sc.load(n)

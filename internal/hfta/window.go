@@ -74,9 +74,8 @@ type WindowRow struct {
 }
 
 // WindowResult is everything emitted when one window closes: its ledger
-// and the rows of every query relation, in query order, in packed
-// little-endian byte order of their group keys (see PackKey) within each
-// relation.
+// and the rows of every query relation, in query order, sorted by group
+// key (numeric, per attribute, as Rows) within each relation.
 type WindowResult struct {
 	Ledger WindowLedger
 	Rows   []WindowRow
@@ -93,7 +92,7 @@ type PaneInput struct {
 }
 
 // PaneRun is one relation's groups in a retained pane, sorted on arrival
-// in packed key order (see PackKey): a run. Group g's key is
+// by key (numeric, per attribute, as Rows): a run. Group g's key is
 // Key(g, arity), its exact slots Slots(g, na) (identities without a row),
 // its partial Partial(g); HasRow and HasSketch say which it carries. The
 // columns are never written once built, so a reader — the checkpoint
@@ -211,10 +210,7 @@ func (c *Composer) Spec() WindowSpec { return c.win }
 func (c *Composer) PaneCount() int { return len(c.panes) }
 
 // PackKey encodes a group key as a comparable map key: little-endian
-// 4-byte words. Byte order of packed keys is not numeric order — the low
-// byte of each word compares first, so key 256 (00 01 00 00) sorts before
-// key 1 (01 00 00 00). Window rows, pane snapshots and WindowOracle all
-// sort by packed bytes, and checkpoint byte identity depends on that order.
+// 4-byte words.
 func PackKey(key []uint32) string { return string(AppendKeyBytes(nil, key)) }
 
 // AppendKeyBytes appends the packed form of key to dst.
@@ -301,22 +297,19 @@ func (c *Composer) feed(p *pane, qi int, inputs []PaneInput, strict bool) error 
 	return err
 }
 
-// buildRun sorts entries into a run (the read-out's sort kernel on
-// packOrd up to smallArity words, else by cmpPacked; stable) and folds
-// each key's entries in arrival order into one group: rows combine,
-// partials merge (one that does not merge is dropped). With strict set a
-// key's second row or partial is an error instead.
+// buildRun sorts entries into a run (the read-out's order: stable,
+// numeric per attribute) and folds each key's entries in arrival order
+// into one group: rows combine, partials merge (one that does not merge
+// is dropped). With strict set a key's second row or partial is an error
+// instead.
 func (c *Composer) buildRun(ents []paneEnt, arity int, strict bool) (*PaneRun, error) {
 	sc := &c.order
-	packed := sc.load(len(ents))
-	if arity <= smallArity {
-		for i := range ents {
-			packed[i] = packOrd(ents[i].key)
-		}
-		sc.sort()
-	} else {
-		slices.SortStableFunc(sc.perm, func(x, y uint32) int { return cmpPacked(ents[x].key, ents[y].key) })
+	keys := sc.keys[:0]
+	for i := range ents {
+		keys = append(keys, ents[i].key...)
 	}
+	sc.keys = keys
+	sc.order(keys, arity)
 	perm := sc.perm
 	n := 0
 	for i, x := range perm {
@@ -552,7 +545,7 @@ func (c *Composer) merge(rows []WindowRow, qi int, led WindowLedger) []WindowRow
 		var key []uint32
 		for r, rp := range runs {
 			if g := cur[r]; g < len(rp.has) {
-				if k := rp.Key(g, arity); min < 0 || cmpPacked(k, key) < 0 {
+				if k := rp.Key(g, arity); min < 0 || slices.Compare(k, key) < 0 {
 					min, key = r, k
 				}
 			}
@@ -621,9 +614,9 @@ type KeyBlob struct {
 	Blob []byte
 }
 
-// PaneRelSnapshot is one relation's slice of a snapshotted pane, with
-// rows and blobs in sorted key order (the serialization is part of the
-// checkpoint byte-identity contract).
+// PaneRelSnapshot is one relation's slice of a snapshotted pane: its rows
+// and blobs in any order (a checkpoint lists them in run order, numeric
+// by key; RestorePanes sorts them into a run either way).
 type PaneRelSnapshot struct {
 	Rel      attr.Set
 	Rows     []Row

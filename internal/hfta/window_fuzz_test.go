@@ -13,8 +13,9 @@ import (
 
 // refComposer is the brute-force reference FuzzComposer holds the
 // composer to: panes as maps keyed by packed key, every window re-folded
-// from them and sorted by packed key — the map-keyed composer's semantics,
-// with no sorting, pooling or caching of its own.
+// from them and listed in numeric key order (sortedMapKeys) — the
+// map-keyed composer's semantics, with no run, pooling or caching of its
+// own.
 type refComposer struct {
 	win     WindowSpec
 	queries []attr.Set
@@ -161,12 +162,7 @@ func (r *refComposer) compose(start, end int64) WindowResult {
 				}
 			}
 		}
-		keys := make([]string, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
+		for _, k := range sortedMapKeys(groups) {
 			row := WindowRow{Rel: q, Window: uint32(r.next), Start: uint32(start), End: uint32(end), Key: UnpackKey(k), Aggs: groups[k]}
 			if len(r.saggs) > 0 {
 				var acc *sketch.Partial
@@ -223,12 +219,14 @@ func (r *refComposer) snapshot() []PaneSnapshot {
 	return out
 }
 
+// sortedMapKeys returns a map's packed keys in numeric order of their
+// key words, per attribute — not in the packed strings' byte order.
 func sortedMapKeys[V any](m map[string]V) []string {
 	var keys []string
 	for k := range m {
 		keys = append(keys, k)
 	}
-	slices.Sort(keys)
+	slices.SortFunc(keys, func(a, b string) int { return slices.Compare(UnpackKey(a), UnpackKey(b)) })
 	return keys
 }
 
@@ -259,7 +257,8 @@ func (r *refComposer) restore(next int64, panes []PaneSnapshot) error {
 }
 
 // fuzzTrapKeys are attribute values on which packed byte order and numeric
-// order disagree (1 against 256, 65536 and 1<<24), plus the extremes.
+// order disagree (1 against 256, 65536 and 1<<24), plus the extremes, so a
+// run or merge that sorted by packed bytes would list groups out of order.
 var fuzzTrapKeys = []uint32{0, 1, 256, 65536, 1 << 24, 255, 257, 0xFFFFFFFF}
 
 // FuzzComposer drives the composer and the brute-force reference with the

@@ -2,10 +2,12 @@ package hfta
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/attr"
@@ -29,37 +31,210 @@ func TestPackKeyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPackedKeyOrder pins the order window rows, pane snapshots and the
-// window oracle share — packed little-endian bytes, low byte first — with
-// keys 1 and 256, where it and numeric order disagree. A change to either
-// would silently re-order window output and every v4 checkpoint.
-func TestPackedKeyOrder(t *testing.T) {
-	one, k256 := []uint32{1}, []uint32{256}
-	if !(PackKey(k256) < PackKey(one)) || !lessKeys(one, k256) {
-		t.Fatal("keys 1 and 256: packed order must put 256 first, numeric order 1 first")
-	}
-	queries := []attr.Set{attr.MustParseSet("A")}
+// TestOneKeyOrder: every consumer of a query's groups lists them in one
+// order, numeric per attribute — the read-out (Rows, View), window rows
+// of a size-1 and a 3/2 window, the window oracle, and the pane runs a
+// checkpoint writes (Composer.Pane). The keys are built from values on
+// which numeric order and packed little-endian byte order disagree (1
+// against 256, 65536 and 1<<24) at arity 1, 2 and 3, so a consumer that
+// sorted by packed bytes would list 256 before 1.
+func TestOneKeyOrder(t *testing.T) {
+	vals := []uint32{1, 256, 65536, 1 << 24, 0xFFFFFFFF}
+	queries := []attr.Set{mergeRunRel(1), mergeRunRel(2), mergeRunRel(3)}
 	aggs := []lfta.AggSpec{{Op: hashtab.Sum, Input: -1}}
-	c, err := NewComposer(WindowSpec{Size: 1, Slide: 1}, queries, aggs, nil, 0, 0)
+	const epochLen, epochs = 10, 3
+	rng := rand.New(rand.NewSource(43))
+	// Every combination of three values, once per epoch, shuffled: the
+	// queries project it onto 5, 25 and 125 groups.
+	var recs []stream.Record
+	for e := uint32(0); e < epochs; e++ {
+		var ep []stream.Record
+		for _, a := range vals {
+			for _, b := range vals {
+				for _, c := range vals {
+					ep = append(ep, stream.Record{Attrs: []uint32{a, b, c}, Time: e * epochLen})
+				}
+			}
+		}
+		rng.Shuffle(len(ep), func(i, j int) { ep[i], ep[j] = ep[j], ep[i] })
+		recs = append(recs, ep...)
+	}
+	want := map[attr.Set][][]uint32{}
+	for _, q := range queries {
+		seen := map[string]bool{}
+		for _, r := range recs {
+			if key := q.Project(r.Attrs, nil); !seen[PackKey(key)] {
+				seen[PackKey(key)] = true
+				want[q] = append(want[q], key)
+			}
+		}
+		slices.SortFunc(want[q], slices.Compare)
+	}
+	check := func(what string, q attr.Set, got [][]uint32) {
+		t.Helper()
+		if !slices.EqualFunc(got, want[q], slices.Equal) {
+			t.Fatalf("%s, query %v: keys %v; want %v", what, q, got, want[q])
+		}
+	}
+
+	agg, err := New(queries, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.ClosePane(0, PaneStats{Offered: 2, Processed: 2}, []PaneInput{{Rel: queries[0], Rows: []Row{
-		{Rel: queries[0], Key: one, Aggs: []int64{1}},
-		{Rel: queries[0], Key: k256, Aggs: []int64{1}},
-	}}})
-	snap := c.SnapshotPanes()
-	res := c.CloseThrough(0)
-	if len(res) != 1 || len(res[0].Rows) != 2 || res[0].Rows[0].Key[0] != 256 {
-		t.Fatalf("window rows %+v; want key 256 before key 1", res)
+	for _, r := range recs {
+		for _, q := range queries {
+			agg.MergeRun(q, r.Time/epochLen, q.Project(r.Attrs, nil), []int64{1})
+		}
 	}
-	if rows := snap[0].Rels[0].Rows; len(rows) != 2 || rows[0].Key[0] != 256 {
-		t.Fatalf("pane snapshot rows %+v; want key 256 before key 1", rows)
+	// The panes take each epoch's rows shuffled, so the runs are sorted
+	// by the composer, not inherited from the read-out.
+	var inputs [epochs][]PaneInput
+	for e := uint32(0); e < epochs; e++ {
+		for _, q := range queries {
+			var view [][]uint32
+			for _, r := range agg.View(nil, q, e) {
+				view = append(view, r.Key)
+			}
+			check(fmt.Sprintf("View, epoch %d", e), q, view)
+			rows := agg.Rows(q, e)
+			var keys [][]uint32
+			for _, r := range rows {
+				keys = append(keys, r.Key)
+			}
+			check(fmt.Sprintf("Rows, epoch %d", e), q, keys)
+			rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+			inputs[e] = append(inputs[e], PaneInput{Rel: q, Rows: rows})
+		}
 	}
-	recs := []stream.Record{{Attrs: []uint32{1}, Time: 0}, {Attrs: []uint32{256}, Time: 0}}
-	oracle := WindowOracle(recs, queries, aggs, nil, 0, 0, 10, WindowSpec{Size: 1, Slide: 1})
-	if len(oracle) != 1 || len(oracle[0].Rows) != 2 || oracle[0].Rows[0].Key[0] != 256 {
-		t.Fatalf("oracle rows %+v; want key 256 before key 1", oracle)
+
+	for _, win := range []WindowSpec{{Size: 1, Slide: 1}, {Size: 3, Slide: 2}} {
+		c, err := NewComposer(win, queries, aggs, nil, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := uint32(0); e < epochs; e++ {
+			c.ClosePane(e, PaneStats{}, inputs[e])
+			_, runs, _ := c.Pane(e)
+			for qi, q := range queries {
+				var keys [][]uint32
+				for g := range runs[qi].Len() {
+					keys = append(keys, runs[qi].Key(g, q.Size()))
+				}
+				check(fmt.Sprintf("%v pane run, epoch %d", win, e), q, keys)
+			}
+		}
+		windowKeys := func(what string, rels []attr.Set, keys [][]uint32) {
+			t.Helper()
+			for _, q := range queries {
+				var got [][]uint32
+				for i, rel := range rels {
+					if rel == q {
+						got = append(got, keys[i])
+					}
+				}
+				check(what, q, got)
+			}
+		}
+		for _, res := range c.CloseAll() {
+			var rels []attr.Set
+			var keys [][]uint32
+			for _, r := range res.Rows {
+				rels, keys = append(rels, r.Rel), append(keys, r.Key)
+			}
+			windowKeys(fmt.Sprintf("%v window %d rows", win, res.Ledger.Window), rels, keys)
+		}
+		for _, ow := range WindowOracle(recs, queries, aggs, nil, 0, 0, epochLen, win) {
+			var rels []attr.Set
+			var keys [][]uint32
+			for _, r := range ow.Rows {
+				rels, keys = append(rels, r.Rel), append(keys, r.Key)
+			}
+			windowKeys(fmt.Sprintf("%v oracle window %d", win, ow.Ledger.Window), rels, keys)
+		}
+	}
+}
+
+// TestRestorePanesAnyOrder: RestorePanes sorts what it is given, so a
+// snapshot whose rows and sketch blobs come in any order — shuffled, or
+// in the packed byte order of images written before window rows took the
+// read-out's numeric order — restores to the same panes, re-serializes in
+// numeric order, and composes the same windows as the composer it was
+// taken from.
+func TestRestorePanesAnyOrder(t *testing.T) {
+	queries := []attr.Set{mergeRunRel(1), mergeRunRel(2), mergeRunRel(3)}
+	aggs := []lfta.AggSpec{{Op: hashtab.Sum, Input: -1}, {Op: hashtab.Max, Input: 0}}
+	saggs := []sketch.Agg{{Kind: sketch.Distinct, Input: 1}}
+	mk := func() *Composer {
+		c, err := NewComposer(WindowSpec{Size: 3, Slide: 2}, queries, aggs, saggs, 8, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	rng := rand.New(rand.NewSource(5))
+	c := mk()
+	for e := uint32(0); e < 5; e++ {
+		var inputs []PaneInput
+		for _, q := range queries {
+			in := PaneInput{Rel: q}
+			for range 20 {
+				key := make([]uint32, q.Size())
+				for i := range key {
+					key[i] = fuzzTrapKeys[rng.Intn(len(fuzzTrapKeys))]
+				}
+				if rng.Intn(3) != 0 {
+					in.Rows = append(in.Rows, Row{Rel: q, Epoch: e, Key: key, Aggs: []int64{1, int64(rng.Intn(100))}})
+				}
+				if rng.Intn(3) != 0 {
+					p, _ := sketch.NewPartial(saggs, 8, 0)
+					for range 1 + rng.Intn(5) {
+						p.Observe([]uint32{0, rng.Uint32() % 50})
+					}
+					in.Blobs = append(in.Blobs, KeyBlob{Key: key, Blob: p.AppendBinary(nil)})
+				}
+			}
+			inputs = append(inputs, in)
+		}
+		c.ClosePane(e, PaneStats{Offered: 20, Processed: 20}, inputs)
+	}
+	c.CloseThrough(2) // window 0 closes; panes 2, 3 and 4 stay
+	snap, next := c.SnapshotPanes(), c.Next()
+	want := c.CloseAll()
+	packed := func(a, b []uint32) int { return strings.Compare(PackKey(a), PackKey(b)) }
+	for _, order := range []struct {
+		name    string
+		reorder func(rows []Row, blobs []KeyBlob)
+	}{
+		{"in order", func([]Row, []KeyBlob) {}},
+		{"shuffled", func(rows []Row, blobs []KeyBlob) {
+			rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+			rng.Shuffle(len(blobs), func(i, j int) { blobs[i], blobs[j] = blobs[j], blobs[i] })
+		}},
+		{"packed byte order", func(rows []Row, blobs []KeyBlob) {
+			slices.SortFunc(rows, func(a, b Row) int { return packed(a.Key, b.Key) })
+			slices.SortFunc(blobs, func(a, b KeyBlob) int { return packed(a.Key, b.Key) })
+		}},
+	} {
+		var in []PaneSnapshot
+		for _, ps := range snap {
+			ps.Rels = slices.Clone(ps.Rels)
+			for i := range ps.Rels {
+				rs := &ps.Rels[i]
+				rs.Rows, rs.Sketches = slices.Clone(rs.Rows), slices.Clone(rs.Sketches)
+				order.reorder(rs.Rows, rs.Sketches)
+			}
+			in = append(in, ps)
+		}
+		r := mk()
+		if err := r.RestorePanes(next, in); err != nil {
+			t.Fatalf("%s: %v", order.name, err)
+		}
+		if !reflect.DeepEqual(r.SnapshotPanes(), snap) {
+			t.Fatalf("%s: restored panes re-serialize out of numeric order", order.name)
+		}
+		if got := r.CloseAll(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: restored composer closes\n%v\nwant\n%v", order.name, got, want)
+		}
 	}
 }
 

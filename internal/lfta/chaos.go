@@ -35,7 +35,6 @@ type FaultySink struct {
 	mu         sync.Mutex
 	deliveries uint64
 	failures   uint64
-	delays     uint64
 	lostCount  map[attr.Set]uint64
 	lostMass   map[attr.Set][]int64
 }
@@ -71,9 +70,6 @@ func (s *FaultySink) inject(rel attr.Set, n int, aggs []int64) (lost bool) {
 			mass[i%na] += v
 		}
 	}
-	if delay {
-		s.delays++
-	}
 	s.mu.Unlock()
 	if delay && s.faults.Delay > 0 {
 		time.Sleep(s.faults.Delay)
@@ -97,13 +93,6 @@ func (s *FaultySink) Failures() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.failures
-}
-
-// Delays returns the number of delayed deliveries.
-func (s *FaultySink) Delays() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.delays
 }
 
 // Lost returns the number of evictions lost for one relation and the

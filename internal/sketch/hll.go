@@ -61,13 +61,6 @@ func MustNew(precision uint8) *HLL {
 	return h
 }
 
-// Precision returns the register-count exponent.
-func (h *HLL) Precision() uint8 { return h.p }
-
-// SizeBytes returns the memory footprint of the register store: 2^p once
-// dense, four bytes per non-zero register before.
-func (h *HLL) SizeBytes() int { return len(h.regs) + 4*len(h.sparse) }
-
 // Add observes one element by its 64-bit hash. The hash must be well
 // mixed (use AddKey for raw attribute values).
 func (h *HLL) Add(hash uint64) {

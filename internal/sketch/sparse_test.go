@@ -114,7 +114,7 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 			pre.Add(hashFor(p, i, 1))
 		}
 		pre.Reset()
-		if pre.SizeBytes() != m {
+		if sizeBytes(pre) != m {
 			t.Fatalf("p=%d: Reset gave up the dense store", p)
 		}
 		wireLast := (m - 3) / 3 // largest n with 3+3n < 1+m
@@ -137,8 +137,8 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 				}
 				sameAsRef(t, "decoded", d, ref)
 			}
-			if (h.SizeBytes() == m) != (8*nz > m) {
-				t.Fatalf("p=%d: %d registers held in %d bytes", p, nz, h.SizeBytes())
+			if (sizeBytes(h) == m) != (8*nz > m) {
+				t.Fatalf("p=%d: %d registers held in %d bytes", p, nz, sizeBytes(h))
 			}
 		}
 		check(0)
@@ -167,12 +167,12 @@ func TestSparseThresholdEdges(t *testing.T) {
 		for i := 0; i < m/8; i++ {
 			h.Add(hashFor(p, m-1-i, uint8(1+i%5))) // descending: every insert at the front
 		}
-		if h.SizeBytes() != 4*(m/8) {
-			t.Errorf("p=%d: %d registers take %d bytes, want the sparse list's %d", p, m/8, h.SizeBytes(), 4*(m/8))
+		if sizeBytes(h) != 4*(m/8) {
+			t.Errorf("p=%d: %d registers take %d bytes, want the sparse list's %d", p, m/8, sizeBytes(h), 4*(m/8))
 		}
 		h.Add(hashFor(p, 0, 1))
-		if h.SizeBytes() != m {
-			t.Errorf("p=%d: %d registers take %d bytes, want the dense array's %d", p, m/8+1, h.SizeBytes(), m)
+		if sizeBytes(h) != m {
+			t.Errorf("p=%d: %d registers take %d bytes, want the dense array's %d", p, m/8+1, sizeBytes(h), m)
 		}
 		// Wire rule: sparse while 3+3n < 1+2^p, from the values alone.
 		last := (m - 3) / 3

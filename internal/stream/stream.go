@@ -68,14 +68,6 @@ func (s Schema) Validate(r Record) error {
 	return nil
 }
 
-// AttrName resolves an attribute's long name.
-func (s Schema) AttrName(id attr.ID) string {
-	if int(id) < len(s.Names) {
-		return s.Names[id]
-	}
-	return id.Name()
-}
-
 // Source yields a stream of records. Next returns false when the stream is
 // exhausted; Err reports any error that terminated it early.
 type Source interface {
@@ -255,18 +247,4 @@ func Collect(src Source) ([]Record, error) {
 		out = append(out, r)
 	}
 	return out, src.Err()
-}
-
-// GroupKey renders the projection of a record onto a relation as a
-// human-readable key such as "10.0.0.1|443"; used in results and tests.
-func GroupKey(rel attr.Set, rec Record) string {
-	vals := rel.Project(rec.Attrs, nil)
-	out := ""
-	for i, v := range vals {
-		if i > 0 {
-			out += "|"
-		}
-		out += fmt.Sprint(v)
-	}
-	return out
 }

@@ -27,9 +27,6 @@ func TestNewSchema(t *testing.T) {
 	if s.Universe() != attr.MustParseSet("ABCD") {
 		t.Errorf("Universe = %v", s.Universe())
 	}
-	if s.AttrName(2) != "C" {
-		t.Errorf("AttrName(2) = %q", s.AttrName(2))
-	}
 	if err := s.Validate(mkRec(0, 1, 2, 3)); err == nil {
 		t.Error("Validate should reject 3-attr record for 4-attr schema")
 	}
@@ -93,16 +90,6 @@ func TestClock(t *testing.T) {
 	}
 	if c.Current() != 3 {
 		t.Fatalf("Current = %d", c.Current())
-	}
-}
-
-func TestGroupKey(t *testing.T) {
-	rec := mkRec(0, 10, 20, 30, 40)
-	if got := GroupKey(attr.MustParseSet("AC"), rec); got != "10|30" {
-		t.Errorf("GroupKey = %q", got)
-	}
-	if got := GroupKey(attr.MustParseSet("B"), rec); got != "20" {
-		t.Errorf("GroupKey = %q", got)
 	}
 }
 
