@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race fuzz-short bench-module cross check bench loc
+.PHONY: build test vet fmt race fuzz-short bench-module cross examples check bench loc
 
 build:
 	$(GO) build ./...
@@ -57,11 +57,18 @@ cross:
 	GOARCH=arm64 $(GO) vet ./internal/...
 	GOARCH=riscv64 $(GO) vet ./internal/... && GOARCH=riscv64 $(GO) build ./...
 
-check: build vet fmt test race fuzz-short bench-module cross
+# Run every examples/* main end to end (each takes about a second); a
+# non-zero exit fails the target. Their stdout is discarded, their stderr
+# (where a failing example reports) is not.
+examples:
+	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
-# Quick perf numbers for the root micro-benchmarks: the engine's scalar
-# stager, the HFTA merge + read-out, and the budget lane's one-record
-# cascade (see docs/PERF.md; bench/run.sh is the end-to-end measure).
+check: build vet fmt test race fuzz-short bench-module cross examples
+
+# Quick perf numbers for the root micro-benchmarks: the engine's admission
+# over in-memory column batches, the HFTA merge + read-out, and the budget
+# lane's one-record cascade (see docs/PERF.md; bench/run.sh is the
+# end-to-end measure).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkEngineThroughput|BenchmarkHFTAMerge|BenchmarkRuntimeRecord' -benchmem .
 

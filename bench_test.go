@@ -16,8 +16,8 @@ import (
 
 // Micro-benchmarks of the building blocks bench/'s per-layer metrics do
 // not time — the space allocators, the collision model and the engine's
-// scalar stager — plus BenchmarkRuntimeRecord, the budget lane's
-// one-record probe and cascade. bench/run.sh measures the product path end
+// admission over in-memory column batches — plus BenchmarkRuntimeRecord,
+// the budget lane's one-record probe and cascade. bench/run.sh measures the product path end
 // to end and layer by layer; cmd/maggbench times the paper's experiments.
 
 // BenchmarkRuntimeRecord measures a full record through a three-level
@@ -90,8 +90,10 @@ func BenchmarkCollisionCurve(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineThroughput measures end-to-end records/second through a
-// planned engine (LFTA + HFTA).
+// BenchmarkEngineThroughput measures a planned engine (LFTA + HFTA)
+// admitting pre-built stream.ColumnBatchLen column batches through
+// ProcessColumnBatch, with no decode in front: one op is one batch, and
+// ns/record is the cost per record.
 func BenchmarkEngineThroughput(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	schema := stream.MustSchema(4)
@@ -114,11 +116,19 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	batches := make([]stream.ColumnBatch, len(recs)/stream.ColumnBatchLen)
+	for i := range batches {
+		batches[i].Reset(schema.NumAttrs)
+		for _, r := range recs[i*stream.ColumnBatchLen : (i+1)*stream.ColumnBatchLen] {
+			batches[i].Append(r.Attrs, r.Time)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := eng.Process(recs[i%len(recs)]); err != nil {
+		if err := eng.ProcessColumnBatch(&batches[i%len(batches)]); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stream.ColumnBatchLen), "ns/record")
 }

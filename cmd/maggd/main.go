@@ -45,6 +45,8 @@
 //     the affected epochs in the durability ledger printed in the summary.
 //   - -history N (with -store) prints epoch N's persisted answers from
 //     the store instead of streaming; -history all prints every epoch.
+//     The store keeps no query text, so these rows print their stored
+//     aggregate slots: an avg column shows as its sum and count.
 //   - -sink-fail-every N drops every Nth LFTA→HFTA delivery (fault
 //     injection); the summary prints per-relation lost mass.
 package main
@@ -55,6 +57,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -111,7 +115,7 @@ func main() {
 		shards     = flag.Int("shards", 0, "hash-partitioned LFTA shards under one global budget (0 or 1 = one LFTA, no routing)")
 		checkpoint = flag.String("checkpoint", "", "checkpoint log: an image plus a delta appended per epoch boundary, resumed from if present")
 		store      = flag.String("store", "", "durable epoch store directory: closed epochs persisted crash-safely, recovered on open")
-		history    = flag.String("history", "", "with -store: print persisted epoch N (or 'all') and exit")
+		history    = flag.String("history", "", "with -store: print persisted epoch N (or 'all') as stored slots (avg as sum and count) and exit")
 		sinkFail   = flag.Int("sink-fail-every", 0, "drop every Nth LFTA→HFTA delivery (fault injection; 0 = off)")
 	)
 	flag.Var(&queries, "query", "GSQL query (repeatable)")
@@ -225,6 +229,7 @@ func run(cfg runConfig) error {
 	}
 	var rels []attr.Set
 	var spec0 *query.Spec
+	specs := map[attr.Set]*query.Spec{}
 	for _, sql := range cfg.sqls {
 		// Parse leniently here just to collect the grouping relations;
 		// engine construction re-validates the full set.
@@ -236,6 +241,7 @@ func run(cfg runConfig) error {
 			spec0 = spec
 		}
 		rels = append(rels, spec.GroupBy)
+		specs[spec.GroupBy] = spec
 	}
 	// Windowed (or sketch-carrying) workloads report per-window answers
 	// composed from panes rather than raw per-epoch rows.
@@ -281,16 +287,9 @@ func run(cfg runConfig) error {
 			fmt.Printf("   (degraded: %d of %d records shed, %d late; shedding rate %.2f%%)\n",
 				deg.Dropped, deg.Offered, deg.Late, 100*deg.SheddingRate())
 		}
-		limit := len(rows)
-		if cfg.top > 0 && cfg.top < limit {
-			limit = cfg.top
-		}
-		for _, r := range rows[:limit] {
-			fmt.Printf("   %v -> %v\n", r.Key, r.Aggs)
-		}
-		if limit < len(rows) {
-			fmt.Printf("   ... %d more\n", len(rows)-limit)
-		}
+		printTop(len(rows), cfg.top, func(i int) {
+			fmt.Printf("   %v -> %s\n", rows[i].Key, aggText(specs[rel], rows[i].Aggs))
+		})
 	}
 	if windowed {
 		// Stream windows as they close (one call per query per window);
@@ -306,20 +305,14 @@ func run(cfg runConfig) error {
 				fmt.Printf("   (degraded: offered %d = processed %d + dropped %d + late %d)\n",
 					s.Offered, s.Processed, s.Dropped, s.Late)
 			}
-			limit := len(rows)
-			if cfg.top > 0 && cfg.top < limit {
-				limit = cfg.top
-			}
-			for _, r := range rows[:limit] {
+			printTop(len(rows), cfg.top, func(i int) {
+				r := rows[i]
+				est := ""
 				if len(r.Sketch) > 0 {
-					fmt.Printf("   %v -> %v  ~%s\n", r.Key, r.Aggs, fmtEstimates(r.Sketch))
-				} else {
-					fmt.Printf("   %v -> %v\n", r.Key, r.Aggs)
+					est = "  ~" + fmtEstimates(r.Sketch)
 				}
-			}
-			if limit < len(rows) {
-				fmt.Printf("   ... %d more\n", len(rows)-limit)
-			}
+				fmt.Printf("   %v -> %s%s\n", r.Key, aggText(specs[rel], r.Aggs), est)
+			})
 		}
 	}
 	eng, err := core.New(cfg.sqls, groups, opts)
@@ -506,19 +499,57 @@ func printHistory(store *epochstore.Store, sel string, top int) error {
 				fmt.Printf(" (degraded: %d of %d records shed, %d late)", rec.Dropped, rec.Offered, rec.Late)
 			}
 			fmt.Println()
-			limit := len(rec.Rows)
-			if top > 0 && top < limit {
-				limit = top
-			}
-			for _, r := range rec.Rows[:limit] {
-				fmt.Printf("   %v -> %v\n", r.Key, r.Aggs)
-			}
-			if limit < len(rec.Rows) {
-				fmt.Printf("   ... %d more\n", len(rec.Rows)-limit)
-			}
+			printTop(len(rec.Rows), top, func(i int) {
+				fmt.Printf("   %v -> %v\n", rec.Rows[i].Key, rec.Rows[i].Aggs)
+			})
 		}
 	}
 	return nil
+}
+
+// printTop prints rows 0 … top-1 of n through row (all n when top is 0),
+// then how many it left out.
+func printTop(n, top int, row func(i int)) {
+	limit := n
+	if top > 0 && top < limit {
+		limit = top
+	}
+	for i := 0; i < limit; i++ {
+		row(i)
+	}
+	if limit < n {
+		fmt.Printf("   ... %d more\n", n-limit)
+	}
+}
+
+// aggText renders a row's aggregates. A query with an avg column prints the
+// columns spec.OutputRow finalizes: each average divided by its count, the
+// count slot the avg rewrite added left out, and every other column as its
+// exact integer. Any other query prints its stored slots as they are.
+func aggText(spec *query.Spec, aggs []int64) string {
+	if !slices.ContainsFunc(spec.Aggs, func(a query.Agg) bool { return a.AvgOf >= 0 }) {
+		return fmt.Sprint(aggs)
+	}
+	out := spec.OutputRow(aggs)
+	var sb strings.Builder
+	sb.WriteByte('[')
+	j := 0 // index into out, which holds the visible columns only
+	for i, a := range spec.Aggs {
+		if a.Hidden {
+			continue
+		}
+		if j > 0 {
+			sb.WriteByte(' ')
+		}
+		if a.AvgOf >= 0 {
+			sb.WriteString(strconv.FormatFloat(out[j], 'f', -1, 64))
+		} else {
+			sb.WriteString(strconv.FormatInt(aggs[i], 10))
+		}
+		j++
+	}
+	sb.WriteByte(']')
+	return sb.String()
 }
 
 // fmtEstimates renders a row's sketch estimates (count_distinct and

@@ -8,6 +8,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -294,5 +296,77 @@ func TestRunShedOutputGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("output differs from %s:\n%s", golden, got)
+	}
+}
+
+// TestRunPrintsAvgDivided: a query's avg column prints divided by its
+// count, in tumbling and windowed output, and the count slot the avg
+// rewrite adds when the query selects no count stays hidden. Every printed
+// row is checked against sums and counts taken straight from the trace.
+func TestRunPrintsAvgDivided(t *testing.T) {
+	trace := writeTestTrace(t)
+	_, recs, err := stream.ReadTraceFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// want renders the row of the group whose attribute at is key over
+	// epochs [from, to]: the average of B, then the count if selected.
+	want := func(at int, key uint32, from, to uint32, withCount bool) string {
+		var sum, cnt int64
+		for _, r := range recs {
+			if e := r.Time / 10; e >= from && e <= to && r.Attrs[at] == key {
+				sum += int64(r.Attrs[1])
+				cnt++
+			}
+		}
+		avg := strconv.FormatFloat(float64(sum)/float64(cnt), 'f', -1, 64)
+		if withCount {
+			return fmt.Sprintf("[%s %d]", avg, cnt)
+		}
+		return "[" + avg + "]"
+	}
+	header := regexp.MustCompile(`^(?:-- query ([AC]), epoch (\d+)|== window \d+ \[epochs (\d+)\.\.(\d+)\], query ([AC])): \d+ groups$`)
+	row := regexp.MustCompile(`^   \[(\d+)\] -> (\[.*\])$`)
+	for name, window := range map[string]string{"tumbling": "", "window2": " window 2"} {
+		for _, withCount := range []bool{true, false} {
+			aggs := "avg(B) as ab"
+			if withCount {
+				aggs += ", count(*) as c"
+			}
+			sqls := []string{
+				"select A, " + aggs + " from R group by A, time/10" + window,
+				"select C, " + aggs + " from R group by C, time/10" + window,
+			}
+			t.Run(fmt.Sprintf("%s/count=%v", name, withCount), func(t *testing.T) {
+				cfg := testConfig(trace, sqls)
+				cfg.quiet, cfg.top = false, 0
+				at, rows := -1, 0
+				var from, to uint32
+				for _, line := range strings.Split(captureRun(t, cfg), "\n") {
+					if m := header.FindStringSubmatch(line); m != nil {
+						at = 0
+						if m[1]+m[5] == "C" {
+							at = 2
+						}
+						f, _ := strconv.ParseUint(m[2]+m[3], 10, 32)
+						l, _ := strconv.ParseUint(m[2]+m[4], 10, 32)
+						from, to = uint32(f), uint32(l)
+						continue
+					}
+					m := row.FindStringSubmatch(line)
+					if m == nil || at < 0 {
+						continue
+					}
+					key, _ := strconv.ParseUint(m[1], 10, 32)
+					if w := want(at, uint32(key), from, to, withCount); m[2] != w {
+						t.Errorf("epochs %d..%d, group %d: printed %s; want %s", from, to, key, m[2], w)
+					}
+					rows++
+				}
+				if rows == 0 {
+					t.Fatal("no rows printed")
+				}
+			})
+		}
 	}
 }

@@ -5,12 +5,13 @@
 //
 //	magggen -kind paper -out trace.magt
 //	magggen -kind uniform -attrs 4 -groups 2837 -n 1000000 -out u.magt
-//	magggen -kind flows -attrs 4 -groups 500 -n 100000 -mean-flow 20 -format text -out f.csv
+//	magggen -kind flows -attrs 4 -groups 500 -n 100000 -mean-flow 20 -out f.magt
 //
 // Kinds: "paper" (the surrogate of the paper's 860k-record tcpdump
 // capture), "uniform" (random draws from a fresh group universe), "flows"
 // (clustered netflow-like trace), "zipf" (skewed group popularity).
-// Formats: "bin" (compact binary, default) and "text" (CSV-like lines).
+// The trace is written in the binary trace format (package stream), the
+// one maggd reads.
 package main
 
 import (
@@ -27,7 +28,6 @@ func main() {
 	var (
 		kind     = flag.String("kind", "uniform", "paper | uniform | flows | zipf")
 		out      = flag.String("out", "", "output file (required)")
-		format   = flag.String("format", "bin", "bin | text")
 		seed     = flag.Int64("seed", 42, "generator seed")
 		attrs    = flag.Int("attrs", 4, "number of grouping attributes")
 		groups   = flag.Int("groups", 2837, "distinct full-width groups")
@@ -50,23 +50,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	switch *format {
-	case "bin":
-		err = stream.WriteTraceFile(*out, schema, recs)
-	case "text":
-		f, ferr := os.Create(*out)
-		if ferr != nil {
-			err = ferr
-			break
-		}
-		err = stream.WriteTextTrace(f, schema, recs)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
-	}
-	if err != nil {
+	if err := stream.WriteTraceFile(*out, schema, recs); err != nil {
 		fmt.Fprintf(os.Stderr, "magggen: %v\n", err)
 		os.Exit(1)
 	}

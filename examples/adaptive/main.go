@@ -55,7 +55,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	eng, err := magg.NewEngine(sqls, groups, magg.Options{
+	// Re-plans happen between epochs, so the result handler — called as
+	// each epoch closes — is where they show: the first epoch that ran
+	// under a new configuration reports it.
+	var eng *magg.Engine
+	lastConfig := ""
+	onResults := func(_ magg.Relation, epoch uint32, _ []magg.Row, _ magg.Degradation) {
+		if cur := eng.Plan().Config.String(); cur != lastConfig {
+			fmt.Printf("epoch %d (t=%ds) ran under the re-planned %s (modeled cost %.3f)\n",
+				epoch, epoch*10, cur, eng.Plan().Cost)
+			lastConfig = cur
+		}
+	}
+	eng, err = magg.NewEngine(sqls, groups, magg.Options{
 		M:    40000,
 		Seed: 9,
 		Adapt: magg.AdaptOptions{
@@ -63,31 +75,15 @@ func main() {
 			EveryEpochs:    1,
 			MinImprovement: 0.02,
 		},
+		OnResults: onResults,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("initial configuration: %s (modeled cost %.3f)\n\n", eng.Plan().Config, eng.Plan().Cost)
+	lastConfig = eng.Plan().Config.String()
+	fmt.Printf("initial configuration: %s (modeled cost %.3f)\n\n", lastConfig, eng.Plan().Cost)
 
-	src := magg.NewSliceSource(records)
-	lastConfig := eng.Plan().Config.String()
-	processed := 0
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := eng.Process(rec); err != nil {
-			log.Fatal(err)
-		}
-		processed++
-		if cur := eng.Plan().Config.String(); cur != lastConfig {
-			fmt.Printf("after %d records (t=%ds): re-planned to %s (modeled cost %.3f)\n",
-				processed, rec.Time, cur, eng.Plan().Cost)
-			lastConfig = cur
-		}
-	}
-	if err := eng.Finish(); err != nil {
+	if err := eng.Run(magg.NewSliceSource(records)); err != nil {
 		log.Fatal(err)
 	}
 

@@ -3,15 +3,11 @@ package choose
 import (
 	"encoding/json"
 	"fmt"
-
-	"repro/internal/attr"
-	"repro/internal/cost"
-	"repro/internal/feedgraph"
 )
 
 // Plan serialization: a chosen configuration and allocation as a stable
 // JSON document, so a plan computed offline (cmd/maggopt -json) can be
-// shipped to and audited on the node that executes it.
+// audited and compared between runs.
 
 // planJSON is the wire form of a Result.
 type planJSON struct {
@@ -40,52 +36,4 @@ func EncodePlan(r *Result) ([]byte, error) {
 		pj.Allocation[rel.String()] = b
 	}
 	return json.MarshalIndent(pj, "", "  ")
-}
-
-// DecodePlan parses a plan back into a Result (without a choosing trace).
-// The configuration notation, query set and allocation are
-// cross-validated: every instantiated relation must have buckets and vice
-// versa.
-func DecodePlan(data []byte) (*Result, error) {
-	var pj planJSON
-	if err := json.Unmarshal(data, &pj); err != nil {
-		return nil, fmt.Errorf("choose: bad plan JSON: %v", err)
-	}
-	if len(pj.Queries) == 0 {
-		return nil, fmt.Errorf("choose: plan lists no queries")
-	}
-	queries := make([]attr.Set, 0, len(pj.Queries))
-	for _, name := range pj.Queries {
-		q, err := attr.ParseSet(name)
-		if err != nil {
-			return nil, fmt.Errorf("choose: bad query %q: %v", name, err)
-		}
-		queries = append(queries, q)
-	}
-	cfg, err := feedgraph.ParseConfig(pj.Configuration, queries)
-	if err != nil {
-		return nil, err
-	}
-	alloc := cost.Alloc{}
-	for name, b := range pj.Allocation {
-		rel, err := attr.ParseSet(name)
-		if err != nil {
-			return nil, fmt.Errorf("choose: bad allocation relation %q: %v", name, err)
-		}
-		if b <= 0 {
-			return nil, fmt.Errorf("choose: allocation for %v is %d buckets", rel, b)
-		}
-		alloc[rel] = b
-	}
-	for _, r := range cfg.Rels {
-		if _, ok := alloc[r]; !ok {
-			return nil, fmt.Errorf("choose: instantiated relation %v has no allocation", r)
-		}
-	}
-	for rel := range alloc {
-		if !cfg.Has(rel) {
-			return nil, fmt.Errorf("choose: allocation for %v, which is not instantiated", rel)
-		}
-	}
-	return &Result{Config: cfg, Alloc: alloc, Cost: pj.ModeledCost}, nil
 }

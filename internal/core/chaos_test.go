@@ -288,10 +288,8 @@ func TestChaosKillRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 			const crashAt = 17000
-			for i := 0; i < crashAt; i++ {
-				if err := e1.Process(recs[i]); err != nil {
-					t.Fatal(err)
-				}
+			if err := feedAll(e1, recs[:crashAt]); err != nil {
+				t.Fatal(err)
 			}
 			// No Finish: the process is gone.
 
@@ -472,10 +470,8 @@ func TestChaosEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	crashAt := len(chaotic) * 2 / 3
-	for i := 0; i < crashAt; i++ {
-		if err := e1.Process(chaotic[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := feedAll(e1, chaotic[:crashAt]); err != nil {
+		t.Fatal(err)
 	}
 
 	e2, err := New(pairSQL, groups, opts)

@@ -113,7 +113,6 @@ func (e *Engine) workloadHash() uint64 {
 // (the engine's own CheckpointPath writes satisfy this by construction);
 // mid-epoch LFTA table contents are not captured.
 func (e *Engine) Checkpoint(w io.Writer) error {
-	_ = e.flushStage() // cannot fail outside Process; see flushStage
 	c := &e.ckpt
 	c.reset(w)
 	_, _ = c.bw.WriteString(ckptMagic)
@@ -873,7 +872,7 @@ func (d *ckptDecoder) pane() hfta.PaneSnapshot {
 // same workload (queries, M, seed) and returns the stream position: the
 // number of records the checkpointed engine had consumed, i.e. how many
 // leading records of the replayed stream to skip (stream.NewSkipSource)
-// before resuming Process. The plan is rebuilt deterministically from the
+// before resuming ingest. The plan is rebuilt deterministically from the
 // restored group counts; measured flow lengths are not carried over, so
 // the resumed plan may differ marginally from the one running at the
 // crash — answers stay exact under any plan.
@@ -888,7 +887,7 @@ func (e *Engine) Restore(r io.Reader) (consumed uint64, err error) {
 
 // restore is Restore, also reporting how many delta frames it folded.
 func (e *Engine) restore(r io.Reader) (consumed uint64, frames int, err error) {
-	if e.consumed != 0 || e.stats.Epochs != 0 || e.stage.Len() != 0 {
+	if e.consumed != 0 || e.stats.Epochs != 0 {
 		return 0, 0, fmt.Errorf("core: Restore requires a freshly constructed engine")
 	}
 	br := bufio.NewReader(r)

@@ -163,10 +163,8 @@ func TestGoldenShardedCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	const crashAgainAt = 25000
-	for i := restored; i < crashAgainAt; i++ {
-		if err := e1.Process(recs[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := feedAll(e1, recs[restored:crashAgainAt]); err != nil {
+		t.Fatal(err)
 	}
 	// No Finish: the process is gone.
 
@@ -287,10 +285,8 @@ func maybeWriteGoldenWindowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < goldenCrashAt; i++ {
-		if err := e.Process(recs[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := feedAll(e, recs[:goldenCrashAt]); err != nil {
+		t.Fatal(err)
 	}
 	if e.Stats().Epochs == 0 {
 		t.Fatal("windowed golden run never crossed an epoch boundary")

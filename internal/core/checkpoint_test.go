@@ -46,10 +46,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	const crashAt = 17000 // mid-epoch: 30000 records over 5 epochs
-	for i := 0; i < crashAt; i++ {
-		if err := e1.Process(recs[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := feedAll(e1, recs[:crashAt]); err != nil {
+		t.Fatal(err)
 	}
 	if e1.Stats().Epochs == 0 {
 		t.Fatal("crash point never crossed an epoch boundary")
@@ -124,10 +122,8 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := e.Process(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := feedAll(e, recs); err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := e.Checkpoint(&buf); err != nil {
@@ -182,7 +178,7 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 
 	t.Run("used engine", func(t *testing.T) {
 		used := fresh()
-		if err := used.Process(recs[0]); err != nil {
+		if err := feedOne(used, recs[0]); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := used.Restore(bytes.NewReader(good)); err == nil {
@@ -221,10 +217,8 @@ func TestCheckpointFileCrashLeavesOneSibling(t *testing.T) {
 		return out
 	}
 	feed := func(from, to int) {
-		for _, r := range recs[from:to] {
-			if err := e.Process(r); err != nil {
-				t.Fatal(err)
-			}
+		if err := feedAll(e, recs[from:to]); err != nil {
+			t.Fatal(err)
 		}
 	}
 	feed(0, 5000)
@@ -320,10 +314,8 @@ func TestNewRefusesAggregatesTheCheckpointCannotHold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range recs[:1200] {
-				if err := e.Process(r); err != nil {
-					t.Fatal(err)
-				}
+			if err := feedAll(e, recs[:1200]); err != nil {
+				t.Fatal(err)
 			}
 			if e.Stats().Epochs < 2 || len(e.AllResults()) == 0 {
 				t.Fatal("no closed epoch with rows; the image holds no row to check")
@@ -398,10 +390,8 @@ func TestNewRefusesWindowedQueriesAPaneCannotHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := e.Process(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := feedAll(e, recs); err != nil {
+		t.Fatal(err)
 	}
 	var img, again bytes.Buffer
 	if err := e.Checkpoint(&img); err != nil {

@@ -34,16 +34,15 @@ func logWorkload(t testing.TB, epochs int) []stream.Record {
 	return gen.Uniform(rng, u, 150*epochs, uint32(10*epochs))
 }
 
-// feedBoundaries feeds recs to e through Process, closing each epoch by
-// hand as admission does — flush the stage, roll the clock, endEpoch, which
-// records the boundary in the checkpoint log — so that at sees the engine
-// exactly at every boundary; then the rolling record is fed. before, if
-// set, runs just ahead of each boundary.
+// feedBoundaries feeds recs to e one record per batch, closing each epoch
+// by hand as admission does — roll the clock, endEpoch, which records the
+// boundary in the checkpoint log — so that at sees the engine exactly at
+// every boundary; then the rolling record is fed. before, if set, runs just
+// ahead of each boundary.
 func feedBoundaries(t testing.TB, e *Engine, recs []stream.Record, before, at func()) {
 	t.Helper()
 	for _, rec := range recs {
-		if e.specs[0].MatchWhere(rec.Attrs) && e.clock.Started() && rec.Time/e.epochLen > e.clock.Current() {
-			_ = e.flushStage() // staged records belong to the epoch closed below
+		if started, cur, _ := e.clock.Snapshot(); e.specs[0].MatchWhere(rec.Attrs) && started && rec.Time/e.epochLen > cur {
 			if before != nil {
 				before()
 			}
@@ -54,7 +53,7 @@ func feedBoundaries(t testing.TB, e *Engine, recs []stream.Record, before, at fu
 				at()
 			}
 		}
-		if err := e.Process(rec); err != nil {
+		if err := feedOne(e, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -335,15 +334,16 @@ func TestCheckpointLogTornTail(t *testing.T) {
 	t.Run("after a torn frame", func(t *testing.T) { expect(t, slices.Concat(image, f1[:len(f1)-3], frame(2), frame(3)), from) })
 }
 
-// TestCheckpointLogFailedAppend: a failed append surfaces from Process as
-// a failed image write does, and the next boundary writes a base image.
+// TestCheckpointLogFailedAppend: a failed append surfaces from
+// ProcessColumnBatch as a failed image write does, and the next boundary
+// writes a base image.
 func TestCheckpointLogFailedAppend(t *testing.T) {
 	recs := logWorkload(t, 12)
 	run := newLogRun(t, handlerCase, recs)
 	e := run.e
 	i := 0
 	for ; i < len(recs) && e.stats.Epochs < 1; i++ {
-		if err := e.Process(recs[i]); err != nil {
+		if err := feedOne(e, recs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,16 +354,16 @@ func TestCheckpointLogFailedAppend(t *testing.T) {
 	e.ckptLog.f.Close()
 	var err error
 	for ; i < len(recs) && err == nil; i++ {
-		err = e.Process(recs[i])
+		err = feedOne(e, recs[i])
 	}
 	if !errors.Is(err, os.ErrClosed) || e.stats.Epochs != 2 {
-		t.Fatalf("boundary %d: Process returned %v; want boundary 2's append error", e.stats.Epochs, err)
+		t.Fatalf("boundary %d: ProcessColumnBatch returned %v; want boundary 2's append error", e.stats.Epochs, err)
 	}
 	if e.ckptLog.f != nil {
 		t.Fatal("the log stays open after a failed append")
 	}
 	for ; i < len(recs) && e.stats.Epochs < 4; i++ {
-		if err := e.Process(recs[i]); err != nil {
+		if err := feedOne(e, recs[i]); err != nil {
 			t.Fatal(err)
 		}
 		if e.stats.Epochs == 3 && e.ckptLog.frames != 0 {
@@ -386,10 +386,8 @@ func TestFinishClosesCheckpointLog(t *testing.T) {
 	recs := logWorkload(t, 6)
 	run := newLogRun(t, handlerCase, recs)
 	e := run.e
-	for _, r := range recs {
-		if err := e.Process(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := feedAll(e, recs); err != nil {
+		t.Fatal(err)
 	}
 	f := e.ckptLog.f
 	if f == nil {

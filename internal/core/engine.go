@@ -123,12 +123,11 @@ type Options struct {
 	// many weighted operation units (Params.C1 per probe, Params.C2 per
 	// transfer) per stream time unit; records beyond it are shed by the
 	// Shed policy and counted per epoch. 0 disables overload control.
-	// Admission is decided record by record, in stream order, on every
-	// feed (Process, ProcessColumnBatch, Run): each admitted record's
-	// measured cost is charged before the next record is offered, so the
-	// same stream and seed shed the same records however they arrive. With
-	// Shards > 1 the budget is split across shards and reconciled per
-	// epoch; see Shards.
+	// Admission is decided record by record, in stream order: each
+	// admitted record's measured cost is charged before the next record is
+	// offered, so the same stream and seed shed the same records however
+	// it is cut into batches. With Shards > 1 the budget is split across
+	// shards and reconciled per epoch; see Shards.
 	Budget float64
 
 	// Shed picks which records to sacrifice under overload; nil with a
@@ -251,8 +250,7 @@ type Engine struct {
 
 	// Stream position: records admission has seen since construction (or
 	// restore), including filtered, late, and shed ones — the replay
-	// offset a checkpoint records. Records still in stage are not counted
-	// yet; every reader flushes the stage first.
+	// offset a checkpoint records.
 	consumed uint64
 
 	// Overload control (active when opts.Budget > 0): the policy, the
@@ -328,15 +326,6 @@ type Engine struct {
 	sketches  map[attr.Set]*sketch.HLL
 	sketchBuf []uint32
 
-	// The scalar feed's stage: records Process has copied in but admission
-	// has not seen yet (see Process for when it is flushed). Nothing about
-	// a staged record — ledger, position, sketches, probes — exists until
-	// the flush, so every accessor that reads such state flushes first.
-	// flushing marks a flush in progress: an epoch close inside it writes
-	// a checkpoint and runs handlers, which call those accessors.
-	stage    stream.ColumnBatch
-	flushing bool
-
 	// Sliding-window state (active when the workload declares a window
 	// or sketch aggregates): the pane→window composer, the sketch agg
 	// list, the open pane's sketch state (nil without sketch
@@ -365,11 +354,6 @@ type Engine struct {
 	shardIdx []int32
 	rowBuf   []uint32
 }
-
-// stageRun is the scalar feed's stage capacity, matching the SPSC
-// pipeline's sealed-run size so the batch kernel sees the same run shape
-// on both feeds.
-const stageRun = 512
 
 // New builds an engine from GSQL query texts (see package query for the
 // dialect). The queries must differ only in grouping attributes. groups
@@ -609,58 +593,6 @@ func (e *Engine) Graph() *feedgraph.Graph { return e.graph }
 
 // Groups returns the group-count table the engine currently plans with.
 func (e *Engine) Groups() feedgraph.GroupCounts { return e.groups }
-
-// Process feeds one record. Epoch boundaries (per the queries' time
-// bucket) trigger the end-of-epoch flush and, if enabled, adaptive
-// re-planning.
-//
-// Timestamps must be non-decreasing across epoch boundaries: a record
-// whose timestamp regresses into an already-closed epoch cannot be
-// assigned correctly anymore (its epoch was flushed), so it is dropped
-// and counted as Late instead of silently corrupting epoch assignment.
-// Configure a stream.OrderedSource upstream to reorder such streams
-// within a slack window. Regressions within the open epoch are harmless.
-//
-// Process is a stager in front of ProcessColumnBatch, the engine's only
-// admission code: the record joins the stage, and the stage is admitted
-// when it is full or when this record may roll the clock (the clock has
-// not started, or the record's epoch is later than the clock's) — so an
-// epoch closes, its handlers run and a checkpoint error surfaces inside
-// the Process call of the record that ends it. One-lane batches cost more
-// than a scalar probe, so nothing else forces a flush.
-func (e *Engine) Process(rec stream.Record) error {
-	if len(rec.Attrs) != e.stage.Width() {
-		// The first record, or a caller switching schemas mid-stream: every
-		// batch stays rectangular.
-		if err := e.flushStage(); err != nil {
-			return err
-		}
-		e.stage.Reset(len(rec.Attrs))
-	}
-	e.stage.Append(rec.Attrs, rec.Time)
-	if e.stage.Len() == stageRun || !e.clock.Started() ||
-		(stream.Epoch{Length: e.epochLen}).Of(rec.Time) > e.clock.Current() {
-		return e.flushStage()
-	}
-	return nil
-}
-
-// flushStage admits the staged records and empties the stage. It is a
-// no-op when re-entered from inside a flush (an epoch close there writes a
-// checkpoint and runs handlers, which call the flushing accessors). A
-// flush outside Process cannot fail or close an epoch: a staged record
-// that might have rolled the clock was flushed by the Process call that
-// staged it.
-func (e *Engine) flushStage() error {
-	if e.flushing || e.stage.Len() == 0 {
-		return nil
-	}
-	e.flushing = true
-	err := e.admitBatch(&e.stage)
-	e.stage.Reset(e.stage.Width())
-	e.flushing = false
-	return err
-}
 
 // admitRecord is the overload-control step for one on-time record routed
 // to shard s: replenish every shard's slice of the budget when stream time
@@ -1067,9 +999,6 @@ func (e *Engine) emitEpoch(closed Degradation) {
 // epoch boundary, so a later restore replays the final epoch in full;
 // Finish closes its descriptor.
 func (e *Engine) Finish() error {
-	if err := e.flushStage(); err != nil {
-		return err
-	}
 	if e.degInit {
 		e.closeEpochState()
 	}
@@ -1090,8 +1019,7 @@ func (e *Engine) Finish() error {
 }
 
 // ProcessColumnBatch feeds a column-major batch of records — the engine's
-// one admission path, which Process stages for and Run reads into. The
-// compiled WHERE runs over whole columns into the batch's selection bitmap
+// one admission path, which Run reads into. The compiled WHERE runs over whole columns into the batch's selection bitmap
 // (b.Sel); dead lanes are never compacted away, the selection threads
 // through shard routing and the probe setup instead. Epoch rollovers are
 // found by scanning the timestamp column at the selected lanes (filtered
@@ -1107,19 +1035,17 @@ func (e *Engine) Finish() error {
 // lane is offered, so the same records are shed however the stream is cut
 // into batches.
 //
+// Timestamps must be non-decreasing across epoch boundaries: a record
+// whose timestamp regresses into an already-closed epoch cannot be
+// assigned correctly anymore (its epoch was flushed), so it is dropped and
+// counted as Late. Configure a stream.OrderedSource upstream to reorder
+// such streams within a slack window. Regressions within the open epoch
+// are harmless.
+//
 // Outcomes — results, ledgers, stream position, checkpoint contents — are
 // invariant under batch splitting, down to one record per batch; the engine
 // equivalence suite pins this.
 func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
-	// Mixed feeds: records staged by Process come first in stream order.
-	if err := e.flushStage(); err != nil {
-		return err
-	}
-	return e.admitBatch(b)
-}
-
-// admitBatch is ProcessColumnBatch behind the stage flush.
-func (e *Engine) admitBatch(b *stream.ColumnBatch) error {
 	n := b.Len()
 	if n == 0 {
 		return nil
@@ -1297,7 +1223,6 @@ func (e *Engine) Epochs(rel attr.Set) []uint32 { return e.agg.Epochs(rel) }
 // Ops returns cumulative LFTA operation counts, across re-plans and
 // summed over shards.
 func (e *Engine) Ops() lfta.Ops {
-	_ = e.flushStage() // cannot fail outside Process; see flushStage
 	ops := e.srt.Ops()
 	return lfta.Ops{
 		Probes:    e.totalOps.Probes + ops.Probes,
@@ -1317,7 +1242,6 @@ func (e *Engine) ShardDegradations() []Degradation {
 	if e.nShards <= 1 {
 		return nil
 	}
-	_ = e.flushStage()
 	out := make([]Degradation, e.nShards)
 	for i := range out {
 		out[i] = e.shardCum[i]
@@ -1352,7 +1276,6 @@ func (e *Engine) ShardPositions() []uint64 {
 	if e.nShards <= 1 {
 		return nil
 	}
-	_ = e.flushStage()
 	out := make([]uint64, e.nShards)
 	for i := range out {
 		out[i] = e.shardCum[i].Offered + e.shardDeg[i].Offered
@@ -1365,7 +1288,7 @@ func (e *Engine) ShardPositions() []uint64 {
 // in the aggregate).
 func (e *Engine) Stats() Stats {
 	s := e.stats
-	s.Ops = e.Ops() // flushes the stage
+	s.Ops = e.Ops()
 	s.Degradation = e.cumDeg
 	s.Degradation.add(e.openDeg())
 	s.Durability = e.Durability()
@@ -1376,7 +1299,6 @@ func (e *Engine) Stats() Stats {
 // construction or restore — including filtered, late, and shed records —
 // i.e. the stream position a checkpoint records.
 func (e *Engine) Consumed() uint64 {
-	_ = e.flushStage()
 	return e.consumed
 }
 
@@ -1429,7 +1351,6 @@ type Diagnostics struct {
 // history. In adaptive mode the measured table window is the current
 // epoch (stats reset at each refresh).
 func (e *Engine) Diagnostics() (*Diagnostics, error) {
-	_ = e.flushStage()
 	rates, err := cost.Rates(e.plan.Config, e.groups, e.plan.Alloc, e.opts.Params)
 	if err != nil {
 		return nil, err

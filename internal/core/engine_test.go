@@ -40,6 +40,37 @@ func testWorkload(t *testing.T, n int) ([]stream.Record, feedgraph.GroupCounts) 
 	return recs, groups
 }
 
+// feed admits recs, in order, through ProcessColumnBatch in batches of
+// batchLen records (the last one shorter). Outcomes do not depend on where
+// batches are cut, so a test that acts between records feeds one record
+// per batch and any other feeds stream.ColumnBatchLen.
+func feed(e *Engine, recs []stream.Record, batchLen int) error {
+	var cb stream.ColumnBatch
+	for len(recs) > 0 {
+		n := min(batchLen, len(recs))
+		cb.Reset(len(recs[0].Attrs))
+		for _, r := range recs[:n] {
+			cb.Append(r.Attrs, r.Time)
+		}
+		if err := e.ProcessColumnBatch(&cb); err != nil {
+			return err
+		}
+		recs = recs[n:]
+	}
+	return nil
+}
+
+// feedAll feeds recs in stream.ColumnBatchLen batches.
+func feedAll(e *Engine, recs []stream.Record) error {
+	return feed(e, recs, stream.ColumnBatchLen)
+}
+
+// feedOne feeds rec as a batch of its own: an epoch it ends closes — its
+// handlers run, its checkpoint is written — inside this call.
+func feedOne(e *Engine, rec stream.Record) error {
+	return feed(e, []stream.Record{rec}, 1)
+}
+
 func TestNewValidation(t *testing.T) {
 	recs, groups := testWorkload(t, 1000)
 	_ = recs
@@ -280,39 +311,6 @@ func TestPlannerVariants(t *testing.T) {
 		}
 		if name == "NoPhantom" && len(e.Plan().Config.Phantoms()) != 0 {
 			t.Errorf("NoPhantom planner chose phantoms")
-		}
-	}
-}
-
-// TestProcessStagingFlushAllocs: the scalar feed stages records in one
-// engine-owned column batch and hands it to ProcessColumnBatch a run at a
-// time; the stage, the selection and routing scratch and the runtimes'
-// probe frames are all reused — so a steady-state flush allocates nothing,
-// sharded or not.
-func TestProcessStagingFlushAllocs(t *testing.T) {
-	recs, groups := testWorkload(t, 4*stageRun)
-	for _, shards := range []int{0, 2} {
-		e, err := New(pairSQL, groups, Options{M: 8000, Seed: 3, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		feed := func() {
-			for _, r := range recs {
-				r.Time = 0 // one epoch: only full-stage flushes, no epoch close
-				if err := e.Process(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		// Two passes size the stage, the admission and runtime scratch, the
-		// run buffers, and the epoch's HFTA groups.
-		feed()
-		feed()
-		if e.srt.Ops().Records == 0 {
-			t.Fatalf("shards=%d: no staged run reached the LFTA", shards)
-		}
-		if avg := testing.AllocsPerRun(10, feed); avg != 0 {
-			t.Errorf("shards=%d: %v allocations per %d staged records; want 0", shards, avg, len(recs))
 		}
 	}
 }

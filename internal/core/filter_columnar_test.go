@@ -20,13 +20,12 @@ import (
 	"repro/internal/stream"
 )
 
-// Batch-splitting invariance suite for the engine's one admission path.
-// Process is a stager in front of ProcessColumnBatch (its batches end at
-// 512 records or at a record that may roll the clock), so the "scalar" leg
-// of these grids is one more way of cutting the stream: results, ledgers,
-// stream position and checkpoint contents must not depend on where batches
-// are cut — 1, 7, 512-or-roll, random, ColumnBatchLen, Run — for every
-// tag-scan kernel the build supports and every shard count. What referees
+// Batch-splitting invariance suite for the engine's one admission path,
+// ProcessColumnBatch. The "scalar" leg of these grids feeds one record per
+// batch, the finest cut: results, ledgers, stream position and checkpoint
+// contents must not depend on where batches are cut — 1, 7, random,
+// ColumnBatchLen, Run — for every tag-scan kernel the build supports and
+// every shard count. What referees
 // the path itself is engine-independent: a brute-force replica built on the
 // interpreted WHERE, the clock's lateness rule and hfta.Reference, and the
 // checkpoint goldens the record-by-record engine wrote.
@@ -149,10 +148,9 @@ func assertEnginesAgree(t *testing.T, label string, got, want *Engine) {
 // TestColumnBatchMatchesScalarWithWhere: admission — compiled WHERE into a
 // selection bitmap, selection-aware routing and probing, mid-batch epoch
 // splits — produces record-for-record identical outcomes whether the
-// stream is cut by the Process stager (512-or-roll) or into random batches
-// of 1..2*ColumnBatchLen, on a stream that also carries late records, for
-// 1 and 4 shards and under every kernel selection — and so does one engine
-// fed through both in alternation.
+// stream is fed one record per batch, in ColumnBatchLen batches or in
+// random batches of 1..2*ColumnBatchLen, on a stream that also carries late
+// records, for 1 and 4 shards and under every kernel selection.
 func TestColumnBatchMatchesScalarWithWhere(t *testing.T) {
 	defer hashtab.SetSIMD(hashtab.SIMDEnabled())
 	_, chaotic := lateWorkload(t, 30000)
@@ -172,59 +170,42 @@ func TestColumnBatchMatchesScalarWithWhere(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, r := range chaotic {
-					if err := scalar.Process(r); err != nil {
-						t.Fatal(err)
-					}
+				if err := feed(scalar, chaotic, 1); err != nil {
+					t.Fatal(err)
 				}
 				if err := scalar.Finish(); err != nil {
 					t.Fatal(err)
 				}
 
-				columnar, err := New(filterSQL, groups, opts)
+				full, err := New(filterSQL, groups, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := feedAll(full, chaotic); err != nil {
+					t.Fatal(err)
+				}
+				if err := full.Finish(); err != nil {
+					t.Fatal(err)
+				}
+
+				random, err := New(filterSQL, groups, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				rng := rand.New(rand.NewSource(int64(9000 + shards)))
-				feedColumnBatches(t, columnar, chaotic, rng, 0)
-				if err := columnar.Finish(); err != nil {
+				feedColumnBatches(t, random, chaotic, rng, 0)
+				if err := random.Finish(); err != nil {
 					t.Fatal(err)
 				}
 
-				assertEnginesAgree(t, name, columnar, scalar)
-
-				// Both feeds into one engine, alternating: records staged
-				// by Process must be admitted before the next batch's
-				// lanes are, or ledgers and op counts diverge.
-				mixed, err := New(filterSQL, groups, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for pos := 0; pos < len(chaotic); {
-					stretch := min(1+rng.Intn(700), len(chaotic)-pos)
-					for _, r := range chaotic[pos : pos+stretch] {
-						if err := mixed.Process(r); err != nil {
-							t.Fatal(err)
+				for label, e := range map[string]*Engine{"ColumnBatchLen batches": full, "random batches": random} {
+					assertEnginesAgree(t, name+" "+label, e, scalar)
+					if shards > 1 {
+						if g, w := e.ShardDegradations(), scalar.ShardDegradations(); !slices.Equal(g, w) {
+							t.Errorf("%s: shard ledgers %+v; want %+v", label, g, w)
 						}
-					}
-					pos += stretch
-					pos += feedColumnBatches(t, mixed, chaotic[pos:], rng, 1)
-				}
-				if err := mixed.Finish(); err != nil {
-					t.Fatal(err)
-				}
-				assertEnginesAgree(t, name+" mixed feeds", mixed, scalar)
-				if shards > 1 {
-					gs, ws := columnar.ShardDegradations(), scalar.ShardDegradations()
-					for i := range ws {
-						if gs[i] != ws[i] {
-							t.Errorf("shard %d ledger %+v; want %+v", i, gs[i], ws[i])
-						}
-					}
-					gp, wp := columnar.ShardPositions(), scalar.ShardPositions()
-					for i := range wp {
-						if gp[i] != wp[i] {
-							t.Errorf("shard %d routed %d records; want %d", i, gp[i], wp[i])
+						if g, w := e.ShardPositions(), scalar.ShardPositions(); !slices.Equal(g, w) {
+							t.Errorf("%s: shard positions %v; want %v", label, g, w)
 						}
 					}
 				}
@@ -235,8 +216,8 @@ func TestColumnBatchMatchesScalarWithWhere(t *testing.T) {
 
 // TestColumnarRunShardedWhereMatchesOracle: Run over a columnar source
 // takes the vectorized path end to end; with a non-empty WHERE every
-// shard count must agree with the per-record single engine and with the
-// reference oracle over the interpreted-filtered records.
+// shard count must agree with the single engine fed one record per batch
+// and with the reference oracle over the interpreted-filtered records.
 func TestColumnarRunShardedWhereMatchesOracle(t *testing.T) {
 	defer hashtab.SetSIMD(hashtab.SIMDEnabled())
 	recs, _ := testWorkload(t, 30000)
@@ -251,10 +232,8 @@ func TestColumnarRunShardedWhereMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := scalar.Process(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := feed(scalar, recs, 1); err != nil {
+		t.Fatal(err)
 	}
 	if err := scalar.Finish(); err != nil {
 		t.Fatal(err)
@@ -298,7 +277,8 @@ func TestColumnarRunShardedWhereMatchesOracle(t *testing.T) {
 // engine's lateness rule replayed over them alone (a filtered record
 // never touches the clock) splits off the late ones, and the reference
 // aggregator answers the rest. Results, ledger and stream position must
-// match on the scalar and the columnar feed under every kernel.
+// match whether the stream arrives one record per batch or through Run,
+// under every kernel.
 func TestFilterCompiledMatchesOracle(t *testing.T) {
 	defer hashtab.SetSIMD(hashtab.SIMDEnabled())
 	_, chaotic := lateWorkload(t, 20000)
@@ -327,21 +307,19 @@ func TestFilterCompiledMatchesOracle(t *testing.T) {
 		t.Run("kernel="+hashtab.KernelName(), func(t *testing.T) {
 			feeds := map[string]func(*Engine) error{
 				"columnar": func(e *Engine) error { return e.Run(stream.NewSliceSource(chaotic)) },
-				"scalar": func(e *Engine) error {
-					for _, r := range chaotic {
-						if err := e.Process(r); err != nil {
-							return err
-						}
+				"one record per batch": func(e *Engine) error {
+					if err := feed(e, chaotic, 1); err != nil {
+						return err
 					}
 					return e.Finish()
 				},
 			}
-			for name, feed := range feeds {
+			for name, run := range feeds {
 				e, err := New(filterSQL, groups, Options{M: 8000, Seed: 3})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := feed(e); err != nil {
+				if err := run(e); err != nil {
 					t.Fatal(err)
 				}
 				if !hfta.Equal(e.AllResults(), oracle) {
@@ -529,7 +507,7 @@ func budgetSQL(where bool) []string {
 }
 
 // admitLog is a ShedPolicy that copies what every Admit call was shown —
-// the attributes (the columnar feed hands a buffer it reuses), the time and
+// the attributes (the engine hands a buffer it reuses), the time and
 // the exhausted flag — and forwards to the wrapped policy, state words
 // included, so a checkpoint is written as if the policy were unwrapped.
 type admitLog struct {
@@ -721,13 +699,13 @@ func assertBudgetFeedsAgree(t *testing.T, label string, got, want *budgetFeed) {
 }
 
 // TestColumnBatchBudgetMatchesScalar: with Budget > 0 the outcome is
-// invariant under batch splitting — the Process stager (512-or-roll),
-// ProcessColumnBatch at lengths 1, 7 and ColumnBatchLen that put epoch rolls
-// and budget ticks mid-batch, and Run over a ColumnSource: same rows per
-// epoch, same ledgers per epoch and per shard, same positions and operation
-// counts, the same bytes in every checkpoint, and the same (attrs, time,
-// exhausted) sequence offered to the policy. The Process-fed run, which the
-// others are compared with, is itself refereed by the brute-force oracle.
+// invariant under batch splitting — one record per batch, batch lengths 7
+// and ColumnBatchLen that put epoch rolls and budget ticks mid-batch, and
+// Run over a ColumnSource: same rows per epoch, same ledgers per epoch and
+// per shard, same positions and operation counts, the same bytes in every
+// checkpoint, and the same (attrs, time, exhausted) sequence offered to the
+// policy. The one-record run, which the others are compared with, is
+// itself refereed by the brute-force oracle.
 func TestColumnBatchBudgetMatchesScalar(t *testing.T) {
 	recs, _ := testWorkload(t, 12000)
 	chaotic, err := stream.Collect(stream.NewChaosSource(stream.NewSliceSource(recs),
@@ -754,10 +732,8 @@ func TestColumnBatchBudgetMatchesScalar(t *testing.T) {
 						}
 						sqls := budgetSQL(where)
 						scalar := newBudgetFeed(t, sqls, groups, policy, shards, budget)
-						for _, r := range in {
-							if err := scalar.e.Process(r); err != nil {
-								t.Fatal(err)
-							}
+						if err := feed(scalar.e, in, 1); err != nil {
+							t.Fatal(err)
 						}
 						scalar.finish(t)
 						d := scalar.e.Stats().Degradation
@@ -769,17 +745,10 @@ func TestColumnBatchBudgetMatchesScalar(t *testing.T) {
 						}
 						assertBudgetFeedMatchesOracle(t, scalar, sqls[0], in)
 
-						for _, batch := range []int{1, 7, stream.ColumnBatchLen} {
+						for _, batch := range []int{7, stream.ColumnBatchLen} {
 							col := newBudgetFeed(t, sqls, groups, policy, shards, budget)
-							var cb stream.ColumnBatch
-							for pos := 0; pos < len(in); pos += batch {
-								cb.Reset(len(in[pos].Attrs))
-								for _, r := range in[pos:min(pos+batch, len(in))] {
-									cb.Append(r.Attrs, r.Time)
-								}
-								if err := col.e.ProcessColumnBatch(&cb); err != nil {
-									t.Fatal(err)
-								}
+							if err := feed(col.e, in, batch); err != nil {
+								t.Fatal(err)
 							}
 							col.finish(t)
 							assertBudgetFeedsAgree(t, fmt.Sprintf("batch=%d", batch), col, scalar)

@@ -66,10 +66,8 @@ func fuzzRun(tb testing.TB, sqls []string, opts Options) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := e.Process(r); err != nil {
-			tb.Fatal(err)
-		}
+	if err := feedAll(e, recs); err != nil {
+		tb.Fatal(err)
 	}
 	var b bytes.Buffer
 	if err := e.Checkpoint(&b); err != nil {
@@ -98,10 +96,8 @@ func fuzzImageDurable(tb testing.TB, n int) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for _, r := range recs[:n] {
-		if err := e.Process(r); err != nil {
-			tb.Fatal(err)
-		}
+	if err := feedAll(e, recs[:n]); err != nil {
+		tb.Fatal(err)
 	}
 	e.SyncStore() // settle the ledger before it is snapshotted
 	var b bytes.Buffer
@@ -192,10 +188,8 @@ func fuzzLog(tb testing.TB, sqls []string, opts Options, from []byte) (image []b
 			tb.Fatal(err)
 		}
 	}
-	for _, r := range recs[skip:] {
-		if err := e.Process(r); err != nil {
-			tb.Fatal(err)
-		}
+	if err := feedAll(e, recs[skip:]); err != nil {
+		tb.Fatal(err)
 	}
 	log, err := os.ReadFile(opts.CheckpointPath)
 	if err != nil {
@@ -308,10 +302,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 			}
 			// Whatever the decoder accepted must leave a usable engine:
 			// feed it records and drain results without panicking.
-			for _, r := range probe {
-				if err := e.Process(r); err != nil {
-					t.Fatalf("restored engine cannot process: %v", err)
-				}
+			if err := feedAll(e, probe); err != nil {
+				t.Fatalf("restored engine cannot process: %v", err)
 			}
 			if err := e.Finish(); err != nil {
 				t.Fatalf("restored engine cannot finish: %v", err)

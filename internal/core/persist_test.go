@@ -200,10 +200,8 @@ func TestPersistQueueFullDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := e.Process(r); err != nil {
-			t.Fatalf("ingest blocked on a stalled store: %v", err)
-		}
+	if err := feedAll(e, recs); err != nil {
+		t.Fatalf("ingest blocked on a stalled store: %v", err)
 	}
 	close(gate) // disk recovers; let Finish drain what queued
 	if err := e.Finish(); err != nil {
@@ -257,10 +255,8 @@ func TestPersisterLagCopiesRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := e.Process(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := feedAll(e, recs); err != nil {
+		t.Fatal(err)
 	}
 	if d, closed := e.Durability(), len(e.EpochDegradations()); d.Persisted != 0 || closed < 10 {
 		t.Fatalf("persister is %d epochs behind the close (persisted %d); want ≥ 10 and 0", closed, d.Persisted)
@@ -322,10 +318,8 @@ func TestKillRestoreWithStoreReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	const crashAt = 17000
-	for i := 0; i < crashAt; i++ {
-		if err := e1.Process(recs[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := feedAll(e1, recs[:crashAt]); err != nil {
+		t.Fatal(err)
 	}
 	// No Finish: the process is gone. Quiesce the persister's in-flight
 	// writes and drop the handle, as a killed process's page cache would
@@ -717,10 +711,8 @@ func TestCheckpointDurabilityRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := e.Process(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := feedAll(e, recs); err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := e.Checkpoint(&buf); err != nil {

@@ -12,24 +12,30 @@ import (
 // epochFeeder offers an engine one whole epoch per call: per distinct
 // groups of the pairSQL workload, every attribute varying and the even
 // groups offered twice, stream time advancing by one epoch (10 ticks)
-// each time. The record's attribute slice is reused, so the feeder itself
-// allocates nothing.
+// each time, in stream.ColumnBatchLen batches. The record's attribute
+// slice and the batch are reused, so the feeder itself allocates nothing.
 type epochFeeder struct {
 	e     *Engine
 	per   uint32
 	epoch uint32
 	attrs []uint32
+	cb    stream.ColumnBatch
 }
 
 func (f *epochFeeder) feed(t *testing.T) {
+	f.cb.Reset(len(f.attrs))
 	for i := uint32(0); i < f.per*3/2; i++ {
 		g := i
 		if g >= f.per {
 			g = (i - f.per) * 2
 		}
 		f.attrs[0], f.attrs[1], f.attrs[2], f.attrs[3] = g, g*3+1, g*5+2, g*7+3
-		if err := f.e.Process(stream.Record{Attrs: f.attrs, Time: f.epoch*10 + i%10}); err != nil {
-			t.Fatal(err)
+		f.cb.Append(f.attrs, f.epoch*10+i%10)
+		if f.cb.Len() == stream.ColumnBatchLen || i == f.per*3/2-1 {
+			if err := f.e.ProcessColumnBatch(&f.cb); err != nil {
+				t.Fatal(err)
+			}
+			f.cb.Reset(len(f.attrs))
 		}
 	}
 	f.epoch++
@@ -50,31 +56,34 @@ func newEpochFeeder(t *testing.T, sqls []string, per uint32, opts Options) *epoc
 }
 
 // TestReadoutEpochCloseAllocs: with a result handler as the only consumer,
-// a steady-state epoch — ingest, flush, MergeRun, one view per query,
-// emission, Drop — allocates the same small constant at 16 and at 16384
-// groups per query: the read-out reuses one header array and copies
-// nothing.
+// a steady-state epoch — ingest in ColumnBatchLen batches, flush,
+// MergeRun, one view per query, emission, Drop — allocates the same small
+// constant at 16 and at 16384 groups per query, on one shard and on two:
+// admission reuses its scratch, and the read-out reuses one header array
+// and copies nothing.
 func TestReadoutEpochCloseAllocs(t *testing.T) {
-	var per [2]float64
-	for i, groups := range []uint32{16, 16384} {
-		rows := 0
-		f := newEpochFeeder(t, pairSQL, groups, Options{
-			OnResults: func(_ attr.Set, _ uint32, r []hfta.Row, _ Degradation) { rows += len(r) },
-		})
-		for warm := 0; warm < 8; warm++ { // tables, scratch and ledgers reach their sizes
-			f.feed(t)
+	for _, shards := range []int{0, 2} {
+		var per [2]float64
+		for i, groups := range []uint32{16, 16384} {
+			rows := 0
+			f := newEpochFeeder(t, pairSQL, groups, Options{Shards: shards,
+				OnResults: func(_ attr.Set, _ uint32, r []hfta.Row, _ Degradation) { rows += len(r) },
+			})
+			for warm := 0; warm < 8; warm++ { // tables, scratch and ledgers reach their sizes
+				f.feed(t)
+			}
+			rows = 0
+			const runs = 16
+			per[i] = testing.AllocsPerRun(runs, func() { f.feed(t) })
+			if want := (runs + 1) * len(pairSQL) * int(groups); rows != want {
+				t.Fatalf("shards=%d, %d groups/epoch: handler saw %d rows; want %d", shards, groups, rows, want)
+			}
 		}
-		rows = 0
-		const runs = 16
-		per[i] = testing.AllocsPerRun(runs, func() { f.feed(t) })
-		if want := (runs + 1) * len(pairSQL) * int(groups); rows != want {
-			t.Fatalf("%d groups/epoch: handler saw %d rows; want %d", groups, rows, want)
+		// Only amortized ledger growth is left (it reads 0 per epoch here).
+		if per[0] != per[1] || per[1] > 2 {
+			t.Errorf("shards=%d: epoch close allocated %.0f times at 16 groups/query and %.0f at 16384; want the same constant ≤ 2",
+				shards, per[0], per[1])
 		}
-	}
-	// Only amortized ledger growth is left (it reads 0 per epoch here).
-	if per[0] != per[1] || per[1] > 2 {
-		t.Errorf("epoch close allocated %.0f times at 16 groups/query and %.0f at 16384; want the same constant ≤ 2",
-			per[0], per[1])
 	}
 }
 

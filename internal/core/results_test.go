@@ -123,10 +123,8 @@ func TestResultErrorsSurfaced(t *testing.T) {
 		return real(rel, epoch)
 	}
 
-	for _, r := range recs {
-		if err := e.Process(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := feedAll(e, recs); err != nil {
+		t.Fatal(err)
 	}
 	if err := e.Finish(); err == nil {
 		t.Fatal("Finish swallowed the result errors")
@@ -152,10 +150,8 @@ func TestDiagnostics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs[:10000] {
-		if err := e.Process(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := feedAll(e, recs[:10000]); err != nil {
+		t.Fatal(err)
 	}
 	d, err := e.Diagnostics()
 	if err != nil {
@@ -188,5 +184,66 @@ func TestDiagnostics(t *testing.T) {
 	}
 	if !sawRaw || !sawQuery {
 		t.Error("diagnostics missing raw or query tables")
+	}
+}
+
+// firstOfNextEpoch returns the index of the first record whose epoch differs
+// from record 0's (epoch length 10, as pairSQL declares).
+func firstOfNextEpoch(t *testing.T, recs []stream.Record) int {
+	t.Helper()
+	for i, r := range recs {
+		if r.Time/10 != recs[0].Time/10 {
+			return i
+		}
+	}
+	t.Fatal("workload never leaves its first epoch")
+	return 0
+}
+
+// TestProcessRollHandlerReadsEngine: a result handler that reads Stats and
+// Consumed while ProcessColumnBatch is closing an epoch sees the position
+// strictly before the rolling record, once — whether that record starts a
+// batch of its own or sits inside one — and the reads admit nothing twice.
+func TestProcessRollHandlerReadsEngine(t *testing.T) {
+	recs, groups := testWorkload(t, 30000)
+	roll := firstOfNextEpoch(t, recs)
+	if roll%stream.ColumnBatchLen == 0 {
+		t.Fatalf("epoch rolls at record %d, a batch boundary; the mid-batch leg is vacuous", roll)
+	}
+	for _, batchLen := range []int{1, stream.ColumnBatchLen} {
+		t.Run(fmt.Sprintf("batch=%d", batchLen), func(t *testing.T) {
+			var e *Engine
+			var seen []uint64
+			e, err := New(pairSQL, groups, Options{M: 8000, Seed: 3, Shards: 2,
+				OnResults: func(_ attr.Set, _ uint32, _ []hfta.Row, closed Degradation) {
+					st := e.Stats()
+					if st.Degradation.Offered != closed.Offered || e.Consumed() != closed.Offered {
+						t.Errorf("inside the roll: ledger %+v, position %d; the closed epoch offered %d",
+							st.Degradation, e.Consumed(), closed.Offered)
+					}
+					seen = append(seen, e.Consumed())
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := feed(e, recs[:roll+200], batchLen); err != nil {
+				t.Fatal(err)
+			}
+			if len(seen) != len(pairSQL) {
+				t.Fatalf("%d handler calls for one closed epoch; want %d", len(seen), len(pairSQL))
+			}
+			for _, pos := range seen {
+				if pos != uint64(roll) {
+					t.Errorf("handler read position %d; want %d, strictly before the rolling record", pos, roll)
+				}
+			}
+			if got := e.Consumed(); got != uint64(roll+200) {
+				t.Errorf("consumed %d records after the roll; want %d", got, roll+200)
+			}
+			assertLedger(t, e, uint64(roll+200))
+			if got := e.Ops().Records; got != uint64(roll+200) {
+				t.Errorf("the LFTA saw %d records; want %d, each exactly once", got, roll+200)
+			}
+		})
 	}
 }

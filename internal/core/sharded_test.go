@@ -129,10 +129,8 @@ func TestShardedKillRestoreV2(t *testing.T) {
 				t.Fatal(err)
 			}
 			const crashAt = 17000
-			for i := 0; i < crashAt; i++ {
-				if err := e1.Process(recs[i]); err != nil {
-					t.Fatal(err)
-				}
+			if err := feedAll(e1, recs[:crashAt]); err != nil {
+				t.Fatal(err)
 			}
 			// No Finish: the process is gone.
 
@@ -211,10 +209,8 @@ func TestCheckpointShardCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 17000; i++ {
-		if err := e1.Process(recs[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := feedAll(e1, recs[:17000]); err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := e1.Checkpoint(&buf); err != nil {
@@ -265,10 +261,8 @@ func TestShardedKillRestoreHistory(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, r := range recs[:17000] {
-					if err := e1.Process(r); err != nil {
-						t.Fatal(err)
-					}
+				if err := feedAll(e1, recs[:17000]); err != nil {
+					t.Fatal(err)
 				}
 				e2, err := New(pairSQL, groups, mkOpts())
 				if err != nil {

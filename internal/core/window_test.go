@@ -312,10 +312,8 @@ func TestLateFirstRecordOpensLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 17000; i++ {
-		if err := e1.Process(recs[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := feedAll(e1, recs[:17000]); err != nil {
+		t.Fatal(err)
 	}
 	e2, err := NewFromSample(sqls, recs, opts)
 	if err != nil {
@@ -335,7 +333,7 @@ func TestLateFirstRecordOpensLedger(t *testing.T) {
 	// The only post-restore record is late: a timestamp from epoch 0.
 	lateRec := recs[0]
 	lateRec.Time = 0
-	if err := e2.Process(lateRec); err != nil {
+	if err := feedOne(e2, lateRec); err != nil {
 		t.Fatal(err)
 	}
 	if err := e2.Finish(); err != nil {
@@ -471,10 +469,8 @@ func TestCheckpointAllocsIndependentOfHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	measure := func(closed int) (allocs float64, size int) {
-		for _, r := range recs[e.Consumed() : closed+1] {
-			if err := e.Process(r); err != nil {
-				t.Fatal(err)
-			}
+		if err := feedAll(e, recs[e.Consumed():closed+1]); err != nil {
+			t.Fatal(err)
 		}
 		if got := e.Stats().Epochs; got != closed {
 			t.Fatalf("%d epochs closed, want %d", got, closed)

@@ -65,10 +65,6 @@ func checkIndex(t *testing.T, s *Store, m indexModel, rels []attr.Set, maxEpoch 
 	if got := s.Epochs(); !slices.Equal(got, wantEpochs) {
 		t.Fatalf("Epochs = %v, model %v", got, wantEpochs)
 	}
-	last, ok := s.LastEpoch()
-	if ok != (len(wantEpochs) > 0) || ok && last != wantEpochs[len(wantEpochs)-1] {
-		t.Fatalf("LastEpoch = %d, %v; model epochs %v", last, ok, wantEpochs)
-	}
 	for ep := uint32(0); ep <= maxEpoch+1; ep++ {
 		var wantRels []attr.Set
 		for _, rel := range rels {

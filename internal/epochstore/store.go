@@ -844,16 +844,6 @@ func (s *Store) Relations(epoch uint32) []attr.Set {
 	return out
 }
 
-// LastEpoch returns the highest persisted epoch, if any.
-func (s *Store) LastEpoch() (uint32, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.index) == 0 {
-		return 0, false
-	}
-	return s.index[len(s.index)-1].epoch, true
-}
-
 // Len returns the number of persisted (epoch, relation) records — not of
 // index entries, which hold a run of an epoch's records each.
 func (s *Store) Len() int {
@@ -932,9 +922,6 @@ func (s *Store) Recovery() Recovery {
 	defer s.mu.Unlock()
 	return s.recovery
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Close closes the store; further appends and reads fail with ErrClosed.
 func (s *Store) Close() error {

@@ -87,9 +87,6 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("Read(%d, %v) = %+v, want %+v", w.Epoch, w.Rel, *r, w)
 		}
 	}
-	if last, ok := s.LastEpoch(); !ok || last != 5 {
-		t.Fatalf("LastEpoch = %d, %v; want 5, true", last, ok)
-	}
 	if got := s.Epochs(); !reflect.DeepEqual(got, []uint32{1, 2, 3, 4, 5}) {
 		t.Fatalf("Epochs = %v", got)
 	}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/attr"
 	"repro/internal/stream"
@@ -413,21 +412,4 @@ func CountGroups(recs []stream.Record, rel attr.Set) int {
 		seen[keyString(buf)] = true
 	}
 	return len(seen)
-}
-
-// GroupHistogram returns the per-group record counts of a batch projected
-// onto rel, sorted descending; useful for skew diagnostics in examples.
-func GroupHistogram(recs []stream.Record, rel attr.Set) []int {
-	counts := make(map[string]int)
-	buf := make([]uint32, 0, rel.Size())
-	for i := range recs {
-		buf = rel.Project(recs[i].Attrs, buf)
-		counts[keyString(buf)]++
-	}
-	out := make([]int, 0, len(counts))
-	for _, c := range counts {
-		out = append(out, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }

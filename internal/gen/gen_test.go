@@ -108,11 +108,16 @@ func TestZipfSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist := GroupHistogram(recs, schema.Universe())
+	counts := map[uint32]int{}
+	top := 0
+	for _, r := range recs {
+		counts[r.Attrs[0]]++
+		top = max(top, counts[r.Attrs[0]])
+	}
 	// Heavy skew: the top group should carry far more than the uniform
 	// share (50 records/group).
-	if hist[0] < 500 {
-		t.Errorf("top group has %d records; expected heavy skew", hist[0])
+	if top < 500 {
+		t.Errorf("top group has %d records; expected heavy skew", top)
 	}
 	if _, err := Zipf(rng(7), u, 10, 0, 0.5); err == nil {
 		t.Error("invalid zipf exponent accepted")
@@ -220,23 +225,6 @@ func TestDeterminism(t *testing.T) {
 		if r1[i].Time != r2[i].Time || r1[i].Attrs[0] != r2[i].Attrs[0] {
 			t.Fatal("same seed produced different record streams")
 		}
-	}
-}
-
-func TestGroupHistogramSumsToN(t *testing.T) {
-	schema := stream.MustSchema(2)
-	u, _ := UniformUniverse(rng(11), schema, 50, 0)
-	recs := Uniform(rng(12), u, 5000, 0)
-	hist := GroupHistogram(recs, schema.Universe())
-	total := 0
-	for i, c := range hist {
-		total += c
-		if i > 0 && hist[i-1] < c {
-			t.Fatal("histogram not sorted descending")
-		}
-	}
-	if total != 5000 {
-		t.Errorf("histogram sums to %d; want 5000", total)
 	}
 }
 

@@ -27,7 +27,7 @@ func drive(recs []stream.Record, epochLen uint32, process func(stream.Record, ui
 		}
 		process(rec, epoch)
 	}
-	if clock.Started() {
+	if started, _, _ := clock.Snapshot(); started {
 		flush()
 	}
 }

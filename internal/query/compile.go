@@ -162,12 +162,6 @@ conjs:
 // (an empty WHERE, or a conjunction folded to constant true).
 func (cf *CompiledFilter) AlwaysTrue() bool { return cf.empty || cf.always }
 
-// MatchesNothing reports that no record can ever match (every
-// conjunction folded to constant false).
-func (cf *CompiledFilter) MatchesNothing() bool {
-	return !cf.empty && len(cf.conjs) == 0
-}
-
 // evalWord scores one predicate over lanes [lo,hi) of its column,
 // returning the pass word; dead high bits may be set when neg is true,
 // so callers mask with the word's valid-lane mask.

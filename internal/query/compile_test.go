@@ -183,8 +183,8 @@ func TestFilterCompileFolds(t *testing.T) {
 		{{Attr: 2, Op: Gt, Val: 1<<32 - 1}},
 	}}
 	cf = f.Compile()
-	if !cf.MatchesNothing() {
-		t.Fatal("all-false DNF must fold to matches-nothing")
+	if cf.empty || cf.always || len(cf.conjs) != 0 {
+		t.Fatal("all-false DNF must fold to no conjunction")
 	}
 	sel := selvec.Grow(nil, 64)
 	cols := [][]uint32{make([]uint32, 64), make([]uint32, 64), make([]uint32, 64)}

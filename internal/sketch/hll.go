@@ -323,7 +323,7 @@ func sparseLen(n int) int { return 3 + 3*n }
 // looks at the register values alone, never at the store holding them,
 // so a blob is a function of what the counter observed — two engines
 // that saw the same records checkpoint the same bytes whatever their
-// counters went through — and DecodeHLL refuses the longer form.
+// counters went through — and decode refuses the longer form.
 // Register-max merge means the serialized form of a merged counter is
 // exactly the lane-wise max of the inputs, so HLL partials shipped
 // between pipeline levels compose losslessly.
@@ -362,17 +362,6 @@ func nonZero(regs []uint8) int {
 		}
 	}
 	return n
-}
-
-// DecodeHLL parses one counter from the front of data and returns the
-// remaining bytes.
-func DecodeHLL(data []byte) (*HLL, []byte, error) {
-	h := new(HLL)
-	rest, err := h.decode(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, rest, nil
 }
 
 // decode replaces h's state with the counter at the front of data, in

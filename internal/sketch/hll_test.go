@@ -160,8 +160,8 @@ func TestEstimateMatchesRegisterOrderSum(t *testing.T) {
 	check := func(what string, ref *denseRef) {
 		t.Helper()
 		for form, blob := range [][]byte{ref.blob(), ref.canonical()} {
-			h, _, err := DecodeHLL(blob)
-			if err != nil {
+			h := new(HLL)
+			if _, err := h.decode(blob); err != nil {
 				t.Fatalf("%s: form %d: %v", what, form, err)
 			}
 			if got, want := h.Estimate(), ref.estimate(); math.Float64bits(got) != math.Float64bits(want) {

@@ -103,7 +103,8 @@ func TestHLLBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := randHLL(rng, 3000)
 	blob := h.AppendBinary(nil)
-	got, rest, err := DecodeHLL(append(blob, 0xEE)) // trailing byte must survive
+	got := new(HLL)
+	rest, err := got.decode(append(blob, 0xEE)) // trailing byte must survive
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +119,13 @@ func TestHLLBinaryRoundTrip(t *testing.T) {
 	}
 	// Truncations and a bad precision byte must be rejected, not panic.
 	for cut := 0; cut < len(blob); cut += 97 {
-		if _, _, err := DecodeHLL(blob[:cut]); err == nil {
+		if _, err := new(HLL).decode(blob[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	bad := append([]byte(nil), blob...)
 	bad[0] = 99
-	if _, _, err := DecodeHLL(bad); err == nil {
+	if _, err := new(HLL).decode(bad); err == nil {
 		t.Fatal("precision 99 accepted")
 	}
 }
@@ -132,7 +133,7 @@ func TestHLLBinaryRoundTrip(t *testing.T) {
 func digestBytes(d *TDigest) []byte { return d.Clone().AppendBinary(nil) }
 
 func randDigest(rng *rand.Rand, n int, dist int) *TDigest {
-	d := MustNewTDigest(DefaultCompression)
+	d, _ := NewTDigest(DefaultCompression) // the default δ is valid
 	for i := 0; i < n; i++ {
 		switch dist {
 		case 0:
@@ -221,7 +222,11 @@ func TestTDigestMergeLaws(t *testing.T) {
 		// Identity: merging an empty digest is a byte-level no-op after
 		// flush.
 		ae := a.Clone()
-		if err := ae.Merge(MustNewTDigest(DefaultCompression)); err != nil {
+		empty, err := NewTDigest(DefaultCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ae.Merge(empty); err != nil {
 			t.Fatal(err)
 		}
 		af := a.Clone()
@@ -239,7 +244,10 @@ func TestTDigestRankError(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for dist := 0; dist < 3; dist++ {
 		for _, n := range []int{100, 1000, 10000, 100000} {
-			d := MustNewTDigest(DefaultCompression)
+			d, err := NewTDigest(DefaultCompression)
+			if err != nil {
+				t.Fatal(err)
+			}
 			vals := make([]float64, n)
 			for i := range vals {
 				switch dist {
@@ -270,7 +278,10 @@ func TestTDigestRankError(t *testing.T) {
 
 func TestTDigestBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	d := MustNewTDigest(DefaultCompression)
+	d, err := NewTDigest(DefaultCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Leave the insert buffer partially full: serialization must carry
 	// it verbatim for checkpoint byte-identity.
 	for i := 0; i < 1234; i++ {
@@ -298,7 +309,10 @@ func TestTDigestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestTDigestEmptyAndEdge(t *testing.T) {
-	d := MustNewTDigest(0)
+	d, err := NewTDigest(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d.Compression() != DefaultCompression {
 		t.Fatalf("compression 0 should select default, got %v", d.Compression())
 	}
@@ -319,7 +333,11 @@ func TestTDigestEmptyAndEdge(t *testing.T) {
 		}
 	}
 	// Mismatched compression merges must be rejected.
-	if err := d.Merge(MustNewTDigest(200)); err == nil {
+	other, err := NewTDigest(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Merge(other); err == nil {
 		t.Fatal("compression mismatch accepted")
 	}
 	d.Reset()

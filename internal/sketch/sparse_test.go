@@ -131,7 +131,8 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 			sameAsRef(t, "built by adds", h, ref)
 			sameAsRef(t, "built dense", pre, ref)
 			for _, blob := range [][]byte{ref.blob(), ref.canonical()} {
-				d, rest, err := DecodeHLL(blob)
+				d := new(HLL)
+				rest, err := d.decode(blob)
 				if err != nil || len(rest) != 0 {
 					t.Fatalf("p=%d after %d adds: decode: rest %d, err %v", p, adds, len(rest), err)
 				}
@@ -180,15 +181,16 @@ func TestSparseThresholdEdges(t *testing.T) {
 		for i := 0; i < last; i++ {
 			ref.regs[i] = 1
 		}
-		d, _, err := DecodeHLL(ref.blob())
-		if err != nil {
+		d := new(HLL)
+		if _, err := d.decode(ref.blob()); err != nil {
 			t.Fatal(err)
 		}
 		if blob := d.AppendBinary(nil); blob[0] != 0x80|p || len(blob) != 3+3*last {
 			t.Errorf("p=%d: %d registers serialize to %d bytes, tag %#x; want sparse", p, last, len(blob), blob[0])
 		}
 		ref.regs[last] = 1
-		if d, _, err = DecodeHLL(ref.blob()); err != nil {
+		d = new(HLL)
+		if _, err := d.decode(ref.blob()); err != nil {
 			t.Fatal(err)
 		}
 		if blob := d.AppendBinary(nil); blob[0] != p || len(blob) != 1+m {
@@ -201,8 +203,8 @@ func TestSparseThresholdEdges(t *testing.T) {
 	if want := []byte{0x90, 1, 0, 0xff, 0xff, 49}; !bytes.Equal(blob, want) {
 		t.Fatalf("p=16 idx 65535: blob % x, want % x", blob, want)
 	}
-	d, _, err := DecodeHLL(blob)
-	if err != nil {
+	d := new(HLL)
+	if _, err := d.decode(blob); err != nil {
 		t.Fatal(err)
 	}
 	ref := newDenseRef(16)
@@ -227,7 +229,7 @@ var malformedHLL = map[string][]byte{
 
 func TestDecodeHLLRejectsMalformed(t *testing.T) {
 	for name, blob := range malformedHLL {
-		if _, _, err := DecodeHLL(blob); err == nil {
+		if _, err := new(HLL).decode(blob); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 		// Over a counter that holds something, in either store: the error
@@ -241,7 +243,7 @@ func TestDecodeHLLRejectsMalformed(t *testing.T) {
 				t.Errorf("%s over %d registers: accepted", name, fill)
 			}
 			h.Add(hashFor(h.p, 7, 3))
-			if _, _, err := DecodeHLL(h.AppendBinary(nil)); err != nil {
+			if _, err := new(HLL).decode(h.AppendBinary(nil)); err != nil {
 				t.Errorf("%s over %d registers: counter left unusable: %v", name, fill, err)
 			}
 		}
@@ -286,7 +288,7 @@ func TestDecodeFromEitherForm(t *testing.T) {
 }
 
 // FuzzDecodePartial: checkpoint blobs are outside input, and the partial
-// decoder is where they reach DecodeHLL and DecodeTDigest. Whatever
+// decoder is where they reach the HLL and t-digest decoders. Whatever
 // decodes must re-encode to something that decodes to the same bytes.
 func FuzzDecodePartial(f *testing.F) {
 	specs := [][]Agg{

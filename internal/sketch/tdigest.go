@@ -44,15 +44,6 @@ func NewTDigest(compression float64) (*TDigest, error) {
 	return &TDigest{comp: compression, min: math.Inf(1), max: math.Inf(-1)}, nil
 }
 
-// MustNewTDigest is NewTDigest that panics on error.
-func MustNewTDigest(compression float64) *TDigest {
-	d, err := NewTDigest(compression)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Compression returns the δ knob the digest was built with.
 func (d *TDigest) Compression() float64 { return d.comp }
 

@@ -165,15 +165,15 @@ func TestClockRegressionGuard(t *testing.T) {
 	if c.Current() != 2 {
 		t.Errorf("clock rolled backwards to %d", c.Current())
 	}
-	if c.Regressions() != 1 {
-		t.Errorf("regressions = %d; want 1", c.Regressions())
+	if _, _, reg := c.Snapshot(); reg != 1 {
+		t.Errorf("regressions = %d; want 1", reg)
 	}
 	// Within-epoch regressions are harmless and not counted.
 	if _, rolled, late := c.Observe(21); rolled || late {
 		t.Error("within-epoch regression flagged")
 	}
-	if c.Regressions() != 1 {
-		t.Errorf("within-epoch regression counted: %d", c.Regressions())
+	if _, _, reg := c.Snapshot(); reg != 1 {
+		t.Errorf("within-epoch regression counted: %d", reg)
 	}
 	// Advance keeps working through the legacy two-value form.
 	if e, rolled := c.Advance(31); e != 3 || !rolled {
@@ -195,8 +195,8 @@ func TestClockSnapshotRoundTrip(t *testing.T) {
 	if e, rolled, late := c2.Observe(9); e != 2 || rolled || !late {
 		t.Errorf("restored clock: Observe(9) = %d, %v, %v", e, rolled, late)
 	}
-	if c2.Regressions() != 2 {
-		t.Errorf("restored regressions = %d; want 2", c2.Regressions())
+	if _, _, reg := c2.Snapshot(); reg != 2 {
+		t.Errorf("restored regressions = %d; want 2", reg)
 	}
 }
 

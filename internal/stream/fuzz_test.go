@@ -86,21 +86,3 @@ func readTraceColumns(data []byte) (Schema, []Record, error) {
 	}
 	return src.Schema(), recs, src.Err()
 }
-
-// FuzzReadTextTrace: the text parser must never panic.
-func FuzzReadTextTrace(f *testing.F) {
-	f.Add("1,2,3\n4,5,6\n")
-	f.Add("# comment\n\n 1, 2, 3 \n")
-	f.Add("a,b,c\n")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, data string) {
-		schema, recs, err := ReadTextTrace(bytes.NewReader([]byte(data)))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteTextTrace(&buf, schema, recs); err != nil {
-			t.Fatalf("accepted text trace cannot re-encode: %v", err)
-		}
-	})
-}

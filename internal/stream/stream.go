@@ -128,7 +128,7 @@ func (e Epoch) Of(t uint32) uint32 {
 // The clock never moves backwards: a timestamp that regresses into an
 // already-closed epoch (possible on unordered streams when no
 // OrderedSource is configured) is clamped to the current epoch and
-// counted in Regressions, instead of rolling the clock back and
+// counted as a regression (carried by Snapshot), instead of rolling the clock back and
 // corrupting epoch assignment. Regressions within the current epoch are
 // harmless and not counted.
 type Clock struct {
@@ -174,11 +174,9 @@ func (c *Clock) Observe(t uint32) (epoch uint32, rolled, late bool) {
 	return e, false, false
 }
 
-// Regressions returns the number of timestamps observed in epochs earlier
-// than the then-current one.
-func (c *Clock) Regressions() uint64 { return c.regressed }
-
-// Snapshot captures the clock state for checkpointing.
+// Snapshot captures the clock state for checkpointing: whether it has
+// started, the current epoch, and how many timestamps it has seen regress
+// into an earlier epoch.
 func (c *Clock) Snapshot() (started bool, cur uint32, regressed uint64) {
 	return c.started, c.cur, c.regressed
 }
@@ -190,9 +188,6 @@ func (c *Clock) RestoreSnapshot(started bool, cur uint32, regressed uint64) {
 
 // Current returns the epoch the clock is in; valid after the first Advance.
 func (c *Clock) Current() uint32 { return c.cur }
-
-// Started reports whether the clock has seen any record.
-func (c *Clock) Started() bool { return c.started }
 
 // SkipSource discards the first n records of a source before yielding the
 // rest — the resume path for replaying a trace from a checkpoint's stream

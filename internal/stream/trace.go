@@ -7,17 +7,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 )
 
-// Trace file support. Two interchangeable encodings of a packet trace:
-//
-//   - binary: a compact little-endian format ("MAGT" magic) used by
-//     cmd/magggen and cmd/maggd for the large synthetic traces;
-//   - text: one record per line, comma-separated attribute values followed
-//     by the timestamp, with '#' comments — convenient for hand-written
-//     fixtures and for importing data from other tools.
+// Trace file support: one compact little-endian binary encoding of a
+// packet trace ("MAGT" magic), written by cmd/magggen and read by cmd/maggd
+// and the benchmark.
 
 const (
 	traceMagic   = "MAGT"
@@ -104,75 +98,4 @@ func ReadTraceFile(path string) (Schema, []Record, error) {
 	}
 	defer f.Close()
 	return ReadTrace(f)
-}
-
-// WriteTextTrace writes records in the text format: a header comment, then
-// one "v1,v2,...,vn,time" line per record.
-func WriteTextTrace(w io.Writer, schema Schema, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# magg text trace: %d attributes (%s), %d records\n",
-		schema.NumAttrs, strings.Join(schema.Names, ","), len(recs))
-	for i := range recs {
-		r := &recs[i]
-		if err := schema.Validate(*r); err != nil {
-			return err
-		}
-		for _, v := range r.Attrs {
-			fmt.Fprintf(bw, "%d,", v)
-		}
-		fmt.Fprintf(bw, "%d\n", r.Time)
-	}
-	return bw.Flush()
-}
-
-// ReadTextTrace parses the text format. The schema is inferred from the
-// first data line: all fields but the last are attributes.
-func ReadTextTrace(r io.Reader) (Schema, []Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	var (
-		schema Schema
-		recs   []Record
-		lineNo int
-	)
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Split(line, ",")
-		if len(fields) < 2 {
-			return Schema{}, nil, fmt.Errorf("%w: line %d: need at least one attribute and a timestamp", ErrBadTrace, lineNo)
-		}
-		if schema.NumAttrs == 0 {
-			s, err := NewSchema(len(fields) - 1)
-			if err != nil {
-				return Schema{}, nil, fmt.Errorf("%w: line %d: %v", ErrBadTrace, lineNo, err)
-			}
-			schema = s
-		} else if len(fields)-1 != schema.NumAttrs {
-			return Schema{}, nil, fmt.Errorf("%w: line %d: %d attributes, expected %d", ErrBadTrace, lineNo, len(fields)-1, schema.NumAttrs)
-		}
-		attrs := make([]uint32, schema.NumAttrs)
-		for i := 0; i < schema.NumAttrs; i++ {
-			v, err := strconv.ParseUint(strings.TrimSpace(fields[i]), 10, 32)
-			if err != nil {
-				return Schema{}, nil, fmt.Errorf("%w: line %d field %d: %v", ErrBadTrace, lineNo, i+1, err)
-			}
-			attrs[i] = uint32(v)
-		}
-		ts, err := strconv.ParseUint(strings.TrimSpace(fields[len(fields)-1]), 10, 32)
-		if err != nil {
-			return Schema{}, nil, fmt.Errorf("%w: line %d timestamp: %v", ErrBadTrace, lineNo, err)
-		}
-		recs = append(recs, Record{Attrs: attrs, Time: uint32(ts)})
-	}
-	if err := sc.Err(); err != nil {
-		return Schema{}, nil, err
-	}
-	if schema.NumAttrs == 0 {
-		return Schema{}, nil, fmt.Errorf("%w: no records", ErrBadTrace)
-	}
-	return schema, recs, nil
 }

@@ -102,31 +102,3 @@ func TestReadTraceFileMissing(t *testing.T) {
 		t.Errorf("err = %v; want fs not-exist", err)
 	}
 }
-
-// TestReadTextTraceRobustness mirrors the binary cases for the text
-// format.
-func TestReadTextTraceRobustness(t *testing.T) {
-	cases := []struct {
-		name string
-		data string
-	}{
-		{"empty", ""},
-		{"comments only", "# nothing here\n\n# still nothing\n"},
-		{"lonely field", "42\n"},
-		{"non-numeric attr", "1,x,3\n"},
-		{"non-numeric timestamp", "1,2,end\n"},
-		{"ragged rows", "1,2,3\n1,2,3,4\n"},
-		{"attr overflow", "99999999999,2,3\n"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, recs, err := ReadTextTrace(bytes.NewReader([]byte(tc.data)))
-			if err == nil {
-				t.Fatalf("accepted (%d records)", len(recs))
-			}
-			if !errors.Is(err, ErrBadTrace) {
-				t.Errorf("err = %v; want ErrBadTrace", err)
-			}
-		})
-	}
-}

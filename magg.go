@@ -376,8 +376,5 @@ func OpenEpochStore(dir string, opts EpochStoreOptions) (*EpochStore, error) {
 type Durability = core.Durability
 
 // EncodePlan serializes a plan (configuration + allocation + modeled
-// cost) as JSON for shipping between the planner and the executing node.
+// cost) as JSON, the form maggopt -json prints.
 func EncodePlan(r *PlanResult) ([]byte, error) { return choose.EncodePlan(r) }
-
-// DecodePlan parses and cross-validates a plan encoded by EncodePlan.
-func DecodePlan(data []byte) (*PlanResult, error) { return choose.DecodePlan(data) }
